@@ -23,7 +23,7 @@ from .errors import (
     ScriptMismatchError,
     UnknownToolError,
 )
-from .grounding import FeedbackItem, MessageTable
+from .grounding import MessageTable
 from .llm import (
     FinalAnswer,
     LlmBackend,
@@ -34,14 +34,7 @@ from .llm import (
     render_prompt,
 )
 from .mcts import MctsPlanner, PlannerConfig
-from .sim import (
-    FAIL_PREFIX,
-    TaskSpec,
-    check_goal,
-    execute,
-    format_feedback as _format,
-    refresh_visibility,
-)
+from .sim import FAIL_PREFIX, TaskSpec, check_goal, execute, refresh_visibility
 from .tools import ToolLibrary, builtin_tool_library
 from .world import WorldState
 
@@ -51,18 +44,10 @@ OUTCOME_BUDGET = "step-budget-exhausted"
 OUTCOME_DECLARED = "agent-declared-final"
 
 
-def format_feedback(items: list[FeedbackItem]) -> str:
-    """Observation text for a set of unsatisfied preconditions."""
-    if not items:
-        raise ValueError("format_feedback requires a nonempty unsatisfied set")
-    return _format([item.message for item in items])
-
-
 @dataclass
 class AgentConfig:
     mode: str = "react"  # "react" | "react+mcts"
     grounding_enabled: bool = True
-    max_steps: int = 50  # used when a task does not carry its own budget
     step_cap: int | None = None  # harness-imposed ceiling on any task's budget
     temperature: float = 0.7
     scratchpad_char_budget: int = 24000
@@ -128,29 +113,29 @@ class EpisodeRecord:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False, ensure_ascii=False)
 
 
+def _render_step(step: StepRecord) -> str:
+    if step.action is None:
+        return f"Observation: {step.observation}\n"
+    return format_step(
+        ReactStep(
+            thought=step.thought,
+            action=step.action,
+            action_input=step.args,
+            observation=step.observation,
+        )
+    )
+
+
 def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
-    """Full history rendering, truncated oldest-first to the budget."""
+    """Full history rendering, truncated oldest-first to the budget; the
+    newest step is kept even when it alone is over budget."""
+    parts = [_render_step(step) for step in steps]
+    length = sum(len(part) for part in parts)
     start = 0
-    while True:
-        parts = []
-        for step in steps[start:]:
-            if step.action is None:
-                parts.append(f"Observation: {step.observation}\n")
-            else:
-                parts.append(
-                    format_step(
-                        ReactStep(
-                            thought=step.thought,
-                            action=step.action,
-                            action_input=step.args,
-                            observation=step.observation,
-                        )
-                    )
-                )
-        text = "".join(parts)
-        if len(text) <= char_budget or start >= len(steps) - 1:
-            return text
+    while length > char_budget and start < len(parts) - 1:
+        length -= len(parts[start])
         start += 1
+    return "".join(parts[start:])
 
 
 def _react_decide(
@@ -207,7 +192,7 @@ def run_episode(
     if check_goal(state, task):
         return record(OUTCOME_SUCCESS, True)
 
-    budget = task.max_steps if task.max_steps else config.max_steps
+    budget = task.max_steps
     if config.step_cap is not None:
         budget = min(budget, config.step_cap)
     for _ in range(budget):

@@ -264,21 +264,3 @@ def print_precondition(formula: Formula) -> str:
     if isinstance(formula, Exists):
         return f"(exists ({formula.variable}) {print_precondition(formula.body)})"
     raise TypeError(f"not a formula node: {formula!r}")
-
-
-def formula_variables(formula: Formula) -> set[str]:
-    """Free and bound variables mentioned anywhere in the formula."""
-    if isinstance(formula, Atom):
-        return set() if formula.variable is None else {formula.variable}
-    if isinstance(formula, Not):
-        return formula_variables(formula.child)
-    if isinstance(formula, And):
-        result: set[str] = set()
-        for child in formula.children:
-            result |= formula_variables(child)
-        return result
-    if isinstance(formula, When):
-        return formula_variables(formula.antecedent) | formula_variables(formula.consequent)
-    if isinstance(formula, Exists):
-        return {formula.variable} | formula_variables(formula.body)
-    raise TypeError(f"not a formula node: {formula!r}")

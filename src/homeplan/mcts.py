@@ -275,7 +275,6 @@ class MctsPlanner:
             {"goal": goal, "plan_steps": _plan_steps(path)},
         )
         config = self.config
-        last_justification = ""
         for _ in range(config.critique_retry_budget + 1):
             completion = self.backend.complete(
                 prompt, temperature=config.critique_temperature
@@ -287,7 +286,7 @@ class MctsPlanner:
             except (NoScoreError, ScoreOutOfRangeError):
                 continue
         raw = config.critique_fallback_score
-        return normalize_score(raw), raw, last_justification
+        return normalize_score(raw), raw, ""
 
     # -- full planning call -------------------------------------------------
 
@@ -365,16 +364,3 @@ class PlanResult:
     root: SearchNode
     llm_calls: int
     trace: list[dict]
-
-
-def plan_next_action(
-    state: WorldState,
-    goal: str,
-    backend: LlmBackend,
-    config: PlannerConfig | None = None,
-    library: ToolLibrary | None = None,
-) -> tuple[str, dict | None]:
-    """Run one full planning call and return the chosen (tool, args)."""
-    planner = MctsPlanner(backend, config=config, library=library)
-    result = planner.plan(state, goal)
-    return result.action, result.args

@@ -21,8 +21,10 @@ from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .tools import (
     ActionSpec,
     CookContents,
+    DescribeRelations,
     DiscoverSweep,
     InsertContainment,
+    ListDiscovered,
     MoveAgentTo,
     RemoveContainment,
     RevealContents,
@@ -42,10 +44,6 @@ GENERIC_FAILURE = FAIL_PREFIX + "execution error"
 class Observation:
     success: bool
     message: str
-
-
-def _success(detail: str) -> Observation:
-    return Observation(True, SUCCESS_PREFIX + detail)
 
 
 def format_feedback(messages: list[str]) -> str:
@@ -137,9 +135,10 @@ def _descendants(state: WorldState, object_id: str) -> list[str]:
 
 def _apply_effects(
     state: WorldState, spec: ActionSpec, refs: dict[str, str | None]
-) -> tuple[WorldState, dict]:
-    """Apply the spec's effect list in order; returns state plus message data."""
-    extra: dict = {}
+) -> tuple[WorldState, str]:
+    """Apply the spec's effect list in order; returns the state and the
+    success text (the spec's own, or the one a reporting effect wrote)."""
+    report = spec.success
     for effect in spec.effects:
         if isinstance(effect, SetAttribute):
             target = refs[effect.ref]
@@ -173,19 +172,31 @@ def _apply_effects(
         elif isinstance(effect, RevealContents):
             target = refs[effect.ref]
             children = state.children_of(target)
-            extra["revealed"] = children
+            report = effect.report.format(children)
             state = replace(state, discovered=state.discovered | set(children))
         elif isinstance(effect, DiscoverSweep):
             order = zone_order(state)
             landing = order[state.agent.explore_count % len(order)]
             eligible = {oid for oid in state.objects if _sweep_eligible(state, oid)}
-            extra["newly_discovered"] = bool(eligible - state.discovered)
+            report = effect.found if eligible - state.discovered else effect.nothing_new
             agent = replace(
                 state.agent,
                 current_zone=landing,
                 explore_count=state.agent.explore_count + 1,
             )
             state = replace(state, agent=agent, discovered=state.discovered | eligible)
+        elif isinstance(effect, ListDiscovered):
+            report = effect.report.format(sorted(state.discovered))
+        elif isinstance(effect, DescribeRelations):
+            target = refs[effect.ref]
+            parent = state.parent_of(target)
+            parents = (
+                "None" if parent is None else repr([state.objects[parent].display_id or parent])
+            )
+            controls = state.objects[target].controls
+            report = effect.report.format(
+                parents=parents, controls=repr(list(controls)) if controls else "None"
+            )
         elif isinstance(effect, MoveAgentTo):
             if state.agent.action_count in state.nav_faults:
                 continue  # authored navigation fault: reposition silently fails
@@ -201,63 +212,7 @@ def _apply_effects(
                         state = _set_attribute(state, descendant, "isCooked", True)
         else:
             raise TypeError(f"unknown effect primitive: {effect!r}")
-    return state, extra
-
-
-# ---------------------------------------------------------------------------
-# Success message rendering
-
-
-def _success_message(state: WorldState, spec: ActionSpec, target: str | None, extra: dict) -> str:
-    name = spec.name
-    if name == "Pick Up Object":
-        return "Target object was picked up!"
-    if name == "Place Object":
-        return "Held object was successfully placed in target object!"
-    if name == "Open Object":
-        return "Target object was opened!"
-    if name == "Close Object":
-        return "Target object was closed!"
-    if name == "Toggle Object On":
-        return "Target object was toggled on!"
-    if name == "Toggle Object Off":
-        return "Target object was toggled off!"
-    if name == "Search Object":
-        return (
-            "Here is a list of objects found inside or on the target receptacle: "
-            f"{extra.get('revealed', [])!r}"
-        )
-    if name == "Fill Held Object With Water":
-        return "Held object was successfully filled with water!"
-    if name == "Pour Water Into":
-        return "Water was successfully poured into the target object!"
-    if name == "Randomly Explore":
-        return "New objects discovered!" if extra.get("newly_discovered") else (
-            "No new objects discovered."
-        )
-    if name == "Get Discovered Objects":
-        return (
-            "Here is a list of the object ID's of all of the discovered objects: "
-            f"{sorted(state.discovered)!r}"
-        )
-    if name == "Inspect Object":
-        parent = state.parent_of(target)
-        if parent is None:
-            parents_repr = "None"
-        else:
-            display = state.objects[parent].display_id or parent
-            parents_repr = repr([display])
-        controls = state.objects[target].controls
-        controls_repr = repr(list(controls)) if controls else "None"
-        return (
-            "The queried object is currently inside or on top of the following objects: "
-            f"{parents_repr}.\n"
-            # "quried"/"controls" phrasing matches the transcript fixtures. [sic]
-            f"The quried objects currently controls the following objects: {controls_repr}."
-        )
-    if name == "Adjust Positioning":
-        return "Readjusted position relative to target object!"
-    raise ValueError(f"no success message for tool {name!r}")
+    return state, report
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +282,8 @@ def execute(
         return state, Observation(False, GENERIC_FAILURE)
 
     refs: dict[str, str | None] = {"target": target, "held": state.agent.held_object}
-    new_state, extra = _apply_effects(state, spec, refs)
-    new_state = refresh_visibility(new_state)
-    return new_state, _success(_success_message(new_state, spec, target, extra))
+    new_state, report = _apply_effects(state, spec, refs)
+    return refresh_visibility(new_state), Observation(True, SUCCESS_PREFIX + report)
 
 
 # ---------------------------------------------------------------------------

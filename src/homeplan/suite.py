@@ -16,26 +16,11 @@ from importlib import resources
 from pathlib import Path
 
 from .agent import AgentConfig, EpisodeRecord, run_episode
-from .errors import InsufficientObjectsError, SuiteFormatError
+from .errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
 from .sim import GoalAtom, TaskSpec, task_from_dict
+from .tools import builtin_tool_library
 from .world import WorldState, load_world
 
-# Tool -> skill category used by step-wise reporting.
-SKILL_MAP = {
-    "Randomly Explore": "locate",
-    "Adjust Positioning": "move",
-    "Get Discovered Objects": "perceive",
-    "Inspect Object": "perceive",
-    "Search Object": "perceive",
-    "Pick Up Object": "manipulate",
-    "Open Object": "manipulate",
-    "Close Object": "manipulate",
-    "Toggle Object On": "manipulate",
-    "Toggle Object Off": "manipulate",
-    "Fill Held Object With Water": "manipulate",
-    "Pour Water Into": "manipulate",
-    "Place Object": "place",
-}
 SKILL_ORDER = ("locate", "move", "perceive", "manipulate", "place")
 
 
@@ -284,17 +269,21 @@ def run_suite(
         for repetition in range(suite.repetitions):
             jobs.append((task, repetition))
 
-    def run_one(job) -> tuple[str, EpisodeRecord | None, str | None]:
+    def episode_id(job) -> str:
         task, repetition = job
-        episode_id = task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
+        return task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
+
+    def run_one(job) -> EpisodeRecord | str:
+        """The episode's record, or the error line of an infrastructure
+        failure (counted as a task failure); program bugs propagate."""
+        task, _ = job
         try:
             world = resolve_world(task.world, base_dir)
             if seed_override is not None:
                 world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
-            record = run_episode(task, config, factory(task), world, messages=messages)
-            return episode_id, record, None
-        except Exception as exc:  # infrastructure failure, counted as task failure
-            return episode_id, None, f"{episode_id}: {exc}"
+            return run_episode(task, config, factory(task), world, messages=messages)
+        except (HomeplanError, OSError, json.JSONDecodeError) as exc:
+            return f"{episode_id(job)}: {exc}"
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -302,18 +291,17 @@ def run_suite(
     else:
         results = [run_one(job) for job in jobs]
 
-    results.sort(key=lambda item: item[0])
-    by_id = {task.id: task for task in suite.tasks}
     episodes = []
     records = []
     errors = []
-    for episode_id, record, error in results:
-        task = by_id[episode_id.split("#")[0]]
-        if record is None:
-            errors.append(error)
+    ordered = sorted(zip(jobs, results), key=lambda item: (item[0][0].id, item[0][1]))
+    for job, record in ordered:
+        task = job[0]
+        if isinstance(record, str):
+            errors.append(record)
             episodes.append(
                 {
-                    "id": episode_id,
+                    "id": episode_id(job),
                     "difficulty": task.difficulty,
                     "outcome": "failure",
                     "success": False,
@@ -326,7 +314,7 @@ def run_suite(
         records.append(record)
         episodes.append(
             {
-                "id": episode_id,
+                "id": episode_id(job),
                 "difficulty": task.difficulty,
                 "outcome": record.outcome,
                 "success": record.success,
@@ -450,11 +438,15 @@ def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
 
 
 def stepwise_from_episodes(episodes: list[dict]) -> StepwiseTable:
-    """Aggregate per-skill attempt outcomes over executed actions."""
+    """Aggregate per-skill attempt outcomes over executed actions. A tool
+    name outside the built-in library (a hallucinated call) counts as a
+    manipulation attempt."""
+    library = builtin_tool_library()
     tally: dict[str, list[int]] = {}
     for episode in episodes:
         for action in episode.get("actions", ()):
-            skill = SKILL_MAP.get(action["action"], "manipulate")
+            name = action["action"]
+            skill = library.get(name).skill if name in library else "manipulate"
             bucket = tally.setdefault(skill, [0, 0])
             bucket[0 if action["ok"] else 1] += 1
     rows = [

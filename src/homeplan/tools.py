@@ -1,9 +1,10 @@
 """The built-in tool library: specs, preconditions, and effect primitives.
 
-Each tool carries the expert ground-truth precondition (loaded from the
-shipped labeled-pairs fixture so the verification layer and the comparison
-harness can never drift apart) and an ordered list of effect primitives the
-simulator interprets.
+Each tool is described once, by its ActionSpec: the expert ground-truth
+precondition (loaded from the shipped labeled-pairs fixture so the
+verification layer and the comparison harness can never drift apart), an
+ordered list of effect primitives the simulator interprets, the text it
+reports on success and the skill category step-wise reports count it under.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .formula import Formula, parse_precondition
 
 # Effect primitives. target refs are resolved when an action is applied:
 # "target" is the bound ?x object, "held" the object in the agent's hand.
+# A reporting primitive carries the success text of its tool; the simulator
+# fills in what the effect found.
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,29 @@ class SetHolding:
 
 @dataclass(frozen=True)
 class RevealContents:
+    report: str  # "{}" receives the repr of the revealed children
     ref: str = "target"
 
 
 @dataclass(frozen=True)
 class DiscoverSweep:
     """Walk to the next zone in the seeded order, surveying the room."""
+
+    found: str  # reported when the sweep discovered a new object
+    nothing_new: str
+
+
+@dataclass(frozen=True)
+class ListDiscovered:
+    report: str  # "{}" receives the repr of the sorted discovered ids
+
+
+@dataclass(frozen=True)
+class DescribeRelations:
+    """Report the target's parent and the objects it controls."""
+
+    report: str  # "{parents}" and "{controls}": a repr'd list or "None"
+    ref: str = "target"
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,8 @@ EffectPrimitive = (
     | SetHolding
     | RevealContents
     | DiscoverSweep
+    | ListDiscovered
+    | DescribeRelations
     | MoveAgentTo
     | CookContents
 )
@@ -78,13 +100,16 @@ EffectPrimitive = (
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """One tool: prompt-facing description, schema, precondition, effects."""
+    """One tool: prompt-facing description, schema, precondition, effects,
+    success text and skill category."""
 
     name: str
     description: str
     param_schema: tuple[tuple[str, str], ...]
     precondition: Formula | None  # None means trivially true
     effects: tuple[EffectPrimitive, ...]
+    skill: str  # locate | move | perceive | manipulate | place
+    success: str | None = None  # None: a reporting effect writes the text
     requires_discovered: bool = False  # world-level check outside the formula
 
     @property
@@ -162,6 +187,8 @@ def builtin_tool_library() -> ToolLibrary:
                 SetAttribute("target", "isPickedUp", True),
                 SetHolding("target"),
             ),
+            skill="manipulate",
+            success="Target object was picked up!",
         ),
         ActionSpec(
             name="Place Object",
@@ -176,6 +203,8 @@ def builtin_tool_library() -> ToolLibrary:
                 SetAttribute("held", "isPickedUp", False),
                 InsertContainment("held", "target"),
             ),
+            skill="place",
+            success="Held object was successfully placed in target object!",
         ),
         ActionSpec(
             name="Open Object",
@@ -186,6 +215,8 @@ def builtin_tool_library() -> ToolLibrary:
             param_schema=_OBJECT_PARAM,
             precondition=gt["Open Object"],
             effects=(SetAttribute("target", "isOpen", True),),
+            skill="manipulate",
+            success="Target object was opened!",
         ),
         ActionSpec(
             name="Close Object",
@@ -196,6 +227,8 @@ def builtin_tool_library() -> ToolLibrary:
             param_schema=_OBJECT_PARAM,
             precondition=gt["Close Object"],
             effects=(SetAttribute("target", "isOpen", False),),
+            skill="manipulate",
+            success="Target object was closed!",
         ),
         ActionSpec(
             name="Toggle Object On",
@@ -209,6 +242,8 @@ def builtin_tool_library() -> ToolLibrary:
                 SetAttribute("target", "isToggled", True),
                 CookContents("target"),
             ),
+            skill="manipulate",
+            success="Target object was toggled on!",
         ),
         ActionSpec(
             name="Toggle Object Off",
@@ -219,6 +254,8 @@ def builtin_tool_library() -> ToolLibrary:
             param_schema=_OBJECT_PARAM,
             precondition=gt["Toggle Object Off"],
             effects=(SetAttribute("target", "isToggled", False),),
+            skill="manipulate",
+            success="Target object was toggled off!",
         ),
         ActionSpec(
             name="Search Object",
@@ -228,7 +265,12 @@ def builtin_tool_library() -> ToolLibrary:
             ),
             param_schema=_OBJECT_PARAM,
             precondition=gt["Search Object"],
-            effects=(RevealContents("target"),),
+            effects=(
+                RevealContents(
+                    "Here is a list of objects found inside or on the target receptacle: {!r}"
+                ),
+            ),
+            skill="perceive",
         ),
         ActionSpec(
             name="Fill Held Object With Water",
@@ -239,6 +281,8 @@ def builtin_tool_library() -> ToolLibrary:
             param_schema=(),
             precondition=gt["Fill Held Object With Water"],
             effects=(SetAttribute("held", "isFilledWithLiquid", True),),
+            skill="manipulate",
+            success="Held object was successfully filled with water!",
         ),
         ActionSpec(
             name="Pour Water Into",
@@ -252,6 +296,8 @@ def builtin_tool_library() -> ToolLibrary:
                 SetAttribute("held", "isFilledWithLiquid", False),
                 SetAttribute("target", "isFilledWithLiquid", True),
             ),
+            skill="manipulate",
+            success="Water was successfully poured into the target object!",
         ),
         ActionSpec(
             name="Randomly Explore",
@@ -261,7 +307,12 @@ def builtin_tool_library() -> ToolLibrary:
             ),
             param_schema=(),
             precondition=None,
-            effects=(DiscoverSweep(),),
+            effects=(
+                DiscoverSweep(
+                    found="New objects discovered!", nothing_new="No new objects discovered."
+                ),
+            ),
+            skill="locate",
         ),
         ActionSpec(
             name="Get Discovered Objects",
@@ -271,7 +322,12 @@ def builtin_tool_library() -> ToolLibrary:
             ),
             param_schema=(),
             precondition=None,
-            effects=(),
+            effects=(
+                ListDiscovered(
+                    "Here is a list of the object ID's of all of the discovered objects: {!r}"
+                ),
+            ),
+            skill="perceive",
         ),
         ActionSpec(
             name="Inspect Object",
@@ -281,7 +337,15 @@ def builtin_tool_library() -> ToolLibrary:
             ),
             param_schema=_OBJECT_PARAM,
             precondition=None,
-            effects=(),
+            effects=(
+                DescribeRelations(
+                    "The queried object is currently inside or on top of the following "
+                    "objects: {parents}.\n"
+                    # "quried"/"controls" phrasing matches the transcript fixtures. [sic]
+                    "The quried objects currently controls the following objects: {controls}."
+                ),
+            ),
+            skill="perceive",
         ),
         ActionSpec(
             name="Adjust Positioning",
@@ -292,6 +356,8 @@ def builtin_tool_library() -> ToolLibrary:
             param_schema=_OBJECT_PARAM,
             precondition=None,
             effects=(MoveAgentTo("target"),),
+            skill="move",
+            success="Readjusted position relative to target object!",
             requires_discovered=True,
         ),
     ]

@@ -1,42 +1,21 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homeplan.agent import (
     AgentConfig,
     EpisodeRecord,
     StepRecord,
     build_scratchpad,
-    format_feedback,
     run_episode,
 )
 from homeplan.errors import BackendUnavailableError
-from homeplan.formula import Atom, Not
-from homeplan.grounding import FeedbackItem
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
 from homeplan.scenarios import load_shipped_scenarios, run_adversarial
 from homeplan.sim import GoalAtom, TaskSpec
 
 from .conftest import make_object, make_world
-
-
-def test_format_feedback_single_message():
-    items = [FeedbackItem(Atom("visible", "?x"), "the target object is not visible")]
-    assert format_feedback(items) == "Tool Failed: the target object is not visible, "
-
-
-def test_format_feedback_joins_in_formula_order():
-    items = [
-        FeedbackItem(Atom("visible", "?x"), "the target object is not visible"),
-        FeedbackItem(Atom("isOpen", "?x"), "the target object is not open"),
-    ]
-    assert format_feedback(items) == (
-        "Tool Failed: the target object is not visible, the target object is not open, "
-    )
-
-
-def test_format_feedback_rejects_empty_set():
-    with pytest.raises(ValueError):
-        format_feedback([])
 
 
 def trace_script(trace):
@@ -252,6 +231,31 @@ def test_scratchpad_truncates_oldest_first():
     assert "step 29" in truncated
     assert "step 0" not in truncated
     assert full.endswith(truncated)
+
+
+_step_records = st.builds(
+    StepRecord,
+    thought=st.text(max_size=30),
+    action=st.sampled_from([None, "Pick Up Object", "Teleport Object"]),
+    args=st.one_of(
+        st.none(), st.fixed_dictionaries({"object_id": st.text(max_size=12)}), st.text(max_size=12)
+    ),
+    observation=st.text(max_size=60),
+)
+
+
+@given(st.lists(_step_records, max_size=25), st.integers(min_value=0, max_value=800))
+def test_scratchpad_is_shortest_step_suffix_within_budget(steps, budget):
+    rendered = [build_scratchpad([step], char_budget=10**6) for step in steps]
+    text = build_scratchpad(steps, char_budget=budget)
+    suffixes = ["".join(rendered[k:]) for k in range(len(rendered) + 1)]
+    assert text in suffixes
+    start = suffixes.index(text)
+    # Within budget unless only the newest step is left ...
+    assert len(text) <= budget or start == len(steps) - 1
+    # ... and the next longer suffix is over budget.
+    if start > 0:
+        assert len(suffixes[start - 1]) > budget
 
 
 def test_serialize_excludes_wall_clock():

@@ -10,7 +10,6 @@ from homeplan.mcts import (
     SearchNode,
     backpropagate,
     normalize_score,
-    plan_next_action,
     select,
     ucb_score,
 )
@@ -201,16 +200,16 @@ def test_plan_single_feasible_action_budget_one():
         mode="keyed",
     )
     config = PlannerConfig(expansion_budget=1, children_per_expansion=1, max_depth=1)
-    action, args = plan_next_action(feasible_world(), "tidy up", backend, config)
-    assert action == "Pick Up Object"
-    assert args == {"object_id": "Knife_1"}
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    assert result.action == "Pick Up Object"
+    assert result.args == {"object_id": "Knife_1"}
 
 
 def test_plan_no_feasible_action():
     backend = ScriptedBackend.ordered(["prose"] * 20, cyclic=True)
     config = PlannerConfig(expansion_budget=2, children_per_expansion=2)
     with pytest.raises(NoFeasibleActionError):
-        plan_next_action(feasible_world(), "tidy up", backend, config)
+        MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -8,14 +9,17 @@ from homeplan.grounding import evaluate
 from homeplan.sim import (
     GENERIC_FAILURE,
     GoalAtom,
+    Observation,
     TaskSpec,
     check_goal,
     execute,
+    format_feedback,
     refresh_visibility,
     replay_trace,
     task_from_dict,
     zone_order,
 )
+from homeplan.suite import stepwise_from_episodes
 from homeplan.tools import builtin_tool_library
 from homeplan.world import validate_world
 
@@ -125,6 +129,131 @@ def test_observation_success_prefix_invariant():
     ]:
         _, obs = execute(world, action, args, True)
         assert obs.success == obs.message.startswith("Tool Completed Successfully")
+
+
+def test_format_feedback_single_message():
+    assert format_feedback(["the target object is not visible"]) == (
+        "Tool Failed: the target object is not visible, "
+    )
+
+
+def test_format_feedback_joins_in_formula_order():
+    messages = ["the target object is not visible", "the target object is not open"]
+    assert format_feedback(messages) == (
+        "Tool Failed: the target object is not visible, the target object is not open, "
+    )
+
+
+# Every tool once, in an order where each call succeeds on one_room_world():
+# (tool, args, success text after the prefix, skill).
+TOOL_REPORTS = [
+    ("Randomly Explore", {"input": None}, "New objects discovered!", "locate"),
+    (
+        "Get Discovered Objects",
+        {"input": None},
+        "Here is a list of the object ID's of all of the discovered objects: "
+        "['Cabinet_1', 'CounterTop_1', 'Faucet_1', 'Mug_1', 'SinkBasin_1', 'Vase_1']",
+        "perceive",
+    ),
+    (
+        "Adjust Positioning",
+        {"object_id": "Cabinet_1"},
+        "Readjusted position relative to target object!",
+        "move",
+    ),
+    ("Open Object", {"object_id": "Cabinet_1"}, "Target object was opened!", "manipulate"),
+    (
+        "Search Object",
+        {"object_id": "Cabinet_1"},
+        "Here is a list of objects found inside or on the target receptacle: ['Fork_1']",
+        "perceive",
+    ),
+    ("Close Object", {"object_id": "Cabinet_1"}, "Target object was closed!", "manipulate"),
+    ("Toggle Object On", {"object_id": "Faucet_1"}, "Target object was toggled on!", "manipulate"),
+    ("Pick Up Object", {"object_id": "Mug_1"}, "Target object was picked up!", "manipulate"),
+    (
+        "Fill Held Object With Water",
+        {"input": None},
+        "Held object was successfully filled with water!",
+        "manipulate",
+    ),
+    (
+        "Pour Water Into",
+        {"object_id": "Vase_1"},
+        "Water was successfully poured into the target object!",
+        "manipulate",
+    ),
+    (
+        "Place Object",
+        {"object_id": "SinkBasin_1"},
+        "Held object was successfully placed in target object!",
+        "place",
+    ),
+    (
+        "Toggle Object Off",
+        {"object_id": "Faucet_1"},
+        "Target object was toggled off!",
+        "manipulate",
+    ),
+    (
+        "Inspect Object",
+        {"object_id": "Faucet_1"},
+        "The queried object is currently inside or on top of the following objects: "
+        "['CounterTop|1'].\n"
+        "The quried objects currently controls the following objects: ['SinkBasin_1'].",
+        "perceive",
+    ),
+]
+
+
+def one_room_world():
+    """Everything in one zone; the vase is still undiscovered, the fork is
+    inside the closed cabinet."""
+    objects = {
+        "CounterTop_1": replace(
+            make_object(zone="counter", receptacle=True), display_id="CounterTop|1"
+        ),
+        "Cabinet_1": make_object(zone="counter", receptacle=True, openable=True),
+        "Fork_1": make_object(zone="counter", pickupable=True),
+        "Faucet_1": replace(
+            make_object(zone="counter", toggleable=True, isWaterSource=True),
+            controls=("SinkBasin_1",),
+        ),
+        "SinkBasin_1": make_object(zone="counter", receptacle=True),
+        "Mug_1": make_object(zone="counter", pickupable=True, canFillWithLiquid=True),
+        "Vase_1": make_object(zone="counter", canFillWithLiquid=True, receptacle=True),
+    }
+    world = make_world(
+        objects,
+        containment={"Fork_1": "Cabinet_1", "Faucet_1": "CounterTop_1", "Mug_1": "CounterTop_1"},
+        agent_zone="counter",
+        discovered=set(objects) - {"Fork_1", "Vase_1"},
+    )
+    return refresh_visibility(world)
+
+
+def test_every_tool_reports_its_success_text_and_skill():
+    library = builtin_tool_library()
+    assert sorted(row[0] for row in TOOL_REPORTS) == sorted(library.names())
+    state = one_room_world()
+    for tool, args, text, skill in TOOL_REPORTS:
+        state, obs = execute(state, tool, args, True)
+        assert obs == Observation(True, "Tool Completed Successfully: " + text), tool
+        assert library.get(tool).skill == skill, tool
+
+
+def test_stepwise_counts_each_tool_under_its_skill():
+    actions = [{"action": tool, "ok": True} for tool, *_ in TOOL_REPORTS]
+    # A tool name outside the library counts as a failed manipulation.
+    actions.append({"action": "Teleport Object", "ok": False})
+    table = stepwise_from_episodes([{"actions": actions}])
+    assert [(row.skill, row.successes, row.failures) for row in table.rows] == [
+        ("locate", 1, 0),
+        ("move", 1, 0),
+        ("perceive", 3, 0),
+        ("manipulate", 7, 1),
+        ("place", 1, 0),
+    ]
 
 
 def test_search_lists_children_in_containment_order():

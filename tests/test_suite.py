@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from homeplan.agent import AgentConfig
 from homeplan.errors import InsufficientObjectsError, SuiteFormatError
-from homeplan.llm import ScriptedBackend
+from homeplan.llm import LlmBackend, ScriptedBackend
 from homeplan.suite import (
     MetricsReport,
     completion_rates,
@@ -187,6 +188,34 @@ def test_run_suite_worker_pool_matches_serial(tmp_path):
     serial, _ = run_suite(suite, config, factory, workers=1)
     parallel, _ = run_suite(suite, config, factory, workers=4)
     assert serial.serialize() == parallel.serialize()
+
+
+def test_run_suite_orders_repetitions_numerically(tmp_path):
+    suite_path, _, script_data = card_to_sink_suite(tmp_path)
+    suite = replace(load_suite(suite_path), repetitions=10)
+    config = AgentConfig(mode="react", grounding_enabled=True)
+
+    def factory(task):
+        return ScriptedBackend.from_dict(script_data)
+
+    serial, serial_records = run_suite(suite, config, factory, workers=1)
+    parallel, parallel_records = run_suite(suite, config, factory, workers=4)
+    assert [e["id"] for e in serial.episodes] == [
+        f"{task}#{n}" for task in ("demo-001", "demo-002") for n in range(1, 11)
+    ]
+    assert serial.serialize() == parallel.serialize()
+    assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
+
+
+class _BuggyBackend(LlmBackend):
+    def complete(self, prompt, temperature=0.0, max_tokens=None):
+        raise TypeError("a bug, not an infrastructure fault")
+
+
+def test_run_suite_lets_program_bugs_propagate(tmp_path):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    with pytest.raises(TypeError, match="a bug"):
+        run_suite(load_suite(suite_path), AgentConfig(), lambda task: _BuggyBackend())
 
 
 def test_run_suite_counts_infrastructure_error_as_failure(tmp_path):
