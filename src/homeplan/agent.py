@@ -1,11 +1,12 @@
 """Closed-loop episode executor.
 
 Two modes: plain reactive stepping (one completion per step) and tree-search
-planning (a full planning call per step, executing the robust child). Either
-way the simulator enforces physical legality; ``grounding_enabled`` decides
-whether failures come back explained or as bare execution errors. Success is
-judged by the harness against the task goal after every step; an agent's own
-final answer never counts as success by itself.
+planning (one planner per episode, a full planning call per step, executing
+the robust child). Either way the simulator enforces physical legality;
+``grounding_enabled`` decides whether failures come back explained or as
+bare execution errors. Success is judged by the harness against the task
+goal after every step; an agent's own final answer never counts as success
+by itself.
 """
 
 from __future__ import annotations
@@ -168,7 +169,17 @@ def run_episode(
     messages: MessageTable | None = None,
 ) -> EpisodeRecord:
     lib = library if library is not None else builtin_tool_library()
-    template = load_template("expansion", directory=config.template_dir)
+    if config.mode == "react":
+        template = load_template("expansion", directory=config.template_dir)
+    else:
+        planner = MctsPlanner(
+            backend,
+            config=config.planner,
+            library=lib,
+            messages=messages,
+            grounding_enabled=config.grounding_enabled,
+            template_dir=config.template_dir,
+        )
     state = refresh_visibility(world)
     steps: list[StepRecord] = []
     llm_calls = 0
@@ -225,14 +236,6 @@ def run_episode(
                     )
                     continue
             else:
-                planner = MctsPlanner(
-                    backend,
-                    config=config.planner,
-                    library=lib,
-                    messages=messages,
-                    grounding_enabled=config.grounding_enabled,
-                    template_dir=config.template_dir,
-                )
                 history = build_scratchpad(steps, config.scratchpad_char_budget)
                 try:
                     result = planner.plan(state, task.instruction, history=history)

@@ -144,7 +144,7 @@ def _cmd_run(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{config_hash(config, suite)}_{report.seed}"
+    stem = f"{config_hash(config, suite, args.backend, args.messages)}_{report.seed}"
     (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
     (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
     print(report.render_text())

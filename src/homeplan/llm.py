@@ -35,6 +35,7 @@ from .tools import ToolLibrary
 ENV_ENDPOINT = "HOMEPLAN_LLM_ENDPOINT"
 ENV_API_KEY = "HOMEPLAN_LLM_API_KEY"
 ENV_MODEL = "HOMEPLAN_LLM_MODEL"
+RETRY_CEILING_S = 8  # longest wait between remote attempts
 
 TEMPLATE_FILES = {
     "expansion": ("expansion.txt",),
@@ -338,7 +339,13 @@ class ScriptedBackend(LlmBackend):
 
 
 class RemoteBackend(LlmBackend):
-    """Chat-completion client for any endpoint speaking the common protocol."""
+    """Chat-completion client for any endpoint speaking the common protocol.
+
+    Connection errors, timeouts, 429 and 5xx replies are retried up to
+    ``max_retries`` attempts in all, waiting 1, 2, 4 ... seconds up to
+    ``RETRY_CEILING_S``; a numeric ``Retry-After`` replaces that wait, under
+    the same ceiling. Any other status and a malformed 200 body fail at once.
+    """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
                  model: str | None = None, timeout: float = 60.0, max_retries: int = 3):
@@ -367,21 +374,34 @@ class RemoteBackend(LlmBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error: Exception | None = None
+        last_error = ""
         for attempt in range(self.max_retries):
+            delay = min(2 ** attempt, RETRY_CEILING_S)
             try:
                 response = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
-                if response.status_code != 200:
-                    raise BackendUnavailableError(
-                        f"endpoint returned {response.status_code}: {response.text[:200]}"
-                    )
-                data = response.json()
-                return data["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError,
-                    BackendUnavailableError, ValueError) as exc:
-                last_error = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(min(2 ** attempt, 8))
-        raise BackendUnavailableError(f"remote completion failed: {last_error}")
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last_error = str(exc)
+            except requests.RequestException as exc:
+                raise BackendUnavailableError(f"remote request failed: {exc}") from exc
+            else:
+                status = response.status_code
+                if status == 200:
+                    try:
+                        return response.json()["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError) as exc:
+                        raise BackendUnavailableError(
+                            f"malformed completion body: {response.text[:200]}"
+                        ) from exc
+                last_error = f"endpoint returned {status}: {response.text[:200]}"
+                if status != 429 and status < 500:
+                    raise BackendUnavailableError(last_error)
+                retry_after = response.headers.get("Retry-After", "").strip()
+                if retry_after.isdecimal():
+                    delay = min(int(retry_after), RETRY_CEILING_S)
+            if attempt + 1 < self.max_retries:
+                time.sleep(delay)
+        raise BackendUnavailableError(
+            f"remote completion failed after {self.max_retries} attempts: {last_error}"
+        )

@@ -108,7 +108,9 @@ def backpropagate(path: list[SearchNode], score: float) -> None:
         node.total_score += score
 
 
-def _dedup_key(step: ReactStep) -> tuple:
+def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
+    if isinstance(step, FinalAnswer):
+        return ("final-answer", step.text)
     action_input = step.action_input
     if isinstance(action_input, dict):
         frozen = tuple(sorted(action_input.items()))
@@ -149,7 +151,12 @@ def _plan_steps(path: list[SearchNode]) -> str:
 
 
 class MctsPlanner:
-    """One planning call builds a fresh tree from the current state."""
+    """Tree-search planner; one instance serves a whole episode.
+
+    Templates and the tool-list prompt fills are prepared once, in
+    ``__init__``. Each ``plan()`` call builds a fresh tree from the state it
+    is given, and ``llm_calls`` and ``trace`` count only that call.
+    """
 
     def __init__(
         self,
@@ -167,6 +174,10 @@ class MctsPlanner:
         self.grounding_enabled = grounding_enabled
         self._expansion_template = load_template("expansion", directory=template_dir)
         self._critique_template = load_template("critique", directory=template_dir)
+        self._tool_fills = {
+            "tools": self.library.describe(),
+            "tool_names": ", ".join(self.library.names()),
+        }
         self.llm_calls = 0
         self.trace: list[dict] = []
         self.history = ""  # episode scratchpad prefixed to expansion prompts
@@ -177,8 +188,7 @@ class MctsPlanner:
         return render_prompt(
             self._expansion_template,
             {
-                "tools": self.library.describe(),
-                "tool_names": ", ".join(self.library.names()),
+                **self._tool_fills,
                 "input": goal,
                 "agent_scratchpad": self.history + _scratchpad(path),
             },
@@ -186,40 +196,29 @@ class MctsPlanner:
 
     def _simulate_child(self, leaf: SearchNode, step: ReactStep) -> SearchNode:
         args = step.action_input if isinstance(step.action_input, dict) else None
+        state, failed = leaf.state, True
         if step.action not in self.library:
-            return SearchNode(
-                state=leaf.state,
-                incoming_action=(step.action, args),
-                incoming_step=step,
-                observation=f"{FAIL_PREFIX}unknown tool {step.action!r}",
-                depth=leaf.depth + 1,
-                failed=True,
-            )
-        try:
-            new_state, observation = execute(
-                leaf.state,
-                step.action,
-                step.action_input if isinstance(step.action_input, dict) else None,
-                self.grounding_enabled,
-                library=self.library,
-                messages=self.messages,
-            )
-        except MalformedArgsError:
-            return SearchNode(
-                state=leaf.state,
-                incoming_action=(step.action, args),
-                incoming_step=step,
-                observation=f"{FAIL_PREFIX}malformed action input",
-                depth=leaf.depth + 1,
-                failed=True,
-            )
+            observation = f"{FAIL_PREFIX}unknown tool {step.action!r}"
+        else:
+            try:
+                state, result = execute(
+                    leaf.state,
+                    step.action,
+                    args,
+                    self.grounding_enabled,
+                    library=self.library,
+                    messages=self.messages,
+                )
+                observation, failed = result.message, not result.success
+            except MalformedArgsError:
+                observation = f"{FAIL_PREFIX}malformed action input"
         return SearchNode(
-            state=new_state,
+            state=state,
             incoming_action=(step.action, args),
             incoming_step=step,
-            observation=observation.message,
+            observation=observation,
             depth=leaf.depth + 1,
-            failed=not observation.success,
+            failed=failed,
         )
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode]) -> list[SearchNode]:
@@ -242,6 +241,12 @@ class MctsPlanner:
                 continue
             except UnknownToolError as exc:
                 parsed = exc.step
+            # Dedup before simulating: execute is pure, so duplicates add nothing.
+            key = _dedup_key(parsed)
+            if key in seen:
+                temperature = config.retry_temperature
+                continue
+            seen.add(key)
             if isinstance(parsed, FinalAnswer):
                 child = SearchNode(
                     state=leaf.state,
@@ -250,14 +255,8 @@ class MctsPlanner:
                     depth=leaf.depth + 1,
                     terminal=True,
                 )
-                key = ("final-answer", parsed.text)
             else:
                 child = self._simulate_child(leaf, parsed)
-                key = _dedup_key(parsed)
-            if key in seen:
-                temperature = config.retry_temperature
-                continue
-            seen.add(key)
             children.append(child)
             leaf.children.append(child)
         if not children:
@@ -293,6 +292,8 @@ class MctsPlanner:
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
         config = self.config
         self.history = history
+        self.llm_calls = 0
+        self.trace = []
         root = SearchNode(state=refresh_visibility(state))
         for iteration in range(config.expansion_budget):
             path = select(root, config.exploration_constant)
@@ -351,7 +352,7 @@ class MctsPlanner:
             thought=best.incoming_step.thought if best.incoming_step else "",
             root=root,
             llm_calls=self.llm_calls,
-            trace=list(self.trace),
+            trace=self.trace,
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -241,9 +241,19 @@ def render_rate(value: float) -> str:
     return f"{round(value, 1):g}"
 
 
-def config_hash(config: AgentConfig, suite: SuiteSpec) -> str:
+def config_hash(config: AgentConfig, suite: SuiteSpec, backend: str,
+                messages: str | None) -> str:
+    """Report-file key over the full effective run configuration: every agent
+    and planner field, the backend spec and the messages path, plus the
+    suite's name and seed."""
     payload = json.dumps(
-        {"config": config.label(), "suite": suite.name, "seed": suite.seed},
+        {
+            "config": asdict(config),
+            "backend": backend,
+            "messages": messages,
+            "suite": suite.name,
+            "seed": suite.seed,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from homeplan import agent, mcts
 from homeplan.agent import (
     AgentConfig,
     EpisodeRecord,
@@ -10,7 +11,7 @@ from homeplan.agent import (
     run_episode,
 )
 from homeplan.errors import BackendUnavailableError
-from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
+from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.scenarios import load_shipped_scenarios, run_adversarial
 from homeplan.sim import GoalAtom, TaskSpec
@@ -175,8 +176,10 @@ def test_backend_failure_aborts_as_failure():
     assert "unreachable" in record.error
 
 
-def test_mcts_mode_episode_and_call_accounting():
-    script = ScriptedBackend(
+def tomato_planner_script():
+    """Proposes picking up the tomato, then (once it is held) placing it in
+    the basket; every critique scores 9."""
+    return ScriptedBackend(
         [
             ScriptEntry(
                 completion="Thought: carry it over\nAction: Place Object\n"
@@ -198,21 +201,44 @@ def test_mcts_mode_episode_and_call_accounting():
         ],
         mode="keyed",
     )
+
+
+MCTS_BUDGET_ONE = PlannerConfig(expansion_budget=1, children_per_expansion=1, max_depth=1)
+
+
+def test_mcts_mode_episode_and_call_accounting():
+    script = tomato_planner_script()
     task = simple_task(
         [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")],
         instruction="Put the tomato in the basket.",
     )
-    config = AgentConfig(
-        mode="react+mcts",
-        planner=PlannerConfig(expansion_budget=1, children_per_expansion=1, max_depth=1),
-        keep_planner_traces=True,
-    )
+    config = AgentConfig(mode="react+mcts", planner=MCTS_BUDGET_ONE, keep_planner_traces=True)
     record = run_episode(task, config, script, pickup_world())
     assert record.outcome == "success"
     assert [step.action for step in record.steps] == ["Pick Up Object", "Place Object"]
     # per step: one expansion completion + one critique completion
     assert record.llm_call_count == 4
     assert len(record.planner_traces) == 2
+
+
+def test_mcts_episode_loads_each_template_once(monkeypatch):
+    loads = []
+
+    def counting_load(name, directory=None):
+        loads.append(name)
+        return load_template(name, directory=directory)
+
+    monkeypatch.setattr(agent, "load_template", counting_load)
+    monkeypatch.setattr(mcts, "load_template", counting_load)
+    # The tomato is never cooked, so the episode runs its whole budget.
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=4
+    )
+    config = AgentConfig(mode="react+mcts", planner=MCTS_BUDGET_ONE)
+    record = run_episode(task, config, tomato_planner_script(), pickup_world())
+    assert record.outcome == "step-budget-exhausted"
+    assert len(record.steps) == 4
+    assert sorted(loads) == ["critique", "expansion"]
 
 
 def test_scratchpad_truncates_oldest_first():

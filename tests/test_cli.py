@@ -84,6 +84,25 @@ def test_run_is_byte_deterministic(tmp_path, capsys):
     assert file_a.read_bytes() == file_b.read_bytes()
 
 
+def test_runs_differing_only_in_expansions_write_two_reports(tmp_path, capsys):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    out_dir = tmp_path / "reports"
+    for expansions in ("2", "3"):
+        main(
+            [
+                "run",
+                "--suite", str(suite_path),
+                "--backend", f"scripted:{script_path}",
+                "--mode", "mcts",
+                "--expansions", expansions,
+                "--max-steps", "1",
+                "--out", str(out_dir),
+            ]
+        )
+    capsys.readouterr()
+    assert len(list(out_dir.glob("*.json"))) == 2
+
+
 def test_run_missing_suite_is_config_error(tmp_path, capsys):
     code = main(
         ["run", "--suite", str(tmp_path / "nope.json"), "--backend", "scripted:x.json"]

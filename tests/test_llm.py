@@ -1,10 +1,12 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
 from homeplan.errors import (
+    BackendUnavailableError,
     MalformedCompletionError,
     MissingSlotError,
     NoPddlFoundError,
@@ -14,7 +16,9 @@ from homeplan.errors import (
     ScriptMismatchError,
     UnknownToolError,
 )
+from homeplan import llm
 from homeplan.llm import (
+    RETRY_CEILING_S,
     FinalAnswer,
     PromptTemplate,
     ReactStep,
@@ -264,14 +268,19 @@ def test_scripted_determinism():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Replies with queued (status, payload[, extra headers]) entries; the
+    entries left over tell how many requests the client made."""
+
     responses: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        status, payload = self.responses.pop(0)
+        status, payload, *extra = self.responses.pop(0)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         if callable(payload):
             payload = payload(body)
@@ -284,10 +293,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_backend_round_trip(stub_server):
@@ -321,3 +334,59 @@ def test_remote_backend_retries_then_succeeds(stub_server):
         max_retries=3,
     )
     assert backend.complete("x") == "recovered"
+
+
+OK_BODY = {"choices": [{"message": {"content": "recovered"}}]}
+
+
+def _stub_backend(server) -> RemoteBackend:
+    return RemoteBackend(
+        endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        model="m",
+        max_retries=3,
+    )
+
+
+def test_remote_backend_fails_at_once_on_401(stub_server):
+    _StubHandler.responses = [(401, {"error": "bad key"}), (200, OK_BODY)]
+    with pytest.raises(BackendUnavailableError, match="401"):
+        _stub_backend(stub_server).complete("x")
+    assert len(_StubHandler.responses) == 1  # exactly one request made
+
+
+def test_remote_backend_fails_at_once_on_malformed_200(stub_server):
+    _StubHandler.responses = [(200, {"choices": []}), (200, OK_BODY)]
+    with pytest.raises(BackendUnavailableError, match="malformed"):
+        _stub_backend(stub_server).complete("x")
+    assert len(_StubHandler.responses) == 1
+
+
+def _record_waits(monkeypatch) -> list:
+    waits: list = []
+    monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=waits.append))
+    return waits
+
+
+def test_remote_backend_honours_retry_after_on_429(stub_server, monkeypatch):
+    waits = _record_waits(monkeypatch)
+    _StubHandler.responses = [
+        (429, {"error": "slow down"}, {"Retry-After": "0"}),
+        (200, OK_BODY),
+    ]
+    assert _stub_backend(stub_server).complete("x") == "recovered"
+    assert _StubHandler.responses == []  # two requests made
+    assert waits == [0]  # Retry-After replaced the 1 s backoff
+
+
+def test_remote_backend_gives_up_after_max_retries(stub_server, monkeypatch):
+    waits = _record_waits(monkeypatch)
+    _StubHandler.responses = [
+        (503, {"error": "down"}, {"Retry-After": "120"}),
+        (500, {"error": "down"}),
+        (502, {"error": "down"}),
+        (200, OK_BODY),
+    ]
+    with pytest.raises(BackendUnavailableError, match="after 3 attempts: endpoint returned 502"):
+        _stub_backend(stub_server).complete("x")
+    assert len(_StubHandler.responses) == 1
+    assert waits == [RETRY_CEILING_S, 2]  # Retry-After capped; no wait after the last try

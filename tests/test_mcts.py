@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from homeplan import mcts
 from homeplan.errors import ExpansionFailedError, NoFeasibleActionError
 from homeplan.llm import ScriptedBackend, ScriptEntry
 from homeplan.mcts import (
@@ -14,7 +15,7 @@ from homeplan.mcts import (
     ucb_score,
 )
 from homeplan.scenarios import load_shipped_scenarios, run_planning
-from homeplan.sim import refresh_visibility
+from homeplan.sim import execute, refresh_visibility
 
 from .conftest import make_object, make_world
 
@@ -122,7 +123,14 @@ def test_expand_simulates_child_state():
     assert not child.failed
 
 
-def test_expand_dedups_identical_actions():
+def test_expand_dedups_identical_actions(monkeypatch):
+    executed = []
+
+    def counting_execute(*args, **kwargs):
+        executed.append(args[1])
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(mcts, "execute", counting_execute)
     backend = ScriptedBackend.ordered([PICK_KNIFE] * 5)
     planner = MctsPlanner(
         backend, PlannerConfig(children_per_expansion=3, expansion_retry_budget=2)
@@ -130,6 +138,8 @@ def test_expand_dedups_identical_actions():
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
     assert len(children) == 1  # duplicates collapse; retries exhausted
+    assert backend.call_count == 5
+    assert executed == ["Pick Up Object"]  # the four duplicates are never simulated
 
 
 def test_expand_fails_on_pure_prose():
@@ -203,6 +213,39 @@ def test_plan_single_feasible_action_budget_one():
     result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
     assert result.action == "Pick Up Object"
     assert result.args == {"object_id": "Knife_1"}
+
+
+def _replanning_script():
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+    place = (
+        "Thought: put it\nAction: Place Object\nAction Input: {'object_id': 'CounterTop_1'}"
+    )
+    return ScriptedBackend(
+        [
+            ScriptEntry(completion="Score: 7", match="Score the quality", uses=3),
+            ScriptEntry(completion="Score: 3", match="Score the quality", uses=-1),
+            ScriptEntry(completion=PICK_KNIFE, match="you should always think", uses=2),
+            ScriptEntry(completion=explore, match="you should always think", uses=2),
+            ScriptEntry(completion=place, match="you should always think", uses=-1),
+        ],
+        mode="keyed",
+    )
+
+
+def test_one_planner_replans_like_fresh_planners():
+    config = PlannerConfig(expansion_budget=4, children_per_expansion=2)
+    calls = [(feasible_world(), "tidy up", ""), (feasible_world(), "tidy up", "Thought: x\n")]
+
+    reused = MctsPlanner(_replanning_script(), config)
+    reused_results = [reused.plan(*call) for call in calls]
+    backend = _replanning_script()
+    fresh_results = [MctsPlanner(backend, config).plan(*call) for call in calls]
+
+    def summary(result):
+        return (result.action, result.args, result.llm_calls, result.trace)
+
+    assert [summary(r) for r in reused_results] == [summary(r) for r in fresh_results]
+    assert reused.llm_calls == reused_results[-1].llm_calls  # counts only the last plan
 
 
 def test_plan_no_feasible_action():

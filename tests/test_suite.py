@@ -2,10 +2,14 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeplan.agent import AgentConfig
 from homeplan.errors import InsufficientObjectsError, SuiteFormatError
-from homeplan.llm import LlmBackend, ScriptedBackend
+from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
+from homeplan.mcts import PlannerConfig
+from homeplan.sim import TaskSpec
 from homeplan.suite import (
     MetricsReport,
     completion_rates,
@@ -203,6 +207,53 @@ def test_run_suite_orders_repetitions_numerically(tmp_path):
     assert [e["id"] for e in serial.episodes] == [
         f"{task}#{n}" for task in ("demo-001", "demo-002") for n in range(1, 11)
     ]
+    assert serial.serialize() == parallel.serialize()
+    assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
+
+
+def _planner_script(task: TaskSpec, scores: list[int]) -> ScriptedBackend:
+    """Keyed script for one generated task: the given critique scores once
+    each, then 5; proposals walk towards the goal, two uses each."""
+    atom = task.goal[0]
+
+    def proposal(action: str, object_id: str) -> str:
+        return f"Thought: next\nAction: {action}\nAction Input: {{'object_id': '{object_id}'}}"
+
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+    expansions = [
+        proposal("Adjust Positioning", atom.object_pattern),
+        proposal("Pick Up Object", atom.object_pattern),
+        proposal("Adjust Positioning", atom.receptacle_pattern),
+        proposal("Place Object", atom.receptacle_pattern),
+    ]
+    critique = "Score the quality"
+    expand = "you should always think"
+    entries = [ScriptEntry(f"Score: {score}", match=critique) for score in scores]
+    entries.append(ScriptEntry("Score: 5", match=critique, uses=-1))
+    entries += [ScriptEntry(text, match=expand, uses=2) for text in expansions]
+    entries.append(ScriptEntry(explore, match=expand, uses=-1))
+    return ScriptedBackend(entries, mode="keyed")
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    count=st.integers(2, 6),
+    scores=st.lists(st.integers(1, 10), max_size=8),
+)
+def test_run_suite_output_does_not_depend_on_worker_count(seed, count, scores):
+    suite = generate_easy_suite(seed, count, WORLD_REFS)
+    config = AgentConfig(
+        mode="react+mcts",
+        step_cap=6,
+        planner=PlannerConfig(expansion_budget=3, children_per_expansion=2),
+    )
+
+    def factory(task):
+        return _planner_script(task, scores)
+
+    serial, serial_records = run_suite(suite, config, factory, workers=1)
+    parallel, parallel_records = run_suite(suite, config, factory, workers=4)
     assert serial.serialize() == parallel.serialize()
     assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
 
