@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BackendUnavailableError,
@@ -65,20 +66,37 @@ class AgentConfig:
         return f"{self.mode}/grounding-{grounding}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepRecord:
     thought: str
     action: str | None
     args: dict | str | None
     observation: str
 
+    @cached_property
+    def rendered(self) -> str:
+        """Scratchpad text of this step; rendered once, on first use."""
+        return _render_step(self)
+
     def to_dict(self) -> dict:
         return {
             "thought": self.thought,
             "action": self.action,
-            "args": self.args if isinstance(self.args, (dict, type(None))) else str(self.args),
+            "args": _json_args(self.args),
             "observation": self.observation,
         }
+
+
+def _json_args(args: dict | str | None) -> dict | str | None:
+    """Args as a JSON report can hold them: a parsed dict that JSON cannot
+    encode (a set value, a tuple key) is kept as its repr, the text the
+    scratchpad shows for it."""
+    if isinstance(args, dict):
+        try:
+            json.dumps(args)
+        except (TypeError, ValueError):
+            return repr(args)
+    return args
 
 
 @dataclass
@@ -130,7 +148,7 @@ def _render_step(step: StepRecord) -> str:
 def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
     """Full history rendering, truncated oldest-first to the budget; the
     newest step is kept even when it alone is over budget."""
-    parts = [_render_step(step) for step in steps]
+    parts = [step.rendered for step in steps]
     length = sum(len(part) for part in parts)
     start = 0
     while length > char_budget and start < len(parts) - 1:

@@ -130,15 +130,23 @@ _ACTION_RE = re.compile(r"^Action\s*:\s*(.*)$", re.MULTILINE)
 _ACTION_INPUT_RE = re.compile(r"^Action Input\s*:\s*(.*)$", re.MULTILINE)
 _FINAL_RE = re.compile(r"^Final Answer\s*:\s*(.*)$", re.MULTILINE | re.DOTALL)
 _THOUGHT_RE = re.compile(r"^Thought\s*:\s*(.*)$", re.MULTILINE)
+# The form format_step writes, {'key': 'value'} or {'key': None}, with no
+# character that a Python string literal escapes or that its parser rejects;
+# literal_eval reads such text as exactly this one-key dict.
+_PLAIN = r"'([^'\\\r\n\x00\ud800-\udfff]*)'"
+_SIMPLE_INPUT_RE = re.compile(rf"\{{{_PLAIN}: (?:{_PLAIN}|None)\}}")
 
 
 def _parse_action_input(raw: str) -> dict | str | None:
     raw = raw.strip()
     if not raw or raw == "None":
         return None
+    simple = _SIMPLE_INPUT_RE.fullmatch(raw)
+    if simple:
+        return {simple[1]: simple[2]}
     try:
         value = ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError):  # TypeError: unhashable key
         return raw
     return value if isinstance(value, dict) else raw
 

@@ -108,15 +108,23 @@ def backpropagate(path: list[SearchNode], score: float) -> None:
         node.total_score += score
 
 
+def _frozen(value):
+    """A hashable stand-in for a parsed Action Input value: two values give
+    equal stand-ins exactly when they are equal, whatever their keys and
+    nested containers."""
+    if isinstance(value, dict):
+        return (dict, frozenset((_frozen(k), _frozen(v)) for k, v in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return (frozenset, frozenset(_frozen(item) for item in value))
+    if isinstance(value, (list, tuple)):
+        return (type(value), tuple(_frozen(item) for item in value))
+    return value
+
+
 def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
     if isinstance(step, FinalAnswer):
         return ("final-answer", step.text)
-    action_input = step.action_input
-    if isinstance(action_input, dict):
-        frozen = tuple(sorted(action_input.items()))
-    else:
-        frozen = action_input
-    return (step.action, frozen)
+    return (step.action, _frozen(step.action_input))
 
 
 def _scratchpad(path: list[SearchNode]) -> str:

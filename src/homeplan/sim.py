@@ -312,11 +312,15 @@ class TaskSpec:
 
 
 def _matches(pattern: str, object_id: str) -> bool:
-    return pattern == object_id or pattern == category_of(object_id)
+    # A category match implies the "<pattern>_" prefix; only ids with it are parsed.
+    return pattern == object_id or (
+        object_id.startswith(pattern + "_") and pattern == category_of(object_id)
+    )
 
 
 def _matching_ids(state: WorldState, pattern: str) -> list[str]:
-    return [oid for oid in sorted(state.objects) if _matches(pattern, oid)]
+    # Unsorted: goal atoms only ask any/all of the matches.
+    return [oid for oid in state.objects if _matches(pattern, oid)]
 
 
 def _atom_satisfied(state: WorldState, atom: GoalAtom) -> bool:

@@ -1,3 +1,6 @@
+import json
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -282,6 +285,51 @@ def test_scratchpad_is_shortest_step_suffix_within_budget(steps, budget):
     # ... and the next longer suffix is over budget.
     if start > 0:
         assert len(suffixes[start - 1]) > budget
+
+
+def test_each_step_is_rendered_once(monkeypatch, kitchen_world, clear_table_trace,
+                                    clear_table_task):
+    rendered = []
+    render_step = agent._render_step
+
+    def counting_render(step):
+        rendered.append(step)
+        return render_step(step)
+
+    monkeypatch.setattr(agent, "_render_step", counting_render)
+    config = AgentConfig(mode="react", grounding_enabled=True)
+    record = run_episode(clear_table_task, config, trace_script(clear_table_trace), kitchen_world)
+    assert len(record.steps) == 35
+    assert len(rendered) == 35  # not once per step per decision
+    with pytest.raises(FrozenInstanceError):
+        record.steps[0].observation = "rewritten"
+
+
+@pytest.mark.parametrize("mode", ["react", "react+mcts"])
+def test_unhashable_action_input_does_not_crash_the_episode(mode):
+    # A set is not JSON and not hashable: the report keeps its repr, and the
+    # planner's duplicate check must still key it.
+    script = ScriptedBackend(
+        [
+            ScriptEntry(
+                completion="Thought: t\nAction: Pick Up Object\n"
+                "Action Input: {'object_id': {'Tomato_1'}}",
+                match="you should always think",
+                uses=-1,
+            ),
+            ScriptEntry(completion="Score: 5", match="Score the quality", uses=-1),
+        ],
+        mode="keyed",
+    )
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=2
+    )
+    config = AgentConfig(mode=mode, planner=MCTS_BUDGET_ONE)
+    record = run_episode(task, config, script, pickup_world())
+    assert record.outcome == "step-budget-exhausted"
+    steps = json.loads(record.serialize())["steps"]
+    assert [step["args"] for step in steps] == ["{'object_id': {'Tomato_1'}}"] * 2
+    assert [step["observation"] for step in steps] == ["Tool Failed: malformed action input"] * 2
 
 
 def test_serialize_excludes_wall_clock():

@@ -1,9 +1,12 @@
+import ast
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeplan.errors import (
     BackendUnavailableError,
@@ -147,6 +150,61 @@ def test_parse_react_round_trips_format_step():
     ]:
         parsed = parse_react(format_step(step), builtin_tool_library())
         assert parsed == step
+
+
+def literal_action_input(raw):
+    """Reference: the Action Input parse with literal_eval alone."""
+    raw = raw.strip()
+    if not raw or raw == "None":
+        return None
+    try:
+        value = ast.literal_eval(raw)
+    except (ValueError, SyntaxError, TypeError):
+        return raw
+    return value if isinstance(value, dict) else raw
+
+
+_input_pieces = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["'", '"', "\\", "\r", "\n", "\x00", "\t", " ", "None", "\u00e9", "\u4e2d",
+                     "\x0c", "\x85", "\u2028", "\ud800", "\\n", "\\x41"]),
+)
+_input_text = st.lists(_input_pieces, max_size=4).map("".join)
+
+
+# literal_eval warns on invalid escapes such as "\\x" before it rejects them.
+@pytest.mark.filterwarnings("ignore::DeprecationWarning", "ignore::SyntaxWarning")
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        _input_text,
+        st.builds("{{'{}': '{}'}}".format, _input_text, _input_text),
+        st.builds("{{'{}': None}}".format, _input_text),
+        st.builds("{}{{'{}': None}}{}".format, _input_text, _input_text, _input_text),
+    )
+)
+def test_action_input_fast_path_matches_literal_eval(raw):
+    expected = literal_action_input(raw)
+    parsed = llm._parse_action_input(raw)
+    assert parsed == expected
+    assert type(parsed) is type(expected)
+    if isinstance(parsed, dict):
+        assert [type(v) for v in parsed.values()] == [type(v) for v in expected.values()]
+
+
+def test_transcript_action_inputs_skip_literal_eval(monkeypatch, clear_table_trace):
+    def no_literal_eval(raw):
+        raise AssertionError(f"literal_eval called on {raw!r}")
+
+    monkeypatch.setattr(llm.ast, "literal_eval", no_literal_eval)
+    for step in clear_table_trace.steps:
+        parsed = parse_react(format_step(ReactStep(step.thought, step.action, step.args)))
+        assert parsed.action_input == step.args
+
+
+def test_unhashable_dict_key_is_kept_as_text():
+    step = parse_react("Thought: t\nAction: Pick Up Object\nAction Input: {{'a'}: 1}")
+    assert step.action_input == "{{'a'}: 1}"
 
 
 def test_parse_critique_basic():

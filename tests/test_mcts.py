@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homeplan import mcts
 from homeplan.errors import ExpansionFailedError, NoFeasibleActionError
-from homeplan.llm import ScriptedBackend, ScriptEntry
+from homeplan.llm import ReactStep, ScriptedBackend, ScriptEntry
 from homeplan.mcts import (
     MctsPlanner,
     PlannerConfig,
@@ -140,6 +142,53 @@ def test_expand_dedups_identical_actions(monkeypatch):
     assert len(children) == 1  # duplicates collapse; retries exhausted
     assert backend.call_count == 5
     assert executed == ["Pick Up Object"]  # the four duplicates are never simulated
+
+
+def test_expand_dedups_unhashable_action_inputs():
+    inputs = [
+        "{'object_id': {'Knife_1', 'Mug_1'}}",
+        "{'object_id': {'Mug_1', 'Knife_1'}}",  # the same set
+        "{'object_id': ['Knife_1']}",
+        "{1: 'a', 'b': 2}",
+        "{'b': 2, 1: 'a'}",  # the same dict
+        "{'object_id': {'id': 'Knife_1'}}",
+    ]
+    backend = ScriptedBackend.ordered(
+        [f"Thought: t\nAction: Pick Up Object\nAction Input: {raw}" for raw in inputs]
+    )
+    planner = MctsPlanner(
+        backend, PlannerConfig(children_per_expansion=4, expansion_retry_budget=2)
+    )
+    leaf = SearchNode(state=feasible_world())
+    children = planner.expand(leaf, "tidy up", [leaf])
+    assert [child.incoming_step.action_input for child in children] == [
+        {"object_id": {"Knife_1", "Mug_1"}},
+        {"object_id": ["Knife_1"]},
+        {1: "a", "b": 2},
+        {"object_id": {"id": "Knife_1"}},
+    ]
+    assert backend.call_count == 6
+
+
+_scalars = st.sampled_from([None, True, 0, 1, 1.0, "a", "b", b"a"])
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=2)
+    | st.lists(inner, max_size=2).map(tuple)
+    | st.sets(_scalars, max_size=2)
+    | st.dictionaries(_scalars, inner, max_size=2),
+    max_leaves=4,
+)
+_action_inputs = st.dictionaries(_scalars, _values, max_size=2)
+
+
+@given(_action_inputs, _action_inputs)
+def test_dedup_keys_are_equal_exactly_when_action_inputs_are(a, b):
+    # For str-keyed dicts with hashable values this is also what the former
+    # sorted-items key decided.
+    key_a = mcts._dedup_key(ReactStep("", "Pick Up Object", a))
+    key_b = mcts._dedup_key(ReactStep("", "Pick Up Object", b))
+    assert len({key_a, key_b}) == (1 if a == b else 2)
 
 
 def test_expand_fails_on_pure_prose():

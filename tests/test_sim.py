@@ -1,11 +1,14 @@
+import functools
 import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeplan.errors import MalformedArgsError, SuiteFormatError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
-from homeplan.grounding import evaluate
+from homeplan.grounding import evaluate, unsatisfied
 from homeplan.sim import (
     GENERIC_FAILURE,
     GoalAtom,
@@ -19,9 +22,9 @@ from homeplan.sim import (
     task_from_dict,
     zone_order,
 )
-from homeplan.suite import stepwise_from_episodes
+from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
 from homeplan.tools import builtin_tool_library
-from homeplan.world import validate_world
+from homeplan.world import ATTRIBUTE_NAMES, category_of, validate_world
 
 from .conftest import make_object, make_world
 
@@ -594,3 +597,115 @@ def test_effect_precondition_coherence(kitchen_world):
         checked += 1
         state = new_state
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# Random tool-call walks over the shipped worlds
+
+SHIPPED_WORLDS = ("worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitchen_c.json")
+
+
+@functools.cache
+def shipped_world(ref):
+    return refresh_visibility(resolve_world(ref))
+
+
+def walk(ref, calls, grounding_enabled=True):
+    """Execute (tool index, target index) calls from a shipped world; yield
+    each call's spec and binding with the state it ran on, then the state
+    it left."""
+    lib = builtin_tool_library()
+    state = shipped_world(ref)
+    for tool, target in calls:
+        spec = lib.specs[tool % len(lib.specs)]
+        ids = sorted(state.objects)
+        object_id = ids[target % len(ids)] if spec.takes_target else None
+        binding = {} if object_id is None else {"?x": object_id}
+        yield state, spec, binding
+        args = {"input": None} if object_id is None else {"object_id": object_id}
+        state, _ = execute(state, spec.name, args, grounding_enabled, library=lib)
+    yield state, None, None
+
+
+_walks = st.tuples(
+    st.sampled_from(SHIPPED_WORLDS),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 99)), max_size=30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks, st.booleans())
+def test_random_tool_calls_keep_the_world_valid(world_walk, grounding_enabled):
+    for state, _, _ in walk(*world_walk, grounding_enabled=grounding_enabled):
+        assert validate_world(state) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks)
+def test_unsatisfied_is_empty_exactly_when_evaluate_holds(world_walk):
+    for state, spec, binding in walk(*world_walk):
+        if spec is not None and spec.precondition is not None:
+            holds = evaluate(spec.precondition, state, binding)
+            assert (unsatisfied(spec.precondition, state, binding) == []) is holds
+
+
+def reference_check_goal(state, task):
+    """The goal check before ids were matched by prefix: every id parsed, in
+    sorted order."""
+
+    def matches(pattern, object_id):
+        return pattern == object_id or pattern == category_of(object_id)
+
+    def satisfied(atom):
+        candidates = [oid for oid in sorted(state.objects) if matches(atom.object_pattern, oid)]
+        if atom.kind == "attribute":
+            return any(
+                state.objects[oid].attributes.get(atom.attribute) == atom.value
+                for oid in candidates
+            )
+        if atom.kind == "containment":
+            return any(
+                matches(atom.receptacle_pattern, ancestor)
+                for oid in candidates
+                for ancestor in state.ancestors_of(oid)
+            )
+        if atom.kind == "chilled":
+            return any(
+                category_of(ancestor) == "Fridge"
+                and state.objects[ancestor].attributes.openable
+                and not state.objects[ancestor].attributes.isOpen
+                for oid in candidates
+                for ancestor in state.ancestors_of(oid)
+            )
+        return bool(candidates) and all(not state.children_of(oid) for oid in candidates)
+
+    return all(satisfied(atom) for atom in task.goal)
+
+
+# "Pot" and "Sink" are prefixes of the categories "Potato" and "SinkBasin";
+# "Stove" and "Counter" are prefixes of categories but not categories.
+_PATTERNS = ("Pot", "Potato", "Sink", "SinkBasin", "Stove", "Counter", "CounterTop",
+             "Fridge", "Tomato", "Apple", "Pot_1", "Potato_1", "Sink_1", "Cabinet_2")
+_patterns = st.sampled_from(_PATTERNS)
+_goal_atoms = st.one_of(
+    st.builds(GoalAtom, st.just("attribute"), _patterns,
+              attribute=st.sampled_from(ATTRIBUTE_NAMES), value=st.booleans()),
+    st.builds(GoalAtom, st.just("containment"), _patterns, receptacle_pattern=_patterns),
+    st.builds(GoalAtom, st.sampled_from(["chilled", "empty"]), _patterns),
+)
+
+
+@functools.cache
+def easy_goals():
+    suite = generate_easy_suite(seed=5, count=30, world_refs=list(SHIPPED_WORLDS))
+    return [task.goal for task in suite.tasks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks, st.lists(_goal_atoms, min_size=1, max_size=12))
+def test_check_goal_matches_the_parse_every_id_reference(world_walk, atoms):
+    goals = [(atom,) for atom in atoms] + easy_goals()
+    for state, _, _ in walk(*world_walk):
+        for goal in goals:
+            task = TaskSpec(id="t", difficulty="easy", instruction="", goal=goal, max_steps=1)
+            assert check_goal(state, task) is reference_check_goal(state, task)
