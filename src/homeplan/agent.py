@@ -34,6 +34,7 @@ from .llm import (
     load_template,
     parse_react,
     render_prompt,
+    stable_repr,
 )
 from .mcts import MctsPlanner, PlannerConfig
 from .sim import FAIL_PREFIX, TaskSpec, check_goal, execute, refresh_visibility
@@ -89,13 +90,13 @@ class StepRecord:
 
 def _json_args(args: dict | str | None) -> dict | str | None:
     """Args as a JSON report can hold them: a parsed dict that JSON cannot
-    encode (a set value, a tuple key) is kept as its repr, the text the
-    scratchpad shows for it."""
+    encode (a set value, a tuple key) is kept as the text the scratchpad
+    shows for it."""
     if isinstance(args, dict):
         try:
             json.dumps(args)
         except (TypeError, ValueError):
-            return repr(args)
+            return stable_repr(args)
     return args
 
 
@@ -159,20 +160,17 @@ def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
 
 def _react_decide(
     backend: LlmBackend,
-    task: TaskSpec,
     steps: list[StepRecord],
     config: AgentConfig,
     library: ToolLibrary,
     template,
+    fills: dict[str, str],
 ) -> ReactStep | FinalAnswer:
+    """One react decision; fills holds the prompt fills fixed for the
+    episode (tools, tool names, task instruction)."""
     prompt = render_prompt(
         template,
-        {
-            "tools": library.describe(),
-            "tool_names": ", ".join(library.names()),
-            "input": task.instruction,
-            "agent_scratchpad": build_scratchpad(steps, config.scratchpad_char_budget),
-        },
+        {**fills, "agent_scratchpad": build_scratchpad(steps, config.scratchpad_char_budget)},
     )
     completion = backend.complete(prompt, temperature=config.temperature)
     return parse_react(completion, library)
@@ -189,6 +187,11 @@ def run_episode(
     lib = library if library is not None else builtin_tool_library()
     if config.mode == "react":
         template = load_template("expansion", directory=config.template_dir)
+        fills = {
+            "tools": lib.describe(),
+            "tool_names": ", ".join(lib.names()),
+            "input": task.instruction,
+        }
     else:
         planner = MctsPlanner(
             backend,
@@ -228,7 +231,7 @@ def run_episode(
         try:
             if config.mode == "react":
                 try:
-                    decision = _react_decide(backend, task, steps, config, lib, template)
+                    decision = _react_decide(backend, steps, config, lib, template, fills)
                     llm_calls += 1
                 except MalformedCompletionError:
                     llm_calls += 1

@@ -14,6 +14,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -65,9 +66,38 @@ class PromptTemplate:
                 found.append(slot)
         return tuple(found)
 
+    @cached_property
+    def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str, str | None]:
+        """The body split once for render_prompt: (literal, slot) pairs in
+        body order, with escapes undone in the literals; the literal text
+        after the last slot; and the first stray brace (None when there is
+        none), where rendering always stops."""
+        pairs = []
+        literal: list[str] = []
+        pos = 0
+        for match in _SLOT_RE.finditer(self.body):
+            literal.append(self.body[pos: match.start()])
+            pos = match.end()
+            token = match.group(0)
+            if token in ("{{", "}}"):
+                literal.append(token[0])
+            elif match.group(1):
+                pairs.append(("".join(literal), match.group(1)))
+                literal = []
+            else:
+                return tuple(pairs), "", token
+        literal.append(self.body[pos:])
+        return tuple(pairs), "".join(literal), None
+
+
+@lru_cache(maxsize=None)  # one entry per file in TEMPLATE_FILES
+def _packaged_text(filename: str) -> str:
+    return resources.files("homeplan.data").joinpath(f"templates/{filename}").read_text("utf-8")
+
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
-    """Load a shipped template by name; parts are joined with blank lines."""
+    """Load a template by name; parts are joined with blank lines. Shipped
+    files are read once per process, override directories on every call."""
     try:
         filenames = TEMPLATE_FILES[name]
     except KeyError:
@@ -77,35 +107,24 @@ def load_template(name: str, directory: str | Path | None = None) -> PromptTempl
         if directory is not None:
             text = Path(directory, filename).read_text(encoding="utf-8")
         else:
-            text = (
-                resources.files("homeplan.data")
-                .joinpath(f"templates/{filename}")
-                .read_text("utf-8")
-            )
+            text = _packaged_text(filename)
         parts.append(text.rstrip("\n"))
     return PromptTemplate(name=name, body="\n\n".join(parts))
 
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
-    """Substitute every slot; unknown or leftover braces are errors."""
+    """Substitute every slot; unknown or leftover braces are errors, raised
+    for the first one in body order."""
+    pairs, tail, stray = template._pieces
     out: list[str] = []
-    pos = 0
-    for match in _SLOT_RE.finditer(template.body):
-        out.append(template.body[pos: match.start()])
-        pos = match.end()
-        token = match.group(0)
-        if token == "{{":
-            out.append("{")
-        elif token == "}}":
-            out.append("}")
-        elif match.group(1):
-            slot = match.group(1)
-            if slot not in fills:
-                raise MissingSlotError(slot)
-            out.append(str(fills[slot]))
-        else:
-            raise MissingSlotError(token)  # stray unescaped brace
-    out.append(template.body[pos:])
+    for literal, slot in pairs:
+        if slot not in fills:
+            raise MissingSlotError(slot)
+        out.append(literal)
+        out.append(str(fills[slot]))
+    if stray is not None:
+        raise MissingSlotError(stray)
+    out.append(tail)
     return "".join(out)
 
 
@@ -151,13 +170,36 @@ def _parse_action_input(raw: str) -> dict | str | None:
     return value if isinstance(value, dict) else raw
 
 
+def stable_repr(value) -> str:
+    """repr, except that the elements of a set or frozenset, at any depth in
+    dicts, lists and tuples, are listed sorted by their own rendering, so the
+    text does not depend on the string hash seed."""
+    text = repr(value)
+    kind = type(value)
+    # A set inside anything renders a "{" after the first character.
+    if kind is not set and text.find("{", 1) < 0:
+        return text
+    if kind is dict:
+        return "{" + ", ".join(
+            f"{stable_repr(key)}: {stable_repr(item)}" for key, item in value.items()
+        ) + "}"
+    if kind is list:
+        return "[" + ", ".join(map(stable_repr, value)) + "]"
+    if kind is tuple:
+        return "(" + ", ".join(map(stable_repr, value)) + (",)" if len(value) == 1 else ")")
+    if (kind is set or kind is frozenset) and value:
+        body = "{" + ", ".join(sorted(map(stable_repr, value))) + "}"
+        return body if kind is set else f"frozenset({body})"
+    return text
+
+
 def format_step(step: ReactStep) -> str:
     """Scratchpad serialization; parse_react reads back exactly this form."""
     action_input = step.action_input if step.action_input is not None else "None"
     lines = [
         f"Thought: {step.thought}",
         f"Action: {step.action}",
-        f"Action Input: {action_input!r}" if isinstance(action_input, dict)
+        f"Action Input: {stable_repr(action_input)}" if isinstance(action_input, dict)
         else f"Action Input: {action_input}",
     ]
     if step.observation is not None:

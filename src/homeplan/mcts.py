@@ -33,6 +33,7 @@ from .llm import (
     parse_critique,
     parse_react,
     render_prompt,
+    stable_repr,
 )
 from .sim import FAIL_PREFIX, execute, refresh_visibility
 from .tools import ToolLibrary, builtin_tool_library
@@ -153,8 +154,7 @@ def _plan_steps(path: list[SearchNode]) -> str:
             lines.append(f"{index}. Final Answer: {node.final_answer}")
         else:
             action, args = node.incoming_action
-            rendered = repr(args) if args is not None else "None"
-            lines.append(f"{index}. {action} {rendered}")
+            lines.append(f"{index}. {action} {stable_repr(args)}")
     return "\n".join(lines)
 
 

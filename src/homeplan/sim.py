@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError
@@ -33,7 +33,7 @@ from .tools import (
     ToolLibrary,
     builtin_tool_library,
 )
-from .world import ZONE_ANY, ObjectId, WorldState, category_of
+from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of
 
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
@@ -56,32 +56,37 @@ def format_feedback(messages: list[str]) -> str:
 
 
 def _concealed(state: WorldState, object_id: str) -> bool:
-    for ancestor in state.ancestors_of(object_id):
-        attrs = state.objects[ancestor].attributes
+    """True when a closed openable ancestor hides the object."""
+    containment = state.containment
+    current = containment.get(object_id)
+    seen = set()
+    while current is not None and current not in seen:
+        attrs = state.objects[current].attributes
         if attrs.openable and not attrs.isOpen:
             return True
+        seen.add(current)
+        current = containment.get(current)
     return False
 
 
-def _zone_visible(state: WorldState, object_id: str) -> bool:
-    if state.agent.held_object == object_id:
-        return True
-    zone = state.objects[object_id].zone
-    return zone == ZONE_ANY or zone == state.agent.current_zone
-
-
 def refresh_visibility(state: WorldState) -> WorldState:
-    """Recompute every object's stored visible attribute from the model."""
-    objects = dict(state.objects)
-    changed = False
-    for object_id, info in objects.items():
-        visible = _zone_visible(state, object_id) and not _concealed(state, object_id)
+    """Recompute every object's stored visible attribute from the model, in
+    one pass that copies only the objects whose visibility changed."""
+    zone = state.agent.current_zone
+    held = state.agent.held_object
+    objects = None  # copied on the first change
+    for object_id, info in state.objects.items():
+        visible = (
+            (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
+            and not _concealed(state, object_id)
+        )
         if info.attributes.visible != visible:
-            objects[object_id] = replace(
-                info, attributes=info.attributes.with_value("visible", visible)
+            if objects is None:
+                objects = dict(state.objects)
+            objects[object_id] = _replace(
+                info, attributes=_replace(info.attributes, visible=visible)
             )
-            changed = True
-    return replace(state, objects=objects) if changed else state
+    return state if objects is None else _replace(state, objects=objects)
 
 
 def _counter_rand(seed: int, label: str, counter: int) -> int:
@@ -113,14 +118,14 @@ def _sweep_eligible(state: WorldState, object_id: str) -> bool:
 def _set_attribute(state: WorldState, object_id: str, attribute: str, value: bool) -> WorldState:
     objects = dict(state.objects)
     info = objects[object_id]
-    objects[object_id] = replace(info, attributes=info.attributes.with_value(attribute, value))
-    return replace(state, objects=objects)
+    objects[object_id] = _replace(info, attributes=info.attributes.with_value(attribute, value))
+    return _replace(state, objects=objects)
 
 
 def _set_zone(state: WorldState, object_id: str, zone: str | None) -> WorldState:
     objects = dict(state.objects)
-    objects[object_id] = replace(objects[object_id], zone=zone)
-    return replace(state, objects=objects)
+    objects[object_id] = _replace(objects[object_id], zone=zone)
+    return _replace(state, objects=objects)
 
 
 def _descendants(state: WorldState, object_id: str) -> list[str]:
@@ -147,44 +152,44 @@ def _apply_effects(
             target = refs[effect.ref]
             containment = dict(state.containment)
             containment.pop(target, None)
-            state = replace(state, containment=containment)
+            state = _replace(state, containment=containment)
         elif isinstance(effect, InsertContainment):
             child = refs[effect.child_ref]
             parent = refs[effect.parent_ref]
             containment = dict(state.containment)
             containment[child] = parent
-            state = replace(state, containment=containment)
+            state = _replace(state, containment=containment)
             parent_zone = state.objects[parent].zone
             child_zone = state.agent.current_zone if parent_zone == ZONE_ANY else parent_zone
             state = _set_zone(state, child, child_zone)
         elif isinstance(effect, SetHolding):
             if effect.ref is None:
                 released = state.agent.held_object
-                agent = replace(state.agent, is_holding_object=False, held_object=None)
-                state = replace(state, agent=agent)
+                agent = _replace(state.agent, is_holding_object=False, held_object=None)
+                state = _replace(state, agent=agent)
                 if released is not None:
                     state = _set_zone(state, released, state.agent.current_zone)
             else:
                 target = refs[effect.ref]
-                agent = replace(state.agent, is_holding_object=True, held_object=target)
-                state = replace(state, agent=agent)
+                agent = _replace(state.agent, is_holding_object=True, held_object=target)
+                state = _replace(state, agent=agent)
                 state = _set_zone(state, target, None)
         elif isinstance(effect, RevealContents):
             target = refs[effect.ref]
             children = state.children_of(target)
             report = effect.report.format(children)
-            state = replace(state, discovered=state.discovered | set(children))
+            state = _replace(state, discovered=state.discovered | set(children))
         elif isinstance(effect, DiscoverSweep):
             order = zone_order(state)
             landing = order[state.agent.explore_count % len(order)]
             eligible = {oid for oid in state.objects if _sweep_eligible(state, oid)}
             report = effect.found if eligible - state.discovered else effect.nothing_new
-            agent = replace(
+            agent = _replace(
                 state.agent,
                 current_zone=landing,
                 explore_count=state.agent.explore_count + 1,
             )
-            state = replace(state, agent=agent, discovered=state.discovered | eligible)
+            state = _replace(state, agent=agent, discovered=state.discovered | eligible)
         elif isinstance(effect, ListDiscovered):
             report = effect.report.format(sorted(state.discovered))
         elif isinstance(effect, DescribeRelations):
@@ -201,8 +206,8 @@ def _apply_effects(
             if state.agent.action_count in state.nav_faults:
                 continue  # authored navigation fault: reposition silently fails
             target = refs[effect.ref]
-            agent = replace(state.agent, current_zone=state.effective_zone(target))
-            state = replace(state, agent=agent)
+            agent = _replace(state.agent, current_zone=state.effective_zone(target))
+            state = _replace(state, agent=agent)
         elif isinstance(effect, CookContents):
             target = refs[effect.ref]
             info = state.objects[target]
@@ -258,8 +263,8 @@ def execute(
     spec = lib.get(action)
     target = _parse_args(spec, args)
 
-    agent = replace(state.agent, action_count=state.agent.action_count + 1)
-    state = replace(state, agent=agent)
+    agent = _replace(state.agent, action_count=state.agent.action_count + 1)
+    state = _replace(state, agent=agent)
     table = messages if messages is not None else MessageTable.load()
 
     def fail(message: str) -> tuple[WorldState, Observation]:

@@ -259,6 +259,11 @@ def config_hash(config: AgentConfig, suite: SuiteSpec, backend: str,
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+# Faults of the environment a run depends on (fixtures, backend, files),
+# reported as failed episodes; anything else is a bug and propagates.
+_INFRASTRUCTURE_ERRORS = (HomeplanError, OSError, json.JSONDecodeError)
+
+
 def run_suite(
     suite: SuiteSpec,
     config: AgentConfig,
@@ -283,16 +288,30 @@ def run_suite(
         task, repetition = job
         return task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
 
+    # Each distinct world is resolved once per run and the same immutable
+    # state is shared by its episodes; a fixture error is kept and reported
+    # once per episode.
+    worlds: dict[str, WorldState | Exception] = {}
+    for ref in dict.fromkeys(task.world for task in suite.tasks):
+        try:
+            world = resolve_world(ref, base_dir)
+        except _INFRASTRUCTURE_ERRORS as exc:
+            worlds[ref] = exc
+            continue
+        if seed_override is not None:
+            world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
+        worlds[ref] = world
+
     def run_one(job) -> EpisodeRecord | str:
         """The episode's record, or the error line of an infrastructure
         failure (counted as a task failure); program bugs propagate."""
         task, _ = job
+        world = worlds[task.world]
+        if isinstance(world, Exception):
+            return f"{episode_id(job)}: {world}"
         try:
-            world = resolve_world(task.world, base_dir)
-            if seed_override is not None:
-                world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
             return run_episode(task, config, factory(task), world, messages=messages)
-        except (HomeplanError, OSError, json.JSONDecodeError) as exc:
+        except _INFRASTRUCTURE_ERRORS as exc:
             return f"{episode_id(job)}: {exc}"
 
     if workers > 1:

@@ -9,7 +9,7 @@ a state, they return new ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -45,6 +45,22 @@ AGENT_PREDICATE = "isHoldingObject"
 
 # Wildcard zone: objects placed here (floors) are visible from every zone.
 ZONE_ANY = "*"
+
+
+def _replace(instance, **changes):
+    """``dataclasses.replace`` for the frozen value types of this module,
+    without the ``__init__`` call: the copy starts from the instance dict.
+    That is the same thing here, because these types keep only their fields
+    in that dict and have no ``__post_init__``. An unknown field name raises
+    TypeError, as ``replace`` does."""
+    fields = instance.__dict__
+    if not changes.keys() <= fields.keys():
+        unknown = sorted(changes.keys() - fields.keys())
+        raise TypeError(f"{type(instance).__name__} has no fields {unknown}")
+    copy = object.__new__(type(instance))
+    copy.__dict__.update(fields, **changes)
+    return copy
+
 
 # attribute -> attribute it implies (isOpen=true requires openable=true, ...)
 _ATTRIBUTE_DEPENDENCIES = {
@@ -85,7 +101,7 @@ class ObjectAttributes:
     def with_value(self, name: str, value: bool) -> "ObjectAttributes":
         if name not in ATTRIBUTE_NAMES:
             raise UnknownAttributeError(name)
-        return replace(self, **{name: value})
+        return _replace(self, **{name: value})
 
 
 @dataclass(frozen=True, order=True)

@@ -18,6 +18,7 @@ from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.scenarios import load_shipped_scenarios, run_adversarial
 from homeplan.sim import GoalAtom, TaskSpec
+from homeplan.tools import ToolLibrary
 
 from .conftest import make_object, make_world
 
@@ -242,6 +243,25 @@ def test_mcts_episode_loads_each_template_once(monkeypatch):
     assert record.outcome == "step-budget-exhausted"
     assert len(record.steps) == 4
     assert sorted(loads) == ["critique", "expansion"]
+
+
+def test_react_episode_describes_the_tools_once(monkeypatch):
+    describes = []
+    real_describe = ToolLibrary.describe
+
+    def counting_describe(self):
+        describes.append(1)
+        return real_describe(self)
+
+    monkeypatch.setattr(ToolLibrary, "describe", counting_describe)
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=5
+    )
+    record = run_episode(task, AgentConfig(), ScriptedBackend.ordered([explore], cyclic=True),
+                         pickup_world())
+    assert len(record.steps) == 5
+    assert len(describes) == 1
 
 
 def test_scratchpad_truncates_oldest_first():

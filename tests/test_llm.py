@@ -1,7 +1,12 @@
 import ast
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -448,3 +453,141 @@ def test_remote_backend_gives_up_after_max_retries(stub_server, monkeypatch):
         _stub_backend(stub_server).complete("x")
     assert len(_StubHandler.responses) == 1
     assert waits == [RETRY_CEILING_S, 2]  # Retry-After capped; no wait after the last try
+
+
+# ---------------------------------------------------------------------------
+# Compiled templates and template reads
+
+_REFERENCE_SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
+
+
+def reference_render(template, fills):
+    """render_prompt before templates were compiled: one regex scan per call."""
+    out = []
+    pos = 0
+    for match in _REFERENCE_SLOT_RE.finditer(template.body):
+        out.append(template.body[pos: match.start()])
+        pos = match.end()
+        token = match.group(0)
+        if token == "{{":
+            out.append("{")
+        elif token == "}}":
+            out.append("}")
+        elif match.group(1):
+            slot = match.group(1)
+            if slot not in fills:
+                raise MissingSlotError(slot)
+            out.append(str(fills[slot]))
+        else:
+            raise MissingSlotError(token)
+    out.append(template.body[pos:])
+    return "".join(out)
+
+
+def _outcome(render, template, fills):
+    try:
+        return render(template, fills), None
+    except MissingSlotError as exc:
+        return None, exc.args
+
+
+_body_pieces = st.one_of(
+    st.sampled_from(["{{", "}}", "{", "}", "{a}", "{b}", "{c_1}", "{missing}", "{1a}",
+                     "{ a}", "{a", "a}", "{{a}}", "{{{a}}}", "text", " ", "\n"]),
+    st.text(alphabet="ab_1{} \n", max_size=5),
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(_body_pieces, max_size=10).map("".join),
+    st.dictionaries(st.sampled_from(["a", "b", "c_1"]),
+                    st.one_of(st.text(alphabet="ab{}", max_size=3), st.integers())),
+)
+def test_render_prompt_matches_the_regex_reference(body, fills):
+    template = PromptTemplate(name="t", body=body)
+    expected = _outcome(reference_render, template, fills)
+    for _ in range(2):  # the second render reuses the compiled pieces
+        assert _outcome(render_prompt, template, fills) == expected
+
+
+def test_packaged_templates_are_read_once_per_process():
+    llm._packaged_text.cache_clear()
+    first = load_template("precondition-generation")
+    second = load_template("precondition-generation")
+    assert first == second
+    info = llm._packaged_text.cache_info()
+    assert (info.misses, info.hits) == (4, 4)  # four part files
+
+
+def test_template_directory_override_is_read_on_every_call(tmp_path):
+    (tmp_path / "critique.txt").write_text("first {goal}\n")
+    assert load_template("critique", directory=tmp_path).body == "first {goal}"
+    (tmp_path / "critique.txt").write_text("second {goal}\n")
+    assert load_template("critique", directory=tmp_path).body == "second {goal}"
+
+
+# ---------------------------------------------------------------------------
+# Set-valued Action Inputs
+
+_SET_RENDERING = """
+from homeplan.agent import StepRecord
+from homeplan.llm import ReactStep, format_step
+from homeplan.mcts import SearchNode, _plan_steps
+
+args = {'object_id': {'Apple_1', 'Bread_1', 'Mug_1'}}
+print(format_step(ReactStep('t', 'Pick Up Object', args, 'o')))
+print(StepRecord('t', 'Pick Up Object', args, 'o').to_dict()['args'])
+print(_plan_steps([SearchNode(state=None, incoming_action=('Pick Up Object', args))]))
+"""
+
+
+def test_set_valued_action_input_renders_the_same_under_every_hash_seed():
+    src = str(Path(llm.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(1, 5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _SET_RENDERING], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count("{'object_id': {'Apple_1', 'Bread_1', 'Mug_1'}}") == 3
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                     st.text(alphabet="ab{}'\"\\", max_size=3))
+_hashables = st.recursive(_scalars, lambda inner: st.tuples(inner, inner), max_leaves=4)
+
+
+def _values(with_sets):
+    def extend(inner):
+        containers = [
+            st.lists(inner, max_size=3),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(_hashables, inner, max_size=3),
+        ]
+        if with_sets:
+            containers.append(st.sets(_hashables, max_size=4))
+        return st.one_of(containers)
+
+    return st.recursive(_scalars, extend, max_leaves=8)
+
+
+@given(_values(with_sets=False))
+def test_stable_repr_is_repr_without_sets(value):
+    assert llm.stable_repr(value) == repr(value)
+
+
+@given(_values(with_sets=True))
+def test_stable_repr_reads_back_as_the_value(value):
+    text = llm.stable_repr(value)
+    assert ast.literal_eval(text) == value
+
+
+@given(st.sets(st.text(max_size=3), min_size=1), st.booleans())
+def test_stable_repr_sorts_set_elements(elements, frozen):
+    value = frozenset(elements) if frozen else elements
+    body = "{" + ", ".join(sorted(repr(item) for item in elements)) + "}"
+    assert llm.stable_repr(value) == (f"frozenset({body})" if frozen else body)
+    assert llm.stable_repr({"k": [value]}) == "{'k': [" + llm.stable_repr(value) + "]}"

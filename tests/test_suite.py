@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeplan import suite as suite_module
+from homeplan import world as world_module
 from homeplan.agent import AgentConfig
 from homeplan.errors import InsufficientObjectsError, SuiteFormatError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
@@ -211,9 +214,10 @@ def test_run_suite_orders_repetitions_numerically(tmp_path):
     assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
 
 
-def _planner_script(task: TaskSpec, scores: list[int]) -> ScriptedBackend:
+def _planner_script(task: TaskSpec, scores: list[int], explore_first: int = 0) -> ScriptedBackend:
     """Keyed script for one generated task: the given critique scores once
-    each, then 5; proposals walk towards the goal, two uses each."""
+    each, then 5; proposals explore explore_first times, then walk towards
+    the goal, two uses each."""
     atom = task.goal[0]
 
     def proposal(action: str, object_id: str) -> str:
@@ -230,6 +234,8 @@ def _planner_script(task: TaskSpec, scores: list[int]) -> ScriptedBackend:
     expand = "you should always think"
     entries = [ScriptEntry(f"Score: {score}", match=critique) for score in scores]
     entries.append(ScriptEntry("Score: 5", match=critique, uses=-1))
+    if explore_first:
+        entries.append(ScriptEntry(explore, match=expand, uses=explore_first))
     entries += [ScriptEntry(text, match=expand, uses=2) for text in expansions]
     entries.append(ScriptEntry(explore, match=expand, uses=-1))
     return ScriptedBackend(entries, mode="keyed")
@@ -380,3 +386,85 @@ def test_render_rate_forms():
     assert render_rate(12.5) == "12.5"
     assert render_rate(46.153846) == "46.2"
     assert render_rate(100.0) == "100"
+
+
+# SHA-256 of a scripted run's serialized report and records. Any change to
+# the bytes of scripted output changes them; re-record only for a change
+# that means to alter those bytes.
+GOLDEN_DIGESTS = {
+    "react": "ead0446a4b3e4edecce2707bc7d66af803f5d960f12fef8a4b0cbc5ed66acfc6",
+    "react+mcts": "0b9496c273c9b3ffb8edd774b43738ecdbdb3fd354b7930a3cd865060456c6b7",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
+def test_run_suite_bytes_match_the_golden_digest(mode):
+    suite = generate_easy_suite(seed=11, count=6, world_refs=WORLD_REFS)
+    config = AgentConfig(
+        mode=mode,
+        step_cap=12,
+        planner=PlannerConfig(expansion_budget=3, children_per_expansion=2),
+    )
+    report, records = run_suite(
+        suite, config, lambda task: _planner_script(task, [3, 8, 2, 6], explore_first=2),
+        seed_override=3,
+    )
+    hasher = hashlib.sha256(report.serialize().encode())
+    for record in records:
+        hasher.update(b"\n")
+        hasher.update(record.serialize().encode())
+    assert hasher.hexdigest() == GOLDEN_DIGESTS[mode]
+
+
+def test_run_suite_resolves_each_world_once_and_shares_it(monkeypatch):
+    suite = replace(generate_easy_suite(seed=11, count=6, world_refs=WORLD_REFS), repetitions=2)
+    parses = []
+    real_parse = world_module.world_from_dict
+
+    def counting_parse(data):
+        parses.append(1)
+        return real_parse(data)
+
+    worlds = {}
+    real_run_episode = suite_module.run_episode
+
+    def recording_run_episode(task, config, backend, world, **kwargs):
+        worlds.setdefault(task.world, set()).add(id(world))
+        return real_run_episode(task, config, backend, world, **kwargs)
+
+    monkeypatch.setattr(world_module, "world_from_dict", counting_parse)
+    monkeypatch.setattr(suite_module, "run_episode", recording_run_episode)
+    report, _ = run_suite(suite, AgentConfig(step_cap=2),
+                          lambda task: _planner_script(task, []), workers=2, seed_override=9)
+    assert len(parses) == len(WORLD_REFS)
+    assert {ref: len(ids) for ref, ids in worlds.items()} == {ref: 1 for ref in WORLD_REFS}
+    assert len(report.episodes) == 12 and not report.errors
+
+
+def test_missing_world_gives_one_error_line_per_episode():
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+
+    def task_data(task_id, world):
+        return {"id": task_id, "difficulty": "easy", "instruction": "anything",
+                "goal": [{"type": "empty", "object": "GarbageCan_1"}], "maxSteps": 2,
+                "world": world}
+
+    suite = suite_from_dict({
+        "name": "partly-broken",
+        "seed": 1,
+        "repetitions": 2,
+        "tasks": [task_data("a", "worlds/nonexistent.json"),
+                  task_data("b", "worlds/kitchen_b.json"),
+                  task_data("c", "worlds/nonexistent.json")],
+    })
+    report, records = run_suite(
+        suite, AgentConfig(), lambda task: ScriptedBackend.ordered([explore], cyclic=True)
+    )
+    assert report.errors == [
+        f"{episode}: world fixture not found: 'worlds/nonexistent.json'"
+        for episode in ("a#1", "a#2", "c#1", "c#2")
+    ]
+    assert [record.task_id for record in records] == ["b", "b"]
+    assert [episode["id"] for episode in report.episodes] == [
+        "a#1", "a#2", "b#1", "b#2", "c#1", "c#2"
+    ]

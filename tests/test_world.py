@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +12,12 @@ from homeplan.errors import (
 )
 from homeplan.world import (
     ATTRIBUTE_NAMES,
+    AgentState,
     ObjectAttributes,
     ObjectId,
+    ObjectInfo,
+    WorldState,
+    _replace,
     attribute_lookup,
     attribute_lookup as lookup,
     validate_world,
@@ -177,3 +183,61 @@ def test_kitchen_fixture_loads_and_validates(kitchen_world):
     assert validate_world(kitchen_world) == []
     assert len(kitchen_world.objects) == 49
     assert attribute_lookup(kitchen_world, "Cabinet_1", "openable") is True
+
+
+# ---------------------------------------------------------------------------
+# Field copies of the frozen value types
+
+_texts = st.text(alphabet="ab_*", max_size=3)
+_attribute_sets = st.builds(
+    ObjectAttributes, **{name: st.booleans() for name in ATTRIBUTE_NAMES}
+)
+_object_infos = st.builds(
+    ObjectInfo,
+    attributes=_attribute_sets,
+    zone=st.one_of(st.none(), _texts),
+    conspicuous=st.booleans(),
+    heat_source=st.booleans(),
+    display_id=st.one_of(st.none(), _texts),
+    controls=st.lists(_texts, max_size=2).map(tuple),
+)
+_agent_states = st.builds(
+    AgentState,
+    current_zone=_texts,
+    rng_seed=st.integers(),
+    is_holding_object=st.booleans(),
+    held_object=st.one_of(st.none(), _texts),
+    explore_count=st.integers(0, 9),
+    action_count=st.integers(0, 9),
+)
+_world_states = st.builds(
+    WorldState,
+    objects=st.dictionaries(_texts, _object_infos, max_size=3),
+    containment=st.dictionaries(_texts, _texts, max_size=2),
+    agent=_agent_states,
+    discovered=st.frozensets(_texts, max_size=2),
+    nav_faults=st.frozensets(st.integers(0, 9), max_size=2),
+)
+
+
+@given(st.data())
+def test_field_copy_equals_dataclasses_replace(data):
+    strategy = data.draw(
+        st.sampled_from([_attribute_sets, _object_infos, _agent_states, _world_states])
+    )
+    instance, donor = data.draw(strategy), data.draw(strategy)
+    names = [f.name for f in dataclasses.fields(instance)]
+    chosen = data.draw(st.lists(st.sampled_from(names), unique=True))
+    changes = {name: getattr(donor, name) for name in chosen}
+    before = dict(vars(instance))
+
+    copy = _replace(instance, **changes)
+    expected = dataclasses.replace(instance, **changes)
+    assert type(copy) is type(expected)
+    assert copy == expected
+    assert list(vars(copy).items()) == list(vars(expected).items())
+    assert vars(instance) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(copy, names[0], getattr(instance, names[0]))
+    with pytest.raises(TypeError):
+        _replace(instance, no_such_field=1, **changes)
