@@ -4,8 +4,9 @@ Two modes: plain reactive stepping (one completion per step) and tree-search
 planning (one planner per episode, a full planning call per step, executing
 the robust child). Either way the simulator enforces physical legality;
 ``grounding_enabled`` decides whether failures come back explained or as
-bare execution errors. Success is judged by the harness against the task
-goal after every step; an agent's own final answer never counts as success
+bare execution errors. The harness judges success against the task goal
+at the start and after each successful action (a failed call changes
+nothing a goal reads); an agent's own final answer never counts as success
 by itself.
 """
 
@@ -37,7 +38,7 @@ from .llm import (
     stable_repr,
 )
 from .mcts import MctsPlanner, PlannerConfig
-from .sim import FAIL_PREFIX, TaskSpec, check_goal, execute, refresh_visibility
+from .sim import FAIL_PREFIX, Observation, TaskSpec, check_goal, execute, refresh_visibility
 from .tools import ToolLibrary, builtin_tool_library
 from .world import WorldState
 
@@ -292,20 +293,19 @@ def run_episode(
                 library=lib,
                 messages=messages,
             )
-            observation_text = observation.message
         except MalformedArgsError:
-            observation_text = f"{FAIL_PREFIX}malformed action input"
+            observation = Observation(False, f"{FAIL_PREFIX}malformed action input")
         except UnknownToolError as exc:
-            observation_text = f"{FAIL_PREFIX}unknown tool {exc.name!r}"
+            observation = Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
         steps.append(
             StepRecord(
                 thought=decision.thought,
                 action=decision.action,
                 args=decision.action_input,
-                observation=observation_text,
+                observation=observation.message,
             )
         )
-        if check_goal(state, task):
+        if observation.success and check_goal(state, task):
             return record(OUTCOME_SUCCESS, True)
 
     return record(OUTCOME_BUDGET, False)

@@ -4,7 +4,8 @@ evaluate() decides whether a precondition holds in a state under a variable
 binding; unsatisfied() collects the failing fragments and renders each one
 as a natural-language message via a template table shipped with the package
 (overridable by path, so deployments can reword feedback without code
-changes).
+changes). Both compile a formula into nested closures on first use: checks
+once per formula, feedback collectors once per formula and message table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .errors import UnboundVariableError, UnknownObjectError
 from .formula import And, Atom, Exists, Formula, Not, When, print_precondition
-from .world import AGENT_PREDICATE, WorldState, attribute_lookup
+from .world import AGENT_PREDICATE, ATTRIBUTE_NAMES, WorldState, attribute_reader
 
 Binding = dict[str, str]
 
@@ -38,6 +39,7 @@ class MessageTable:
         self._exists = data["exists"]
         self._fallback = data["fallback"]
         self.special = dict(data.get("special", {}))
+        self._collectors: dict[int, tuple] = {}  # see _compiled
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "MessageTable":
@@ -46,15 +48,15 @@ class MessageTable:
         with open(path, encoding="utf-8") as handle:
             return cls(json.load(handle))
 
-    def atom_message(self, name: str, required: bool) -> str:
-        entry = self._atoms[name]
-        return entry["required_true"] if required else entry["required_false"]
-
-    def exists_message(self, fragment: Formula) -> str:
-        return self._exists.format(formula=print_precondition(fragment))
-
-    def fallback_message(self, fragment: Formula) -> str:
-        return self._fallback.format(formula=print_precondition(fragment))
+    def message(self, fragment: Formula) -> str:
+        """Feedback text for one failing fragment of a precondition."""
+        if isinstance(fragment, Atom):
+            return self._atoms[fragment.name]["required_true"]
+        if isinstance(fragment, Not) and isinstance(fragment.child, Atom):
+            return self._atoms[fragment.child.name]["required_false"]
+        # No single witness to blame for an Exists; report the whole clause.
+        template = self._exists if isinstance(fragment, Exists) else self._fallback
+        return template.format(formula=print_precondition(fragment))
 
 
 @lru_cache(maxsize=1)
@@ -69,35 +71,84 @@ def _check_binding(state: WorldState, binding: Binding) -> None:
             raise UnknownObjectError(object_id)
 
 
-def _eval(formula: Formula, state: WorldState, binding: Binding) -> bool:
+_CHECKS: dict[int, tuple] = {}  # compiled checks, see _compiled
+_CACHE_LIMIT = 4096  # entries per cache; a full cache is emptied
+
+
+def _compiled(cache: dict, formula: Formula, build):
+    """build(formula), once per formula object: keyed by id, as a formula's hash
+    walks its whole tree; the entry keeps the formula alive, and so its id.
+    Threads that race here at worst build the same closures twice."""
+    entry = cache.get(id(formula))
+    if entry is None:
+        if len(cache) >= _CACHE_LIMIT:
+            cache.clear()
+        entry = cache[id(formula)] = (formula, build(formula))
+    return entry[1]
+
+
+def _compile_check(formula: Formula):
     if isinstance(formula, Atom):
         if formula.name == AGENT_PREDICATE:
-            return state.agent.is_holding_object
-        if formula.variable not in binding:
-            raise UnboundVariableError(formula.variable or "?")
-        return attribute_lookup(state, binding[formula.variable], formula.name)
+            return lambda state, binding: state.agent.is_holding_object
+        variable, read = formula.variable, attribute_reader(formula.name)
+
+        def atom(state, binding):
+            if variable not in binding:
+                raise UnboundVariableError(variable or "?")
+            return read(state, binding[variable])
+
+        return atom
     if isinstance(formula, Not):
-        return not _eval(formula.child, state, binding)
+        child = _compile_check(formula.child)
+        return lambda state, binding: not child(state, binding)
     if isinstance(formula, And):
-        return all(_eval(child, state, binding) for child in formula.children)
+        children = tuple(_compile_check(child) for child in formula.children)
+
+        def conjunction(state, binding):
+            for child in children:
+                if not child(state, binding):
+                    return False
+            return True
+
+        return conjunction
     if isinstance(formula, When):
         # Material implication: vacuously true when the antecedent fails.
-        if not _eval(formula.antecedent, state, binding):
-            return True
-        return _eval(formula.consequent, state, binding)
+        antecedent = _compile_check(formula.antecedent)
+        consequent = _compile_check(formula.consequent)
+        return lambda state, binding: not antecedent(state, binding) or consequent(state, binding)
     if isinstance(formula, Exists):
-        # Unsorted: any() gives the same answer in every order.
-        return any(
-            _eval(formula.body, state, {**binding, formula.variable: candidate})
-            for candidate in state.objects
-        )
-    raise TypeError(f"not a formula node: {formula!r}")
+        variable, body = formula.variable, _compile_check(formula.body)
+        # Objects that fail the body's leading positive atom on the bound
+        # variable witness nothing: they are skipped before being bound.
+        lead = formula.body
+        if isinstance(lead, And) and lead.children:
+            lead = lead.children[0]
+        keep = None
+        if isinstance(lead, Atom) and lead.variable == variable and lead.name in ATTRIBUTE_NAMES:
+            keep = attribute_reader(lead.name)
+
+        def exists(state, binding):
+            scan = dict(binding)  # one binding for the whole scan, in any order
+            for candidate in state.objects:
+                if keep is None or keep(state, candidate):
+                    scan[variable] = candidate
+                    if body(state, scan):
+                        return True
+            return False
+
+        return exists
+
+    def not_a_formula(state, binding):
+        raise TypeError(f"not a formula node: {formula!r}")
+
+    return not_a_formula
 
 
 def evaluate(formula: Formula, state: WorldState, binding: Binding) -> bool:
     """True iff the formula holds in the state under the binding."""
     _check_binding(state, binding)
-    return _eval(formula, state, binding)
+    return _compiled(_CHECKS, formula, _compile_check)(state, binding)
 
 
 def unsatisfied(
@@ -109,35 +160,29 @@ def unsatisfied(
     """Failing fragments in formula order; empty iff evaluate() is true."""
     _check_binding(state, binding)
     table = messages if messages is not None else _default_table()
-    return _collect(formula, state, binding, table)
+    collect = _compiled(table._collectors, formula, lambda f: _compile_collect(f, table))
+    return collect(state, binding)
 
 
-def _collect(
-    formula: Formula, state: WorldState, binding: Binding, table: MessageTable
-) -> list[FeedbackItem]:
-    if isinstance(formula, Atom):
-        if _eval(formula, state, binding):
-            return []
-        return [FeedbackItem(formula, table.atom_message(formula.name, required=True))]
-    if isinstance(formula, Not):
-        if _eval(formula, state, binding):
-            return []
-        child = formula.child
-        if isinstance(child, Atom):
-            return [FeedbackItem(formula, table.atom_message(child.name, required=False))]
-        return [FeedbackItem(formula, table.fallback_message(formula))]
+def _compile_collect(formula: Formula, table: MessageTable):
+    """A collector: the formula's failing fragments, as a new list."""
     if isinstance(formula, And):
-        items: list[FeedbackItem] = []
-        for child in formula.children:
-            items.extend(_collect(child, state, binding, table))
-        return items
+        parts = tuple(_compile_collect(child, table) for child in formula.children)
+        return lambda state, binding: [item for part in parts for item in part(state, binding)]
     if isinstance(formula, When):
-        if not _eval(formula.antecedent, state, binding):
+        antecedent = _compile_check(formula.antecedent)
+        consequent = _compile_collect(formula.consequent, table)
+        return lambda state, binding: (
+            consequent(state, binding) if antecedent(state, binding) else []
+        )
+    check, item = _compile_check(formula), None  # item: built when the fragment first fails
+
+    def fragment(state, binding):
+        nonlocal item
+        if check(state, binding):
             return []
-        return _collect(formula.consequent, state, binding, table)
-    if isinstance(formula, Exists):
-        if _eval(formula, state, binding):
-            return []
-        # No single witness to blame; report the whole clause.
-        return [FeedbackItem(formula, table.exists_message(formula))]
-    raise TypeError(f"not a formula node: {formula!r}")
+        if item is None:
+            item = FeedbackItem(formula, table.message(formula))
+        return [item]
+
+    return fragment

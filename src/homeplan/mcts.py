@@ -35,7 +35,7 @@ from .llm import (
     render_prompt,
     stable_repr,
 )
-from .sim import FAIL_PREFIX, execute, refresh_visibility
+from .sim import FAIL_PREFIX, execute
 from .tools import ToolLibrary, builtin_tool_library
 from .world import WorldState
 
@@ -298,11 +298,12 @@ class MctsPlanner:
     # -- full planning call -------------------------------------------------
 
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
+        """Plan from a state that refresh_visibility or a successful execute returned."""
         config = self.config
         self.history = history
         self.llm_calls = 0
         self.trace = []
-        root = SearchNode(state=refresh_visibility(state))
+        root = SearchNode(state=state)
         for iteration in range(config.expansion_budget):
             path = select(root, config.exploration_constant)
             leaf = path[-1]

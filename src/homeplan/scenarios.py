@@ -17,7 +17,7 @@ from pathlib import Path
 from .agent import AgentConfig, EpisodeRecord, run_episode
 from .llm import ScriptedBackend
 from .mcts import MctsPlanner, PlannerConfig, PlanResult
-from .sim import TaskSpec, task_from_dict
+from .sim import TaskSpec, refresh_visibility, task_from_dict
 from .world import WorldState, world_from_dict
 
 
@@ -76,4 +76,4 @@ def run_planning(scenario: Scenario, budget: int | None = None) -> PlanResult:
     if budget is not None:
         overrides["expansion_budget"] = budget
     planner = MctsPlanner(scenario.backend(), config=PlannerConfig.from_dict(overrides))
-    return planner.plan(scenario.world(), scenario.task.instruction)
+    return planner.plan(refresh_visibility(scenario.world()), scenario.task.instruction)

@@ -9,6 +9,7 @@ a state, they return new ones.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,9 +224,18 @@ class WorldState:
         return sorted(names)
 
 
+def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
+    """The atom-evaluation primitive: a reader of one attribute of an object in
+    the state. An unknown name raises UnknownAttributeError when read."""
+    if attribute in ATTRIBUTE_NAMES:
+        return lambda state, object_id: getattr(state.objects[object_id].attributes, attribute)
+    return lambda state, object_id: state.objects[object_id].attributes.get(attribute)
+
+
 def attribute_lookup(state: WorldState, object_id: str, attribute: str) -> bool:
-    """Read one stored attribute; the atom-evaluation primitive."""
-    return state.info(object_id).attributes.get(attribute)
+    """Read one stored attribute of any object id."""
+    state.info(object_id)  # UnknownObjectError first
+    return attribute_reader(attribute)(state, object_id)
 
 
 def validate_world(state: WorldState) -> list[str]:

@@ -17,7 +17,7 @@ from homeplan.errors import BackendUnavailableError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.scenarios import load_shipped_scenarios, run_adversarial
-from homeplan.sim import GoalAtom, TaskSpec
+from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
 
 from .conftest import make_object, make_world
@@ -105,6 +105,46 @@ def test_goal_already_satisfied_at_start():
     assert record.outcome == "success"
     assert record.steps == []
     assert record.llm_call_count == 0
+
+
+def test_goal_is_checked_only_after_successful_actions(monkeypatch):
+    """A rejected, malformed or unknown call leaves the world as it was
+    (but for action_count, which no goal reads), so only the start and the
+    two successful actions are checked against the goal."""
+    checked = []
+
+    def counting_check_goal(state, task):
+        checked.append(state)
+        return check_goal(state, task)
+
+    monkeypatch.setattr(agent, "check_goal", counting_check_goal)
+    backend = ScriptedBackend.ordered(
+        [
+            "Thought: a\nAction: Pick Up Object\nAction Input: {'object_id': 'Basket_1'}",
+            "Thought: b\nAction: Pick Up Object\nAction Input: {'item': 'Tomato_1'}",
+            "Thought: c\nAction: Teleport Object\nAction Input: {'object_id': 'Tomato_1'}",
+            "no action in this one",
+            "Thought: d\nAction: Pick Up Object\nAction Input: {'object_id': 'Tomato_1'}",
+            "Thought: e\nAction: Open Object\nAction Input: {'object_id': 'Basket_1'}",
+            "Thought: f\nAction: Place Object\nAction Input: {'object_id': 'Basket_1'}",
+        ]
+    )
+    task = simple_task(
+        [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")], max_steps=10
+    )
+    record = run_episode(task, AgentConfig(), backend, pickup_world())
+    assert record.outcome == "success"
+    assert [step.observation.split(":")[0] for step in record.steps] == [
+        "Tool Failed",
+        "Tool Failed",
+        "Tool Failed",
+        "Tool Failed",
+        "Tool Completed Successfully",
+        "Tool Failed",
+        "Tool Completed Successfully",
+    ]
+    assert record.steps[1].observation == "Tool Failed: malformed action input"
+    assert [state.agent.action_count for state in checked] == [0, 2, 4]
 
 
 def test_unknown_tool_is_recoverable_feedback():

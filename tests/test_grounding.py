@@ -6,10 +6,12 @@ Exists by full witness enumeration.
 """
 
 import hashlib
+import json
+from importlib import resources
 
 import pytest
 
-from homeplan.errors import UnknownObjectError
+from homeplan.errors import UnboundVariableError, UnknownAttributeError, UnknownObjectError
 from homeplan.formula import (
     And,
     Atom,
@@ -17,8 +19,9 @@ from homeplan.formula import (
     Not,
     When,
     parse_precondition,
+    print_precondition,
 )
-from homeplan.grounding import MessageTable, evaluate, unsatisfied
+from homeplan.grounding import FeedbackItem, MessageTable, evaluate, unsatisfied
 from homeplan.tools import load_precondition_pairs
 from homeplan.world import ATTRIBUTE_NAMES, ObjectAttributes, ObjectInfo
 
@@ -253,3 +256,208 @@ def run_oracle_comparison(cases=1000, seed=20240801):
 
 def test_oracle_equivalence_thousand_cases():
     assert run_oracle_comparison(1000) == 0
+
+
+# ---------------------------------------------------------------------------
+# The compiled checks and collectors against the tree walk they replaced
+
+
+def _reference_check_binding(state, binding):
+    for object_id in binding.values():
+        if object_id not in state.objects:
+            raise UnknownObjectError(object_id)
+
+
+def reference_evaluate(formula, state, binding):
+    """grounding.evaluate as it was before formulas were compiled."""
+    _reference_check_binding(state, binding)
+    return _reference_eval(formula, state, binding)
+
+
+def _reference_eval(formula, state, binding):
+    if isinstance(formula, Atom):
+        if formula.name == "isHoldingObject":
+            return state.agent.is_holding_object
+        if formula.variable not in binding:
+            raise UnboundVariableError(formula.variable or "?")
+        return state.info(binding[formula.variable]).attributes.get(formula.name)
+    if isinstance(formula, Not):
+        return not _reference_eval(formula.child, state, binding)
+    if isinstance(formula, And):
+        return all(_reference_eval(child, state, binding) for child in formula.children)
+    if isinstance(formula, When):
+        if not _reference_eval(formula.antecedent, state, binding):
+            return True
+        return _reference_eval(formula.consequent, state, binding)
+    if isinstance(formula, Exists):
+        return any(
+            _reference_eval(formula.body, state, {**binding, formula.variable: candidate})
+            for candidate in state.objects
+        )
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def reference_unsatisfied(formula, state, binding, table):
+    """grounding.unsatisfied as it was before formulas were compiled."""
+    _reference_check_binding(state, binding)
+    return _reference_collect(formula, state, binding, table)
+
+
+def _reference_collect(formula, state, binding, table):
+    if isinstance(formula, Atom):
+        if _reference_eval(formula, state, binding):
+            return []
+        return [FeedbackItem(formula, table._atoms[formula.name]["required_true"])]
+    if isinstance(formula, Not):
+        if _reference_eval(formula, state, binding):
+            return []
+        if isinstance(formula.child, Atom):
+            return [FeedbackItem(formula, table._atoms[formula.child.name]["required_false"])]
+        return [FeedbackItem(formula, table._fallback.format(formula=print_precondition(formula)))]
+    if isinstance(formula, And):
+        items = []
+        for child in formula.children:
+            items.extend(_reference_collect(child, state, binding, table))
+        return items
+    if isinstance(formula, When):
+        if not _reference_eval(formula.antecedent, state, binding):
+            return []
+        return _reference_collect(formula.consequent, state, binding, table)
+    if isinstance(formula, Exists):
+        if _reference_eval(formula, state, binding):
+            return []
+        return [FeedbackItem(formula, table._exists.format(formula=print_precondition(formula)))]
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def outcome(call, *args):
+    """What a call gives: its value and the value's type, or the type and
+    args of what it raised."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), exc.args)
+    return ("value", type(value), value)
+
+
+def custom_table():
+    """A table whose every text differs from the shipped one."""
+    names = ATTRIBUTE_NAMES + ("isHoldingObject",)
+    return MessageTable({
+        "atoms": {name: {"required_true": f"needs {name}", "required_false": f"no {name}"}
+                  for name in names},
+        "exists": "nothing is {formula}",
+        "fallback": "fails {formula}",
+        "special": {},
+    })
+
+
+def assert_compiled_like_the_reference(formula, state, binding, table):
+    given = dict(binding)
+    assert outcome(evaluate, formula, state, binding) == outcome(
+        reference_evaluate, formula, state, binding
+    )
+    expected = outcome(reference_unsatisfied, formula, state, binding, table)
+    assert outcome(unsatisfied, formula, state, binding, table) == expected
+    # Built once, the collector gives the same list again.
+    assert outcome(unsatisfied, formula, state, binding, table) == expected
+    assert binding == given
+
+
+def decorated_case(seed, case):
+    """A random formula, world and binding; some cases are set up to raise
+    UnboundVariableError, UnknownObjectError, UnknownAttributeError or
+    TypeError somewhere in the formula, or nowhere if evaluation stops first."""
+    world = random_world(seed, case)
+    kind = case % 6
+    variables = ("?x", "?free") if kind == 1 else ("?x",)
+    formula = random_formula(seed, case, depth=4, variables=variables)
+    binding = {"?x": "Ghost_1" if kind == 2 else "Item_1"}
+    if kind == 3:
+        formula = And((formula, "not a formula"))
+    elif kind == 4:
+        formula = When(formula, Atom("isShiny", "?x"))
+    elif kind == 5:
+        formula = And((Not(formula), Atom("visible", None)))
+    return formula, world, binding
+
+
+@pytest.mark.parametrize("table", [MessageTable.load(), custom_table()], ids=["shipped", "custom"])
+def test_compiled_grounding_matches_the_tree_walk_reference(table):
+    seed = 20240917
+    raised = set()
+    for case in range(1000):
+        formula, world, binding = decorated_case(seed, case)
+        assert_compiled_like_the_reference(formula, world, binding, table)
+        result = outcome(reference_unsatisfied, formula, world, binding, table)
+        if result[0] == "raised":
+            raised.add(result[1])
+    assert raised == {UnboundVariableError, UnknownObjectError, UnknownAttributeError, TypeError}
+
+
+def test_exists_prefilter_reads_only_the_first_conjunct():
+    """A later conjunct on the bound variable must not filter the scan: the
+    first conjunct raises for every object it is checked on."""
+    world = make_world({"Mug_1": make_object(), "Box_1": make_object(receptacle=True)})
+    formula = Exists("?y", And((Atom("visible", "?free"), Atom("openable", "?y"))))
+    with pytest.raises(UnboundVariableError):
+        evaluate(formula, world, {})
+    with pytest.raises(UnboundVariableError):
+        unsatisfied(formula, world, {})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(exists (?y) (and (isPickedUp ?y) (canFillWithLiquid ?y) (not (isFilledWithLiquid ?y))))",
+        "(exists (?y) (isWaterSource ?y))",
+        "(exists (?y) (and (isWaterSource ?x) (isToggled ?y)))",
+        "(exists (?y) (and (not (isBroken ?y)) (visible ?y)))",
+        "(exists (?y) (and (isHoldingObject) (isToggled ?y)))",
+        "(exists (?y) (and (isOpen ?y) (exists (?y) (and (isToggled ?y) (isOpen ?x)))))",
+    ],
+)
+def test_exists_prefilter_keeps_the_verdict(source):
+    formula = parse_precondition(source)
+    for case in range(200):
+        world = random_world(77, case)
+        assert_compiled_like_the_reference(formula, world, {"?x": "Item_1"}, MessageTable.load())
+
+
+def test_exists_prefilter_skips_the_agent_predicate():
+    """The agent predicate reads the agent, not the bound object, even when
+    an atom built by hand gives it a variable."""
+    formula = Exists("?y", And((Atom("isHoldingObject", "?y"), Atom("isToggled", "?y"))))
+    for case in range(50):
+        world = random_world(78, case)
+        assert_compiled_like_the_reference(formula, world, {}, MessageTable.load())
+
+
+def test_missing_message_raises_only_when_its_atom_fails():
+    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    del data["atoms"]["visible"]
+    table = MessageTable(data)
+    formula = And((Atom("receptacle", "?x"), Atom("visible", "?x")))
+    seen = make_world({"Box_1": make_object(visible=True)})
+    hidden = make_world({"Box_1": make_object(visible=False)})
+    assert [item.message for item in unsatisfied(formula, seen, {"?x": "Box_1"}, table)] == [
+        "the target object is not a receptacle"
+    ]
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            unsatisfied(formula, hidden, {"?x": "Box_1"}, table)
+    assert unsatisfied(formula, seen, {"?x": "Box_1"}, table)[0].message == (
+        "the target object is not a receptacle"
+    )
+
+
+def test_equal_formulas_compile_apart_and_tables_keep_their_own_text():
+    world = make_world({"Box_1": make_object()})
+    first, second = Atom("visible", "?x"), Atom("visible", "?x")
+    assert first == second and first is not second
+    for formula in (first, second, first):
+        assert evaluate(formula, world, {"?x": "Box_1"}) is False
+        shipped = unsatisfied(formula, world, {"?x": "Box_1"})
+        custom = unsatisfied(formula, world, {"?x": "Box_1"}, custom_table())
+        assert [item.message for item in shipped] == ["the target object is not visible"]
+        assert [item.message for item in custom] == ["needs visible"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from homeplan.errors import MalformedArgsError, SuiteFormatError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
-from homeplan.grounding import evaluate, unsatisfied
+from homeplan.grounding import MessageTable, evaluate, unsatisfied
 from homeplan.sim import (
     GENERIC_FAILURE,
     GoalAtom,
@@ -27,6 +27,7 @@ from homeplan.tools import builtin_tool_library
 from homeplan.world import ATTRIBUTE_NAMES, ZONE_ANY, category_of, validate_world
 
 from .conftest import make_object, make_world
+from .test_grounding import assert_compiled_like_the_reference, custom_table
 
 SEARCH_PART4 = """
 (and
@@ -647,6 +648,16 @@ def test_unsatisfied_is_empty_exactly_when_evaluate_holds(world_walk):
         if spec is not None and spec.precondition is not None:
             holds = evaluate(spec.precondition, state, binding)
             assert (unsatisfied(spec.precondition, state, binding) == []) is holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks)
+def test_compiled_grounding_matches_the_tree_walk_on_shipped_worlds(world_walk):
+    tables = (MessageTable.load(), custom_table())
+    for state, spec, binding in walk(*world_walk):
+        if spec is not None and spec.precondition is not None:
+            for table in tables:
+                assert_compiled_like_the_reference(spec.precondition, state, binding, table)
 
 
 def reference_check_goal(state, task):
