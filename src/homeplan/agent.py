@@ -182,10 +182,9 @@ def run_episode(
     config: AgentConfig,
     backend: LlmBackend,
     world: WorldState,
-    library: ToolLibrary | None = None,
     messages: MessageTable | None = None,
 ) -> EpisodeRecord:
-    lib = library if library is not None else builtin_tool_library()
+    lib = builtin_tool_library()
     if config.mode == "react":
         template = load_template("expansion", directory=config.template_dir)
         fills = {
@@ -197,7 +196,6 @@ def run_episode(
         planner = MctsPlanner(
             backend,
             config=config.planner,
-            library=lib,
             messages=messages,
             grounding_enabled=config.grounding_enabled,
             template_dir=config.template_dir,
@@ -290,7 +288,6 @@ def run_episode(
                 decision.action,
                 args,
                 config.grounding_enabled,
-                library=lib,
                 messages=messages,
             )
         except MalformedArgsError:

@@ -36,7 +36,7 @@ from .llm import (
     stable_repr,
 )
 from .sim import FAIL_PREFIX, execute
-from .tools import ToolLibrary, builtin_tool_library
+from .tools import builtin_tool_library
 from .world import WorldState
 
 
@@ -170,14 +170,13 @@ class MctsPlanner:
         self,
         backend: LlmBackend,
         config: PlannerConfig | None = None,
-        library: ToolLibrary | None = None,
         messages: MessageTable | None = None,
         grounding_enabled: bool = True,
         template_dir: str | None = None,
     ):
         self.backend = backend
         self.config = config or PlannerConfig()
-        self.library = library if library is not None else builtin_tool_library()
+        self.library = builtin_tool_library()
         self.messages = messages
         self.grounding_enabled = grounding_enabled
         self._expansion_template = load_template("expansion", directory=template_dir)
@@ -214,7 +213,6 @@ class MctsPlanner:
                     step.action,
                     args,
                     self.grounding_enabled,
-                    library=self.library,
                     messages=self.messages,
                 )
                 observation, failed = result.message, not result.success

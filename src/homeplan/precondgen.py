@@ -107,22 +107,6 @@ class ComparisonReport:
     warnings: list[str] = field(default_factory=list)
     reported_counts: dict | None = None
 
-    @property
-    def unmatched_generated(self) -> list[str]:
-        return [
-            f"{tool}: {key.render()}"
-            for tool, result in self.per_tool.items()
-            for key in result.incorrect
-        ]
-
-    @property
-    def unmatched_ground_truth(self) -> list[str]:
-        return [
-            f"{tool}: {key.render()}"
-            for tool, result in self.per_tool.items()
-            for key in result.missing
-        ]
-
     def to_dict(self) -> dict:
         data = {
             "per_tool": {

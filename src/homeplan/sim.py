@@ -1,7 +1,9 @@
 """Deterministic household simulator: action execution, goals, trace replay.
 
-Transitions are pure functions of (state, action, args). The simulator always
-enforces physical legality with the ground-truth preconditions; the
+``execute`` checks a tool call's arguments and the tool's ground-truth
+precondition, then applies the tool's own transition (``ActionSpec.apply``
+in tools.py) and refreshes visibility; every step is a pure function of
+(state, action, args). The simulator always enforces physical legality; the
 ``grounding_enabled`` flag only controls whether a rejected action is
 explained (unsatisfied-predicate feedback) or reported as a bare execution
 error. Visibility is zone-based: an object is visible when it shares the
@@ -11,29 +13,14 @@ conceals it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
-from .tools import (
-    ActionSpec,
-    CookContents,
-    DescribeRelations,
-    DiscoverSweep,
-    InsertContainment,
-    ListDiscovered,
-    MoveAgentTo,
-    RemoveContainment,
-    RevealContents,
-    SetAttribute,
-    SetHolding,
-    ToolLibrary,
-    builtin_tool_library,
-)
-from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of
+from .tools import ActionSpec, builtin_tool_library
+from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of, concealed
 
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
@@ -52,21 +39,7 @@ def format_feedback(messages: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Visibility and discovery
-
-
-def _concealed(state: WorldState, object_id: str) -> bool:
-    """True when a closed openable ancestor hides the object."""
-    containment = state.containment
-    current = containment.get(object_id)
-    seen = set()
-    while current is not None and current not in seen:
-        attrs = state.objects[current].attributes
-        if attrs.openable and not attrs.isOpen:
-            return True
-        seen.add(current)
-        current = containment.get(current)
-    return False
+# Visibility
 
 
 def refresh_visibility(state: WorldState) -> WorldState:
@@ -78,7 +51,7 @@ def refresh_visibility(state: WorldState) -> WorldState:
     for object_id, info in state.objects.items():
         visible = (
             (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
-            and not _concealed(state, object_id)
+            and not concealed(state, object_id)
         )
         if info.attributes.visible != visible:
             if objects is None:
@@ -87,137 +60,6 @@ def refresh_visibility(state: WorldState) -> WorldState:
                 info, attributes=_replace(info.attributes, visible=visible)
             )
     return state if objects is None else _replace(state, objects=objects)
-
-
-def _counter_rand(seed: int, label: str, counter: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{label}|{counter}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def zone_order(state: WorldState) -> list[str]:
-    """Seeded shuffle of the world's zones; the exploration itinerary."""
-    zones = state.zones()
-    order = list(zones)
-    for i in range(len(order) - 1, 0, -1):
-        j = _counter_rand(state.agent.rng_seed, "zone-order", i) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
-def _sweep_eligible(state: WorldState, object_id: str) -> bool:
-    info = state.objects[object_id]
-    if _concealed(state, object_id):
-        return False
-    return state.parent_of(object_id) is None or info.conspicuous
-
-
-# ---------------------------------------------------------------------------
-# Effect application
-
-
-def _set_attribute(state: WorldState, object_id: str, attribute: str, value: bool) -> WorldState:
-    objects = dict(state.objects)
-    info = objects[object_id]
-    objects[object_id] = _replace(info, attributes=info.attributes.with_value(attribute, value))
-    return _replace(state, objects=objects)
-
-
-def _set_zone(state: WorldState, object_id: str, zone: str | None) -> WorldState:
-    objects = dict(state.objects)
-    objects[object_id] = _replace(objects[object_id], zone=zone)
-    return _replace(state, objects=objects)
-
-
-def _descendants(state: WorldState, object_id: str) -> list[str]:
-    result = []
-    frontier = state.children_of(object_id)
-    while frontier:
-        child = frontier.pop(0)
-        result.append(child)
-        frontier.extend(state.children_of(child))
-    return result
-
-
-def _apply_effects(
-    state: WorldState, spec: ActionSpec, refs: dict[str, str | None]
-) -> tuple[WorldState, str]:
-    """Apply the spec's effect list in order; returns the state and the
-    success text (the spec's own, or the one a reporting effect wrote)."""
-    report = spec.success
-    for effect in spec.effects:
-        if isinstance(effect, SetAttribute):
-            target = refs[effect.ref]
-            state = _set_attribute(state, target, effect.attribute, effect.value)
-        elif isinstance(effect, RemoveContainment):
-            target = refs[effect.ref]
-            containment = dict(state.containment)
-            containment.pop(target, None)
-            state = _replace(state, containment=containment)
-        elif isinstance(effect, InsertContainment):
-            child = refs[effect.child_ref]
-            parent = refs[effect.parent_ref]
-            containment = dict(state.containment)
-            containment[child] = parent
-            state = _replace(state, containment=containment)
-            parent_zone = state.objects[parent].zone
-            child_zone = state.agent.current_zone if parent_zone == ZONE_ANY else parent_zone
-            state = _set_zone(state, child, child_zone)
-        elif isinstance(effect, SetHolding):
-            if effect.ref is None:
-                released = state.agent.held_object
-                agent = _replace(state.agent, is_holding_object=False, held_object=None)
-                state = _replace(state, agent=agent)
-                if released is not None:
-                    state = _set_zone(state, released, state.agent.current_zone)
-            else:
-                target = refs[effect.ref]
-                agent = _replace(state.agent, is_holding_object=True, held_object=target)
-                state = _replace(state, agent=agent)
-                state = _set_zone(state, target, None)
-        elif isinstance(effect, RevealContents):
-            target = refs[effect.ref]
-            children = state.children_of(target)
-            report = effect.report.format(children)
-            state = _replace(state, discovered=state.discovered | set(children))
-        elif isinstance(effect, DiscoverSweep):
-            order = zone_order(state)
-            landing = order[state.agent.explore_count % len(order)]
-            eligible = {oid for oid in state.objects if _sweep_eligible(state, oid)}
-            report = effect.found if eligible - state.discovered else effect.nothing_new
-            agent = _replace(
-                state.agent,
-                current_zone=landing,
-                explore_count=state.agent.explore_count + 1,
-            )
-            state = _replace(state, agent=agent, discovered=state.discovered | eligible)
-        elif isinstance(effect, ListDiscovered):
-            report = effect.report.format(sorted(state.discovered))
-        elif isinstance(effect, DescribeRelations):
-            target = refs[effect.ref]
-            parent = state.parent_of(target)
-            parents = (
-                "None" if parent is None else repr([state.objects[parent].display_id or parent])
-            )
-            controls = state.objects[target].controls
-            report = effect.report.format(
-                parents=parents, controls=repr(list(controls)) if controls else "None"
-            )
-        elif isinstance(effect, MoveAgentTo):
-            if state.agent.action_count in state.nav_faults:
-                continue  # authored navigation fault: reposition silently fails
-            target = refs[effect.ref]
-            agent = _replace(state.agent, current_zone=state.effective_zone(target))
-            state = _replace(state, agent=agent)
-        elif isinstance(effect, CookContents):
-            target = refs[effect.ref]
-            info = state.objects[target]
-            if info.heat_source and not info.attributes.isWaterSource:
-                for descendant in _descendants(state, target):
-                    if state.objects[descendant].attributes.cookable:
-                        state = _set_attribute(state, descendant, "isCooked", True)
-        else:
-            raise TypeError(f"unknown effect primitive: {effect!r}")
-    return state, report
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +93,6 @@ def execute(
     action: str,
     args: dict | None,
     grounding_enabled: bool,
-    library: ToolLibrary | None = None,
     messages: MessageTable | None = None,
 ) -> tuple[WorldState, Observation]:
     """Run one tool call; returns the successor state and its observation.
@@ -259,8 +100,7 @@ def execute(
     Raises UnknownToolError / MalformedArgsError for calls that are not even
     well-formed; every in-vocabulary call returns an Observation instead.
     """
-    lib = library if library is not None else builtin_tool_library()
-    spec = lib.get(action)
+    spec = builtin_tool_library().get(action)
     target = _parse_args(spec, args)
 
     agent = _replace(state.agent, action_count=state.agent.action_count + 1)
@@ -286,8 +126,7 @@ def execute(
             )
         return state, Observation(False, GENERIC_FAILURE)
 
-    refs: dict[str, str | None] = {"target": target, "held": state.agent.held_object}
-    new_state, report = _apply_effects(state, spec, refs)
+    new_state, report = spec.apply(state, target)
     return refresh_visibility(new_state), Observation(True, SUCCESS_PREFIX + report)
 
 
@@ -477,7 +316,6 @@ def replay_trace(
     trace: TraceFixture,
     world: WorldState,
     grounding_enabled: bool = True,
-    library: ToolLibrary | None = None,
     messages: MessageTable | None = None,
 ) -> tuple[WorldState, list[ReplayResult]]:
     """Execute a recorded action sequence, comparing observations byte-wise."""
@@ -485,8 +323,7 @@ def replay_trace(
     results = []
     for index, step in enumerate(trace.steps, start=1):
         state, observation = execute(
-            state, step.action, step.args, grounding_enabled, library=library,
-            messages=messages,
+            state, step.action, step.args, grounding_enabled, messages=messages
         )
         results.append(
             ReplayResult(

@@ -1,15 +1,18 @@
-"""The built-in tool library: specs, preconditions, and effect primitives.
+"""The built-in tool library: one ActionSpec per tool.
 
 Each tool is described once, by its ActionSpec: the expert ground-truth
 precondition (loaded from the shipped labeled-pairs fixture so the
-verification layer and the comparison harness can never drift apart), an
-ordered list of effect primitives the simulator interprets, the text it
-reports on success and the skill category step-wise reports count it under.
+verification layer and the comparison harness can never drift apart), the
+transition that applies its effect and writes its success text, and the
+skill category step-wise reports count it under. A transition runs only
+after the simulator has checked the precondition.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -17,104 +20,24 @@ from pathlib import Path
 
 from .errors import UnknownToolError
 from .formula import Formula, parse_precondition
+from .world import ZONE_ANY, WorldState, _replace, concealed, with_attribute, with_zone
 
-# Effect primitives. target refs are resolved when an action is applied:
-# "target" is the bound ?x object, "held" the object in the agent's hand.
-# A reporting primitive carries the success text of its tool; the simulator
-# fills in what the effect found.
-
-
-@dataclass(frozen=True)
-class SetAttribute:
-    ref: str
-    attribute: str
-    value: bool
-
-
-@dataclass(frozen=True)
-class InsertContainment:
-    child_ref: str = "held"
-    parent_ref: str = "target"
-
-
-@dataclass(frozen=True)
-class RemoveContainment:
-    ref: str = "target"
-
-
-@dataclass(frozen=True)
-class SetHolding:
-    ref: str | None = None  # "target" to grab, None to release
-
-
-@dataclass(frozen=True)
-class RevealContents:
-    report: str  # "{}" receives the repr of the revealed children
-    ref: str = "target"
-
-
-@dataclass(frozen=True)
-class DiscoverSweep:
-    """Walk to the next zone in the seeded order, surveying the room."""
-
-    found: str  # reported when the sweep discovered a new object
-    nothing_new: str
-
-
-@dataclass(frozen=True)
-class ListDiscovered:
-    report: str  # "{}" receives the repr of the sorted discovered ids
-
-
-@dataclass(frozen=True)
-class DescribeRelations:
-    """Report the target's parent and the objects it controls."""
-
-    report: str  # "{parents}" and "{controls}": a repr'd list or "None"
-    ref: str = "target"
-
-
-@dataclass(frozen=True)
-class MoveAgentTo:
-    ref: str = "target"
-
-
-@dataclass(frozen=True)
-class CookContents:
-    ref: str = "target"
-
-
-EffectPrimitive = (
-    SetAttribute
-    | InsertContainment
-    | RemoveContainment
-    | SetHolding
-    | RevealContents
-    | DiscoverSweep
-    | ListDiscovered
-    | DescribeRelations
-    | MoveAgentTo
-    | CookContents
-)
+# (state, target object id or None) -> (successor state, success text)
+Transition = Callable[[WorldState, str | None], tuple[WorldState, str]]
 
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """One tool: prompt-facing description, schema, precondition, effects,
-    success text and skill category."""
+    """One tool: prompt-facing description, whether it takes an object_id,
+    precondition, transition and skill category."""
 
     name: str
     description: str
-    param_schema: tuple[tuple[str, str], ...]
+    takes_target: bool
     precondition: Formula | None  # None means trivially true
-    effects: tuple[EffectPrimitive, ...]
+    apply: Transition
     skill: str  # locate | move | perceive | manipulate | place
-    success: str | None = None  # None: a reporting effect writes the text
     requires_discovered: bool = False  # world-level check outside the formula
-
-    @property
-    def takes_target(self) -> bool:
-        return any(name == "object_id" for name, _ in self.param_schema)
 
 
 class ToolLibrary:
@@ -164,7 +87,126 @@ def load_precondition_pairs(path: str | Path | None = None) -> dict:
     return json.loads(text)
 
 
-_OBJECT_PARAM: tuple[tuple[str, str], ...] = (("object_id", "object"),)
+# ---------------------------------------------------------------------------
+# Transitions, one per tool. The precondition has already held, so a tool
+# that needs a held object has one.
+
+
+def _pick_up(state: WorldState, target: str) -> tuple[WorldState, str]:
+    containment = dict(state.containment)
+    containment.pop(target, None)
+    agent = _replace(state.agent, held_object=target)
+    state = _replace(state, containment=containment, agent=agent)
+    state = with_zone(with_attribute(state, target, "isPickedUp", True), target, None)
+    return state, "Target object was picked up!"
+
+
+def _place(state: WorldState, target: str) -> tuple[WorldState, str]:
+    held = state.agent.held_object
+    zone = state.agent.current_zone
+    state = _replace(state, agent=_replace(state.agent, held_object=None))
+    state = with_attribute(with_zone(state, held, zone), held, "isPickedUp", False)
+    state = _replace(state, containment={**state.containment, held: target})
+    # Read after the release: the target may be the held object itself.
+    target_zone = state.objects[target].zone
+    state = with_zone(state, held, zone if target_zone == ZONE_ANY else target_zone)
+    return state, "Held object was successfully placed in target object!"
+
+
+def _setter(attribute: str, value: bool, report: str) -> Transition:
+    def apply(state: WorldState, target: str) -> tuple[WorldState, str]:
+        return with_attribute(state, target, attribute, value), report
+
+    return apply
+
+
+def _toggle_on(state: WorldState, target: str) -> tuple[WorldState, str]:
+    state = with_attribute(state, target, "isToggled", True)
+    info = state.objects[target]
+    if info.heat_source and not info.attributes.isWaterSource:
+        for descendant in state.descendants_of(target):
+            if state.objects[descendant].attributes.cookable:
+                state = with_attribute(state, descendant, "isCooked", True)
+    return state, "Target object was toggled on!"
+
+
+def _search(state: WorldState, target: str) -> tuple[WorldState, str]:
+    children = state.children_of(target)
+    return _replace(state, discovered=state.discovered | set(children)), (
+        f"Here is a list of objects found inside or on the target receptacle: {children!r}"
+    )
+
+
+def _fill(state: WorldState, target: None) -> tuple[WorldState, str]:
+    state = with_attribute(state, state.agent.held_object, "isFilledWithLiquid", True)
+    return state, "Held object was successfully filled with water!"
+
+
+def _pour(state: WorldState, target: str) -> tuple[WorldState, str]:
+    state = with_attribute(state, state.agent.held_object, "isFilledWithLiquid", False)
+    state = with_attribute(state, target, "isFilledWithLiquid", True)
+    return state, "Water was successfully poured into the target object!"
+
+
+def _counter_rand(seed: int, label: str, counter: int) -> int:
+    digest = hashlib.sha256(f"{seed}|{label}|{counter}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def zone_order(state: WorldState) -> list[str]:
+    """Seeded shuffle of the world's zones; the exploration itinerary."""
+    order = state.zones()
+    for i in range(len(order) - 1, 0, -1):
+        j = _counter_rand(state.agent.rng_seed, "zone-order", i) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _explore(state: WorldState, target: None) -> tuple[WorldState, str]:
+    """Walk to the next zone in the seeded order, surveying the room: every
+    unconcealed object that is free-standing or conspicuous is discovered."""
+    order = zone_order(state)
+    landing = order[state.agent.explore_count % len(order)]
+    eligible = {
+        oid
+        for oid, info in state.objects.items()
+        if (oid not in state.containment or info.conspicuous) and not concealed(state, oid)
+    }
+    found = eligible - state.discovered
+    agent = _replace(
+        state.agent, current_zone=landing, explore_count=state.agent.explore_count + 1
+    )
+    return _replace(state, agent=agent, discovered=state.discovered | eligible), (
+        "New objects discovered!" if found else "No new objects discovered."
+    )
+
+
+def _list_discovered(state: WorldState, target: None) -> tuple[WorldState, str]:
+    return state, (
+        "Here is a list of the object ID's of all of the discovered objects: "
+        f"{sorted(state.discovered)!r}"
+    )
+
+
+def _inspect(state: WorldState, target: str) -> tuple[WorldState, str]:
+    """Report the target's parent and the objects it controls."""
+    parent = state.parent_of(target)
+    parents = "None" if parent is None else repr([state.objects[parent].display_id or parent])
+    controls = state.objects[target].controls
+    return state, (
+        f"The queried object is currently inside or on top of the following objects: {parents}.\n"
+        # "quried"/"controls" phrasing matches the transcript fixtures. [sic]
+        "The quried objects currently controls the following objects: "
+        f"{repr(list(controls)) if controls else 'None'}."
+    )
+
+
+def _adjust(state: WorldState, target: str) -> tuple[WorldState, str]:
+    # An authored navigation fault makes the reposition silently fail.
+    if state.agent.action_count not in state.nav_faults:
+        agent = _replace(state.agent, current_zone=state.effective_zone(target))
+        state = _replace(state, agent=agent)
+    return state, "Readjusted position relative to target object!"
 
 
 @lru_cache(maxsize=1)
@@ -180,15 +222,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Pick up a target object specified by object id and hold it. "
                 "Input format in JSON: {'object_id': 'Apple_1'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Pick Up Object"],
-            effects=(
-                RemoveContainment("target"),
-                SetAttribute("target", "isPickedUp", True),
-                SetHolding("target"),
-            ),
+            apply=_pick_up,
             skill="manipulate",
-            success="Target object was picked up!",
         ),
         ActionSpec(
             name="Place Object",
@@ -196,15 +233,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Place the currently held object inside or on a target receptacle "
                 "specified by object id. Input format in JSON: {'object_id': 'CounterTop_1'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Place Object"],
-            effects=(
-                SetHolding(None),
-                SetAttribute("held", "isPickedUp", False),
-                InsertContainment("held", "target"),
-            ),
+            apply=_place,
             skill="place",
-            success="Held object was successfully placed in target object!",
         ),
         ActionSpec(
             name="Open Object",
@@ -212,11 +244,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Open a target object specified by object id. "
                 "Input format in JSON: {'object_id': 'Cabinet_4'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Open Object"],
-            effects=(SetAttribute("target", "isOpen", True),),
+            apply=_setter("isOpen", True, "Target object was opened!"),
             skill="manipulate",
-            success="Target object was opened!",
         ),
         ActionSpec(
             name="Close Object",
@@ -224,11 +255,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Close a target object specified by object id. "
                 "Input format in JSON: {'object_id': 'Cabinet_4'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Close Object"],
-            effects=(SetAttribute("target", "isOpen", False),),
+            apply=_setter("isOpen", False, "Target object was closed!"),
             skill="manipulate",
-            success="Target object was closed!",
         ),
         ActionSpec(
             name="Toggle Object On",
@@ -236,14 +266,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Toggle a target object on, specified by object id. "
                 "Input format in JSON: {'object_id': 'Faucet_1'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Toggle Object On"],
-            effects=(
-                SetAttribute("target", "isToggled", True),
-                CookContents("target"),
-            ),
+            apply=_toggle_on,
             skill="manipulate",
-            success="Target object was toggled on!",
         ),
         ActionSpec(
             name="Toggle Object Off",
@@ -251,11 +277,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Toggle a target object off, specified by object id. "
                 "Input format in JSON: {'object_id': 'Faucet_1'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Toggle Object Off"],
-            effects=(SetAttribute("target", "isToggled", False),),
+            apply=_setter("isToggled", False, "Target object was toggled off!"),
             skill="manipulate",
-            success="Target object was toggled off!",
         ),
         ActionSpec(
             name="Search Object",
@@ -263,13 +288,9 @@ def builtin_tool_library() -> ToolLibrary:
                 "Return a list of all items inside or on a target object specified by "
                 "object id. Input format in JSON: {'object_id': 'Cabinet_4'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Search Object"],
-            effects=(
-                RevealContents(
-                    "Here is a list of objects found inside or on the target receptacle: {!r}"
-                ),
-            ),
+            apply=_search,
             skill="perceive",
         ),
         ActionSpec(
@@ -278,11 +299,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Fill the currently held object with water from a toggled-on water "
                 "source. Input format in JSON: {'input': None}."
             ),
-            param_schema=(),
+            takes_target=False,
             precondition=gt["Fill Held Object With Water"],
-            effects=(SetAttribute("held", "isFilledWithLiquid", True),),
+            apply=_fill,
             skill="manipulate",
-            success="Held object was successfully filled with water!",
         ),
         ActionSpec(
             name="Pour Water Into",
@@ -290,14 +310,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Pour water from the held object into a target object specified by "
                 "object id. Input format in JSON: {'object_id': 'Vase_1'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=gt["Pour Water Into"],
-            effects=(
-                SetAttribute("held", "isFilledWithLiquid", False),
-                SetAttribute("target", "isFilledWithLiquid", True),
-            ),
+            apply=_pour,
             skill="manipulate",
-            success="Water was successfully poured into the target object!",
         ),
         ActionSpec(
             name="Randomly Explore",
@@ -305,13 +321,9 @@ def builtin_tool_library() -> ToolLibrary:
                 "Move around the environment to discover new objects. "
                 "Input format in JSON: {'input': None}."
             ),
-            param_schema=(),
+            takes_target=False,
             precondition=None,
-            effects=(
-                DiscoverSweep(
-                    found="New objects discovered!", nothing_new="No new objects discovered."
-                ),
-            ),
+            apply=_explore,
             skill="locate",
         ),
         ActionSpec(
@@ -320,13 +332,9 @@ def builtin_tool_library() -> ToolLibrary:
                 "Return a list of the object IDs of all discovered objects. "
                 "Input format in JSON: {'input': None}."
             ),
-            param_schema=(),
+            takes_target=False,
             precondition=None,
-            effects=(
-                ListDiscovered(
-                    "Here is a list of the object ID's of all of the discovered objects: {!r}"
-                ),
-            ),
+            apply=_list_discovered,
             skill="perceive",
         ),
         ActionSpec(
@@ -335,16 +343,9 @@ def builtin_tool_library() -> ToolLibrary:
                 "Report what a target object is inside or on top of and what it "
                 "controls. Input format in JSON: {'object_id': 'Cabinet_4'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=None,
-            effects=(
-                DescribeRelations(
-                    "The queried object is currently inside or on top of the following "
-                    "objects: {parents}.\n"
-                    # "quried"/"controls" phrasing matches the transcript fixtures. [sic]
-                    "The quried objects currently controls the following objects: {controls}."
-                ),
-            ),
+            apply=_inspect,
             skill="perceive",
         ),
         ActionSpec(
@@ -353,11 +354,10 @@ def builtin_tool_library() -> ToolLibrary:
                 "Readjust position relative to a target object so that it can be "
                 "interacted with. Input format in JSON: {'object_id': 'Cabinet_4'}."
             ),
-            param_schema=_OBJECT_PARAM,
+            takes_target=True,
             precondition=None,
-            effects=(MoveAgentTo("target"),),
+            apply=_adjust,
             skill="move",
-            success="Readjusted position relative to target object!",
             requires_discovered=True,
         ),
     ]

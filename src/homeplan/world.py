@@ -161,10 +161,13 @@ class AgentState:
 
     current_zone: str
     rng_seed: int
-    is_holding_object: bool = False
     held_object: str | None = None
     explore_count: int = 0
     action_count: int = 0
+
+    @property
+    def is_holding_object(self) -> bool:
+        return self.held_object is not None
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,13 @@ class WorldState:
             current = self.containment.get(current)
         return chain
 
+    def descendants_of(self, object_id: str) -> list[str]:
+        """Objects inside or on the object at any depth, breadth first."""
+        result = self.children_of(object_id)
+        for child in result:  # the loop also visits the children it appends
+            result.extend(self.children_of(child))
+        return result
+
     def effective_zone(self, object_id: str) -> str:
         """Zone the object occupies; a held object travels with the agent."""
         info = self.info(object_id)
@@ -222,6 +232,35 @@ class WorldState:
         names = {info.zone for info in self.objects.values() if info.zone not in (None, ZONE_ANY)}
         names.add(self.agent.current_zone)
         return sorted(names)
+
+
+def with_attribute(state: WorldState, object_id: str, attribute: str, value: bool) -> WorldState:
+    """The state with one attribute of one object set to value."""
+    objects = dict(state.objects)
+    info = objects[object_id]
+    objects[object_id] = _replace(info, attributes=info.attributes.with_value(attribute, value))
+    return _replace(state, objects=objects)
+
+
+def with_zone(state: WorldState, object_id: str, zone: str | None) -> WorldState:
+    """The state with one object moved to zone (None: held)."""
+    objects = dict(state.objects)
+    objects[object_id] = _replace(objects[object_id], zone=zone)
+    return _replace(state, objects=objects)
+
+
+def concealed(state: WorldState, object_id: str) -> bool:
+    """True when a closed openable ancestor hides the object."""
+    containment = state.containment
+    current = containment.get(object_id)
+    seen = set()
+    while current is not None and current not in seen:
+        attrs = state.objects[current].attributes
+        if attrs.openable and not attrs.isOpen:
+            return True
+        seen.add(current)
+        current = containment.get(current)
+    return False
 
 
 def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
@@ -280,8 +319,6 @@ def validate_world(state: WorldState) -> list[str]:
             violations.append("containment cycle: " + " -> ".join(cycle + [start]))
 
     agent = state.agent
-    if agent.is_holding_object != (agent.held_object is not None):
-        violations.append("agent: isHoldingObject flag disagrees with heldObject")
     if agent.held_object is not None:
         if agent.held_object not in state.objects:
             violations.append(f"agent: held object {agent.held_object} does not exist")
@@ -357,12 +394,10 @@ def world_from_dict(data: dict) -> WorldState:
     unknown = set(raw_agent) - _AGENT_KEYS
     if unknown:
         raise WorldFormatError(f"agent: unknown keys {sorted(unknown)}")
-    held = raw_agent.get("holding")
     agent = AgentState(
         current_zone=raw_agent["zone"],
         rng_seed=int(raw_agent["seed"]),
-        is_holding_object=held is not None,
-        held_object=held,
+        held_object=raw_agent.get("holding"),
     )
 
     state = WorldState(

@@ -21,12 +21,7 @@ def make_object(zone="kitchen", **attrs) -> ObjectInfo:
 
 def make_world(objects, containment=None, agent_zone="kitchen", seed=7, holding=None,
                discovered=(), nav_faults=()):
-    agent = AgentState(
-        current_zone=agent_zone,
-        rng_seed=seed,
-        is_holding_object=holding is not None,
-        held_object=holding,
-    )
+    agent = AgentState(current_zone=agent_zone, rng_seed=seed, held_object=holding)
     return WorldState(
         objects=objects,
         containment=dict(containment or {}),

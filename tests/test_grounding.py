@@ -231,8 +231,7 @@ def random_world(seed, case):
             agent=world.agent.__class__(
                 current_zone="kitchen",
                 rng_seed=seed,
-                is_holding_object=True,
-                held_object=None,  # synthetic: only the flag matters here
+                held_object="Item_1",  # synthetic: only isHoldingObject matters here
             ),
         )
     return world

@@ -20,10 +20,9 @@ from homeplan.sim import (
     refresh_visibility,
     replay_trace,
     task_from_dict,
-    zone_order,
 )
 from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
-from homeplan.tools import builtin_tool_library
+from homeplan.tools import builtin_tool_library, zone_order
 from homeplan.world import ATTRIBUTE_NAMES, ZONE_ANY, category_of, validate_world
 
 from .conftest import make_object, make_world
@@ -397,6 +396,8 @@ def test_toggle_heat_source_cooks_contents():
     world = two_zone_world(
         Microwave_1=make_object(zone="dining", receptacle=True, openable=True, toggleable=True),
         Egg_1=make_object(zone="dining", pickupable=True, cookable=True),
+        Bowl_1=make_object(zone="dining", pickupable=True, receptacle=True),
+        Potato_1=make_object(zone="dining", pickupable=True, cookable=True),
     )
     objects = dict(world.objects)
     objects["Microwave_1"] = objects["Microwave_1"].__class__(
@@ -405,7 +406,7 @@ def test_toggle_heat_source_cooks_contents():
         heat_source=True,
     )
     containment = dict(world.containment)
-    containment["Egg_1"] = "Microwave_1"
+    containment.update({"Egg_1": "Microwave_1", "Bowl_1": "Microwave_1", "Potato_1": "Bowl_1"})
     world = refresh_visibility(
         world.__class__(
             objects=objects,
@@ -417,6 +418,7 @@ def test_toggle_heat_source_cooks_contents():
     world, obs = execute(world, "Toggle Object On", {"object_id": "Microwave_1"}, True)
     assert obs.success
     assert world.objects["Egg_1"].attributes.isCooked is True
+    assert world.objects["Potato_1"].attributes.isCooked is True  # nested one level deeper
     assert validate_world(world) == []
 
 
@@ -624,7 +626,7 @@ def walk(ref, calls, grounding_enabled=True):
         binding = {} if object_id is None else {"?x": object_id}
         yield state, spec, binding
         args = {"input": None} if object_id is None else {"object_id": object_id}
-        state, _ = execute(state, spec.name, args, grounding_enabled, library=lib)
+        state, _ = execute(state, spec.name, args, grounding_enabled)
     yield state, None, None
 
 
@@ -848,3 +850,59 @@ def test_placing_the_held_object_into_itself_is_rejected(start):
         state, observation = execute(state, action, args, False)
     assert validate_world(state) == []
     assert not observation.success
+
+
+# ---------------------------------------------------------------------------
+# Golden state walk: every transition pinned byte for byte
+
+GOLDEN_WALK_CALLS = 2000
+GOLDEN_WALK_DIGEST = "e57c6332a6749d4c0b82c1065361ff9cec6274b1118e8b2af124540c08af17b8"
+
+
+def canonical_state(state):
+    """The whole state as text: objects in dict order with their attributes
+    and zone, containment in insertion order, the agent's zone, held object
+    and counters, and the sorted discovered ids. Not repr, so that a change
+    to a dataclass's fields that keeps the values does not move the digest."""
+    lines = [
+        f"{oid} {info.zone} "
+        + "".join("1" if getattr(info.attributes, name) else "0" for name in ATTRIBUTE_NAMES)
+        for oid, info in state.objects.items()
+    ]
+    lines.append(" ".join(f"{child}>{parent}" for child, parent in state.containment.items()))
+    agent = state.agent
+    lines.append(
+        f"{agent.current_zone} {agent.held_object} {agent.explore_count} {agent.action_count}"
+    )
+    lines.append(" ".join(sorted(state.discovered)))
+    return "\n".join(lines)
+
+
+def golden_walks():
+    """(start state, calls) pairs: a seeded walk of GOLDEN_WALK_CALLS tool
+    calls on each shipped world, then the two containment-cycle walks."""
+    lib = builtin_tool_library()
+    for ref in SHIPPED_WORLDS:
+        state = shipped_world(ref)
+        ids = sorted(state.objects)
+        calls = []
+        for i in range(GOLDEN_WALK_CALLS):
+            spec = lib.specs[_rand(23, ref, i, "tool") % len(lib.specs)]
+            target = ids[_rand(23, ref, i, "target") % len(ids)]
+            args = {"object_id": target} if spec.takes_target else {"input": None}
+            calls.append((spec.name, args))
+        yield state, calls
+    yield held_bowl_walk()
+    yield held_pot_walk()
+
+
+def test_golden_state_walk():
+    hasher = hashlib.sha256()
+    for grounding_enabled in (True, False):
+        for state, calls in golden_walks():
+            hasher.update(canonical_state(state).encode())
+            for action, args in calls:
+                state, observation = execute(state, action, args, grounding_enabled)
+                hasher.update(f"\n{observation.success} {observation.message}\n".encode())
+                hasher.update(canonical_state(state).encode())
+    assert hasher.hexdigest() == GOLDEN_WALK_DIGEST

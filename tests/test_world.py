@@ -134,18 +134,6 @@ def test_validate_world_held_object_rules():
     assert any("containment parent" in v for v in validate_world(world))
 
 
-def test_validate_world_holding_flag_mismatch():
-    world = make_world({"Mug_1": make_object()})
-    broken = world.__class__(
-        objects=world.objects,
-        containment=world.containment,
-        agent=world.agent.__class__(
-            current_zone="kitchen", rng_seed=1, is_holding_object=True, held_object=None
-        ),
-    )
-    assert any("disagrees" in v for v in validate_world(broken))
-
-
 def test_world_from_dict_rejects_unknown_keys():
     with pytest.raises(WorldFormatError):
         world_from_dict(
@@ -205,7 +193,6 @@ _agent_states = st.builds(
     AgentState,
     current_zone=_texts,
     rng_seed=st.integers(),
-    is_holding_object=st.booleans(),
     held_object=st.one_of(st.none(), _texts),
     explore_count=st.integers(0, 9),
     action_count=st.integers(0, 9),
