@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     BackendUnavailableError,
@@ -31,14 +30,22 @@ from .llm import (
     FinalAnswer,
     LlmBackend,
     ReactStep,
-    format_step,
+    StepRecord,
     load_template,
     parse_react,
     render_prompt,
-    stable_repr,
 )
 from .mcts import MctsPlanner, PlannerConfig
-from .sim import FAIL_PREFIX, Observation, TaskSpec, check_goal, execute, refresh_visibility
+from .sim import (
+    MALFORMED_INPUT,
+    UNPARSED_ACTION,
+    Observation,
+    TaskSpec,
+    check_goal,
+    execute,
+    refresh_visibility,
+    unknown_tool,
+)
 from .tools import ToolLibrary, builtin_tool_library
 from .world import WorldState
 
@@ -66,39 +73,6 @@ class AgentConfig:
     def label(self) -> str:
         grounding = "on" if self.grounding_enabled else "off"
         return f"{self.mode}/grounding-{grounding}"
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    thought: str
-    action: str | None
-    args: dict | str | None
-    observation: str
-
-    @cached_property
-    def rendered(self) -> str:
-        """Scratchpad text of this step; rendered once, on first use."""
-        return _render_step(self)
-
-    def to_dict(self) -> dict:
-        return {
-            "thought": self.thought,
-            "action": self.action,
-            "args": _json_args(self.args),
-            "observation": self.observation,
-        }
-
-
-def _json_args(args: dict | str | None) -> dict | str | None:
-    """Args as a JSON report can hold them: a parsed dict that JSON cannot
-    encode (a set value, a tuple key) is kept as the text the scratchpad
-    shows for it."""
-    if isinstance(args, dict):
-        try:
-            json.dumps(args)
-        except (TypeError, ValueError):
-            return stable_repr(args)
-    return args
 
 
 @dataclass
@@ -132,19 +106,6 @@ class EpisodeRecord:
     def serialize(self) -> str:
         """Canonical form for diff tests; volatile timing is excluded."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=False, ensure_ascii=False)
-
-
-def _render_step(step: StepRecord) -> str:
-    if step.action is None:
-        return f"Observation: {step.observation}\n"
-    return format_step(
-        ReactStep(
-            thought=step.thought,
-            action=step.action,
-            action_input=step.args,
-            observation=step.observation,
-        )
-    )
 
 
 def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
@@ -234,26 +195,14 @@ def run_episode(
                     llm_calls += 1
                 except MalformedCompletionError:
                     llm_calls += 1
-                    steps.append(
-                        StepRecord(
-                            thought="",
-                            action=None,
-                            args=None,
-                            observation=f"{FAIL_PREFIX}could not parse a valid action",
-                        )
-                    )
+                    steps.append(StepRecord("", None, None, UNPARSED_ACTION))
                     continue
                 except UnknownToolError as exc:
                     llm_calls += 1
                     step = exc.step
-                    steps.append(
-                        StepRecord(
-                            thought=step.thought if step else "",
-                            action=exc.name,
-                            args=step.action_input if step else None,
-                            observation=f"{FAIL_PREFIX}unknown tool {exc.name!r}",
-                        )
-                    )
+                    steps.append(StepRecord(step.thought if step else "", exc.name,
+                                            step.action_input if step else None,
+                                            unknown_tool(exc.name)))
                     continue
             else:
                 history = build_scratchpad(steps, config.scratchpad_char_budget)
@@ -291,17 +240,11 @@ def run_episode(
                 messages=messages,
             )
         except MalformedArgsError:
-            observation = Observation(False, f"{FAIL_PREFIX}malformed action input")
+            observation = Observation(False, MALFORMED_INPUT)
         except UnknownToolError as exc:
-            observation = Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
-        steps.append(
-            StepRecord(
-                thought=decision.thought,
-                action=decision.action,
-                args=decision.action_input,
-                observation=observation.message,
-            )
-        )
+            observation = Observation(False, unknown_tool(exc.name))
+        steps.append(StepRecord(decision.thought, decision.action, decision.action_input,
+                                observation.message))
         if observation.success and check_goal(state, task):
             return record(OUTCOME_SUCCESS, True)
 

@@ -1,9 +1,12 @@
-"""Language-model interface: templates, transcript parsing, and backends.
+"""Language-model interface: templates, transcript steps, and backends.
 
 Prompt templates are shipped as text files (overridable by directory) using
-``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces. The
-scripted backend replays canned completions for tests and offline runs; the
-remote backend speaks the common chat-completion wire protocol.
+``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces.
+``StepRecord`` is the one recorded transcript step (an agent's step, a
+search-tree edge, a replayed trace step); ``format_step`` renders it and
+``parse_react`` reads a completion back. The scripted backend replays
+canned completions for tests and offline runs; the remote backend speaks
+the common chat-completion wire protocol.
 """
 
 from __future__ import annotations
@@ -56,15 +59,6 @@ _SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 class PromptTemplate:
     name: str
     body: str
-
-    @property
-    def slots(self) -> tuple[str, ...]:
-        found = []
-        for match in _SLOT_RE.finditer(self.body):
-            slot = match.group(1)
-            if slot and slot not in found:
-                found.append(slot)
-        return tuple(found)
 
     @cached_property
     def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str, str | None]:
@@ -129,15 +123,53 @@ def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Transcript parsing
+# Transcript steps and parsing
 
 
 @dataclass(frozen=True)
 class ReactStep:
+    """What parse_react reads from a completion."""
+
     thought: str
     action: str
     action_input: dict | str | None
-    observation: str | None = None
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One transcript step: a step an agent took, a search-tree edge, or a
+    step of a recorded trace. ``action`` is None for a completion that could
+    not be parsed; ``observation`` is None for a proposed final answer."""
+
+    thought: str
+    action: str | None
+    args: dict | str | None
+    observation: str | None
+
+    @cached_property
+    def rendered(self) -> str:
+        """Scratchpad text of this step; rendered once, on first use."""
+        return format_step(self)
+
+    def to_dict(self) -> dict:
+        return {
+            "thought": self.thought,
+            "action": self.action,
+            "args": _json_args(self.args),
+            "observation": self.observation,
+        }
+
+
+def _json_args(args: dict | str | None) -> dict | str | None:
+    """Args as a JSON report can hold them: a parsed dict that JSON cannot
+    encode (a set value, a tuple key) is kept as the text the scratchpad
+    shows for it."""
+    if isinstance(args, dict):
+        try:
+            json.dumps(args)
+        except (TypeError, ValueError):
+            return stable_repr(args)
+    return args
 
 
 @dataclass(frozen=True)
@@ -193,14 +225,16 @@ def stable_repr(value) -> str:
     return text
 
 
-def format_step(step: ReactStep) -> str:
+def format_step(step: StepRecord) -> str:
     """Scratchpad serialization; parse_react reads back exactly this form."""
-    action_input = step.action_input if step.action_input is not None else "None"
+    if step.action is None:
+        return f"Observation: {step.observation}\n"
+    args = step.args if step.args is not None else "None"
     lines = [
         f"Thought: {step.thought}",
         f"Action: {step.action}",
-        f"Action Input: {stable_repr(action_input)}" if isinstance(action_input, dict)
-        else f"Action Input: {action_input}",
+        f"Action Input: {stable_repr(args)}" if isinstance(args, dict)
+        else f"Action Input: {args}",
     ]
     if step.observation is not None:
         lines.append(f"Observation: {step.observation}")
@@ -336,11 +370,6 @@ class ScriptedBackend(LlmBackend):
         ]
         return cls(entries, mode=data.get("mode", "ordered"),
                    cyclic=bool(data.get("cyclic", False)))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
     @classmethod
     def ordered(cls, completions: list[str], cyclic: bool = False) -> "ScriptedBackend":

@@ -7,6 +7,12 @@ verification or name unknown tools stay in the tree as children carrying
 their failure observation, but their first evaluation contributes a score
 of zero without consuming a critique call. The executed action is the most
 visited root child (robust-child rule).
+
+Each tree edge is a ``StepRecord``, the transcript step an agent records:
+the proposed step with its simulated observation, keeping the raw Action
+Input. An expansion prompt is the episode's scratchpad followed by the
+steps on the search path, each node's step rendered once; the critique
+scores that path.
 """
 
 from __future__ import annotations
@@ -28,14 +34,14 @@ from .llm import (
     FinalAnswer,
     LlmBackend,
     ReactStep,
-    format_step,
+    StepRecord,
     load_template,
     parse_critique,
     parse_react,
     render_prompt,
     stable_repr,
 )
-from .sim import FAIL_PREFIX, execute
+from .sim import MALFORMED_INPUT, execute, unknown_tool
 from .tools import builtin_tool_library
 from .world import WorldState
 
@@ -65,10 +71,13 @@ class PlannerConfig:
 
 @dataclass
 class SearchNode:
+    """A state in the search tree. ``step`` is the edge into it, the
+    proposed step with its simulated observation (None at the root); its
+    ``rendered`` text is what a path through this node adds to an expansion
+    prompt."""
+
     state: WorldState
-    incoming_action: tuple[str, dict | None] | None = None
-    incoming_step: ReactStep | None = None
-    observation: str | None = None
+    step: StepRecord | None = None
     final_answer: str | None = None
     depth: int = 0
     visit_count: int = 0
@@ -128,33 +137,21 @@ def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
     return (step.action, _frozen(step.action_input))
 
 
-def _scratchpad(path: list[SearchNode]) -> str:
-    parts = []
-    for node in path:
-        if node.incoming_step is None:
-            continue
-        step = ReactStep(
-            thought=node.incoming_step.thought,
-            action=node.incoming_step.action,
-            action_input=node.incoming_step.action_input,
-            observation=node.observation,
-        )
-        parts.append(format_step(step))
-    return "".join(parts)
+def _call_args(action_input: dict | str | None) -> dict | None:
+    """The arguments the simulator is given for a parsed Action Input."""
+    return action_input if isinstance(action_input, dict) else None
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
     lines = []
-    index = 0
     for node in path:
-        if node.incoming_action is None and node.final_answer is None:
+        step = node.step
+        if step is None:
             continue
-        index += 1
         if node.final_answer is not None:
-            lines.append(f"{index}. Final Answer: {node.final_answer}")
+            lines.append(f"{len(lines) + 1}. Final Answer: {node.final_answer}")
         else:
-            action, args = node.incoming_action
-            lines.append(f"{index}. {action} {stable_repr(args)}")
+            lines.append(f"{len(lines) + 1}. {step.action} {stable_repr(_call_args(step.args))}")
     return "\n".join(lines)
 
 
@@ -197,32 +194,31 @@ class MctsPlanner:
             {
                 **self._tool_fills,
                 "input": goal,
-                "agent_scratchpad": self.history + _scratchpad(path),
+                "agent_scratchpad": self.history + "".join(
+                    node.step.rendered for node in path if node.step is not None
+                ),
             },
         )
 
-    def _simulate_child(self, leaf: SearchNode, step: ReactStep) -> SearchNode:
-        args = step.action_input if isinstance(step.action_input, dict) else None
+    def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
         state, failed = leaf.state, True
-        if step.action not in self.library:
-            observation = f"{FAIL_PREFIX}unknown tool {step.action!r}"
+        if parsed.action not in self.library:
+            observation = unknown_tool(parsed.action)
         else:
             try:
                 state, result = execute(
                     leaf.state,
-                    step.action,
-                    args,
+                    parsed.action,
+                    _call_args(parsed.action_input),
                     self.grounding_enabled,
                     messages=self.messages,
                 )
                 observation, failed = result.message, not result.success
             except MalformedArgsError:
-                observation = f"{FAIL_PREFIX}malformed action input"
+                observation = MALFORMED_INPUT
         return SearchNode(
             state=state,
-            incoming_action=(step.action, args),
-            incoming_step=step,
-            observation=observation,
+            step=StepRecord(parsed.thought, parsed.action, parsed.action_input, observation),
             depth=leaf.depth + 1,
             failed=failed,
         )
@@ -256,8 +252,8 @@ class MctsPlanner:
             if isinstance(parsed, FinalAnswer):
                 child = SearchNode(
                     state=leaf.state,
+                    step=StepRecord("", "Final Answer", parsed.text, None),
                     final_answer=parsed.text,
-                    incoming_step=ReactStep("", "Final Answer", parsed.text),
                     depth=leaf.depth + 1,
                     terminal=True,
                 )
@@ -333,11 +329,7 @@ class MctsPlanner:
             self.trace.append(
                 {
                     "iteration": iteration + 1,
-                    "path": [
-                        n.incoming_action[0] if n.incoming_action else
-                        ("Final Answer" if n.final_answer is not None else "<root>")
-                        for n in path
-                    ],
+                    "path": [n.step.action if n.step else "<root>" for n in path],
                     "expanded": expanded,
                     "raw_score": raw,
                     "normalized_score": score,
@@ -353,10 +345,10 @@ class MctsPlanner:
             key=lambda ch: (ch.visit_count, ch.q_value, -root.children.index(ch)),
         )
         return PlanResult(
-            action=best.incoming_action[0] if best.incoming_action else "Final Answer",
-            args=best.incoming_action[1] if best.incoming_action else None,
+            action=best.step.action,
+            args=_call_args(best.step.args),
             final_answer=best.final_answer,
-            thought=best.incoming_step.thought if best.incoming_step else "",
+            thought=best.step.thought,
             root=root,
             llm_calls=self.llm_calls,
             trace=self.trace,

@@ -19,12 +19,20 @@ from pathlib import Path
 
 from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
+from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
 from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of, concealed
 
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
 GENERIC_FAILURE = FAIL_PREFIX + "execution error"
+# What an agent or planner records for a call that execute cannot take.
+UNPARSED_ACTION = FAIL_PREFIX + "could not parse a valid action"
+MALFORMED_INPUT = FAIL_PREFIX + "malformed action input"
+
+
+def unknown_tool(name: str) -> str:
+    return f"{FAIL_PREFIX}unknown tool {name!r}"
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,10 @@ def refresh_visibility(state: WorldState) -> WorldState:
 # execute
 
 
-def _parse_args(spec: ActionSpec, args: dict | None) -> str | None:
-    """Validate tool-call arguments; returns the target object id, if any."""
+def _parse_args(spec: ActionSpec, args: dict | None, objects: dict) -> str | None:
+    """Validate tool-call arguments; returns the target object id, if any.
+    An id that names an object of the world was parsed when the world was
+    loaded, so only other ids are parsed here."""
     args = args or {}
     if not isinstance(args, dict):
         raise MalformedArgsError(f"{spec.name}: arguments must be a mapping")
@@ -77,10 +87,11 @@ def _parse_args(spec: ActionSpec, args: dict | None) -> str | None:
         value = args["object_id"]
         if not isinstance(value, str):
             raise MalformedArgsError(f"{spec.name}: 'object_id' must be a string")
-        try:
-            ObjectId.parse(value)
-        except InvalidObjectIdError as exc:
-            raise MalformedArgsError(f"{spec.name}: {exc}") from exc
+        if value not in objects:
+            try:
+                ObjectId.parse(value)
+            except InvalidObjectIdError as exc:
+                raise MalformedArgsError(f"{spec.name}: {exc}") from exc
         return value
     unexpected = set(args) - {"input"}
     if unexpected:
@@ -101,7 +112,7 @@ def execute(
     well-formed; every in-vocabulary call returns an Observation instead.
     """
     spec = builtin_tool_library().get(action)
-    target = _parse_args(spec, args)
+    target = _parse_args(spec, args, state.objects)
 
     agent = _replace(state.agent, action_count=state.agent.action_count + 1)
     state = _replace(state, agent=agent)
@@ -260,25 +271,17 @@ def load_task(path: str | Path) -> TaskSpec:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    thought: str
-    action: str
-    args: dict | None
-    observation: str
-
-
-@dataclass(frozen=True)
 class TraceFixture:
     world: str
     task: str | None
-    steps: tuple[TraceStep, ...]
+    steps: tuple[StepRecord, ...]
     final_thought: str | None
     final_answer: str | None
 
 
 def trace_from_dict(data: dict) -> TraceFixture:
     steps = tuple(
-        TraceStep(
+        StepRecord(
             thought=step.get("thought", ""),
             action=step["action"],
             args=step.get("args"),

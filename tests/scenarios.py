@@ -1,4 +1,4 @@
-"""Shipped scripted scenarios: loading and running helpers.
+"""Shipped scripted scenarios: loading and running helpers for the tests.
 
 Adversarial scenarios pair a world and task with a keyed completion script
 whose recovery entries match on verification feedback text; they demonstrate
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .agent import AgentConfig, EpisodeRecord, run_episode
-from .llm import ScriptedBackend
-from .mcts import MctsPlanner, PlannerConfig, PlanResult
-from .sim import TaskSpec, refresh_visibility, task_from_dict
-from .world import WorldState, world_from_dict
+from homeplan.agent import AgentConfig, EpisodeRecord, run_episode
+from homeplan.llm import ScriptedBackend
+from homeplan.mcts import MctsPlanner, PlannerConfig, PlanResult
+from homeplan.sim import TaskSpec, refresh_visibility, task_from_dict
+from homeplan.world import WorldState, world_from_dict
 
 
 @dataclass(frozen=True)

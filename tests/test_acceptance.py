@@ -15,7 +15,6 @@ from homeplan.formula import parse_precondition, print_precondition
 from homeplan.llm import ScriptedBackend
 from homeplan.mcts import SearchNode, backpropagate, normalize_score, ucb_score
 from homeplan.precondgen import compare_fixture
-from homeplan.scenarios import load_shipped_scenarios, run_adversarial, run_planning
 from homeplan.sim import load_trace, replay_trace
 from homeplan.suite import (
     completion_rates,
@@ -28,6 +27,7 @@ from homeplan.tools import load_precondition_pairs
 from homeplan.world import load_world
 
 from .conftest import data_path
+from .scenarios import load_shipped_scenarios, run_adversarial, run_planning
 from .test_grounding import run_oracle_comparison
 from .test_suite import REFERENCE_STEPWISE_ROWS, card_to_sink_suite
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homeplan import agent, mcts
+from homeplan import agent, llm, mcts
 from homeplan.agent import (
     AgentConfig,
     EpisodeRecord,
@@ -16,11 +16,11 @@ from homeplan.agent import (
 from homeplan.errors import BackendUnavailableError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
-from homeplan.scenarios import load_shipped_scenarios, run_adversarial
 from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
 
 from .conftest import make_object, make_world
+from .scenarios import load_shipped_scenarios, run_adversarial
 
 
 def trace_script(trace):
@@ -350,13 +350,13 @@ def test_scratchpad_is_shortest_step_suffix_within_budget(steps, budget):
 def test_each_step_is_rendered_once(monkeypatch, kitchen_world, clear_table_trace,
                                     clear_table_task):
     rendered = []
-    render_step = agent._render_step
+    render_step = llm.format_step
 
     def counting_render(step):
         rendered.append(step)
         return render_step(step)
 
-    monkeypatch.setattr(agent, "_render_step", counting_render)
+    monkeypatch.setattr(llm, "format_step", counting_render)
     config = AgentConfig(mode="react", grounding_enabled=True)
     record = run_episode(clear_table_task, config, trace_script(clear_table_trace), kitchen_world)
     assert len(record.steps) == 35

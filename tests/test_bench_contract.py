@@ -2,9 +2,11 @@
 tests keep those names resolving, and keep the traced layers on the call
 path, so that a refactor which hides one fails here and not only in a
 traced benchmark run. The same holds for the step clock of planning
-episodes, which wraps the agent's execute binding. bench/tracer.py and
-bench/run.py are loaded by path and only read."""
+episodes, which wraps the agent's execute binding, and for every homeplan
+name that a bench script imports. bench/tracer.py and bench/run.py are
+loaded by path, and the other bench scripts are only parsed."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -34,16 +36,51 @@ def tracer_module():
     return module
 
 
-def test_every_traced_homeplan_layer_resolves(tracer_module):
+def test_every_traced_homeplan_layer_resolves(tracer_module, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # the stand-in model's entry
     entries = tracer_module.FUNCTIONS + tracer_module.METHODS + tracer_module.SETUP_FUNCTIONS
-    homeplan_entries = [entry for entry in entries if entry[0].startswith("homeplan")]
-    assert homeplan_entries
-    for path, attribute, name in homeplan_entries:
+    assert any(entry[0].startswith("homeplan") for entry in entries)
+    for path, attribute, name in entries:
         module_name, _, class_name = path.partition(":")
         owner = importlib.import_module(module_name)
         if class_name:
             owner = getattr(owner, class_name)
         assert callable(owner.__dict__.get(attribute)), f"{name}: {path}.{attribute} is gone"
+
+
+def _bench_homeplan_names():
+    """(script, module, name) for each ``from homeplan... import name`` in a
+    bench script, and for each ``alias.name`` read through an
+    ``import homeplan.module as alias``."""
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("homeplan"):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("homeplan"):
+                        yield path.name, alias.name, None
+                        if alias.asname:
+                            aliases[alias.asname] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                yield path.name, aliases[node.value.id], node.attr
+
+
+def test_every_homeplan_name_the_bench_imports_resolves():
+    found = sorted(set(_bench_homeplan_names()), key=str)
+    assert ("run.py", "homeplan.agent", "execute") in found
+    assert ("run.py", "homeplan.sim", "refresh_visibility") in found
+    for script, module_name, name in found:
+        module = importlib.import_module(module_name)
+        if name is not None:
+            assert hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}"), (
+                f"bench/{script}: {module_name}.{name} is gone"
+            )
 
 
 def test_a_rejected_execute_calls_the_traced_grounding_layers(tracer_module):

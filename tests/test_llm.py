@@ -33,6 +33,7 @@ from homeplan.llm import (
     RemoteBackend,
     ScriptedBackend,
     ScriptEntry,
+    StepRecord,
     extract_pddl_block,
     format_step,
     load_template,
@@ -55,7 +56,10 @@ def test_critique_template_renders():
 
 def test_expansion_template_slots():
     template = load_template("expansion")
-    assert set(template.slots) == {"tools", "tool_names", "input", "agent_scratchpad"}
+    fills = {"tools": "<T>", "tool_names": "<N>", "input": "<I>", "agent_scratchpad": "<S>"}
+    text = render_prompt(template, fills)
+    assert [text.count(fill) for fill in fills.values()] == [1, 1, 1, 1]
+    assert "{" not in text and "}" not in text
     with pytest.raises(MissingSlotError):
         render_prompt(
             template, {"tools": "t", "tool_names": "a, b", "input": "task"}
@@ -153,7 +157,8 @@ def test_parse_react_round_trips_format_step():
         ReactStep("", "Randomly Explore", {"input": None}),
         ReactStep("t", "Get Discovered Objects", None),
     ]:
-        parsed = parse_react(format_step(step), builtin_tool_library())
+        record = StepRecord(step.thought, step.action, step.action_input, "ok")
+        parsed = parse_react(format_step(record), builtin_tool_library())
         assert parsed == step
 
 
@@ -203,7 +208,7 @@ def test_transcript_action_inputs_skip_literal_eval(monkeypatch, clear_table_tra
 
     monkeypatch.setattr(llm.ast, "literal_eval", no_literal_eval)
     for step in clear_table_trace.steps:
-        parsed = parse_react(format_step(ReactStep(step.thought, step.action, step.args)))
+        parsed = parse_react(format_step(step))
         assert parsed.action_input == step.args
 
 
@@ -531,14 +536,14 @@ def test_template_directory_override_is_read_on_every_call(tmp_path):
 # Set-valued Action Inputs
 
 _SET_RENDERING = """
-from homeplan.agent import StepRecord
-from homeplan.llm import ReactStep, format_step
+from homeplan.llm import StepRecord, format_step
 from homeplan.mcts import SearchNode, _plan_steps
 
 args = {'object_id': {'Apple_1', 'Bread_1', 'Mug_1'}}
-print(format_step(ReactStep('t', 'Pick Up Object', args, 'o')))
-print(StepRecord('t', 'Pick Up Object', args, 'o').to_dict()['args'])
-print(_plan_steps([SearchNode(state=None, incoming_action=('Pick Up Object', args))]))
+step = StepRecord('t', 'Pick Up Object', args, 'o')
+print(format_step(step))
+print(step.to_dict()['args'])
+print(_plan_steps([SearchNode(state=None, step=step)]))
 """
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homeplan import mcts
+from homeplan import llm, mcts
 from homeplan.errors import ExpansionFailedError, NoFeasibleActionError
-from homeplan.llm import ReactStep, ScriptedBackend, ScriptEntry
+from homeplan.llm import ReactStep, ScriptedBackend, ScriptEntry, StepRecord
 from homeplan.mcts import (
     MctsPlanner,
     PlannerConfig,
@@ -16,10 +16,10 @@ from homeplan.mcts import (
     select,
     ucb_score,
 )
-from homeplan.scenarios import load_shipped_scenarios, run_planning
 from homeplan.sim import execute, refresh_visibility
 
 from .conftest import make_object, make_world
+from .scenarios import load_shipped_scenarios, run_planning
 
 
 def node(q=0.0, n=0, **kwargs):
@@ -121,7 +121,7 @@ def test_expand_simulates_child_state():
     assert len(children) == 1
     child = children[0]
     assert child.state.agent.held_object == "Knife_1"
-    assert child.observation == "Tool Completed Successfully: Target object was picked up!"
+    assert child.step.observation == "Tool Completed Successfully: Target object was picked up!"
     assert not child.failed
 
 
@@ -161,7 +161,7 @@ def test_expand_dedups_unhashable_action_inputs():
     )
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
-    assert [child.incoming_step.action_input for child in children] == [
+    assert [child.step.args for child in children] == [
         {"object_id": {"Knife_1", "Mug_1"}},
         {"object_id": ["Knife_1"]},
         {1: "a", "b": 2},
@@ -210,7 +210,7 @@ def test_expand_keeps_infeasible_child_with_failure_observation():
     children = planner.expand(leaf, "tidy up", [leaf])
     child = children[0]
     assert child.failed
-    assert child.observation == "Tool Failed: the agent is not holding an object, "
+    assert child.step.observation == "Tool Failed: the agent is not holding an object, "
     # world contents unchanged; only the deterministic action counter advances
     assert child.state.objects == leaf.state.objects
     assert child.state.containment == leaf.state.containment
@@ -226,14 +226,66 @@ def test_expand_keeps_unknown_tool_child():
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
     assert children[0].failed
-    assert "unknown tool" in children[0].observation
+    assert "unknown tool" in children[0].step.observation
+
+
+def test_a_tool_named_final_answer_is_an_unknown_tool_child():
+    backend = ScriptedBackend.ordered(
+        ["Thought: done\nAction: Final Answer\nAction Input: all tidy"]
+    )
+    planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
+    leaf = SearchNode(state=feasible_world())
+    (child,) = planner.expand(leaf, "tidy up", [leaf])
+    assert child.failed and not child.terminal
+    assert child.final_answer is None
+    assert child.step == StepRecord(
+        "done", "Final Answer", "all tidy", "Tool Failed: unknown tool 'Final Answer'"
+    )
+
+
+def test_a_final_answer_child_records_its_text_without_an_observation():
+    backend = ScriptedBackend.ordered(["Thought: done\nFinal Answer: all tidy"])
+    planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
+    leaf = SearchNode(state=feasible_world())
+    (child,) = planner.expand(leaf, "tidy up", [leaf])
+    assert child.terminal and not child.failed
+    assert child.final_answer == "all tidy"
+    assert child.step == StepRecord("", "Final Answer", "all tidy", None)
+    assert mcts._plan_steps([leaf, child]) == "1. Final Answer: all tidy"
+
+
+def test_each_path_step_is_rendered_once_per_node(monkeypatch):
+    rendered = []
+    render_step = llm.format_step
+
+    def counting_render(step):
+        rendered.append(step)
+        return render_step(step)
+
+    monkeypatch.setattr(llm, "format_step", counting_render)
+    config = PlannerConfig(expansion_budget=8, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(_replanning_script(), config).plan(feasible_world(), "tidy up")
+    nodes, stack = [], list(result.root.children)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += node.children
+    expanded_steps = {id(node.step) for node in nodes if node.children}
+    assert max(node.depth for node in nodes if node.children) >= 2  # two-step paths
+    assert len(rendered) == len(expanded_steps)
+    assert {id(step) for step in rendered} == expanded_steps
+
+
+PICK_UP_STEP = StepRecord("", "Pick Up Object", None, "Tool Failed: malformed action input")
 
 
 def test_critique_normalizes_scripted_score():
     backend = ScriptedBackend.ordered(["Justification: redundant steps\nScore: 4"])
     planner = MctsPlanner(backend)
-    leaf = SearchNode(state=feasible_world(), incoming_action=("Pick Up Object", None))
+    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
     score, raw, justification = planner.critique([leaf], "tidy up")
+    # A path need not start at a root: every node with a step is a plan step.
+    assert backend.prompts[0].endswith("Plan: 1. Pick Up Object None")
     assert score == pytest.approx(1 / 3, abs=1e-12)
     assert raw == 4
     assert justification == "redundant steps"
@@ -242,7 +294,7 @@ def test_critique_normalizes_scripted_score():
 def test_critique_retries_then_falls_back():
     backend = ScriptedBackend.ordered(["Score: 99", "no score", "still nothing"])
     planner = MctsPlanner(backend, PlannerConfig(critique_retry_budget=2))
-    leaf = SearchNode(state=feasible_world(), incoming_action=("Pick Up Object", None))
+    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
     score, raw, _ = planner.critique([leaf], "tidy up")
     assert raw == 1
     assert score == 0.0

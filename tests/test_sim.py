@@ -90,7 +90,17 @@ def test_unknown_tool_raises():
 
 
 @pytest.mark.parametrize(
-    "args", [None, {}, {"object": "Knife_1"}, {"object_id": 7}, {"object_id": "Knife"}]
+    "args",
+    [
+        None,
+        {},
+        {"object": "Knife_1"},
+        {"object_id": 7},
+        {"object_id": "Knife"},
+        {"object_id": "Knife_01"},
+        {"object_id": "Knife_0"},
+        {"object_id": "_1"},
+    ],
 )
 def test_malformed_args(args):
     world = two_zone_world()
