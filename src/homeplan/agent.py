@@ -17,12 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import (
-    BackendUnavailableError,
     MalformedArgsError,
     MalformedCompletionError,
     NoFeasibleActionError,
-    ScriptExhaustedError,
-    ScriptMismatchError,
     UnknownToolError,
 )
 from .grounding import MessageTable
@@ -35,18 +32,16 @@ from .llm import (
     parse_react,
     render_prompt,
 )
-from .mcts import MctsPlanner, PlannerConfig
+from .mcts import EXPANSION_TEMPERATURE, MctsPlanner, PlannerConfig
 from .sim import (
-    MALFORMED_INPUT,
     UNPARSED_ACTION,
-    Observation,
     TaskSpec,
     check_goal,
     execute,
     refresh_visibility,
-    unknown_tool,
+    rejected_call,
 )
-from .tools import ToolLibrary, builtin_tool_library
+from .tools import builtin_tool_library
 from .world import WorldState
 
 OUTCOME_SUCCESS = "success"
@@ -60,8 +55,6 @@ class AgentConfig:
     mode: str = "react"  # "react" | "react+mcts"
     grounding_enabled: bool = True
     step_cap: int | None = None  # harness-imposed ceiling on any task's budget
-    temperature: float = 0.7
-    scratchpad_char_budget: int = 24000
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     keep_planner_traces: bool = False
     template_dir: str | None = None  # prompt-template override directory
@@ -120,24 +113,6 @@ def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
     return "".join(parts[start:])
 
 
-def _react_decide(
-    backend: LlmBackend,
-    steps: list[StepRecord],
-    config: AgentConfig,
-    library: ToolLibrary,
-    template,
-    fills: dict[str, str],
-) -> ReactStep | FinalAnswer:
-    """One react decision; fills holds the prompt fills fixed for the
-    episode (tools, tool names, task instruction)."""
-    prompt = render_prompt(
-        template,
-        {**fills, "agent_scratchpad": build_scratchpad(steps, config.scratchpad_char_budget)},
-    )
-    completion = backend.complete(prompt, temperature=config.temperature)
-    return parse_react(completion, library)
-
-
 def run_episode(
     task: TaskSpec,
     config: AgentConfig,
@@ -145,6 +120,9 @@ def run_episode(
     world: WorldState,
     messages: MessageTable | None = None,
 ) -> EpisodeRecord:
+    """Run one task to an outcome. A fault of the backend or its script
+    propagates, for the caller to report; a planner that produced nothing
+    to act on ends the episode as a failure with its error."""
     lib = builtin_tool_library()
     if config.mode == "react":
         template = load_template("expansion", directory=config.template_dir)
@@ -167,13 +145,13 @@ def run_episode(
     planner_traces: list[list[dict]] = []
     started = time.perf_counter()
 
-    def record(outcome, success, final_answer=None, error=None) -> EpisodeRecord:
+    def record(outcome, final_answer=None, error=None) -> EpisodeRecord:
         return EpisodeRecord(
             task_id=task.id,
             config_label=config.label(),
             steps=steps,
             outcome=outcome,
-            success=success,
+            success=outcome == OUTCOME_SUCCESS,
             llm_call_count=llm_calls,
             final_answer=final_answer,
             error=error,
@@ -182,70 +160,54 @@ def run_episode(
         )
 
     if check_goal(state, task):
-        return record(OUTCOME_SUCCESS, True)
+        return record(OUTCOME_SUCCESS)
 
     budget = task.max_steps
     if config.step_cap is not None:
         budget = min(budget, config.step_cap)
     for _ in range(budget):
-        try:
-            if config.mode == "react":
-                try:
-                    decision = _react_decide(backend, steps, config, lib, template, fills)
-                    llm_calls += 1
-                except MalformedCompletionError:
-                    llm_calls += 1
-                    steps.append(StepRecord("", None, None, UNPARSED_ACTION))
-                    continue
-                except UnknownToolError as exc:
-                    llm_calls += 1
-                    step = exc.step
-                    steps.append(StepRecord(step.thought if step else "", exc.name,
-                                            step.action_input if step else None,
-                                            unknown_tool(exc.name)))
-                    continue
+        history = build_scratchpad(steps)
+        if config.mode == "react":
+            llm_calls += 1
+            completion = backend.complete(
+                render_prompt(template, {**fills, "agent_scratchpad": history}),
+                temperature=EXPANSION_TEMPERATURE,
+            )
+            try:
+                decision = parse_react(completion, lib)
+            except MalformedCompletionError:
+                steps.append(StepRecord("", None, None, UNPARSED_ACTION))
+                continue
+            except UnknownToolError as exc:
+                decision = exc.step  # execute refuses it below
+        else:
+            try:
+                result = planner.plan(state, task.instruction, history=history)
+            except NoFeasibleActionError as exc:
+                llm_calls += planner.llm_calls
+                return record(OUTCOME_FAILURE, error=str(exc))
+            llm_calls += result.llm_calls
+            if config.keep_planner_traces:
+                planner_traces.append(result.trace)
+            if result.final_answer is not None:
+                decision = FinalAnswer(result.final_answer)
             else:
-                history = build_scratchpad(steps, config.scratchpad_char_budget)
-                try:
-                    result = planner.plan(state, task.instruction, history=history)
-                except NoFeasibleActionError as exc:
-                    llm_calls += planner.llm_calls
-                    return record(OUTCOME_FAILURE, False, error=str(exc))
-                llm_calls += result.llm_calls
-                if config.keep_planner_traces:
-                    planner_traces.append(result.trace)
-                if result.final_answer is not None:
-                    decision = FinalAnswer(result.final_answer)
-                else:
-                    decision = ReactStep(
-                        thought=result.thought,
-                        action=result.action,
-                        action_input=result.args,
-                    )
-        except (BackendUnavailableError, ScriptExhaustedError, ScriptMismatchError) as exc:
-            return record(OUTCOME_FAILURE, False, error=str(exc))
+                decision = ReactStep(result.thought, result.action, result.args)
 
         if isinstance(decision, FinalAnswer):
-            success = check_goal(state, task)
-            outcome = OUTCOME_SUCCESS if success else OUTCOME_DECLARED
-            return record(outcome, success, final_answer=decision.text)
+            outcome = OUTCOME_SUCCESS if check_goal(state, task) else OUTCOME_DECLARED
+            return record(outcome, final_answer=decision.text)
 
         args = decision.action_input if isinstance(decision.action_input, dict) else None
         try:
             state, observation = execute(
-                state,
-                decision.action,
-                args,
-                config.grounding_enabled,
-                messages=messages,
+                state, decision.action, args, config.grounding_enabled, messages=messages
             )
-        except MalformedArgsError:
-            observation = Observation(False, MALFORMED_INPUT)
-        except UnknownToolError as exc:
-            observation = Observation(False, unknown_tool(exc.name))
+        except (MalformedArgsError, UnknownToolError) as exc:
+            observation = rejected_call(exc)
         steps.append(StepRecord(decision.thought, decision.action, decision.action_input,
                                 observation.message))
         if observation.success and check_goal(state, task):
-            return record(OUTCOME_SUCCESS, True)
+            return record(OUTCOME_SUCCESS)
 
-    return record(OUTCOME_BUDGET, False)
+    return record(OUTCOME_BUDGET)

@@ -321,10 +321,9 @@ def extract_pddl_block(completion: str) -> str:
 
 
 class LlmBackend:
-    """Interface: complete(prompt, temperature, max_tokens) -> completion."""
+    """Interface: complete(prompt, temperature) -> completion."""
 
-    def complete(self, prompt: str, temperature: float = 0.0,
-                 max_tokens: int | None = None) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
         raise NotImplementedError
 
 
@@ -375,8 +374,7 @@ class ScriptedBackend(LlmBackend):
     def ordered(cls, completions: list[str], cyclic: bool = False) -> "ScriptedBackend":
         return cls([ScriptEntry(completion=c) for c in completions], cyclic=cyclic)
 
-    def complete(self, prompt: str, temperature: float = 0.0,
-                 max_tokens: int | None = None) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
         with self._lock:
             self.call_count += 1
             self.prompts.append(prompt)
@@ -440,15 +438,12 @@ class RemoteBackend(LlmBackend):
                 f"no endpoint configured (set {ENV_ENDPOINT} or pass endpoint=)"
             )
 
-    def complete(self, prompt: str, temperature: float = 0.0,
-                 max_tokens: int | None = None) -> str:
-        payload: dict = {
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        if max_tokens is not None:
-            payload["max_tokens"] = max_tokens
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

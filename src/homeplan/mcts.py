@@ -12,7 +12,7 @@ Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposed step with its simulated observation, keeping the raw Action
 Input. An expansion prompt is the episode's scratchpad followed by the
 steps on the search path, each node's step rendered once; the critique
-scores that path.
+scores that path, naming each node by its ``label``, as traces do.
 """
 
 from __future__ import annotations
@@ -41,9 +41,17 @@ from .llm import (
     render_prompt,
     stable_repr,
 )
-from .sim import MALFORMED_INPUT, execute, unknown_tool
+from .sim import execute, rejected_call
 from .tools import builtin_tool_library
 from .world import WorldState
+
+
+EXPLORATION_CONSTANT = 1.414
+# One proposal from the expansion template; the react agent's step is one too.
+EXPANSION_TEMPERATURE = 0.7
+RETRY_TEMPERATURE = 1.0  # after an unparseable or duplicate proposal
+CRITIQUE_TEMPERATURE = 0.0
+CRITIQUE_FALLBACK_SCORE = 1  # when no critique attempt yields a valid score
 
 
 def normalize_score(raw: int) -> float:
@@ -53,20 +61,11 @@ def normalize_score(raw: int) -> float:
 
 @dataclass
 class PlannerConfig:
-    exploration_constant: float = 1.414
     expansion_budget: int = 5
     max_depth: int = 5
     children_per_expansion: int = 3
-    expansion_temperature: float = 0.7
-    retry_temperature: float = 1.0
     expansion_retry_budget: int = 2
-    critique_temperature: float = 0.0
     critique_retry_budget: int = 2
-    critique_fallback_score: int = 1
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlannerConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -85,10 +84,27 @@ class SearchNode:
     children: list["SearchNode"] = field(default_factory=list)
     terminal: bool = False
     failed: bool = False
+    # Set by label on first use; functools.cached_property would lock on
+    # every first use before Python 3.12, which costs more than the label.
+    _label: str | None = field(default=None, init=False, repr=False)
 
     @property
     def q_value(self) -> float:
         return self.total_score / self.visit_count if self.visit_count else 0.0
+
+    @property
+    def label(self) -> str:
+        """How plans and traces name this node: the declared final answer,
+        or the action with the arguments the simulator was given ("<root>"
+        for the root); worked out on first use."""
+        if self._label is None:
+            if self.step is None:
+                self._label = "<root>"
+            elif self.final_answer is not None:
+                self._label = f"Final Answer: {self.final_answer}"
+            else:
+                self._label = f"{self.step.action} {stable_repr(_call_args(self.step.args))}"
+        return self._label
 
 
 def ucb_score(parent: SearchNode, child: SearchNode, c: float) -> float:
@@ -143,16 +159,8 @@ def _call_args(action_input: dict | str | None) -> dict | None:
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
-    lines = []
-    for node in path:
-        step = node.step
-        if step is None:
-            continue
-        if node.final_answer is not None:
-            lines.append(f"{len(lines) + 1}. Final Answer: {node.final_answer}")
-        else:
-            lines.append(f"{len(lines) + 1}. {step.action} {stable_repr(_call_args(step.args))}")
-    return "\n".join(lines)
+    labels = [node.label for node in path if node.step is not None]
+    return "\n".join(f"{index}. {label}" for index, label in enumerate(labels, start=1))
 
 
 class MctsPlanner:
@@ -201,26 +209,16 @@ class MctsPlanner:
         )
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
-        state, failed = leaf.state, True
-        if parsed.action not in self.library:
-            observation = unknown_tool(parsed.action)
-        else:
-            try:
-                state, result = execute(
-                    leaf.state,
-                    parsed.action,
-                    _call_args(parsed.action_input),
-                    self.grounding_enabled,
-                    messages=self.messages,
-                )
-                observation, failed = result.message, not result.success
-            except MalformedArgsError:
-                observation = MALFORMED_INPUT
+        try:
+            state, result = execute(leaf.state, parsed.action, _call_args(parsed.action_input),
+                                    self.grounding_enabled, messages=self.messages)
+        except (MalformedArgsError, UnknownToolError) as exc:
+            state, result = leaf.state, rejected_call(exc)
         return SearchNode(
             state=state,
-            step=StepRecord(parsed.thought, parsed.action, parsed.action_input, observation),
+            step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
             depth=leaf.depth + 1,
-            failed=failed,
+            failed=not result.success,
         )
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode]) -> list[SearchNode]:
@@ -231,7 +229,7 @@ class MctsPlanner:
         children: list[SearchNode] = []
         attempts = 0
         max_attempts = config.children_per_expansion + config.expansion_retry_budget
-        temperature = config.expansion_temperature
+        temperature = EXPANSION_TEMPERATURE
         while len(children) < config.children_per_expansion and attempts < max_attempts:
             attempts += 1
             completion = self.backend.complete(prompt, temperature=temperature)
@@ -239,14 +237,14 @@ class MctsPlanner:
             try:
                 parsed = parse_react(completion, self.library)
             except MalformedCompletionError:
-                temperature = config.retry_temperature
+                temperature = RETRY_TEMPERATURE
                 continue
             except UnknownToolError as exc:
                 parsed = exc.step
             # Dedup before simulating: execute is pure, so duplicates add nothing.
             key = _dedup_key(parsed)
             if key in seen:
-                temperature = config.retry_temperature
+                temperature = RETRY_TEMPERATURE
                 continue
             seen.add(key)
             if isinstance(parsed, FinalAnswer):
@@ -275,19 +273,15 @@ class MctsPlanner:
             self._critique_template,
             {"goal": goal, "plan_steps": _plan_steps(path)},
         )
-        config = self.config
-        for _ in range(config.critique_retry_budget + 1):
-            completion = self.backend.complete(
-                prompt, temperature=config.critique_temperature
-            )
+        for _ in range(self.config.critique_retry_budget + 1):
+            completion = self.backend.complete(prompt, temperature=CRITIQUE_TEMPERATURE)
             self.llm_calls += 1
             try:
                 result = parse_critique(completion)
                 return normalize_score(result.score), result.score, result.justification
             except (NoScoreError, ScoreOutOfRangeError):
                 continue
-        raw = config.critique_fallback_score
-        return normalize_score(raw), raw, ""
+        return normalize_score(CRITIQUE_FALLBACK_SCORE), CRITIQUE_FALLBACK_SCORE, ""
 
     # -- full planning call -------------------------------------------------
 
@@ -299,7 +293,7 @@ class MctsPlanner:
         self.trace = []
         root = SearchNode(state=state)
         for iteration in range(config.expansion_budget):
-            path = select(root, config.exploration_constant)
+            path = select(root, EXPLORATION_CONSTANT)
             leaf = path[-1]
             expanded = False
             if any(child.visit_count == 0 for child in leaf.children):
@@ -329,7 +323,7 @@ class MctsPlanner:
             self.trace.append(
                 {
                     "iteration": iteration + 1,
-                    "path": [n.step.action if n.step else "<root>" for n in path],
+                    "path": [n.label for n in path],
                     "expanded": expanded,
                     "raw_score": raw,
                     "normalized_score": score,

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError
+from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError, UnknownToolError
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
@@ -26,19 +26,21 @@ from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of, concea
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
 GENERIC_FAILURE = FAIL_PREFIX + "execution error"
-# What an agent or planner records for a call that execute cannot take.
+# What an agent records for a completion that holds no action.
 UNPARSED_ACTION = FAIL_PREFIX + "could not parse a valid action"
-MALFORMED_INPUT = FAIL_PREFIX + "malformed action input"
-
-
-def unknown_tool(name: str) -> str:
-    return f"{FAIL_PREFIX}unknown tool {name!r}"
 
 
 @dataclass(frozen=True)
 class Observation:
     success: bool
     message: str
+
+
+def rejected_call(exc: MalformedArgsError | UnknownToolError) -> Observation:
+    """What an agent or planner records for a call that execute refuses."""
+    if isinstance(exc, UnknownToolError):
+        return Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
+    return Observation(False, FAIL_PREFIX + "malformed action input")
 
 
 def format_feedback(messages: list[str]) -> str:
@@ -233,6 +235,28 @@ def goal_atom_from_dict(data: dict) -> GoalAtom:
         value=data.get("value"),
         receptacle_pattern=data.get("receptacle"),
     )
+
+
+def _goal_atom_to_dict(atom: GoalAtom) -> dict:
+    data: dict = {"type": atom.kind, "object": atom.object_pattern}
+    if atom.kind == "attribute":
+        data["attribute"] = atom.attribute
+        data["value"] = atom.value
+    elif atom.kind == "containment":
+        data["receptacle"] = atom.receptacle_pattern
+    return data
+
+
+def task_to_dict(task: TaskSpec) -> dict:
+    """The JSON form task_from_dict reads."""
+    return {
+        "id": task.id,
+        "difficulty": task.difficulty,
+        "instruction": task.instruction,
+        "goal": [_goal_atom_to_dict(atom) for atom in task.goal],
+        "maxSteps": task.max_steps,
+        "world": task.world,
+    }
 
 
 def task_from_dict(data: dict) -> TaskSpec:

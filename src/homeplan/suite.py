@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .agent import AgentConfig, EpisodeRecord, run_episode
 from .errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
-from .sim import GoalAtom, TaskSpec, task_from_dict
+from .sim import SUCCESS_PREFIX, GoalAtom, TaskSpec, task_from_dict, task_to_dict
 from .tools import builtin_tool_library
 from .world import WorldState, load_world
 
@@ -36,28 +36,8 @@ class SuiteSpec:
             "name": self.name,
             "seed": self.seed,
             "repetitions": self.repetitions,
-            "tasks": [
-                {
-                    "id": task.id,
-                    "difficulty": task.difficulty,
-                    "instruction": task.instruction,
-                    "goal": [_goal_atom_to_dict(atom) for atom in task.goal],
-                    "maxSteps": task.max_steps,
-                    "world": task.world,
-                }
-                for task in self.tasks
-            ],
+            "tasks": [task_to_dict(task) for task in self.tasks],
         }
-
-
-def _goal_atom_to_dict(atom: GoalAtom) -> dict:
-    data: dict = {"type": atom.kind, "object": atom.object_pattern}
-    if atom.kind == "attribute":
-        data["attribute"] = atom.attribute
-        data["value"] = atom.value
-    elif atom.kind == "containment":
-        data["receptacle"] = atom.receptacle_pattern
-    return data
 
 
 def suite_from_dict(data: dict) -> SuiteSpec:
@@ -119,13 +99,12 @@ def generate_easy_suite(
     seed: int,
     count: int,
     world_refs: list[str],
-    base_dir: str | Path | None = None,
     name: str = "easy",
 ) -> SuiteSpec:
     """Sample pick-and-place rearrangement tasks across the given worlds."""
     if count < 1:
         raise SuiteFormatError("count must be at least 1")
-    worlds = [(ref, resolve_world(ref, base_dir)) for ref in world_refs]
+    worlds = [(ref, resolve_world(ref)) for ref in world_refs]
 
     tasks = []
     for index in range(count):
@@ -352,7 +331,7 @@ def run_suite(
                 "actions": [
                     {
                         "action": step.action,
-                        "ok": step.observation.startswith("Tool Completed Successfully"),
+                        "ok": step.observation.startswith(SUCCESS_PREFIX),
                     }
                     for step in record.steps
                     if step.action is not None

@@ -75,5 +75,5 @@ def run_planning(scenario: Scenario, budget: int | None = None) -> PlanResult:
     overrides = dict(scenario.planner_config or {})
     if budget is not None:
         overrides["expansion_budget"] = budget
-    planner = MctsPlanner(scenario.backend(), config=PlannerConfig.from_dict(overrides))
+    planner = MctsPlanner(scenario.backend(), config=PlannerConfig(**overrides))
     return planner.plan(refresh_visibility(scenario.world()), scenario.task.instruction)

@@ -206,18 +206,18 @@ def test_declared_final_without_goal_is_not_success():
 
 
 class _DeadBackend(LlmBackend):
-    def complete(self, prompt, temperature=0.0, max_tokens=None):
+    def complete(self, prompt, temperature=0.0):
         raise BackendUnavailableError("endpoint unreachable")
 
 
 def test_backend_failure_aborts_as_failure():
+    """A dead backend is an infrastructure fault, not a failed task: the
+    episode does not turn it into a record (run_suite reports it)."""
     task = simple_task(
         [GoalAtom("attribute", "Tomato", attribute="isPickedUp", value=True)]
     )
-    record = run_episode(task, AgentConfig(), _DeadBackend(), pickup_world())
-    assert record.outcome == "failure"
-    assert record.success is False
-    assert "unreachable" in record.error
+    with pytest.raises(BackendUnavailableError, match="unreachable"):
+        run_episode(task, AgentConfig(), _DeadBackend(), pickup_world())
 
 
 def tomato_planner_script():

@@ -2,9 +2,11 @@
 tests keep those names resolving, and keep the traced layers on the call
 path, so that a refactor which hides one fails here and not only in a
 traced benchmark run. The same holds for the step clock of planning
-episodes, which wraps the agent's execute binding, and for every homeplan
-name that a bench script imports. bench/tracer.py and bench/run.py are
-loaded by path, and the other bench scripts are only parsed."""
+episodes, which wraps the agent's execute binding, for every homeplan
+name that a bench script imports, and for the config fields and suite
+generator arguments that the workloads pass. bench/tracer.py, bench/run.py
+and bench/workloads.py are loaded by path, and the other bench scripts are
+only parsed."""
 
 import ast
 import importlib
@@ -129,3 +131,18 @@ def test_the_planning_step_clock_stamps_each_committed_action_once(monkeypatch):
         "Pick Up Object", "Place Object", "Place Object", "Place Object"
     ]
     assert stamps == [0, 1, 2, 3]
+
+
+def test_every_workload_builds_its_config_and_suite(monkeypatch):
+    spec = importlib.util.spec_from_file_location("homeplan_bench_workloads",
+                                                  BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        config = workloads.build_config(workload)
+        assert config.mode == workload.mode
+        suite, _ = workloads.build_suite(workload, 1)
+        assert len(suite.tasks) == workload.tasks
+        assert {task.max_steps for task in suite.tasks} == {workload.max_steps}

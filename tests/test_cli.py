@@ -6,7 +6,7 @@ import pytest
 
 from homeplan.cli import main
 
-from .test_suite import REFERENCE_STEPWISE_ROWS, card_to_sink_suite
+from .test_suite import REFERENCE_STEPWISE_ROWS, RUNS_OUT_AFTER_ONE_STEP, card_to_sink_suite
 
 
 def test_compare_preconds_stdout(capsys):
@@ -63,6 +63,21 @@ def test_run_scripted_suite(tmp_path, capsys):
     data = json.loads(reports[0].read_text())
     assert data["completion_rate_percent"] == "50"
     assert (out_dir / reports[0].name.replace(".json", ".txt")).exists()
+
+
+def test_run_whose_script_runs_out_exits_with_an_error_per_episode(tmp_path, capsys):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    script_path = tmp_path / "short.json"
+    script_path.write_text(json.dumps(
+        {"entries": [{"completion": text} for text in RUNS_OUT_AFTER_ONE_STEP]}
+    ))
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(tmp_path / "reports")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("error:")] == [
+        f"error: {episode}: ordered script exhausted" for episode in ("demo-001", "demo-002")
+    ]
 
 
 def test_run_is_byte_deterministic(tmp_path, capsys):

@@ -75,19 +75,38 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("mode", ["react", "react+mcts"])
-def test_episode_prompts_match_the_golden_digest(mode):
+def _episode(mode, backend, keep_planner_traces=False):
     task = simple_task(
         [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")],
         instruction="Put the tomato in the basket.",
         max_steps=10,
     )
     planner = PlannerConfig(expansion_budget=8, children_per_expansion=3, max_depth=3)
-    config = AgentConfig(mode=mode, planner=planner)
+    config = AgentConfig(mode=mode, planner=planner, keep_planner_traces=keep_planner_traces)
+    return run_episode(task, config, backend, pickup_world())
+
+
+@pytest.mark.parametrize("mode", ["react", "react+mcts"])
+def test_episode_prompts_match_the_golden_digest(mode):
     backend = react_script() if mode == "react" else planner_script()
-    record = run_episode(task, config, backend, pickup_world())
+    record = _episode(mode, backend)
     hasher = hashlib.sha256()
     for prompt in backend.prompts:
         hasher.update(prompt.encode() + b"\x00")
     assert record.outcome == "success"
     assert (len(backend.prompts), hasher.hexdigest()) == GOLDEN[mode]
+
+
+def test_planner_traces_name_each_child_by_its_call():
+    """A declared final answer and a tool named "Final Answer" read apart in
+    a trace, and so do two calls of one tool with different inputs."""
+    record = _episode("react+mcts", planner_script(), keep_planner_traces=True)
+    first, second = ([entry["path"] for entry in trace] for trace in record.planner_traces[:2])
+    assert first[:3] == [
+        ["<root>", "Get Discovered Objects None"],
+        ["<root>", "Pick Up Object {'item': 'Tomato_1'}"],
+        ["<root>", "Teleport Object {'object_id': 'Tomato_1'}"],
+    ]
+    assert ["<root>", "Pick Up Object {'item': 'Tomato_1'}",
+            "Pick Up Object {'object_id': 'Tomato_1'}"] in first
+    assert second[:2] == [["<root>", "Final Answer: all tidy"], ["<root>", "Final Answer None"]]

@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from homeplan.sim import (
     refresh_visibility,
     replay_trace,
     task_from_dict,
+    task_to_dict,
 )
 from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
 from homeplan.tools import builtin_tool_library, zone_order
@@ -546,6 +549,22 @@ def test_task_from_dict_rejects_unknown_difficulty():
                 "maxSteps": 10,
             }
         )
+
+
+def test_task_json_round_trips():
+    """task_to_dict writes what task_from_dict reads: the shipped task file
+    comes back as it was read, and every generated or scenario task comes
+    back equal."""
+    data_dir = resources.files("homeplan.data")
+    shipped = json.loads(data_dir.joinpath("tasks/clear_table.json").read_text("utf-8"))
+    assert task_to_dict(task_from_dict(shipped)) == shipped
+    tasks = list(generate_easy_suite(seed=3, count=6, world_refs=list(SHIPPED_WORLDS)).tasks)
+    for kind in ("adversarial", "planning"):
+        for path in data_dir.joinpath(f"scenarios/{kind}").iterdir():
+            tasks.append(task_from_dict(json.loads(path.read_text("utf-8"))["task"]))
+    assert {atom.kind for task in tasks for atom in task.goal} >= {"attribute", "containment"}
+    for task in tasks:
+        assert task_from_dict(task_to_dict(task)) == task
 
 
 # ---------------------------------------------------------------------------

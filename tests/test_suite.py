@@ -58,6 +58,9 @@ def test_generate_easy_suite_round_trips_through_file(tmp_path):
     save_suite(suite, path)
     loaded = load_suite(path)
     assert loaded.to_dict() == suite.to_dict()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3e80c0010830335147d06abc8be1b7a16e090f93a950caa821b0d727d6b169f3"
+    )
 
 
 def test_generate_easy_suite_insufficient_objects(tmp_path):
@@ -299,6 +302,30 @@ def test_run_suite_counts_infrastructure_error_as_failure(tmp_path):
     assert records == []
     assert len(report.errors) == 1
     assert report.episodes[0]["success"] is False
+
+
+# One step, then the script runs out: react reads the score as an unparsed
+# step; a one-call plan takes the step and is scored by it.
+RUNS_OUT_AFTER_ONE_STEP = [
+    "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}",
+    "Score: 5",
+]
+
+
+@pytest.mark.parametrize("mode", ["react", "react+mcts"])
+def test_a_script_that_runs_out_mid_episode_is_an_error_per_episode(tmp_path, mode):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    config = AgentConfig(mode=mode, planner=PlannerConfig(expansion_budget=1,
+                                                          children_per_expansion=1))
+    report, records = run_suite(load_suite(suite_path), config,
+                                lambda task: ScriptedBackend.ordered(RUNS_OUT_AFTER_ONE_STEP))
+    assert records == []
+    assert report.errors == [
+        f"{episode}: ordered script exhausted" for episode in ("demo-001", "demo-002")
+    ]
+    assert [(e["id"], e["outcome"], e["steps"]) for e in report.episodes] == [
+        ("demo-001", "failure", 0), ("demo-002", "failure", 0)
+    ]
 
 
 def test_all_succeeding_suite_reports_hundred_percent():
