@@ -1,8 +1,9 @@
 """Closed-loop episode executor.
 
-Two modes: plain reactive stepping (one completion per step) and tree-search
-planning (one planner per episode, a full planning call per step, executing
-the robust child). Either way the simulator enforces physical legality;
+Two modes: plain reactive stepping (one proposal per step) and tree-search
+planning (a full planning call per step, executing the robust child). Both
+make their model calls through the episode's one ``MctsPlanner``, which
+counts them. Either way the simulator enforces physical legality;
 ``grounding_enabled`` decides whether failures come back explained or as
 bare execution errors. The harness judges success against the task goal
 at the start and after each successful action (a failed call changes
@@ -23,16 +24,8 @@ from .errors import (
     UnknownToolError,
 )
 from .grounding import MessageTable
-from .llm import (
-    FinalAnswer,
-    LlmBackend,
-    ReactStep,
-    StepRecord,
-    load_template,
-    parse_react,
-    render_prompt,
-)
-from .mcts import EXPANSION_TEMPERATURE, MctsPlanner, PlannerConfig
+from .llm import FinalAnswer, LlmBackend, ReactStep, StepRecord
+from .mcts import MctsPlanner, PlannerConfig
 from .sim import (
     UNPARSED_ACTION,
     TaskSpec,
@@ -41,7 +34,6 @@ from .sim import (
     refresh_visibility,
     rejected_call,
 )
-from .tools import builtin_tool_library
 from .world import WorldState
 
 OUTCOME_SUCCESS = "success"
@@ -62,6 +54,8 @@ class AgentConfig:
     def __post_init__(self):
         if self.mode not in ("react", "react+mcts"):
             raise ValueError(f"unknown agent mode: {self.mode!r}")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ValueError("step cap must be at least 1")
 
     def label(self) -> str:
         grounding = "on" if self.grounding_enabled else "off"
@@ -81,8 +75,8 @@ class EpisodeRecord:
     wall_clock: float = 0.0
     planner_traces: list[list[dict]] = field(default_factory=list)
 
-    def to_dict(self, include_volatile: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "task_id": self.task_id,
             "config": self.config_label,
             "outcome": self.outcome,
@@ -92,9 +86,6 @@ class EpisodeRecord:
             "error": self.error,
             "steps": [step.to_dict() for step in self.steps],
         }
-        if include_volatile:
-            data["wall_clock"] = self.wall_clock
-        return data
 
     def serialize(self) -> str:
         """Canonical form for diff tests; volatile timing is excluded."""
@@ -123,26 +114,16 @@ def run_episode(
     """Run one task to an outcome. A fault of the backend or its script
     propagates, for the caller to report; a planner that produced nothing
     to act on ends the episode as a failure with its error."""
-    lib = builtin_tool_library()
-    if config.mode == "react":
-        template = load_template("expansion", directory=config.template_dir)
-        fills = {
-            "tools": lib.describe(),
-            "tool_names": ", ".join(lib.names()),
-            "input": task.instruction,
-        }
-    else:
-        planner = MctsPlanner(
-            backend,
-            config=config.planner,
-            messages=messages,
-            grounding_enabled=config.grounding_enabled,
-            template_dir=config.template_dir,
-        )
+    planner = MctsPlanner(
+        backend,
+        config=config.planner,
+        messages=messages,
+        grounding_enabled=config.grounding_enabled,
+        template_dir=config.template_dir,
+        keep_traces=config.keep_planner_traces,
+    )
     state = refresh_visibility(world)
     steps: list[StepRecord] = []
-    llm_calls = 0
-    planner_traces: list[list[dict]] = []
     started = time.perf_counter()
 
     def record(outcome, final_answer=None, error=None) -> EpisodeRecord:
@@ -152,11 +133,11 @@ def run_episode(
             steps=steps,
             outcome=outcome,
             success=outcome == OUTCOME_SUCCESS,
-            llm_call_count=llm_calls,
+            llm_call_count=planner.llm_calls,
             final_answer=final_answer,
             error=error,
             wall_clock=time.perf_counter() - started,
-            planner_traces=planner_traces if config.keep_planner_traces else [],
+            planner_traces=planner.traces or [],
         )
 
     if check_goal(state, task):
@@ -168,35 +149,25 @@ def run_episode(
     for _ in range(budget):
         history = build_scratchpad(steps)
         if config.mode == "react":
-            llm_calls += 1
-            completion = backend.complete(
-                render_prompt(template, {**fills, "agent_scratchpad": history}),
-                temperature=EXPANSION_TEMPERATURE,
-            )
             try:
-                decision = parse_react(completion, lib)
+                decision = planner.propose(planner.expansion_prompt(task.instruction, history))
             except MalformedCompletionError:
                 steps.append(StepRecord("", None, None, UNPARSED_ACTION))
                 continue
-            except UnknownToolError as exc:
-                decision = exc.step  # execute refuses it below
         else:
             try:
                 result = planner.plan(state, task.instruction, history=history)
             except NoFeasibleActionError as exc:
-                llm_calls += planner.llm_calls
                 return record(OUTCOME_FAILURE, error=str(exc))
-            llm_calls += result.llm_calls
-            if config.keep_planner_traces:
-                planner_traces.append(result.trace)
             if result.final_answer is not None:
                 decision = FinalAnswer(result.final_answer)
             else:
                 decision = ReactStep(result.thought, result.action, result.args)
 
+        # The goal was checked at the start and after each successful
+        # action, so a final answer cannot find it met.
         if isinstance(decision, FinalAnswer):
-            outcome = OUTCOME_SUCCESS if check_goal(state, task) else OUTCOME_DECLARED
-            return record(outcome, final_answer=decision.text)
+            return record(OUTCOME_DECLARED, final_answer=decision.text)
 
         args = decision.action_input if isinstance(decision.action_input, dict) else None
         try:

@@ -118,6 +118,7 @@ def _make_backend_factory(spec: str):
             raise FileNotFoundError(f"script file not found: {script_path}")
         with open(script_path, encoding="utf-8") as handle:
             script_data = json.load(handle)
+        ScriptedBackend.from_dict(script_data)  # a malformed script fails before any episode
         return lambda task: ScriptedBackend.from_dict(script_data)
     raise ValueError(f"unknown backend spec: {spec!r}")
 

@@ -348,6 +348,8 @@ class ScriptedBackend(LlmBackend):
                  cyclic: bool = False):
         if mode not in ("ordered", "keyed"):
             raise ValueError(f"unknown script mode: {mode!r}")
+        if cyclic and mode == "ordered" and all(entry.uses == 0 for entry in entries):
+            raise ValueError("a cyclic ordered script needs an entry with uses other than 0")
         self.mode = mode
         self.cyclic = cyclic
         self._entries = entries

@@ -52,6 +52,8 @@ EXPANSION_TEMPERATURE = 0.7
 RETRY_TEMPERATURE = 1.0  # after an unparseable or duplicate proposal
 CRITIQUE_TEMPERATURE = 0.0
 CRITIQUE_FALLBACK_SCORE = 1  # when no critique attempt yields a valid score
+EXPANSION_RETRY_BUDGET = 2  # proposals past children_per_expansion
+CRITIQUE_RETRY_BUDGET = 2  # critique calls past the first
 
 
 def normalize_score(raw: int) -> float:
@@ -64,8 +66,11 @@ class PlannerConfig:
     expansion_budget: int = 5
     max_depth: int = 5
     children_per_expansion: int = 3
-    expansion_retry_budget: int = 2
-    critique_retry_budget: int = 2
+
+    def __post_init__(self):
+        for name in ("expansion_budget", "max_depth", "children_per_expansion"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"planner {name} must be at least 1")
 
 
 @dataclass
@@ -164,11 +169,16 @@ def _plan_steps(path: list[SearchNode]) -> str:
 
 
 class MctsPlanner:
-    """Tree-search planner; one instance serves a whole episode.
+    """Tree-search planner; one instance serves a whole episode and makes
+    all of its model calls.
 
     Templates and the tool-list prompt fills are prepared once, in
-    ``__init__``. Each ``plan()`` call builds a fresh tree from the state it
-    is given, and ``llm_calls`` and ``trace`` count only that call.
+    ``__init__``. ``propose`` is the one proposal call: a react step is a
+    proposal on the expansion prompt of an empty search path, and
+    ``expand`` proposes children the same way. ``llm_calls`` counts every
+    model call the planner makes. Each ``plan()`` call builds a fresh tree
+    from the state it is given; a planner built with ``keep_traces`` appends
+    each successful call's per-iteration trace to ``traces`` (None without).
     """
 
     def __init__(
@@ -178,6 +188,7 @@ class MctsPlanner:
         messages: MessageTable | None = None,
         grounding_enabled: bool = True,
         template_dir: str | None = None,
+        keep_traces: bool = False,
     ):
         self.backend = backend
         self.config = config or PlannerConfig()
@@ -191,22 +202,28 @@ class MctsPlanner:
             "tool_names": ", ".join(self.library.names()),
         }
         self.llm_calls = 0
-        self.trace: list[dict] = []
+        self.traces: list[list[dict]] | None = [] if keep_traces else None
         self.history = ""  # episode scratchpad prefixed to expansion prompts
 
-    # -- expansion ---------------------------------------------------------
+    # -- proposals and expansion -------------------------------------------
 
-    def _expansion_prompt(self, goal: str, path: list[SearchNode]) -> str:
+    def expansion_prompt(self, goal: str, scratchpad: str) -> str:
         return render_prompt(
             self._expansion_template,
-            {
-                **self._tool_fills,
-                "input": goal,
-                "agent_scratchpad": self.history + "".join(
-                    node.step.rendered for node in path if node.step is not None
-                ),
-            },
+            {**self._tool_fills, "input": goal, "agent_scratchpad": scratchpad},
         )
+
+    def propose(self, prompt: str, temperature: float = EXPANSION_TEMPERATURE
+                ) -> ReactStep | FinalAnswer:
+        """One counted model call on an expansion prompt, parsed. A step that
+        names an unknown tool is returned as parsed, for the simulator to
+        refuse; an unparseable completion raises MalformedCompletionError."""
+        completion = self.backend.complete(prompt, temperature=temperature)
+        self.llm_calls += 1
+        try:
+            return parse_react(completion, self.library)
+        except UnknownToolError as exc:
+            return exc.step
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
         try:
@@ -223,24 +240,22 @@ class MctsPlanner:
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode]) -> list[SearchNode]:
         """Propose up to children_per_expansion distinct next actions."""
-        prompt = self._expansion_prompt(goal, path)
+        prompt = self.expansion_prompt(goal, self.history + "".join(
+            node.step.rendered for node in path if node.step is not None
+        ))
         config = self.config
         seen: set[tuple] = set()
         children: list[SearchNode] = []
         attempts = 0
-        max_attempts = config.children_per_expansion + config.expansion_retry_budget
+        max_attempts = config.children_per_expansion + EXPANSION_RETRY_BUDGET
         temperature = EXPANSION_TEMPERATURE
         while len(children) < config.children_per_expansion and attempts < max_attempts:
             attempts += 1
-            completion = self.backend.complete(prompt, temperature=temperature)
-            self.llm_calls += 1
             try:
-                parsed = parse_react(completion, self.library)
+                parsed = self.propose(prompt, temperature)
             except MalformedCompletionError:
                 temperature = RETRY_TEMPERATURE
                 continue
-            except UnknownToolError as exc:
-                parsed = exc.step
             # Dedup before simulating: execute is pure, so duplicates add nothing.
             key = _dedup_key(parsed)
             if key in seen:
@@ -273,7 +288,7 @@ class MctsPlanner:
             self._critique_template,
             {"goal": goal, "plan_steps": _plan_steps(path)},
         )
-        for _ in range(self.config.critique_retry_budget + 1):
+        for _ in range(CRITIQUE_RETRY_BUDGET + 1):
             completion = self.backend.complete(prompt, temperature=CRITIQUE_TEMPERATURE)
             self.llm_calls += 1
             try:
@@ -289,8 +304,7 @@ class MctsPlanner:
         """Plan from a state that refresh_visibility or a successful execute returned."""
         config = self.config
         self.history = history
-        self.llm_calls = 0
-        self.trace = []
+        trace = [] if self.traces is not None else None
         root = SearchNode(state=state)
         for iteration in range(config.expansion_budget):
             path = select(root, EXPLORATION_CONSTANT)
@@ -320,20 +334,23 @@ class MctsPlanner:
             else:
                 score, raw, justification = self.critique(path, goal)
             backpropagate(path, score)
-            self.trace.append(
-                {
-                    "iteration": iteration + 1,
-                    "path": [n.label for n in path],
-                    "expanded": expanded,
-                    "raw_score": raw,
-                    "normalized_score": score,
-                    "node_visits": node.visit_count,
-                    "node_q": node.q_value,
-                }
-            )
+            if trace is not None:
+                trace.append(
+                    {
+                        "iteration": iteration + 1,
+                        "path": [n.label for n in path],
+                        "expanded": expanded,
+                        "raw_score": raw,
+                        "normalized_score": score,
+                        "node_visits": node.visit_count,
+                        "node_q": node.q_value,
+                    }
+                )
 
         if not root.children:
             raise NoFeasibleActionError("planner produced no root children")
+        if trace is not None:
+            self.traces.append(trace)
         best = max(
             root.children,
             key=lambda ch: (ch.visit_count, ch.q_value, -root.children.index(ch)),
@@ -344,8 +361,6 @@ class MctsPlanner:
             final_answer=best.final_answer,
             thought=best.step.thought,
             root=root,
-            llm_calls=self.llm_calls,
-            trace=self.trace,
         )
 
 
@@ -356,5 +371,3 @@ class PlanResult:
     final_answer: str | None
     thought: str
     root: SearchNode
-    llm_calls: int
-    trace: list[dict]

@@ -44,11 +44,17 @@ def suite_from_dict(data: dict) -> SuiteSpec:
     tasks = tuple(task_from_dict(entry) for entry in data["tasks"])
     if not tasks:
         raise SuiteFormatError("suite has no tasks")
+    for task in tasks:
+        if task.world is None:
+            raise SuiteFormatError(f"task {task.id}: a suite task needs a world")
+    repetitions = int(data.get("repetitions", 1))
+    if repetitions < 1:
+        raise SuiteFormatError("repetitions must be at least 1")
     return SuiteSpec(
         name=data["name"],
         seed=int(data.get("seed", 0)),
         tasks=tasks,
-        repetitions=int(data.get("repetitions", 1)),
+        repetitions=repetitions,
     )
 
 

@@ -368,6 +368,8 @@ def world_from_dict(data: dict) -> WorldState:
         if unknown:
             raise WorldFormatError(f"{object_id}: unknown keys {sorted(unknown)}")
         raw_attrs = entry.get("attributes", {})
+        if not isinstance(raw_attrs, dict):
+            raise WorldFormatError(f"{object_id}: attributes must be an object")
         bad = set(raw_attrs) - set(ATTRIBUTE_NAMES)
         if bad:
             raise WorldFormatError(f"{object_id}: unknown attributes {sorted(bad)}")
@@ -394,18 +396,21 @@ def world_from_dict(data: dict) -> WorldState:
     unknown = set(raw_agent) - _AGENT_KEYS
     if unknown:
         raise WorldFormatError(f"agent: unknown keys {sorted(unknown)}")
-    agent = AgentState(
-        current_zone=raw_agent["zone"],
-        rng_seed=int(raw_agent["seed"]),
-        held_object=raw_agent.get("holding"),
-    )
+    missing = {"zone", "seed"} - set(raw_agent)
+    if missing:
+        raise WorldFormatError(f"agent: missing keys {sorted(missing)}")
+    try:
+        rng_seed = int(raw_agent["seed"])
+        nav_faults = frozenset(int(i) for i in data.get("nav_faults", ()))
+    except (TypeError, ValueError) as exc:
+        raise WorldFormatError(f"agent seed and nav_faults must be integers: {exc}") from None
 
     state = WorldState(
         objects=objects,
         containment=containment,
-        agent=agent,
+        agent=AgentState(raw_agent["zone"], rng_seed, held_object=raw_agent.get("holding")),
         discovered=frozenset(data.get("discovered", ())),
-        nav_faults=frozenset(int(i) for i in data.get("nav_faults", ())),
+        nav_faults=nav_faults,
     )
     problems = validate_world(state)
     if problems:

@@ -265,6 +265,39 @@ def test_mcts_mode_episode_and_call_accounting():
     assert len(record.planner_traces) == 2
 
 
+def _react_script_with_each_step_kind():
+    return ScriptedBackend.ordered([
+        "no action here",
+        "Thought: hm\nAction: Levitate Object\nAction Input: {'object_id': 'Tomato_1'}",
+        "Thought: done\nFinal Answer: fine",
+    ])
+
+
+def _prose_script():
+    # Every proposal is prose, so the planner has no root child to commit.
+    return ScriptedBackend.ordered(["prose"], cyclic=True)
+
+
+@pytest.mark.parametrize(
+    "mode, planner, script, outcome",
+    [
+        ("react", PlannerConfig(), _react_script_with_each_step_kind, "agent-declared-final"),
+        ("react+mcts", MCTS_BUDGET_ONE, tomato_planner_script, "step-budget-exhausted"),
+        ("react+mcts", PlannerConfig(expansion_budget=2, children_per_expansion=2),
+         _prose_script, "failure"),
+    ],
+    ids=["react", "react+mcts", "no-feasible-action"],
+)
+def test_the_record_counts_every_model_call(mode, planner, script, outcome):
+    backend = script()
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=3
+    )
+    record = run_episode(task, AgentConfig(mode=mode, planner=planner), backend, pickup_world())
+    assert record.outcome == outcome
+    assert record.llm_call_count == backend.call_count > 0
+
+
 def test_mcts_episode_loads_each_template_once(monkeypatch):
     loads = []
 
@@ -272,7 +305,6 @@ def test_mcts_episode_loads_each_template_once(monkeypatch):
         loads.append(name)
         return load_template(name, directory=directory)
 
-    monkeypatch.setattr(agent, "load_template", counting_load)
     monkeypatch.setattr(mcts, "load_template", counting_load)
     # The tomato is never cooked, so the episode runs its whole budget.
     task = simple_task(
@@ -403,7 +435,6 @@ def test_serialize_excludes_wall_clock():
         wall_clock=123.456,
     )
     assert "wall_clock" not in record.serialize()
-    assert record.to_dict(include_volatile=True)["wall_clock"] == 123.456
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,42 @@ def test_run_bad_backend_spec_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--expansions", "0", "--mode", "mcts"], ["--max-steps", "0"]],
+                         ids=["expansions", "max-steps"])
+def test_run_with_a_zero_budget_flag_is_config_error(tmp_path, capsys, flags):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(tmp_path / "reports"), *flags])
+    capsys.readouterr()
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda suite: suite.update(repetitions=0), lambda suite: suite["tasks"][1].pop("world")],
+    ids=["no-repetitions", "task-without-world"],
+)
+def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    suite_data = json.loads(suite_path.read_text())
+    edit(suite_data)
+    suite_path.write_text(json.dumps(suite_data))
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(tmp_path / "reports")])
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_run_with_an_empty_cyclic_script_is_config_error(tmp_path, capsys):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    script_path = tmp_path / "empty.json"
+    script_path.write_text(json.dumps({"entries": [], "cyclic": True}))
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(tmp_path / "reports")])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_report_stepwise_counts(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"rows": REFERENCE_STEPWISE_ROWS}))

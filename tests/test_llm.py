@@ -295,6 +295,14 @@ def test_scripted_cyclic_wraps():
     assert [backend.complete("p") for _ in range(5)] == ["a", "b", "a", "b", "a"]
 
 
+@pytest.mark.parametrize("entries", [[], [ScriptEntry("a", uses=0), ScriptEntry("b", uses=0)]],
+                         ids=["no-entries", "all-used-up"])
+def test_a_cyclic_script_that_can_never_answer_is_rejected_when_built(entries):
+    # Either would loop forever or fail with IndexError at the first call.
+    with pytest.raises(ValueError):
+        ScriptedBackend(entries, cyclic=True)
+
+
 def test_scripted_ordered_matcher_mismatch():
     backend = ScriptedBackend([ScriptEntry(completion="x", match="expected text")])
     with pytest.raises(ScriptMismatchError):

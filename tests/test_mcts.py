@@ -134,9 +134,7 @@ def test_expand_dedups_identical_actions(monkeypatch):
 
     monkeypatch.setattr(mcts, "execute", counting_execute)
     backend = ScriptedBackend.ordered([PICK_KNIFE] * 5)
-    planner = MctsPlanner(
-        backend, PlannerConfig(children_per_expansion=3, expansion_retry_budget=2)
-    )
+    planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=3))
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
     assert len(children) == 1  # duplicates collapse; retries exhausted
@@ -156,9 +154,7 @@ def test_expand_dedups_unhashable_action_inputs():
     backend = ScriptedBackend.ordered(
         [f"Thought: t\nAction: Pick Up Object\nAction Input: {raw}" for raw in inputs]
     )
-    planner = MctsPlanner(
-        backend, PlannerConfig(children_per_expansion=4, expansion_retry_budget=2)
-    )
+    planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=4))
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
     assert [child.step.args for child in children] == [
@@ -193,9 +189,7 @@ def test_dedup_keys_are_equal_exactly_when_action_inputs_are(a, b):
 
 def test_expand_fails_on_pure_prose():
     backend = ScriptedBackend.ordered(["no actions here"] * 5)
-    planner = MctsPlanner(
-        backend, PlannerConfig(children_per_expansion=2, expansion_retry_budget=2)
-    )
+    planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=2))
     leaf = SearchNode(state=feasible_world())
     with pytest.raises(ExpansionFailedError):
         planner.expand(leaf, "tidy up", [leaf])
@@ -293,7 +287,7 @@ def test_critique_normalizes_scripted_score():
 
 def test_critique_retries_then_falls_back():
     backend = ScriptedBackend.ordered(["Score: 99", "no score", "still nothing"])
-    planner = MctsPlanner(backend, PlannerConfig(critique_retry_budget=2))
+    planner = MctsPlanner(backend)
     leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
     score, raw, _ = planner.critique([leaf], "tidy up")
     assert raw == 1
@@ -337,16 +331,23 @@ def test_one_planner_replans_like_fresh_planners():
     config = PlannerConfig(expansion_budget=4, children_per_expansion=2)
     calls = [(feasible_world(), "tidy up", ""), (feasible_world(), "tidy up", "Thought: x\n")]
 
-    reused = MctsPlanner(_replanning_script(), config)
-    reused_results = [reused.plan(*call) for call in calls]
+    def plans(planner_for_call):
+        """(action, args, model calls, trace) of each planning call."""
+        summaries = []
+        for call in calls:
+            planner = planner_for_call()
+            before = planner.llm_calls
+            result = planner.plan(*call)
+            summaries.append((result.action, result.args, planner.llm_calls - before,
+                              planner.traces[-1]))
+        return summaries
+
+    reused = MctsPlanner(_replanning_script(), config, keep_traces=True)
+    reused_plans = plans(lambda: reused)
     backend = _replanning_script()
-    fresh_results = [MctsPlanner(backend, config).plan(*call) for call in calls]
-
-    def summary(result):
-        return (result.action, result.args, result.llm_calls, result.trace)
-
-    assert [summary(r) for r in reused_results] == [summary(r) for r in fresh_results]
-    assert reused.llm_calls == reused_results[-1].llm_calls  # counts only the last plan
+    assert reused_plans == plans(lambda: MctsPlanner(backend, config, keep_traces=True))
+    assert len(reused.traces) == 2
+    assert reused.llm_calls == sum(plan[2] for plan in reused_plans)  # counts every plan
 
 
 def test_plan_no_feasible_action():
@@ -414,10 +415,34 @@ def test_monotone_budget_quality(planning_scenarios):
 
 
 def test_planner_trace_records_each_iteration(planning_scenarios):
-    result = run_planning(planning_scenarios[0])
-    assert len(result.trace) == 6
-    assert all("normalized_score" in row for row in result.trace)
-    assert result.trace[0]["expanded"] is True
+    scenario = planning_scenarios[0]
+    planner = MctsPlanner(scenario.backend(), PlannerConfig(**scenario.planner_config),
+                          keep_traces=True)
+    planner.plan(refresh_visibility(scenario.world()), scenario.task.instruction)
+    (trace,) = planner.traces
+    assert len(trace) == 6
+    assert all("normalized_score" in row for row in trace)
+    assert trace[0]["expanded"] is True
+
+
+def test_without_kept_traces_a_plan_labels_only_critiqued_nodes(planning_scenarios,
+                                                               monkeypatch):
+    critiqued = set()
+    critique = MctsPlanner.critique
+
+    def recording_critique(self, path, goal):
+        critiqued.update(id(node) for node in path)
+        return critique(self, path, goal)
+
+    monkeypatch.setattr(MctsPlanner, "critique", recording_critique)
+    # Scenario 2 keeps a failed root child, which no critique prompt names.
+    result = run_planning(planning_scenarios[1])
+    assert any(child.failed for child in result.root.children)
+    nodes, stack = [], [result.root]
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].children
+    assert all(id(node) in critiqued for node in nodes if node._label is not None)
 
 
 def test_failed_children_never_consume_critique_calls(planning_scenarios):

@@ -935,3 +935,23 @@ def test_golden_state_walk():
                 hasher.update(f"\n{observation.success} {observation.message}\n".encode())
                 hasher.update(canonical_state(state).encode())
     assert hasher.hexdigest() == GOLDEN_WALK_DIGEST
+
+
+def test_a_refused_call_changes_only_the_action_count():
+    # Why an episode checks its goal only at the start and after a
+    # successful action: a refused call leaves everything a goal reads.
+    refused = 0
+    for grounding_enabled in (True, False):
+        for state, calls in golden_walks():
+            for action, args in calls:
+                after, observation = execute(state, action, args, grounding_enabled)
+                if not observation.success:
+                    refused += 1
+                    assert after.objects == state.objects
+                    assert after.containment == state.containment
+                    assert after.discovered == state.discovered
+                    assert after.nav_faults == state.nav_faults
+                    assert replace(after.agent, action_count=state.agent.action_count) \
+                        == state.agent
+                state = after
+    assert refused > 1000

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -495,3 +496,41 @@ def test_missing_world_gives_one_error_line_per_episode():
     assert [episode["id"] for episode in report.episodes] == [
         "a#1", "a#2", "b#1", "b#2", "c#1", "c#2"
     ]
+
+
+def _one_task_suite():
+    task = {"id": "a", "difficulty": "easy", "instruction": "anything",
+            "goal": [{"type": "empty", "object": "GarbageCan_1"}], "maxSteps": 2,
+            "world": "worlds/kitchen_b.json"}
+    return {"name": "one", "seed": 1, "tasks": [task]}
+
+
+def test_a_suite_task_without_a_world_is_rejected():
+    suite_data = _one_task_suite()
+    del suite_data["tasks"][0]["world"]
+    with pytest.raises(SuiteFormatError):
+        suite_from_dict(suite_data)
+
+
+def test_a_suite_without_repetitions_is_rejected():
+    with pytest.raises(SuiteFormatError):
+        suite_from_dict({**_one_task_suite(), "repetitions": 0})
+
+
+def test_a_malformed_world_gives_one_error_line_per_episode(tmp_path):
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+    world = json.loads(resources.files("homeplan.data").joinpath("worlds/kitchen_b.json")
+                       .read_text("utf-8"))
+    del world["agent"]["seed"]
+    (tmp_path / "bad.json").write_text(json.dumps(world))
+    suite_data = _one_task_suite()
+    suite_data["tasks"].append({**suite_data["tasks"][0], "id": "b", "world": "bad.json"})
+    suite = suite_from_dict({**suite_data, "repetitions": 2})
+    report, records = run_suite(
+        suite, AgentConfig(), lambda task: ScriptedBackend.ordered([explore], cyclic=True),
+        base_dir=tmp_path,
+    )
+    assert report.errors == [
+        f"{episode}: agent: missing keys ['seed']" for episode in ("b#1", "b#2")
+    ]
+    assert [record.task_id for record in records] == ["a", "a"]

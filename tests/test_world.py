@@ -167,6 +167,31 @@ def test_world_from_dict_rejects_duplicate_parent():
         )
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"agent": {"seed": 1}},
+        {"agent": {"zone": "a"}},
+        {"agent": {"zone": "a", "seed": "one"}},
+        {"agent": {"zone": "a", "seed": None}},
+        {"nav_faults": ["x"]},
+        {"nav_faults": 3},
+        {"objects": {"Mug_1": {"zone": "a", "attributes": ["pickupable"]}}},
+    ],
+    ids=["no-zone", "no-seed", "text-seed", "null-seed", "text-fault", "scalar-faults",
+         "attribute-list"],
+)
+def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
+    data = {
+        "objects": {"Mug_1": {"zone": "a", "attributes": {}}},
+        "containment": [],
+        "agent": {"zone": "a", "seed": 1},
+    }
+    world_from_dict(data)
+    with pytest.raises(WorldFormatError):
+        world_from_dict({**data, **change})
+
+
 def test_kitchen_fixture_loads_and_validates(kitchen_world):
     assert validate_world(kitchen_world) == []
     assert len(kitchen_world.objects) == 49
