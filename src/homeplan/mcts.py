@@ -2,11 +2,13 @@
 scoring, and mean-value backpropagation.
 
 Instead of rollout simulation, a leaf's action path is scored by a language
-model critique (1..10, normalized to [0, 1]). Proposed actions that fail
-verification or name unknown tools stay in the tree as children carrying
-their failure observation, but their first evaluation contributes a score
-of zero without consuming a critique call. The executed action is the most
-visited root child (robust-child rule).
+model critique (1..10, normalized to [0, 1]). A proposed action the simulator
+refuses (it fails verification or names an unknown tool) stays in the tree as
+a leaf carrying its failure observation: it is never expanded and never
+critiqued, and each evaluation of it scores zero. The executed action is the
+most visited root child that was not refused (robust-child rule); only when
+every root child was refused is the most visited refused one executed, so
+the agent records the simulator's feedback.
 
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposed step with its simulated observation, keeping the raw Action
@@ -235,6 +237,7 @@ class MctsPlanner:
             state=state,
             step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
             depth=leaf.depth + 1,
+            terminal=not result.success,
             failed=not result.success,
         )
 
@@ -301,7 +304,9 @@ class MctsPlanner:
     # -- full planning call -------------------------------------------------
 
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
-        """Plan from a state that refresh_visibility or a successful execute returned."""
+        """Plan from a state that refresh_visibility or a successful execute
+        returned. Refused children are leaves, and one is committed only when
+        no root child was accepted by the simulator."""
         config = self.config
         self.history = history
         trace = [] if self.traces is not None else None
@@ -326,8 +331,8 @@ class MctsPlanner:
                 node = leaf
 
             if node.failed:
-                # Verification-failed and unknown-tool children are kept but
-                # never critiqued; evaluating one contributes a hard zero.
+                # Refused children are terminal leaves, kept but never
+                # critiqued; evaluating one contributes a hard zero.
                 score, raw, justification = 0.0, None, "infeasible action"
             elif node is root:
                 score, raw, justification = 0.0, None, "empty plan"
@@ -353,7 +358,7 @@ class MctsPlanner:
             self.traces.append(trace)
         best = max(
             root.children,
-            key=lambda ch: (ch.visit_count, ch.q_value, -root.children.index(ch)),
+            key=lambda ch: (not ch.failed, ch.visit_count, ch.q_value, -root.children.index(ch)),
         )
         return PlanResult(
             action=best.step.action,

@@ -346,6 +346,27 @@ def validate_world(state: WorldState) -> list[str]:
 _OBJECT_KEYS = {"zone", "attributes", "conspicuous", "heat_source", "display_id", "controls"}
 _AGENT_KEYS = {"zone", "seed", "holding"}
 _TOP_KEYS = {"objects", "containment", "agent", "discovered", "nav_faults"}
+# Where a field is present: its JSON type and, if not None, its members' type.
+_TOP_SHAPES = {"objects": (dict, dict), "containment": (list, list), "agent": (dict, None),
+               "discovered": (list, str), "nav_faults": (list, None)}
+_OBJECT_SHAPES = {"attributes": (dict, None), "controls": (list, str)}
+_JSON_NAMES = {dict: ("an object", "objects"), list: ("an array", "arrays"),
+               str: ("a string", "strings")}
+
+
+def _check_shapes(data: dict, shapes: dict, where: str = "") -> None:
+    """Raise WorldFormatError for a present field whose JSON type, or whose
+    members' type, is not the one ``shapes`` gives."""
+    for key, (kind, member) in shapes.items():
+        if key not in data:
+            continue
+        value = data[key]
+        members = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or (
+            member is not None and not all(isinstance(item, member) for item in members)
+        ):
+            of = f" of {_JSON_NAMES[member][1]}" if member is not None else ""
+            raise WorldFormatError(f"{where}{key} must be {_JSON_NAMES[kind][0]}{of}")
 
 
 def world_from_dict(data: dict) -> WorldState:
@@ -358,18 +379,16 @@ def world_from_dict(data: dict) -> WorldState:
     for key in ("objects", "containment", "agent"):
         if key not in data:
             raise WorldFormatError(f"missing top-level key: {key!r}")
+    _check_shapes(data, _TOP_SHAPES)
 
     objects: dict[str, ObjectInfo] = {}
     for object_id, entry in data["objects"].items():
         ObjectId.parse(object_id)
-        if not isinstance(entry, dict):
-            raise WorldFormatError(f"{object_id}: object entry must be an object")
         unknown = set(entry) - _OBJECT_KEYS
         if unknown:
             raise WorldFormatError(f"{object_id}: unknown keys {sorted(unknown)}")
+        _check_shapes(entry, _OBJECT_SHAPES, f"{object_id}: ")
         raw_attrs = entry.get("attributes", {})
-        if not isinstance(raw_attrs, dict):
-            raise WorldFormatError(f"{object_id}: attributes must be an object")
         bad = set(raw_attrs) - set(ATTRIBUTE_NAMES)
         if bad:
             raise WorldFormatError(f"{object_id}: unknown attributes {sorted(bad)}")
@@ -385,7 +404,7 @@ def world_from_dict(data: dict) -> WorldState:
 
     containment: dict[str, str] = {}
     for edge in data["containment"]:
-        if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+        if not (len(edge) == 2 and all(isinstance(end, str) for end in edge)):
             raise WorldFormatError(f"containment edge must be [child, parent]: {edge!r}")
         child, parent = edge
         if child in containment:

@@ -105,12 +105,17 @@ def test_a_rejected_execute_calls_the_traced_grounding_layers(tracer_module):
     assert counts["grounding.unsatisfied"]["calls"] == 1
 
 
-def test_the_planning_step_clock_stamps_each_committed_action_once(monkeypatch):
+def _load_bench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("homeplan_bench_run", BENCH_DIR / "run.py")
     bench_run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench_run)  # its dataclasses look it up
     spec.loader.exec_module(bench_run)
+    return bench_run
+
+
+def test_the_planning_step_clock_stamps_each_committed_action_once(monkeypatch):
+    bench_run = _load_bench_run(monkeypatch)
     stamps = []
     factory = SimpleNamespace(current=lambda: SimpleNamespace(stamps=stamps))
     clock = SimpleNamespace(now=lambda: len(stamps))
@@ -146,3 +151,32 @@ def test_every_workload_builds_its_config_and_suite(monkeypatch):
         suite, _ = workloads.build_suite(workload, 1)
         assert len(suite.tasks) == workload.tasks
         assert {task.max_steps for task in suite.tasks} == {workload.max_steps}
+
+
+# Seed-1 output digest of each workload's reference pass. The bench checks
+# its timed passes only against the same run's reference pass, so a drift
+# in these shows here first; each value moves only by a change that
+# CHANGES.md explains.
+WORKLOAD_DIGESTS = {
+    "react-suite": "167b35876fe2ef2907d9c77885afdeb992fc87a140894c69b725bc84bd0019af",
+    "react-long": "3160c7c1032cf87e7717cf476b1e4c91208f6e2df61e32b28a10ec8be083993a",
+    "mcts-suite": "8c063f8aecb48e9e656ec1aa88b64f9b237989631cd2a3f53ff35241c99a4d5a",
+    "mcts-remote": "397935555f381b4474a4f735e0896fb8bc69aaf2e658eed41b33ce4c07d0d395",
+}
+
+
+def test_each_workload_reference_pass_matches_its_pinned_digest(monkeypatch):
+    from homeplan.suite import resolve_world
+
+    bench_run = _load_bench_run(monkeypatch)
+    assert set(bench_run.WORKLOADS) == set(WORKLOAD_DIGESTS)
+    digests = {}
+    for name, workload in bench_run.WORKLOADS.items():
+        suite, _ = bench_run.build_suite(workload, 1)
+        config = bench_run.build_config(workload)
+        object_ids = {ref: resolve_world(ref).object_ids() for ref in workload.worlds}
+        reference = bench_run.run_pass(workload, suite, config, 1, object_ids,
+                                       workers=1, delay_s=0.0)
+        assert not reference.errors
+        digests[name] = reference.digest
+    assert digests == WORKLOAD_DIGESTS

@@ -71,7 +71,7 @@ def planner_script():
 # mode: (prompts received, SHA-256 over the prompts, each ended by a NUL)
 GOLDEN = {
     "react": (7, "ae0c5e72b417856279fb01e5496beb4e5fb7a303fad7e51a19d2d3adcaf5b161"),
-    "react+mcts": (90, "d2af6a66923d83eae093d587491c54149b8f93d2d3cafc8aca48578356b1205a"),
+    "react+mcts": (44, "a26193e8bcb1fc363b6964e090e76552a5f75ce7c7890e7120a03932d678b08e"),
 }
 
 
@@ -99,7 +99,8 @@ def test_episode_prompts_match_the_golden_digest(mode):
 
 def test_planner_traces_name_each_child_by_its_call():
     """A declared final answer and a tool named "Final Answer" read apart in
-    a trace, and so do two calls of one tool with different inputs."""
+    a trace, and so do two calls of one tool with different inputs. No
+    trace path runs on past a refused call: a refused child is a leaf."""
     record = _episode("react+mcts", planner_script(), keep_planner_traces=True)
     first, second = ([entry["path"] for entry in trace] for trace in record.planner_traces[:2])
     assert first[:3] == [
@@ -107,6 +108,14 @@ def test_planner_traces_name_each_child_by_its_call():
         ["<root>", "Pick Up Object {'item': 'Tomato_1'}"],
         ["<root>", "Teleport Object {'object_id': 'Tomato_1'}"],
     ]
-    assert ["<root>", "Pick Up Object {'item': 'Tomato_1'}",
+    assert ["<root>", "Get Discovered Objects None",
             "Pick Up Object {'object_id': 'Tomato_1'}"] in first
     assert second[:2] == [["<root>", "Final Answer: all tidy"], ["<root>", "Final Answer None"]]
+    refused = [{tuple(entry["path"]) for entry in trace
+                if entry["raw_score"] is None and len(entry["path"]) > 1}
+               for trace in record.planner_traces]  # uncritiqued, so refused
+    assert ("<root>", "Pick Up Object {'item': 'Tomato_1'}") in refused[0]
+    for trace, refused_paths in zip(record.planner_traces, refused):
+        for entry in trace:
+            path = entry["path"]
+            assert not any(tuple(path[:end]) in refused_paths for end in range(2, len(path)))

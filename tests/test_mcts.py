@@ -230,7 +230,7 @@ def test_a_tool_named_final_answer_is_an_unknown_tool_child():
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
     (child,) = planner.expand(leaf, "tidy up", [leaf])
-    assert child.failed and not child.terminal
+    assert child.failed and child.terminal
     assert child.final_answer is None
     assert child.step == StepRecord(
         "done", "Final Answer", "all tidy", "Tool Failed: unknown tool 'Final Answer'"
@@ -348,6 +348,65 @@ def test_one_planner_replans_like_fresh_planners():
     assert reused_plans == plans(lambda: MctsPlanner(backend, config, keep_traces=True))
     assert len(reused.traces) == 2
     assert reused.llm_calls == sum(plan[2] for plan in reused_plans)  # counts every plan
+
+
+PICK_COUNTER = (
+    "Thought: take it\nAction: Pick Up Object\nAction Input: {'object_id': 'CounterTop_1'}"
+)
+PLACE_COUNTER = (
+    "Thought: put it\nAction: Place Object\nAction Input: {'object_id': 'CounterTop_1'}"
+)
+EXPLORE = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+
+
+def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
+    # Every critique scores 1 (normalized 0), so UCB ties favour the refused
+    # first child, which ends with more visits than its sibling.
+    backend = ScriptedBackend.ordered(
+        [PICK_COUNTER, PICK_KNIFE, "Score: 1", PLACE_COUNTER, EXPLORE, "Score: 1"]
+    )
+    config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    refused, sibling = result.root.children
+    assert refused.failed and refused.terminal and not refused.children
+    assert refused.visit_count > sibling.visit_count
+    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "Knife_1"})
+    assert len(backend.prompts) == 6
+    for prompt in backend.prompts:  # no expansion or critique of a path through it
+        assert refused.step.rendered not in prompt and refused.label not in prompt
+
+
+def test_when_every_root_child_is_refused_the_most_visited_is_committed():
+    backend = ScriptedBackend.ordered([PICK_COUNTER, PLACE_COUNTER])
+    config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    first, second = result.root.children
+    assert first.failed and second.failed and not first.children and not second.children
+    assert (first.visit_count, second.visit_count) == (3, 2)
+    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "CounterTop_1"})
+    assert len(backend.prompts) == 2  # the two proposals; nothing is critiqued
+
+
+def test_a_refused_child_is_never_critiqued(monkeypatch):
+    critiqued = []
+
+    def recording_critique(self, path, goal):
+        critiqued.append(list(path))
+        return 0.0, 1, ""
+
+    monkeypatch.setattr(MctsPlanner, "critique", recording_critique)
+    backend = ScriptedBackend.ordered([PICK_COUNTER, PICK_KNIFE, PLACE_COUNTER, EXPLORE],
+                                      cyclic=True)
+    config = PlannerConfig(expansion_budget=12, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    nodes, stack = [], list(result.root.children)
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].children
+    refused = [node for node in nodes if node.failed]
+    assert any(node.visit_count > 1 for node in refused)
+    assert not any(node.children for node in refused)
+    assert critiqued and not any(node.failed for path in critiqued for node in path)
 
 
 def test_plan_no_feasible_action():

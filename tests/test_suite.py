@@ -517,20 +517,43 @@ def test_a_suite_without_repetitions_is_rejected():
         suite_from_dict({**_one_task_suite(), "repetitions": 0})
 
 
-def test_a_malformed_world_gives_one_error_line_per_episode(tmp_path):
+def _run_beside_a_broken_world(tmp_path, breaks):
+    """Run a good task and, twice, one on kitchen_b changed by ``breaks``."""
     explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
     world = json.loads(resources.files("homeplan.data").joinpath("worlds/kitchen_b.json")
                        .read_text("utf-8"))
-    del world["agent"]["seed"]
+    breaks(world)
     (tmp_path / "bad.json").write_text(json.dumps(world))
     suite_data = _one_task_suite()
     suite_data["tasks"].append({**suite_data["tasks"][0], "id": "b", "world": "bad.json"})
     suite = suite_from_dict({**suite_data, "repetitions": 2})
-    report, records = run_suite(
+    return run_suite(
         suite, AgentConfig(), lambda task: ScriptedBackend.ordered([explore], cyclic=True),
         base_dir=tmp_path,
     )
+
+
+def test_a_malformed_world_gives_one_error_line_per_episode(tmp_path):
+    report, records = _run_beside_a_broken_world(tmp_path, lambda w: w["agent"].pop("seed"))
     assert report.errors == [
         f"{episode}: agent: missing keys ['seed']" for episode in ("b#1", "b#2")
     ]
+    assert [record.task_id for record in records] == ["a", "a"]
+
+
+@pytest.mark.parametrize(
+    "breaks, error",
+    [
+        (lambda w: w.update(objects=list(w["objects"].values())),
+         "objects must be an object of objects"),
+        (lambda w: w.update(discovered=5), "discovered must be an array of strings"),
+        (lambda w: w["objects"]["Mug_1"].update(controls=3),
+         "Mug_1: controls must be an array of strings"),
+    ],
+    ids=["objects-list", "discovered-scalar", "controls-scalar"],
+)
+def test_a_world_field_of_the_wrong_json_type_gives_one_error_line_per_episode(
+        tmp_path, breaks, error):
+    report, records = _run_beside_a_broken_world(tmp_path, breaks)
+    assert report.errors == [f"{episode}: {error}" for episode in ("b#1", "b#2")]
     assert [record.task_id for record in records] == ["a", "a"]

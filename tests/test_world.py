@@ -177,9 +177,12 @@ def test_world_from_dict_rejects_duplicate_parent():
         {"nav_faults": ["x"]},
         {"nav_faults": 3},
         {"objects": {"Mug_1": {"zone": "a", "attributes": ["pickupable"]}}},
+        {"objects": [{"zone": "a", "attributes": {}}]},
+        {"discovered": 5},
+        {"objects": {"Mug_1": {"zone": "a", "controls": 3}}},
     ],
     ids=["no-zone", "no-seed", "text-seed", "null-seed", "text-fault", "scalar-faults",
-         "attribute-list"],
+         "attribute-list", "objects-list", "discovered-scalar", "controls-scalar"],
 )
 def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
     data = {
