@@ -5,10 +5,12 @@ Instead of rollout simulation, a leaf's action path is scored by a language
 model critique (1..10, normalized to [0, 1]). A proposed action the simulator
 refuses (it fails verification or names an unknown tool) stays in the tree as
 a leaf carrying its failure observation: it is never expanded and never
-critiqued, and each evaluation of it scores zero. The executed action is the
-most visited root child that was not refused (robust-child rule); only when
-every root child was refused is the most visited refused one executed, so
-the agent records the simulator's feedback.
+critiqued, and each evaluation of it scores zero. While every root child was
+refused, the root is expanded again, at most ``ROOT_RETRY_BUDGET`` times,
+instead of a refused leaf being revisited. The executed action is the most
+visited root child that was not refused (robust-child rule); only when every
+root child was refused is the most visited refused one executed, so the agent
+records the simulator's feedback.
 
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposed step with its simulated observation, keeping the raw Action
@@ -55,6 +57,7 @@ RETRY_TEMPERATURE = 1.0  # after an unparseable or duplicate proposal
 CRITIQUE_TEMPERATURE = 0.0
 CRITIQUE_FALLBACK_SCORE = 1  # when no critique attempt yields a valid score
 EXPANSION_RETRY_BUDGET = 2  # proposals past children_per_expansion
+ROOT_RETRY_BUDGET = 1  # root expansions past the first, while every root child was refused
 CRITIQUE_RETRY_BUDGET = 2  # critique calls past the first
 
 
@@ -160,6 +163,13 @@ def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
     return (step.action, _frozen(step.action_input))
 
 
+def _child_key(child: SearchNode) -> tuple:
+    """The dedup key of the proposal a child was built from."""
+    if child.final_answer is not None:
+        return ("final-answer", child.final_answer)
+    return (child.step.action, _frozen(child.step.args))
+
+
 def _call_args(action_input: dict | str | None) -> dict | None:
     """The arguments the simulator is given for a parsed Action Input."""
     return action_input if isinstance(action_input, dict) else None
@@ -242,12 +252,13 @@ class MctsPlanner:
         )
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode]) -> list[SearchNode]:
-        """Propose up to children_per_expansion distinct next actions."""
+        """Propose up to children_per_expansion next actions, distinct from
+        each other and from the leaf's existing children."""
         prompt = self.expansion_prompt(goal, self.history + "".join(
             node.step.rendered for node in path if node.step is not None
         ))
         config = self.config
-        seen: set[tuple] = set()
+        seen = {_child_key(child) for child in leaf.children}
         children: list[SearchNode] = []
         attempts = 0
         max_attempts = config.children_per_expansion + EXPANSION_RETRY_BUDGET
@@ -305,24 +316,35 @@ class MctsPlanner:
 
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
         """Plan from a state that refresh_visibility or a successful execute
-        returned. Refused children are leaves, and one is committed only when
-        no root child was accepted by the simulator."""
+        returned. Refused children are leaves. While every root child was
+        refused, an iteration expands the root again (at most
+        ROOT_RETRY_BUDGET times); a refused child is committed only when no
+        root child was accepted by the simulator."""
         config = self.config
         self.history = history
         trace = [] if self.traces is not None else None
         root = SearchNode(state=state)
+        root_retries = ROOT_RETRY_BUDGET
         for iteration in range(config.expansion_budget):
-            path = select(root, EXPLORATION_CONSTANT)
+            retry = (root_retries > 0 and bool(root.children)
+                     and all(child.failed for child in root.children))
+            if retry:
+                root_retries -= 1
+                path = [root]
+            else:
+                path = select(root, EXPLORATION_CONSTANT)
             leaf = path[-1]
             expanded = False
-            if any(child.visit_count == 0 for child in leaf.children):
+            if not retry and any(child.visit_count == 0 for child in leaf.children):
                 node = next(ch for ch in leaf.children if ch.visit_count == 0)
                 path.append(node)
-            elif not leaf.terminal and leaf.depth < config.max_depth and not leaf.children:
+            elif retry or (not leaf.terminal and leaf.depth < config.max_depth
+                           and not leaf.children):
+                first = len(leaf.children)
                 try:
                     self.expand(leaf, goal, path)
                     expanded = True
-                    node = leaf.children[0]
+                    node = leaf.children[first]
                     path.append(node)
                 except ExpansionFailedError:
                     leaf.terminal = True

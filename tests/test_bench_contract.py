@@ -160,8 +160,8 @@ def test_every_workload_builds_its_config_and_suite(monkeypatch):
 WORKLOAD_DIGESTS = {
     "react-suite": "167b35876fe2ef2907d9c77885afdeb992fc87a140894c69b725bc84bd0019af",
     "react-long": "3160c7c1032cf87e7717cf476b1e4c91208f6e2df61e32b28a10ec8be083993a",
-    "mcts-suite": "8c063f8aecb48e9e656ec1aa88b64f9b237989631cd2a3f53ff35241c99a4d5a",
-    "mcts-remote": "397935555f381b4474a4f735e0896fb8bc69aaf2e658eed41b33ce4c07d0d395",
+    "mcts-suite": "f8ce31d64791e74d4dcf44da18f05faecad359c2a44d6a80f336ec3b5cac1963",
+    "mcts-remote": "7b73481f11909cdf67c45fae18611384d8fbe9f69dbe234f9a070a54483af8f4",
 }
 
 

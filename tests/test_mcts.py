@@ -376,15 +376,58 @@ def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
         assert refused.step.rendered not in prompt and refused.label not in prompt
 
 
+def _unknown_tool(name):
+    return f"Thought: try\nAction: {name}\nAction Input: {{'object_id': 'Knife_1'}}"
+
+
 def test_when_every_root_child_is_refused_the_most_visited_is_committed():
-    backend = ScriptedBackend.ordered([PICK_COUNTER, PLACE_COUNTER])
+    # The root is expanded twice (the first time and its one retry); every
+    # proposal is refused, so nothing is critiqued.
+    assert mcts.ROOT_RETRY_BUDGET == 1
+    backend = ScriptedBackend.ordered(
+        [PICK_COUNTER, PLACE_COUNTER, _unknown_tool("Levitate"), _unknown_tool("Juggle")]
+    )
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
     result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    first, second = result.root.children
-    assert first.failed and second.failed and not first.children and not second.children
-    assert (first.visit_count, second.visit_count) == (3, 2)
+    children = result.root.children
+    assert len(children) == 4
+    assert all(child.failed and not child.children for child in children)
+    assert [child.visit_count for child in children] == [2, 1, 1, 1]
     assert (result.action, result.args) == ("Pick Up Object", {"object_id": "CounterTop_1"})
-    assert len(backend.prompts) == 2  # the two proposals; nothing is critiqued
+    assert len(backend.prompts) == 4  # the four proposals
+    assert len(set(backend.prompts)) == 1  # each on the root's expansion prompt
+
+
+def test_a_root_retry_skips_refused_calls_and_commits_an_accepted_one():
+    backend = ScriptedBackend.ordered(
+        [PICK_COUNTER, PLACE_COUNTER,  # first expansion: both refused
+         PLACE_COUNTER, PICK_KNIFE, _unknown_tool("Levitate"),  # retry: a repeat is skipped
+         "Score: 7"]
+    )
+    config = PlannerConfig(expansion_budget=3, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    labels = [child.label for child in result.root.children]
+    assert labels == [
+        "Pick Up Object {'object_id': 'CounterTop_1'}",
+        "Place Object {'object_id': 'CounterTop_1'}",
+        "Pick Up Object {'object_id': 'Knife_1'}",
+        "Levitate {'object_id': 'Knife_1'}",
+    ]
+    assert [child.failed for child in result.root.children] == [True, True, False, True]
+    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "Knife_1"})
+    # Five proposals on the root's expansion prompt, then one critique; the
+    # third iteration visits a refused child instead of retrying again.
+    assert len(backend.prompts) == 6
+    assert len(set(backend.prompts[:5])) == 1
+
+
+def test_a_root_retry_that_yields_no_child_keeps_the_refused_children():
+    backend = ScriptedBackend.ordered([PICK_COUNTER, PLACE_COUNTER] + ["prose"] * 4)
+    config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    assert result.root.terminal and len(result.root.children) == 2
+    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "CounterTop_1"})
+    assert len(backend.prompts) == 6  # two proposals, then four unparseable ones
 
 
 def test_a_refused_child_is_never_critiqued(monkeypatch):
