@@ -12,7 +12,7 @@ from .formula import parse_precondition, print_precondition
 from .grounding import evaluate, unsatisfied
 from .sim import check_goal, execute, load_task, load_trace, replay_trace
 from .tools import builtin_tool_library
-from .world import WorldState, attribute_lookup, load_world, validate_world
+from .world import WorldState, load_world, validate_world
 
 __all__ = [
     "parse_precondition",
@@ -26,7 +26,6 @@ __all__ = [
     "replay_trace",
     "builtin_tool_library",
     "WorldState",
-    "attribute_lookup",
     "load_world",
     "validate_world",
 ]

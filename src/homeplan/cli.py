@@ -19,15 +19,15 @@ from .mcts import PlannerConfig
 from .precondgen import compare_fixture
 from .sim import load_trace, replay_trace
 from .suite import (
-    MetricsReport,
     completion_rates,
     config_hash,
     generate_easy_suite,
+    load_report,
+    load_stepwise_counts,
     load_suite,
     resolve_world,
     run_suite,
     save_suite,
-    stepwise_from_counts,
 )
 
 EXIT_OK = 0
@@ -194,22 +194,10 @@ def _cmd_replay_trace(args) -> int:
 def _cmd_report(args) -> int:
     did_anything = False
     if args.records:
-        with open(args.records, encoding="utf-8") as handle:
-            data = json.load(handle)
-        report = MetricsReport(
-            suite_name=data["suite"],
-            config_label=data["config"],
-            seed=data["seed"],
-            episodes=data["episodes"],
-            errors=data.get("errors", []),
-        )
-        print(report.render_text())
+        print(load_report(args.records).render_text())
         did_anything = True
     if args.stepwise_counts:
-        with open(args.stepwise_counts, encoding="utf-8") as handle:
-            counts = json.load(handle)
-        table = stepwise_from_counts(counts["rows"])
-        print(table.render_text())
+        print(load_stepwise_counts(args.stepwise_counts).render_text())
         did_anything = True
     if args.completion_counts:
         groups = {}

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one field check
+that every JSON input loader runs on each object it reads."""
+
+from collections.abc import Mapping
+from types import MappingProxyType
 
 
 class HomeplanError(Exception):
@@ -89,10 +93,6 @@ class ScoreOutOfRangeError(HomeplanError):
         self.score = score
 
 
-class NoPddlFoundError(HomeplanError):
-    """Completion contains no fenced pddl block or s-expression."""
-
-
 class ScriptExhaustedError(HomeplanError):
     """Scripted backend ran out of usable entries."""
 
@@ -103,13 +103,6 @@ class ScriptMismatchError(HomeplanError):
 
 class BackendUnavailableError(HomeplanError):
     """Remote backend could not produce a completion."""
-
-
-class GenerationFailedError(HomeplanError):
-    def __init__(self, tool: str, last_error: Exception):
-        super().__init__(f"precondition generation failed for {tool!r}: {last_error}")
-        self.tool = tool
-        self.last_error = last_error
 
 
 class KeyMismatchError(HomeplanError):
@@ -130,3 +123,56 @@ class InsufficientObjectsError(HomeplanError):
 
 class SuiteFormatError(HomeplanError):
     """Suite or task file violates its schema."""
+
+
+class InputFormatError(HomeplanError):
+    """A trace, script, message table, precondition-pairs file or report
+    input violates its schema."""
+
+
+# Declared JSON types by name: (one value, the members of a container).
+_JSON_NAMES = {
+    dict: ("an object", "objects"), list: ("an array", "arrays"),
+    str: ("a string", "strings"), int: ("an integer", "integers"),
+    float: ("a number", "numbers"), bool: ("a boolean", "booleans"),
+    type(None): ("null", "nulls"),
+}
+_NO_FIELDS: Mapping = MappingProxyType({})
+
+
+def _json_name(kind, members: bool = False) -> str:
+    return " or ".join(_JSON_NAMES[part][members] for part in getattr(kind, "__args__", (kind,)))
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is not a number."""
+    return isinstance(value, kind) and (kind is bool or type(value) is not bool)
+
+
+def check_fields(data, error: type[HomeplanError], where: str,
+                 required: Mapping = _NO_FIELDS, optional: Mapping = _NO_FIELDS):
+    """Return ``data`` once it is a JSON object with every required key, no
+    key that neither table declares, and each value of its declared JSON
+    type; raise ``error`` otherwise, its message led by ``where``.
+
+    A declared type is a type (``str``), a union (``str | None``) or a
+    ``(container, member type)`` pair (``(list, str)``; a dict's members are
+    its values)."""
+    prefix = f"{where}: " if where else ""
+    if type(data) is not dict:
+        raise error(f"{prefix}expected a JSON object")
+    unknown = data.keys() - required.keys() - optional.keys()
+    if unknown:
+        raise error(f"{prefix}unknown keys {sorted(unknown)}")
+    missing = required.keys() - data.keys()
+    if missing:
+        raise error(f"{prefix}missing keys {sorted(missing)}")
+    for key, value in data.items():
+        kind = required[key] if key in required else optional[key]
+        kind, member = kind if type(kind) is tuple else (kind, None)
+        if not _is(value, kind) or member is not None and not all(
+            _is(item, member) for item in (value.values() if kind is dict else value)
+        ):
+            of = f" of {_json_name(member, True)}" if member is not None else ""
+            raise error(f"{prefix}{key} must be {_json_name(kind)}{of}")
+    return data

@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import UnboundVariableError, UnknownObjectError
+from .errors import InputFormatError, UnboundVariableError, UnknownObjectError, check_fields
 from .formula import And, Atom, Exists, Formula, Not, When, print_precondition
 from .world import AGENT_PREDICATE, ATTRIBUTE_NAMES, WorldState, attribute_reader
 
@@ -31,10 +31,20 @@ class FeedbackItem:
     message: str
 
 
+_MESSAGE_FIELDS = {"atoms": (dict, dict), "exists": str, "fallback": str}
+_MESSAGE_OPTIONAL = {"special": (dict, str)}
+# A predicate or polarity without a message fails only when it is needed.
+_ATOM_MESSAGE_OPTIONAL = {"required_true": str, "required_false": str}
+
+
 class MessageTable:
     """Per-predicate/polarity message templates for unsatisfied feedback."""
 
     def __init__(self, data: dict):
+        check_fields(data, InputFormatError, "messages", _MESSAGE_FIELDS, _MESSAGE_OPTIONAL)
+        for name, entry in data["atoms"].items():
+            check_fields(entry, InputFormatError, f"messages: {name}",
+                         optional=_ATOM_MESSAGE_OPTIONAL)
         self._atoms = data["atoms"]
         self._exists = data["exists"]
         self._fallback = data["fallback"]

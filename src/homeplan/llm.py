@@ -25,14 +25,15 @@ import requests
 
 from .errors import (
     BackendUnavailableError,
+    InputFormatError,
     MalformedCompletionError,
     MissingSlotError,
-    NoPddlFoundError,
     NoScoreError,
     ScoreOutOfRangeError,
     ScriptExhaustedError,
     ScriptMismatchError,
     UnknownToolError,
+    check_fields,
 )
 from .tools import ToolLibrary
 
@@ -41,16 +42,7 @@ ENV_API_KEY = "HOMEPLAN_LLM_API_KEY"
 ENV_MODEL = "HOMEPLAN_LLM_MODEL"
 RETRY_CEILING_S = 8  # longest wait between remote attempts
 
-TEMPLATE_FILES = {
-    "expansion": ("expansion.txt",),
-    "critique": ("critique.txt",),
-    "precondition-generation": (
-        "precondition_part1.txt",
-        "precondition_part2.txt",
-        "precondition_part3.txt",
-        "precondition_part4.txt",
-    ),
-}
+TEMPLATE_FILES = {"expansion": "expansion.txt", "critique": "critique.txt"}
 
 _SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 
@@ -90,20 +82,17 @@ def _packaged_text(filename: str) -> str:
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
-    """Load a template by name; parts are joined with blank lines. Shipped
-    files are read once per process, override directories on every call."""
+    """Load a template by name. Shipped files are read once per process,
+    override directories on every call."""
     try:
-        filenames = TEMPLATE_FILES[name]
+        filename = TEMPLATE_FILES[name]
     except KeyError:
         raise KeyError(f"unknown template name: {name!r}") from None
-    parts = []
-    for filename in filenames:
-        if directory is not None:
-            text = Path(directory, filename).read_text(encoding="utf-8")
-        else:
-            text = _packaged_text(filename)
-        parts.append(text.rstrip("\n"))
-    return PromptTemplate(name=name, body="\n\n".join(parts))
+    if directory is not None:
+        text = Path(directory, filename).read_text(encoding="utf-8")
+    else:
+        text = _packaged_text(filename)
+    return PromptTemplate(name=name, body=text.rstrip("\n"))
 
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
@@ -294,28 +283,6 @@ def parse_critique(completion: str) -> CritiqueResult:
     return CritiqueResult(justification=justification, score=score)
 
 
-_PDDL_FENCE_RE = re.compile(r"```pddl\s*\n(.*?)```", re.DOTALL)
-
-
-def extract_pddl_block(completion: str) -> str:
-    """First ```pddl fence, else the first balanced top-level s-expression."""
-    match = _PDDL_FENCE_RE.search(completion)
-    if match:
-        return match.group(1).strip()
-    start = completion.find("(")
-    if start == -1:
-        raise NoPddlFoundError("no pddl block or s-expression in completion")
-    depth = 0
-    for i in range(start, len(completion)):
-        if completion[i] == "(":
-            depth += 1
-        elif completion[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return completion[start: i + 1]
-    raise NoPddlFoundError("unbalanced s-expression in completion")
-
-
 # ---------------------------------------------------------------------------
 # Backends
 
@@ -332,6 +299,12 @@ class ScriptEntry:
     completion: str
     match: str | None = None
     uses: int = 1  # -1 means unlimited
+
+
+_SCRIPT_FIELDS = {"entries": (list, dict)}
+_SCRIPT_OPTIONAL = {"mode": str, "cyclic": bool}
+_ENTRY_FIELDS = {"completion": str}  # a script entry's keys are ScriptEntry's fields
+_ENTRY_OPTIONAL = {"match": str | None, "uses": int}
 
 
 class ScriptedBackend(LlmBackend):
@@ -361,16 +334,18 @@ class ScriptedBackend(LlmBackend):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedBackend":
+        """A backend from a script file's JSON; any fault is an InputFormatError."""
+        check_fields(data, InputFormatError, "script", _SCRIPT_FIELDS, _SCRIPT_OPTIONAL)
         entries = [
-            ScriptEntry(
-                completion=entry["completion"],
-                match=entry.get("match"),
-                uses=int(entry.get("uses", 1)),
-            )
-            for entry in data["entries"]
+            ScriptEntry(**check_fields(entry, InputFormatError, f"script entry {index}",
+                                       _ENTRY_FIELDS, _ENTRY_OPTIONAL))
+            for index, entry in enumerate(data["entries"])
         ]
-        return cls(entries, mode=data.get("mode", "ordered"),
-                   cyclic=bool(data.get("cyclic", False)))
+        try:
+            return cls(entries, mode=data.get("mode", "ordered"),
+                       cyclic=data.get("cyclic", False))
+        except ValueError as exc:
+            raise InputFormatError(f"script: {exc}") from None
 
     @classmethod
     def ordered(cls, completions: list[str], cyclic: bool = False) -> "ScriptedBackend":

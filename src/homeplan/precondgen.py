@@ -1,4 +1,4 @@
-"""Model-driven precondition generation and generated-vs-expert comparison.
+"""Generated-vs-expert precondition comparison.
 
 Atoms are matched structurally: two atoms are the same precondition when
 they have the same attribute, the same polarity, and sit in the same
@@ -10,20 +10,12 @@ exactly swaps the incorrect and missing populations.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    FormulaSyntaxError,
-    GenerationFailedError,
-    KeyMismatchError,
-    MalformedCompletionError,
-    NoPddlFoundError,
-)
+from .errors import KeyMismatchError
 from .formula import And, Atom, Exists, Formula, Not, When, parse_precondition
-from .llm import LlmBackend, extract_pddl_block, load_template, render_prompt
 from .tools import load_precondition_pairs
 
 
@@ -222,29 +214,3 @@ def compare_fixture(path: str | Path | None = None) -> ComparisonReport:
     generated, ground_truth, reported = load_fixture_formulas(path)
     return compare_sets(generated, ground_truth, reported_counts=reported)
 
-
-def generate_preconditions(
-    backend: LlmBackend,
-    tool_name: str,
-    tool_description: str,
-    retry_budget: int = 2,
-    template_dir: str | Path | None = None,
-    temperature: float = 0.0,
-) -> Formula:
-    """Prompt the backend for one tool's preconditions and parse the reply."""
-    if not tool_description:
-        raise ValueError("tool description must be nonempty")
-    template = load_template("precondition-generation", directory=template_dir)
-    action_information = json.dumps(
-        {"Action Name": tool_name, "Action Description": tool_description}
-    )
-    prompt = render_prompt(template, {"action_information": action_information})
-
-    last_error: Exception | None = None
-    for _ in range(retry_budget + 1):
-        completion = backend.complete(prompt, temperature=temperature)
-        try:
-            return parse_precondition(extract_pddl_block(completion))
-        except (NoPddlFoundError, FormulaSyntaxError, MalformedCompletionError) as exc:
-            last_error = exc
-    raise GenerationFailedError(tool_name, last_error)

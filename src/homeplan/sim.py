@@ -17,7 +17,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidObjectIdError, MalformedArgsError, SuiteFormatError, UnknownToolError
+from .errors import (
+    InputFormatError,
+    InvalidObjectIdError,
+    MalformedArgsError,
+    SuiteFormatError,
+    UnknownToolError,
+    check_fields,
+)
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
@@ -210,24 +217,19 @@ def check_goal(state: WorldState, task: TaskSpec) -> bool:
     return all(_atom_satisfied(state, atom) for atom in task.goal)
 
 
-_GOAL_KEYS = {
-    "attribute": {"type", "object", "attribute", "value"},
-    "containment": {"type", "object", "receptacle"},
-    "chilled": {"type", "object"},
-    "empty": {"type", "object"},
+_GOAL_FIELDS = {  # per goal atom type
+    "attribute": {"type": str, "object": str, "attribute": str, "value": bool},
+    "containment": {"type": str, "object": str, "receptacle": str},
+    "chilled": {"type": str, "object": str},
+    "empty": {"type": str, "object": str},
 }
 
 
 def goal_atom_from_dict(data: dict) -> GoalAtom:
     kind = data.get("type")
-    if kind not in _GOAL_KEYS:
+    if not isinstance(kind, str) or kind not in _GOAL_FIELDS:
         raise SuiteFormatError(f"unknown goal atom type: {kind!r}")
-    unknown = set(data) - _GOAL_KEYS[kind]
-    if unknown:
-        raise SuiteFormatError(f"goal atom {kind}: unknown keys {sorted(unknown)}")
-    missing = _GOAL_KEYS[kind] - set(data)
-    if missing:
-        raise SuiteFormatError(f"goal atom {kind}: missing keys {sorted(missing)}")
+    check_fields(data, SuiteFormatError, f"goal atom {kind}", _GOAL_FIELDS[kind])
     return GoalAtom(
         kind=kind,
         object_pattern=data["object"],
@@ -259,28 +261,26 @@ def task_to_dict(task: TaskSpec) -> dict:
     }
 
 
+_TASK_FIELDS = {"id": str, "difficulty": str, "instruction": str, "goal": (list, dict),
+               "maxSteps": int}
+_TASK_OPTIONAL = {"world": str | None}
+
+
 def task_from_dict(data: dict) -> TaskSpec:
-    required = {"id", "difficulty", "instruction", "goal", "maxSteps"}
-    unknown = set(data) - required - {"world"}
-    if unknown:
-        raise SuiteFormatError(f"task: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise SuiteFormatError(f"task: missing keys {sorted(missing)}")
+    check_fields(data, SuiteFormatError, "task", _TASK_FIELDS, _TASK_OPTIONAL)
     if data["difficulty"] not in ("easy", "moderate", "hard"):
         raise SuiteFormatError(f"task {data['id']}: bad difficulty {data['difficulty']!r}")
     goal = tuple(goal_atom_from_dict(atom) for atom in data["goal"])
     if not goal:
         raise SuiteFormatError(f"task {data['id']}: goal must have at least one atom")
-    max_steps = int(data["maxSteps"])
-    if max_steps <= 0:
+    if data["maxSteps"] <= 0:
         raise SuiteFormatError(f"task {data['id']}: maxSteps must be positive")
     return TaskSpec(
         id=data["id"],
         difficulty=data["difficulty"],
         instruction=data["instruction"],
         goal=goal,
-        max_steps=max_steps,
+        max_steps=data["maxSteps"],
         world=data.get("world"),
     )
 
@@ -303,15 +303,20 @@ class TraceFixture:
     final_answer: str | None
 
 
+_TRACE_FIELDS = {"world": str, "steps": (list, dict)}
+_TRACE_OPTIONAL = {"task": str | None, "final_thought": str | None, "final_answer": str | None}
+_STEP_FIELDS = {"action": str, "observation": str}
+_STEP_OPTIONAL = {"thought": str, "args": dict | str | None}
+_STEP_DEFAULTS = {"thought": "", "args": None}  # a step's keys are StepRecord's fields
+
+
 def trace_from_dict(data: dict) -> TraceFixture:
+    check_fields(data, InputFormatError, "trace", _TRACE_FIELDS, _TRACE_OPTIONAL)
     steps = tuple(
-        StepRecord(
-            thought=step.get("thought", ""),
-            action=step["action"],
-            args=step.get("args"),
-            observation=step["observation"],
-        )
-        for step in data["steps"]
+        StepRecord(**{**_STEP_DEFAULTS, **check_fields(
+            step, InputFormatError, f"trace step {index}", _STEP_FIELDS, _STEP_OPTIONAL
+        )})
+        for index, step in enumerate(data["steps"], start=1)
     )
     return TraceFixture(
         world=data["world"],

@@ -16,7 +16,13 @@ from importlib import resources
 from pathlib import Path
 
 from .agent import AgentConfig, EpisodeRecord, run_episode
-from .errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
+from .errors import (
+    HomeplanError,
+    InputFormatError,
+    InsufficientObjectsError,
+    SuiteFormatError,
+    check_fields,
+)
 from .sim import SUCCESS_PREFIX, GoalAtom, TaskSpec, task_from_dict, task_to_dict
 from .tools import builtin_tool_library
 from .world import WorldState, load_world
@@ -40,19 +46,24 @@ class SuiteSpec:
         }
 
 
+_SUITE_FIELDS = {"name": str, "tasks": (list, dict)}
+_SUITE_OPTIONAL = {"seed": int, "repetitions": int}
+
+
 def suite_from_dict(data: dict) -> SuiteSpec:
+    check_fields(data, SuiteFormatError, "suite", _SUITE_FIELDS, _SUITE_OPTIONAL)
     tasks = tuple(task_from_dict(entry) for entry in data["tasks"])
     if not tasks:
         raise SuiteFormatError("suite has no tasks")
     for task in tasks:
         if task.world is None:
             raise SuiteFormatError(f"task {task.id}: a suite task needs a world")
-    repetitions = int(data.get("repetitions", 1))
+    repetitions = data.get("repetitions", 1)
     if repetitions < 1:
         raise SuiteFormatError("repetitions must be at least 1")
     return SuiteSpec(
         name=data["name"],
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         tasks=tasks,
         repetitions=repetitions,
     )
@@ -219,6 +230,30 @@ class MetricsReport:
         for error in self.errors:
             lines.append(f"error: {error}")
         return "\n".join(lines)
+
+
+_REPORT_FIELDS = {"suite": str, "config": str, "seed": int, "episodes": (list, dict)}
+# errors, and the fields serialize derives, which load_report recomputes
+_REPORT_OPTIONAL = {"errors": (list, str), "completion_rate_percent": str,
+                    "per_difficulty": dict, "stepwise": dict}
+_EPISODE_FIELDS = {"difficulty": str, "success": bool}
+_EPISODE_OPTIONAL = {"id": str, "outcome": str, "steps": int, "llm_calls": int,
+                     "actions": (list, dict)}
+_ACTION_FIELDS = {"action": str, "ok": bool}
+
+
+def load_report(path: str | Path) -> MetricsReport:
+    """Read back a report file that ``homeplan run`` wrote."""
+    with open(path, encoding="utf-8") as handle:
+        data = check_fields(json.load(handle), InputFormatError, "report",
+                            _REPORT_FIELDS, _REPORT_OPTIONAL)
+    for index, episode in enumerate(data["episodes"], start=1):
+        where = f"report episode {index}"
+        check_fields(episode, InputFormatError, where, _EPISODE_FIELDS, _EPISODE_OPTIONAL)
+        for action in episode.get("actions", ()):
+            check_fields(action, InputFormatError, f"{where} action", _ACTION_FIELDS)
+    return MetricsReport(data["suite"], data["config"], data["seed"], data["episodes"],
+                         data.get("errors", []))
 
 
 def render_rate(value: float) -> str:
@@ -436,19 +471,26 @@ class StepwiseTable:
         return "\n".join(lines)
 
 
+_COUNTS_FIELDS = {"rows": (list, dict)}
+_ROW_FIELDS = {"skill": str, "successes": int, "failures": int}
+_ROW_OPTIONAL = {"reported_ssr": int | float}
+
+
 def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
     """Build a step-wise table from injected per-skill counts."""
-    return StepwiseTable(
-        rows=[
-            StepwiseRow(
-                skill=row["skill"],
-                successes=int(row["successes"]),
-                failures=int(row["failures"]),
-                reported_ssr=row.get("reported_ssr"),
-            )
-            for row in rows
-        ]
-    )
+    return StepwiseTable(rows=[
+        StepwiseRow(**check_fields(row, InputFormatError, f"counts row {index}",
+                                   _ROW_FIELDS, _ROW_OPTIONAL))
+        for index, row in enumerate(rows, start=1)
+    ])
+
+
+def load_stepwise_counts(path: str | Path) -> StepwiseTable:
+    """Tabulate a per-skill counts file: ``{"rows": [{skill, successes,
+    failures, reported_ssr?}]}``."""
+    with open(path, encoding="utf-8") as handle:
+        counts = check_fields(json.load(handle), InputFormatError, "counts", _COUNTS_FIELDS)
+    return stepwise_from_counts(counts["rows"])
 
 
 def stepwise_from_episodes(episodes: list[dict]) -> StepwiseTable:

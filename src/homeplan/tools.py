@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import UnknownToolError
+from .errors import InputFormatError, UnknownToolError, check_fields
 from .formula import Formula, parse_precondition
 from .world import ZONE_ANY, WorldState, _replace, concealed, with_attribute, with_zone
 
@@ -54,9 +54,6 @@ class ToolLibrary:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __iter__(self):
-        return iter(self.specs)
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -74,8 +71,14 @@ class ToolLibrary:
         return "\n".join(f"{spec.name}: {spec.description}" for spec in self.specs)
 
 
+_PAIRS_FIELDS = {"tools": (dict, dict)}
+_PAIRS_OPTIONAL = {"note": str, "reported_counts": (dict, int)}
+_PAIR_FIELDS = {"generated": str, "ground_truth": str}
+
+
 def load_precondition_pairs(path: str | Path | None = None) -> dict:
-    """Raw labeled-pairs fixture (generated/ground-truth text per tool)."""
+    """Labeled-pairs fixture (generated/ground-truth text per tool), its
+    fields checked."""
     if path is None:
         text = (
             resources.files("homeplan.data")
@@ -84,7 +87,11 @@ def load_precondition_pairs(path: str | Path | None = None) -> dict:
         )
     else:
         text = Path(path).read_text("utf-8")
-    return json.loads(text)
+    data = check_fields(json.loads(text), InputFormatError, "precondition pairs",
+                        _PAIRS_FIELDS, _PAIRS_OPTIONAL)
+    for tool, entry in data["tools"].items():
+        check_fields(entry, InputFormatError, f"precondition pairs: {tool}", _PAIR_FIELDS)
+    return data
 
 
 # ---------------------------------------------------------------------------

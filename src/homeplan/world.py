@@ -18,6 +18,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownObjectError,
     WorldFormatError,
+    check_fields,
 )
 
 # Closed attribute vocabulary, in canonical listing order. Unknown names are
@@ -112,15 +113,12 @@ class ObjectId:
     category: str
     instance_index: int
 
-    def render(self) -> str:
-        return f"{self.category}_{self.instance_index}"
-
     @classmethod
     def parse(cls, text: str) -> "ObjectId":
         head, sep, tail = text.rpartition("_")
         if not sep or not head:
             raise InvalidObjectIdError(text, "expected Category_N")
-        if not tail.isdigit():
+        if not tail.isdecimal():  # what int() reads; isdigit also takes "²"
             raise InvalidObjectIdError(text, "instance index must be digits")
         index = int(tail)
         if index <= 0:
@@ -128,9 +126,6 @@ class ObjectId:
         if tail != str(index):
             raise InvalidObjectIdError(text, "instance index has leading zeros")
         return cls(category=head, instance_index=index)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def category_of(object_id: str) -> str:
@@ -271,12 +266,6 @@ def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
     return lambda state, object_id: state.objects[object_id].attributes.get(attribute)
 
 
-def attribute_lookup(state: WorldState, object_id: str, attribute: str) -> bool:
-    """Read one stored attribute of any object id."""
-    state.info(object_id)  # UnknownObjectError first
-    return attribute_reader(attribute)(state, object_id)
-
-
 def validate_world(state: WorldState) -> list[str]:
     """Return a description of every violated invariant (empty when valid)."""
     violations: list[str] = []
@@ -343,61 +332,30 @@ def validate_world(state: WorldState) -> list[str]:
 # World fixture files
 
 
-_OBJECT_KEYS = {"zone", "attributes", "conspicuous", "heat_source", "display_id", "controls"}
-_AGENT_KEYS = {"zone", "seed", "holding"}
-_TOP_KEYS = {"objects", "containment", "agent", "discovered", "nav_faults"}
-# Where a field is present: its JSON type and, if not None, its members' type.
-_TOP_SHAPES = {"objects": (dict, dict), "containment": (list, list), "agent": (dict, None),
-               "discovered": (list, str), "nav_faults": (list, None)}
-_OBJECT_SHAPES = {"attributes": (dict, None), "controls": (list, str)}
-_JSON_NAMES = {dict: ("an object", "objects"), list: ("an array", "arrays"),
-               str: ("a string", "strings")}
-
-
-def _check_shapes(data: dict, shapes: dict, where: str = "") -> None:
-    """Raise WorldFormatError for a present field whose JSON type, or whose
-    members' type, is not the one ``shapes`` gives."""
-    for key, (kind, member) in shapes.items():
-        if key not in data:
-            continue
-        value = data[key]
-        members = value.values() if isinstance(value, dict) else value
-        if not isinstance(value, kind) or (
-            member is not None and not all(isinstance(item, member) for item in members)
-        ):
-            of = f" of {_JSON_NAMES[member][1]}" if member is not None else ""
-            raise WorldFormatError(f"{where}{key} must be {_JSON_NAMES[kind][0]}{of}")
+_WORLD_FIELDS = {"objects": (dict, dict), "containment": (list, list), "agent": dict}
+_WORLD_OPTIONAL = {"discovered": (list, str), "nav_faults": (list, int)}
+_OBJECT_OPTIONAL = {"zone": str | None, "attributes": dict, "conspicuous": bool,
+                    "heat_source": bool, "display_id": str | None, "controls": (list, str)}
+_ATTRIBUTE_OPTIONAL = dict.fromkeys(ATTRIBUTE_NAMES, bool)
+_AGENT_FIELDS = {"zone": str, "seed": int}
+_AGENT_OPTIONAL = {"holding": str | None}
 
 
 def world_from_dict(data: dict) -> WorldState:
     """Build a world from fixture data, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise WorldFormatError("world fixture must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise WorldFormatError(f"unknown top-level keys: {sorted(unknown)}")
-    for key in ("objects", "containment", "agent"):
-        if key not in data:
-            raise WorldFormatError(f"missing top-level key: {key!r}")
-    _check_shapes(data, _TOP_SHAPES)
+    check_fields(data, WorldFormatError, "", _WORLD_FIELDS, _WORLD_OPTIONAL)
 
     objects: dict[str, ObjectInfo] = {}
     for object_id, entry in data["objects"].items():
         ObjectId.parse(object_id)
-        unknown = set(entry) - _OBJECT_KEYS
-        if unknown:
-            raise WorldFormatError(f"{object_id}: unknown keys {sorted(unknown)}")
-        _check_shapes(entry, _OBJECT_SHAPES, f"{object_id}: ")
-        raw_attrs = entry.get("attributes", {})
-        bad = set(raw_attrs) - set(ATTRIBUTE_NAMES)
-        if bad:
-            raise WorldFormatError(f"{object_id}: unknown attributes {sorted(bad)}")
-        attrs = ObjectAttributes(**{name: bool(value) for name, value in raw_attrs.items()})
+        check_fields(entry, WorldFormatError, object_id, optional=_OBJECT_OPTIONAL)
+        attributes = check_fields(entry.get("attributes", {}), WorldFormatError,
+                                  f"{object_id}: attributes", optional=_ATTRIBUTE_OPTIONAL)
         objects[object_id] = ObjectInfo(
-            attributes=attrs,
+            attributes=ObjectAttributes(**attributes),
             zone=entry.get("zone"),
-            conspicuous=bool(entry.get("conspicuous", False)),
-            heat_source=bool(entry.get("heat_source", False)),
+            conspicuous=entry.get("conspicuous", False),
+            heat_source=entry.get("heat_source", False),
             display_id=entry.get("display_id"),
             controls=tuple(entry.get("controls", ())),
         )
@@ -411,25 +369,13 @@ def world_from_dict(data: dict) -> WorldState:
             raise WorldFormatError(f"{child}: more than one containment parent")
         containment[child] = parent
 
-    raw_agent = data["agent"]
-    unknown = set(raw_agent) - _AGENT_KEYS
-    if unknown:
-        raise WorldFormatError(f"agent: unknown keys {sorted(unknown)}")
-    missing = {"zone", "seed"} - set(raw_agent)
-    if missing:
-        raise WorldFormatError(f"agent: missing keys {sorted(missing)}")
-    try:
-        rng_seed = int(raw_agent["seed"])
-        nav_faults = frozenset(int(i) for i in data.get("nav_faults", ()))
-    except (TypeError, ValueError) as exc:
-        raise WorldFormatError(f"agent seed and nav_faults must be integers: {exc}") from None
-
+    agent = check_fields(data["agent"], WorldFormatError, "agent", _AGENT_FIELDS, _AGENT_OPTIONAL)
     state = WorldState(
         objects=objects,
         containment=containment,
-        agent=AgentState(raw_agent["zone"], rng_seed, held_object=raw_agent.get("holding")),
+        agent=AgentState(agent["zone"], agent["seed"], held_object=agent.get("holding")),
         discovered=frozenset(data.get("discovered", ())),
-        nav_faults=nav_faults,
+        nav_faults=frozenset(data.get("nav_faults", ())),
     )
     problems = validate_world(state)
     if problems:

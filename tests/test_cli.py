@@ -159,6 +159,26 @@ def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda task: task.update(world=5), lambda task: task.update(goal="ab")],
+    ids=["world-number", "goal-string"],
+)
+def test_run_on_a_task_field_of_the_wrong_json_type_exits_2_without_a_traceback(tmp_path, edit):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    suite_data = json.loads(suite_path.read_text())
+    edit(suite_data["tasks"][1])
+    suite_path.write_text(json.dumps(suite_data))
+    result = subprocess.run(
+        [sys.executable, "-m", "homeplan.cli", "run", "--suite", str(suite_path),
+         "--backend", f"scripted:{script_path}", "--out", str(tmp_path / "reports")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: task: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_run_with_an_empty_cyclic_script_is_config_error(tmp_path, capsys):
     suite_path, _, _ = card_to_sink_suite(tmp_path)
     script_path = tmp_path / "empty.json"
@@ -177,6 +197,34 @@ def test_report_stepwise_counts(tmp_path, capsys):
     for value in ("73%", "100%", "81%", "90%", "68%"):
         assert value in out
     assert "flag: Place: computed 46.2% vs reported 40%" in out
+
+
+@pytest.mark.parametrize(
+    "flag, data, error",
+    [
+        ("--records", {"suite": "s", "config": "c", "seed": 1, "episodes": 5},
+         "report: episodes must be an array of objects"),
+        ("--stepwise-counts", {"rows": [5]}, "counts: rows must be an array of objects"),
+        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": "2", "failures": 0}]},
+         "counts row 1: successes must be an integer"),
+    ],
+    ids=["episodes-number", "rows-of-numbers", "count-text"],
+)
+def test_report_on_a_malformed_input_is_config_error(tmp_path, capsys, flag, data, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+          "--out", str(tmp_path / "reports")])
+    run_text = capsys.readouterr().out.split("\n\nreport written to")[0]
+    (records,) = (tmp_path / "reports").glob("*.json")
+    assert main(["report", "--records", str(records)]) == 0
+    assert capsys.readouterr().out == run_text + "\n"
 
 
 def test_report_completion_counts(capsys):

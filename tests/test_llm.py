@@ -17,7 +17,6 @@ from homeplan.errors import (
     BackendUnavailableError,
     MalformedCompletionError,
     MissingSlotError,
-    NoPddlFoundError,
     NoScoreError,
     ScoreOutOfRangeError,
     ScriptExhaustedError,
@@ -34,7 +33,6 @@ from homeplan.llm import (
     ScriptedBackend,
     ScriptEntry,
     StepRecord,
-    extract_pddl_block,
     format_step,
     load_template,
     parse_critique,
@@ -64,21 +62,6 @@ def test_expansion_template_slots():
         render_prompt(
             template, {"tools": "t", "tool_names": "a, b", "input": "task"}
         )
-
-
-def test_precondition_template_contains_reference_example():
-    template = load_template("precondition-generation")
-    text = render_prompt(
-        template,
-        {
-            "action_information": '{ "Action Name": "Open Object", '
-            '"Action Description": "Open a target object." }'
-        },
-    )
-    assert "Return a list of all items inside or on a target object" in text
-    assert '"Action Name": "Open Object"' in text
-    assert "MUST" in text  # vocabulary rules section present
-    assert "{{" not in text and "}}" not in text
 
 
 def test_render_rejects_stray_brace():
@@ -238,47 +221,6 @@ def test_parse_critique_uses_last_score_line():
 def test_parse_critique_no_score():
     with pytest.raises(NoScoreError):
         parse_critique("Great plan, ten out of ten!")
-
-
-PART4_EXAMPLE_RESPONSE = """Here is the definition outlining the preconditions and effects of the action.
-Preconditions:
-```pddl
-(and
-    (receptacle ?x)
-    (visible ?x)
-    (when
-        (and
-            (openable ?x)
-        )
-        (and
-            (isOpen ?x)
-        )
-    )
-    (not (isHoldingObject))
-)
-```
-Justification:
-It makes sense that in order to search an object, that object likely must first
-be visible.
-"""
-
-
-def test_extract_pddl_fenced_block():
-    block = extract_pddl_block(PART4_EXAMPLE_RESPONSE)
-    assert block.startswith("(and")
-    assert block.endswith(")")
-    assert "isHoldingObject" in block
-
-
-def test_extract_pddl_fallback_sexpr():
-    assert extract_pddl_block("sure: (and (visible ?x)) hope that helps") == (
-        "(and (visible ?x))"
-    )
-
-
-def test_extract_pddl_none_found():
-    with pytest.raises(NoPddlFoundError):
-        extract_pddl_block("I cannot produce preconditions today.")
 
 
 def test_scripted_ordered_sequence_and_exhaustion():
@@ -526,11 +468,11 @@ def test_render_prompt_matches_the_regex_reference(body, fills):
 
 def test_packaged_templates_are_read_once_per_process():
     llm._packaged_text.cache_clear()
-    first = load_template("precondition-generation")
-    second = load_template("precondition-generation")
+    first = load_template("critique")
+    second = load_template("critique")
     assert first == second
     info = llm._packaged_text.cache_info()
-    assert (info.misses, info.hits) == (4, 4)  # four part files
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_template_directory_override_is_read_on_every_call(tmp_path):

@@ -1,13 +1,11 @@
 import pytest
 
-from homeplan.errors import GenerationFailedError, KeyMismatchError
+from homeplan.errors import KeyMismatchError
 from homeplan.formula import parse_precondition
-from homeplan.llm import ScriptedBackend
 from homeplan.precondgen import (
     compare_fixture,
     compare_sets,
     flatten_atoms,
-    generate_preconditions,
     load_fixture_formulas,
     match_atoms,
 )
@@ -133,55 +131,3 @@ def test_fixture_formulas_align_with_tool_library():
     for tool, formula in ground_truth.items():
         assert lib.get(tool).precondition == formula
 
-
-VALID_COMPLETION = """Preconditions:
-```pddl
-(and
-    (receptacle ?x)
-    (visible ?x)
-    (when
-        (and
-            (openable ?x)
-        )
-        (and
-            (isOpen ?x)
-        )
-    )
-    (not (isHoldingObject))
-)
-```
-Justification: standard search constraints.
-"""
-
-
-def test_generate_preconditions_parses_reply():
-    backend = ScriptedBackend.ordered([VALID_COMPLETION])
-    formula = generate_preconditions(
-        backend,
-        "Search Object",
-        "Return a list of all items inside or on a target object.",
-    )
-    assert formula == parse_precondition(
-        "(and (receptacle ?x) (visible ?x) (when (and (openable ?x)) (and (isOpen ?x)))"
-        " (not (isHoldingObject)))"
-    )
-    assert "Search Object" in backend.prompts[0]
-
-
-def test_generate_preconditions_retries_then_succeeds():
-    backend = ScriptedBackend.ordered(["no code here", "still nothing", VALID_COMPLETION])
-    formula = generate_preconditions(backend, "Search Object", "desc", retry_budget=2)
-    assert formula is not None
-    assert backend.call_count == 3
-
-
-def test_generate_preconditions_fails_after_budget():
-    backend = ScriptedBackend.ordered(["prose"] * 3)
-    with pytest.raises(GenerationFailedError):
-        generate_preconditions(backend, "Search Object", "desc", retry_budget=2)
-
-
-def test_generate_preconditions_requires_description():
-    backend = ScriptedBackend.ordered([VALID_COMPLETION])
-    with pytest.raises(ValueError):
-        generate_preconditions(backend, "Search Object", "")

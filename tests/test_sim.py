@@ -298,9 +298,7 @@ def test_search_empty_receptacle():
     world, _ = execute(world, "Adjust Positioning", {"object_id": "Cabinet_1"}, True)
     world, obs = execute(world, "Open Object", {"object_id": "Cabinet_1"}, True)
     assert obs.message == "Tool Completed Successfully: Target object was opened!"
-    from homeplan.world import attribute_lookup
-
-    assert attribute_lookup(world, "Cabinet_1", "isOpen") is True
+    assert world.objects["Cabinet_1"].attributes.isOpen is True
     _, obs = execute(world, "Search Object", {"object_id": "Cabinet_1"}, True)
     assert obs.message.endswith("receptacle: []")
 

@@ -18,8 +18,7 @@ from homeplan.world import (
     ObjectInfo,
     WorldState,
     _replace,
-    attribute_lookup,
-    attribute_lookup as lookup,
+    attribute_reader,
     validate_world,
     world_from_dict,
 )
@@ -34,25 +33,26 @@ def test_sixteen_attributes():
 
 def test_attribute_lookup_reads_stored_value():
     world = make_world({"Cabinet_1": make_object(openable=True)})
-    assert lookup(world, "Cabinet_1", "openable") is True
-    assert lookup(world, "Cabinet_1", "isOpen") is False
+    assert attribute_reader("openable")(world, "Cabinet_1") is True
+    assert attribute_reader("isOpen")(world, "Cabinet_1") is False
 
 
 def test_attribute_lookup_unknown_object():
     world = make_world({"Cabinet_1": make_object()})
     with pytest.raises(UnknownObjectError):
-        lookup(world, "Ghost_9", "visible")
+        world.info("Ghost_9")
 
 
 def test_attribute_lookup_unknown_attribute():
     world = make_world({"Cabinet_1": make_object()})
     with pytest.raises(UnknownAttributeError):
-        lookup(world, "Cabinet_1", "temperature")
+        attribute_reader("temperature")(world, "Cabinet_1")
 
 
 def test_object_id_round_trip():
     for text in ("Cabinet_4", "SaltShaker_12", "Stove_Knob_3"):
-        assert ObjectId.parse(text).render() == text
+        parsed = ObjectId.parse(text)
+        assert f"{parsed.category}_{parsed.instance_index}" == text
 
 
 @given(
@@ -60,12 +60,12 @@ def test_object_id_round_trip():
     st.integers(min_value=1, max_value=10**6),
 )
 def test_object_id_parse_render_bijection(category, index):
-    rendered = ObjectId(category, index).render()
+    rendered = f"{category}_{index}"
     assert ObjectId.parse(rendered) == ObjectId(category, index)
 
 
 @pytest.mark.parametrize("bad", ["Cabinet", "Cabinet_", "_4", "Cabinet_0", "Cabinet_-1",
-                                 "Cabinet_04", "Cabinet_x"])
+                                 "Cabinet_04", "Cabinet_x", "Cabinet_\u00b2"])
 def test_object_id_rejects_malformed(bad):
     with pytest.raises(InvalidObjectIdError):
         ObjectId.parse(bad)
@@ -180,9 +180,16 @@ def test_world_from_dict_rejects_duplicate_parent():
         {"objects": [{"zone": "a", "attributes": {}}]},
         {"discovered": 5},
         {"objects": {"Mug_1": {"zone": "a", "controls": 3}}},
+        {"agent": {"zone": "a", "seed": 1, "holding": ["Mug_1"]}},
+        {"agent": {"zone": ["a"], "seed": 1}},
+        {"objects": {"Mug_1": {"zone": ["a"], "attributes": {}}}},
+        {"objects": {"Mug_1": {"zone": "a", "display_id": 5}}},
+        {"agent": {"zone": "a", "seed": True}},
     ],
     ids=["no-zone", "no-seed", "text-seed", "null-seed", "text-fault", "scalar-faults",
-         "attribute-list", "objects-list", "discovered-scalar", "controls-scalar"],
+         "attribute-list", "objects-list", "discovered-scalar", "controls-scalar",
+         "holding-list", "agent-zone-list", "object-zone-list", "display-id-number",
+         "boolean-seed"],
 )
 def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
     data = {
@@ -198,7 +205,7 @@ def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
 def test_kitchen_fixture_loads_and_validates(kitchen_world):
     assert validate_world(kitchen_world) == []
     assert len(kitchen_world.objects) == 49
-    assert attribute_lookup(kitchen_world, "Cabinet_1", "openable") is True
+    assert attribute_reader("openable")(kitchen_world, "Cabinet_1") is True
 
 
 # ---------------------------------------------------------------------------
