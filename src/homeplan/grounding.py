@@ -31,8 +31,9 @@ class FeedbackItem:
     message: str
 
 
-_MESSAGE_FIELDS = {"atoms": (dict, dict), "exists": str, "fallback": str}
-_MESSAGE_OPTIONAL = {"special": (dict, str)}
+_MESSAGE_FIELDS = {"atoms": (dict, dict), "exists": str, "fallback": str, "special": dict}
+# Texts for calls refused before any precondition is evaluated.
+_SPECIAL_FIELDS = {"not_discovered": str}
 # A predicate or polarity without a message fails only when it is needed.
 _ATOM_MESSAGE_OPTIONAL = {"required_true": str, "required_false": str}
 
@@ -41,14 +42,15 @@ class MessageTable:
     """Per-predicate/polarity message templates for unsatisfied feedback."""
 
     def __init__(self, data: dict):
-        check_fields(data, InputFormatError, "messages", _MESSAGE_FIELDS, _MESSAGE_OPTIONAL)
+        check_fields(data, InputFormatError, "messages", _MESSAGE_FIELDS)
+        check_fields(data["special"], InputFormatError, "messages: special", _SPECIAL_FIELDS)
         for name, entry in data["atoms"].items():
             check_fields(entry, InputFormatError, f"messages: {name}",
                          optional=_ATOM_MESSAGE_OPTIONAL)
         self._atoms = data["atoms"]
         self._exists = data["exists"]
         self._fallback = data["fallback"]
-        self.special = dict(data.get("special", {}))
+        self.special = dict(data["special"])
         self._collectors: dict[int, tuple] = {}  # see _compiled
 
     @classmethod

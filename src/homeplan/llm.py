@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
 import threading
 import time
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from .errors import (
     BackendUnavailableError,
@@ -403,19 +402,23 @@ class RemoteBackend(LlmBackend):
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
                  model: str | None = None, timeout: float = 60.0, max_retries: int = 3):
-        import os
-
         self.endpoint = endpoint or os.environ.get(ENV_ENDPOINT)
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
         self.model = model or os.environ.get(ENV_MODEL, "")
         self.timeout = timeout
         self.max_retries = max_retries
+        if max_retries < 1:
+            raise ValueError("remote max_retries must be at least 1")
+        if timeout <= 0:
+            raise ValueError("remote timeout must be positive")
         if not self.endpoint:
             raise BackendUnavailableError(
                 f"no endpoint configured (set {ENV_ENDPOINT} or pass endpoint=)"
             )
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        import requests  # imported here so that offline runs never load it
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -335,6 +334,8 @@ def run_suite(
             return f"{episode_id(job)}: {exc}"
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, jobs))
     else:

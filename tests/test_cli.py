@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
 from homeplan.cli import main
+from homeplan.errors import InputFormatError
+from homeplan.grounding import MessageTable
 
 from .test_suite import REFERENCE_STEPWISE_ROWS, RUNS_OUT_AFTER_ONE_STEP, card_to_sink_suite
 
@@ -275,6 +278,27 @@ def test_replay_with_message_override_reports_mismatches(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("special", [None, {}], ids=["missing", "empty"])
+def test_a_message_table_without_a_not_discovered_text_fails_at_load(tmp_path, capsys, special):
+    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    if special is None:
+        del data["special"]
+    else:
+        data["special"] = special
+    with pytest.raises(InputFormatError, match="^messages"):
+        MessageTable(data)
+    messages_path = tmp_path / "messages.json"
+    messages_path.write_text(json.dumps(data))
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--messages", str(messages_path), "--out", str(tmp_path / "reports")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: messages")
+    assert captured.out == ""  # no episode ran and no report was written
+    assert not (tmp_path / "reports").exists()
+
+
 def test_run_with_step_cap(tmp_path, capsys):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     code = main(
@@ -292,7 +316,6 @@ def test_run_with_step_cap(tmp_path, capsys):
 
 
 def test_run_with_template_dir_override(tmp_path, capsys):
-    from importlib import resources
     import shutil
 
     template_dir = tmp_path / "templates"

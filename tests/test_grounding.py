@@ -143,7 +143,7 @@ def test_message_table_override(tmp_path):
                                 "required_false": "should not see it"}},
          "exists": "nothing matches {formula}",
          "fallback": "failed: {formula}",
-         "special": {}}
+         "special": {"not_discovered": "never seen it"}}
         """
     )
     table = MessageTable.load(table_file)
@@ -347,7 +347,7 @@ def custom_table():
                   for name in names},
         "exists": "nothing is {formula}",
         "fallback": "fails {formula}",
-        "special": {},
+        "special": {"not_discovered": "not found yet"},
     })
 
 

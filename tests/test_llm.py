@@ -410,6 +410,40 @@ def test_remote_backend_gives_up_after_max_retries(stub_server, monkeypatch):
     assert waits == [RETRY_CEILING_S, 2]  # Retry-After capped; no wait after the last try
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"max_retries": 0}, "max_retries"), ({"max_retries": -1}, "max_retries"),
+     ({"timeout": 0}, "timeout"), ({"timeout": -1.0}, "timeout")],
+    ids=["no-attempts", "negative-attempts", "zero-timeout", "negative-timeout"],
+)
+def test_remote_backend_rejects_impossible_settings(setting, message):
+    with pytest.raises(ValueError, match=message):
+        RemoteBackend(endpoint="http://127.0.0.1:9/v1/chat/completions", **setting)
+
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import homeplan, homeplan.agent, homeplan.suite, homeplan.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_neither_requests_nor_a_thread_pool():
+    """Offline runs never make an HTTP call or start a worker pool, so set-up
+    imports neither; the remote and workers > 1 tests load them on use. The
+    new modules are diffed against the process's own start, so site hooks
+    that load something first do not matter."""
+    src = str(Path(llm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "homeplan.cli" in loaded
+    assert loaded & {"requests", "urllib3", "concurrent.futures"} == set()
+
+
 # ---------------------------------------------------------------------------
 # Compiled templates and template reads
 
