@@ -46,11 +46,8 @@ class FormulaSyntaxError(HomeplanError):
 
 class UnknownPredicateError(FormulaSyntaxError):
     def __init__(self, name: str, line: int, column: int):
-        HomeplanError.__init__(self, f"unknown predicate {name!r} at line {line}, column {column}")
+        super().__init__(f"unknown predicate {name!r}", line, column)
         self.name = name
-        self.line = line
-        self.column = column
-        self.expected = ()
 
 
 class UnboundVariableError(FormulaSyntaxError):
@@ -103,10 +100,6 @@ class ScriptMismatchError(HomeplanError):
 
 class BackendUnavailableError(HomeplanError):
     """Remote backend could not produce a completion."""
-
-
-class KeyMismatchError(HomeplanError):
-    """Generated and ground-truth maps cover different tool names."""
 
 
 class ExpansionFailedError(HomeplanError):

@@ -9,7 +9,7 @@ The language is a small s-expression dialect over boolean object predicates:
 Predicates come from the closed sixteen-name attribute vocabulary plus the
 nullary agent predicate. ``?x`` denotes the action's target object; any
 other variable must be bound by an enclosing ``exists``. ``;`` starts a
-line comment. Input may be wrapped in a ```pddl fenced block.
+line comment.
 """
 
 from __future__ import annotations
@@ -70,49 +70,30 @@ class _Token:
     column: int
 
 
-_FENCE_RE = re.compile(r"```(?:pddl)?\s*\n(.*?)```", re.DOTALL)
-
-
-def strip_fence(source: str) -> str:
-    """Return the contents of the first fenced block, or the text unchanged."""
-    match = _FENCE_RE.search(source)
-    if match:
-        return match.group(1)
-    return source
+# Skipped text (whitespace or a comment), a parenthesis, a symbol or
+# variable, and any other character, which no token may hold.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>\s+|;[^\n]*)|(?P<paren>[()])|(?P<word>\??[A-Za-z_][A-Za-z0-9_-]*)|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < len(source) and source[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        match = re.match(r"\??[A-Za-z_][A-Za-z0-9_-]*", source[i:])
-        if not match:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, column)
-        text = match.group(0)
-        kind = "variable" if text.startswith("?") else "symbol"
-        tokens.append(_Token(kind, text, line, column))
-        column += len(text)
-        i += len(text)
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        column = start - line_start + 1
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "other":
+            raise FormulaSyntaxError(f"unexpected character {text!r}", line, column)
+        elif kind == "paren":
+            tokens.append(_Token(text, text, line, column))
+        else:
+            tokens.append(_Token("variable" if text[0] == "?" else "symbol", text, line, column))
     return tokens
 
 
@@ -232,10 +213,9 @@ class _Parser:
 
 
 def parse_precondition(source: str) -> Formula:
-    """Parse precondition text (optionally ```pddl-fenced) into an AST."""
-    text = strip_fence(source)
-    tokens = _tokenize(text)
-    end_line = text.count("\n") + 1
+    """Parse precondition text into an AST."""
+    tokens = _tokenize(source)
+    end_line = source.count("\n") + 1
     if not tokens:
         raise FormulaSyntaxError("empty input", 1, 1, ("(",))
     return _Parser(tokens, end_line).parse()

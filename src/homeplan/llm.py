@@ -313,14 +313,16 @@ class ScriptedBackend(LlmBackend):
     string, when present, is asserted against the prompt. In ``keyed`` mode
     the first entry with remaining uses whose matcher occurs in the prompt is
     consumed, so scripts can branch on feedback text. Exhaustion is an error
-    unless the script is cyclic.
+    unless the script is cyclic, which only an ordered script may be.
     """
 
     def __init__(self, entries: list[ScriptEntry], mode: str = "ordered",
                  cyclic: bool = False):
         if mode not in ("ordered", "keyed"):
             raise ValueError(f"unknown script mode: {mode!r}")
-        if cyclic and mode == "ordered" and all(entry.uses == 0 for entry in entries):
+        if cyclic and mode == "keyed":
+            raise ValueError("a keyed script cannot be cyclic")
+        if cyclic and all(entry.uses == 0 for entry in entries):
             raise ValueError("a cyclic ordered script needs an entry with uses other than 0")
         self.mode = mode
         self.cyclic = cyclic

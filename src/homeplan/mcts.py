@@ -369,6 +369,7 @@ class MctsPlanner:
                         "expanded": expanded,
                         "raw_score": raw,
                         "normalized_score": score,
+                        "justification": justification,
                         "node_visits": node.visit_count,
                         "node_q": node.q_value,
                     }

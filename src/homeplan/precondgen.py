@@ -11,10 +11,9 @@ exactly swaps the incorrect and missing populations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import KeyMismatchError
 from .formula import And, Atom, Exists, Formula, Not, When, parse_precondition
 from .tools import load_precondition_pairs
 
@@ -66,14 +65,6 @@ class MatchResult:
     incorrect: tuple[AtomKey, ...]  # generated, not in ground truth
     missing: tuple[AtomKey, ...]  # ground truth, not generated
 
-    @property
-    def generated_total(self) -> int:
-        return len(self.correct) + len(self.incorrect)
-
-    @property
-    def ground_truth_total(self) -> int:
-        return len(self.correct) + len(self.missing)
-
 
 def match_atoms(generated: Formula, ground_truth: Formula) -> MatchResult:
     gen = flatten_atoms(generated)
@@ -88,19 +79,41 @@ def match_atoms(generated: Formula, ground_truth: Formula) -> MatchResult:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonReport:
+    """Per-tool labels, and the totals and rates they add up to."""
+
     per_tool: dict[str, MatchResult]
-    correct: int
-    total_generated: int
-    total_ground_truth: int
-    accuracy: float
-    recall: float
-    warnings: list[str] = field(default_factory=list)
-    reported_counts: dict | None = None
+    reported_counts: dict
+
+    @property
+    def correct(self) -> int:
+        return sum(len(result.correct) for result in self.per_tool.values())
+
+    @property
+    def total_generated(self) -> int:
+        return self.correct + sum(len(result.incorrect) for result in self.per_tool.values())
+
+    @property
+    def total_ground_truth(self) -> int:
+        return self.correct + sum(len(result.missing) for result in self.per_tool.values())
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / self.total_generated if self.total_generated else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.correct / self.total_ground_truth if self.total_ground_truth else 0.0
+
+    @property
+    def warnings(self) -> list[str]:
+        if self.total_generated:
+            return []
+        return ["no generated preconditions; accuracy reported as 0"]
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "per_tool": {
                 tool: {
                     "correct": [k.render() for k in result.correct],
@@ -118,11 +131,9 @@ class ComparisonReport:
             "recall": self.recall,
             "accuracy_percent": f"{100 * self.accuracy:.1f}%",
             "recall_percent": f"{100 * self.recall:.1f}%",
-            "warnings": list(self.warnings),
+            "warnings": self.warnings,
+            "reported_counts": dict(self.reported_counts),
         }
-        if self.reported_counts is not None:
-            data["reported_counts"] = dict(self.reported_counts)
-        return data
 
     def render_text(self) -> str:
         lines = ["tool                          correct  incorrect  missing"]
@@ -160,57 +171,13 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare_sets(
-    generated: dict[str, Formula],
-    ground_truth: dict[str, Formula],
-    reported_counts: dict | None = None,
-) -> ComparisonReport:
-    if set(generated) != set(ground_truth):
-        only_gen = sorted(set(generated) - set(ground_truth))
-        only_truth = sorted(set(ground_truth) - set(generated))
-        raise KeyMismatchError(
-            f"tool sets differ (generated only: {only_gen}, ground truth only: {only_truth})"
-        )
-    per_tool = {tool: match_atoms(generated[tool], ground_truth[tool]) for tool in generated}
-    correct = sum(len(r.correct) for r in per_tool.values())
-    total_generated = sum(r.generated_total for r in per_tool.values())
-    total_truth = sum(r.ground_truth_total for r in per_tool.values())
-    warnings = []
-    if total_generated == 0:
-        warnings.append("no generated preconditions; accuracy reported as 0")
-        accuracy = 0.0
-    else:
-        accuracy = correct / total_generated
-    recall = correct / total_truth if total_truth else 0.0
-    # Rates must reconstruct the integer counts they came from.
-    assert round(accuracy * total_generated) == (correct if total_generated else 0)
-    assert round(recall * total_truth) == (correct if total_truth else 0)
-    return ComparisonReport(
-        per_tool=per_tool,
-        correct=correct,
-        total_generated=total_generated,
-        total_ground_truth=total_truth,
-        accuracy=accuracy,
-        recall=recall,
-        warnings=warnings,
-        reported_counts=reported_counts,
-    )
-
-
-def load_fixture_formulas(
-    path: str | Path | None = None,
-) -> tuple[dict[str, Formula], dict[str, Formula], dict]:
-    """Parse the shipped labeled-pairs fixture into formula maps."""
-    data = load_precondition_pairs(path)
-    generated = {}
-    ground_truth = {}
-    for tool, entry in data["tools"].items():
-        generated[tool] = parse_precondition(entry["generated"])
-        ground_truth[tool] = parse_precondition(entry["ground_truth"])
-    return generated, ground_truth, data.get("reported_counts", {})
-
-
 def compare_fixture(path: str | Path | None = None) -> ComparisonReport:
-    generated, ground_truth, reported = load_fixture_formulas(path)
-    return compare_sets(generated, ground_truth, reported_counts=reported)
-
+    """Match each tool's generated precondition against its ground truth,
+    both read from one entry of the labeled-pairs table."""
+    data = load_precondition_pairs(path)
+    per_tool = {
+        tool: match_atoms(parse_precondition(entry["generated"]),
+                          parse_precondition(entry["ground_truth"]))
+        for tool, entry in data["tools"].items()
+    }
+    return ComparisonReport(per_tool, data.get("reported_counts", {}))

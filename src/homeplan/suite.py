@@ -23,7 +23,7 @@ from .errors import (
     check_fields,
 )
 from .sim import SUCCESS_PREFIX, GoalAtom, TaskSpec, task_from_dict, task_to_dict
-from .tools import builtin_tool_library
+from .tools import builtin_tool_library, seeded_draw
 from .world import WorldState, load_world
 
 SKILL_ORDER = ("locate", "move", "perceive", "manipulate", "place")
@@ -99,11 +99,6 @@ def resolve_world(ref: str, base_dir: str | Path | None = None) -> WorldState:
 # Easy-suite generation
 
 
-def _rand(seed: int, *labels) -> int:
-    key = "|".join(str(label) for label in labels)
-    return int.from_bytes(hashlib.sha256(f"{seed}|{key}".encode()).digest()[:8], "big")
-
-
 def _spaced_category(object_id: str) -> str:
     from .world import category_of
     import re
@@ -132,7 +127,7 @@ def generate_easy_suite(
         ]
         if not movable:
             raise InsufficientObjectsError(f"{ref}: no pickupable objects on receptacles")
-        target = movable[_rand(seed, "task", index, "object") % len(movable)]
+        target = movable[seeded_draw(seed, "task", index, "object") % len(movable)]
         source = world.parent_of(target)
         destinations = [
             oid
@@ -143,7 +138,7 @@ def generate_easy_suite(
         ]
         if not destinations:
             raise InsufficientObjectsError(f"{ref}: no destination receptacles")
-        destination = destinations[_rand(seed, "task", index, "dest") % len(destinations)]
+        destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]
 
         preposition = "in" if world.objects[destination].attributes.openable else "on"
         instruction = (
@@ -294,6 +289,8 @@ def run_suite(
 ) -> tuple[MetricsReport, list[EpisodeRecord]]:
     """Execute every episode; backend_factory(task) supplies each backend
     (pass a plain backend object to share one across episodes)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
 
     def factory(task):
         return backend_factory(task) if callable(backend_factory) else backend_factory

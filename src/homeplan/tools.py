@@ -155,16 +155,17 @@ def _pour(state: WorldState, target: str) -> tuple[WorldState, str]:
     return state, "Water was successfully poured into the target object!"
 
 
-def _counter_rand(seed: int, label: str, counter: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{label}|{counter}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def seeded_draw(seed: int, *labels) -> int:
+    """A 64-bit number fixed by the seed and the labels alone."""
+    key = "|".join(map(str, (seed, *labels)))
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
 def zone_order(state: WorldState) -> list[str]:
     """Seeded shuffle of the world's zones; the exploration itinerary."""
     order = state.zones()
     for i in range(len(order) - 1, 0, -1):
-        j = _counter_rand(state.agent.rng_seed, "zone-order", i) % (i + 1)
+        j = seeded_draw(state.agent.rng_seed, "zone-order", i) % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,17 @@ def test_compare_preconds_writes_json(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["accuracy_percent"] == "97.4%"
     assert data["recall_percent"] == "88.1%"
+
+
+def test_compare_preconds_outputs_are_pinned(tmp_path, capsys):
+    # The shipped table's report, byte for byte: stdout and the --out JSON.
+    out_file = tmp_path / "report.json"
+    assert main(["compare-preconds", "--out", str(out_file)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "5ce4187a22ccf87f1b30c02d7e4b3c2e50949b25f46199de7545b232369c23ea")
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "8f33ee7e0462c7241a371d7839c6369f31d62f1951bdffb029f6c8396f0dc039")
 
 
 def test_replay_trace_default(capsys):
@@ -136,8 +148,9 @@ def test_run_bad_backend_spec_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flags", [["--expansions", "0", "--mode", "mcts"], ["--max-steps", "0"]],
-                         ids=["expansions", "max-steps"])
+@pytest.mark.parametrize("flags", [["--expansions", "0", "--mode", "mcts"], ["--max-steps", "0"],
+                                   ["--workers", "0"], ["--workers", "-1"]],
+                         ids=["expansions", "max-steps", "workers", "negative-workers"])
 def test_run_with_a_zero_budget_flag_is_config_error(tmp_path, capsys, flags):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
@@ -190,6 +203,19 @@ def test_run_with_an_empty_cyclic_script_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "reports")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_run_with_a_keyed_cyclic_script_is_config_error(tmp_path, capsys):
+    # A keyed script is never refilled, so "cyclic" could not take effect.
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    script = json.loads(script_path.read_text())
+    script_path.write_text(json.dumps({**script, "cyclic": True}))
+    out_dir = tmp_path / "reports"
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(out_dir)])
+    assert capsys.readouterr().err == "error: script: a keyed script cannot be cyclic\n"
+    assert code == 2
+    assert not out_dir.exists()
 
 
 def test_report_stepwise_counts(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeplan.errors import (
@@ -13,6 +15,8 @@ from homeplan.formula import (
     Exists,
     Not,
     When,
+    _Token,
+    _tokenize,
     parse_precondition,
     print_precondition,
 )
@@ -47,9 +51,12 @@ def test_parse_search_block_structure():
     )
 
 
-def test_parse_accepts_pddl_fence():
+def test_parse_rejects_a_pddl_fence():
+    # Precondition text is a plain s-expression; a markdown fence is not unwrapped.
     fenced = "```pddl\n" + SEARCH_BLOCK + "\n```"
-    assert parse_precondition(fenced) == parse_precondition(SEARCH_BLOCK)
+    with pytest.raises(FormulaSyntaxError) as excinfo:
+        parse_precondition(fenced)
+    assert str(excinfo.value) == "unexpected character '`' at line 1, column 1"
 
 
 def test_parse_accepts_comments():
@@ -189,3 +196,76 @@ def _formulas(variables=("?x",)):
 @given(_formulas())
 def test_parse_print_identity_property(formula):
     assert parse_precondition(print_precondition(formula)) == formula
+
+
+# The lexer against a reference: the character loop it replaced, kept here
+# as written. Both must give the same tokens, or the same error at the same
+# position.
+
+
+def _reference_tokenize(source):
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        if ch == ";":
+            while i < len(source) and source[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            tokens.append(_Token(ch, ch, line, column))
+            column += 1
+            i += 1
+            continue
+        match = re.match(r"\??[A-Za-z_][A-Za-z0-9_-]*", source[i:])
+        if not match:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, column)
+        text = match.group(0)
+        kind = "variable" if text.startswith("?") else "symbol"
+        tokens.append(_Token(kind, text, line, column))
+        column += len(text)
+        i += len(text)
+    return tokens
+
+
+def _lexed(lex, source):
+    try:
+        return lex(source)
+    except FormulaSyntaxError as exc:
+        return (type(exc), str(exc), exc.line, exc.column)
+
+
+_FIXTURE_SOURCES = [entry[side] for entry in load_precondition_pairs()["tools"].values()
+                    for side in ("generated", "ground_truth")]
+# The formula alphabet, whitespace that is not a line break, and characters
+# that no token may hold.
+_ALPHABET = "()?;xaY_-9 \t\n\r\x0b\x85\xa0#`é"
+
+
+@st.composite
+def _lexer_inputs(draw):
+    """Random text, or a shipped formula with up to three spans replaced."""
+    if draw(st.booleans()):
+        return draw(st.text(_ALPHABET, max_size=60))
+    source = draw(st.sampled_from(_FIXTURE_SOURCES + [SEARCH_BLOCK]))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(source)))
+        end = draw(st.integers(start, min(len(source), start + 8)))
+        source = source[:start] + draw(st.text(_ALPHABET, max_size=12)) + source[end:]
+    return source
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_lexer_inputs())
+def test_lexer_matches_the_reference_character_loop(source):
+    assert _lexed(_tokenize, source) == _lexed(_reference_tokenize, source)

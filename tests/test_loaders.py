@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from homeplan.errors import HomeplanError, InputFormatError, WorldFormatError, check_fields
 from homeplan.grounding import MessageTable
 from homeplan.llm import ScriptedBackend
-from homeplan.precondgen import load_fixture_formulas
+from homeplan.precondgen import compare_fixture
 from homeplan.sim import task_from_dict, trace_from_dict
 from homeplan.suite import (
     MetricsReport,
@@ -76,7 +76,7 @@ LOADERS = {
     "trace": (lambda data, _: trace_from_dict(data), [_shipped("traces/clear_table.json")]),
     "script": (lambda data, _: ScriptedBackend.from_dict(data), [s["script"] for s in SCENARIOS]),
     "messages": (_from_file(MessageTable.load), [_shipped("messages.json")]),
-    "pairs": (_from_file(load_fixture_formulas),
+    "pairs": (_from_file(compare_fixture),
               [_shipped("preconditions/labeled_pairs.json")]),
     "report": (_from_file(load_report), [REPORT]),
     "counts": (_from_file(load_stepwise_counts), [{"rows": REFERENCE_STEPWISE_ROWS}]),

@@ -525,6 +525,10 @@ def test_planner_trace_records_each_iteration(planning_scenarios):
     assert len(trace) == 6
     assert all("normalized_score" in row for row in trace)
     assert trace[0]["expanded"] is True
+    # Each entry says why the node scored what it did: the critique's
+    # justification, or the reason no critique was asked.
+    assert all(isinstance(row["justification"], str) and row["justification"]
+               for row in trace)
 
 
 def test_without_kept_traces_a_plan_labels_only_critiqued_nodes(planning_scenarios,

@@ -1,14 +1,10 @@
+import json
+
 import pytest
 
-from homeplan.errors import KeyMismatchError
 from homeplan.formula import parse_precondition
-from homeplan.precondgen import (
-    compare_fixture,
-    compare_sets,
-    flatten_atoms,
-    load_fixture_formulas,
-    match_atoms,
-)
+from homeplan.precondgen import compare_fixture, flatten_atoms, match_atoms
+from homeplan.tools import load_precondition_pairs
 
 OPEN_GENERATED = "(and (openable ?x) (not (isOpen ?x)) (visible ?x) (not (isBroken ?x)))"
 OPEN_TRUTH = "(and (openable ?x) (not (isOpen ?x)) (visible ?x) (not (isHoldingObject)))"
@@ -74,27 +70,33 @@ def test_flatten_exists_alpha_equivalence():
     assert flatten_atoms(a) == flatten_atoms(b)
 
 
-def test_compare_sets_key_mismatch():
-    formula = parse_precondition("(and (visible ?x))")
-    with pytest.raises(KeyMismatchError):
-        compare_sets({"A": formula}, {"B": formula})
+def _table(tmp_path, tools):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"tools": tools}), encoding="utf-8")
+    return path
 
 
-def test_compare_sets_identical_maps():
-    formula = parse_precondition(OPEN_TRUTH)
-    report = compare_sets({"Open Object": formula}, {"Open Object": formula})
+def test_compare_sets_identical_maps(tmp_path):
+    pair = {"generated": OPEN_TRUTH, "ground_truth": OPEN_TRUTH}
+    report = compare_fixture(_table(tmp_path, {"Open Object": pair}))
     assert report.accuracy == 1.0
     assert report.recall == 1.0
+    assert report.warnings == []
+    assert report.to_dict()["reported_counts"] == {}
 
 
-def test_compare_sets_empty_generated_warns():
-    # A degenerate generated set: zero atoms cannot be encoded in the formula
-    # grammar, so the closest degenerate case is a mismatched singleton.
-    gen = {"Open Object": parse_precondition("(and (isBroken ?x))")}
-    truth = {"Open Object": parse_precondition(OPEN_TRUTH)}
-    report = compare_sets(gen, truth)
+def test_compare_sets_empty_generated_warns(tmp_path):
+    # Zero atoms cannot be encoded in the formula grammar, so a tool cannot
+    # generate none: a mismatched singleton scores 0, and only an empty
+    # table warns.
+    pair = {"generated": "(and (isBroken ?x))", "ground_truth": OPEN_TRUTH}
+    report = compare_fixture(_table(tmp_path, {"Open Object": pair}))
     assert report.accuracy == 0.0
     assert report.recall == 0.0
+    assert report.warnings == []
+    empty = compare_fixture(_table(tmp_path, {}))
+    assert (empty.accuracy, empty.recall) == (0.0, 0.0)
+    assert empty.warnings == ["no generated preconditions; accuracy reported as 0"]
 
 
 def test_fixture_census_matches_acceptance_fractions():
@@ -126,8 +128,7 @@ def test_fixture_report_flags_reported_disagreement():
 def test_fixture_formulas_align_with_tool_library():
     from homeplan.tools import builtin_tool_library
 
-    _, ground_truth, _ = load_fixture_formulas()
     lib = builtin_tool_library()
-    for tool, formula in ground_truth.items():
-        assert lib.get(tool).precondition == formula
+    for tool, entry in load_precondition_pairs()["tools"].items():
+        assert lib.get(tool).precondition == parse_precondition(entry["ground_truth"])
 

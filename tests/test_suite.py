@@ -13,7 +13,7 @@ from homeplan.agent import AgentConfig
 from homeplan.errors import InsufficientObjectsError, SuiteFormatError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import TaskSpec
+from homeplan.sim import TaskSpec, check_goal
 from homeplan.suite import (
     MetricsReport,
     completion_rates,
@@ -51,6 +51,18 @@ def test_generate_easy_suite_deterministic():
     assert first.to_dict() == second.to_dict()
     different = generate_easy_suite(seed=8, count=30, world_refs=WORLD_REFS)
     assert different.to_dict() != first.to_dict()
+
+
+# Known fault, pinned: a destination is any fixed receptacle but the target's
+# parent, so it can be a further ancestor. With seed 1, easy-030 and easy-072
+# move Spoon_1 onto DiningTable_1 in kitchen_c while it already sits in
+# Bowl_1 on that table. Excluding every ancestor changes the generated suites
+# and so the benchmark's digests.
+@pytest.mark.xfail(strict=True, reason="a generated task's goal can already hold")
+def test_no_generated_task_starts_with_its_goal_met():
+    suite = generate_easy_suite(seed=1, count=120, world_refs=WORLD_REFS)
+    assert [task.id for task in suite.tasks
+            if check_goal(resolve_world(task.world), task)] == []
 
 
 def test_generate_easy_suite_round_trips_through_file(tmp_path):
