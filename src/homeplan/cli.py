@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .agent import AgentConfig
-from .errors import HomeplanError
+from .errors import HomeplanError, InputFormatError
 from .grounding import MessageTable
 from .llm import RemoteBackend, ScriptedBackend
 from .mcts import PlannerConfig
@@ -202,9 +202,18 @@ def _cmd_report(args) -> int:
     if args.completion_counts:
         groups = {}
         for part in args.completion_counts.split(","):
-            label, fraction = part.split("=")
-            successes, total = fraction.split("/")
-            groups[label.strip()] = (int(successes), int(total))
+            label, _, fraction = part.partition("=")
+            successes, _, total = fraction.partition("/")
+            label, where = label.strip(), f"completion counts part {part!r}"
+            try:
+                counts = int(successes), int(total)
+            except ValueError:
+                raise InputFormatError(f"{where}: not label=successes/total") from None
+            if label in groups:
+                raise InputFormatError(f"{where}: label {label!r} repeats")
+            if not 0 <= counts[0] <= counts[1]:
+                raise InputFormatError(f"{where}: successes must be from 0 to total")
+            groups[label] = counts
         for label, rate in completion_rates(groups).items():
             print(f"{label}: {rate}%")
         did_anything = True

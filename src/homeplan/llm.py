@@ -237,7 +237,7 @@ def parse_react(completion: str, library: ToolLibrary | None = None) -> ReactSte
     parsed step, so callers can keep it as recoverable feedback.
     """
     action_match = _ACTION_RE.search(completion)
-    final_match = _FINAL_RE.search(completion)
+    final_match = _FINAL_RE.search(completion) if "Final Answer" in completion else None
     if final_match and (not action_match or final_match.start() < action_match.start()):
         return FinalAnswer(final_match.group(1).strip())
     if not action_match:

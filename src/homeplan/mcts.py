@@ -78,12 +78,12 @@ class PlannerConfig:
                 raise ValueError(f"planner {name} must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchNode:
     """A state in the search tree. ``step`` is the edge into it, the
     proposed step with its simulated observation (None at the root); its
     ``rendered`` text is what a path through this node adds to an expansion
-    prompt."""
+    prompt. Nodes compare by identity."""
 
     state: WorldState
     step: StepRecord | None = None
@@ -130,9 +130,14 @@ def select(root: SearchNode, c: float) -> list[SearchNode]:
     path = [root]
     node = root
     while node.children and not node.terminal:
-        if any(child.visit_count == 0 for child in node.children):
-            break
-        node = max(node.children, key=lambda ch: ucb_score(node, ch, c))
+        best = None
+        for child in node.children:
+            if child.visit_count == 0:
+                return path
+            score = ucb_score(node, child, c)
+            if best is None or score > best_score:
+                best, best_score = child, score
+        node = best
         path.append(node)
     return path
 
@@ -148,6 +153,8 @@ def _frozen(value):
     """A hashable stand-in for a parsed Action Input value: two values give
     equal stand-ins exactly when they are equal, whatever their keys and
     nested containers."""
+    if isinstance(value, str) or value is None:
+        return value
     if isinstance(value, dict):
         return (dict, frozenset((_frozen(k), _frozen(v)) for k, v in value.items()))
     if isinstance(value, (set, frozenset)):
@@ -335,8 +342,9 @@ class MctsPlanner:
                 path = select(root, EXPLORATION_CONSTANT)
             leaf = path[-1]
             expanded = False
-            if not retry and any(child.visit_count == 0 for child in leaf.children):
-                node = next(ch for ch in leaf.children if ch.visit_count == 0)
+            node = None if retry else next(
+                (ch for ch in leaf.children if ch.visit_count == 0), None)
+            if node is not None:
                 path.append(node)
             elif retry or (not leaf.terminal and leaf.depth < config.max_depth
                            and not leaf.children):
@@ -379,9 +387,9 @@ class MctsPlanner:
             raise NoFeasibleActionError("planner produced no root children")
         if trace is not None:
             self.traces.append(trace)
-        best = max(
-            root.children,
-            key=lambda ch: (not ch.failed, ch.visit_count, ch.q_value, -root.children.index(ch)),
+        _, best = max(
+            enumerate(root.children),
+            key=lambda item: (not item[1].failed, item[1].visit_count, item[1].q_value, -item[0]),
         )
         return PlanResult(
             action=best.step.action,

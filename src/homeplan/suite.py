@@ -22,7 +22,8 @@ from .errors import (
     SuiteFormatError,
     check_fields,
 )
-from .sim import SUCCESS_PREFIX, GoalAtom, TaskSpec, task_from_dict, task_to_dict
+from .sim import (SUCCESS_PREFIX, GoalAtom, TaskSpec, refresh_visibility, task_from_dict,
+                  task_to_dict)
 from .tools import builtin_tool_library, seeded_draw
 from .world import WorldState, load_world
 
@@ -304,9 +305,10 @@ def run_suite(
         task, repetition = job
         return task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
 
-    # Each distinct world is resolved once per run and the same immutable
-    # state is shared by its episodes; a fixture error is kept and reported
-    # once per episode.
+    # Each distinct world is resolved and its visibility refreshed once per
+    # run, and the same immutable state is shared by its episodes (whose own
+    # refresh then returns it unchanged); a fixture error is kept and
+    # reported once per episode.
     worlds: dict[str, WorldState | Exception] = {}
     for ref in dict.fromkeys(task.world for task in suite.tasks):
         try:
@@ -316,7 +318,7 @@ def run_suite(
             continue
         if seed_override is not None:
             world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
-        worlds[ref] = world
+        worlds[ref] = refresh_visibility(world)
 
     def run_one(job) -> EpisodeRecord | str:
         """The episode's record, or the error line of an infrastructure
@@ -475,12 +477,16 @@ _ROW_OPTIONAL = {"reported_ssr": int | float}
 
 
 def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
-    """Build a step-wise table from injected per-skill counts."""
-    return StepwiseTable(rows=[
-        StepwiseRow(**check_fields(row, InputFormatError, f"counts row {index}",
-                                   _ROW_FIELDS, _ROW_OPTIONAL))
-        for index, row in enumerate(rows, start=1)
-    ])
+    """Build a step-wise table from injected per-skill counts, none negative."""
+    table = StepwiseTable(rows=[])
+    for index, data in enumerate(rows, start=1):
+        where = f"counts row {index}"
+        row = StepwiseRow(**check_fields(data, InputFormatError, where,
+                                         _ROW_FIELDS, _ROW_OPTIONAL))
+        if row.successes < 0 or row.failures < 0:
+            raise InputFormatError(f"{where} ({row.skill}): a count is negative")
+        table.rows.append(row)
+    return table
 
 
 def load_stepwise_counts(path: str | Path) -> StepwiseTable:

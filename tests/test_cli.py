@@ -236,8 +236,14 @@ def test_report_stepwise_counts(tmp_path, capsys):
         ("--stepwise-counts", {"rows": [5]}, "counts: rows must be an array of objects"),
         ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": "2", "failures": 0}]},
          "counts row 1: successes must be an integer"),
+        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": 2, "failures": 0},
+                                        {"skill": "Place", "successes": -3, "failures": 1}]},
+         "counts row 2 (Place): a count is negative"),
+        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": 2, "failures": -1}]},
+         "counts row 1 (Move): a count is negative"),
     ],
-    ids=["episodes-number", "rows-of-numbers", "count-text"],
+    ids=["episodes-number", "rows-of-numbers", "count-text", "negative-successes",
+         "negative-failures"],
 )
 def test_report_on_a_malformed_input_is_config_error(tmp_path, capsys, flag, data, error):
     path = tmp_path / "input.json"
@@ -262,6 +268,27 @@ def test_report_completion_counts(capsys):
     assert "moderate: 35%" in out
     assert "hard: 15%" in out
     assert "overall: 25%" in out
+
+
+@pytest.mark.parametrize(
+    "counts, error",
+    [
+        ("moderate=25/20", "part 'moderate=25/20': successes must be from 0 to total"),
+        ("moderate=7/20,hard=-1/20", "part 'hard=-1/20': successes must be from 0 to total"),
+        ("a=1/2,a=2/2", "part 'a=2/2': label 'a' repeats"),
+        ("a=1/2, a =2/2", "part ' a =2/2': label 'a' repeats"),
+        ("moderate7/20", "part 'moderate7/20': not label=successes/total"),
+        ("moderate=7", "part 'moderate=7': not label=successes/total"),
+        ("moderate=7/20/3", "part 'moderate=7/20/3': not label=successes/total"),
+    ],
+    ids=["over-total", "negative", "repeated-label", "repeated-after-strip", "no-equals",
+         "no-slash", "two-slashes"],
+)
+def test_report_on_out_of_range_completion_counts_is_config_error(capsys, counts, error):
+    assert main(["report", "--completion-counts", counts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: completion counts {error}\n"
 
 
 def test_report_without_inputs_is_config_error(capsys):

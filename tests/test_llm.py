@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from homeplan.errors import (
     BackendUnavailableError,
+    HomeplanError,
     MalformedCompletionError,
     MissingSlotError,
     NoScoreError,
@@ -143,6 +144,57 @@ def test_parse_react_round_trips_format_step():
         record = StepRecord(step.thought, step.action, step.action_input, "ok")
         parsed = parse_react(format_step(record), builtin_tool_library())
         assert parsed == step
+
+
+def unguarded_parse_react(completion, library=None):
+    """Reference: parse_react with the Final Answer pattern searched on
+    every completion, whether or not it holds the text "Final Answer"."""
+    action_match = llm._ACTION_RE.search(completion)
+    final_match = llm._FINAL_RE.search(completion)
+    if final_match and (not action_match or final_match.start() < action_match.start()):
+        return FinalAnswer(final_match.group(1).strip())
+    if not action_match:
+        raise MalformedCompletionError("no Action or Final Answer found")
+    action = action_match.group(1).strip()
+    input_match = llm._ACTION_INPUT_RE.search(completion, action_match.end())
+    action_input = llm._parse_action_input(input_match.group(1)) if input_match else None
+    thought = ""
+    for match in llm._THOUGHT_RE.finditer(completion, 0, action_match.start()):
+        thought = match.group(1).strip()
+    step = ReactStep(thought=thought, action=action, action_input=action_input)
+    if library is not None and action not in library:
+        raise UnknownToolError(action, step=step)
+    return step
+
+
+def _parse_outcome(parse, completion, library):
+    try:
+        return parse(completion, library)
+    except HomeplanError as exc:
+        return type(exc), getattr(exc, "step", None)
+
+
+# A completion is a run of lines "<label><separator><value><line end>"; a
+# separator ending in a line break leaves the value on the next line.
+_react_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["Thought", "Action", "Action Input", "Final Answer", "Final  Answer",
+                         "final answer", "Final", "Observation", " Action", ""]),
+        st.sampled_from([":", " :", ": ", ":\n", ":\r\n", " "]),
+        st.sampled_from(["", "look around", "Pick Up Object", "Levitate Object",
+                         "{'object_id': 'Knife_1'}", "{'input': None}", "{'object_id': ",
+                         "done. Final Answer: no", "Final Answer: yes", "Answer: x"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n\r\n", ""]),
+    ).map("".join),
+    max_size=8,
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_react_lines, st.sampled_from([None, builtin_tool_library()]))
+def test_parse_react_matches_the_unguarded_reference(completion, library):
+    assert (_parse_outcome(parse_react, completion, library)
+            == _parse_outcome(unguarded_parse_react, completion, library))
 
 
 def literal_action_input(raw):

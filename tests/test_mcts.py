@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeplan import llm, mcts
@@ -66,6 +66,53 @@ def test_select_ties_break_by_insertion_order():
     second = node(q=0.5, n=2)
     parent.children = [first, second]
     assert select(parent, 1.0)[-1] is first
+
+
+def two_scan_select(root, c):
+    """Reference: one scan for an unvisited child, then a second for the
+    first UCB maximum."""
+    path = [root]
+    node = root
+    while node.children and not node.terminal:
+        if any(child.visit_count == 0 for child in node.children):
+            break
+        node = max(node.children, key=lambda ch: ucb_score(node, ch, c))
+        path.append(node)
+    return path
+
+
+# (visits that ended at the node, q, terminal, children): few q values and
+# visit counts, so siblings often tie on UCB; a node's visit count is its own
+# visits plus its children's, as backpropagation leaves it, so a node with no
+# visits of its own and no visited child is unvisited at any depth.
+_tree_shapes = st.recursive(
+    st.tuples(st.sampled_from([0, 1, 2, 2]), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from([False, False, True]), st.just(())),
+    lambda kids: st.tuples(st.sampled_from([0, 1, 2, 2]), st.sampled_from([0.0, 0.5, 1.0]),
+                           st.sampled_from([False, False, True]),
+                           st.lists(kids, max_size=4).map(tuple)),
+    max_leaves=40,
+)
+
+
+def _tree(shape):
+    own, q, terminal, kids = shape
+    children = [_tree(kid) for kid in kids]
+    return node(q=q, n=own + sum(ch.visit_count for ch in children), terminal=terminal,
+                children=children)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_tree_shapes, st.sampled_from([0.0, 1.0, mcts.EXPLORATION_CONSTANT]))
+def test_select_matches_the_two_scan_reference(shape, c):
+    root = _tree(shape)
+    root.visit_count += 1  # select starts from a visited root
+    path = select(root, c)
+    assert [id(n) for n in path] == [id(n) for n in two_scan_select(root, c)]
+
+
+def test_nodes_built_from_equal_fields_are_distinct():
+    assert SearchNode(state=None) != SearchNode(state=None)
 
 
 def test_backpropagate_running_mean():
@@ -374,6 +421,21 @@ def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
     assert len(backend.prompts) == 6
     for prompt in backend.prompts:  # no expansion or critique of a path through it
         assert refused.step.rendered not in prompt and refused.label not in prompt
+
+
+@pytest.mark.parametrize("first, second, committed", [
+    (PICK_KNIFE, EXPLORE, "Pick Up Object"),
+    (EXPLORE, PICK_KNIFE, "Randomly Explore"),
+])
+def test_accepted_root_children_tied_on_visits_and_q_commit_the_first(first, second, committed):
+    backend = ScriptedBackend.ordered([first, second, "Score: 7", "Score: 7"])
+    config = PlannerConfig(expansion_budget=2, children_per_expansion=2, max_depth=1)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    children = result.root.children
+    assert [(ch.failed, ch.visit_count, ch.q_value) for ch in children] == [
+        (False, 1, normalize_score(7))
+    ] * 2
+    assert result.action == committed
 
 
 def _unknown_tool(name):

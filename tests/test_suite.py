@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from homeplan import suite as suite_module
 from homeplan import world as world_module
 from homeplan.agent import AgentConfig
-from homeplan.errors import InsufficientObjectsError, SuiteFormatError
+from homeplan.errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import TaskSpec, check_goal
+from homeplan.sim import TaskSpec, check_goal, refresh_visibility
 from homeplan.suite import (
     MetricsReport,
     completion_rates,
@@ -228,6 +228,27 @@ def test_run_suite_orders_repetitions_numerically(tmp_path):
     ]
     assert serial.serialize() == parallel.serialize()
     assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
+
+
+def test_run_suite_hands_each_episode_a_refreshed_world_with_the_seed_override(monkeypatch):
+    suite = generate_easy_suite(seed=3, count=6, world_refs=WORLD_REFS)
+    for world in map(resolve_world, WORLD_REFS):  # the fixtures as loaded need a refresh
+        assert refresh_visibility(world) is not world
+    handed = []
+
+    def capture(task, config, backend, world, messages=None):
+        handed.append((task.world, world))
+        raise HomeplanError("captured")
+
+    monkeypatch.setattr(suite_module, "run_episode", capture)
+    report, _ = run_suite(suite, AgentConfig(mode="react"), object(), seed_override=41)
+    assert len(report.errors) == len(handed) == 6
+    worlds = {}
+    for ref, world in handed:
+        assert refresh_visibility(world) is world
+        assert world.agent.rng_seed == 41
+        assert worlds.setdefault(ref, world) is world  # one state per world
+    assert sorted(worlds) == WORLD_REFS
 
 
 def _planner_script(task: TaskSpec, scores: list[int], explore_first: int = 0) -> ScriptedBackend:
