@@ -27,6 +27,7 @@ from .grounding import MessageTable
 from .llm import FinalAnswer, LlmBackend, ReactStep, StepRecord
 from .mcts import MctsPlanner, PlannerConfig
 from .sim import (
+    SUCCESS_PREFIX,
     UNPARSED_ACTION,
     TaskSpec,
     check_goal,
@@ -90,6 +91,23 @@ class EpisodeRecord:
     def serialize(self) -> str:
         """Canonical form for diff tests; volatile timing is excluded."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=False, ensure_ascii=False)
+
+    def report_entry(self, episode_id: str, difficulty: str) -> dict:
+        """The metrics report's entry for this episode: its outcome, its
+        counts, and each parsed action with whether the simulator accepted it."""
+        return {
+            "id": episode_id,
+            "difficulty": difficulty,
+            "outcome": self.outcome,
+            "success": self.success,
+            "steps": len(self.steps),
+            "llm_calls": self.llm_call_count,
+            "actions": [
+                {"action": step.action, "ok": step.observation.startswith(SUCCESS_PREFIX)}
+                for step in self.steps
+                if step.action is not None
+            ],
+        }
 
 
 def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:

@@ -134,7 +134,7 @@ def _cmd_run(args) -> int:
         template_dir=args.templates,
     )
     messages = MessageTable.load(args.messages) if args.messages else None
-    report, _ = run_suite(
+    report, records = run_suite(
         suite,
         config,
         factory,
@@ -148,6 +148,10 @@ def _cmd_run(args) -> int:
     stem = f"{config_hash(config, suite, args.backend, args.messages)}_{report.seed}"
     (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
     (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
+    (out_dir / f"{stem}.episodes.jsonl").write_text(
+        "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in records),
+        encoding="utf-8",
+    )
     print(report.render_text())
     print(f"\nreport written to {out_dir / (stem + '.json')}")
     return EXIT_INFRA if report.errors else EXIT_OK
@@ -208,7 +212,9 @@ def _cmd_report(args) -> int:
             try:
                 counts = int(successes), int(total)
             except ValueError:
-                raise InputFormatError(f"{where}: not label=successes/total") from None
+                counts = None
+            if counts is None or not label:
+                raise InputFormatError(f"{where}: not label=successes/total")
             if label in groups:
                 raise InputFormatError(f"{where}: label {label!r} repeats")
             if not 0 <= counts[0] <= counts[1]:

@@ -330,8 +330,6 @@ class ScriptedBackend(LlmBackend):
         self._remaining = [entry.uses for entry in entries]
         self._cursor = 0
         self._lock = threading.Lock()
-        self.call_count = 0
-        self.prompts: list[str] = []
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedBackend":
@@ -354,8 +352,6 @@ class ScriptedBackend(LlmBackend):
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         with self._lock:
-            self.call_count += 1
-            self.prompts.append(prompt)
             if self.mode == "ordered":
                 return self._next_ordered(prompt)
             return self._next_keyed(prompt)

@@ -222,7 +222,6 @@ class MctsPlanner:
         }
         self.llm_calls = 0
         self.traces: list[list[dict]] | None = [] if keep_traces else None
-        self.history = ""  # episode scratchpad prefixed to expansion prompts
 
     # -- proposals and expansion -------------------------------------------
 
@@ -258,10 +257,12 @@ class MctsPlanner:
             failed=not result.success,
         )
 
-    def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode]) -> list[SearchNode]:
+    def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode],
+               history: str = "") -> list[SearchNode]:
         """Propose up to children_per_expansion next actions, distinct from
-        each other and from the leaf's existing children."""
-        prompt = self.expansion_prompt(goal, self.history + "".join(
+        each other and from the leaf's existing children; the prompt's
+        scratchpad is the episode history followed by the path's steps."""
+        prompt = self.expansion_prompt(goal, history + "".join(
             node.step.rendered for node in path if node.step is not None
         ))
         config = self.config
@@ -328,7 +329,6 @@ class MctsPlanner:
         ROOT_RETRY_BUDGET times); a refused child is committed only when no
         root child was accepted by the simulator."""
         config = self.config
-        self.history = history
         trace = [] if self.traces is not None else None
         root = SearchNode(state=state)
         root_retries = ROOT_RETRY_BUDGET
@@ -350,7 +350,7 @@ class MctsPlanner:
                            and not leaf.children):
                 first = len(leaf.children)
                 try:
-                    self.expand(leaf, goal, path)
+                    self.expand(leaf, goal, path, history)
                     expanded = True
                     node = leaf.children[first]
                     path.append(node)

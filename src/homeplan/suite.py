@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .agent import AgentConfig, EpisodeRecord, run_episode
+from .agent import OUTCOME_FAILURE, AgentConfig, EpisodeRecord, run_episode
 from .errors import (
     HomeplanError,
     InputFormatError,
@@ -22,8 +22,7 @@ from .errors import (
     SuiteFormatError,
     check_fields,
 )
-from .sim import (SUCCESS_PREFIX, GoalAtom, TaskSpec, refresh_visibility, task_from_dict,
-                  task_to_dict)
+from .sim import GoalAtom, TaskSpec, refresh_visibility, task_from_dict, task_to_dict
 from .tools import builtin_tool_library, seeded_draw
 from .world import WorldState, load_world
 
@@ -289,7 +288,8 @@ def run_suite(
     messages=None,
 ) -> tuple[MetricsReport, list[EpisodeRecord]]:
     """Execute every episode; backend_factory(task) supplies each backend
-    (pass a plain backend object to share one across episodes)."""
+    (pass a plain backend object to share one across episodes). Returns the
+    report and one record per episode, in report order."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
 
@@ -320,17 +320,22 @@ def run_suite(
             world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
         worlds[ref] = refresh_visibility(world)
 
-    def run_one(job) -> EpisodeRecord | str:
-        """The episode's record, or the error line of an infrastructure
-        failure (counted as a task failure); program bugs propagate."""
+    def failed(task, exc: Exception) -> EpisodeRecord:
+        return EpisodeRecord(task_id=task.id, config_label=config.label(), steps=[],
+                             outcome=OUTCOME_FAILURE, success=False, llm_call_count=0,
+                             error=str(exc))
+
+    def run_one(job) -> tuple[EpisodeRecord, Exception | None]:
+        """The episode's record and, for an infrastructure failure (a failed
+        record with no steps), the exception; program bugs propagate."""
         task, _ = job
         world = worlds[task.world]
         if isinstance(world, Exception):
-            return f"{episode_id(job)}: {world}"
+            return failed(task, world), world
         try:
-            return run_episode(task, config, factory(task), world, messages=messages)
+            return run_episode(task, config, factory(task), world, messages=messages), None
         except _INFRASTRUCTURE_ERRORS as exc:
-            return f"{episode_id(job)}: {exc}"
+            return failed(task, exc), exc
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -340,51 +345,15 @@ def run_suite(
     else:
         results = [run_one(job) for job in jobs]
 
-    episodes = []
-    records = []
-    errors = []
     ordered = sorted(zip(jobs, results), key=lambda item: (item[0][0].id, item[0][1]))
-    for job, record in ordered:
-        task = job[0]
-        if isinstance(record, str):
-            errors.append(record)
-            episodes.append(
-                {
-                    "id": episode_id(job),
-                    "difficulty": task.difficulty,
-                    "outcome": "failure",
-                    "success": False,
-                    "steps": 0,
-                    "llm_calls": 0,
-                    "actions": [],
-                }
-            )
-            continue
-        records.append(record)
-        episodes.append(
-            {
-                "id": episode_id(job),
-                "difficulty": task.difficulty,
-                "outcome": record.outcome,
-                "success": record.success,
-                "steps": len(record.steps),
-                "llm_calls": record.llm_call_count,
-                "actions": [
-                    {
-                        "action": step.action,
-                        "ok": step.observation.startswith(SUCCESS_PREFIX),
-                    }
-                    for step in record.steps
-                    if step.action is not None
-                ],
-            }
-        )
+    records = [record for _, (record, _) in ordered]
     report = MetricsReport(
         suite_name=suite.name,
         config_label=config.label(),
         seed=suite.seed if seed_override is None else seed_override,
-        episodes=episodes,
-        errors=errors,
+        episodes=[record.report_entry(episode_id(job), job[0].difficulty)
+                  for job, (record, _) in ordered],
+        errors=[f"{episode_id(job)}: {exc}" for job, (_, exc) in ordered if exc is not None],
     )
     return report, records
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from homeplan.llm import ScriptedBackend
 from homeplan.world import (
     AgentState,
     ObjectAttributes,
@@ -13,6 +14,23 @@ from homeplan.world import (
 
 def data_path(relative: str) -> Path:
     return Path(resources.files("homeplan.data").joinpath(relative))
+
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that keeps every prompt it is asked to complete,
+    the one that exhausts its script included."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prompts: list[str] = []
+
+    @property
+    def call_count(self) -> int:
+        return len(self.prompts)
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        self.prompts.append(prompt)
+        return super().complete(prompt, temperature)
 
 
 def make_object(zone="kitchen", **attrs) -> ObjectInfo:

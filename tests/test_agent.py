@@ -19,7 +19,7 @@ from homeplan.mcts import PlannerConfig
 from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
 
-from .conftest import make_object, make_world
+from .conftest import RecordingBackend, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_adversarial
 
 
@@ -223,7 +223,7 @@ def test_backend_failure_aborts_as_failure():
 def tomato_planner_script():
     """Proposes picking up the tomato, then (once it is held) placing it in
     the basket; every critique scores 9."""
-    return ScriptedBackend(
+    return RecordingBackend(
         [
             ScriptEntry(
                 completion="Thought: carry it over\nAction: Place Object\n"
@@ -266,7 +266,7 @@ def test_mcts_mode_episode_and_call_accounting():
 
 
 def _react_script_with_each_step_kind():
-    return ScriptedBackend.ordered([
+    return RecordingBackend.ordered([
         "no action here",
         "Thought: hm\nAction: Levitate Object\nAction Input: {'object_id': 'Tomato_1'}",
         "Thought: done\nFinal Answer: fine",
@@ -275,7 +275,7 @@ def _react_script_with_each_step_kind():
 
 def _prose_script():
     # Every proposal is prose, so the planner has no root child to commit.
-    return ScriptedBackend.ordered(["prose"], cyclic=True)
+    return RecordingBackend.ordered(["prose"], cyclic=True)
 
 
 @pytest.mark.parametrize(

@@ -114,6 +114,37 @@ def test_run_is_byte_deterministic(tmp_path, capsys):
     assert file_a.read_bytes() == file_b.read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["react", "mcts"])
+def test_run_writes_one_transcript_line_per_report_episode(tmp_path, capsys, mode):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    suite_data = json.loads(suite_path.read_text())
+    suite_data["tasks"].append({**suite_data["tasks"][0], "id": "demo-003",
+                                "world": "worlds/nonexistent.json"})
+    suite_path.write_text(json.dumps(suite_data))
+    transcripts = []
+    for workers in ("1", "4"):
+        out_dir = tmp_path / f"workers-{workers}"
+        code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                     "--mode", mode, "--expansions", "2", "--max-steps", "4",
+                     "--workers", workers, "--out", str(out_dir)])
+        assert code == 1  # demo-003's world is missing
+        (report_path,) = out_dir.glob("*.json")
+        transcripts.append(report_path.with_suffix(".episodes.jsonl").read_bytes())
+    capsys.readouterr()
+    assert transcripts[0] == transcripts[1]
+    episodes = json.loads(report_path.read_text())["episodes"]
+    lines = [json.loads(line) for line in transcripts[0].decode("utf-8").splitlines()]
+    assert [(line["task_id"], line["outcome"], len(line["steps"]), line["llm_call_count"])
+            for line in lines] == [
+        (episode["id"], episode["outcome"], episode["steps"], episode["llm_calls"])
+        for episode in episodes
+    ]
+    assert [line["error"] for line in lines] == [
+        None, None, "world fixture not found: 'worlds/nonexistent.json'"
+    ]
+    assert lines[0]["steps"][0]["action"] == episodes[0]["actions"][0]["action"]
+
+
 def test_runs_differing_only_in_expansions_write_two_reports(tmp_path, capsys):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     out_dir = tmp_path / "reports"
@@ -280,9 +311,10 @@ def test_report_completion_counts(capsys):
         ("moderate7/20", "part 'moderate7/20': not label=successes/total"),
         ("moderate=7", "part 'moderate=7': not label=successes/total"),
         ("moderate=7/20/3", "part 'moderate=7/20/3': not label=successes/total"),
+        ("=3/4,a=1/4", "part '=3/4': not label=successes/total"),
     ],
     ids=["over-total", "negative", "repeated-label", "repeated-after-strip", "no-equals",
-         "no-slash", "two-slashes"],
+         "no-slash", "two-slashes", "empty-label"],
 )
 def test_report_on_out_of_range_completion_counts_is_config_error(capsys, counts, error):
     assert main(["report", "--completion-counts", counts]) == 2

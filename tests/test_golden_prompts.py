@@ -11,10 +11,11 @@ import hashlib
 import pytest
 
 from homeplan.agent import AgentConfig, run_episode
-from homeplan.llm import ScriptedBackend, ScriptEntry
+from homeplan.llm import ScriptEntry
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import GoalAtom
 
+from .conftest import RecordingBackend
 from .test_agent import pickup_world, simple_task
 
 EXPAND = "you should always think"
@@ -43,7 +44,7 @@ def _expansions(completions):
 
 
 def react_script():
-    return ScriptedBackend(
+    return RecordingBackend(
         _expansions([UNKNOWN, MALFORMED, STRING_INPUT, "I would rather not.", PICK, SET_INPUT]),
         mode="keyed",
     )
@@ -65,7 +66,7 @@ def planner_script():
     finals = [ScriptEntry(completion=FINAL, match=after_first_step),
               ScriptEntry(completion=FINAL_AS_TOOL, match=after_first_step)]
     expansions = _expansions([STRING_INPUT, MALFORMED, UNKNOWN, SET_INPUT])
-    return ScriptedBackend(critiques + finals + expansions, mode="keyed")
+    return RecordingBackend(critiques + finals + expansions, mode="keyed")
 
 
 # mode: (prompts received, SHA-256 over the prompts, each ended by a NUL)

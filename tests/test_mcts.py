@@ -18,7 +18,7 @@ from homeplan.mcts import (
 )
 from homeplan.sim import execute, refresh_visibility
 
-from .conftest import make_object, make_world
+from .conftest import RecordingBackend, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_planning
 
 
@@ -180,7 +180,7 @@ def test_expand_dedups_identical_actions(monkeypatch):
         return execute(*args, **kwargs)
 
     monkeypatch.setattr(mcts, "execute", counting_execute)
-    backend = ScriptedBackend.ordered([PICK_KNIFE] * 5)
+    backend = RecordingBackend.ordered([PICK_KNIFE] * 5)
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=3))
     leaf = SearchNode(state=feasible_world())
     children = planner.expand(leaf, "tidy up", [leaf])
@@ -198,7 +198,7 @@ def test_expand_dedups_unhashable_action_inputs():
         "{'b': 2, 1: 'a'}",  # the same dict
         "{'object_id': {'id': 'Knife_1'}}",
     ]
-    backend = ScriptedBackend.ordered(
+    backend = RecordingBackend.ordered(
         [f"Thought: t\nAction: Pick Up Object\nAction Input: {raw}" for raw in inputs]
     )
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=4))
@@ -321,7 +321,7 @@ PICK_UP_STEP = StepRecord("", "Pick Up Object", None, "Tool Failed: malformed ac
 
 
 def test_critique_normalizes_scripted_score():
-    backend = ScriptedBackend.ordered(["Justification: redundant steps\nScore: 4"])
+    backend = RecordingBackend.ordered(["Justification: redundant steps\nScore: 4"])
     planner = MctsPlanner(backend)
     leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
     score, raw, justification = planner.critique([leaf], "tidy up")
@@ -409,7 +409,7 @@ EXPLORE = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None
 def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
     # Every critique scores 1 (normalized 0), so UCB ties favour the refused
     # first child, which ends with more visits than its sibling.
-    backend = ScriptedBackend.ordered(
+    backend = RecordingBackend.ordered(
         [PICK_COUNTER, PICK_KNIFE, "Score: 1", PLACE_COUNTER, EXPLORE, "Score: 1"]
     )
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
@@ -446,7 +446,7 @@ def test_when_every_root_child_is_refused_the_most_visited_is_committed():
     # The root is expanded twice (the first time and its one retry); every
     # proposal is refused, so nothing is critiqued.
     assert mcts.ROOT_RETRY_BUDGET == 1
-    backend = ScriptedBackend.ordered(
+    backend = RecordingBackend.ordered(
         [PICK_COUNTER, PLACE_COUNTER, _unknown_tool("Levitate"), _unknown_tool("Juggle")]
     )
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
@@ -461,7 +461,7 @@ def test_when_every_root_child_is_refused_the_most_visited_is_committed():
 
 
 def test_a_root_retry_skips_refused_calls_and_commits_an_accepted_one():
-    backend = ScriptedBackend.ordered(
+    backend = RecordingBackend.ordered(
         [PICK_COUNTER, PLACE_COUNTER,  # first expansion: both refused
          PLACE_COUNTER, PICK_KNIFE, _unknown_tool("Levitate"),  # retry: a repeat is skipped
          "Score: 7"]
@@ -484,7 +484,7 @@ def test_a_root_retry_skips_refused_calls_and_commits_an_accepted_one():
 
 
 def test_a_root_retry_that_yields_no_child_keeps_the_refused_children():
-    backend = ScriptedBackend.ordered([PICK_COUNTER, PLACE_COUNTER] + ["prose"] * 4)
+    backend = RecordingBackend.ordered([PICK_COUNTER, PLACE_COUNTER] + ["prose"] * 4)
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
     result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
     assert result.root.terminal and len(result.root.children) == 2

@@ -301,6 +301,16 @@ def test_run_suite_output_does_not_depend_on_worker_count(seed, count, scores):
     assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
 
 
+def _summary(record) -> tuple:
+    return (record.task_id, record.outcome, record.success, record.error, len(record.steps),
+            record.llm_call_count)
+
+
+def _infrastructure_failure(task_id: str, error: str) -> tuple:
+    """The summary of the record of a job that hit an infrastructure error."""
+    return (task_id, "failure", False, error, 0, 0)
+
+
 class _BuggyBackend(LlmBackend):
     def complete(self, prompt, temperature=0.0, max_tokens=None):
         raise TypeError("a bug, not an infrastructure fault")
@@ -333,9 +343,26 @@ def test_run_suite_counts_infrastructure_error_as_failure(tmp_path):
     report, records = run_suite(
         suite, AgentConfig(), lambda task: ScriptedBackend.ordered([])
     )
-    assert records == []
+    assert [_summary(record) for record in records] == [
+        _infrastructure_failure("broken-001", "world fixture not found: 'worlds/nonexistent.json'")
+    ]
     assert len(report.errors) == 1
     assert report.episodes[0]["success"] is False
+
+
+def test_a_planner_error_is_in_its_record_and_not_an_error_line(tmp_path):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    config = AgentConfig(mode="react+mcts", planner=PlannerConfig(expansion_budget=2,
+                                                                  children_per_expansion=2))
+    report, records = run_suite(load_suite(suite_path), config,
+                                lambda task: ScriptedBackend.ordered(["prose"], cyclic=True))
+    assert report.errors == []
+    assert [(record.outcome, record.error) for record in records] == [
+        ("failure", "planner produced no root children")
+    ] * 2
+    assert [episode["llm_calls"] for episode in report.episodes] == [
+        record.llm_call_count for record in records
+    ]
 
 
 # One step, then the script runs out: react reads the score as an unparsed
@@ -353,7 +380,10 @@ def test_a_script_that_runs_out_mid_episode_is_an_error_per_episode(tmp_path, mo
                                                           children_per_expansion=1))
     report, records = run_suite(load_suite(suite_path), config,
                                 lambda task: ScriptedBackend.ordered(RUNS_OUT_AFTER_ONE_STEP))
-    assert records == []
+    assert [_summary(record) for record in records] == [
+        _infrastructure_failure(task, "ordered script exhausted")
+        for task in ("demo-001", "demo-002")
+    ]
     assert report.errors == [
         f"{episode}: ordered script exhausted" for episode in ("demo-001", "demo-002")
     ]
@@ -525,7 +555,11 @@ def test_missing_world_gives_one_error_line_per_episode():
         f"{episode}: world fixture not found: 'worlds/nonexistent.json'"
         for episode in ("a#1", "a#2", "c#1", "c#2")
     ]
-    assert [record.task_id for record in records] == ["b", "b"]
+    missing = "world fixture not found: 'worlds/nonexistent.json'"
+    assert [_summary(record) for record in records[:2] + records[4:]] == [
+        _infrastructure_failure(task, missing) for task in ("a", "a", "c", "c")
+    ]
+    assert [(record.task_id, record.error) for record in records[2:4]] == [("b", None)] * 2
     assert [episode["id"] for episode in report.episodes] == [
         "a#1", "a#2", "b#1", "b#2", "c#1", "c#2"
     ]
@@ -566,12 +600,17 @@ def _run_beside_a_broken_world(tmp_path, breaks):
     )
 
 
+def _assert_only_b_failed(records, error):
+    assert [(record.task_id, record.error) for record in records[:2]] == [("a", None)] * 2
+    assert [_summary(record) for record in records[2:]] == [_infrastructure_failure("b", error)] * 2
+
+
 def test_a_malformed_world_gives_one_error_line_per_episode(tmp_path):
     report, records = _run_beside_a_broken_world(tmp_path, lambda w: w["agent"].pop("seed"))
     assert report.errors == [
         f"{episode}: agent: missing keys ['seed']" for episode in ("b#1", "b#2")
     ]
-    assert [record.task_id for record in records] == ["a", "a"]
+    _assert_only_b_failed(records, "agent: missing keys ['seed']")
 
 
 @pytest.mark.parametrize(
@@ -589,4 +628,4 @@ def test_a_world_field_of_the_wrong_json_type_gives_one_error_line_per_episode(
         tmp_path, breaks, error):
     report, records = _run_beside_a_broken_world(tmp_path, breaks)
     assert report.errors == [f"{episode}: {error}" for episode in ("b#1", "b#2")]
-    assert [record.task_id for record in records] == ["a", "a"]
+    _assert_only_b_failed(records, error)
