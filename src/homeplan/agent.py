@@ -30,6 +30,7 @@ from .sim import (
     SUCCESS_PREFIX,
     UNPARSED_ACTION,
     TaskSpec,
+    call_args,
     check_goal,
     execute,
     refresh_visibility,
@@ -187,11 +188,9 @@ def run_episode(
         if isinstance(decision, FinalAnswer):
             return record(OUTCOME_DECLARED, final_answer=decision.text)
 
-        args = decision.action_input if isinstance(decision.action_input, dict) else None
         try:
-            state, observation = execute(
-                state, decision.action, args, config.grounding_enabled, messages=messages
-            )
+            state, observation = execute(state, decision.action, call_args(decision.action_input),
+                                         config.grounding_enabled, messages=messages)
         except (MalformedArgsError, UnknownToolError) as exc:
             observation = rejected_call(exc)
         steps.append(StepRecord(decision.thought, decision.action, decision.action_input,

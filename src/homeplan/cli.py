@@ -1,7 +1,9 @@
 """Command-line harness: suites, runs, comparisons, and replay checks.
 
 Exit codes: 0 clean run, 1 infrastructure error during episodes or a replay
-mismatch, 2 configuration error (bad flags, missing or invalid files).
+mismatch, 2 configuration error: bad flags, an output that cannot be written,
+or an input file that cannot be read, decoded or parsed (except a suite
+task's world, whose fault is one error line per episode of that world).
 """
 
 from __future__ import annotations
@@ -9,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .agent import AgentConfig
-from .errors import HomeplanError, InputFormatError
+from .errors import DATA, HomeplanError, InputFormatError, OutputError, read_input
 from .grounding import MessageTable
 from .llm import RemoteBackend, ScriptedBackend
 from .mcts import PlannerConfig
@@ -100,10 +103,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(path: str):
+    """The output path; a write under it that fails is an OutputError."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _cmd_gen_suite(args) -> int:
     worlds = [ref.strip() for ref in args.worlds.split(",") if ref.strip()]
     suite = generate_easy_suite(args.seed, args.count, worlds, name=args.name)
-    save_suite(suite, args.out)
+    with _writing(args.out) as out:
+        save_suite(suite, out)
     print(f"wrote {len(suite.tasks)} tasks to {args.out}")
     return EXIT_OK
 
@@ -113,11 +126,7 @@ def _make_backend_factory(spec: str):
         backend = RemoteBackend()
         return lambda task: backend
     if spec.startswith("scripted:"):
-        script_path = spec.split(":", 1)[1]
-        if not Path(script_path).exists():
-            raise FileNotFoundError(f"script file not found: {script_path}")
-        with open(script_path, encoding="utf-8") as handle:
-            script_data = json.load(handle)
+        script_data = read_input(spec.split(":", 1)[1], InputFormatError)
         ScriptedBackend.from_dict(script_data)  # a malformed script fails before any episode
         return lambda task: ScriptedBackend.from_dict(script_data)
     raise ValueError(f"unknown backend spec: {spec!r}")
@@ -143,15 +152,15 @@ def _cmd_run(args) -> int:
         seed_override=args.seed,
         messages=messages,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{config_hash(config, suite, args.backend, args.messages)}_{report.seed}"
-    (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
-    (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
-    (out_dir / f"{stem}.episodes.jsonl").write_text(
-        "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in records),
-        encoding="utf-8",
-    )
+    with _writing(args.out) as out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
+        (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
+        (out_dir / f"{stem}.episodes.jsonl").write_text(
+            "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in records),
+            encoding="utf-8",
+        )
     print(report.render_text())
     print(f"\nreport written to {out_dir / (stem + '.json')}")
     return EXIT_INFRA if report.errors else EXIT_OK
@@ -161,28 +170,21 @@ def _cmd_compare_preconds(args) -> int:
     report = compare_fixture(args.fixture)
     print(report.render_text())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        with _writing(args.out) as out:
+            out.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_replay_trace(args) -> int:
+    # A trace's world is found from the directory above the trace's, as in DATA.
     if args.trace is None:
-        from importlib import resources
-
-        trace_path = Path(
-            str(resources.files("homeplan.data").joinpath("traces/clear_table.json"))
-        )
+        trace, base_dir = load_trace(DATA.joinpath("traces/clear_table.json")), None
     else:
-        trace_path = Path(args.trace)
-    trace = load_trace(trace_path)
-    world_ref = args.world if args.world else trace.world
-    world = resolve_world(world_ref, trace_path.parent.parent)
+        trace, base_dir = load_trace(args.trace), Path(args.trace).parent.parent
+    world = resolve_world(args.world or trace.world, base_dir)
     messages = MessageTable.load(args.messages) if args.messages else None
-    _, results = replay_trace(
-        trace, world, grounding_enabled=args.grounding == "on", messages=messages
-    )
+    _, results = replay_trace(trace, world, grounding_enabled=args.grounding == "on",
+                              messages=messages)
     mismatches = 0
     for result in results:
         status = "ok" if result.ok else "MISMATCH"
@@ -245,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (HomeplanError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (HomeplanError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

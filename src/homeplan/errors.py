@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the one field check
-that every JSON input loader runs on each object it reads."""
+"""Exception hierarchy shared across the package, the one reader of every
+input file, and the one field check JSON loaders run on each object read."""
 
+import json
 from collections.abc import Mapping
+from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 
 
@@ -119,8 +122,28 @@ class SuiteFormatError(HomeplanError):
 
 
 class InputFormatError(HomeplanError):
-    """A trace, script, message table, precondition-pairs file or report
-    input violates its schema."""
+    """A trace, script, message table, precondition-pairs file, prompt
+    template or report input violates its schema."""
+
+
+class OutputError(HomeplanError):
+    """An output file or directory cannot be written."""
+
+
+# The data files shipped with the package: DATA.joinpath("worlds/kitchen.json").
+DATA = resources.files("homeplan.data")
+
+
+def read_input(source, error: type[HomeplanError], parse=json.loads):
+    """``parse`` of the UTF-8 text of a file given by path or under DATA; one
+    that cannot be read, decoded or parsed raises ``error`` naming it."""
+    file = Path(source) if isinstance(source, str) else source
+    try:
+        return parse(file.read_text("utf-8"))
+    except OSError as exc:
+        raise error(f"{file}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError or JSONDecodeError
+        raise error(f"{file}: {exc}") from None
 
 
 # Declared JSON types by name: (one value, the members of a container).

@@ -10,13 +10,17 @@ once per formula, feedback collectors once per formula and message table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 
-from .errors import InputFormatError, UnboundVariableError, UnknownObjectError, check_fields
+from .errors import (
+    DATA,
+    InputFormatError,
+    UnboundVariableError,
+    UnknownObjectError,
+    check_fields,
+    read_input,
+)
 from .formula import And, Atom, Exists, Formula, Not, When, print_precondition
 from .world import AGENT_PREDICATE, ATTRIBUTE_NAMES, WorldState, attribute_reader
 
@@ -54,18 +58,20 @@ class MessageTable:
         self._collectors: dict[int, tuple] = {}  # see _compiled
 
     @classmethod
-    def load(cls, path: str | Path | None = None) -> "MessageTable":
-        if path is None:
-            return _default_table()
-        with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle))
+    def load(cls, path=None) -> "MessageTable":
+        """The table in a file, or the shipped one, read once per process."""
+        return _default_table() if path is None else cls(read_input(path, InputFormatError))
 
     def message(self, fragment: Formula) -> str:
         """Feedback text for one failing fragment of a precondition."""
-        if isinstance(fragment, Atom):
-            return self._atoms[fragment.name]["required_true"]
-        if isinstance(fragment, Not) and isinstance(fragment.child, Atom):
-            return self._atoms[fragment.child.name]["required_false"]
+        negated = isinstance(fragment, Not)
+        atom = fragment.child if negated else fragment
+        if isinstance(atom, Atom):
+            polarity = "required_false" if negated else "required_true"
+            try:
+                return self._atoms[atom.name][polarity]
+            except KeyError:
+                raise InputFormatError(f"messages: {atom.name} has no {polarity} text") from None
         # No single witness to blame for an Exists; report the whole clause.
         template = self._exists if isinstance(fragment, Exists) else self._fallback
         return template.format(formula=print_precondition(fragment))
@@ -73,8 +79,7 @@ class MessageTable:
 
 @lru_cache(maxsize=1)
 def _default_table() -> MessageTable:
-    text = resources.files("homeplan.data").joinpath("messages.json").read_text("utf-8")
-    return MessageTable(json.loads(text))
+    return MessageTable.load(DATA.joinpath("messages.json"))
 
 
 def _check_binding(state: WorldState, binding: Binding) -> None:

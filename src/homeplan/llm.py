@@ -19,10 +19,10 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    DATA,
     BackendUnavailableError,
     InputFormatError,
     MalformedCompletionError,
@@ -33,6 +33,7 @@ from .errors import (
     ScriptMismatchError,
     UnknownToolError,
     check_fields,
+    read_input,
 )
 from .tools import ToolLibrary
 
@@ -77,7 +78,7 @@ class PromptTemplate:
 
 @lru_cache(maxsize=None)  # one entry per file in TEMPLATE_FILES
 def _packaged_text(filename: str) -> str:
-    return resources.files("homeplan.data").joinpath(f"templates/{filename}").read_text("utf-8")
+    return read_input(DATA.joinpath(f"templates/{filename}"), InputFormatError, parse=str)
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
@@ -88,7 +89,7 @@ def load_template(name: str, directory: str | Path | None = None) -> PromptTempl
     except KeyError:
         raise KeyError(f"unknown template name: {name!r}") from None
     if directory is not None:
-        text = Path(directory, filename).read_text(encoding="utf-8")
+        text = read_input(Path(directory, filename), InputFormatError, parse=str)
     else:
         text = _packaged_text(filename)
     return PromptTemplate(name=name, body=text.rstrip("\n"))

@@ -45,7 +45,7 @@ from .llm import (
     render_prompt,
     stable_repr,
 )
-from .sim import execute, rejected_call
+from .sim import call_args, execute, rejected_call
 from .tools import builtin_tool_library
 from .world import WorldState
 
@@ -113,7 +113,7 @@ class SearchNode:
             elif self.final_answer is not None:
                 self._label = f"Final Answer: {self.final_answer}"
             else:
-                self._label = f"{self.step.action} {stable_repr(_call_args(self.step.args))}"
+                self._label = f"{self.step.action} {stable_repr(call_args(self.step.args))}"
         return self._label
 
 
@@ -175,11 +175,6 @@ def _child_key(child: SearchNode) -> tuple:
     if child.final_answer is not None:
         return ("final-answer", child.final_answer)
     return (child.step.action, _frozen(child.step.args))
-
-
-def _call_args(action_input: dict | str | None) -> dict | None:
-    """The arguments the simulator is given for a parsed Action Input."""
-    return action_input if isinstance(action_input, dict) else None
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
@@ -245,7 +240,7 @@ class MctsPlanner:
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
         try:
-            state, result = execute(leaf.state, parsed.action, _call_args(parsed.action_input),
+            state, result = execute(leaf.state, parsed.action, call_args(parsed.action_input),
                                     self.grounding_enabled, messages=self.messages)
         except (MalformedArgsError, UnknownToolError) as exc:
             state, result = leaf.state, rejected_call(exc)
@@ -393,7 +388,7 @@ class MctsPlanner:
         )
         return PlanResult(
             action=best.step.action,
-            args=_call_args(best.step.args),
+            args=call_args(best.step.args),
             final_answer=best.final_answer,
             thought=best.step.thought,
             root=root,

@@ -13,9 +13,7 @@ conceals it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import (
     InputFormatError,
@@ -24,6 +22,7 @@ from .errors import (
     SuiteFormatError,
     UnknownToolError,
     check_fields,
+    read_input,
 )
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
@@ -48,6 +47,11 @@ def rejected_call(exc: MalformedArgsError | UnknownToolError) -> Observation:
     if isinstance(exc, UnknownToolError):
         return Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
     return Observation(False, FAIL_PREFIX + "malformed action input")
+
+
+def call_args(action_input: dict | str | None) -> dict | None:
+    """The arguments execute is given for a recorded Action Input."""
+    return action_input if isinstance(action_input, dict) else None
 
 
 def format_feedback(messages: list[str]) -> str:
@@ -285,9 +289,8 @@ def task_from_dict(data: dict) -> TaskSpec:
     )
 
 
-def load_task(path: str | Path) -> TaskSpec:
-    with open(path, encoding="utf-8") as handle:
-        return task_from_dict(json.load(handle))
+def load_task(path) -> TaskSpec:
+    return task_from_dict(read_input(path, SuiteFormatError))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +330,9 @@ def trace_from_dict(data: dict) -> TraceFixture:
     )
 
 
-def load_trace(path: str | Path) -> TraceFixture:
-    with open(path, encoding="utf-8") as handle:
-        return trace_from_dict(json.load(handle))
+def load_trace(path) -> TraceFixture:
+    """A trace from a fixture file, given by path or as a file of DATA."""
+    return trace_from_dict(read_input(path, InputFormatError))
 
 
 @dataclass(frozen=True)
@@ -350,19 +353,16 @@ def replay_trace(
     grounding_enabled: bool = True,
     messages: MessageTable | None = None,
 ) -> tuple[WorldState, list[ReplayResult]]:
-    """Execute a recorded action sequence, comparing observations byte-wise."""
+    """Execute a recorded action sequence, comparing observations byte-wise;
+    each call is made, or refused, as an agent makes it."""
     state = refresh_visibility(world)
     results = []
     for index, step in enumerate(trace.steps, start=1):
-        state, observation = execute(
-            state, step.action, step.args, grounding_enabled, messages=messages
-        )
-        results.append(
-            ReplayResult(
-                index=index,
-                action=step.action,
-                expected=step.observation,
-                actual=observation.message,
-            )
-        )
+        try:
+            state, observation = execute(state, step.action, call_args(step.args),
+                                         grounding_enabled, messages=messages)
+        except (MalformedArgsError, UnknownToolError) as exc:
+            observation = rejected_call(exc)
+        results.append(ReplayResult(index, step.action, expected=step.observation,
+                                    actual=observation.message))
     return state, results

@@ -11,16 +11,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 from .agent import OUTCOME_FAILURE, AgentConfig, EpisodeRecord, run_episode
 from .errors import (
+    DATA,
     HomeplanError,
     InputFormatError,
     InsufficientObjectsError,
     SuiteFormatError,
     check_fields,
+    read_input,
 )
 from .sim import GoalAtom, TaskSpec, refresh_visibility, task_from_dict, task_to_dict
 from .tools import builtin_tool_library, seeded_draw
@@ -69,8 +70,7 @@ def suite_from_dict(data: dict) -> SuiteSpec:
 
 
 def load_suite(path: str | Path) -> SuiteSpec:
-    with open(path, encoding="utf-8") as handle:
-        return suite_from_dict(json.load(handle))
+    return suite_from_dict(read_input(path, SuiteFormatError))
 
 
 def save_suite(suite: SuiteSpec, path: str | Path) -> None:
@@ -87,11 +87,8 @@ def resolve_world(ref: str, base_dir: str | Path | None = None) -> WorldState:
         return load_world(candidate)
     if base_dir is not None and (Path(base_dir) / ref).exists():
         return load_world(Path(base_dir) / ref)
-    packaged = resources.files("homeplan.data").joinpath(ref)
-    if packaged.is_file():
-        from .world import world_from_dict
-
-        return world_from_dict(json.loads(packaged.read_text("utf-8")))
+    if DATA.joinpath(ref).is_file():
+        return load_world(DATA.joinpath(ref))
     raise SuiteFormatError(f"world fixture not found: {ref!r}")
 
 
@@ -115,6 +112,8 @@ def generate_easy_suite(
     """Sample pick-and-place rearrangement tasks across the given worlds."""
     if count < 1:
         raise SuiteFormatError("count must be at least 1")
+    if not world_refs:
+        raise SuiteFormatError("no world to sample tasks from")
     worlds = [(ref, resolve_world(ref)) for ref in world_refs]
 
     tasks = []
@@ -238,9 +237,8 @@ _ACTION_FIELDS = {"action": str, "ok": bool}
 
 def load_report(path: str | Path) -> MetricsReport:
     """Read back a report file that ``homeplan run`` wrote."""
-    with open(path, encoding="utf-8") as handle:
-        data = check_fields(json.load(handle), InputFormatError, "report",
-                            _REPORT_FIELDS, _REPORT_OPTIONAL)
+    data = check_fields(read_input(path, InputFormatError), InputFormatError, "report",
+                        _REPORT_FIELDS, _REPORT_OPTIONAL)
     for index, episode in enumerate(data["episodes"], start=1):
         where = f"report episode {index}"
         check_fields(episode, InputFormatError, where, _EPISODE_FIELDS, _EPISODE_OPTIONAL)
@@ -273,11 +271,6 @@ def config_hash(config: AgentConfig, suite: SuiteSpec, backend: str,
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-# Faults of the environment a run depends on (fixtures, backend, files),
-# reported as failed episodes; anything else is a bug and propagates.
-_INFRASTRUCTURE_ERRORS = (HomeplanError, OSError, json.JSONDecodeError)
-
-
 def run_suite(
     suite: SuiteSpec,
     config: AgentConfig,
@@ -289,7 +282,9 @@ def run_suite(
 ) -> tuple[MetricsReport, list[EpisodeRecord]]:
     """Execute every episode; backend_factory(task) supplies each backend
     (pass a plain backend object to share one across episodes). Returns the
-    report and one record per episode, in report order."""
+    report and one record per episode, in report order. A HomeplanError (an
+    input that does not load, a backend or script fault) fails only its
+    episodes, one error line each; any other exception is a bug and propagates."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
 
@@ -313,7 +308,7 @@ def run_suite(
     for ref in dict.fromkeys(task.world for task in suite.tasks):
         try:
             world = resolve_world(ref, base_dir)
-        except _INFRASTRUCTURE_ERRORS as exc:
+        except HomeplanError as exc:
             worlds[ref] = exc
             continue
         if seed_override is not None:
@@ -334,7 +329,7 @@ def run_suite(
             return failed(task, world), world
         try:
             return run_episode(task, config, factory(task), world, messages=messages), None
-        except _INFRASTRUCTURE_ERRORS as exc:
+        except HomeplanError as exc:
             return failed(task, exc), exc
 
     if workers > 1:
@@ -461,8 +456,8 @@ def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
 def load_stepwise_counts(path: str | Path) -> StepwiseTable:
     """Tabulate a per-skill counts file: ``{"rows": [{skill, successes,
     failures, reported_ssr?}]}``."""
-    with open(path, encoding="utf-8") as handle:
-        counts = check_fields(json.load(handle), InputFormatError, "counts", _COUNTS_FIELDS)
+    counts = check_fields(read_input(path, InputFormatError), InputFormatError, "counts",
+                          _COUNTS_FIELDS)
     return stepwise_from_counts(counts["rows"])
 
 

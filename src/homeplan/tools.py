@@ -11,14 +11,12 @@ after the simulator has checked the precondition.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
-from .errors import InputFormatError, UnknownToolError, check_fields
+from .errors import DATA, InputFormatError, UnknownToolError, check_fields, read_input
 from .formula import Formula, parse_precondition
 from .world import ZONE_ANY, WorldState, _replace, concealed, with_attribute, with_zone
 
@@ -79,16 +77,9 @@ _PAIR_FIELDS = {"generated": str, "ground_truth": str}
 def load_precondition_pairs(path: str | Path | None = None) -> dict:
     """Labeled-pairs fixture (generated/ground-truth text per tool), its
     fields checked."""
-    if path is None:
-        text = (
-            resources.files("homeplan.data")
-            .joinpath("preconditions/labeled_pairs.json")
-            .read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text("utf-8")
-    data = check_fields(json.loads(text), InputFormatError, "precondition pairs",
-                        _PAIRS_FIELDS, _PAIRS_OPTIONAL)
+    source = DATA.joinpath("preconditions/labeled_pairs.json") if path is None else path
+    data = check_fields(read_input(source, InputFormatError), InputFormatError,
+                        "precondition pairs", _PAIRS_FIELDS, _PAIRS_OPTIONAL)
     for tool, entry in data["tools"].items():
         check_fields(entry, InputFormatError, f"precondition pairs: {tool}", _PAIR_FIELDS)
     return data

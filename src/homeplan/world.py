@@ -8,10 +8,8 @@ a state, they return new ones.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import (
     InvalidObjectIdError,
@@ -19,6 +17,7 @@ from .errors import (
     UnknownObjectError,
     WorldFormatError,
     check_fields,
+    read_input,
 )
 
 # Closed attribute vocabulary, in canonical listing order. Unknown names are
@@ -284,28 +283,14 @@ def validate_world(state: WorldState) -> list[str]:
         elif not state.objects[parent].attributes.receptacle:
             violations.append(f"{parent}: containment parent without receptacle")
 
-    # Cycle check over the child->parent map; each cycle reported once.
+    # Each containment cycle once, from its first member in map order: an
+    # object is on a cycle when its ancestor chain comes back to it.
     in_reported_cycle: set[str] = set()
     for start in state.containment:
-        if start in in_reported_cycle:
-            continue
-        slow = start
-        seen = set()
-        while slow in state.containment:
-            if slow in seen:
-                break
-            seen.add(slow)
-            slow = state.containment[slow]
-        else:
-            continue
-        if slow == start:
-            cycle = [start]
-            node = state.containment[start]
-            while node != start:
-                cycle.append(node)
-                node = state.containment[node]
-            in_reported_cycle.update(cycle)
-            violations.append("containment cycle: " + " -> ".join(cycle + [start]))
+        chain = state.ancestors_of(start)
+        if chain[-1] == start and start not in in_reported_cycle:
+            in_reported_cycle.update(chain)
+            violations.append("containment cycle: " + " -> ".join([start] + chain))
 
     agent = state.agent
     if agent.held_object is not None:
@@ -383,6 +368,6 @@ def world_from_dict(data: dict) -> WorldState:
     return state
 
 
-def load_world(path: str | Path) -> WorldState:
-    with open(path, encoding="utf-8") as handle:
-        return world_from_dict(json.load(handle))
+def load_world(path) -> WorldState:
+    """A world from a fixture file, given by path or as a file of DATA."""
+    return world_from_dict(read_input(path, WorldFormatError))

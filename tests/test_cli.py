@@ -421,3 +421,94 @@ def test_run_with_template_dir_override(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "task completion: 50% (1/2)" in out
+
+
+def test_gen_suite_with_no_world_is_config_error(tmp_path, capsys):
+    out_file = tmp_path / "suite.json"
+    assert main(["gen-suite", "--seed", "1", "--count", "2", "--worlds", ",",
+                 "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == "error: no world to sample tasks from\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--suite", "{dir}", "--backend", "remote"],
+     ["run", "--suite", "{suite}", "--backend", "scripted:{dir}"],
+     ["run", "--suite", "{suite}", "--backend", "scripted:{script}", "--messages", "{dir}"],
+     ["replay-trace", "--trace", "{dir}"],
+     ["replay-trace", "--messages", "{dir}"],
+     ["report", "--records", "{dir}"],
+     ["report", "--stepwise-counts", "{dir}"],
+     ["compare-preconds", "--fixture", "{dir}"]],
+    ids=["suite", "script", "run-messages", "trace", "replay-messages", "records", "counts",
+         "fixture"],
+)
+def test_an_input_that_is_a_directory_is_config_error(tmp_path, capsys, command):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    directory = tmp_path / "inputs"
+    directory.mkdir()
+    args = [part.format(dir=directory, suite=suite_path, script=script_path) for part in command]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
+
+
+# A directory cannot be written as a file, nor a file made a directory.
+@pytest.mark.parametrize(
+    "command, taken, reason",
+    [(["gen-suite", "--seed", "1", "--count", "2", "--worlds", "worlds/kitchen.json"],
+      "directory", "Is a directory"),
+     (["compare-preconds"], "directory", "Is a directory"),
+     (["run", "--suite", "{suite}", "--backend", "scripted:{script}"], "file", "File exists")],
+    ids=["gen-suite", "compare-preconds", "run"],
+)
+def test_an_output_that_cannot_be_written_is_config_error(tmp_path, capsys, command, taken,
+                                                          reason):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    out = tmp_path / "taken"
+    if taken == "directory":
+        out.mkdir()
+    else:
+        out.write_text("")
+    args = [part.format(suite=suite_path, script=script_path) for part in command]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
+def test_run_on_a_suite_directory_exits_2_without_a_traceback(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "homeplan.cli", "run", "--suite", str(tmp_path),
+         "--backend", "remote"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: {tmp_path}: Is a directory\n"
+
+
+def _messages_without_visible(tmp_path):
+    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    del data["atoms"]["visible"]
+    path = tmp_path / "messages.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_replay_with_a_message_table_missing_a_needed_text_is_config_error(tmp_path, capsys):
+    code = main(["replay-trace", "--messages", str(_messages_without_visible(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: messages: visible has no required_true text\n"
+
+
+def test_run_with_a_message_table_missing_a_needed_text_gives_an_error_per_episode(
+        tmp_path, capsys):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--messages", str(_messages_without_visible(tmp_path)),
+                 "--out", str(tmp_path / "reports")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("error:")] == [
+        f"error: {episode}: messages: visible has no required_true text"
+        for episode in ("demo-001", "demo-002")
+    ]

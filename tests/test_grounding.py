@@ -11,7 +11,12 @@ from importlib import resources
 
 import pytest
 
-from homeplan.errors import UnboundVariableError, UnknownAttributeError, UnknownObjectError
+from homeplan.errors import (
+    InputFormatError,
+    UnboundVariableError,
+    UnknownAttributeError,
+    UnknownObjectError,
+)
 from homeplan.formula import (
     And,
     Atom,
@@ -443,7 +448,7 @@ def test_missing_message_raises_only_when_its_atom_fails():
         "the target object is not a receptacle"
     ]
     for _ in range(2):
-        with pytest.raises(KeyError):
+        with pytest.raises(InputFormatError, match="^messages: visible has no required_true text$"):
             unsatisfied(formula, hidden, {"?x": "Box_1"}, table)
     assert unsatisfied(formula, seen, {"?x": "Box_1"}, table)[0].message == (
         "the target object is not a receptacle"

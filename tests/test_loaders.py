@@ -5,7 +5,9 @@ trace, a scenario script, the message table, the labeled pairs and the two
 ``homeplan report`` inputs): it replaces one random subtree with another
 JSON value, or deletes one key or array member, and runs the result through
 that input's loader. The loader must return or raise a HomeplanError, never
-any other exception.
+any other exception. Every file loader, prompt templates included, also
+turns a file that cannot be read, decoded or parsed into its input's
+HomeplanError naming the file.
 """
 
 import copy
@@ -17,19 +19,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import HomeplanError, InputFormatError, WorldFormatError, check_fields
+from homeplan import grounding, llm, suite, tools
+from homeplan.cli import _make_backend_factory
+from homeplan.errors import (
+    HomeplanError,
+    InputFormatError,
+    SuiteFormatError,
+    WorldFormatError,
+    check_fields,
+)
 from homeplan.grounding import MessageTable
-from homeplan.llm import ScriptedBackend
+from homeplan.llm import ScriptedBackend, load_template
 from homeplan.precondgen import compare_fixture
-from homeplan.sim import task_from_dict, trace_from_dict
+from homeplan.sim import load_task, load_trace, task_from_dict, trace_from_dict
 from homeplan.suite import (
     MetricsReport,
     generate_easy_suite,
     load_report,
     load_stepwise_counts,
+    load_suite,
+    resolve_world,
     suite_from_dict,
 )
-from homeplan.world import world_from_dict
+from homeplan.tools import load_precondition_pairs
+from homeplan.world import load_world, world_from_dict
 
 from .test_suite import REFERENCE_STEPWISE_ROWS
 
@@ -178,3 +191,95 @@ def test_check_fields_returns_a_good_object_and_leads_with_no_where():
     assert check_fields({}, InputFormatError, "", optional=OPTIONAL) == {}
     with pytest.raises(WorldFormatError, match="^objects must be an object of objects$"):
         check_fields({"objects": []}, WorldFormatError, "", {"objects": (dict, dict)})
+
+
+# ---------------------------------------------------------------------------
+# Files that cannot be read, decoded or parsed
+
+def _directory(path):
+    path.mkdir()
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"name": "caf\xe9"}')
+
+
+def _truncated_json(path):
+    path.write_text('{"name": [1, ', encoding="utf-8")
+
+
+def _too_deep_json(path):  # json.loads raises RecursionError, not a JSONDecodeError
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+
+
+FAULTS = {"directory": _directory, "not-utf8": _not_utf8, "truncated-json": _truncated_json,
+          "too-deep-json": _too_deep_json}
+
+# file loader -> (reader of the file at a path, the file's name, its error)
+FILE_LOADERS = {
+    "world": (load_world, "world.json", WorldFormatError),
+    "suite-world": (lambda path: resolve_world(path.name, path.parent), "world.json",
+                    WorldFormatError),
+    "task": (load_task, "task.json", SuiteFormatError),
+    "trace": (load_trace, "trace.json", InputFormatError),
+    "suite": (load_suite, "suite.json", SuiteFormatError),
+    "report": (load_report, "report.json", InputFormatError),
+    "counts": (load_stepwise_counts, "counts.json", InputFormatError),
+    "messages": (MessageTable.load, "messages.json", InputFormatError),
+    "pairs": (load_precondition_pairs, "pairs.json", InputFormatError),
+    "script": (lambda path: _make_backend_factory(f"scripted:{path}"), "script.json",
+               InputFormatError),
+    "template": (lambda path: load_template("expansion", path.parent), "expansion.txt",
+                 InputFormatError),
+}
+# A template is text, not JSON.
+CASES = [(loader, fault) for loader in FILE_LOADERS for fault in FAULTS
+         if loader != "template" or fault in ("directory", "not-utf8")]
+
+
+def _assert_names_the_file(raised, path):
+    message = str(raised.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("loader, fault", CASES, ids=[f"{l}-{f}" for l, f in CASES])
+def test_a_file_that_cannot_be_read_decoded_or_parsed_is_its_input_format_error(
+        tmp_path, loader, fault):
+    load, name, error = FILE_LOADERS[loader]
+    path = tmp_path / name
+    FAULTS[fault](path)
+    with pytest.raises(error) as raised:
+        load(path)
+    _assert_names_the_file(raised, path)
+
+
+# name -> (a module, the call that reads its packaged file, the file's name
+# under DATA, its error). Each call skips its module's cache, and the test
+# points the module's DATA at a scratch directory.
+PACKAGED_LOADERS = {
+    "messages": (grounding, lambda: grounding._default_table.__wrapped__(), "messages.json",
+                 InputFormatError),
+    "pairs": (tools, lambda: tools.load_precondition_pairs(), "preconditions/labeled_pairs.json",
+              InputFormatError),
+    "template": (llm, lambda: llm._packaged_text.__wrapped__("expansion.txt"),
+                 "templates/expansion.txt", InputFormatError),
+    "world": (suite, lambda: suite.resolve_world("worlds/kitchen.json"), "worlds/kitchen.json",
+              WorldFormatError),
+}
+PACKAGED_CASES = [(loader, fault) for loader in PACKAGED_LOADERS
+                  for fault in ("not-utf8", "truncated-json")
+                  if (loader, fault) != ("template", "truncated-json")]
+
+
+@pytest.mark.parametrize("loader, fault", PACKAGED_CASES,
+                         ids=[f"{l}-{f}" for l, f in PACKAGED_CASES])
+def test_a_packaged_file_that_cannot_be_decoded_or_parsed_is_its_input_format_error(
+        tmp_path, monkeypatch, loader, fault):
+    module, read, name, error = PACKAGED_LOADERS[loader]
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    FAULTS[fault](path)
+    monkeypatch.setattr(module, "DATA", tmp_path)
+    with pytest.raises(error) as raised:
+        read()
+    _assert_names_the_file(raised, path)

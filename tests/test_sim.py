@@ -576,6 +576,30 @@ def test_trace_replays_byte_exactly(kitchen_world, clear_table_trace):
     assert mismatches == []
 
 
+def test_a_transcript_with_refused_calls_replays_as_the_agent_recorded_it(
+        kitchen_world, clear_table_task):
+    from homeplan.agent import AgentConfig, run_episode
+    from homeplan.llm import ScriptedBackend
+    from homeplan.sim import trace_from_dict
+
+    completions = [
+        "Thought: fly\nAction: Fly Away\nAction Input: None",
+        "Thought: grab\nAction: Pick Up Object\nAction Input: {'object': 'Mug_1'}",
+        "Thought: look\nAction: Randomly Explore\nAction Input: the kitchen",
+    ]
+    record = run_episode(clear_table_task, AgentConfig(step_cap=3),
+                         ScriptedBackend.ordered(completions), kitchen_world)
+    assert [step.observation for step in record.steps] == [
+        "Tool Failed: unknown tool 'Fly Away'",
+        "Tool Failed: malformed action input",
+        "Tool Completed Successfully: New objects discovered!",
+    ]
+    trace = trace_from_dict({"world": "worlds/kitchen.json",
+                             "steps": [step.to_dict() for step in record.steps]})
+    _, results = replay_trace(trace, kitchen_world)
+    assert [result.ok for result in results] == [True] * 3
+
+
 def test_trace_final_state_fails_proper_storage_goal(
     kitchen_world, clear_table_trace, clear_table_task
 ):

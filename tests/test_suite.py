@@ -586,11 +586,16 @@ def test_a_suite_without_repetitions_is_rejected():
 
 def _run_beside_a_broken_world(tmp_path, breaks):
     """Run a good task and, twice, one on kitchen_b changed by ``breaks``."""
-    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
     world = json.loads(resources.files("homeplan.data").joinpath("worlds/kitchen_b.json")
                        .read_text("utf-8"))
     breaks(world)
-    (tmp_path / "bad.json").write_text(json.dumps(world))
+    return _run_beside_a_world_file(tmp_path, json.dumps(world).encode())
+
+
+def _run_beside_a_world_file(tmp_path, content: bytes):
+    """Run a good task and, twice, one on a world file holding ``content``."""
+    explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
+    (tmp_path / "bad.json").write_bytes(content)
     suite_data = _one_task_suite()
     suite_data["tasks"].append({**suite_data["tasks"][0], "id": "b", "world": "bad.json"})
     suite = suite_from_dict({**suite_data, "repetitions": 2})
@@ -611,6 +616,15 @@ def test_a_malformed_world_gives_one_error_line_per_episode(tmp_path):
         f"{episode}: agent: missing keys ['seed']" for episode in ("b#1", "b#2")
     ]
     _assert_only_b_failed(records, "agent: missing keys ['seed']")
+
+
+def test_a_world_that_is_not_utf8_gives_one_error_line_per_episode(tmp_path):
+    kitchen = resources.files("homeplan.data").joinpath("worlds/kitchen_b.json").read_bytes()
+    report, records = _run_beside_a_world_file(tmp_path, b"\xff" + kitchen)
+    error = (f"{tmp_path / 'bad.json'}: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte")
+    assert report.errors == [f"{episode}: {error}" for episode in ("b#1", "b#2")]
+    _assert_only_b_failed(records, error)
 
 
 @pytest.mark.parametrize(
