@@ -17,7 +17,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .errors import DATA, HomeplanError, InputFormatError, OutputError, read_input
 from .grounding import MessageTable
-from .llm import RemoteBackend, ScriptedBackend
+from .llm import TEMPLATE_FILES, RemoteBackend, ScriptedBackend, load_template
 from .mcts import PlannerConfig
 from .precondgen import compare_fixture
 from .sim import load_trace, replay_trace
@@ -143,6 +143,11 @@ def _cmd_run(args) -> int:
         template_dir=args.templates,
     )
     messages = MessageTable.load(args.messages) if args.messages else None
+    if args.templates is not None:  # a bad directory fails before any episode
+        for name in TEMPLATE_FILES:
+            load_template(name, args.templates)
+    with _writing(args.out) as out_dir:  # and so does an --out that cannot be made
+        out_dir.mkdir(parents=True, exist_ok=True)
     report, records = run_suite(
         suite,
         config,
@@ -154,7 +159,6 @@ def _cmd_run(args) -> int:
     )
     stem = f"{config_hash(config, suite, args.backend, args.messages)}_{report.seed}"
     with _writing(args.out) as out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
         (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
         (out_dir / f"{stem}.episodes.jsonl").write_text(

@@ -105,10 +105,6 @@ class BackendUnavailableError(HomeplanError):
     """Remote backend could not produce a completion."""
 
 
-class ExpansionFailedError(HomeplanError):
-    """No tree child could be produced within the retry budget."""
-
-
 class NoFeasibleActionError(HomeplanError):
     """Planner finished its budget with no root children."""
 

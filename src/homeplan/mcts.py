@@ -1,22 +1,25 @@
 """Tree-search planner: UCB1 selection, model-proposed expansion, critique
 scoring, and mean-value backpropagation.
 
-Instead of rollout simulation, a leaf's action path is scored by a language
-model critique (1..10, normalized to [0, 1]). A proposed action the simulator
-refuses (it fails verification or names an unknown tool) stays in the tree as
-a leaf carrying its failure observation: it is never expanded and never
-critiqued, and each evaluation of it scores zero. While every root child was
-refused, the root is expanded again, at most ``ROOT_RETRY_BUDGET`` times,
-instead of a refused leaf being revisited. The executed action is the most
-visited root child that was not refused (robust-child rule); only when every
-root child was refused is the most visited refused one executed, so the agent
-records the simulator's feedback.
+Each iteration selects a path from the root by UCB1. The path ends at the
+first unvisited child it meets, or else at a node to expand, whose first new
+child is then scored. Instead of rollout simulation, that action path is
+scored by a language model critique (1..10, normalized to [0, 1]). A proposed
+action the simulator refuses (it fails verification or names an unknown
+tool) stays in the tree as a leaf carrying its failure observation: it is
+never expanded and never critiqued, and each evaluation of it scores zero.
+While every root child was refused, the root is expanded again, at most
+``ROOT_RETRY_BUDGET`` times, instead of a refused leaf being revisited. The
+executed action is the most visited root child that was not refused
+(robust-child rule); only when every root child was refused is the most
+visited refused one executed, so the agent records the simulator's feedback.
 
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposed step with its simulated observation, keeping the raw Action
-Input. An expansion prompt is the episode's scratchpad followed by the
-steps on the search path, each node's step rendered once; the critique
-scores that path, naming each node by its ``label``, as traces do.
+Input. Its node keeps the proposal's dedup key, which no two siblings share.
+An expansion prompt is the episode's scratchpad followed by the steps on the
+search path, each node's step rendered once; the critique scores that path,
+naming each node by its ``label``, as traces do.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
-    ExpansionFailedError,
     MalformedArgsError,
     MalformedCompletionError,
     NoFeasibleActionError,
@@ -88,7 +90,7 @@ class SearchNode:
     state: WorldState
     step: StepRecord | None = None
     final_answer: str | None = None
-    depth: int = 0
+    key: tuple | None = None  # the proposal's dedup key (None at the root)
     visit_count: int = 0
     total_score: float = 0.0
     children: list["SearchNode"] = field(default_factory=list)
@@ -125,18 +127,25 @@ def ucb_score(parent: SearchNode, child: SearchNode, c: float) -> float:
 
 
 def select(root: SearchNode, c: float) -> list[SearchNode]:
-    """Descend by UCB1 until a node with unvisited children, a leaf, or a
-    terminal node; ties break by child insertion order."""
+    """The path from the root to the node to score or expand. At each node
+    the first unvisited child (in insertion order) ends the path; when every
+    child was visited, the path descends to the UCB1 maximum (ties break by
+    insertion order), unless the node is terminal: the one terminal node
+    with children is a root whose retry expansion made none. A node with no
+    children ends the path too."""
     path = [root]
     node = root
-    while node.children and not node.terminal:
+    while node.children:
         best = None
         for child in node.children:
             if child.visit_count == 0:
+                path.append(child)
                 return path
             score = ucb_score(node, child, c)
             if best is None or score > best_score:
                 best, best_score = child, score
+        if node.terminal:
+            break
         node = best
         path.append(node)
     return path
@@ -168,13 +177,6 @@ def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
     if isinstance(step, FinalAnswer):
         return ("final-answer", step.text)
     return (step.action, _frozen(step.action_input))
-
-
-def _child_key(child: SearchNode) -> tuple:
-    """The dedup key of the proposal a child was built from."""
-    if child.final_answer is not None:
-        return ("final-answer", child.final_answer)
-    return (child.step.action, _frozen(child.step.args))
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
@@ -238,7 +240,7 @@ class MctsPlanner:
         except UnknownToolError as exc:
             return exc.step
 
-    def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
+    def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
         try:
             state, result = execute(leaf.state, parsed.action, call_args(parsed.action_input),
                                     self.grounding_enabled, messages=self.messages)
@@ -247,7 +249,7 @@ class MctsPlanner:
         return SearchNode(
             state=state,
             step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
-            depth=leaf.depth + 1,
+            key=key,
             terminal=not result.success,
             failed=not result.success,
         )
@@ -255,19 +257,20 @@ class MctsPlanner:
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode],
                history: str = "") -> list[SearchNode]:
         """Propose up to children_per_expansion next actions, distinct from
-        each other and from the leaf's existing children; the prompt's
-        scratchpad is the episode history followed by the path's steps."""
+        each other and from the leaf's existing children; append them to the
+        leaf and return them, an empty list when every proposal was
+        unparseable or a duplicate. The prompt's scratchpad is the episode
+        history followed by the path's steps."""
         prompt = self.expansion_prompt(goal, history + "".join(
             node.step.rendered for node in path if node.step is not None
         ))
         config = self.config
-        seen = {_child_key(child) for child in leaf.children}
+        seen = {child.key for child in leaf.children}
         children: list[SearchNode] = []
-        attempts = 0
-        max_attempts = config.children_per_expansion + EXPANSION_RETRY_BUDGET
         temperature = EXPANSION_TEMPERATURE
-        while len(children) < config.children_per_expansion and attempts < max_attempts:
-            attempts += 1
+        for _ in range(config.children_per_expansion + EXPANSION_RETRY_BUDGET):
+            if len(children) == config.children_per_expansion:
+                break
             try:
                 parsed = self.propose(prompt, temperature)
             except MalformedCompletionError:
@@ -284,17 +287,13 @@ class MctsPlanner:
                     state=leaf.state,
                     step=StepRecord("", "Final Answer", parsed.text, None),
                     final_answer=parsed.text,
-                    depth=leaf.depth + 1,
+                    key=key,
                     terminal=True,
                 )
             else:
-                child = self._simulate_child(leaf, parsed)
+                child = self._simulate_child(leaf, parsed, key)
             children.append(child)
             leaf.children.append(child)
-        if not children:
-            raise ExpansionFailedError(
-                f"no children produced after {attempts} completions"
-            )
         return children
 
     # -- critique ----------------------------------------------------------
@@ -319,10 +318,14 @@ class MctsPlanner:
 
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
         """Plan from a state that refresh_visibility or a successful execute
-        returned. Refused children are leaves. While every root child was
-        refused, an iteration expands the root again (at most
-        ROOT_RETRY_BUDGET times); a refused child is committed only when no
-        root child was accepted by the simulator."""
+        returned. Each iteration scores the node at the end of the path
+        select returns: a child not yet visited as it stands; any other
+        non-terminal node shallower than max_depth is expanded first and its
+        first new child scored, and a node whose expansion made no child
+        turns terminal and is scored itself. Refused children are leaves.
+        While every root child was refused, an iteration expands the root
+        again (at most ROOT_RETRY_BUDGET times); a refused child is
+        committed only when no root child was accepted by the simulator."""
         config = self.config
         trace = [] if self.traces is not None else None
         root = SearchNode(state=state)
@@ -336,24 +339,16 @@ class MctsPlanner:
             else:
                 path = select(root, EXPLORATION_CONSTANT)
             leaf = path[-1]
+            fresh = leaf is not root and leaf.visit_count == 0  # select's unvisited child
             expanded = False
-            node = None if retry else next(
-                (ch for ch in leaf.children if ch.visit_count == 0), None)
-            if node is not None:
-                path.append(node)
-            elif retry or (not leaf.terminal and leaf.depth < config.max_depth
-                           and not leaf.children):
-                first = len(leaf.children)
-                try:
-                    self.expand(leaf, goal, path, history)
-                    expanded = True
-                    node = leaf.children[first]
-                    path.append(node)
-                except ExpansionFailedError:
+            if retry or (not fresh and not leaf.terminal and len(path) - 1 < config.max_depth):
+                children = self.expand(leaf, goal, path, history)
+                expanded = bool(children)
+                if expanded:
+                    path.append(children[0])
+                else:
                     leaf.terminal = True
-                    node = leaf
-            else:
-                node = leaf
+            node = path[-1]
 
             if node.failed:
                 # Refused children are terminal leaves, kept but never

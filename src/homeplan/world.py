@@ -8,6 +8,7 @@ a state, they return new ones.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -20,28 +21,7 @@ from .errors import (
     read_input,
 )
 
-# Closed attribute vocabulary, in canonical listing order. Unknown names are
-# errors everywhere, never silently-false.
-ATTRIBUTE_NAMES: tuple[str, ...] = (
-    "moveable",
-    "breakable",
-    "canFillWithLiquid",
-    "isToggled",
-    "pickupable",
-    "isOpen",
-    "isBroken",
-    "visible",
-    "receptacle",
-    "openable",
-    "isPickedUp",
-    "toggleable",
-    "isFilledWithLiquid",
-    "cookable",
-    "isCooked",
-    "isWaterSource",
-)
-
-# Nullary agent predicate usable in formulas alongside the sixteen above.
+# Nullary agent predicate usable in formulas alongside the sixteen attributes.
 AGENT_PREDICATE = "isHoldingObject"
 
 # Wildcard zone: objects placed here (floors) are visible from every zone.
@@ -103,6 +83,11 @@ class ObjectAttributes:
         if name not in ATTRIBUTE_NAMES:
             raise UnknownAttributeError(name)
         return _replace(self, **{name: value})
+
+
+# Closed attribute vocabulary, in canonical listing order: the fields above.
+# Unknown names are errors everywhere, never silently-false.
+ATTRIBUTE_NAMES: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ObjectAttributes))
 
 
 @dataclass(frozen=True, order=True)

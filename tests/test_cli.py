@@ -423,6 +423,37 @@ def test_run_with_template_dir_override(tmp_path, capsys):
     assert "task completion: 50% (1/2)" in out
 
 
+def _no_run_suite(*args, **kwargs):
+    raise AssertionError("run_suite was called")
+
+
+@pytest.mark.parametrize("mode", ["react", "mcts"])
+def test_run_with_an_empty_template_dir_exits_2_before_any_episode(tmp_path, capsys, monkeypatch,
+                                                                   mode):
+    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    template_dir, out_dir = tmp_path / "templates", tmp_path / "reports"
+    template_dir.mkdir()
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--mode", mode, "--templates", str(template_dir), "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {template_dir / 'expansion.txt'}: No such file or directory\n")
+    assert not out_dir.exists()
+
+
+def test_run_with_an_out_that_is_a_file_exits_2_before_any_model_call(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
+
+
 def test_gen_suite_with_no_world_is_config_error(tmp_path, capsys):
     out_file = tmp_path / "suite.json"
     assert main(["gen-suite", "--seed", "1", "--count", "2", "--worlds", ",",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeplan import llm, mcts
-from homeplan.errors import ExpansionFailedError, NoFeasibleActionError
+from homeplan.errors import NoFeasibleActionError
 from homeplan.llm import ReactStep, ScriptedBackend, ScriptEntry, StepRecord
 from homeplan.mcts import (
     MctsPlanner,
@@ -56,8 +56,8 @@ def test_unvisited_child_is_preferred():
     fresh = node(n=0)
     parent.children = [seen, fresh]
     assert ucb_score(parent, fresh, 1.414) == math.inf
-    # select stops at the parent so the caller evaluates the unvisited child
-    assert select(parent, 1.414) == [parent]
+    # select ends the path at the unvisited child, for the caller to score
+    assert select(parent, 1.414) == [parent, fresh]
 
 
 def test_select_ties_break_by_insertion_order():
@@ -69,8 +69,10 @@ def test_select_ties_break_by_insertion_order():
 
 
 def two_scan_select(root, c):
-    """Reference: one scan for an unvisited child, then a second for the
-    first UCB maximum."""
+    """Reference: at each node one scan for an unvisited child, then a
+    second for the first UCB maximum, stopping at a terminal node or at a
+    node with an unvisited child; then the first unvisited child of the last
+    node, if any, ends the path."""
     path = [root]
     node = root
     while node.children and not node.terminal:
@@ -78,7 +80,8 @@ def two_scan_select(root, c):
             break
         node = max(node.children, key=lambda ch: ucb_score(node, ch, c))
         path.append(node)
-    return path
+    fresh = next((child for child in node.children if child.visit_count == 0), None)
+    return path if fresh is None else path + [fresh]
 
 
 # (visits that ended at the node, q, terminal, children): few q values and
@@ -234,12 +237,13 @@ def test_dedup_keys_are_equal_exactly_when_action_inputs_are(a, b):
     assert len({key_a, key_b}) == (1 if a == b else 2)
 
 
-def test_expand_fails_on_pure_prose():
-    backend = ScriptedBackend.ordered(["no actions here"] * 5)
+def test_expand_of_pure_prose_makes_no_child():
+    backend = RecordingBackend.ordered(["no actions here"] * 4)
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=2))
     leaf = SearchNode(state=feasible_world())
-    with pytest.raises(ExpansionFailedError):
-        planner.expand(leaf, "tidy up", [leaf])
+    assert planner.expand(leaf, "tidy up", [leaf]) == []
+    assert leaf.children == [] and not leaf.terminal  # plan marks it terminal
+    assert backend.call_count == 4  # two proposals and both retries
 
 
 def test_expand_keeps_infeasible_child_with_failure_observation():
@@ -292,6 +296,7 @@ def test_a_final_answer_child_records_its_text_without_an_observation():
     assert child.terminal and not child.failed
     assert child.final_answer == "all tidy"
     assert child.step == StepRecord("", "Final Answer", "all tidy", None)
+    assert child.key == ("final-answer", "all tidy")
     assert mcts._plan_steps([leaf, child]) == "1. Final Answer: all tidy"
 
 
@@ -306,13 +311,14 @@ def test_each_path_step_is_rendered_once_per_node(monkeypatch):
     monkeypatch.setattr(llm, "format_step", counting_render)
     config = PlannerConfig(expansion_budget=8, children_per_expansion=2, max_depth=3)
     result = MctsPlanner(_replanning_script(), config).plan(feasible_world(), "tidy up")
-    nodes, stack = [], list(result.root.children)
+    expanded, stack = [], [(child, 1) for child in result.root.children]
     while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack += node.children
-    expanded_steps = {id(node.step) for node in nodes if node.children}
-    assert max(node.depth for node in nodes if node.children) >= 2  # two-step paths
+        node, depth = stack.pop()
+        if node.children:
+            expanded.append((node, depth))
+        stack += [(child, depth + 1) for child in node.children]
+    expanded_steps = {id(node.step) for node, _ in expanded}
+    assert max(depth for _, depth in expanded) >= 2  # two-step paths
     assert len(rendered) == len(expanded_steps)
     assert {id(step) for step in rendered} == expanded_steps
 
@@ -512,6 +518,21 @@ def test_a_refused_child_is_never_critiqued(monkeypatch):
     assert any(node.visit_count > 1 for node in refused)
     assert not any(node.children for node in refused)
     assert critiqued and not any(node.failed for path in critiqued for node in path)
+
+
+def test_a_leaf_whose_expansion_makes_no_child_turns_terminal_and_is_scored():
+    backend = RecordingBackend.ordered(
+        [PICK_KNIFE, "Score: 7",  # the root's one child, critiqued
+         "prose", "prose", "prose",  # the child's expansion makes nothing
+         "Score: 5", "Score: 5"]  # so the child is critiqued as it stands
+    )
+    config = PlannerConfig(expansion_budget=3, children_per_expansion=1, max_depth=3)
+    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    (child,) = result.root.children
+    assert child.terminal and not child.failed and not child.children
+    assert child.visit_count == 3
+    assert child.q_value == pytest.approx((normalize_score(7) + 2 * normalize_score(5)) / 3)
+    assert len(backend.prompts) == 7  # the third iteration expands nothing
 
 
 def test_plan_no_feasible_action():

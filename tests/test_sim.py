@@ -93,22 +93,25 @@ def test_unknown_tool_raises():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "action, args",
     [
-        None,
-        {},
-        {"object": "Knife_1"},
-        {"object_id": 7},
-        {"object_id": "Knife"},
-        {"object_id": "Knife_01"},
-        {"object_id": "Knife_0"},
-        {"object_id": "_1"},
+        ("Pick Up Object", None),
+        ("Pick Up Object", {}),
+        ("Pick Up Object", {"object": "Knife_1"}),
+        ("Pick Up Object", {"object_id": 7}),
+        ("Pick Up Object", {"object_id": "Knife"}),
+        ("Pick Up Object", {"object_id": "Knife_01"}),
+        ("Pick Up Object", {"object_id": "Knife_0"}),
+        ("Pick Up Object", {"object_id": "_1"}),
+        ("Pick Up Object", "Knife_1"),  # not a mapping
+        ("Pick Up Object", ["object_id"]),  # not a mapping, yet it holds the key
+        ("Randomly Explore", {"object_id": "Knife_1"}),  # an argument the tool does not take
     ],
 )
-def test_malformed_args(args):
+def test_malformed_args(action, args):
     world = two_zone_world()
     with pytest.raises(MalformedArgsError):
-        execute(world, "Pick Up Object", args, True)
+        execute(world, action, args, True)
 
 
 def test_pick_up_success():
