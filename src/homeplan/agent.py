@@ -33,7 +33,6 @@ from .sim import (
     call_args,
     check_goal,
     execute,
-    refresh_visibility,
     rejected_call,
 )
 from .world import WorldState
@@ -70,12 +69,15 @@ class EpisodeRecord:
     config_label: str
     steps: list[StepRecord]
     outcome: str
-    success: bool
     llm_call_count: int
     final_answer: str | None = None
     error: str | None = None
     wall_clock: float = 0.0
     planner_traces: list[list[dict]] = field(default_factory=list)
+
+    @property
+    def success(self) -> bool:
+        return self.outcome == OUTCOME_SUCCESS
 
     def to_dict(self) -> dict:
         return {
@@ -141,7 +143,7 @@ def run_episode(
         template_dir=config.template_dir,
         keep_traces=config.keep_planner_traces,
     )
-    state = refresh_visibility(world)
+    state = world
     steps: list[StepRecord] = []
     started = time.perf_counter()
 
@@ -151,7 +153,6 @@ def run_episode(
             config_label=config.label(),
             steps=steps,
             outcome=outcome,
-            success=outcome == OUTCOME_SUCCESS,
             llm_call_count=planner.llm_calls,
             final_answer=final_answer,
             error=error,

@@ -162,7 +162,8 @@ def _cmd_run(args) -> int:
         (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")
         (out_dir / f"{stem}.txt").write_text(report.render_text() + "\n", encoding="utf-8")
         (out_dir / f"{stem}.episodes.jsonl").write_text(
-            "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in records),
+            "".join(json.dumps({"id": entry["id"], **record.to_dict()}, ensure_ascii=False) + "\n"
+                    for entry, record in zip(report.episodes, records)),
             encoding="utf-8",
         )
     print(report.render_text())

@@ -323,6 +323,8 @@ class ScriptedBackend(LlmBackend):
             raise ValueError(f"unknown script mode: {mode!r}")
         if cyclic and mode == "keyed":
             raise ValueError("a keyed script cannot be cyclic")
+        if any(entry.uses < -1 for entry in entries):
+            raise ValueError("an entry's uses must be -1 (unlimited) or at least 0")
         if cyclic and all(entry.uses == 0 for entry in entries):
             raise ValueError("a cyclic ordered script needs an entry with uses other than 0")
         self.mode = mode

@@ -317,15 +317,15 @@ class MctsPlanner:
     # -- full planning call -------------------------------------------------
 
     def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
-        """Plan from a state that refresh_visibility or a successful execute
-        returned. Each iteration scores the node at the end of the path
-        select returns: a child not yet visited as it stands; any other
-        non-terminal node shallower than max_depth is expanded first and its
-        first new child scored, and a node whose expansion made no child
-        turns terminal and is scored itself. Refused children are leaves.
-        While every root child was refused, an iteration expands the root
-        again (at most ROOT_RETRY_BUDGET times); a refused child is
-        committed only when no root child was accepted by the simulator."""
+        """Plan from a state that load_world or execute returned. Each
+        iteration scores the node at the end of the path select returns: a
+        child not yet visited as it stands; any other non-terminal node
+        shallower than max_depth is expanded first and its first new child
+        scored, and a node whose expansion made no child turns terminal and
+        is scored itself. Refused children are leaves. While every root child
+        was refused, an iteration expands the root again (at most
+        ROOT_RETRY_BUDGET times); a refused child is committed only when no
+        root child was accepted by the simulator."""
         config = self.config
         trace = [] if self.traces is not None else None
         root = SearchNode(state=state)

@@ -6,9 +6,9 @@ in tools.py) and refreshes visibility; every step is a pure function of
 (state, action, args). The simulator always enforces physical legality; the
 ``grounding_enabled`` flag only controls whether a rejected action is
 explained (unsatisfied-predicate feedback) or reported as a bare execution
-error. Visibility is zone-based: an object is visible when it shares the
-agent's zone (or sits in the wildcard zone) and no closed openable ancestor
-conceals it.
+error. Visibility (``world.refresh_visibility``) is set when a world is
+loaded and again after every successful call, so a state that load_world or
+execute returned is ready to act on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
-from .world import ZONE_ANY, ObjectId, WorldState, _replace, category_of, concealed
+from .world import ObjectId, WorldState, _replace, category_of, refresh_visibility
 
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
@@ -57,30 +57,6 @@ def call_args(action_input: dict | str | None) -> dict | None:
 def format_feedback(messages: list[str]) -> str:
     """Render unsatisfied-predicate messages the way transcripts print them."""
     return FAIL_PREFIX + "".join(message + ", " for message in messages)
-
-
-# ---------------------------------------------------------------------------
-# Visibility
-
-
-def refresh_visibility(state: WorldState) -> WorldState:
-    """Recompute every object's stored visible attribute from the model, in
-    one pass that copies only the objects whose visibility changed."""
-    zone = state.agent.current_zone
-    held = state.agent.held_object
-    objects = None  # copied on the first change
-    for object_id, info in state.objects.items():
-        visible = (
-            (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
-            and not concealed(state, object_id)
-        )
-        if info.attributes.visible != visible:
-            if objects is None:
-                objects = dict(state.objects)
-            objects[object_id] = _replace(
-                info, attributes=_replace(info.attributes, visible=visible)
-            )
-    return state if objects is None else _replace(state, objects=objects)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +329,9 @@ def replay_trace(
     grounding_enabled: bool = True,
     messages: MessageTable | None = None,
 ) -> tuple[WorldState, list[ReplayResult]]:
-    """Execute a recorded action sequence, comparing observations byte-wise;
-    each call is made, or refused, as an agent makes it."""
-    state = refresh_visibility(world)
+    """Execute a recorded action sequence from a loaded world, comparing
+    observations byte-wise; each call is made, or refused, as an agent makes it."""
+    state = world
     results = []
     for index, step in enumerate(trace.steps, start=1):
         try:

@@ -23,7 +23,7 @@ from .errors import (
     check_fields,
     read_input,
 )
-from .sim import GoalAtom, TaskSpec, refresh_visibility, task_from_dict, task_to_dict
+from .sim import GoalAtom, TaskSpec, task_from_dict, task_to_dict
 from .tools import builtin_tool_library, seeded_draw
 from .world import WorldState, load_world
 
@@ -300,10 +300,8 @@ def run_suite(
         task, repetition = job
         return task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
 
-    # Each distinct world is resolved and its visibility refreshed once per
-    # run, and the same immutable state is shared by its episodes (whose own
-    # refresh then returns it unchanged); a fixture error is kept and
-    # reported once per episode.
+    # Each distinct world is resolved once per run and shared by its episodes;
+    # a fixture error is kept and reported once per episode.
     worlds: dict[str, WorldState | Exception] = {}
     for ref in dict.fromkeys(task.world for task in suite.tasks):
         try:
@@ -313,12 +311,11 @@ def run_suite(
             continue
         if seed_override is not None:
             world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
-        worlds[ref] = refresh_visibility(world)
+        worlds[ref] = world
 
     def failed(task, exc: Exception) -> EpisodeRecord:
         return EpisodeRecord(task_id=task.id, config_label=config.label(), steps=[],
-                             outcome=OUTCOME_FAILURE, success=False, llm_call_count=0,
-                             error=str(exc))
+                             outcome=OUTCOME_FAILURE, llm_call_count=0, error=str(exc))
 
     def run_one(job) -> tuple[EpisodeRecord, Exception | None]:
         """The episode's record and, for an infrastructure failure (a failed

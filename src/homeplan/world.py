@@ -242,6 +242,27 @@ def concealed(state: WorldState, object_id: str) -> bool:
     return False
 
 
+def refresh_visibility(state: WorldState) -> WorldState:
+    """Set every object's visible attribute: held, or in the agent's zone or
+    the wildcard zone, and not concealed. One pass, which copies only the
+    objects whose visibility changed."""
+    zone = state.agent.current_zone
+    held = state.agent.held_object
+    objects = None  # copied on the first change
+    for object_id, info in state.objects.items():
+        visible = (
+            (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
+            and not concealed(state, object_id)
+        )
+        if info.attributes.visible != visible:
+            if objects is None:
+                objects = dict(state.objects)
+            objects[object_id] = _replace(
+                info, attributes=_replace(info.attributes, visible=visible)
+            )
+    return state if objects is None else _replace(state, objects=objects)
+
+
 def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
     """The atom-evaluation primitive: a reader of one attribute of an object in
     the state. An unknown name raises UnknownAttributeError when read."""
@@ -312,7 +333,7 @@ _AGENT_OPTIONAL = {"holding": str | None}
 
 
 def world_from_dict(data: dict) -> WorldState:
-    """Build a world from fixture data, rejecting unknown keys."""
+    """Build a world from fixture data, rejecting unknown keys and computing visibility."""
     check_fields(data, WorldFormatError, "", _WORLD_FIELDS, _WORLD_OPTIONAL)
 
     objects: dict[str, ObjectInfo] = {}
@@ -350,7 +371,7 @@ def world_from_dict(data: dict) -> WorldState:
     problems = validate_world(state)
     if problems:
         raise WorldFormatError("invalid world fixture: " + "; ".join(problems))
-    return state
+    return refresh_visibility(state)
 
 
 def load_world(path) -> WorldState:

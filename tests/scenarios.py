@@ -17,7 +17,7 @@ from pathlib import Path
 from homeplan.agent import AgentConfig, EpisodeRecord, run_episode
 from homeplan.llm import ScriptedBackend
 from homeplan.mcts import MctsPlanner, PlannerConfig, PlanResult
-from homeplan.sim import TaskSpec, refresh_visibility, task_from_dict
+from homeplan.sim import TaskSpec, task_from_dict
 from homeplan.world import WorldState, world_from_dict
 
 
@@ -76,4 +76,4 @@ def run_planning(scenario: Scenario, budget: int | None = None) -> PlanResult:
     if budget is not None:
         overrides["expansion_budget"] = budget
     planner = MctsPlanner(scenario.backend(), config=PlannerConfig(**overrides))
-    return planner.plan(refresh_visibility(scenario.world()), scenario.task.instruction)
+    return planner.plan(scenario.world(), scenario.task.instruction)

@@ -18,6 +18,7 @@ from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
+from homeplan.world import refresh_visibility
 
 from .conftest import RecordingBackend, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_adversarial
@@ -70,7 +71,7 @@ def simple_task(goal_atoms, instruction="do the thing", max_steps=6):
 
 
 def pickup_world():
-    return make_world(
+    world = make_world(
         {
             "Tomato_1": make_object(zone="main", pickupable=True, moveable=True),
             "Basket_1": make_object(zone="main", receptacle=True),
@@ -78,6 +79,7 @@ def pickup_world():
         agent_zone="main",
         discovered={"Tomato_1", "Basket_1"},
     )
+    return refresh_visibility(world)
 
 
 def test_goal_checked_after_every_step_without_declaration():
@@ -430,7 +432,6 @@ def test_serialize_excludes_wall_clock():
         config_label="react/grounding-on",
         steps=[],
         outcome="success",
-        success=True,
         llm_call_count=0,
         wall_clock=123.456,
     )

@@ -134,15 +134,37 @@ def test_run_writes_one_transcript_line_per_report_episode(tmp_path, capsys, mod
     assert transcripts[0] == transcripts[1]
     episodes = json.loads(report_path.read_text())["episodes"]
     lines = [json.loads(line) for line in transcripts[0].decode("utf-8").splitlines()]
-    assert [(line["task_id"], line["outcome"], len(line["steps"]), line["llm_call_count"])
-            for line in lines] == [
-        (episode["id"], episode["outcome"], episode["steps"], episode["llm_calls"])
+    assert [(line["id"], line["task_id"], line["outcome"], len(line["steps"]),
+             line["llm_call_count"]) for line in lines] == [
+        (episode["id"], episode["id"], episode["outcome"], episode["steps"], episode["llm_calls"])
         for episode in episodes
     ]
     assert [line["error"] for line in lines] == [
         None, None, "world fixture not found: 'worlds/nonexistent.json'"
     ]
     assert lines[0]["steps"][0]["action"] == episodes[0]["actions"][0]["action"]
+
+
+def test_transcript_lines_of_a_repeated_task_carry_their_episode_ids(tmp_path, capsys):
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps({
+        "name": "repeated", "seed": 1, "repetitions": 2,
+        "tasks": [{"id": "a", "difficulty": "easy", "instruction": "anything",
+                   "goal": [{"type": "empty", "object": "GarbageCan_1"}], "maxSteps": 2,
+                   "world": "worlds/kitchen_b.json"}],
+    }))
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps({"entries": [{
+        "completion": "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}",
+        "uses": -1,
+    }]}))
+    out_dir = tmp_path / "reports"
+    assert main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    (transcript,) = out_dir.glob("*.episodes.jsonl")
+    lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+    assert [(line["id"], line["task_id"]) for line in lines] == [("a#1", "a"), ("a#2", "a")]
 
 
 def test_runs_differing_only_in_expansions_write_two_reports(tmp_path, capsys):
@@ -245,6 +267,22 @@ def test_run_with_a_keyed_cyclic_script_is_config_error(tmp_path, capsys):
     code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
                  "--out", str(out_dir)])
     assert capsys.readouterr().err == "error: script: a keyed script cannot be cyclic\n"
+    assert code == 2
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("uses", [-2, -7])
+def test_run_with_a_script_entry_below_unlimited_uses_is_config_error(tmp_path, capsys, uses):
+    # -1 is the one unlimited value; an entry below it is malformed.
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    script = json.loads(script_path.read_text())
+    script["entries"][0]["uses"] = uses
+    script_path.write_text(json.dumps(script))
+    out_dir = tmp_path / "reports"
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(out_dir)])
+    assert capsys.readouterr().err == (
+        "error: script: an entry's uses must be -1 (unlimited) or at least 0\n")
     assert code == 2
     assert not out_dir.exists()
 

@@ -16,7 +16,8 @@ from homeplan.mcts import (
     select,
     ucb_score,
 )
-from homeplan.sim import execute, refresh_visibility
+from homeplan.sim import execute
+from homeplan.world import refresh_visibility
 
 from .conftest import RecordingBackend, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_planning
@@ -603,7 +604,7 @@ def test_planner_trace_records_each_iteration(planning_scenarios):
     scenario = planning_scenarios[0]
     planner = MctsPlanner(scenario.backend(), PlannerConfig(**scenario.planner_config),
                           keep_traces=True)
-    planner.plan(refresh_visibility(scenario.world()), scenario.task.instruction)
+    planner.plan(scenario.world(), scenario.task.instruction)
     (trace,) = planner.traces
     assert len(trace) == 6
     assert all("normalized_score" in row for row in trace)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homeplan
 from homeplan.errors import MalformedArgsError, SuiteFormatError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
 from homeplan.grounding import MessageTable, evaluate, unsatisfied
@@ -19,16 +20,21 @@ from homeplan.sim import (
     check_goal,
     execute,
     format_feedback,
-    refresh_visibility,
     replay_trace,
     task_from_dict,
     task_to_dict,
 )
 from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
 from homeplan.tools import builtin_tool_library, zone_order
-from homeplan.world import ATTRIBUTE_NAMES, ZONE_ANY, category_of, validate_world
+from homeplan.world import (
+    ATTRIBUTE_NAMES,
+    ZONE_ANY,
+    category_of,
+    refresh_visibility,
+    validate_world,
+)
 
-from .conftest import make_object, make_world
+from .conftest import data_path, make_object, make_world
 from .test_grounding import assert_compiled_like_the_reference, custom_table
 
 SEARCH_PART4 = """
@@ -621,7 +627,7 @@ def test_grounding_neutrality_on_dynamics(kitchen_world, clear_table_trace):
 def test_reachable_states_stay_valid(kitchen_world, clear_table_trace):
     from homeplan.sim import execute as run
 
-    state = refresh_visibility(kitchen_world)
+    state = kitchen_world
     assert validate_world(state) == []
     for step in clear_table_trace.steps:
         state, _ = run(state, step.action, step.args, True)
@@ -636,7 +642,7 @@ def _rand(seed, *labels):
 def test_effect_precondition_coherence(kitchen_world):
     """Whenever the ground-truth precondition holds, execution succeeds."""
     lib = builtin_tool_library()
-    state = refresh_visibility(kitchen_world)
+    state = kitchen_world
     checked = 0
     for case in range(300):
         spec = lib.specs[_rand(11, case, "tool") % len(lib.specs)]
@@ -662,9 +668,16 @@ def test_effect_precondition_coherence(kitchen_world):
 SHIPPED_WORLDS = ("worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitchen_c.json")
 
 
+def test_the_public_api_acts_on_a_world_as_loaded():
+    world = homeplan.load_world(data_path("worlds/kitchen.json"))
+    _, observation = homeplan.execute(world, "Pick Up Object", {"object_id": "Apple_1"}, True)
+    assert observation == Observation(True, "Tool Completed Successfully: "
+                                            "Target object was picked up!")
+
+
 @functools.cache
 def shipped_world(ref):
-    return refresh_visibility(resolve_world(ref))
+    return resolve_world(ref)
 
 
 def walk(ref, calls, grounding_enabled=True):
@@ -693,8 +706,10 @@ _walks = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(_walks, st.booleans())
 def test_random_tool_calls_keep_the_world_valid(world_walk, grounding_enabled):
+    # From the world as loaded: every state also has its visibility settled.
     for state, _, _ in walk(*world_walk, grounding_enabled=grounding_enabled):
         assert validate_world(state) == []
+        assert refresh_visibility(state) is state
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from homeplan.agent import AgentConfig
 from homeplan.errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import TaskSpec, check_goal, refresh_visibility
+from homeplan.sim import TaskSpec, check_goal
 from homeplan.suite import (
     MetricsReport,
     completion_rates,
@@ -26,6 +26,7 @@ from homeplan.suite import (
     stepwise_from_counts,
     suite_from_dict,
 )
+from homeplan.world import refresh_visibility
 
 WORLD_REFS = ["worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitchen_c.json"]
 
@@ -232,8 +233,8 @@ def test_run_suite_orders_repetitions_numerically(tmp_path):
 
 def test_run_suite_hands_each_episode_a_refreshed_world_with_the_seed_override(monkeypatch):
     suite = generate_easy_suite(seed=3, count=6, world_refs=WORLD_REFS)
-    for world in map(resolve_world, WORLD_REFS):  # the fixtures as loaded need a refresh
-        assert refresh_visibility(world) is not world
+    for world in map(resolve_world, WORLD_REFS):  # the fixtures come loaded refreshed
+        assert refresh_visibility(world) is world
     handed = []
 
     def capture(task, config, backend, world, messages=None):

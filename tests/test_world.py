@@ -202,6 +202,23 @@ def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
         world_from_dict({**data, **change})
 
 
+def test_world_from_dict_computes_visibility_and_ignores_the_fixture_value():
+    world = world_from_dict({
+        "objects": {
+            "Mug_1": {"zone": "b", "attributes": {"visible": True}},
+            "Cup_1": {"zone": "a", "attributes": {"visible": False}},
+            "Box_1": {"zone": "a", "attributes": {"receptacle": True, "openable": True}},
+            "Key_1": {"zone": "a", "attributes": {"visible": True}},
+            "Floor_1": {"zone": "*"},
+        },
+        "containment": [["Key_1", "Box_1"]],
+        "agent": {"zone": "a", "seed": 1},
+    })
+    assert {object_id: info.attributes.visible for object_id, info in world.objects.items()} == {
+        "Mug_1": False, "Cup_1": True, "Box_1": True, "Key_1": False, "Floor_1": True,
+    }
+
+
 def test_kitchen_fixture_loads_and_validates(kitchen_world):
     assert validate_world(kitchen_world) == []
     assert len(kitchen_world.objects) == 49
