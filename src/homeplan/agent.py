@@ -8,13 +8,16 @@ counts them. Either way the simulator enforces physical legality;
 bare execution errors. The harness judges success against the task goal
 at the start and after each successful action (a failed call changes
 nothing a goal reads); an agent's own final answer never counts as success
-by itself.
+by itself. Each decision shows the model the episode's history through a
+``Scratchpad``, a window over the newest steps kept across decisions, so
+a decision's history costs the steps that entered and left the window.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -113,16 +116,32 @@ class EpisodeRecord:
         }
 
 
-def build_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
-    """Full history rendering, truncated oldest-first to the budget; the
-    newest step is kept even when it alone is over budget."""
-    parts = [step.rendered for step in steps]
-    length = sum(len(part) for part in parts)
-    start = 0
-    while length > char_budget and start < len(parts) - 1:
-        length -= len(parts[start])
-        start += 1
-    return "".join(parts[start:])
+class Scratchpad:
+    """One episode's scratchpad window, kept across its decisions: the
+    renderings of its newest steps, their total length, and how many of
+    the episode's steps it has taken in."""
+
+    def __init__(self, char_budget: int = 24000):
+        self.char_budget = char_budget
+        self.parts: deque[str] = deque()
+        self.length = 0
+        self.taken = 0
+
+
+def build_scratchpad(steps: list[StepRecord], pad: Scratchpad) -> str:
+    """Full history rendering, truncated oldest-first to the pad's budget;
+    the newest step is kept even when it alone is over budget. ``pad`` holds
+    the window of an earlier prefix of ``steps``: this takes in the steps
+    added since and drops parts from the left while over budget. A longer
+    history never fits from an earlier start, so the window only moves right."""
+    parts = pad.parts
+    for step in steps[pad.taken:]:
+        parts.append(step.rendered)
+        pad.length += len(parts[-1])
+    pad.taken = len(steps)
+    while pad.length > pad.char_budget and len(parts) > 1:
+        pad.length -= len(parts.popleft())
+    return "".join(parts)
 
 
 def run_episode(
@@ -145,6 +164,7 @@ def run_episode(
     )
     state = world
     steps: list[StepRecord] = []
+    pad = Scratchpad()
     started = time.perf_counter()
 
     def record(outcome, final_answer=None, error=None) -> EpisodeRecord:
@@ -167,7 +187,7 @@ def run_episode(
     if config.step_cap is not None:
         budget = min(budget, config.step_cap)
     for _ in range(budget):
-        history = build_scratchpad(steps)
+        history = build_scratchpad(steps, pad)
         if config.mode == "react":
             try:
                 decision = planner.propose(planner.expansion_prompt(task.instruction, history))

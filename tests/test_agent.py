@@ -9,6 +9,7 @@ from homeplan import agent, llm, mcts
 from homeplan.agent import (
     AgentConfig,
     EpisodeRecord,
+    Scratchpad,
     StepRecord,
     build_scratchpad,
     run_episode,
@@ -16,7 +17,7 @@ from homeplan.agent import (
 from homeplan.errors import BackendUnavailableError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import GoalAtom, TaskSpec, check_goal
+from homeplan.sim import UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
 from homeplan.world import refresh_visibility
 
@@ -338,6 +339,22 @@ def test_react_episode_describes_the_tools_once(monkeypatch):
     assert len(describes) == 1
 
 
+def reference_window(steps: list[StepRecord], char_budget: int = 24000) -> list[str]:
+    """The renderings a whole-history scratchpad keeps: every step's,
+    truncated oldest-first to the budget, the newest step kept regardless."""
+    parts = [step.rendered for step in steps]
+    length = sum(len(part) for part in parts)
+    start = 0
+    while length > char_budget and start < len(parts) - 1:
+        length -= len(parts[start])
+        start += 1
+    return parts[start:]
+
+
+def reference_scratchpad(steps: list[StepRecord], char_budget: int = 24000) -> str:
+    return "".join(reference_window(steps, char_budget))
+
+
 def test_scratchpad_truncates_oldest_first():
     steps = [
         StepRecord(
@@ -348,8 +365,8 @@ def test_scratchpad_truncates_oldest_first():
         )
         for i in range(30)
     ]
-    full = build_scratchpad(steps, char_budget=10**6)
-    truncated = build_scratchpad(steps, char_budget=400)
+    full = build_scratchpad(steps, Scratchpad(char_budget=10**6))
+    truncated = build_scratchpad(steps, Scratchpad(char_budget=400))
     assert len(truncated) <= 400
     assert "step 29" in truncated
     assert "step 0" not in truncated
@@ -369,8 +386,8 @@ _step_records = st.builds(
 
 @given(st.lists(_step_records, max_size=25), st.integers(min_value=0, max_value=800))
 def test_scratchpad_is_shortest_step_suffix_within_budget(steps, budget):
-    rendered = [build_scratchpad([step], char_budget=10**6) for step in steps]
-    text = build_scratchpad(steps, char_budget=budget)
+    rendered = [build_scratchpad([step], Scratchpad(char_budget=10**6)) for step in steps]
+    text = build_scratchpad(steps, Scratchpad(char_budget=budget))
     suffixes = ["".join(rendered[k:]) for k in range(len(rendered) + 1)]
     assert text in suffixes
     start = suffixes.index(text)
@@ -379,6 +396,21 @@ def test_scratchpad_is_shortest_step_suffix_within_budget(steps, budget):
     # ... and the next longer suffix is over budget.
     if start > 0:
         assert len(suffixes[start - 1]) > budget
+
+
+@given(st.lists(_step_records, max_size=40), st.integers(min_value=0, max_value=800))
+def test_scratchpad_window_matches_the_whole_history_rendering(steps, budget):
+    # One pad across every prefix, as an episode uses it: each call gives the
+    # reference text, and the window never holds more parts than the
+    # reference keeps, so its state does not grow with the history.
+    pad = Scratchpad(char_budget=budget)
+    for i in range(len(steps) + 1):
+        text = build_scratchpad(steps[:i], pad)
+        assert text == reference_scratchpad(steps[:i], char_budget=budget)
+        assert len(pad.parts) <= len(reference_window(steps[:i], char_budget=budget))
+        assert pad.length == len(text)
+    # A history exactly at the budget fits it whole.
+    assert build_scratchpad(steps, Scratchpad(char_budget=len(text))) == text
 
 
 def test_each_step_is_rendered_once(monkeypatch, kitchen_world, clear_table_trace,
@@ -397,6 +429,68 @@ def test_each_step_is_rendered_once(monkeypatch, kitchen_world, clear_table_trac
     assert len(rendered) == 35  # not once per step per decision
     with pytest.raises(FrozenInstanceError):
         record.steps[0].observation = "rewritten"
+
+
+# About 700 characters a step, so 60 steps pass the 24,000-character budget.
+_LONG_EXPLORE = ("Thought: " + "the counter is still cluttered, so look around once more; " * 11
+                 + "\nAction: Randomly Explore\nAction Input: {'input': None}")
+
+
+def _long_task():
+    return simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=60
+    )
+
+
+def test_react_episode_past_the_budget_prompts_the_reference_scratchpad(monkeypatch,
+                                                                       kitchen_world):
+    rendered = []
+    render_step = llm.format_step
+
+    def counting_render(step):
+        rendered.append(step)
+        return render_step(step)
+
+    monkeypatch.setattr(llm, "format_step", counting_render)
+    backend = RecordingBackend.ordered([_LONG_EXPLORE] * 7 + ["no action here"], cyclic=True)
+    task = _long_task()
+    record = run_episode(task, AgentConfig(), backend, kitchen_world)
+    assert record.outcome == "step-budget-exhausted"
+    # Each step a later decision shows is rendered once, in order (the last
+    # step has no later decision); trimming the window re-renders none.
+    assert len(record.steps) == 60
+    assert [id(step) for step in rendered] == [id(step) for step in record.steps[:-1]]
+    assert StepRecord("", None, None, UNPARSED_ACTION) in record.steps
+    assert len(reference_scratchpad(record.steps, char_budget=10**6)) > 24000
+    planner = mcts.MctsPlanner(backend)
+    assert backend.prompts == [
+        planner.expansion_prompt(task.instruction, reference_scratchpad(record.steps[:i]))
+        for i in range(len(record.steps))
+    ]
+
+
+def test_mcts_episode_past_the_budget_plans_on_the_reference_scratchpad(monkeypatch,
+                                                                        kitchen_world):
+    histories = []
+    real_plan = mcts.MctsPlanner.plan
+
+    def recording_plan(self, state, goal, history=""):
+        histories.append(history)
+        return real_plan(self, state, goal, history=history)
+
+    monkeypatch.setattr(mcts.MctsPlanner, "plan", recording_plan)
+    script = ScriptedBackend(
+        [
+            ScriptEntry(completion=_LONG_EXPLORE, match="you should always think", uses=-1),
+            ScriptEntry(completion="Score: 5", match="Score the quality", uses=-1),
+        ],
+        mode="keyed",
+    )
+    config = AgentConfig(mode="react+mcts", planner=MCTS_BUDGET_ONE)
+    record = run_episode(_long_task(), config, script, kitchen_world)
+    assert record.outcome == "step-budget-exhausted"
+    assert len(reference_scratchpad(record.steps, char_budget=10**6)) > 24000
+    assert histories == [reference_scratchpad(record.steps[:i]) for i in range(60)]
 
 
 @pytest.mark.parametrize("mode", ["react", "react+mcts"])
