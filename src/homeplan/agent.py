@@ -52,7 +52,6 @@ class AgentConfig:
     grounding_enabled: bool = True
     step_cap: int | None = None  # harness-imposed ceiling on any task's budget
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    keep_planner_traces: bool = False
     template_dir: str | None = None  # prompt-template override directory
 
     def __post_init__(self):
@@ -76,7 +75,6 @@ class EpisodeRecord:
     final_answer: str | None = None
     error: str | None = None
     wall_clock: float = 0.0
-    planner_traces: list[list[dict]] = field(default_factory=list)
 
     @property
     def success(self) -> bool:
@@ -160,7 +158,6 @@ def run_episode(
         messages=messages,
         grounding_enabled=config.grounding_enabled,
         template_dir=config.template_dir,
-        keep_traces=config.keep_planner_traces,
     )
     state = world
     steps: list[StepRecord] = []
@@ -177,7 +174,6 @@ def run_episode(
             final_answer=final_answer,
             error=error,
             wall_clock=time.perf_counter() - started,
-            planner_traces=planner.traces or [],
         )
 
     if check_goal(state, task):

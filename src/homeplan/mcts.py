@@ -19,7 +19,7 @@ the proposed step with its simulated observation, keeping the raw Action
 Input. Its node keeps the proposal's dedup key, which no two siblings share.
 An expansion prompt is the episode's scratchpad followed by the steps on the
 search path, each node's step rendered once; the critique scores that path,
-naming each node by its ``label``, as traces do.
+naming each node by its ``label``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class SearchNode:
 
     @property
     def label(self) -> str:
-        """How plans and traces name this node: the declared final answer,
+        """How critique plans name this node: the declared final answer,
         or the action with the arguments the simulator was given ("<root>"
         for the root); worked out on first use."""
         if self._label is None:
@@ -193,8 +193,7 @@ class MctsPlanner:
     proposal on the expansion prompt of an empty search path, and
     ``expand`` proposes children the same way. ``llm_calls`` counts every
     model call the planner makes. Each ``plan()`` call builds a fresh tree
-    from the state it is given; a planner built with ``keep_traces`` appends
-    each successful call's per-iteration trace to ``traces`` (None without).
+    from the state it is given.
     """
 
     def __init__(
@@ -204,7 +203,6 @@ class MctsPlanner:
         messages: MessageTable | None = None,
         grounding_enabled: bool = True,
         template_dir: str | None = None,
-        keep_traces: bool = False,
     ):
         self.backend = backend
         self.config = config or PlannerConfig()
@@ -218,7 +216,6 @@ class MctsPlanner:
             "tool_names": ", ".join(self.library.names()),
         }
         self.llm_calls = 0
-        self.traces: list[list[dict]] | None = [] if keep_traces else None
 
     # -- proposals and expansion -------------------------------------------
 
@@ -298,8 +295,8 @@ class MctsPlanner:
 
     # -- critique ----------------------------------------------------------
 
-    def critique(self, path: list[SearchNode], goal: str) -> tuple[float, int, str]:
-        """Score the root-to-leaf action path; returns (normalized, raw, why)."""
+    def critique(self, path: list[SearchNode], goal: str) -> float:
+        """Score the root-to-leaf action path, normalized to [0, 1]."""
         prompt = render_prompt(
             self._critique_template,
             {"goal": goal, "plan_steps": _plan_steps(path)},
@@ -308,11 +305,10 @@ class MctsPlanner:
             completion = self.backend.complete(prompt, temperature=CRITIQUE_TEMPERATURE)
             self.llm_calls += 1
             try:
-                result = parse_critique(completion)
-                return normalize_score(result.score), result.score, result.justification
+                return normalize_score(parse_critique(completion).score)
             except (NoScoreError, ScoreOutOfRangeError):
                 continue
-        return normalize_score(CRITIQUE_FALLBACK_SCORE), CRITIQUE_FALLBACK_SCORE, ""
+        return normalize_score(CRITIQUE_FALLBACK_SCORE)
 
     # -- full planning call -------------------------------------------------
 
@@ -327,10 +323,9 @@ class MctsPlanner:
         ROOT_RETRY_BUDGET times); a refused child is committed only when no
         root child was accepted by the simulator."""
         config = self.config
-        trace = [] if self.traces is not None else None
         root = SearchNode(state=state)
         root_retries = ROOT_RETRY_BUDGET
-        for iteration in range(config.expansion_budget):
+        for _ in range(config.expansion_budget):
             retry = (root_retries > 0 and bool(root.children)
                      and all(child.failed for child in root.children))
             if retry:
@@ -340,43 +335,20 @@ class MctsPlanner:
                 path = select(root, EXPLORATION_CONSTANT)
             leaf = path[-1]
             fresh = leaf is not root and leaf.visit_count == 0  # select's unvisited child
-            expanded = False
             if retry or (not fresh and not leaf.terminal and len(path) - 1 < config.max_depth):
                 children = self.expand(leaf, goal, path, history)
-                expanded = bool(children)
-                if expanded:
+                if children:
                     path.append(children[0])
                 else:
                     leaf.terminal = True
             node = path[-1]
-
-            if node.failed:
-                # Refused children are terminal leaves, kept but never
-                # critiqued; evaluating one contributes a hard zero.
-                score, raw, justification = 0.0, None, "infeasible action"
-            elif node is root:
-                score, raw, justification = 0.0, None, "empty plan"
-            else:
-                score, raw, justification = self.critique(path, goal)
+            # Refused children are terminal leaves, kept but never critiqued;
+            # evaluating one contributes a hard zero, as does an empty plan.
+            score = 0.0 if node.failed or node is root else self.critique(path, goal)
             backpropagate(path, score)
-            if trace is not None:
-                trace.append(
-                    {
-                        "iteration": iteration + 1,
-                        "path": [n.label for n in path],
-                        "expanded": expanded,
-                        "raw_score": raw,
-                        "normalized_score": score,
-                        "justification": justification,
-                        "node_visits": node.visit_count,
-                        "node_q": node.q_value,
-                    }
-                )
 
         if not root.children:
             raise NoFeasibleActionError("planner produced no root children")
-        if trace is not None:
-            self.traces.append(trace)
         _, best = max(
             enumerate(root.children),
             key=lambda item: (not item[1].failed, item[1].visit_count, item[1].q_value, -item[0]),

@@ -191,10 +191,15 @@ class WorldState:
         return chain
 
     def descendants_of(self, object_id: str) -> list[str]:
-        """Objects inside or on the object at any depth, breadth first."""
+        """Objects inside or on the object at any depth, breadth first, each
+        once: on a containment cycle the walk ends at the first repeat."""
         result = self.children_of(object_id)
+        seen = set(result)
         for child in result:  # the loop also visits the children it appends
-            result.extend(self.children_of(child))
+            for grandchild in self.children_of(child):
+                if grandchild not in seen:
+                    seen.add(grandchild)
+                    result.append(grandchild)
         return result
 
     def effective_zone(self, object_id: str) -> str:
@@ -315,6 +320,8 @@ def validate_world(state: WorldState) -> list[str]:
     for object_id, info in state.objects.items():
         if info.zone is None and agent.held_object != object_id:
             violations.append(f"{object_id}: no zone but not held by the agent")
+        if info.attributes.isPickedUp and agent.held_object != object_id:
+            violations.append(f"{object_id}: isPickedUp but not held by the agent")
 
     return violations
 

@@ -259,13 +259,12 @@ def test_mcts_mode_episode_and_call_accounting():
         [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")],
         instruction="Put the tomato in the basket.",
     )
-    config = AgentConfig(mode="react+mcts", planner=MCTS_BUDGET_ONE, keep_planner_traces=True)
+    config = AgentConfig(mode="react+mcts", planner=MCTS_BUDGET_ONE)
     record = run_episode(task, config, script, pickup_world())
     assert record.outcome == "success"
     assert [step.action for step in record.steps] == ["Pick Up Object", "Place Object"]
     # per step: one expansion completion + one critique completion
     assert record.llm_call_count == 4
-    assert len(record.planner_traces) == 2
 
 
 def _react_script_with_each_step_kind():

@@ -76,14 +76,14 @@ GOLDEN = {
 }
 
 
-def _episode(mode, backend, keep_planner_traces=False):
+def _episode(mode, backend):
     task = simple_task(
         [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")],
         instruction="Put the tomato in the basket.",
         max_steps=10,
     )
     planner = PlannerConfig(expansion_budget=8, children_per_expansion=3, max_depth=3)
-    config = AgentConfig(mode=mode, planner=planner, keep_planner_traces=keep_planner_traces)
+    config = AgentConfig(mode=mode, planner=planner)
     return run_episode(task, config, backend, pickup_world())
 
 
@@ -98,25 +98,19 @@ def test_episode_prompts_match_the_golden_digest(mode):
     assert (len(backend.prompts), hasher.hexdigest()) == GOLDEN[mode]
 
 
-def test_planner_traces_name_each_child_by_its_call():
+def test_critique_prompts_name_each_child_by_its_call():
     """A declared final answer and a tool named "Final Answer" read apart in
-    a trace, and so do two calls of one tool with different inputs. No
-    trace path runs on past a refused call: a refused child is a leaf."""
-    record = _episode("react+mcts", planner_script(), keep_planner_traces=True)
-    first, second = ([entry["path"] for entry in trace] for trace in record.planner_traces[:2])
-    assert first[:3] == [
-        ["<root>", "Get Discovered Objects None"],
-        ["<root>", "Pick Up Object {'item': 'Tomato_1'}"],
-        ["<root>", "Teleport Object {'object_id': 'Tomato_1'}"],
-    ]
-    assert ["<root>", "Get Discovered Objects None",
-            "Pick Up Object {'object_id': 'Tomato_1'}"] in first
-    assert second[:2] == [["<root>", "Final Answer: all tidy"], ["<root>", "Final Answer None"]]
-    refused = [{tuple(entry["path"]) for entry in trace
-                if entry["raw_score"] is None and len(entry["path"]) > 1}
-               for trace in record.planner_traces]  # uncritiqued, so refused
-    assert ("<root>", "Pick Up Object {'item': 'Tomato_1'}") in refused[0]
-    for trace, refused_paths in zip(record.planner_traces, refused):
-        for entry in trace:
-            path = entry["path"]
-            assert not any(tuple(path[:end]) in refused_paths for end in range(2, len(path)))
+    a critique plan, and so do two calls of one tool with different inputs.
+    No critiqued plan names a refused call: a refused child is a leaf, never
+    critiqued, and no path runs on past it."""
+    backend = planner_script()
+    _episode("react+mcts", backend)
+    plans = [prompt.rsplit("\nPlan: ", 1)[1] for prompt in backend.prompts if CRITIQUE in prompt]
+    discover = "1. Get Discovered Objects None"
+    pick = "2. Pick Up Object {'object_id': 'Tomato_1'}"
+    assert plans[:3] == [discover, f"{discover}\n{pick}",
+                         f"{discover}\n{pick}\n3. Place Object {{'object_id': 'Basket_1'}}"]
+    assert plans[3] == "1. Final Answer: all tidy"
+    refused = ["Pick Up Object {'item': 'Tomato_1'}", "Teleport Object {'object_id': 'Tomato_1'}",
+               "Place Object {'object_id': {'Basket_1'}}", "Final Answer None"]
+    assert not any(label in plan for plan in plans for label in refused)

@@ -1,12 +1,30 @@
+import functools
+import hashlib
 import math
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeplan import llm, mcts
-from homeplan.errors import NoFeasibleActionError
-from homeplan.llm import ReactStep, ScriptedBackend, ScriptEntry, StepRecord
+from homeplan.errors import (
+    MalformedArgsError,
+    MalformedCompletionError,
+    NoFeasibleActionError,
+    NoScoreError,
+    ScoreOutOfRangeError,
+    UnknownToolError,
+)
+from homeplan.llm import (
+    FinalAnswer,
+    LlmBackend,
+    ReactStep,
+    ScriptedBackend,
+    ScriptEntry,
+    StepRecord,
+)
 from homeplan.mcts import (
     MctsPlanner,
     PlannerConfig,
@@ -16,7 +34,9 @@ from homeplan.mcts import (
     select,
     ucb_score,
 )
-from homeplan.sim import execute
+from homeplan.sim import execute, rejected_call
+from homeplan.suite import resolve_world
+from homeplan.tools import builtin_tool_library
 from homeplan.world import refresh_visibility
 
 from .conftest import RecordingBackend, make_object, make_world
@@ -331,21 +351,18 @@ def test_critique_normalizes_scripted_score():
     backend = RecordingBackend.ordered(["Justification: redundant steps\nScore: 4"])
     planner = MctsPlanner(backend)
     leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
-    score, raw, justification = planner.critique([leaf], "tidy up")
+    score = planner.critique([leaf], "tidy up")
     # A path need not start at a root: every node with a step is a plan step.
     assert backend.prompts[0].endswith("Plan: 1. Pick Up Object None")
     assert score == pytest.approx(1 / 3, abs=1e-12)
-    assert raw == 4
-    assert justification == "redundant steps"
 
 
 def test_critique_retries_then_falls_back():
-    backend = ScriptedBackend.ordered(["Score: 99", "no score", "still nothing"])
+    backend = RecordingBackend.ordered(["Score: 99", "no score", "still nothing"])
     planner = MctsPlanner(backend)
     leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
-    score, raw, _ = planner.critique([leaf], "tidy up")
-    assert raw == 1
-    assert score == 0.0
+    assert planner.critique([leaf], "tidy up") == 0.0  # the fallback score 1, normalized
+    assert backend.call_count == 3 == planner.llm_calls
 
 
 def test_plan_single_feasible_action_budget_one():
@@ -369,7 +386,7 @@ def _replanning_script():
     place = (
         "Thought: put it\nAction: Place Object\nAction Input: {'object_id': 'CounterTop_1'}"
     )
-    return ScriptedBackend(
+    return RecordingBackend(
         [
             ScriptEntry(completion="Score: 7", match="Score the quality", uses=3),
             ScriptEntry(completion="Score: 3", match="Score the quality", uses=-1),
@@ -386,21 +403,20 @@ def test_one_planner_replans_like_fresh_planners():
     calls = [(feasible_world(), "tidy up", ""), (feasible_world(), "tidy up", "Thought: x\n")]
 
     def plans(planner_for_call):
-        """(action, args, model calls, trace) of each planning call."""
+        """(action, args, model calls, tree, prompts) of each planning call."""
         summaries = []
         for call in calls:
             planner = planner_for_call()
-            before = planner.llm_calls
+            before, asked = planner.llm_calls, len(planner.backend.prompts)
             result = planner.plan(*call)
             summaries.append((result.action, result.args, planner.llm_calls - before,
-                              planner.traces[-1]))
+                              tree_rows(result.root), planner.backend.prompts[asked:]))
         return summaries
 
-    reused = MctsPlanner(_replanning_script(), config, keep_traces=True)
+    reused = MctsPlanner(_replanning_script(), config)
     reused_plans = plans(lambda: reused)
     backend = _replanning_script()
-    assert reused_plans == plans(lambda: MctsPlanner(backend, config, keep_traces=True))
-    assert len(reused.traces) == 2
+    assert reused_plans == plans(lambda: MctsPlanner(backend, config))
     assert reused.llm_calls == sum(plan[2] for plan in reused_plans)  # counts every plan
 
 
@@ -504,7 +520,7 @@ def test_a_refused_child_is_never_critiqued(monkeypatch):
 
     def recording_critique(self, path, goal):
         critiqued.append(list(path))
-        return 0.0, 1, ""
+        return 0.0
 
     monkeypatch.setattr(MctsPlanner, "critique", recording_critique)
     backend = ScriptedBackend.ordered([PICK_COUNTER, PICK_KNIFE, PLACE_COUNTER, EXPLORE],
@@ -541,6 +557,243 @@ def test_plan_no_feasible_action():
     config = PlannerConfig(expansion_budget=2, children_per_expansion=2)
     with pytest.raises(NoFeasibleActionError):
         MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+
+
+# ---------------------------------------------------------------------------
+# Reference planner: today's rules written out plainly, for the property test
+# below to hold MctsPlanner.plan against. Selection, expansion, critique and
+# the committed child are each one method; select and the committed child
+# take the first maximum, so ties go to the earlier child.
+
+
+@dataclass(eq=False)
+class ReferenceNode:
+    state: object
+    label: str = "<root>"
+    step: StepRecord | None = None
+    final_answer: str | None = None
+    key: tuple | None = None
+    failed: bool = False
+    terminal: bool = False
+    visit_count: int = 0
+    total_score: float = 0.0
+    children: list = field(default_factory=list)
+
+    @property
+    def q_value(self):
+        return self.total_score / self.visit_count if self.visit_count else 0.0
+
+
+class ReferencePlanner:
+    def __init__(self, backend, config, grounding_enabled):
+        self.backend, self.config, self.grounding_enabled = backend, config, grounding_enabled
+        self.library = builtin_tool_library()
+        self.calls = 0
+
+    def ask(self, prompt, temperature):
+        self.calls += 1
+        return self.backend.complete(prompt, temperature=temperature)
+
+    def select(self, root):
+        path = [root]
+        while path[-1].children:
+            node = path[-1]
+            unvisited = [child for child in node.children if child.visit_count == 0]
+            if unvisited:
+                return path + unvisited[:1]
+            if node.terminal:
+                break
+            scores = [child.q_value
+                      + 1.414 * math.sqrt(math.log(node.visit_count) / child.visit_count)
+                      for child in node.children]
+            path.append(node.children[scores.index(max(scores))])
+        return path
+
+    def child(self, leaf, parsed, key):
+        if isinstance(parsed, FinalAnswer):
+            return ReferenceNode(leaf.state, f"Final Answer: {parsed.text}",
+                                 StepRecord("", "Final Answer", parsed.text, None),
+                                 parsed.text, key, terminal=True)
+        args = parsed.action_input if isinstance(parsed.action_input, dict) else None
+        try:
+            state, observation = execute(leaf.state, parsed.action, args, self.grounding_enabled)
+        except (MalformedArgsError, UnknownToolError) as exc:
+            state, observation = leaf.state, rejected_call(exc)
+        step = StepRecord(parsed.thought, parsed.action, parsed.action_input, observation.message)
+        refused = not observation.success
+        return ReferenceNode(state, f"{parsed.action} {llm.stable_repr(args)}", step, None, key,
+                             failed=refused, terminal=refused)
+
+    def expand(self, leaf, path, goal, history):
+        prompt = llm.render_prompt(llm.load_template("expansion"), {
+            "tools": self.library.describe(), "tool_names": ", ".join(self.library.names()),
+            "input": goal, "agent_scratchpad": history + "".join(
+                node.step.rendered for node in path[1:])})
+        wanted = self.config.children_per_expansion
+        made, temperature = [], 0.7
+        for _ in range(wanted + 2):
+            if len(made) == wanted:
+                break
+            try:
+                parsed = llm.parse_react(self.ask(prompt, temperature), self.library)
+            except UnknownToolError as exc:
+                parsed = exc.step
+            except MalformedCompletionError:
+                temperature = 1.0
+                continue
+            key = (("final-answer", parsed.text) if isinstance(parsed, FinalAnswer)
+                   else (parsed.action, parsed.action_input))
+            if any(child.key == key for child in leaf.children):
+                temperature = 1.0
+                continue
+            made.append(self.child(leaf, parsed, key))
+            leaf.children.append(made[-1])
+        return made
+
+    def critique(self, path, goal):
+        plan = "\n".join(f"{index}. {node.label}" for index, node in enumerate(path[1:], 1))
+        prompt = llm.render_prompt(llm.load_template("critique"),
+                                   {"goal": goal, "plan_steps": plan})
+        raw = 1  # when three calls give no score from 1 to 10
+        for _ in range(3):
+            try:
+                raw = llm.parse_critique(self.ask(prompt, 0.0)).score
+                break
+            except (NoScoreError, ScoreOutOfRangeError):
+                pass
+        return (raw - 1) / 9
+
+    def plan(self, state, goal, history):
+        root = ReferenceNode(state)
+        root_retries = 1
+        for _ in range(self.config.expansion_budget):
+            if root_retries and root.children and all(ch.failed for ch in root.children):
+                root_retries -= 1
+                path = [root]
+                grow = True
+            else:
+                path = self.select(root)
+                leaf = path[-1]
+                grow = ((leaf is root or leaf.visit_count > 0) and not leaf.terminal
+                        and len(path) <= self.config.max_depth)
+            if grow:
+                made = self.expand(path[-1], path, goal, history)
+                if made:
+                    path.append(made[0])
+                else:
+                    path[-1].terminal = True
+            scored = path[-1]
+            score = 0.0 if scored.failed or scored is root else self.critique(path, goal)
+            for node in path:
+                node.visit_count += 1
+                node.total_score += score
+        if not root.children:
+            raise NoFeasibleActionError("no root children")
+        best = root.children[0]
+        for child in root.children[1:]:
+            if ((not child.failed, child.visit_count, child.q_value)
+                    > (not best.failed, best.visit_count, best.q_value)):
+                best = child
+        args = best.step.args if isinstance(best.step.args, dict) else None
+        return (best.step.action, args, best.final_answer, best.step.thought), root
+
+
+def tree_rows(root):
+    """Each node in depth-first order: its depth, label, visits, score sum
+    and flags; a node's children follow it in their order."""
+    rows, stack = [], [(0, root)]
+    while stack:
+        depth, node = stack.pop()
+        rows.append((depth, node.label, node.visit_count, node.total_score, node.failed,
+                     node.terminal))
+        stack += [(depth + 1, child) for child in reversed(node.children)]
+    return rows
+
+
+# Proposals over a tool and a target, and critiques: each example draws a mix
+# of each, so some plans see only refused calls or prose, and some critiques
+# only tie or give no score.
+PROPOSALS = (
+    "Thought: look\nAction: Randomly Explore\nAction Input: None",
+    "Thought: list\nAction: Get Discovered Objects\nAction Input: None",
+    "Thought: go\nAction: Adjust Positioning\nAction Input: {{'object_id': '{target}'}}",
+    "Thought: t\nAction: {tool}\nAction Input: {{'object_id': '{target}'}}",
+    "Thought: t\nAction: Levitate Object\nAction Input: {{'object_id': '{target}'}}",
+    "Thought: t\nAction: Pick Up Object\nAction Input: {{'item': '{target}'}}",
+    "I would rather not say.",
+    "Thought: done\nFinal Answer: all tidy",
+    "Thought: finish\nAction: Final Answer\nAction Input: all tidy",
+)
+CRITIQUES = ("Justification: on track\nScore: 7", "Score: 4", "Score: 10", "Score: 1",
+             "Score: 11", "no score here")
+
+
+class SeededBackend(LlmBackend):
+    """Completions that are a seeded function of the prompt and of how often
+    it was asked before, drawn from the given proposals (over a few targets,
+    so they often repeat) and critiques; it keeps each (prompt, temperature)."""
+
+    def __init__(self, seed, targets, proposals, critiques):
+        self.seed, self.targets = seed, targets
+        self.proposals, self.critiques = proposals, critiques
+        self.tools = builtin_tool_library().names()
+        self.asked = Counter()
+        self.calls = []
+
+    def complete(self, prompt, temperature=0.0):
+        self.calls.append((prompt, temperature))
+        digest = hashlib.sha256(f"{self.seed}|{self.asked[prompt]}|{prompt}".encode()).digest()
+        self.asked[prompt] += 1
+        draw = int.from_bytes(digest[:8], "big")
+        if prompt.startswith("Score the quality"):
+            return self.critiques[draw % len(self.critiques)]
+        return self.proposals[draw % len(self.proposals)].format(
+            tool=self.tools[(draw >> 16) % len(self.tools)],
+            target=self.targets[(draw >> 32) % len(self.targets)])
+
+
+@functools.cache
+def explored_world(ref, explores):
+    state = feasible_world() if ref is None else resolve_world(ref)
+    for _ in range(explores):
+        state, _ = execute(state, "Randomly Explore", {"input": None}, True)
+    return state
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.sampled_from([None, "worlds/kitchen.json", "worlds/kitchen_b.json",
+                     "worlds/kitchen_c.json"]),
+    st.integers(0, 2),
+    st.builds(PlannerConfig, st.integers(1, 8), st.integers(1, 4), st.integers(1, 3)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(PROPOSALS), min_size=1, max_size=5),
+    st.lists(st.sampled_from(CRITIQUES), min_size=1, max_size=3),
+    st.sampled_from(["", "Thought: x\nAction: Randomly Explore\nAction Input: None\n"]),
+    st.booleans(),
+)
+def test_plan_matches_the_reference_planner(ref, explores, config, seed, proposals, critiques,
+                                            history, grounding):
+    state = explored_world(ref, explores)
+    targets = sorted(state.discovered)[:4] + sorted(state.objects)[:2]
+    backend, reference_backend = (SeededBackend(seed, targets, proposals, critiques)
+                                  for _ in range(2))
+    planner = MctsPlanner(backend, config, grounding_enabled=grounding)
+    reference = ReferencePlanner(reference_backend, config, grounding)
+    try:
+        result = planner.plan(state, "tidy up", history)
+        got = ((result.action, result.args, result.final_answer, result.thought),
+               tree_rows(result.root))
+    except NoFeasibleActionError:
+        got = None
+    try:
+        fields, root = reference.plan(state, "tidy up", history)
+        expected = (fields, tree_rows(root))
+    except NoFeasibleActionError:
+        expected = None
+    assert got == expected
+    assert backend.calls == reference_backend.calls
+    assert planner.llm_calls == reference.calls == len(backend.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -600,23 +853,7 @@ def test_monotone_budget_quality(planning_scenarios):
         assert chosen_q[12] >= chosen_q[6] - 1e-12
 
 
-def test_planner_trace_records_each_iteration(planning_scenarios):
-    scenario = planning_scenarios[0]
-    planner = MctsPlanner(scenario.backend(), PlannerConfig(**scenario.planner_config),
-                          keep_traces=True)
-    planner.plan(scenario.world(), scenario.task.instruction)
-    (trace,) = planner.traces
-    assert len(trace) == 6
-    assert all("normalized_score" in row for row in trace)
-    assert trace[0]["expanded"] is True
-    # Each entry says why the node scored what it did: the critique's
-    # justification, or the reason no critique was asked.
-    assert all(isinstance(row["justification"], str) and row["justification"]
-               for row in trace)
-
-
-def test_without_kept_traces_a_plan_labels_only_critiqued_nodes(planning_scenarios,
-                                                               monkeypatch):
+def test_a_plan_labels_only_critiqued_nodes(planning_scenarios, monkeypatch):
     critiqued = set()
     critique = MctsPlanner.critique
 

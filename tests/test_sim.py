@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import hashlib
 import json
+import signal
 from dataclasses import replace
 from importlib import resources
 
@@ -29,6 +31,8 @@ from homeplan.tools import builtin_tool_library, zone_order
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     ZONE_ANY,
+    ObjectAttributes,
+    ObjectInfo,
     category_of,
     refresh_visibility,
     validate_world,
@@ -919,6 +923,79 @@ def test_placing_the_held_object_into_itself_is_rejected(start):
         state, observation = execute(state, action, args, False)
     assert validate_world(state) == []
     assert not observation.success
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, instead of hanging, a block that runs past the given seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_descendants_of_ends_on_a_containment_cycle():
+    world = make_world(
+        {
+            "Box_1": make_object(receptacle=True),
+            "Box_2": make_object(receptacle=True),
+            "Key_1": make_object(),
+        },
+        containment={"Box_1": "Box_2", "Box_2": "Box_1", "Key_1": "Box_2"},
+    )
+    with time_limit(5):
+        assert world.descendants_of("Box_1") == ["Box_2", "Box_1", "Key_1"]
+
+
+def test_a_heat_source_placed_into_itself_can_be_toggled_on():
+    # Place Object still closes the cycle; Toggle Object On then walks the
+    # kettle's contents, which hold the kettle itself.
+    kettle = ObjectInfo(ObjectAttributes(pickupable=True, moveable=True, receptacle=True,
+                                         toggleable=True), zone="kitchen", heat_source=True)
+    state = refresh_visibility(make_world(
+        {"Kettle_1": kettle, "CounterTop_1": make_object(receptacle=True)},
+        containment={"Kettle_1": "CounterTop_1"},
+        discovered={"Kettle_1", "CounterTop_1"},
+    ))
+    with time_limit(5):
+        for action in ("Pick Up Object", "Place Object", "Toggle Object On"):
+            state, observation = execute(state, action, {"object_id": "Kettle_1"}, True)
+    assert observation == Observation(
+        True, "Tool Completed Successfully: Target object was toggled on!")
+
+
+def carried_bowl_walk():
+    """On kitchen_c: find the spoon in the bowl on the dining table, then
+    carry the bowl to the kitchen counter."""
+    calls = [("Randomly Explore", {"input": None})]
+    for target in ("DiningTable_1", "Bowl_1"):
+        calls += [("Adjust Positioning", {"object_id": target}),
+                  ("Search Object", {"object_id": target})]
+    calls += [("Pick Up Object", {"object_id": "Bowl_1"}),
+              ("Adjust Positioning", {"object_id": "CounterTop_1"}),
+              ("Place Object", {"object_id": "CounterTop_1"})]
+    return shipped_world("worlds/kitchen_c.json"), calls
+
+
+# The contents of a moved receptacle keep their old zone: the spoon still
+# reads "dining" beside the agent in the kitchen, so it is not visible there,
+# and Adjust Positioning on it walks the agent back. A fix changes what the
+# benchmark's stand-in model sees, so it moves the recorded canary.
+@pytest.mark.xfail(strict=True, reason="contents of a moved receptacle keep their old zone")
+def test_the_contents_of_a_carried_receptacle_move_with_it():
+    state, calls = carried_bowl_walk()
+    for action, args in calls:
+        state, observation = execute(state, action, args, True)
+        assert observation.success, (action, observation.message)
+    assert state.objects["Spoon_1"].zone == state.agent.current_zone == "kitchen"
+    _, observation = execute(state, "Pick Up Object", {"object_id": "Spoon_1"}, True)
+    assert observation.success, observation.message
 
 
 # ---------------------------------------------------------------------------

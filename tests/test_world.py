@@ -98,7 +98,9 @@ def test_validate_world_dependent_attribute():
     ],
 )
 def test_validate_world_all_dependencies(attrs, expected):
-    world = make_world({"Egg_1": make_object(**attrs)})
+    # A picked-up egg is the held one, so that only the dependency is broken.
+    holding = "Egg_1" if attrs.get("isPickedUp") else None
+    world = make_world({"Egg_1": make_object(**attrs)}, holding=holding)
     assert validate_world(world) == [f"Egg_1: {expected}"]
 
 
@@ -132,6 +134,25 @@ def test_validate_world_held_object_rules():
         holding="Mug_1",
     )
     assert any("containment parent" in v for v in validate_world(world))
+
+
+def test_a_fixture_with_a_picked_up_object_the_agent_does_not_hold_is_rejected():
+    # Loaded, Fill Held Object With Water would pass on the mug's flag and
+    # fill the held apple, which cannot hold liquid.
+    with pytest.raises(WorldFormatError, match="Mug_1: isPickedUp but not held by the agent"):
+        world_from_dict(
+            {
+                "objects": {
+                    "Apple_1": {"zone": None, "attributes": {"pickupable": True,
+                                                             "isPickedUp": True}},
+                    "Mug_1": {"zone": "a", "attributes": {"pickupable": True,
+                                                          "canFillWithLiquid": True,
+                                                          "isPickedUp": True}},
+                },
+                "containment": [],
+                "agent": {"zone": "a", "seed": 1, "holding": "Apple_1"},
+            }
+        )
 
 
 def test_world_from_dict_rejects_unknown_keys():
