@@ -6,9 +6,11 @@ in tools.py) and refreshes visibility; every step is a pure function of
 (state, action, args). The simulator always enforces physical legality; the
 ``grounding_enabled`` flag only controls whether a rejected action is
 explained (unsatisfied-predicate feedback) or reported as a bare execution
-error. Visibility (``world.refresh_visibility``) is set when a world is
-loaded and again after every successful call, so a state that load_world or
-execute returned is ready to act on.
+error. Visibility (``WorldState.visible``, computed by
+``world.refresh_visibility``) is set when a world is loaded, and again after
+a successful call that changed what it depends on: the objects, the
+containment, or the agent's zone or held object. So a state that load_world
+or execute returned is ready to act on.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from .errors import (
 from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
-from .world import ObjectId, WorldState, _replace, category_of, refresh_visibility
+from .world import (
+    ObjectId,
+    WorldState,
+    _replace,
+    attribute_reader,
+    category_of,
+    refresh_visibility,
+)
 
 SUCCESS_PREFIX = "Tool Completed Successfully: "
 FAIL_PREFIX = "Tool Failed: "
@@ -127,7 +136,14 @@ def execute(
         return state, Observation(False, GENERIC_FAILURE)
 
     new_state, report = spec.apply(state, target)
-    return refresh_visibility(new_state), Observation(True, SUCCESS_PREFIX + report)
+    # A transition copies the objects or containment map it changes, so an
+    # unchanged map is the same object and leaves visibility as it was.
+    if (new_state.objects is not state.objects
+            or new_state.containment is not state.containment
+            or new_state.agent.current_zone != agent.current_zone
+            or new_state.agent.held_object != agent.held_object):
+        new_state = refresh_visibility(new_state)
+    return new_state, Observation(True, SUCCESS_PREFIX + report)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +179,18 @@ def _matches(pattern: str, object_id: str) -> bool:
 
 
 def _matching_ids(state: WorldState, pattern: str) -> list[str]:
+    # _matches inlined, as it runs on every object at every goal check.
     # Unsorted: goal atoms only ask any/all of the matches.
-    return [oid for oid in state.objects if _matches(pattern, oid)]
+    prefix = pattern + "_"
+    return [oid for oid in state.objects if oid == pattern
+            or (oid.startswith(prefix) and category_of(oid) == pattern)]
 
 
 def _atom_satisfied(state: WorldState, atom: GoalAtom) -> bool:
     candidates = _matching_ids(state, atom.object_pattern)
     if atom.kind == "attribute":
-        return any(
-            state.objects[oid].attributes.get(atom.attribute) == atom.value
-            for oid in candidates
-        )
+        read = attribute_reader(atom.attribute)
+        return any(read(state, oid) == atom.value for oid in candidates)
     if atom.kind == "containment":
         for oid in candidates:
             for ancestor in state.ancestors_of(oid):

@@ -1,9 +1,11 @@
 """Object, agent, and world-state vocabulary shared by every other module.
 
-A world is a set of objects with sixteen boolean attributes, a containment
-forest over those objects, and a single agent with a zone position and an
-optional held object. States are values: simulator operations never mutate
-a state, they return new ones.
+A world is a set of objects with fifteen stored boolean attributes, a
+containment forest over those objects, and a single agent with a zone
+position and an optional held object. The sixteenth attribute, visible, is
+a fact of the whole state: ``WorldState.visible`` holds the ids of the
+visible objects, and ``refresh_visibility`` computes it. States are values:
+simulator operations never mutate a state, they return new ones.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ _ATTRIBUTE_DEPENDENCIES = {
 
 @dataclass(frozen=True)
 class ObjectAttributes:
-    """The sixteen stored boolean attributes of one object."""
+    """The fifteen stored boolean attributes of one object; visibility is
+    kept in ``WorldState.visible``."""
 
     moveable: bool = False
     breakable: bool = False
@@ -64,7 +67,6 @@ class ObjectAttributes:
     pickupable: bool = False
     isOpen: bool = False
     isBroken: bool = False
-    visible: bool = False
     receptacle: bool = False
     openable: bool = False
     isPickedUp: bool = False
@@ -74,20 +76,22 @@ class ObjectAttributes:
     isCooked: bool = False
     isWaterSource: bool = False
 
-    def get(self, name: str) -> bool:
-        if name not in ATTRIBUTE_NAMES:
-            raise UnknownAttributeError(name)
-        return getattr(self, name)
-
     def with_value(self, name: str, value: bool) -> "ObjectAttributes":
-        if name not in ATTRIBUTE_NAMES:
+        if name not in _STORED_ATTRIBUTES:
             raise UnknownAttributeError(name)
         return _replace(self, **{name: value})
 
 
-# Closed attribute vocabulary, in canonical listing order: the fields above.
-# Unknown names are errors everywhere, never silently-false.
-ATTRIBUTE_NAMES: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ObjectAttributes))
+_STORED_ATTRIBUTES = frozenset(f.name for f in dataclasses.fields(ObjectAttributes))
+
+# Closed attribute vocabulary, in canonical listing order: the stored fields
+# above with visible at its place. Unknown names are errors everywhere, never
+# silently-false.
+ATTRIBUTE_NAMES: tuple[str, ...] = (
+    "moveable", "breakable", "canFillWithLiquid", "isToggled", "pickupable", "isOpen",
+    "isBroken", "visible", "receptacle", "openable", "isPickedUp", "toggleable",
+    "isFilledWithLiquid", "cookable", "isCooked", "isWaterSource",
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -154,6 +158,8 @@ class WorldState:
     """Full simulator snapshot. Treat as immutable; operations return copies.
 
     containment maps child id -> parent id and must form a forest.
+    visible holds the ids of the objects the agent can see; refresh_visibility
+    computes it from the objects, the containment and the agent.
     nav_faults lists action indices at which a repositioning silently fails
     to relocate the agent (fixture-authored fault injection).
     """
@@ -162,6 +168,7 @@ class WorldState:
     containment: dict[str, str]
     agent: AgentState
     discovered: frozenset[str] = frozenset()
+    visible: frozenset[str] = frozenset()
     nav_faults: frozenset[int] = frozenset()
 
     def object_ids(self) -> list[str]:
@@ -248,32 +255,31 @@ def concealed(state: WorldState, object_id: str) -> bool:
 
 
 def refresh_visibility(state: WorldState) -> WorldState:
-    """Set every object's visible attribute: held, or in the agent's zone or
-    the wildcard zone, and not concealed. One pass, which copies only the
-    objects whose visibility changed."""
+    """The state with its visible set computed: the objects held, or in the
+    agent's zone or the wildcard zone, and not concealed. The state itself
+    when the set is unchanged."""
     zone = state.agent.current_zone
     held = state.agent.held_object
-    objects = None  # copied on the first change
-    for object_id, info in state.objects.items():
-        visible = (
-            (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
-            and not concealed(state, object_id)
-        )
-        if info.attributes.visible != visible:
-            if objects is None:
-                objects = dict(state.objects)
-            objects[object_id] = _replace(
-                info, attributes=_replace(info.attributes, visible=visible)
-            )
-    return state if objects is None else _replace(state, objects=objects)
+    visible = frozenset(
+        object_id for object_id, info in state.objects.items()
+        if (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
+        and not concealed(state, object_id)
+    )
+    return state if visible == state.visible else _replace(state, visible=visible)
 
 
 def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
     """The atom-evaluation primitive: a reader of one attribute of an object in
     the state. An unknown name raises UnknownAttributeError when read."""
-    if attribute in ATTRIBUTE_NAMES:
+    if attribute == "visible":
+        return lambda state, object_id: object_id in state.visible
+    if attribute in _STORED_ATTRIBUTES:
         return lambda state, object_id: getattr(state.objects[object_id].attributes, attribute)
-    return lambda state, object_id: state.objects[object_id].attributes.get(attribute)
+
+    def unknown(state, object_id):
+        raise UnknownAttributeError(attribute)
+
+    return unknown
 
 
 def validate_world(state: WorldState) -> list[str]:
@@ -283,7 +289,7 @@ def validate_world(state: WorldState) -> list[str]:
     for object_id, info in state.objects.items():
         attrs = info.attributes
         for attr, dependency in _ATTRIBUTE_DEPENDENCIES.items():
-            if attrs.get(attr) and not attrs.get(dependency):
+            if getattr(attrs, attr) and not getattr(attrs, dependency):
                 violations.append(f"{object_id}: {attr} without {dependency}")
 
     for child, parent in state.containment.items():
@@ -313,9 +319,9 @@ def validate_world(state: WorldState) -> list[str]:
             if agent.held_object in state.containment:
                 violations.append(f"{agent.held_object}: held object has a containment parent")
 
-    for object_id in state.discovered:
-        if object_id not in state.objects:
-            violations.append(f"discovered id {object_id} does not exist")
+    for field, ids in (("discovered", state.discovered), ("visible", state.visible)):
+        for object_id in sorted(ids - state.objects.keys()):
+            violations.append(f"{field} id {object_id} does not exist")
 
     for object_id, info in state.objects.items():
         if info.zone is None and agent.held_object != object_id:
@@ -334,7 +340,7 @@ _WORLD_FIELDS = {"objects": (dict, dict), "containment": (list, list), "agent": 
 _WORLD_OPTIONAL = {"discovered": (list, str), "nav_faults": (list, int)}
 _OBJECT_OPTIONAL = {"zone": str | None, "attributes": dict, "conspicuous": bool,
                     "heat_source": bool, "display_id": str | None, "controls": (list, str)}
-_ATTRIBUTE_OPTIONAL = dict.fromkeys(ATTRIBUTE_NAMES, bool)
+_ATTRIBUTE_OPTIONAL = dict.fromkeys(ATTRIBUTE_NAMES, bool)  # a "visible" key is ignored
 _AGENT_FIELDS = {"zone": str, "seed": int}
 _AGENT_OPTIONAL = {"holding": str | None}
 
@@ -350,7 +356,8 @@ def world_from_dict(data: dict) -> WorldState:
         attributes = check_fields(entry.get("attributes", {}), WorldFormatError,
                                   f"{object_id}: attributes", optional=_ATTRIBUTE_OPTIONAL)
         objects[object_id] = ObjectInfo(
-            attributes=ObjectAttributes(**attributes),
+            attributes=ObjectAttributes(**{name: value for name, value in attributes.items()
+                                           if name != "visible"}),
             zone=entry.get("zone"),
             conspicuous=entry.get("conspicuous", False),
             heat_source=entry.get("heat_source", False),

@@ -38,13 +38,15 @@ def make_object(zone="kitchen", **attrs) -> ObjectInfo:
 
 
 def make_world(objects, containment=None, agent_zone="kitchen", seed=7, holding=None,
-               discovered=(), nav_faults=()):
+               discovered=(), visible=(), nav_faults=()):
+    """A world built as given: visible is taken as it stands, not computed."""
     agent = AgentState(current_zone=agent_zone, rng_seed=seed, held_object=holding)
     return WorldState(
         objects=objects,
         containment=dict(containment or {}),
         agent=agent,
         discovered=frozenset(discovered),
+        visible=frozenset(visible),
         nav_faults=frozenset(nav_faults),
     )
 

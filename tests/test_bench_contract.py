@@ -105,6 +105,33 @@ def test_a_rejected_execute_calls_the_traced_grounding_layers(tracer_module):
     assert counts["grounding.unsatisfied"]["calls"] == 1
 
 
+def test_execute_refreshes_visibility_only_after_a_call_that_can_change_it(tracer_module):
+    layers = [entry for entry in tracer_module.FUNCTIONS
+              if entry[2] == "sim.refresh_visibility"]
+    assert layers == [("homeplan.sim", "refresh_visibility", "sim.refresh_visibility")]
+    state = refresh_visibility(make_world(
+        {"Box_1": make_object(zone="a", receptacle=True), "Mug_1": make_object(zone="b")},
+        agent_zone="b", discovered={"Box_1"},
+    ))
+    calls = [
+        ("Get Discovered Objects", {"input": None}, True, 0),
+        ("Pick Up Object", {"object_id": "Box_1"}, False, 0),
+        ("Randomly Explore", {"input": None}, True, 1),
+    ]
+    for action, args, accepted, refreshes in calls:
+        tracer = tracer_module.Tracer(record_spans=False)
+        tracer.install(functions=layers, methods=())
+        try:
+            after, observation = homeplan.sim.execute(state, action, args, True)
+        finally:
+            tracer.restore()
+        assert observation.success is accepted, action
+        assert tracer.layers()["sim.refresh_visibility"]["calls"] == refreshes, action
+        state = after
+    assert state.agent.current_zone == "a"  # the exploration moved the agent
+    assert state.visible == {"Box_1"}
+
+
 def _load_bench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("homeplan_bench_run", BENCH_DIR / "run.py")

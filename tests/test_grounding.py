@@ -38,9 +38,9 @@ PLACE = parse_precondition(load_precondition_pairs()["tools"]["Place Object"]["g
 
 
 def closed_cabinet_world(**overrides):
-    attrs = dict(receptacle=True, openable=True, visible=True)
+    attrs = dict(receptacle=True, openable=True)
     attrs.update(overrides)
-    return make_world({"Cabinet_1": make_object(**attrs)})
+    return make_world({"Cabinet_1": make_object(**attrs)}, visible={"Cabinet_1"})
 
 
 def test_search_on_closed_cabinet_is_false():
@@ -54,7 +54,7 @@ def test_search_on_open_cabinet_is_true():
 
 
 def test_when_with_false_antecedent_is_vacuously_true():
-    world = make_world({"CounterTop_1": make_object(receptacle=True, visible=True)})
+    world = make_world({"CounterTop_1": make_object(receptacle=True)}, visible={"CounterTop_1"})
     formula = When(And((Atom("openable", "?x"),)), And((Atom("isBroken", "?x"),)))
     assert evaluate(formula, world, {"?x": "CounterTop_1"}) is True
 
@@ -95,7 +95,7 @@ def test_unsatisfied_empty_iff_true():
 
 
 def test_unsatisfied_place_not_visible_message():
-    world = make_world({"CounterTop_1": make_object(receptacle=True, visible=False)})
+    world = make_world({"CounterTop_1": make_object(receptacle=True)})
     items = unsatisfied(PLACE, world, {"?x": "CounterTop_1"})
     messages = [item.message for item in items]
     assert "the target object is not visible" in messages
@@ -106,9 +106,10 @@ def test_unsatisfied_pick_up_while_holding():
     world = make_world(
         {
             "Mug_1": make_object(zone=None, pickupable=True, isPickedUp=True),
-            "Knife_1": make_object(pickupable=True, visible=True),
+            "Knife_1": make_object(pickupable=True),
         },
         holding="Mug_1",
+        visible={"Knife_1"},
     )
     items = unsatisfied(PICK_UP, world, {"?x": "Knife_1"})
     assert [item.message for item in items] == ["the agent is already holding an object"]
@@ -121,7 +122,7 @@ def test_unsatisfied_when_true_antecedent_descends():
 
 
 def test_unsatisfied_exists_reported_as_single_item():
-    world = make_world({"Mug_1": make_object(pickupable=True, visible=True)}, holding=None)
+    world = make_world({"Mug_1": make_object(pickupable=True)}, visible={"Mug_1"})
     formula = parse_precondition(
         "(exists (?y) (and (isWaterSource ?y) (isToggled ?y) (visible ?y)))"
     )
@@ -165,6 +166,8 @@ def oracle_evaluate(formula, state, binding):
     if isinstance(formula, Atom):
         if formula.name == "isHoldingObject":
             return state.agent.is_holding_object
+        if formula.name == "visible":
+            return binding[formula.variable] in state.visible
         return getattr(state.objects[binding[formula.variable]].attributes, formula.name)
     if isinstance(formula, Not):
         return not oracle_evaluate(formula.child, state, binding)
@@ -221,14 +224,17 @@ def random_formula(seed, case, depth, variables=("?x",)):
 def random_world(seed, case):
     n = 1 + _rand(seed, case, "objects") % 6
     objects = {}
+    visible = set()  # each object's visible bit, kept by the world
     for i in range(n):
         bits = _rand(seed, case, "attrs", i)
         values = {name: bool((bits >> k) & 1) for k, name in enumerate(ATTRIBUTE_NAMES)}
+        if values.pop("visible"):
+            visible.add(f"Item_{i + 1}")
         objects[f"Item_{i + 1}"] = ObjectInfo(
             attributes=ObjectAttributes(**values), zone="kitchen"
         )
     holding = _rand(seed, case, "holding") % 2 == 0
-    world = make_world(objects)
+    world = make_world(objects, visible=visible)
     if holding:
         world = world.__class__(
             objects=objects,
@@ -238,6 +244,7 @@ def random_world(seed, case):
                 rng_seed=seed,
                 held_object="Item_1",  # synthetic: only isHoldingObject matters here
             ),
+            visible=world.visible,
         )
     return world
 
@@ -284,7 +291,13 @@ def _reference_eval(formula, state, binding):
             return state.agent.is_holding_object
         if formula.variable not in binding:
             raise UnboundVariableError(formula.variable or "?")
-        return state.info(binding[formula.variable]).attributes.get(formula.name)
+        object_id = binding[formula.variable]
+        attributes = state.info(object_id).attributes
+        if formula.name not in ATTRIBUTE_NAMES:
+            raise UnknownAttributeError(formula.name)
+        if formula.name == "visible":
+            return object_id in state.visible
+        return getattr(attributes, formula.name)
     if isinstance(formula, Not):
         return not _reference_eval(formula.child, state, binding)
     if isinstance(formula, And):
@@ -442,8 +455,8 @@ def test_missing_message_raises_only_when_its_atom_fails():
     del data["atoms"]["visible"]
     table = MessageTable(data)
     formula = And((Atom("receptacle", "?x"), Atom("visible", "?x")))
-    seen = make_world({"Box_1": make_object(visible=True)})
-    hidden = make_world({"Box_1": make_object(visible=False)})
+    seen = make_world({"Box_1": make_object()}, visible={"Box_1"})
+    hidden = make_world({"Box_1": make_object()})
     assert [item.message for item in unsatisfied(formula, seen, {"?x": "Box_1"}, table)] == [
         "the target object is not a receptacle"
     ]

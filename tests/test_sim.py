@@ -293,12 +293,7 @@ def test_search_lists_children_in_containment_order():
     containment = dict(world.containment)
     containment["Spoon_1"] = "DiningTable_1"
     containment["Fork_1"] = "DiningTable_1"
-    world = world.__class__(
-        objects=world.objects,
-        containment=containment,
-        agent=world.agent,
-        discovered=world.discovered,
-    )
+    world = replace(world, containment=containment)
     _, obs = execute(world, "Search Object", {"object_id": "DiningTable_1"}, True)
     assert obs.message == (
         "Tool Completed Successfully: Here is a list of objects found inside or on "
@@ -746,7 +741,8 @@ def reference_check_goal(state, task):
         candidates = [oid for oid in sorted(state.objects) if matches(atom.object_pattern, oid)]
         if atom.kind == "attribute":
             return any(
-                state.objects[oid].attributes.get(atom.attribute) == atom.value
+                (oid in state.visible if atom.attribute == "visible"
+                 else getattr(state.objects[oid].attributes, atom.attribute)) == atom.value
                 for oid in candidates
             )
         if atom.kind == "containment":
@@ -797,9 +793,9 @@ def test_check_goal_matches_the_parse_every_id_reference(world_walk, atoms):
             assert check_goal(state, task) is reference_check_goal(state, task)
 
 
-def reference_refresh_visibility(state):
-    """refresh_visibility before the single pass: every object re-checked
-    through ancestors_of and copied with dataclasses.replace."""
+def reference_visible(state):
+    """The visibility rule, written out: the objects held, or in the agent's
+    zone or the wildcard zone, with no closed openable ancestor."""
 
     def concealed(object_id):
         for ancestor in state.ancestors_of(object_id):
@@ -814,49 +810,38 @@ def reference_refresh_visibility(state):
         zone = state.objects[object_id].zone
         return zone == ZONE_ANY or zone == state.agent.current_zone
 
-    objects = dict(state.objects)
-    changed = False
-    for object_id, info in objects.items():
-        visible = zone_visible(object_id) and not concealed(object_id)
-        if info.attributes.visible != visible:
-            objects[object_id] = replace(
-                info, attributes=replace(info.attributes, visible=visible)
-            )
-            changed = True
-    return replace(state, objects=objects) if changed else state
+    return {oid for oid in state.objects if zone_visible(oid) and not concealed(oid)}
 
 
-def assert_refreshes_like_the_reference(state):
-    expected = reference_refresh_visibility(state)
-    actual = refresh_visibility(state)
-    assert actual == expected
-    assert list(actual.objects) == list(expected.objects)
-    assert (actual is state) == (expected is state)
-    for object_id, info in state.objects.items():  # only changed objects are copied
-        if info.attributes.visible == expected.objects[object_id].attributes.visible:
-            assert actual.objects[object_id] is info
+def visibility_inputs(state):
+    """What visibility depends on; the maps are compared by identity."""
+    return (id(state.objects), id(state.containment), state.agent.current_zone,
+            state.agent.held_object)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_walks, st.integers(0, 99), st.sets(st.integers(0, 99), max_size=10))
-def test_refresh_visibility_matches_the_two_pass_reference(world_walk, zone, flips):
-    """Each state of a walk as it is, and moved to another zone with some
-    stored visible flags flipped."""
-    for state, _, _ in walk(*world_walk):
+@given(_walks, st.booleans())
+def test_the_visible_set_follows_the_rule_and_is_kept_while_its_inputs_are(
+        world_walk, grounding_enabled):
+    """Every call of a walk, and a malformed call before each: afterwards the
+    visible set is the rule's, and the very same set when the call changed
+    none of what it depends on."""
+    ref, calls = world_walk
+    lib = builtin_tool_library()
+    state = shipped_world(ref)
+    assert state.visible == reference_visible(state)
+    for tool, target in calls:
+        spec = lib.specs[tool % len(lib.specs)]
+        with pytest.raises(MalformedArgsError):
+            execute(state, spec.name, {"object_id": "no id"} if spec.takes_target
+                    else {"object": None}, grounding_enabled)
         ids = sorted(state.objects)
-        flipped = {ids[i % len(ids)] for i in flips}
-        zones = state.zones()
-        scrambled = replace(
-            state,
-            agent=replace(state.agent, current_zone=zones[zone % len(zones)]),
-            objects={
-                oid: replace(info, attributes=info.attributes.with_value(
-                    "visible", not info.attributes.visible)) if oid in flipped else info
-                for oid, info in state.objects.items()
-            },
-        )
-        assert_refreshes_like_the_reference(state)
-        assert_refreshes_like_the_reference(scrambled)
+        args = {"object_id": ids[target % len(ids)]} if spec.takes_target else {"input": None}
+        after, _ = execute(state, spec.name, args, grounding_enabled)
+        assert after.visible == reference_visible(after)
+        if visibility_inputs(after) == visibility_inputs(state):
+            assert after.visible is state.visible
+        state = after
 
 
 @pytest.mark.parametrize("outer_open, inner_open", [(True, False), (False, True), (False, False)])
@@ -868,21 +853,23 @@ def test_refresh_visibility_of_held_and_nested_objects(outer_open, inner_open):
             "Box_1": make_object(receptacle=True, openable=True, isOpen=inner_open,
                                  pickupable=True),
             "Key_1": make_object(pickupable=True),
-            "Shelf_1": make_object(zone="pantry", receptacle=True, visible=True),
+            "Shelf_1": make_object(zone="pantry", receptacle=True),
         },
         containment={"Box_1": "Cabinet_1", "Key_1": "Box_1"},
         holding="Mug_1",
+        visible={"Shelf_1"},
     )
     state = refresh_visibility(world)
-    visible = {oid: info.attributes.visible for oid, info in state.objects.items()}
-    assert visible == {
+    seen = {
         "Mug_1": True,
         "Cabinet_1": True,
         "Box_1": outer_open,
         "Key_1": outer_open and inner_open,
         "Shelf_1": False,
     }
-    assert_refreshes_like_the_reference(world)
+    assert state.visible == {oid for oid, flag in seen.items() if flag} == reference_visible(world)
+    assert state.objects is world.objects
+    assert refresh_visibility(state) is state
 
 
 def held_bowl_walk():
@@ -1006,15 +993,17 @@ GOLDEN_WALK_DIGEST = "e57c6332a6749d4c0b82c1065361ff9cec6274b1118e8b2af124540c08
 
 
 def canonical_state(state):
-    """The whole state as text: objects in dict order with their attributes
-    and zone, containment in insertion order, the agent's zone, held object
-    and counters, and the sorted discovered ids. Not repr, so that a change
-    to a dataclass's fields that keeps the values does not move the digest."""
-    lines = [
-        f"{oid} {info.zone} "
-        + "".join("1" if getattr(info.attributes, name) else "0" for name in ATTRIBUTE_NAMES)
-        for oid, info in state.objects.items()
-    ]
+    """The whole state as text: objects in dict order with their zone and
+    attributes (visible read from the state's set), containment in insertion
+    order, the agent's zone, held object and counters, and the sorted
+    discovered ids. Not repr, so that a change to a dataclass's fields that
+    keeps the values does not move the digest."""
+
+    def bits(oid, info):
+        values = {**vars(info.attributes), "visible": oid in state.visible}
+        return "".join("1" if values[name] else "0" for name in ATTRIBUTE_NAMES)
+
+    lines = [f"{oid} {info.zone} " + bits(oid, info) for oid, info in state.objects.items()]
     lines.append(" ".join(f"{child}>{parent}" for child, parent in state.containment.items()))
     agent = state.agent
     lines.append(

@@ -29,12 +29,22 @@ from .conftest import make_object, make_world
 def test_sixteen_attributes():
     assert len(ATTRIBUTE_NAMES) == 16
     assert len(set(ATTRIBUTE_NAMES)) == 16
+    # Every name but visible is stored on the object, in the same order.
+    stored = [f.name for f in dataclasses.fields(ObjectAttributes)]
+    assert stored == [name for name in ATTRIBUTE_NAMES if name != "visible"]
 
 
 def test_attribute_lookup_reads_stored_value():
     world = make_world({"Cabinet_1": make_object(openable=True)})
     assert attribute_reader("openable")(world, "Cabinet_1") is True
     assert attribute_reader("isOpen")(world, "Cabinet_1") is False
+
+
+def test_attribute_lookup_reads_visible_from_the_state():
+    world = make_world({"Cabinet_1": make_object(), "Mug_1": make_object()},
+                       visible={"Mug_1"})
+    assert attribute_reader("visible")(world, "Cabinet_1") is False
+    assert attribute_reader("visible")(world, "Mug_1") is True
 
 
 def test_attribute_lookup_unknown_object():
@@ -114,6 +124,16 @@ def test_validate_world_containment_cycle():
     )
     violations = validate_world(world)
     assert len([v for v in violations if "cycle" in v]) == 1
+
+
+def test_validate_world_reports_discovered_and_visible_ids_that_name_no_object():
+    world = make_world({"Mug_1": make_object()}, discovered={"Mug_1", "Ghost_2"},
+                       visible={"Mug_1", "Ghost_3", "Ghost_1"})
+    assert validate_world(world) == [
+        "discovered id Ghost_2 does not exist",
+        "visible id Ghost_1 does not exist",
+        "visible id Ghost_3 does not exist",
+    ]
 
 
 def test_validate_world_parent_must_be_receptacle():
@@ -235,9 +255,7 @@ def test_world_from_dict_computes_visibility_and_ignores_the_fixture_value():
         "containment": [["Key_1", "Box_1"]],
         "agent": {"zone": "a", "seed": 1},
     })
-    assert {object_id: info.attributes.visible for object_id, info in world.objects.items()} == {
-        "Mug_1": False, "Cup_1": True, "Box_1": True, "Key_1": False, "Floor_1": True,
-    }
+    assert world.visible == {"Cup_1", "Box_1", "Floor_1"}
 
 
 def test_kitchen_fixture_loads_and_validates(kitchen_world):
@@ -251,7 +269,7 @@ def test_kitchen_fixture_loads_and_validates(kitchen_world):
 
 _texts = st.text(alphabet="ab_*", max_size=3)
 _attribute_sets = st.builds(
-    ObjectAttributes, **{name: st.booleans() for name in ATTRIBUTE_NAMES}
+    ObjectAttributes, **{f.name: st.booleans() for f in dataclasses.fields(ObjectAttributes)}
 )
 _object_infos = st.builds(
     ObjectInfo,
@@ -276,6 +294,7 @@ _world_states = st.builds(
     containment=st.dictionaries(_texts, _texts, max_size=2),
     agent=_agent_states,
     discovered=st.frozensets(_texts, max_size=2),
+    visible=st.frozensets(_texts, max_size=2),
     nav_faults=st.frozensets(st.integers(0, 9), max_size=2),
 )
 
