@@ -178,28 +178,37 @@ def unsatisfied(
     _check_binding(state, binding)
     table = messages if messages is not None else _default_table()
     collect = _compiled(table._collectors, formula, lambda f: _compile_collect(f, table))
-    return collect(state, binding)
+    items: list[FeedbackItem] = []
+    collect(state, binding, items)
+    return items
 
 
 def _compile_collect(formula: Formula, table: MessageTable):
-    """A collector: the formula's failing fragments, as a new list."""
+    """A collector: appends the formula's failing fragments to a list."""
     if isinstance(formula, And):
         parts = tuple(_compile_collect(child, table) for child in formula.children)
-        return lambda state, binding: [item for part in parts for item in part(state, binding)]
+
+        def conjunction(state, binding, items):
+            for part in parts:
+                part(state, binding, items)
+
+        return conjunction
     if isinstance(formula, When):
         antecedent = _compile_check(formula.antecedent)
         consequent = _compile_collect(formula.consequent, table)
-        return lambda state, binding: (
-            consequent(state, binding) if antecedent(state, binding) else []
-        )
+
+        def implication(state, binding, items):
+            if antecedent(state, binding):
+                consequent(state, binding, items)
+
+        return implication
     check, item = _compile_check(formula), None  # item: built when the fragment first fails
 
-    def fragment(state, binding):
+    def fragment(state, binding, items):
         nonlocal item
-        if check(state, binding):
-            return []
-        if item is None:
-            item = FeedbackItem(formula, table.message(formula))
-        return [item]
+        if not check(state, binding):
+            if item is None:
+                item = FeedbackItem(formula, table.message(formula))
+            items.append(item)
 
     return fragment

@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -47,12 +47,27 @@ TEMPLATE_FILES = {"expansion": "expansion.txt", "critique": "critique.txt"}
 _SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 
 
+class cached_attribute:
+    """``functools.cached_property`` without the lock that it takes on every
+    first use before Python 3.12: the value is stored in the instance dict,
+    which later lookups read. Threads racing on a first use compute it twice."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     name: str
     body: str
 
-    @cached_property
+    @cached_attribute
     def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str, str | None]:
         """The body split once for render_prompt: (literal, slot) pairs in
         body order, with escapes undone in the literals; the literal text
@@ -115,7 +130,10 @@ def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
 # Transcript steps and parsing
 
 
-@dataclass(frozen=True)
+# ReactStep, StepRecord and sim's Observation, built for every proposal, write
+# the instance dict in __init__; a frozen dataclass's own __init__ costs an
+# object.__setattr__ per field. Assignment still raises FrozenInstanceError.
+@dataclass(frozen=True, init=False)
 class ReactStep:
     """What parse_react reads from a completion."""
 
@@ -123,8 +141,11 @@ class ReactStep:
     action: str
     action_input: dict | str | None
 
+    def __init__(self, thought: str, action: str, action_input: dict | str | None):
+        self.__dict__.update(thought=thought, action=action, action_input=action_input)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class StepRecord:
     """One transcript step: a step an agent took, a search-tree edge, or a
     step of a recorded trace. ``action`` is None for a completion that could
@@ -135,7 +156,11 @@ class StepRecord:
     args: dict | str | None
     observation: str | None
 
-    @cached_property
+    def __init__(self, thought: str, action: str | None, args: dict | str | None,
+                 observation: str | None):
+        self.__dict__.update(thought=thought, action=action, args=args, observation=observation)
+
+    @cached_attribute
     def rendered(self) -> str:
         """Scratchpad text of this step; rendered once, on first use."""
         return format_step(self)
@@ -166,10 +191,13 @@ class FinalAnswer:
     text: str
 
 
-_ACTION_RE = re.compile(r"^Action\s*:\s*(.*)$", re.MULTILINE)
-_ACTION_INPUT_RE = re.compile(r"^Action Input\s*:\s*(.*)$", re.MULTILINE)
-_FINAL_RE = re.compile(r"^Final Answer\s*:\s*(.*)$", re.MULTILINE | re.DOTALL)
-_THOUGHT_RE = re.compile(r"^Thought\s*:\s*(.*)$", re.MULTILINE)
+# A labelled line is found by searching the completion with a "\n" put in front
+# for "\n<label>", which matches where "^<label>" would, at the same offset: a
+# search skips ahead to a literal prefix, but tries "^" at every position.
+_ACTION_RE = re.compile(r"\nAction\s*:\s*(.*)$", re.MULTILINE)
+_ACTION_INPUT_RE = re.compile(r"\nAction Input\s*:\s*(.*)$", re.MULTILINE)
+_FINAL_RE = re.compile(r"\nFinal Answer\s*:\s*(.*)$", re.MULTILINE | re.DOTALL)
+_THOUGHT_RE = re.compile(r"\nThought\s*:\s*(.*)$", re.MULTILINE)
 # The form format_step writes, {'key': 'value'} or {'key': None}, with no
 # character that a Python string literal escapes or that its parser rejects;
 # literal_eval reads such text as exactly this one-key dict.
@@ -237,19 +265,20 @@ def parse_react(completion: str, library: ToolLibrary | None = None) -> ReactSte
     An action missing from the library raises UnknownToolError carrying the
     parsed step, so callers can keep it as recoverable feedback.
     """
-    action_match = _ACTION_RE.search(completion)
-    final_match = _FINAL_RE.search(completion) if "Final Answer" in completion else None
+    text = "\n" + completion
+    action_match = _ACTION_RE.search(text)
+    final_match = _FINAL_RE.search(text) if "Final Answer" in completion else None
     if final_match and (not action_match or final_match.start() < action_match.start()):
         return FinalAnswer(final_match.group(1).strip())
     if not action_match:
         raise MalformedCompletionError("no Action or Final Answer found")
 
     action = action_match.group(1).strip()
-    input_match = _ACTION_INPUT_RE.search(completion, action_match.end())
+    input_match = _ACTION_INPUT_RE.search(text, action_match.end())
     action_input = _parse_action_input(input_match.group(1)) if input_match else None
 
     thought = ""
-    for match in _THOUGHT_RE.finditer(completion, 0, action_match.start()):
+    for match in _THOUGHT_RE.finditer(text, 0, action_match.start()):
         thought = match.group(1).strip()
 
     step = ReactStep(thought=thought, action=action, action_input=action_input)
@@ -264,13 +293,15 @@ class CritiqueResult:
     score: int
 
 
-_SCORE_RE = re.compile(r"^Score\s*:\s*(-?\d+)\s*$", re.MULTILINE)
-_JUSTIFICATION_RE = re.compile(r"^Justification\s*:\s*(.*)$", re.MULTILINE)
+# Searched for as parse_react searches for its lines.
+_SCORE_RE = re.compile(r"\nScore\s*:\s*(-?\d+)\s*$", re.MULTILINE)
+_JUSTIFICATION_RE = re.compile(r"\nJustification\s*:\s*(.*)$", re.MULTILINE)
 
 
 def parse_critique(completion: str) -> CritiqueResult:
     """Last Score: line wins; out-of-range scores are rejected, not clamped."""
-    scores = list(_SCORE_RE.finditer(completion))
+    text = "\n" + completion
+    scores = list(_SCORE_RE.finditer(text))
     if not scores:
         raise NoScoreError("no Score: line in critique completion")
     score_match = scores[-1]
@@ -278,7 +309,7 @@ def parse_critique(completion: str) -> CritiqueResult:
     if not 1 <= score <= 10:
         raise ScoreOutOfRangeError(score)
     justification = ""
-    for match in _JUSTIFICATION_RE.finditer(completion, 0, score_match.start()):
+    for match in _JUSTIFICATION_RE.finditer(text, 0, score_match.start()):
         justification = match.group(1).strip()
     return CritiqueResult(justification=justification, score=score)
 

@@ -41,6 +41,7 @@ from .llm import (
     LlmBackend,
     ReactStep,
     StepRecord,
+    cached_attribute,
     load_template,
     parse_critique,
     parse_react,
@@ -96,34 +97,32 @@ class SearchNode:
     children: list["SearchNode"] = field(default_factory=list)
     terminal: bool = False
     failed: bool = False
-    # Set by label on first use; functools.cached_property would lock on
-    # every first use before Python 3.12, which costs more than the label.
-    _label: str | None = field(default=None, init=False, repr=False)
 
     @property
     def q_value(self) -> float:
         return self.total_score / self.visit_count if self.visit_count else 0.0
 
-    @property
+    @cached_attribute
     def label(self) -> str:
         """How critique plans name this node: the declared final answer,
         or the action with the arguments the simulator was given ("<root>"
         for the root); worked out on first use."""
-        if self._label is None:
-            if self.step is None:
-                self._label = "<root>"
-            elif self.final_answer is not None:
-                self._label = f"Final Answer: {self.final_answer}"
-            else:
-                self._label = f"{self.step.action} {stable_repr(call_args(self.step.args))}"
-        return self._label
+        if self.step is None:
+            return "<root>"
+        if self.final_answer is not None:
+            return f"Final Answer: {self.final_answer}"
+        return f"{self.step.action} {stable_repr(call_args(self.step.args))}"
 
 
-def ucb_score(parent: SearchNode, child: SearchNode, c: float) -> float:
-    if child.visit_count == 0:
+def ucb_score(parent: SearchNode, child: SearchNode, c: float,
+              log_visits: float | None = None) -> float:
+    """UCB1; select passes log(parent.visit_count), worked out once per node."""
+    visits = child.visit_count
+    if visits == 0:
         return math.inf
-    bonus = c * math.sqrt(math.log(parent.visit_count) / child.visit_count)
-    return child.q_value + bonus
+    if log_visits is None:
+        log_visits = math.log(parent.visit_count)
+    return child.total_score / visits + c * math.sqrt(log_visits / visits)  # q_value + bonus
 
 
 def select(root: SearchNode, c: float) -> list[SearchNode]:
@@ -137,11 +136,14 @@ def select(root: SearchNode, c: float) -> list[SearchNode]:
     node = root
     while node.children:
         best = None
+        log_visits = None
         for child in node.children:
             if child.visit_count == 0:
                 path.append(child)
                 return path
-            score = ucb_score(node, child, c)
+            if log_visits is None:
+                log_visits = math.log(node.visit_count)
+            score = ucb_score(node, child, c, log_visits)
             if best is None or score > best_score:
                 best, best_score = child, score
         if node.terminal:
@@ -176,7 +178,14 @@ def _frozen(value):
 def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
     if isinstance(step, FinalAnswer):
         return ("final-answer", step.text)
-    return (step.action, _frozen(step.action_input))
+    args = step.action_input
+    if type(args) is dict:  # a flat {str: str | None} input needs only its items frozen
+        for key, value in args.items():
+            if type(key) is not str or (type(value) is not str and value is not None):
+                break
+        else:
+            return (step.action, (dict, frozenset(args.items())))
+    return (step.action, _frozen(args))
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
@@ -326,8 +335,9 @@ class MctsPlanner:
         root = SearchNode(state=state)
         root_retries = ROOT_RETRY_BUDGET
         for _ in range(config.expansion_budget):
-            retry = (root_retries > 0 and bool(root.children)
-                     and all(child.failed for child in root.children))
+            if root_retries and any(not child.failed for child in root.children):
+                root_retries = 0  # a root child was accepted, and it stays in the tree
+            retry = root_retries > 0 and bool(root.children)
             if retry:
                 root_retries -= 1
                 path = [root]

@@ -45,10 +45,13 @@ GENERIC_FAILURE = FAIL_PREFIX + "execution error"
 UNPARSED_ACTION = FAIL_PREFIX + "could not parse a valid action"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observation:
     success: bool
     message: str
+
+    def __init__(self, success: bool, message: str):  # written as llm.ReactStep's is
+        self.__dict__.update(success=success, message=message)
 
 
 def rejected_call(exc: MalformedArgsError | UnknownToolError) -> Observation:
@@ -65,7 +68,7 @@ def call_args(action_input: dict | str | None) -> dict | None:
 
 def format_feedback(messages: list[str]) -> str:
     """Render unsatisfied-predicate messages the way transcripts print them."""
-    return FAIL_PREFIX + "".join(message + ", " for message in messages)
+    return (FAIL_PREFIX + ", ".join(messages) + ", ") if messages else FAIL_PREFIX
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +117,19 @@ def execute(
 
     agent = _replace(state.agent, action_count=state.agent.action_count + 1)
     state = _replace(state, agent=agent)
-    table = messages if messages is not None else MessageTable.load()
-
-    def fail(message: str) -> tuple[WorldState, Observation]:
-        if grounding_enabled:
-            return state, Observation(False, format_feedback([message]))
-        return state, Observation(False, GENERIC_FAILURE)
-
-    if target is not None and target not in state.objects:
-        return fail(table.special["not_discovered"])
-    if spec.requires_discovered and target not in state.discovered:
-        return fail(table.special["not_discovered"])
+    if (target is not None and target not in state.objects
+            or spec.requires_discovered and target not in state.discovered):
+        if not grounding_enabled:
+            return state, Observation(False, GENERIC_FAILURE)
+        table = messages if messages is not None else MessageTable.load()
+        return state, Observation(False, format_feedback([table.special["not_discovered"]]))
 
     binding: Binding = {} if target is None else {"?x": target}
     if spec.precondition is not None and not evaluate(spec.precondition, state, binding):
-        if grounding_enabled:
-            items = unsatisfied(spec.precondition, state, binding, table)
-            return state, Observation(
-                False, format_feedback([item.message for item in items])
-            )
-        return state, Observation(False, GENERIC_FAILURE)
+        if not grounding_enabled:
+            return state, Observation(False, GENERIC_FAILURE)
+        items = unsatisfied(spec.precondition, state, binding, messages)
+        return state, Observation(False, format_feedback([item.message for item in items]))
 
     new_state, report = spec.apply(state, target)
     # A transition copies the objects or containment map it changes, so an

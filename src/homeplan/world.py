@@ -35,13 +35,14 @@ def _replace(instance, **changes):
     without the ``__init__`` call: the copy starts from the instance dict.
     That is the same thing here, because these types keep only their fields
     in that dict and have no ``__post_init__``. An unknown field name raises
-    TypeError, as ``replace`` does."""
+    TypeError, as ``replace`` does: it is found as a key the copy adds."""
     fields = instance.__dict__
-    if not changes.keys() <= fields.keys():
+    copy = object.__new__(type(instance))
+    copied = copy.__dict__
+    copied.update(fields, **changes)
+    if len(copied) != len(fields):
         unknown = sorted(changes.keys() - fields.keys())
         raise TypeError(f"{type(instance).__name__} has no fields {unknown}")
-    copy = object.__new__(type(instance))
-    copy.__dict__.update(fields, **changes)
     return copy
 
 
@@ -258,13 +259,12 @@ def refresh_visibility(state: WorldState) -> WorldState:
     """The state with its visible set computed: the objects held, or in the
     agent's zone or the wildcard zone, and not concealed. The state itself
     when the set is unchanged."""
-    zone = state.agent.current_zone
+    here = (state.agent.current_zone, ZONE_ANY)
     held = state.agent.held_object
-    visible = frozenset(
+    visible = frozenset([
         object_id for object_id, info in state.objects.items()
-        if (object_id == held or info.zone == ZONE_ANY or info.zone == zone)
-        and not concealed(state, object_id)
-    )
+        if (info.zone in here or object_id == held) and not concealed(state, object_id)
+    ])
     return state if visible == state.visible else _replace(state, visible=visible)
 
 

@@ -2,6 +2,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from homeplan.llm import ScriptedBackend
 from homeplan.world import (
@@ -10,6 +11,18 @@ from homeplan.world import (
     ObjectInfo,
     WorldState,
 )
+
+
+# CI runs the reference property tests once more under this profile
+# (pytest --hypothesis-profile=five-times): five times the examples of the
+# default profile, and of each count that examples() scales.
+_DEFAULT_EXAMPLES = settings.get_profile("default").max_examples
+settings.register_profile("five-times", max_examples=5 * _DEFAULT_EXAMPLES)
+
+
+def examples(count: int) -> int:
+    """A test's own example count, scaled as the loaded profile scales the default's."""
+    return count * settings.default.max_examples // _DEFAULT_EXAMPLES
 
 
 def data_path(relative: str) -> Path:

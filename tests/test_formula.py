@@ -22,6 +22,8 @@ from homeplan.formula import (
 )
 from homeplan.tools import load_precondition_pairs
 
+from .conftest import examples
+
 SEARCH_BLOCK = """
 (and
     (receptacle ?x)
@@ -265,7 +267,7 @@ def _lexer_inputs(draw):
     return source
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(derandomize=True, max_examples=examples(600), deadline=None)
 @given(_lexer_inputs())
 def test_lexer_matches_the_reference_character_loop(source):
     assert _lexed(_tokenize, source) == _lexed(_reference_tokenize, source)

@@ -42,6 +42,8 @@ from homeplan.llm import (
 )
 from homeplan.tools import builtin_tool_library
 
+from .conftest import examples
+
 
 def test_critique_template_renders():
     template = load_template("critique")
@@ -146,20 +148,28 @@ def test_parse_react_round_trips_format_step():
         assert parsed == step
 
 
+# The reference's own line patterns: each label anchored at a line start.
+_REFERENCE_ACTION = re.compile(r"^Action\s*:\s*(.*)$", re.MULTILINE)
+_REFERENCE_ACTION_INPUT = re.compile(r"^Action Input\s*:\s*(.*)$", re.MULTILINE)
+_REFERENCE_FINAL = re.compile(r"^Final Answer\s*:\s*(.*)$", re.MULTILINE | re.DOTALL)
+_REFERENCE_THOUGHT = re.compile(r"^Thought\s*:\s*(.*)$", re.MULTILINE)
+
+
 def unguarded_parse_react(completion, library=None):
-    """Reference: parse_react with the Final Answer pattern searched on
-    every completion, whether or not it holds the text "Final Answer"."""
-    action_match = llm._ACTION_RE.search(completion)
-    final_match = llm._FINAL_RE.search(completion)
+    """Reference: parse_react as line-anchored searches of the completion,
+    with the Final Answer pattern searched on every completion, whether or
+    not it holds the text "Final Answer"."""
+    action_match = _REFERENCE_ACTION.search(completion)
+    final_match = _REFERENCE_FINAL.search(completion)
     if final_match and (not action_match or final_match.start() < action_match.start()):
         return FinalAnswer(final_match.group(1).strip())
     if not action_match:
         raise MalformedCompletionError("no Action or Final Answer found")
     action = action_match.group(1).strip()
-    input_match = llm._ACTION_INPUT_RE.search(completion, action_match.end())
+    input_match = _REFERENCE_ACTION_INPUT.search(completion, action_match.end())
     action_input = llm._parse_action_input(input_match.group(1)) if input_match else None
     thought = ""
-    for match in llm._THOUGHT_RE.finditer(completion, 0, action_match.start()):
+    for match in _REFERENCE_THOUGHT.finditer(completion, 0, action_match.start()):
         thought = match.group(1).strip()
     step = ReactStep(thought=thought, action=action, action_input=action_input)
     if library is not None and action not in library:
@@ -183,18 +193,57 @@ _react_lines = st.lists(
         st.sampled_from([":", " :", ": ", ":\n", ":\r\n", " "]),
         st.sampled_from(["", "look around", "Pick Up Object", "Levitate Object",
                          "{'object_id': 'Knife_1'}", "{'input': None}", "{'object_id': ",
+                         "{'object_id': 'Apple_1'}", "{'object_id': 'Cabinet_4', 'input': None}",
+                         "step 3. Action: Place Object", "I will use Action Input: x",
                          "done. Final Answer: no", "Final Answer: yes", "Answer: x"]),
-        st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n\r\n", ""]),
+        st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n\r\n", "\r\n\r\n", ""]),
     ).map("".join),
     max_size=8,
 ).map("".join)
 
 
-@settings(derandomize=True, max_examples=1000, deadline=None)
+@settings(derandomize=True, max_examples=examples(1000), deadline=None)
 @given(_react_lines, st.sampled_from([None, builtin_tool_library()]))
 def test_parse_react_matches_the_unguarded_reference(completion, library):
     assert (_parse_outcome(parse_react, completion, library)
             == _parse_outcome(unguarded_parse_react, completion, library))
+
+
+_REFERENCE_SCORE = re.compile(r"^Score\s*:\s*(-?\d+)\s*$", re.MULTILINE)
+_REFERENCE_JUSTIFICATION = re.compile(r"^Justification\s*:\s*(.*)$", re.MULTILINE)
+
+
+def line_anchored_parse_critique(completion):
+    """Reference: parse_critique as line-anchored searches of the completion."""
+    scores = list(_REFERENCE_SCORE.finditer(completion))
+    if not scores:
+        raise NoScoreError("no Score: line in critique completion")
+    score = int(scores[-1].group(1))
+    if not 1 <= score <= 10:
+        raise ScoreOutOfRangeError(score)
+    justification = ""
+    for match in _REFERENCE_JUSTIFICATION.finditer(completion, 0, scores[-1].start()):
+        justification = match.group(1).strip()
+    return llm.CritiqueResult(justification=justification, score=score)
+
+
+_critique_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["Score", "Justification", " Score", "score", "Final Score", ""]),
+        st.sampled_from([":", " :", ": ", ":\n", ":\r\n", " "]),
+        st.sampled_from(["", "7", "10", "11", "0", "-3", "5 ", "5 \t", "5/10", "07",
+                         "The plan rates 4 on progress.", "fine. Score: 6", "Justification: x"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\n\n", " \n", ""]),
+    ).map("".join),
+    max_size=6,
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=examples(500), deadline=None)
+@given(_critique_lines)
+def test_parse_critique_matches_the_line_anchored_reference(completion):
+    assert (_parse_outcome(lambda text, _: parse_critique(text), completion, None)
+            == _parse_outcome(lambda text, _: line_anchored_parse_critique(text), completion, None))
 
 
 def literal_action_input(raw):
@@ -538,7 +587,7 @@ _body_pieces = st.one_of(
 )
 
 
-@settings(max_examples=500)
+@settings(max_examples=examples(500))
 @given(
     st.lists(_body_pieces, max_size=10).map("".join),
     st.dictionaries(st.sampled_from(["a", "b", "c_1"]),

@@ -39,7 +39,7 @@ from homeplan.suite import resolve_world
 from homeplan.tools import builtin_tool_library
 from homeplan.world import refresh_visibility
 
-from .conftest import RecordingBackend, make_object, make_world
+from .conftest import RecordingBackend, examples, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_planning
 
 
@@ -126,7 +126,7 @@ def _tree(shape):
                 children=children)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(_tree_shapes, st.sampled_from([0.0, 1.0, mcts.EXPLORATION_CONSTANT]))
 def test_select_matches_the_two_scan_reference(shape, c):
     root = _tree(shape)
@@ -760,7 +760,7 @@ def explored_world(ref, explores):
     return state
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(
     st.sampled_from([None, "worlds/kitchen.json", "worlds/kitchen_b.json",
                      "worlds/kitchen_c.json"]),
@@ -869,7 +869,7 @@ def test_a_plan_labels_only_critiqued_nodes(planning_scenarios, monkeypatch):
     while stack:
         nodes.append(stack.pop())
         stack += nodes[-1].children
-    assert all(id(node) in critiqued for node in nodes if node._label is not None)
+    assert all(id(node) in critiqued for node in nodes if "label" in vars(node))
 
 
 def test_failed_children_never_consume_critique_calls(planning_scenarios):

@@ -38,7 +38,7 @@ from homeplan.world import (
     validate_world,
 )
 
-from .conftest import data_path, make_object, make_world
+from .conftest import data_path, examples, make_object, make_world
 from .test_grounding import assert_compiled_like_the_reference, custom_table
 
 SEARCH_PART4 = """
@@ -783,7 +783,7 @@ def easy_goals():
     return [task.goal for task in suite.tasks]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(_walks, st.lists(_goal_atoms, min_size=1, max_size=12))
 def test_check_goal_matches_the_parse_every_id_reference(world_walk, atoms):
     goals = [(atom,) for atom in atoms] + easy_goals()

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,8 @@ from homeplan.errors import (
     UnknownObjectError,
     WorldFormatError,
 )
+from homeplan.llm import ReactStep, StepRecord
+from homeplan.sim import Observation
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     AgentState,
@@ -318,5 +321,48 @@ def test_field_copy_equals_dataclasses_replace(data):
     assert vars(instance) == before
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(copy, names[0], getattr(instance, names[0]))
-    with pytest.raises(TypeError):
+    message = f"{type(instance).__name__} has no fields ['no_such_field']"
+    with pytest.raises(TypeError, match=re.escape(message)):
         _replace(instance, no_such_field=1, **changes)
+
+
+def _machinery_twin(cls):
+    """A frozen dataclass with the name and fields of cls, whose instances
+    the dataclass machinery's own __init__ builds."""
+    namespace = {"__annotations__": dict(cls.__annotations__),
+                 "__qualname__": cls.__qualname__, "__module__": cls.__module__}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a dict field
+        return str(exc)
+
+
+_record_values = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.one_of(st.none(), st.text(max_size=2)), max_size=2),
+)
+
+
+@given(st.sampled_from([ReactStep, StepRecord, Observation]), st.data())
+def test_record_contract_matches_the_dataclass_machinery(cls, data):
+    names = [f.name for f in dataclasses.fields(cls)]
+    twin = _machinery_twin(cls)
+    values, others = (data.draw(st.lists(_record_values, min_size=len(names),
+                                         max_size=len(names))) for _ in range(2))
+    record, reference = cls(*values), twin(*values)
+    assert list(vars(record).items()) == list(vars(reference).items())
+    assert repr(record) == repr(reference)
+    assert _hash_or_error(record) == _hash_or_error(reference)
+    assert record == cls(**dict(zip(names, values)))
+    assert (record == cls(*others)) == (reference == twin(*others))
+    if cls is StepRecord:  # a cached rendering is no field
+        record.rendered
+        assert record == cls(*values) and repr(record) == repr(reference)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], values[0])
+    changed = dataclasses.replace(record, **{names[-1]: others[-1]})
+    assert list(vars(changed).items()) == list(vars(twin(*values[:-1], others[-1])).items())
