@@ -4,11 +4,12 @@ Two modes: plain reactive stepping (one proposal per step) and tree-search
 planning (a full planning call per step, executing the robust child). Both
 make their model calls through the episode's one ``MctsPlanner``, which
 counts them. Either way the simulator enforces physical legality;
-``grounding_enabled`` decides whether failures come back explained or as
-bare execution errors. The harness judges success against the task goal
-at the start and after each successful action (a failed call changes
-nothing a goal reads); an agent's own final answer never counts as success
-by itself. Each decision shows the model the episode's history through a
+``grounding_enabled`` decides whether a committed call that fails comes back
+explained or as a bare execution error (the planner's simulated proposals
+are never explained). The harness judges success against the task goal at
+the start and after each successful action (a failed call changes nothing
+a goal reads); an agent's own final answer never counts as success by
+itself. Each decision shows the model the episode's history through a
 ``Scratchpad``, a window over the newest steps kept across decisions, so
 a decision's history costs the steps that entered and left the window.
 """
@@ -152,13 +153,7 @@ def run_episode(
     """Run one task to an outcome. A fault of the backend or its script
     propagates, for the caller to report; a planner that produced nothing
     to act on ends the episode as a failure with its error."""
-    planner = MctsPlanner(
-        backend,
-        config=config.planner,
-        messages=messages,
-        grounding_enabled=config.grounding_enabled,
-        template_dir=config.template_dir,
-    )
+    planner = MctsPlanner(backend, config=config.planner, template_dir=config.template_dir)
     state = world
     steps: list[StepRecord] = []
     pad = Scratchpad()

@@ -4,15 +4,19 @@ scoring, and mean-value backpropagation.
 Each iteration selects a path from the root by UCB1. The path ends at the
 first unvisited child it meets, or else at a node to expand, whose first new
 child is then scored. Instead of rollout simulation, that action path is
-scored by a language model critique (1..10, normalized to [0, 1]). A proposed
-action the simulator refuses (it fails verification or names an unknown
-tool) stays in the tree as a leaf carrying its failure observation: it is
+scored by a language model critique (1..10, normalized to [0, 1]). The
+planner asks the simulator only for its verdict on a proposal and, when it
+accepts the call, the successor state. A proposed action the simulator
+refuses (it fails verification or names an unknown tool) stays in the tree
+as a leaf carrying that verdict, unexplained (``sim.GENERIC_FAILURE``, or
+``sim.rejected_call``'s text for an unknown tool or malformed input): it is
 never expanded and never critiqued, and each evaluation of it scores zero.
 While every root child was refused, the root is expanded again, at most
 ``ROOT_RETRY_BUDGET`` times, instead of a refused leaf being revisited. The
 executed action is the most visited root child that was not refused
 (robust-child rule); only when every root child was refused is the most
-visited refused one executed, so the agent records the simulator's feedback.
+visited refused one executed, and the agent's own call records the
+simulator's feedback.
 
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposed step with its simulated observation, keeping the raw Action
@@ -35,7 +39,6 @@ from .errors import (
     ScoreOutOfRangeError,
     UnknownToolError,
 )
-from .grounding import MessageTable
 from .llm import (
     FinalAnswer,
     LlmBackend,
@@ -209,15 +212,11 @@ class MctsPlanner:
         self,
         backend: LlmBackend,
         config: PlannerConfig | None = None,
-        messages: MessageTable | None = None,
-        grounding_enabled: bool = True,
         template_dir: str | None = None,
     ):
         self.backend = backend
         self.config = config or PlannerConfig()
         self.library = builtin_tool_library()
-        self.messages = messages
-        self.grounding_enabled = grounding_enabled
         self._expansion_template = load_template("expansion", directory=template_dir)
         self._critique_template = load_template("critique", directory=template_dir)
         self._tool_fills = {
@@ -247,9 +246,11 @@ class MctsPlanner:
             return exc.step
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
+        # Grounding off: a refused child is a leaf whose text no prompt or
+        # critique reads, so the simulator is not asked to explain it.
         try:
             state, result = execute(leaf.state, parsed.action, call_args(parsed.action_input),
-                                    self.grounding_enabled, messages=self.messages)
+                                    grounding_enabled=False)
         except (MalformedArgsError, UnknownToolError) as exc:
             state, result = leaf.state, rejected_call(exc)
         return SearchNode(

@@ -17,7 +17,7 @@ from homeplan.agent import (
 from homeplan.errors import BackendUnavailableError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
+from homeplan.sim import GENERIC_FAILURE, UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
 from homeplan.tools import ToolLibrary
 from homeplan.world import refresh_visibility
 
@@ -265,6 +265,27 @@ def test_mcts_mode_episode_and_call_accounting():
     assert [step.action for step in record.steps] == ["Pick Up Object", "Place Object"]
     # per step: one expansion completion + one critique completion
     assert record.llm_call_count == 4
+
+
+@pytest.mark.parametrize("grounding, observation", [
+    (True, "Tool Failed: the agent is not holding an object, "),
+    (False, GENERIC_FAILURE),
+])
+def test_a_committed_refusal_is_explained_by_the_agents_grounding(grounding, observation):
+    # The planner's only root child is refused by its precondition, so the
+    # agent commits it; the planner simulated it for its verdict alone, and
+    # the agent's own call explains the refusal when grounding is on.
+    script = ScriptedBackend.ordered(
+        ["Thought: place\nAction: Place Object\nAction Input: {'object_id': 'Basket_1'}"]
+    )
+    task = simple_task(
+        [GoalAtom("containment", "Tomato", receptacle_pattern="Basket")], max_steps=1
+    )
+    config = AgentConfig(mode="react+mcts", grounding_enabled=grounding, planner=MCTS_BUDGET_ONE)
+    record = run_episode(task, config, script, pickup_world())
+    assert record.outcome == "step-budget-exhausted"
+    assert [step.observation for step in record.steps] == [observation]
+    assert record.llm_call_count == 1
 
 
 def _react_script_with_each_step_kind():

@@ -20,7 +20,8 @@ import pytest
 import homeplan.agent
 import homeplan.sim
 from homeplan.agent import AgentConfig, run_episode
-from homeplan.mcts import PlannerConfig
+from homeplan.llm import ScriptedBackend
+from homeplan.mcts import MctsPlanner, PlannerConfig
 from homeplan.sim import GoalAtom, refresh_visibility
 
 from .conftest import make_object, make_world
@@ -103,6 +104,30 @@ def test_a_rejected_execute_calls_the_traced_grounding_layers(tracer_module):
     counts = tracer.layers()
     assert counts["grounding.evaluate"]["calls"] == 1
     assert counts["grounding.unsatisfied"]["calls"] == 1
+
+
+def test_a_plan_with_refused_children_calls_no_unsatisfied(tracer_module):
+    # The planner asks the simulator for its verdict alone: refusing a
+    # proposal evaluates its precondition and explains nothing.
+    layers = [entry for entry in tracer_module.FUNCTIONS if entry[0] == "homeplan.grounding"]
+    world = refresh_visibility(
+        make_world({"Box_1": make_object(receptacle=True)}, discovered={"Box_1"})
+    )
+    backend = ScriptedBackend.ordered([
+        "Thought: t\nAction: Pick Up Object\nAction Input: {'object_id': 'Box_1'}",
+        "Thought: t\nAction: Place Object\nAction Input: {'object_id': 'Box_1'}",
+    ])
+    planner = MctsPlanner(backend, PlannerConfig(expansion_budget=2, children_per_expansion=1))
+    tracer = tracer_module.Tracer(record_spans=False)
+    tracer.install(functions=layers, methods=())
+    try:
+        result = planner.plan(world, "tidy up")
+    finally:
+        tracer.restore()
+    assert [child.failed for child in result.root.children] == [True, True]
+    counts = tracer.layers()
+    assert counts["grounding.evaluate"]["calls"] == 2
+    assert counts["grounding.unsatisfied"]["calls"] == 0
 
 
 def test_execute_refreshes_visibility_only_after_a_call_that_can_change_it(tracer_module):

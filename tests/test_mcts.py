@@ -34,7 +34,7 @@ from homeplan.mcts import (
     select,
     ucb_score,
 )
-from homeplan.sim import execute, rejected_call
+from homeplan.sim import GENERIC_FAILURE, execute, rejected_call
 from homeplan.suite import resolve_world
 from homeplan.tools import builtin_tool_library
 from homeplan.world import refresh_visibility
@@ -268,6 +268,8 @@ def test_expand_of_pure_prose_makes_no_child():
 
 
 def test_expand_keeps_infeasible_child_with_failure_observation():
+    # The planner asks the simulator for its verdict alone: a refused leaf is
+    # never expanded or critiqued, so its refusal is not explained.
     backend = ScriptedBackend.ordered(
         ["Thought: put it there\nAction: Place Object\nAction Input: {'object_id': 'CounterTop_1'}"]
     )
@@ -276,7 +278,8 @@ def test_expand_keeps_infeasible_child_with_failure_observation():
     children = planner.expand(leaf, "tidy up", [leaf])
     child = children[0]
     assert child.failed
-    assert child.step.observation == "Tool Failed: the agent is not holding an object, "
+    assert child.terminal
+    assert child.step.observation == GENERIC_FAILURE
     # world contents unchanged; only the deterministic action counter advances
     assert child.state.objects == leaf.state.objects
     assert child.state.containment == leaf.state.containment
@@ -585,8 +588,8 @@ class ReferenceNode:
 
 
 class ReferencePlanner:
-    def __init__(self, backend, config, grounding_enabled):
-        self.backend, self.config, self.grounding_enabled = backend, config, grounding_enabled
+    def __init__(self, backend, config):
+        self.backend, self.config = backend, config
         self.library = builtin_tool_library()
         self.calls = 0
 
@@ -616,7 +619,7 @@ class ReferencePlanner:
                                  parsed.text, key, terminal=True)
         args = parsed.action_input if isinstance(parsed.action_input, dict) else None
         try:
-            state, observation = execute(leaf.state, parsed.action, args, self.grounding_enabled)
+            state, observation = execute(leaf.state, parsed.action, args, False)
         except (MalformedArgsError, UnknownToolError) as exc:
             state, observation = leaf.state, rejected_call(exc)
         step = StepRecord(parsed.thought, parsed.action, parsed.action_input, observation.message)
@@ -770,16 +773,15 @@ def explored_world(ref, explores):
     st.lists(st.sampled_from(PROPOSALS), min_size=1, max_size=5),
     st.lists(st.sampled_from(CRITIQUES), min_size=1, max_size=3),
     st.sampled_from(["", "Thought: x\nAction: Randomly Explore\nAction Input: None\n"]),
-    st.booleans(),
 )
 def test_plan_matches_the_reference_planner(ref, explores, config, seed, proposals, critiques,
-                                            history, grounding):
+                                            history):
     state = explored_world(ref, explores)
     targets = sorted(state.discovered)[:4] + sorted(state.objects)[:2]
     backend, reference_backend = (SeededBackend(seed, targets, proposals, critiques)
                                   for _ in range(2))
-    planner = MctsPlanner(backend, config, grounding_enabled=grounding)
-    reference = ReferencePlanner(reference_backend, config, grounding)
+    planner = MctsPlanner(backend, config)
+    reference = ReferencePlanner(reference_backend, config)
     try:
         result = planner.plan(state, "tidy up", history)
         got = ((result.action, result.args, result.final_answer, result.thought),
