@@ -5,12 +5,12 @@ Each iteration selects a path from the root by UCB1. The path ends at the
 first unvisited child it meets, or else at a node to expand, whose first new
 child is then scored. Instead of rollout simulation, that action path is
 scored by a language model critique (1..10, normalized to [0, 1]). The
-planner asks the simulator only for its verdict on a proposal and, when it
-accepts the call, the successor state. A proposed action the simulator
-refuses (it fails verification or names an unknown tool) stays in the tree
-as a leaf carrying that verdict, unexplained (``sim.GENERIC_FAILURE``, or
-``sim.rejected_call``'s text for an unknown tool or malformed input): it is
-never expanded and never critiqued, and each evaluation of it scores zero.
+planner asks ``sim.simulate`` only for its verdict on a proposal and, when
+it accepts the call, the successor state. A refused proposal (it fails
+verification or names an unknown tool) stays in the tree as a leaf carrying
+that verdict, unexplained (``sim.GENERIC_FAILURE``, or ``sim.rejected_call``'s
+text for an unknown tool or malformed input), and its parent's state,
+uncounted: it is never expanded or critiqued, and each evaluation scores zero.
 While every root child was refused, the root is expanded again, at most
 ``ROOT_RETRY_BUDGET`` times, instead of a refused leaf being revisited. The
 executed action is the most visited root child that was not refused
@@ -51,7 +51,7 @@ from .llm import (
     render_prompt,
     stable_repr,
 )
-from .sim import call_args, execute, rejected_call
+from .sim import call_args, rejected_call, simulate
 from .tools import builtin_tool_library
 from .world import WorldState
 
@@ -89,7 +89,7 @@ class SearchNode:
     """A state in the search tree. ``step`` is the edge into it, the
     proposed step with its simulated observation (None at the root); its
     ``rendered`` text is what a path through this node adds to an expansion
-    prompt. Nodes compare by identity."""
+    prompt; a refused node holds its parent's state. Nodes compare by identity."""
 
     state: WorldState
     step: StepRecord | None = None
@@ -246,11 +246,10 @@ class MctsPlanner:
             return exc.step
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
-        # Grounding off: a refused child is a leaf whose text no prompt or
-        # critique reads, so the simulator is not asked to explain it.
+        # No expansion, critique or PlanResult reads a refused leaf's state or
+        # text, so it keeps its parent's state and the call is not explained.
         try:
-            state, result = execute(leaf.state, parsed.action, call_args(parsed.action_input),
-                                    grounding_enabled=False)
+            state, result = simulate(leaf.state, parsed.action, call_args(parsed.action_input))
         except (MalformedArgsError, UnknownToolError) as exc:
             state, result = leaf.state, rejected_call(exc)
         return SearchNode(
@@ -283,7 +282,7 @@ class MctsPlanner:
             except MalformedCompletionError:
                 temperature = RETRY_TEMPERATURE
                 continue
-            # Dedup before simulating: execute is pure, so duplicates add nothing.
+            # Dedup before simulating: simulate is pure, so duplicates add nothing.
             key = _dedup_key(parsed)
             if key in seen:
                 temperature = RETRY_TEMPERATURE

@@ -1,21 +1,26 @@
 """Deterministic household simulator: action execution, goals, trace replay.
 
-``execute`` checks a tool call's arguments and the tool's ground-truth
-precondition, then applies the tool's own transition (``ActionSpec.apply``
-in tools.py) and refreshes visibility; every step is a pure function of
-(state, action, args). The simulator always enforces physical legality; the
-``grounding_enabled`` flag only controls whether a rejected action is
-explained (unsatisfied-predicate feedback) or reported as a bare execution
-error. Visibility (``WorldState.visible``, computed by
-``world.refresh_visibility``) is set when a world is loaded, and again after
-a successful call that changed what it depends on: the objects, the
-containment, or the agent's zone or held object. So a state that load_world
-or execute returned is ready to act on.
+A tool call gets a verdict, then a transition. ``_refusal`` checks the
+target and the tool's ground-truth precondition; ``_apply`` counts the call,
+applies the tool's own transition (``ActionSpec.apply`` in tools.py) and
+refreshes visibility; every step is a pure function of (state, action,
+args). ``execute`` counts a refused call too; ``simulate``, for a planner
+that wants only the verdict, is ``execute`` with grounding off, except that
+a refused call returns the very state it was given, with ``REFUSED``. The
+simulator always enforces physical legality; the ``grounding_enabled`` flag
+only controls whether a rejected action is explained (unsatisfied-predicate
+feedback) or reported as a bare execution error. Visibility
+(``WorldState.visible``, computed by ``world.refresh_visibility``) is set
+when a world is loaded, and again after a successful call that changed what
+it depends on: the objects, the containment, or the agent's zone or held
+object. So a state that load_world, execute or simulate returned is ready
+to act on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     InputFormatError,
@@ -54,8 +59,12 @@ class Observation:
         self.__dict__.update(success=success, message=message)
 
 
+# What simulate returns for every call it refuses; an Observation is frozen.
+REFUSED = Observation(False, GENERIC_FAILURE)
+
+
 def rejected_call(exc: MalformedArgsError | UnknownToolError) -> Observation:
-    """What an agent or planner records for a call that execute refuses."""
+    """What an agent or planner records for a call that execute or simulate refuses."""
     if isinstance(exc, UnknownToolError):
         return Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
     return Observation(False, FAIL_PREFIX + "malformed action input")
@@ -100,6 +109,47 @@ def _parse_args(spec: ActionSpec, args: dict | None, objects: dict) -> str | Non
     return None
 
 
+def _refusal(state: WorldState, spec: ActionSpec, target: str | None,
+             grounding_enabled: bool, messages: MessageTable | None) -> Observation | None:
+    """The verdict on a parsed call: None when the simulator accepts it,
+    else the refusal's observation. It reads the uncounted state, as no
+    precondition reads action_count."""
+    if (target is not None and target not in state.objects
+            or spec.requires_discovered and target not in state.discovered):
+        if not grounding_enabled:
+            return REFUSED
+        table = messages if messages is not None else MessageTable.load()
+        return Observation(False, format_feedback([table.special["not_discovered"]]))
+
+    binding: Binding = {} if target is None else {"?x": target}
+    if spec.precondition is not None and not evaluate(spec.precondition, state, binding):
+        if not grounding_enabled:
+            return REFUSED
+        items = unsatisfied(spec.precondition, state, binding, messages)
+        return Observation(False, format_feedback([item.message for item in items]))
+    return None
+
+
+def _counted(state: WorldState) -> WorldState:
+    return _replace(state, agent=_replace(state.agent, action_count=state.agent.action_count + 1))
+
+
+def _apply(state: WorldState, spec: ActionSpec,
+           target: str | None) -> tuple[WorldState, Observation]:
+    """The transition of an accepted call: counted, applied, and with its
+    visibility refreshed when the call changed what visibility reads."""
+    state = _counted(state)
+    new_state, report = spec.apply(state, target)
+    # A transition copies the objects or containment map it changes, so an
+    # unchanged map is the same object and leaves visibility as it was.
+    if (new_state.objects is not state.objects
+            or new_state.containment is not state.containment
+            or new_state.agent.current_zone != state.agent.current_zone
+            or new_state.agent.held_object != state.agent.held_object):
+        new_state = refresh_visibility(new_state)
+    return new_state, Observation(True, SUCCESS_PREFIX + report)
+
+
 def execute(
     state: WorldState,
     action: str,
@@ -114,32 +164,21 @@ def execute(
     """
     spec = builtin_tool_library().get(action)
     target = _parse_args(spec, args, state.objects)
+    refusal = _refusal(state, spec, target, grounding_enabled, messages)
+    if refusal is not None:
+        return _counted(state), refusal
+    return _apply(state, spec, target)
 
-    agent = _replace(state.agent, action_count=state.agent.action_count + 1)
-    state = _replace(state, agent=agent)
-    if (target is not None and target not in state.objects
-            or spec.requires_discovered and target not in state.discovered):
-        if not grounding_enabled:
-            return state, Observation(False, GENERIC_FAILURE)
-        table = messages if messages is not None else MessageTable.load()
-        return state, Observation(False, format_feedback([table.special["not_discovered"]]))
 
-    binding: Binding = {} if target is None else {"?x": target}
-    if spec.precondition is not None and not evaluate(spec.precondition, state, binding):
-        if not grounding_enabled:
-            return state, Observation(False, GENERIC_FAILURE)
-        items = unsatisfied(spec.precondition, state, binding, messages)
-        return state, Observation(False, format_feedback([item.message for item in items]))
-
-    new_state, report = spec.apply(state, target)
-    # A transition copies the objects or containment map it changes, so an
-    # unchanged map is the same object and leaves visibility as it was.
-    if (new_state.objects is not state.objects
-            or new_state.containment is not state.containment
-            or new_state.agent.current_zone != agent.current_zone
-            or new_state.agent.held_object != agent.held_object):
-        new_state = refresh_visibility(new_state)
-    return new_state, Observation(True, SUCCESS_PREFIX + report)
+def simulate(state: WorldState, action: str, args: dict | None) -> tuple[WorldState, Observation]:
+    """``execute`` with grounding off, except that a refused call returns
+    the state it was given, uncounted, with ``REFUSED``. It raises what
+    execute raises."""
+    spec = builtin_tool_library().get(action)
+    target = _parse_args(spec, args, state.objects)
+    if _refusal(state, spec, target, False, None) is not None:
+        return state, REFUSED
+    return _apply(state, spec, target)
 
 
 # ---------------------------------------------------------------------------
@@ -167,32 +206,25 @@ class TaskSpec:
     world: str | None = None  # fixture path, resolved by the harness
 
 
-def _matches(pattern: str, object_id: str) -> bool:
+@lru_cache(maxsize=1024)
+def _matching_ids(pattern: str, object_ids: tuple[str, ...]) -> frozenset[str]:
+    """The ids a goal pattern names, itself or its category's; keyed by a
+    world's ids, which no call adds or removes, so matched once per world."""
     # A category match implies the "<pattern>_" prefix; only ids with it are parsed.
-    return pattern == object_id or (
-        object_id.startswith(pattern + "_") and pattern == category_of(object_id)
-    )
-
-
-def _matching_ids(state: WorldState, pattern: str) -> list[str]:
-    # _matches inlined, as it runs on every object at every goal check.
-    # Unsorted: goal atoms only ask any/all of the matches.
     prefix = pattern + "_"
-    return [oid for oid in state.objects if oid == pattern
-            or (oid.startswith(prefix) and category_of(oid) == pattern)]
+    return frozenset(oid for oid in object_ids if oid == pattern
+                     or (oid.startswith(prefix) and category_of(oid) == pattern))
 
 
-def _atom_satisfied(state: WorldState, atom: GoalAtom) -> bool:
-    candidates = _matching_ids(state, atom.object_pattern)
+def _atom_satisfied(state: WorldState, atom: GoalAtom, object_ids: tuple[str, ...]) -> bool:
+    candidates = _matching_ids(atom.object_pattern, object_ids)
     if atom.kind == "attribute":
         read = attribute_reader(atom.attribute)
         return any(read(state, oid) == atom.value for oid in candidates)
     if atom.kind == "containment":
-        for oid in candidates:
-            for ancestor in state.ancestors_of(oid):
-                if _matches(atom.receptacle_pattern, ancestor):
-                    return True
-        return False
+        receptacles = _matching_ids(atom.receptacle_pattern, object_ids)
+        return any(ancestor in receptacles
+                   for oid in candidates for ancestor in state.ancestors_of(oid))
     if atom.kind == "chilled":
         # Inside a closed fridge-category receptacle at check time.
         for oid in candidates:
@@ -207,7 +239,8 @@ def _atom_satisfied(state: WorldState, atom: GoalAtom) -> bool:
 
 
 def check_goal(state: WorldState, task: TaskSpec) -> bool:
-    return all(_atom_satisfied(state, atom) for atom in task.goal)
+    object_ids = tuple(state.objects)
+    return all(_atom_satisfied(state, atom, object_ids) for atom in task.goal)
 
 
 _GOAL_FIELDS = {  # per goal atom type

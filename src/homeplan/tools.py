@@ -152,13 +152,20 @@ def seeded_draw(seed: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def zone_order(state: WorldState) -> list[str]:
-    """Seeded shuffle of the world's zones; the exploration itinerary."""
-    order = state.zones()
+@lru_cache(maxsize=256)
+def _shuffled(rng_seed: int, zones: tuple[str, ...]) -> tuple[str, ...]:
+    """Seeded Fisher-Yates shuffle, worked out once per seed and zone list."""
+    order = list(zones)
     for i in range(len(order) - 1, 0, -1):
-        j = seeded_draw(state.agent.rng_seed, "zone-order", i) % (i + 1)
+        j = seeded_draw(rng_seed, "zone-order", i) % (i + 1)
         order[i], order[j] = order[j], order[i]
-    return order
+    return tuple(order)
+
+
+def zone_order(state: WorldState) -> list[str]:
+    """Seeded shuffle of the world's zones; the exploration itinerary. The
+    zones are listed anew, as a zone goes when its only object is picked up."""
+    return list(_shuffled(state.agent.rng_seed, tuple(state.zones())))
 
 
 def _explore(state: WorldState, target: None) -> tuple[WorldState, str]:

@@ -108,8 +108,10 @@ def test_a_rejected_execute_calls_the_traced_grounding_layers(tracer_module):
 
 def test_a_plan_with_refused_children_calls_no_unsatisfied(tracer_module):
     # The planner asks the simulator for its verdict alone: refusing a
-    # proposal evaluates its precondition and explains nothing.
-    layers = [entry for entry in tracer_module.FUNCTIONS if entry[0] == "homeplan.grounding"]
+    # proposal evaluates its precondition, explains nothing and, as
+    # sim.simulate, counts no sim.execute call.
+    layers = [entry for entry in tracer_module.FUNCTIONS
+              if entry[0] == "homeplan.grounding" or entry[2] == "sim.execute"]
     world = refresh_visibility(
         make_world({"Box_1": make_object(receptacle=True)}, discovered={"Box_1"})
     )
@@ -128,6 +130,7 @@ def test_a_plan_with_refused_children_calls_no_unsatisfied(tracer_module):
     counts = tracer.layers()
     assert counts["grounding.evaluate"]["calls"] == 2
     assert counts["grounding.unsatisfied"]["calls"] == 0
+    assert counts["sim.execute"]["calls"] == 0
 
 
 def test_execute_refreshes_visibility_only_after_a_call_that_can_change_it(tracer_module):

@@ -34,7 +34,7 @@ from homeplan.mcts import (
     select,
     ucb_score,
 )
-from homeplan.sim import GENERIC_FAILURE, execute, rejected_call
+from homeplan.sim import GENERIC_FAILURE, execute, rejected_call, simulate
 from homeplan.suite import resolve_world
 from homeplan.tools import builtin_tool_library
 from homeplan.world import refresh_visibility
@@ -199,11 +199,11 @@ def test_expand_simulates_child_state():
 def test_expand_dedups_identical_actions(monkeypatch):
     executed = []
 
-    def counting_execute(*args, **kwargs):
+    def counting_simulate(*args, **kwargs):
         executed.append(args[1])
-        return execute(*args, **kwargs)
+        return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(mcts, "execute", counting_execute)
+    monkeypatch.setattr(mcts, "simulate", counting_simulate)
     backend = RecordingBackend.ordered([PICK_KNIFE] * 5)
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=3))
     leaf = SearchNode(state=feasible_world())
@@ -280,7 +280,8 @@ def test_expand_keeps_infeasible_child_with_failure_observation():
     assert child.failed
     assert child.terminal
     assert child.step.observation == GENERIC_FAILURE
-    # world contents unchanged; only the deterministic action counter advances
+    # a refused leaf keeps its parent's state, uncounted
+    assert child.state is leaf.state
     assert child.state.objects == leaf.state.objects
     assert child.state.containment == leaf.state.containment
     assert child.state.discovered == leaf.state.discovered

@@ -16,6 +16,7 @@ from homeplan.formula import Exists, parse_precondition, print_precondition
 from homeplan.grounding import MessageTable, evaluate, unsatisfied
 from homeplan.sim import (
     GENERIC_FAILURE,
+    REFUSED,
     GoalAtom,
     Observation,
     TaskSpec,
@@ -23,11 +24,12 @@ from homeplan.sim import (
     execute,
     format_feedback,
     replay_trace,
+    simulate,
     task_from_dict,
     task_to_dict,
 )
 from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
-from homeplan.tools import builtin_tool_library, zone_order
+from homeplan.tools import builtin_tool_library, seeded_draw, zone_order
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     ZONE_ANY,
@@ -326,6 +328,30 @@ def test_explore_is_deterministic():
     assert obs_a == obs_b
     assert a1.agent.current_zone == b1.agent.current_zone
     assert zone_order(world_a) == zone_order(world_b)
+
+
+def plain_zone_order(seed, zones):
+    """The seeded Fisher-Yates shuffle, worked out on every call."""
+    order = list(zones)
+    for i in range(len(order) - 1, 0, -1):
+        j = seeded_draw(seed, "zone-order", i) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(["counter", "dining", "hall", "pantry",
+                                                        "sink", "stove", "yard"]),
+                                       min_size=1, max_size=7, unique=True))
+def test_zone_order_matches_the_plain_shuffle_reference(seed, zones):
+    world = make_world({f"Box_{index}": make_object(zone=zone)
+                        for index, zone in enumerate(zones, start=1)},
+                       agent_zone=zones[0], seed=seed)
+    assert world.zones() == sorted(zones)
+    order = zone_order(world)
+    assert order == plain_zone_order(seed, world.zones())
+    order.reverse()  # a caller's list is its own
+    assert zone_order(world) == plain_zone_order(seed, world.zones())
 
 
 def test_explore_lands_in_seeded_zone_and_discovers_surface_objects():
@@ -730,6 +756,38 @@ def test_compiled_grounding_matches_the_tree_walk_on_shipped_worlds(world_walk):
                 assert_compiled_like_the_reference(spec.precondition, state, binding, table)
 
 
+@settings(max_examples=examples(60), deadline=None)
+@given(_walks)
+def test_simulate_matches_the_execute_reference(world_walk):
+    """simulate is execute with grounding off, except that a refused call
+    returns the very state it was given, uncounted, with REFUSED; a call
+    that is not well-formed raises the same error from both. The walk goes
+    on from execute's successor, as an agent's does."""
+    ref, calls = world_walk
+    lib = builtin_tool_library()
+    state = shipped_world(ref)
+    for tool, target in calls:
+        spec = lib.specs[tool % len(lib.specs)]
+        malformed = {"object_id": "no id"} if spec.takes_target else {"object": None}
+        for action, args, error in ((spec.name, malformed, MalformedArgsError),
+                                    ("Levitate Object", {"input": None}, UnknownToolError)):
+            with pytest.raises(error):
+                execute(state, action, args, False)
+            with pytest.raises(error):
+                simulate(state, action, args)
+        ids = sorted(state.objects)
+        args = {"object_id": ids[target % len(ids)]} if spec.takes_target else {"input": None}
+        expected_state, expected = execute(state, spec.name, args, False)
+        successor, observation = simulate(state, spec.name, args)
+        assert observation == expected
+        if observation.success:
+            assert successor == expected_state
+        else:
+            assert successor is state
+            assert observation is REFUSED
+        state = expected_state
+
+
 def reference_check_goal(state, task):
     """The goal check before ids were matched by prefix: every id parsed, in
     sorted order."""
@@ -786,6 +844,19 @@ def easy_goals():
 @settings(max_examples=examples(60), deadline=None)
 @given(_walks, st.lists(_goal_atoms, min_size=1, max_size=12))
 def test_check_goal_matches_the_parse_every_id_reference(world_walk, atoms):
+    # "Apple_1" names Apple_1 and, as a category, Apple_1_2; one pattern is
+    # checked on two worlds in turn, whose ids it matches differently.
+    cooked = GoalAtom("attribute", "Apple_1", attribute="isCooked", value=True)
+    in_apple_1 = GoalAtom("containment", "Apple", receptacle_pattern="Apple_1")
+    both = make_world({"Apple_1": make_object(receptacle=True),
+                       "Apple_1_2": make_object(cookable=True, isCooked=True),
+                       "Apple_2": make_object()}, containment={"Apple_2": "Apple_1_2"})
+    alone = make_world({"Apple_1": make_object(receptacle=True), "Apple_2": make_object()},
+                       containment={"Apple_2": "Apple_1"})
+    for state in (alone, both, alone):
+        for goal in ((cooked,), (in_apple_1,)):
+            task = TaskSpec(id="t", difficulty="easy", instruction="", goal=goal, max_steps=1)
+            assert check_goal(state, task) is reference_check_goal(state, task)
     goals = [(atom,) for atom in atoms] + easy_goals()
     for state, _, _ in walk(*world_walk):
         for goal in goals:
