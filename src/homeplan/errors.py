@@ -63,10 +63,11 @@ class UnboundVariableError(FormulaSyntaxError):
 
 
 class UnknownToolError(HomeplanError):
-    def __init__(self, name: str, step=None):
+    """A tool call names no tool of the library."""
+
+    def __init__(self, name: str):
         super().__init__(f"unknown tool: {name!r}")
         self.name = name
-        self.step = step  # parsed ReactStep when recoverable
 
 
 class MalformedArgsError(HomeplanError):

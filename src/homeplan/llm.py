@@ -17,6 +17,7 @@ import os
 import re
 import threading
 import time
+from collections.abc import Container
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -35,7 +36,6 @@ from .errors import (
     check_fields,
     read_input,
 )
-from .tools import ToolLibrary
 
 ENV_ENDPOINT = "HOMEPLAN_LLM_ENDPOINT"
 ENV_API_KEY = "HOMEPLAN_LLM_API_KEY"
@@ -258,12 +258,13 @@ def format_step(step: StepRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_react(completion: str, library: ToolLibrary | None = None) -> ReactStep | FinalAnswer:
+def parse_react(completion: str,
+                library: Container[str] | None = None) -> ReactStep | FinalAnswer:
     """Extract the first Thought/Action/Action Input triple or a final answer.
 
     Content after the Action Input line is ignored (stop-sequence behavior).
-    An action missing from the library raises UnknownToolError carrying the
-    parsed step, so callers can keep it as recoverable feedback.
+    Given a library, an action missing from it raises UnknownToolError; the
+    planner passes none, so the simulator alone refuses an unknown tool.
     """
     text = "\n" + completion
     action_match = _ACTION_RE.search(text)
@@ -281,10 +282,9 @@ def parse_react(completion: str, library: ToolLibrary | None = None) -> ReactSte
     for match in _THOUGHT_RE.finditer(text, 0, action_match.start()):
         thought = match.group(1).strip()
 
-    step = ReactStep(thought=thought, action=action, action_input=action_input)
     if library is not None and action not in library:
-        raise UnknownToolError(action, step=step)
-    return step
+        raise UnknownToolError(action)
+    return ReactStep(thought=thought, action=action, action_input=action_input)
 
 
 @dataclass(frozen=True)

@@ -216,12 +216,12 @@ class MctsPlanner:
     ):
         self.backend = backend
         self.config = config or PlannerConfig()
-        self.library = builtin_tool_library()
         self._expansion_template = load_template("expansion", directory=template_dir)
         self._critique_template = load_template("critique", directory=template_dir)
+        tools = builtin_tool_library()
         self._tool_fills = {
-            "tools": self.library.describe(),
-            "tool_names": ", ".join(self.library.names()),
+            "tools": "\n".join(f"{name}: {spec.description}" for name, spec in tools.items()),
+            "tool_names": ", ".join(tools),
         }
         self.llm_calls = 0
 
@@ -240,10 +240,7 @@ class MctsPlanner:
         refuse; an unparseable completion raises MalformedCompletionError."""
         completion = self.backend.complete(prompt, temperature=temperature)
         self.llm_calls += 1
-        try:
-            return parse_react(completion, self.library)
-        except UnknownToolError as exc:
-            return exc.step
+        return parse_react(completion)
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
         # No expansion, critique or PlanResult reads a refused leaf's state or

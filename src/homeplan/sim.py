@@ -1,10 +1,11 @@
 """Deterministic household simulator: action execution, goals, trace replay.
 
-A tool call gets a verdict, then a transition. ``_refusal`` checks the
-target and the tool's ground-truth precondition; ``_apply`` counts the call,
-applies the tool's own transition (``ActionSpec.apply`` in tools.py) and
-refreshes visibility; every step is a pure function of (state, action,
-args). ``execute`` counts a refused call too; ``simulate``, for a planner
+A tool call gets a verdict, then a transition. ``_parse_call`` finds the
+named tool, the one place an unknown name is refused, and checks its
+arguments; ``_refusal`` checks the target and the tool's ground-truth
+precondition; ``_apply`` counts the call, applies the tool's own transition
+(``ActionSpec.apply`` in tools.py) and refreshes visibility; every step is
+a pure function of (state, action, args). ``execute`` counts a refused call too; ``simulate``, for a planner
 that wants only the verdict, is ``execute`` with grounding off, except that
 a refused call returns the very state it was given, with ``REFUSED``. The
 simulator always enforces physical legality; the ``grounding_enabled`` flag
@@ -35,6 +36,7 @@ from .grounding import Binding, MessageTable, evaluate, unsatisfied
 from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
 from .world import (
+    ATTRIBUTE_NAMES,
     ObjectId,
     WorldState,
     _replace,
@@ -84,10 +86,15 @@ def format_feedback(messages: list[str]) -> str:
 # execute
 
 
-def _parse_args(spec: ActionSpec, args: dict | None, objects: dict) -> str | None:
-    """Validate tool-call arguments; returns the target object id, if any.
-    An id that names an object of the world was parsed when the world was
-    loaded, so only other ids are parsed here."""
+def _parse_call(action: str, args: dict | None, objects: dict) -> tuple[ActionSpec, str | None]:
+    """The tool a call names and its target object id, if any; raises
+    UnknownToolError for a name outside the library and MalformedArgsError
+    for arguments outside the tool's schema. An id that names an object of
+    the world was parsed when the world was loaded, so only other ids are
+    parsed here."""
+    spec = builtin_tool_library().get(action)
+    if spec is None:
+        raise UnknownToolError(action)
     args = args or {}
     if not isinstance(args, dict):
         raise MalformedArgsError(f"{spec.name}: arguments must be a mapping")
@@ -102,11 +109,11 @@ def _parse_args(spec: ActionSpec, args: dict | None, objects: dict) -> str | Non
                 ObjectId.parse(value)
             except InvalidObjectIdError as exc:
                 raise MalformedArgsError(f"{spec.name}: {exc}") from exc
-        return value
+        return spec, value
     unexpected = set(args) - {"input"}
     if unexpected:
         raise MalformedArgsError(f"{spec.name}: unexpected arguments {sorted(unexpected)}")
-    return None
+    return spec, None
 
 
 def _refusal(state: WorldState, spec: ActionSpec, target: str | None,
@@ -162,8 +169,7 @@ def execute(
     Raises UnknownToolError / MalformedArgsError for calls that are not even
     well-formed; every in-vocabulary call returns an Observation instead.
     """
-    spec = builtin_tool_library().get(action)
-    target = _parse_args(spec, args, state.objects)
+    spec, target = _parse_call(action, args, state.objects)
     refusal = _refusal(state, spec, target, grounding_enabled, messages)
     if refusal is not None:
         return _counted(state), refusal
@@ -174,8 +180,7 @@ def simulate(state: WorldState, action: str, args: dict | None) -> tuple[WorldSt
     """``execute`` with grounding off, except that a refused call returns
     the state it was given, uncounted, with ``REFUSED``. It raises what
     execute raises."""
-    spec = builtin_tool_library().get(action)
-    target = _parse_args(spec, args, state.objects)
+    spec, target = _parse_call(action, args, state.objects)
     if _refusal(state, spec, target, False, None) is not None:
         return state, REFUSED
     return _apply(state, spec, target)
@@ -256,6 +261,8 @@ def goal_atom_from_dict(data: dict) -> GoalAtom:
     if not isinstance(kind, str) or kind not in _GOAL_FIELDS:
         raise SuiteFormatError(f"unknown goal atom type: {kind!r}")
     check_fields(data, SuiteFormatError, f"goal atom {kind}", _GOAL_FIELDS[kind])
+    if kind == "attribute" and data["attribute"] not in ATTRIBUTE_NAMES:
+        raise SuiteFormatError(f"goal atom attribute: unknown attribute {data['attribute']!r}")
     return GoalAtom(
         kind=kind,
         object_pattern=data["object"],

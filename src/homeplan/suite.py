@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .sim import GoalAtom, TaskSpec, task_from_dict, task_to_dict
 from .tools import builtin_tool_library, seeded_draw
-from .world import WorldState, load_world
+from .world import WorldState, category_of, load_world
 
 SKILL_ORDER = ("locate", "move", "perceive", "manipulate", "place")
 
@@ -96,11 +97,11 @@ def resolve_world(ref: str, base_dir: str | Path | None = None) -> WorldState:
 # Easy-suite generation
 
 
-def _spaced_category(object_id: str) -> str:
-    from .world import category_of
-    import re
+_WORD_START = re.compile(r"(?<!^)(?=[A-Z])")
 
-    return re.sub(r"(?<!^)(?=[A-Z])", " ", category_of(object_id)).lower()
+
+def _spaced_category(object_id: str) -> str:
+    return _WORD_START.sub(" ", category_of(object_id)).lower()
 
 
 def generate_easy_suite(
@@ -467,7 +468,7 @@ def stepwise_from_episodes(episodes: list[dict]) -> StepwiseTable:
     for episode in episodes:
         for action in episode.get("actions", ()):
             name = action["action"]
-            skill = library.get(name).skill if name in library else "manipulate"
+            skill = library[name].skill if name in library else "manipulate"
             bucket = tally.setdefault(skill, [0, 0])
             bucket[0 if action["ok"] else 1] += 1
     rows = [

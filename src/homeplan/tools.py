@@ -1,4 +1,4 @@
-"""The built-in tool library: one ActionSpec per tool.
+"""The built-in tool library: one ActionSpec per tool, by name.
 
 Each tool is described once, by its ActionSpec: the expert ground-truth
 precondition (loaded from the shipped labeled-pairs fixture so the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import DATA, InputFormatError, UnknownToolError, check_fields, read_input
+from .errors import DATA, InputFormatError, check_fields, read_input
 from .formula import Formula, parse_precondition
 from .world import ZONE_ANY, WorldState, _replace, concealed, with_attribute, with_zone
 
@@ -36,37 +36,6 @@ class ActionSpec:
     apply: Transition
     skill: str  # locate | move | perceive | manipulate | place
     requires_discovered: bool = False  # world-level check outside the formula
-
-
-class ToolLibrary:
-    """Ordered collection of uniquely named ActionSpecs."""
-
-    def __init__(self, specs: list[ActionSpec]):
-        self.specs = list(specs)
-        self._by_name = {}
-        for spec in specs:
-            if spec.name in self._by_name:
-                raise ValueError(f"duplicate tool name: {spec.name!r}")
-            self._by_name[spec.name] = spec
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def get(self, name: str) -> ActionSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownToolError(name) from None
-
-    def names(self) -> list[str]:
-        return [spec.name for spec in self.specs]
-
-    def describe(self) -> str:
-        """The {tools} prompt slot: one "name: description" line per tool."""
-        return "\n".join(f"{spec.name}: {spec.description}" for spec in self.specs)
 
 
 _PAIRS_FIELDS = {"tools": (dict, dict)}
@@ -216,8 +185,8 @@ def _adjust(state: WorldState, target: str) -> tuple[WorldState, str]:
 
 
 @lru_cache(maxsize=1)
-def builtin_tool_library() -> ToolLibrary:
-    """The thirteen built-in tools with ground-truth preconditions."""
+def builtin_tool_library() -> dict[str, ActionSpec]:
+    """The thirteen built-in tools with ground-truth preconditions, by name in prompt order."""
     pairs = load_precondition_pairs()["tools"]
     gt = {name: parse_precondition(entry["ground_truth"]) for name, entry in pairs.items()}
 
@@ -367,4 +336,4 @@ def builtin_tool_library() -> ToolLibrary:
             requires_discovered=True,
         ),
     ]
-    return ToolLibrary(specs)
+    return {spec.name: spec for spec in specs}

@@ -18,7 +18,6 @@ from homeplan.errors import BackendUnavailableError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import GENERIC_FAILURE, UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
-from homeplan.tools import ToolLibrary
 from homeplan.world import refresh_visibility
 
 from .conftest import RecordingBackend, make_object, make_world
@@ -342,13 +341,13 @@ def test_mcts_episode_loads_each_template_once(monkeypatch):
 
 def test_react_episode_describes_the_tools_once(monkeypatch):
     describes = []
-    real_describe = ToolLibrary.describe
+    real_library = mcts.builtin_tool_library
 
-    def counting_describe(self):
+    def counting_library():
         describes.append(1)
-        return real_describe(self)
+        return real_library()
 
-    monkeypatch.setattr(ToolLibrary, "describe", counting_describe)
+    monkeypatch.setattr(mcts, "builtin_tool_library", counting_library)
     explore = "Thought: look\nAction: Randomly Explore\nAction Input: {'input': None}"
     task = simple_task(
         [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=5

@@ -231,7 +231,15 @@ def test_each_workload_reference_pass_matches_its_pinned_digest(monkeypatch):
         config = bench_run.build_config(workload)
         object_ids = {ref: resolve_world(ref).object_ids() for ref in workload.worlds}
         reference = bench_run.run_pass(workload, suite, config, 1, object_ids,
-                                       workers=1, delay_s=0.0)
+                                       workers=1, delay_s=0.0, keep_outputs=True)
         assert not reference.errors
+        # The bench's own re-execution check of the reference pass's outputs.
+        assert bench_run.check_reference(suite, 1, reference) == [], name
         digests[name] = reference.digest
     assert digests == WORKLOAD_DIGESTS
+
+
+def test_the_simulator_canary_matches_its_pinned_digest(monkeypatch):
+    # The bench's CANARY_DIGEST pins the simulator's observations for a fixed
+    # stream of proposals on every shipped world, apart from any agent.
+    assert _load_bench_run(monkeypatch).check_sim_canary() == []

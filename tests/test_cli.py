@@ -214,8 +214,10 @@ def test_run_with_a_zero_budget_flag_is_config_error(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda suite: suite.update(repetitions=0), lambda suite: suite["tasks"][1].pop("world")],
-    ids=["no-repetitions", "task-without-world"],
+    [lambda suite: suite.update(repetitions=0), lambda suite: suite["tasks"][1].pop("world"),
+     lambda suite: suite["tasks"][1].update(goal=[
+         {"type": "attribute", "object": "Apple", "attribute": "isopen", "value": True}])],
+    ids=["no-repetitions", "task-without-world", "unknown-goal-attribute"],
 )
 def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)

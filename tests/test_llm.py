@@ -79,8 +79,8 @@ def test_rendered_expansion_has_no_placeholders():
     text = render_prompt(
         template,
         {
-            "tools": lib.describe(),
-            "tool_names": ", ".join(lib.names()),
+            "tools": "\n".join(f"{name}: {spec.description}" for name, spec in lib.items()),
+            "tool_names": ", ".join(lib),
             "input": "Clear off the dining room table.",
             "agent_scratchpad": "",
         },
@@ -120,13 +120,13 @@ def test_parse_react_prose_is_malformed():
         parse_react("I am not sure what to do next, sorry.")
 
 
-def test_parse_react_unknown_tool_carries_step():
-    with pytest.raises(UnknownToolError) as excinfo:
+def test_parse_react_unknown_tool_names_the_action():
+    with pytest.raises(UnknownToolError, match="'Levitate Object'") as excinfo:
         parse_react(
             "Thought: hmm\nAction: Levitate Object\nAction Input: {'object_id': 'Mug_1'}",
             builtin_tool_library(),
         )
-    assert excinfo.value.step.action == "Levitate Object"
+    assert excinfo.value.name == "Levitate Object"
 
 
 def test_parse_react_object_id_args():
@@ -171,17 +171,16 @@ def unguarded_parse_react(completion, library=None):
     thought = ""
     for match in _REFERENCE_THOUGHT.finditer(completion, 0, action_match.start()):
         thought = match.group(1).strip()
-    step = ReactStep(thought=thought, action=action, action_input=action_input)
     if library is not None and action not in library:
-        raise UnknownToolError(action, step=step)
-    return step
+        raise UnknownToolError(action)
+    return ReactStep(thought=thought, action=action, action_input=action_input)
 
 
 def _parse_outcome(parse, completion, library):
     try:
         return parse(completion, library)
     except HomeplanError as exc:
-        return type(exc), getattr(exc, "step", None)
+        return type(exc), str(exc)
 
 
 # A completion is a run of lines "<label><separator><value><line end>"; a

@@ -591,7 +591,6 @@ class ReferenceNode:
 class ReferencePlanner:
     def __init__(self, backend, config):
         self.backend, self.config = backend, config
-        self.library = builtin_tool_library()
         self.calls = 0
 
     def ask(self, prompt, temperature):
@@ -629,8 +628,10 @@ class ReferencePlanner:
                              failed=refused, terminal=refused)
 
     def expand(self, leaf, path, goal, history):
+        tools = builtin_tool_library()
         prompt = llm.render_prompt(llm.load_template("expansion"), {
-            "tools": self.library.describe(), "tool_names": ", ".join(self.library.names()),
+            "tools": "\n".join(f"{name}: {spec.description}" for name, spec in tools.items()),
+            "tool_names": ", ".join(tools),
             "input": goal, "agent_scratchpad": history + "".join(
                 node.step.rendered for node in path[1:])})
         wanted = self.config.children_per_expansion
@@ -639,9 +640,7 @@ class ReferencePlanner:
             if len(made) == wanted:
                 break
             try:
-                parsed = llm.parse_react(self.ask(prompt, temperature), self.library)
-            except UnknownToolError as exc:
-                parsed = exc.step
+                parsed = llm.parse_react(self.ask(prompt, temperature))
             except MalformedCompletionError:
                 temperature = 1.0
                 continue
@@ -740,7 +739,7 @@ class SeededBackend(LlmBackend):
     def __init__(self, seed, targets, proposals, critiques):
         self.seed, self.targets = seed, targets
         self.proposals, self.critiques = proposals, critiques
-        self.tools = builtin_tool_library().names()
+        self.tools = list(builtin_tool_library())
         self.asked = Counter()
         self.calls = []
 

@@ -130,5 +130,5 @@ def test_fixture_formulas_align_with_tool_library():
 
     lib = builtin_tool_library()
     for tool, entry in load_precondition_pairs()["tools"].items():
-        assert lib.get(tool).precondition == parse_precondition(entry["ground_truth"])
+        assert lib[tool].precondition == parse_precondition(entry["ground_truth"])
 

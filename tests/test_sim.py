@@ -80,17 +80,16 @@ def two_zone_world(**extra_objects):
 
 
 def test_library_has_thirteen_tools():
+    # Each spec is keyed by its name, so two specs under one name would count once.
     assert len(builtin_tool_library()) == 13
 
 
 def test_search_precondition_matches_reference_block():
-    lib = builtin_tool_library()
-    assert lib.get("Search Object").precondition == parse_precondition(SEARCH_PART4)
+    assert builtin_tool_library()["Search Object"].precondition == parse_precondition(SEARCH_PART4)
 
 
 def test_pour_precondition_has_held_filled_exists():
-    lib = builtin_tool_library()
-    formula = lib.get("Pour Water Into").precondition
+    formula = builtin_tool_library()["Pour Water Into"].precondition
     clauses = [c for c in formula.children if isinstance(c, Exists)]
     assert len(clauses) == 1
     assert print_precondition(clauses[0]) == (
@@ -265,12 +264,12 @@ def one_room_world():
 
 def test_every_tool_reports_its_success_text_and_skill():
     library = builtin_tool_library()
-    assert sorted(row[0] for row in TOOL_REPORTS) == sorted(library.names())
+    assert sorted(row[0] for row in TOOL_REPORTS) == sorted(library)
     state = one_room_world()
     for tool, args, text, skill in TOOL_REPORTS:
         state, obs = execute(state, tool, args, True)
         assert obs == Observation(True, "Tool Completed Successfully: " + text), tool
-        assert library.get(tool).skill == skill, tool
+        assert library[tool].skill == skill, tool
 
 
 def test_stepwise_counts_each_tool_under_its_skill():
@@ -583,6 +582,21 @@ def test_task_from_dict_rejects_unknown_difficulty():
         )
 
 
+def test_task_from_dict_rejects_unknown_goal_attribute():
+    # Attribute names are case-sensitive: "isopen" is not "isOpen".
+    with pytest.raises(SuiteFormatError, match="'isopen'"):
+        task_from_dict(
+            {
+                "id": "x",
+                "difficulty": "easy",
+                "instruction": "?",
+                "goal": [{"type": "attribute", "object": "Fridge", "attribute": "isopen",
+                          "value": True}],
+                "maxSteps": 10,
+            }
+        )
+
+
 def test_task_json_round_trips():
     """task_to_dict writes what task_from_dict reads: the shipped task file
     comes back as it was read, and every generated or scenario task comes
@@ -666,11 +680,11 @@ def _rand(seed, *labels):
 
 def test_effect_precondition_coherence(kitchen_world):
     """Whenever the ground-truth precondition holds, execution succeeds."""
-    lib = builtin_tool_library()
+    specs = list(builtin_tool_library().values())
     state = kitchen_world
     checked = 0
     for case in range(300):
-        spec = lib.specs[_rand(11, case, "tool") % len(lib.specs)]
+        spec = specs[_rand(11, case, "tool") % len(specs)]
         ids = sorted(state.objects)
         target = ids[_rand(11, case, "target") % len(ids)] if spec.takes_target else None
         if spec.requires_discovered and target not in state.discovered:
@@ -709,10 +723,10 @@ def walk(ref, calls, grounding_enabled=True):
     """Execute (tool index, target index) calls from a shipped world; yield
     each call's spec and binding with the state it ran on, then the state
     it left."""
-    lib = builtin_tool_library()
+    specs = list(builtin_tool_library().values())
     state = shipped_world(ref)
     for tool, target in calls:
-        spec = lib.specs[tool % len(lib.specs)]
+        spec = specs[tool % len(specs)]
         ids = sorted(state.objects)
         object_id = ids[target % len(ids)] if spec.takes_target else None
         binding = {} if object_id is None else {"?x": object_id}
@@ -764,10 +778,10 @@ def test_simulate_matches_the_execute_reference(world_walk):
     that is not well-formed raises the same error from both. The walk goes
     on from execute's successor, as an agent's does."""
     ref, calls = world_walk
-    lib = builtin_tool_library()
+    specs = list(builtin_tool_library().values())
     state = shipped_world(ref)
     for tool, target in calls:
-        spec = lib.specs[tool % len(lib.specs)]
+        spec = specs[tool % len(specs)]
         malformed = {"object_id": "no id"} if spec.takes_target else {"object": None}
         for action, args, error in ((spec.name, malformed, MalformedArgsError),
                                     ("Levitate Object", {"input": None}, UnknownToolError)):
@@ -898,11 +912,11 @@ def test_the_visible_set_follows_the_rule_and_is_kept_while_its_inputs_are(
     visible set is the rule's, and the very same set when the call changed
     none of what it depends on."""
     ref, calls = world_walk
-    lib = builtin_tool_library()
+    specs = list(builtin_tool_library().values())
     state = shipped_world(ref)
     assert state.visible == reference_visible(state)
     for tool, target in calls:
-        spec = lib.specs[tool % len(lib.specs)]
+        spec = specs[tool % len(specs)]
         with pytest.raises(MalformedArgsError):
             execute(state, spec.name, {"object_id": "no id"} if spec.takes_target
                     else {"object": None}, grounding_enabled)
@@ -1087,13 +1101,13 @@ def canonical_state(state):
 def golden_walks():
     """(start state, calls) pairs: a seeded walk of GOLDEN_WALK_CALLS tool
     calls on each shipped world, then the two containment-cycle walks."""
-    lib = builtin_tool_library()
+    specs = list(builtin_tool_library().values())
     for ref in SHIPPED_WORLDS:
         state = shipped_world(ref)
         ids = sorted(state.objects)
         calls = []
         for i in range(GOLDEN_WALK_CALLS):
-            spec = lib.specs[_rand(23, ref, i, "tool") % len(lib.specs)]
+            spec = specs[_rand(23, ref, i, "tool") % len(specs)]
             target = ids[_rand(23, ref, i, "target") % len(ids)]
             args = {"object_id": target} if spec.takes_target else {"input": None}
             calls.append((spec.name, args))
