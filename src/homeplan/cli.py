@@ -126,7 +126,7 @@ def _make_backend_factory(spec: str):
         backend = RemoteBackend()
         return lambda task: backend
     if spec.startswith("scripted:"):
-        script_data = read_input(spec.split(":", 1)[1], InputFormatError)
+        script_data = read_input(spec.split(":", 1)[1])
         ScriptedBackend.from_dict(script_data)  # a malformed script fails before any episode
         return lambda task: ScriptedBackend.from_dict(script_data)
     raise ValueError(f"unknown backend spec: {spec!r}")

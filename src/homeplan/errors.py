@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, the one reader of every
-input file, and the one field check JSON loaders run on each object read."""
+"""Exception hierarchy shared across the package, one class per failure kind
+(any input the program cannot use is an InputFormatError naming the file or
+object at fault), the one reader of every input file, and the one field
+check JSON loaders run on each object read."""
 
 import json
 from collections.abc import Mapping
@@ -29,10 +31,6 @@ class InvalidObjectIdError(HomeplanError):
         detail = f": {reason}" if reason else ""
         super().__init__(f"not a well-formed object id: {text!r}{detail}")
         self.text = text
-
-
-class WorldFormatError(HomeplanError):
-    """Raised when a world or task fixture file violates its schema."""
 
 
 class FormulaSyntaxError(HomeplanError):
@@ -85,13 +83,7 @@ class MalformedCompletionError(HomeplanError):
 
 
 class NoScoreError(HomeplanError):
-    """Critique completion has no Score: line."""
-
-
-class ScoreOutOfRangeError(HomeplanError):
-    def __init__(self, score: int):
-        super().__init__(f"critique score {score} outside 1..10")
-        self.score = score
+    """Critique completion has no Score: line, or its last one is outside 1..10."""
 
 
 class ScriptExhaustedError(HomeplanError):
@@ -114,13 +106,10 @@ class InsufficientObjectsError(HomeplanError):
     """World lacks the object inventory needed to sample a task."""
 
 
-class SuiteFormatError(HomeplanError):
-    """Suite or task file violates its schema."""
-
-
 class InputFormatError(HomeplanError):
-    """A trace, script, message table, precondition-pairs file, prompt
-    template or report input violates its schema."""
+    """An input the program cannot use: a world, task, suite, trace, script,
+    message table, precondition-pairs file, prompt template or report input
+    that cannot be read or violates its schema."""
 
 
 class OutputError(HomeplanError):
@@ -131,16 +120,16 @@ class OutputError(HomeplanError):
 DATA = resources.files("homeplan.data")
 
 
-def read_input(source, error: type[HomeplanError], parse=json.loads):
+def read_input(source, parse=json.loads):
     """``parse`` of the UTF-8 text of a file given by path or under DATA; one
-    that cannot be read, decoded or parsed raises ``error`` naming it."""
+    that cannot be read, decoded or parsed is an InputFormatError naming it."""
     file = Path(source) if isinstance(source, str) else source
     try:
         return parse(file.read_text("utf-8"))
     except OSError as exc:
-        raise error(f"{file}: {exc.strerror or exc}") from None
+        raise InputFormatError(f"{file}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError or JSONDecodeError
-        raise error(f"{file}: {exc}") from None
+        raise InputFormatError(f"{file}: {exc}") from None
 
 
 # Declared JSON types by name: (one value, the members of a container).
@@ -162,24 +151,24 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or type(value) is not bool)
 
 
-def check_fields(data, error: type[HomeplanError], where: str,
-                 required: Mapping = _NO_FIELDS, optional: Mapping = _NO_FIELDS):
+def check_fields(data, where: str, required: Mapping = _NO_FIELDS,
+                 optional: Mapping = _NO_FIELDS):
     """Return ``data`` once it is a JSON object with every required key, no
     key that neither table declares, and each value of its declared JSON
-    type; raise ``error`` otherwise, its message led by ``where``.
+    type; raise an InputFormatError otherwise, its message led by ``where``.
 
     A declared type is a type (``str``), a union (``str | None``) or a
     ``(container, member type)`` pair (``(list, str)``; a dict's members are
     its values)."""
     prefix = f"{where}: " if where else ""
     if type(data) is not dict:
-        raise error(f"{prefix}expected a JSON object")
+        raise InputFormatError(f"{prefix}expected a JSON object")
     unknown = data.keys() - required.keys() - optional.keys()
     if unknown:
-        raise error(f"{prefix}unknown keys {sorted(unknown)}")
+        raise InputFormatError(f"{prefix}unknown keys {sorted(unknown)}")
     missing = required.keys() - data.keys()
     if missing:
-        raise error(f"{prefix}missing keys {sorted(missing)}")
+        raise InputFormatError(f"{prefix}missing keys {sorted(missing)}")
     for key, value in data.items():
         kind = required[key] if key in required else optional[key]
         kind, member = kind if type(kind) is tuple else (kind, None)
@@ -187,5 +176,5 @@ def check_fields(data, error: type[HomeplanError], where: str,
             _is(item, member) for item in (value.values() if kind is dict else value)
         ):
             of = f" of {_json_name(member, True)}" if member is not None else ""
-            raise error(f"{prefix}{key} must be {_json_name(kind)}{of}")
+            raise InputFormatError(f"{prefix}{key} must be {_json_name(kind)}{of}")
     return data

@@ -46,11 +46,10 @@ class MessageTable:
     """Per-predicate/polarity message templates for unsatisfied feedback."""
 
     def __init__(self, data: dict):
-        check_fields(data, InputFormatError, "messages", _MESSAGE_FIELDS)
-        check_fields(data["special"], InputFormatError, "messages: special", _SPECIAL_FIELDS)
+        check_fields(data, "messages", _MESSAGE_FIELDS)
+        check_fields(data["special"], "messages: special", _SPECIAL_FIELDS)
         for name, entry in data["atoms"].items():
-            check_fields(entry, InputFormatError, f"messages: {name}",
-                         optional=_ATOM_MESSAGE_OPTIONAL)
+            check_fields(entry, f"messages: {name}", optional=_ATOM_MESSAGE_OPTIONAL)
         self._atoms = data["atoms"]
         self._exists = data["exists"]
         self._fallback = data["fallback"]
@@ -60,7 +59,7 @@ class MessageTable:
     @classmethod
     def load(cls, path=None) -> "MessageTable":
         """The table in a file, or the shipped one, read once per process."""
-        return _default_table() if path is None else cls(read_input(path, InputFormatError))
+        return _default_table() if path is None else cls(read_input(path))
 
     def message(self, fragment: Formula) -> str:
         """Feedback text for one failing fragment of a precondition."""

@@ -29,7 +29,6 @@ from .errors import (
     MalformedCompletionError,
     MissingSlotError,
     NoScoreError,
-    ScoreOutOfRangeError,
     ScriptExhaustedError,
     ScriptMismatchError,
     UnknownToolError,
@@ -93,7 +92,7 @@ class PromptTemplate:
 
 @lru_cache(maxsize=None)  # one entry per file in TEMPLATE_FILES
 def _packaged_text(filename: str) -> str:
-    return read_input(DATA.joinpath(f"templates/{filename}"), InputFormatError, parse=str)
+    return read_input(DATA.joinpath(f"templates/{filename}"), parse=str)
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
@@ -104,7 +103,7 @@ def load_template(name: str, directory: str | Path | None = None) -> PromptTempl
     except KeyError:
         raise KeyError(f"unknown template name: {name!r}") from None
     if directory is not None:
-        text = read_input(Path(directory, filename), InputFormatError, parse=str)
+        text = read_input(Path(directory, filename), parse=str)
     else:
         text = _packaged_text(filename)
     return PromptTemplate(name=name, body=text.rstrip("\n"))
@@ -307,7 +306,7 @@ def parse_critique(completion: str) -> CritiqueResult:
     score_match = scores[-1]
     score = int(score_match.group(1))
     if not 1 <= score <= 10:
-        raise ScoreOutOfRangeError(score)
+        raise NoScoreError(f"critique score {score} outside 1..10")
     justification = ""
     for match in _JUSTIFICATION_RE.finditer(text, 0, score_match.start()):
         justification = match.group(1).strip()
@@ -368,9 +367,9 @@ class ScriptedBackend(LlmBackend):
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedBackend":
         """A backend from a script file's JSON; any fault is an InputFormatError."""
-        check_fields(data, InputFormatError, "script", _SCRIPT_FIELDS, _SCRIPT_OPTIONAL)
+        check_fields(data, "script", _SCRIPT_FIELDS, _SCRIPT_OPTIONAL)
         entries = [
-            ScriptEntry(**check_fields(entry, InputFormatError, f"script entry {index}",
+            ScriptEntry(**check_fields(entry, f"script entry {index}",
                                        _ENTRY_FIELDS, _ENTRY_OPTIONAL))
             for index, entry in enumerate(data["entries"])
         ]

@@ -36,7 +36,6 @@ from .errors import (
     MalformedCompletionError,
     NoFeasibleActionError,
     NoScoreError,
-    ScoreOutOfRangeError,
     UnknownToolError,
 )
 from .llm import (
@@ -312,7 +311,7 @@ class MctsPlanner:
             self.llm_calls += 1
             try:
                 return normalize_score(parse_critique(completion).score)
-            except (NoScoreError, ScoreOutOfRangeError):
+            except NoScoreError:
                 continue
         return normalize_score(CRITIQUE_FALLBACK_SCORE)
 

@@ -27,7 +27,6 @@ from .errors import (
     InputFormatError,
     InvalidObjectIdError,
     MalformedArgsError,
-    SuiteFormatError,
     UnknownToolError,
     check_fields,
     read_input,
@@ -240,7 +239,7 @@ def _atom_satisfied(state: WorldState, atom: GoalAtom, object_ids: tuple[str, ..
         return False
     if atom.kind == "empty":
         return bool(candidates) and all(not state.children_of(oid) for oid in candidates)
-    raise SuiteFormatError(f"unknown goal atom kind: {atom.kind!r}")
+    raise InputFormatError(f"unknown goal atom kind: {atom.kind!r}")
 
 
 def check_goal(state: WorldState, task: TaskSpec) -> bool:
@@ -259,10 +258,10 @@ _GOAL_FIELDS = {  # per goal atom type
 def goal_atom_from_dict(data: dict) -> GoalAtom:
     kind = data.get("type")
     if not isinstance(kind, str) or kind not in _GOAL_FIELDS:
-        raise SuiteFormatError(f"unknown goal atom type: {kind!r}")
-    check_fields(data, SuiteFormatError, f"goal atom {kind}", _GOAL_FIELDS[kind])
+        raise InputFormatError(f"unknown goal atom type: {kind!r}")
+    check_fields(data, f"goal atom {kind}", _GOAL_FIELDS[kind])
     if kind == "attribute" and data["attribute"] not in ATTRIBUTE_NAMES:
-        raise SuiteFormatError(f"goal atom attribute: unknown attribute {data['attribute']!r}")
+        raise InputFormatError(f"goal atom attribute: unknown attribute {data['attribute']!r}")
     return GoalAtom(
         kind=kind,
         object_pattern=data["object"],
@@ -300,14 +299,17 @@ _TASK_OPTIONAL = {"world": str | None}
 
 
 def task_from_dict(data: dict) -> TaskSpec:
-    check_fields(data, SuiteFormatError, "task", _TASK_FIELDS, _TASK_OPTIONAL)
+    check_fields(data, "task", _TASK_FIELDS, _TASK_OPTIONAL)
     if data["difficulty"] not in ("easy", "moderate", "hard"):
-        raise SuiteFormatError(f"task {data['id']}: bad difficulty {data['difficulty']!r}")
-    goal = tuple(goal_atom_from_dict(atom) for atom in data["goal"])
+        raise InputFormatError(f"task {data['id']}: bad difficulty {data['difficulty']!r}")
+    try:
+        goal = tuple(goal_atom_from_dict(atom) for atom in data["goal"])
+    except InputFormatError as exc:
+        raise InputFormatError(f"task {data['id']}: {exc}") from None
     if not goal:
-        raise SuiteFormatError(f"task {data['id']}: goal must have at least one atom")
+        raise InputFormatError(f"task {data['id']}: goal must have at least one atom")
     if data["maxSteps"] <= 0:
-        raise SuiteFormatError(f"task {data['id']}: maxSteps must be positive")
+        raise InputFormatError(f"task {data['id']}: maxSteps must be positive")
     return TaskSpec(
         id=data["id"],
         difficulty=data["difficulty"],
@@ -319,7 +321,7 @@ def task_from_dict(data: dict) -> TaskSpec:
 
 
 def load_task(path) -> TaskSpec:
-    return task_from_dict(read_input(path, SuiteFormatError))
+    return task_from_dict(read_input(path))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +345,10 @@ _STEP_DEFAULTS = {"thought": "", "args": None}  # a step's keys are StepRecord's
 
 
 def trace_from_dict(data: dict) -> TraceFixture:
-    check_fields(data, InputFormatError, "trace", _TRACE_FIELDS, _TRACE_OPTIONAL)
+    check_fields(data, "trace", _TRACE_FIELDS, _TRACE_OPTIONAL)
     steps = tuple(
-        StepRecord(**{**_STEP_DEFAULTS, **check_fields(
-            step, InputFormatError, f"trace step {index}", _STEP_FIELDS, _STEP_OPTIONAL
-        )})
+        StepRecord(**{**_STEP_DEFAULTS,
+                      **check_fields(step, f"trace step {index}", _STEP_FIELDS, _STEP_OPTIONAL)})
         for index, step in enumerate(data["steps"], start=1)
     )
     return TraceFixture(
@@ -361,7 +362,7 @@ def trace_from_dict(data: dict) -> TraceFixture:
 
 def load_trace(path) -> TraceFixture:
     """A trace from a fixture file, given by path or as a file of DATA."""
-    return trace_from_dict(read_input(path, InputFormatError))
+    return trace_from_dict(read_input(path))
 
 
 @dataclass(frozen=True)

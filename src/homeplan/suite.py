@@ -20,7 +20,6 @@ from .errors import (
     HomeplanError,
     InputFormatError,
     InsufficientObjectsError,
-    SuiteFormatError,
     check_fields,
     read_input,
 )
@@ -52,16 +51,20 @@ _SUITE_OPTIONAL = {"seed": int, "repetitions": int}
 
 
 def suite_from_dict(data: dict) -> SuiteSpec:
-    check_fields(data, SuiteFormatError, "suite", _SUITE_FIELDS, _SUITE_OPTIONAL)
+    check_fields(data, "suite", _SUITE_FIELDS, _SUITE_OPTIONAL)
     tasks = tuple(task_from_dict(entry) for entry in data["tasks"])
     if not tasks:
-        raise SuiteFormatError("suite has no tasks")
+        raise InputFormatError("suite has no tasks")
+    seen = set()
     for task in tasks:
         if task.world is None:
-            raise SuiteFormatError(f"task {task.id}: a suite task needs a world")
+            raise InputFormatError(f"task {task.id}: a suite task needs a world")
+        if task.id in seen:
+            raise InputFormatError(f"task {task.id}: the id repeats")
+        seen.add(task.id)
     repetitions = data.get("repetitions", 1)
     if repetitions < 1:
-        raise SuiteFormatError("repetitions must be at least 1")
+        raise InputFormatError("repetitions must be at least 1")
     return SuiteSpec(
         name=data["name"],
         seed=data.get("seed", 0),
@@ -71,7 +74,7 @@ def suite_from_dict(data: dict) -> SuiteSpec:
 
 
 def load_suite(path: str | Path) -> SuiteSpec:
-    return suite_from_dict(read_input(path, SuiteFormatError))
+    return suite_from_dict(read_input(path))
 
 
 def save_suite(suite: SuiteSpec, path: str | Path) -> None:
@@ -90,7 +93,7 @@ def resolve_world(ref: str, base_dir: str | Path | None = None) -> WorldState:
         return load_world(Path(base_dir) / ref)
     if DATA.joinpath(ref).is_file():
         return load_world(DATA.joinpath(ref))
-    raise SuiteFormatError(f"world fixture not found: {ref!r}")
+    raise InputFormatError(f"world fixture not found: {ref!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +115,9 @@ def generate_easy_suite(
 ) -> SuiteSpec:
     """Sample pick-and-place rearrangement tasks across the given worlds."""
     if count < 1:
-        raise SuiteFormatError("count must be at least 1")
+        raise InputFormatError("count must be at least 1")
     if not world_refs:
-        raise SuiteFormatError("no world to sample tasks from")
+        raise InputFormatError("no world to sample tasks from")
     worlds = [(ref, resolve_world(ref)) for ref in world_refs]
 
     tasks = []
@@ -238,13 +241,12 @@ _ACTION_FIELDS = {"action": str, "ok": bool}
 
 def load_report(path: str | Path) -> MetricsReport:
     """Read back a report file that ``homeplan run`` wrote."""
-    data = check_fields(read_input(path, InputFormatError), InputFormatError, "report",
-                        _REPORT_FIELDS, _REPORT_OPTIONAL)
+    data = check_fields(read_input(path), "report", _REPORT_FIELDS, _REPORT_OPTIONAL)
     for index, episode in enumerate(data["episodes"], start=1):
         where = f"report episode {index}"
-        check_fields(episode, InputFormatError, where, _EPISODE_FIELDS, _EPISODE_OPTIONAL)
+        check_fields(episode, where, _EPISODE_FIELDS, _EPISODE_OPTIONAL)
         for action in episode.get("actions", ()):
-            check_fields(action, InputFormatError, f"{where} action", _ACTION_FIELDS)
+            check_fields(action, f"{where} action", _ACTION_FIELDS)
     return MetricsReport(data["suite"], data["config"], data["seed"], data["episodes"],
                          data.get("errors", []))
 
@@ -443,8 +445,7 @@ def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
     table = StepwiseTable(rows=[])
     for index, data in enumerate(rows, start=1):
         where = f"counts row {index}"
-        row = StepwiseRow(**check_fields(data, InputFormatError, where,
-                                         _ROW_FIELDS, _ROW_OPTIONAL))
+        row = StepwiseRow(**check_fields(data, where, _ROW_FIELDS, _ROW_OPTIONAL))
         if row.successes < 0 or row.failures < 0:
             raise InputFormatError(f"{where} ({row.skill}): a count is negative")
         table.rows.append(row)
@@ -454,8 +455,7 @@ def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
 def load_stepwise_counts(path: str | Path) -> StepwiseTable:
     """Tabulate a per-skill counts file: ``{"rows": [{skill, successes,
     failures, reported_ssr?}]}``."""
-    counts = check_fields(read_input(path, InputFormatError), InputFormatError, "counts",
-                          _COUNTS_FIELDS)
+    counts = check_fields(read_input(path), "counts", _COUNTS_FIELDS)
     return stepwise_from_counts(counts["rows"])
 
 
@@ -481,7 +481,9 @@ def stepwise_from_episodes(episodes: list[dict]) -> StepwiseTable:
 
 def completion_rates(groups: dict[str, tuple[int, int]]) -> dict[str, str]:
     """Success-rate row from injected (successes, total) pairs per group,
-    plus a pooled overall rate."""
+    plus a pooled overall rate, whose key no group may take."""
+    if "overall" in groups:
+        raise ValueError("completion counts label 'overall' is the pooled rate's key")
     result = {}
     total_successes = 0
     total_count = 0

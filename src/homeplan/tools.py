@@ -47,10 +47,9 @@ def load_precondition_pairs(path: str | Path | None = None) -> dict:
     """Labeled-pairs fixture (generated/ground-truth text per tool), its
     fields checked."""
     source = DATA.joinpath("preconditions/labeled_pairs.json") if path is None else path
-    data = check_fields(read_input(source, InputFormatError), InputFormatError,
-                        "precondition pairs", _PAIRS_FIELDS, _PAIRS_OPTIONAL)
+    data = check_fields(read_input(source), "precondition pairs", _PAIRS_FIELDS, _PAIRS_OPTIONAL)
     for tool, entry in data["tools"].items():
-        check_fields(entry, InputFormatError, f"precondition pairs: {tool}", _PAIR_FIELDS)
+        check_fields(entry, f"precondition pairs: {tool}", _PAIR_FIELDS)
     return data
 
 

@@ -15,10 +15,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
+    InputFormatError,
     InvalidObjectIdError,
     UnknownAttributeError,
     UnknownObjectError,
-    WorldFormatError,
     check_fields,
     read_input,
 )
@@ -216,7 +216,7 @@ class WorldState:
         if self.agent.held_object == object_id:
             return self.agent.current_zone
         if info.zone is None:
-            raise WorldFormatError(f"{object_id} has no zone and is not held")
+            raise InputFormatError(f"{object_id} has no zone and is not held")
         return info.zone
 
     def zones(self) -> list[str]:
@@ -347,14 +347,14 @@ _AGENT_OPTIONAL = {"holding": str | None}
 
 def world_from_dict(data: dict) -> WorldState:
     """Build a world from fixture data, rejecting unknown keys and computing visibility."""
-    check_fields(data, WorldFormatError, "", _WORLD_FIELDS, _WORLD_OPTIONAL)
+    check_fields(data, "", _WORLD_FIELDS, _WORLD_OPTIONAL)
 
     objects: dict[str, ObjectInfo] = {}
     for object_id, entry in data["objects"].items():
         ObjectId.parse(object_id)
-        check_fields(entry, WorldFormatError, object_id, optional=_OBJECT_OPTIONAL)
-        attributes = check_fields(entry.get("attributes", {}), WorldFormatError,
-                                  f"{object_id}: attributes", optional=_ATTRIBUTE_OPTIONAL)
+        check_fields(entry, object_id, optional=_OBJECT_OPTIONAL)
+        attributes = check_fields(entry.get("attributes", {}), f"{object_id}: attributes",
+                                  optional=_ATTRIBUTE_OPTIONAL)
         objects[object_id] = ObjectInfo(
             attributes=ObjectAttributes(**{name: value for name, value in attributes.items()
                                            if name != "visible"}),
@@ -368,13 +368,13 @@ def world_from_dict(data: dict) -> WorldState:
     containment: dict[str, str] = {}
     for edge in data["containment"]:
         if not (len(edge) == 2 and all(isinstance(end, str) for end in edge)):
-            raise WorldFormatError(f"containment edge must be [child, parent]: {edge!r}")
+            raise InputFormatError(f"containment edge must be [child, parent]: {edge!r}")
         child, parent = edge
         if child in containment:
-            raise WorldFormatError(f"{child}: more than one containment parent")
+            raise InputFormatError(f"{child}: more than one containment parent")
         containment[child] = parent
 
-    agent = check_fields(data["agent"], WorldFormatError, "agent", _AGENT_FIELDS, _AGENT_OPTIONAL)
+    agent = check_fields(data["agent"], "agent", _AGENT_FIELDS, _AGENT_OPTIONAL)
     state = WorldState(
         objects=objects,
         containment=containment,
@@ -384,10 +384,10 @@ def world_from_dict(data: dict) -> WorldState:
     )
     problems = validate_world(state)
     if problems:
-        raise WorldFormatError("invalid world fixture: " + "; ".join(problems))
+        raise InputFormatError("invalid world fixture: " + "; ".join(problems))
     return refresh_visibility(state)
 
 
 def load_world(path) -> WorldState:
     """A world from a fixture file, given by path or as a file of DATA."""
-    return world_from_dict(read_input(path, WorldFormatError))
+    return world_from_dict(read_input(path))

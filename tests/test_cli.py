@@ -213,21 +213,26 @@ def test_run_with_a_zero_budget_flag_is_config_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda suite: suite.update(repetitions=0), lambda suite: suite["tasks"][1].pop("world"),
-     lambda suite: suite["tasks"][1].update(goal=[
-         {"type": "attribute", "object": "Apple", "attribute": "isopen", "value": True}])],
-    ids=["no-repetitions", "task-without-world", "unknown-goal-attribute"],
+    "edit, error",
+    [(lambda suite: suite.update(repetitions=0), "repetitions must be at least 1"),
+     (lambda suite: suite["tasks"][1].pop("world"), "task demo-002: a suite task needs a world"),
+     (lambda suite: suite["tasks"][1].update(goal=[
+         {"type": "attribute", "object": "Apple", "attribute": "isopen", "value": True}]),
+      "task demo-002: goal atom attribute: unknown attribute 'isopen'"),
+     (lambda suite: suite["tasks"][1].update(id="demo-001"), "task demo-001: the id repeats")],
+    ids=["no-repetitions", "task-without-world", "unknown-goal-attribute", "repeated-task-id"],
 )
-def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit):
+def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit, error):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     suite_data = json.loads(suite_path.read_text())
     edit(suite_data)
     suite_path.write_text(json.dumps(suite_data))
     code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
                  "--out", str(tmp_path / "reports")])
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize(
@@ -352,9 +357,11 @@ def test_report_completion_counts(capsys):
         ("moderate=7", "part 'moderate=7': not label=successes/total"),
         ("moderate=7/20/3", "part 'moderate=7/20/3': not label=successes/total"),
         ("=3/4,a=1/4", "part '=3/4': not label=successes/total"),
+        # a group named overall would lose its row to the pooled rate
+        ("overall=1/2,hard=1/1", "label 'overall' is the pooled rate's key"),
     ],
     ids=["over-total", "negative", "repeated-label", "repeated-after-strip", "no-equals",
-         "no-slash", "two-slashes", "empty-label"],
+         "no-slash", "two-slashes", "empty-label", "overall-label"],
 )
 def test_report_on_out_of_range_completion_counts_is_config_error(capsys, counts, error):
     assert main(["report", "--completion-counts", counts]) == 2

@@ -19,7 +19,6 @@ from homeplan.errors import (
     MalformedCompletionError,
     MissingSlotError,
     NoScoreError,
-    ScoreOutOfRangeError,
     ScriptExhaustedError,
     ScriptMismatchError,
     UnknownToolError,
@@ -219,7 +218,7 @@ def line_anchored_parse_critique(completion):
         raise NoScoreError("no Score: line in critique completion")
     score = int(scores[-1].group(1))
     if not 1 <= score <= 10:
-        raise ScoreOutOfRangeError(score)
+        raise NoScoreError(f"critique score {score} outside 1..10")
     justification = ""
     for match in _REFERENCE_JUSTIFICATION.finditer(completion, 0, scores[-1].start()):
         justification = match.group(1).strip()
@@ -306,7 +305,7 @@ def test_parse_critique_basic():
 
 
 def test_parse_critique_out_of_range():
-    with pytest.raises(ScoreOutOfRangeError):
+    with pytest.raises(NoScoreError, match="^critique score 11 outside 1..10$"):
         parse_critique("Justification: x\nScore: 11")
 
 

@@ -6,8 +6,8 @@ trace, a scenario script, the message table, the labeled pairs and the two
 JSON value, or deletes one key or array member, and runs the result through
 that input's loader. The loader must return or raise a HomeplanError, never
 any other exception. Every file loader, prompt templates included, also
-turns a file that cannot be read, decoded or parsed into its input's
-HomeplanError naming the file.
+turns a file that cannot be read, decoded or parsed into an
+InputFormatError naming the file.
 """
 
 import copy
@@ -24,8 +24,6 @@ from homeplan.cli import _make_backend_factory
 from homeplan.errors import (
     HomeplanError,
     InputFormatError,
-    SuiteFormatError,
-    WorldFormatError,
     check_fields,
 )
 from homeplan.grounding import MessageTable
@@ -180,17 +178,17 @@ OPTIONAL = {"note": str | None, "weight": int | float, "flags": (dict, bool)}
 )
 def test_check_fields_names_the_first_fault(data, message):
     with pytest.raises(InputFormatError) as raised:
-        check_fields(data, InputFormatError, "thing", FIELDS, OPTIONAL)
+        check_fields(data, "thing", FIELDS, OPTIONAL)
     assert str(raised.value) == message
 
 
 def test_check_fields_returns_a_good_object_and_leads_with_no_where():
     data = {"name": "a", "count": 1, "tags": ["x"], "note": None, "weight": 0.5,
             "flags": {"x": True}}
-    assert check_fields(data, InputFormatError, "thing", FIELDS, OPTIONAL) is data
-    assert check_fields({}, InputFormatError, "", optional=OPTIONAL) == {}
-    with pytest.raises(WorldFormatError, match="^objects must be an object of objects$"):
-        check_fields({"objects": []}, WorldFormatError, "", {"objects": (dict, dict)})
+    assert check_fields(data, "thing", FIELDS, OPTIONAL) is data
+    assert check_fields({}, "", optional=OPTIONAL) == {}
+    with pytest.raises(InputFormatError, match="^objects must be an object of objects$"):
+        check_fields({"objects": []}, "", {"objects": (dict, dict)})
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +213,19 @@ def _too_deep_json(path):  # json.loads raises RecursionError, not a JSONDecodeE
 FAULTS = {"directory": _directory, "not-utf8": _not_utf8, "truncated-json": _truncated_json,
           "too-deep-json": _too_deep_json}
 
-# file loader -> (reader of the file at a path, the file's name, its error)
+# file loader -> (reader of the file at a path, the file's name)
 FILE_LOADERS = {
-    "world": (load_world, "world.json", WorldFormatError),
-    "suite-world": (lambda path: resolve_world(path.name, path.parent), "world.json",
-                    WorldFormatError),
-    "task": (load_task, "task.json", SuiteFormatError),
-    "trace": (load_trace, "trace.json", InputFormatError),
-    "suite": (load_suite, "suite.json", SuiteFormatError),
-    "report": (load_report, "report.json", InputFormatError),
-    "counts": (load_stepwise_counts, "counts.json", InputFormatError),
-    "messages": (MessageTable.load, "messages.json", InputFormatError),
-    "pairs": (load_precondition_pairs, "pairs.json", InputFormatError),
-    "script": (lambda path: _make_backend_factory(f"scripted:{path}"), "script.json",
-               InputFormatError),
-    "template": (lambda path: load_template("expansion", path.parent), "expansion.txt",
-                 InputFormatError),
+    "world": (load_world, "world.json"),
+    "suite-world": (lambda path: resolve_world(path.name, path.parent), "world.json"),
+    "task": (load_task, "task.json"),
+    "trace": (load_trace, "trace.json"),
+    "suite": (load_suite, "suite.json"),
+    "report": (load_report, "report.json"),
+    "counts": (load_stepwise_counts, "counts.json"),
+    "messages": (MessageTable.load, "messages.json"),
+    "pairs": (load_precondition_pairs, "pairs.json"),
+    "script": (lambda path: _make_backend_factory(f"scripted:{path}"), "script.json"),
+    "template": (lambda path: load_template("expansion", path.parent), "expansion.txt"),
 }
 # A template is text, not JSON.
 CASES = [(loader, fault) for loader in FILE_LOADERS for fault in FAULTS
@@ -245,26 +240,23 @@ def _assert_names_the_file(raised, path):
 @pytest.mark.parametrize("loader, fault", CASES, ids=[f"{l}-{f}" for l, f in CASES])
 def test_a_file_that_cannot_be_read_decoded_or_parsed_is_its_input_format_error(
         tmp_path, loader, fault):
-    load, name, error = FILE_LOADERS[loader]
+    load, name = FILE_LOADERS[loader]
     path = tmp_path / name
     FAULTS[fault](path)
-    with pytest.raises(error) as raised:
+    with pytest.raises(InputFormatError) as raised:
         load(path)
     _assert_names_the_file(raised, path)
 
 
 # name -> (a module, the call that reads its packaged file, the file's name
-# under DATA, its error). Each call skips its module's cache, and the test
-# points the module's DATA at a scratch directory.
+# under DATA). Each call skips its module's cache, and the test points the
+# module's DATA at a scratch directory.
 PACKAGED_LOADERS = {
-    "messages": (grounding, lambda: grounding._default_table.__wrapped__(), "messages.json",
-                 InputFormatError),
-    "pairs": (tools, lambda: tools.load_precondition_pairs(), "preconditions/labeled_pairs.json",
-              InputFormatError),
+    "messages": (grounding, lambda: grounding._default_table.__wrapped__(), "messages.json"),
+    "pairs": (tools, lambda: tools.load_precondition_pairs(), "preconditions/labeled_pairs.json"),
     "template": (llm, lambda: llm._packaged_text.__wrapped__("expansion.txt"),
-                 "templates/expansion.txt", InputFormatError),
-    "world": (suite, lambda: suite.resolve_world("worlds/kitchen.json"), "worlds/kitchen.json",
-              WorldFormatError),
+                 "templates/expansion.txt"),
+    "world": (suite, lambda: suite.resolve_world("worlds/kitchen.json"), "worlds/kitchen.json"),
 }
 PACKAGED_CASES = [(loader, fault) for loader in PACKAGED_LOADERS
                   for fault in ("not-utf8", "truncated-json")
@@ -275,11 +267,11 @@ PACKAGED_CASES = [(loader, fault) for loader in PACKAGED_LOADERS
                          ids=[f"{l}-{f}" for l, f in PACKAGED_CASES])
 def test_a_packaged_file_that_cannot_be_decoded_or_parsed_is_its_input_format_error(
         tmp_path, monkeypatch, loader, fault):
-    module, read, name, error = PACKAGED_LOADERS[loader]
+    module, read, name = PACKAGED_LOADERS[loader]
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
     FAULTS[fault](path)
     monkeypatch.setattr(module, "DATA", tmp_path)
-    with pytest.raises(error) as raised:
+    with pytest.raises(InputFormatError) as raised:
         read()
     _assert_names_the_file(raised, path)

@@ -14,7 +14,6 @@ from homeplan.errors import (
     MalformedCompletionError,
     NoFeasibleActionError,
     NoScoreError,
-    ScoreOutOfRangeError,
     UnknownToolError,
 )
 from homeplan.llm import (
@@ -662,7 +661,7 @@ class ReferencePlanner:
             try:
                 raw = llm.parse_critique(self.ask(prompt, 0.0)).score
                 break
-            except (NoScoreError, ScoreOutOfRangeError):
+            except NoScoreError:
                 pass
         return (raw - 1) / 9
 

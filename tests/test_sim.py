@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homeplan
-from homeplan.errors import MalformedArgsError, SuiteFormatError, UnknownToolError
+from homeplan.errors import InputFormatError, MalformedArgsError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
 from homeplan.grounding import MessageTable, evaluate, unsatisfied
 from homeplan.sim import (
@@ -557,7 +557,7 @@ def test_goal_containment_matches_nested_ancestor():
 
 
 def test_task_from_dict_rejects_empty_goal():
-    with pytest.raises(SuiteFormatError):
+    with pytest.raises(InputFormatError):
         task_from_dict(
             {
                 "id": "x",
@@ -570,7 +570,7 @@ def test_task_from_dict_rejects_empty_goal():
 
 
 def test_task_from_dict_rejects_unknown_difficulty():
-    with pytest.raises(SuiteFormatError):
+    with pytest.raises(InputFormatError):
         task_from_dict(
             {
                 "id": "x",
@@ -583,11 +583,13 @@ def test_task_from_dict_rejects_unknown_difficulty():
 
 
 def test_task_from_dict_rejects_unknown_goal_attribute():
-    # Attribute names are case-sensitive: "isopen" is not "isOpen".
-    with pytest.raises(SuiteFormatError, match="'isopen'"):
+    # Attribute names are case-sensitive: "isopen" is not "isOpen". The
+    # message names the task, so a bad atom in a long suite can be found.
+    with pytest.raises(InputFormatError,
+                       match="^task t-7: goal atom attribute: unknown attribute 'isopen'$"):
         task_from_dict(
             {
-                "id": "x",
+                "id": "t-7",
                 "difficulty": "easy",
                 "instruction": "?",
                 "goal": [{"type": "attribute", "object": "Fridge", "attribute": "isopen",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from homeplan import suite as suite_module
 from homeplan import world as world_module
 from homeplan.agent import AgentConfig
-from homeplan.errors import HomeplanError, InsufficientObjectsError, SuiteFormatError
+from homeplan.errors import HomeplanError, InputFormatError, InsufficientObjectsError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import TaskSpec, check_goal
@@ -90,7 +90,7 @@ def test_generate_easy_suite_insufficient_objects(tmp_path):
 
 
 def test_empty_suite_rejected():
-    with pytest.raises(SuiteFormatError):
+    with pytest.raises(InputFormatError):
         suite_from_dict({"name": "x", "seed": 0, "tasks": []})
 
 
@@ -576,12 +576,12 @@ def _one_task_suite():
 def test_a_suite_task_without_a_world_is_rejected():
     suite_data = _one_task_suite()
     del suite_data["tasks"][0]["world"]
-    with pytest.raises(SuiteFormatError):
+    with pytest.raises(InputFormatError):
         suite_from_dict(suite_data)
 
 
 def test_a_suite_without_repetitions_is_rejected():
-    with pytest.raises(SuiteFormatError):
+    with pytest.raises(InputFormatError):
         suite_from_dict({**_one_task_suite(), "repetitions": 0})
 
 

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from homeplan.errors import (
+    InputFormatError,
     InvalidObjectIdError,
     UnknownAttributeError,
     UnknownObjectError,
-    WorldFormatError,
 )
 from homeplan.llm import ReactStep, StepRecord
 from homeplan.sim import Observation
@@ -162,7 +162,7 @@ def test_validate_world_held_object_rules():
 def test_a_fixture_with_a_picked_up_object_the_agent_does_not_hold_is_rejected():
     # Loaded, Fill Held Object With Water would pass on the mug's flag and
     # fill the held apple, which cannot hold liquid.
-    with pytest.raises(WorldFormatError, match="Mug_1: isPickedUp but not held by the agent"):
+    with pytest.raises(InputFormatError, match="Mug_1: isPickedUp but not held by the agent"):
         world_from_dict(
             {
                 "objects": {
@@ -179,14 +179,14 @@ def test_a_fixture_with_a_picked_up_object_the_agent_does_not_hold_is_rejected()
 
 
 def test_world_from_dict_rejects_unknown_keys():
-    with pytest.raises(WorldFormatError):
+    with pytest.raises(InputFormatError):
         world_from_dict(
             {"objects": {}, "containment": [], "agent": {"zone": "a", "seed": 1}, "bogus": 1}
         )
 
 
 def test_world_from_dict_rejects_unknown_attribute():
-    with pytest.raises(WorldFormatError):
+    with pytest.raises(InputFormatError):
         world_from_dict(
             {
                 "objects": {"Mug_1": {"zone": "a", "attributes": {"sparkly": True}}},
@@ -197,7 +197,7 @@ def test_world_from_dict_rejects_unknown_attribute():
 
 
 def test_world_from_dict_rejects_duplicate_parent():
-    with pytest.raises(WorldFormatError):
+    with pytest.raises(InputFormatError):
         world_from_dict(
             {
                 "objects": {
@@ -242,7 +242,7 @@ def test_world_from_dict_rejects_a_malformed_agent_or_field(change):
         "agent": {"zone": "a", "seed": 1},
     }
     world_from_dict(data)
-    with pytest.raises(WorldFormatError):
+    with pytest.raises(InputFormatError):
         world_from_dict({**data, **change})
 
 
