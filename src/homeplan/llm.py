@@ -90,22 +90,23 @@ class PromptTemplate:
         return tuple(pairs), "".join(literal), None
 
 
-@lru_cache(maxsize=None)  # one entry per file in TEMPLATE_FILES
-def _packaged_text(filename: str) -> str:
-    return read_input(DATA.joinpath(f"templates/{filename}"), parse=str)
+@lru_cache(maxsize=None)  # one entry per name in TEMPLATE_FILES
+def _packaged_template(name: str) -> PromptTemplate:
+    text = read_input(DATA.joinpath(f"templates/{TEMPLATE_FILES[name]}"), parse=str)
+    return PromptTemplate(name=name, body=text.rstrip("\n"))
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
-    """Load a template by name. Shipped files are read once per process,
-    override directories on every call."""
+    """Load a template by name. A shipped template is one shared instance,
+    read and split into pieces once per process; an override directory is
+    read on every call."""
     try:
         filename = TEMPLATE_FILES[name]
     except KeyError:
         raise KeyError(f"unknown template name: {name!r}") from None
-    if directory is not None:
-        text = read_input(Path(directory, filename), parse=str)
-    else:
-        text = _packaged_text(filename)
+    if directory is None:
+        return _packaged_template(name)
+    text = read_input(Path(directory, filename), parse=str)
     return PromptTemplate(name=name, body=text.rstrip("\n"))
 
 
@@ -115,10 +116,12 @@ def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
     pairs, tail, stray = template._pieces
     out: list[str] = []
     for literal, slot in pairs:
-        if slot not in fills:
-            raise MissingSlotError(slot)
+        try:
+            value = fills[slot]
+        except KeyError:
+            raise MissingSlotError(slot) from None
         out.append(literal)
-        out.append(str(fills[slot]))
+        out.append(str(value))
     if stray is not None:
         raise MissingSlotError(stray)
     out.append(tail)
@@ -130,8 +133,8 @@ def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
 
 
 # ReactStep, StepRecord and sim's Observation, built for every proposal, write
-# the instance dict in __init__; a frozen dataclass's own __init__ costs an
-# object.__setattr__ per field. Assignment still raises FrozenInstanceError.
+# the instance dict item by item in __init__; a frozen dataclass's own __init__
+# costs an object.__setattr__ per field. Assignment raises FrozenInstanceError.
 @dataclass(frozen=True, init=False)
 class ReactStep:
     """What parse_react reads from a completion."""
@@ -141,7 +144,10 @@ class ReactStep:
     action_input: dict | str | None
 
     def __init__(self, thought: str, action: str, action_input: dict | str | None):
-        self.__dict__.update(thought=thought, action=action, action_input=action_input)
+        fields = self.__dict__
+        fields["thought"] = thought
+        fields["action"] = action
+        fields["action_input"] = action_input
 
 
 @dataclass(frozen=True, init=False)
@@ -157,7 +163,11 @@ class StepRecord:
 
     def __init__(self, thought: str, action: str | None, args: dict | str | None,
                  observation: str | None):
-        self.__dict__.update(thought=thought, action=action, args=args, observation=observation)
+        fields = self.__dict__
+        fields["thought"] = thought
+        fields["action"] = action
+        fields["args"] = args
+        fields["observation"] = observation
 
     @cached_attribute
     def rendered(self) -> str:
@@ -245,16 +255,9 @@ def format_step(step: StepRecord) -> str:
     """Scratchpad serialization; parse_react reads back exactly this form."""
     if step.action is None:
         return f"Observation: {step.observation}\n"
-    args = step.args if step.args is not None else "None"
-    lines = [
-        f"Thought: {step.thought}",
-        f"Action: {step.action}",
-        f"Action Input: {stable_repr(args)}" if isinstance(args, dict)
-        else f"Action Input: {args}",
-    ]
-    if step.observation is not None:
-        lines.append(f"Observation: {step.observation}")
-    return "\n".join(lines) + "\n"
+    args = stable_repr(step.args) if isinstance(step.args, dict) else step.args  # None: "None"
+    observation = "" if step.observation is None else f"Observation: {step.observation}\n"
+    return f"Thought: {step.thought}\nAction: {step.action}\nAction Input: {args}\n{observation}"
 
 
 def parse_react(completion: str,

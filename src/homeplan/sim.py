@@ -57,7 +57,9 @@ class Observation:
     message: str
 
     def __init__(self, success: bool, message: str):  # written as llm.ReactStep's is
-        self.__dict__.update(success=success, message=message)
+        fields = self.__dict__
+        fields["success"] = success
+        fields["message"] = message
 
 
 # What simulate returns for every call it refuses; an Observation is frozen.

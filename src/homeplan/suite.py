@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .agent import OUTCOME_FAILURE, AgentConfig, EpisodeRecord, run_episode
@@ -103,6 +104,7 @@ def resolve_world(ref: str, base_dir: str | Path | None = None) -> WorldState:
 _WORD_START = re.compile(r"(?<!^)(?=[A-Z])")
 
 
+@lru_cache(maxsize=None)
 def _spaced_category(object_id: str) -> str:
     return _WORD_START.sub(" ", category_of(object_id)).lower()
 
@@ -113,32 +115,30 @@ def generate_easy_suite(
     world_refs: list[str],
     name: str = "easy",
 ) -> SuiteSpec:
-    """Sample pick-and-place rearrangement tasks across the given worlds."""
+    """Sample pick-and-place rearrangement tasks across the given worlds.
+    Each world's sorted ids are split once into its movable objects and its
+    fixed receptacles; a world short of either fails when a task draws it."""
     if count < 1:
         raise InputFormatError("count must be at least 1")
     if not world_refs:
         raise InputFormatError("no world to sample tasks from")
-    worlds = [(ref, resolve_world(ref)) for ref in world_refs]
+    pools = []
+    for ref in world_refs:
+        world = resolve_world(ref)
+        kinds = [(oid, world.objects[oid].attributes) for oid in sorted(world.objects)]
+        movable = [oid for oid, kind in kinds
+                   if kind.pickupable and world.parent_of(oid) is not None]
+        fixed = [oid for oid, kind in kinds if kind.receptacle and not kind.pickupable]
+        pools.append((ref, world, movable, fixed))
 
     tasks = []
     for index in range(count):
-        ref, world = worlds[index % len(worlds)]
-        movable = [
-            oid
-            for oid in sorted(world.objects)
-            if world.objects[oid].attributes.pickupable and world.parent_of(oid) is not None
-        ]
+        ref, world, movable, fixed = pools[index % len(pools)]
         if not movable:
             raise InsufficientObjectsError(f"{ref}: no pickupable objects on receptacles")
         target = movable[seeded_draw(seed, "task", index, "object") % len(movable)]
         source = world.parent_of(target)
-        destinations = [
-            oid
-            for oid in sorted(world.objects)
-            if world.objects[oid].attributes.receptacle
-            and oid not in (source, target)
-            and not world.objects[oid].attributes.pickupable
-        ]
+        destinations = [oid for oid in fixed if oid != source]  # the target is not fixed
         if not destinations:
             raise InsufficientObjectsError(f"{ref}: no destination receptacles")
         destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]

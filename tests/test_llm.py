@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -598,13 +599,23 @@ def test_render_prompt_matches_the_regex_reference(body, fills):
         assert _outcome(render_prompt, template, fills) == expected
 
 
-def test_packaged_templates_are_read_once_per_process():
-    llm._packaged_text.cache_clear()
+def test_packaged_template_is_one_instance_split_once(monkeypatch):
+    scans = []
+
+    class CountingSlotRe:
+        def finditer(self, body):
+            scans.append(body)
+            return _REFERENCE_SLOT_RE.finditer(body)
+
+    monkeypatch.setattr(llm, "_SLOT_RE", CountingSlotRe())
+    llm._packaged_template.cache_clear()
     first = load_template("critique")
-    second = load_template("critique")
-    assert first == second
-    info = llm._packaged_text.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    fills = {"goal": "g", "plan_steps": "p"}
+    assert render_prompt(first, fills) == render_prompt(load_template("critique"), fills)
+    assert load_template("critique") is first
+    assert scans == [first.body]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.body = ""
 
 
 def test_template_directory_override_is_read_on_every_call(tmp_path):
@@ -612,6 +623,40 @@ def test_template_directory_override_is_read_on_every_call(tmp_path):
     assert load_template("critique", directory=tmp_path).body == "first {goal}"
     (tmp_path / "critique.txt").write_text("second {goal}\n")
     assert load_template("critique", directory=tmp_path).body == "second {goal}"
+
+
+def list_and_join_format_step(step):
+    """Reference: format_step as a list of lines joined by newlines."""
+    if step.action is None:
+        return f"Observation: {step.observation}\n"
+    args = step.args if step.args is not None else "None"
+    lines = [
+        f"Thought: {step.thought}",
+        f"Action: {step.action}",
+        f"Action Input: {llm.stable_repr(args)}" if isinstance(args, dict)
+        else f"Action Input: {args}",
+    ]
+    if step.observation is not None:
+        lines.append(f"Observation: {step.observation}")
+    return "\n".join(lines) + "\n"
+
+
+_step_text = st.text(max_size=6)
+_arg_values = st.one_of(st.none(), _step_text, st.integers(),
+                        st.sets(_step_text, max_size=3), st.frozensets(_step_text, max_size=3),
+                        st.lists(st.sets(_step_text, max_size=2), max_size=2))
+
+
+@settings(max_examples=examples(500))
+@given(st.builds(StepRecord,
+                 _step_text,
+                 st.one_of(st.none(), st.sampled_from(["Pick Up Object", "Randomly Explore"]),
+                           _step_text),
+                 st.one_of(st.none(), _step_text,
+                           st.dictionaries(_step_text, _arg_values, max_size=3)),
+                 st.one_of(st.none(), _step_text)))
+def test_format_step_matches_the_list_and_join_reference(step):
+    assert format_step(step) == list_and_join_format_step(step)
 
 
 # ---------------------------------------------------------------------------

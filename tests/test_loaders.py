@@ -254,7 +254,7 @@ def test_a_file_that_cannot_be_read_decoded_or_parsed_is_its_input_format_error(
 PACKAGED_LOADERS = {
     "messages": (grounding, lambda: grounding._default_table.__wrapped__(), "messages.json"),
     "pairs": (tools, lambda: tools.load_precondition_pairs(), "preconditions/labeled_pairs.json"),
-    "template": (llm, lambda: llm._packaged_text.__wrapped__("expansion.txt"),
+    "template": (llm, lambda: llm._packaged_template.__wrapped__("expansion"),
                  "templates/expansion.txt"),
     "world": (suite, lambda: suite.resolve_world("worlds/kitchen.json"), "worlds/kitchen.json"),
 }

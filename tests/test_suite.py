@@ -1,10 +1,11 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homeplan import suite as suite_module
@@ -13,9 +14,10 @@ from homeplan.agent import AgentConfig
 from homeplan.errors import HomeplanError, InputFormatError, InsufficientObjectsError
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
 from homeplan.mcts import PlannerConfig
-from homeplan.sim import TaskSpec, check_goal
+from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.suite import (
     MetricsReport,
+    SuiteSpec,
     completion_rates,
     generate_easy_suite,
     load_suite,
@@ -26,7 +28,10 @@ from homeplan.suite import (
     stepwise_from_counts,
     suite_from_dict,
 )
-from homeplan.world import refresh_visibility
+from homeplan.tools import seeded_draw
+from homeplan.world import category_of, refresh_visibility
+
+from .conftest import examples
 
 WORLD_REFS = ["worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitchen_c.json"]
 
@@ -87,6 +92,89 @@ def test_generate_easy_suite_insufficient_objects(tmp_path):
     path.write_text(json.dumps(bare))
     with pytest.raises(InsufficientObjectsError):
         generate_easy_suite(seed=1, count=1, world_refs=[str(path)])
+
+
+def spaced(object_id):
+    return re.sub(r"(?<!^)(?=[A-Z])", " ", category_of(object_id)).lower()
+
+
+def per_task_generate_easy_suite(seed, count, world_refs, name="easy"):
+    """Reference: generate_easy_suite sorting and filtering a world's ids per task."""
+    if count < 1:
+        raise InputFormatError("count must be at least 1")
+    if not world_refs:
+        raise InputFormatError("no world to sample tasks from")
+    worlds = [(ref, resolve_world(ref)) for ref in world_refs]
+    tasks = []
+    for index in range(count):
+        ref, world = worlds[index % len(worlds)]
+        movable = [
+            oid
+            for oid in sorted(world.objects)
+            if world.objects[oid].attributes.pickupable and world.parent_of(oid) is not None
+        ]
+        if not movable:
+            raise InsufficientObjectsError(f"{ref}: no pickupable objects on receptacles")
+        target = movable[seeded_draw(seed, "task", index, "object") % len(movable)]
+        source = world.parent_of(target)
+        destinations = [
+            oid
+            for oid in sorted(world.objects)
+            if world.objects[oid].attributes.receptacle
+            and oid not in (source, target)
+            and not world.objects[oid].attributes.pickupable
+        ]
+        if not destinations:
+            raise InsufficientObjectsError(f"{ref}: no destination receptacles")
+        destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]
+        preposition = "in" if world.objects[destination].attributes.openable else "on"
+        instruction = (
+            f"The agent should pick up the {spaced(target)} that is on the "
+            f"{spaced(source)} and place it {preposition} the {spaced(destination)}."
+        )
+        tasks.append(TaskSpec(
+            id=f"{name}-{index + 1:03d}", difficulty="easy", instruction=instruction,
+            goal=(GoalAtom("containment", target, receptacle_pattern=destination),),
+            max_steps=50, world=ref,
+        ))
+    return SuiteSpec(name=name, seed=seed, tasks=tuple(tasks))
+
+
+@pytest.fixture(scope="module")
+def faulty_worlds(tmp_path_factory):
+    """Two worlds a task cannot be drawn from: one with no movable object, and
+    one whose only receptacle holds its only movable object."""
+    agent = {"zone": "a", "seed": 1}
+    worlds = {
+        "bare.json": {"objects": {"Wall_1": {"zone": "a", "attributes": {}}},
+                      "containment": [], "agent": agent},
+        "lonely.json": {"objects": {"Apple_1": {"zone": "a", "attributes": {"pickupable": True}},
+                                    "Table_1": {"zone": "a", "attributes": {"receptacle": True}}},
+                        "containment": [["Apple_1", "Table_1"]], "agent": agent},
+    }
+    directory = tmp_path_factory.mktemp("worlds")
+    for filename, data in worlds.items():
+        (directory / filename).write_text(json.dumps(data))
+    return [str(directory / filename) for filename in worlds]
+
+
+def _generated(generate, seed, count, world_refs):
+    try:
+        return generate(seed, count, world_refs).to_dict()
+    except HomeplanError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=examples(100), deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_generate_easy_suite_matches_the_per_task_reference(faulty_worlds, data):
+    refs = data.draw(st.lists(st.sampled_from(WORLD_REFS + faulty_worlds), min_size=1,
+                              max_size=4))
+    seed = data.draw(st.integers(0, 2**32))
+    count = data.draw(st.integers(1, 40))
+    assert (_generated(generate_easy_suite, seed, count, refs)
+            == _generated(per_task_generate_easy_suite, seed, count, refs))
 
 
 def test_empty_suite_rejected():
