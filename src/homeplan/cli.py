@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (HomeplanError, ValueError, KeyError) as exc:
+    except (HomeplanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,20 +17,17 @@ class HomeplanError(Exception):
 class UnknownObjectError(HomeplanError):
     def __init__(self, object_id: str):
         super().__init__(f"unknown object id: {object_id!r}")
-        self.object_id = object_id
 
 
 class UnknownAttributeError(HomeplanError):
     def __init__(self, name: str):
         super().__init__(f"unknown attribute name: {name!r}")
-        self.name = name
 
 
 class InvalidObjectIdError(HomeplanError):
     def __init__(self, text: str, reason: str = ""):
         detail = f": {reason}" if reason else ""
         super().__init__(f"not a well-formed object id: {text!r}{detail}")
-        self.text = text
 
 
 class FormulaSyntaxError(HomeplanError):
@@ -75,7 +72,6 @@ class MalformedArgsError(HomeplanError):
 class MissingSlotError(HomeplanError):
     def __init__(self, slot: str):
         super().__init__(f"prompt template slot not filled: {slot!r}")
-        self.slot = slot
 
 
 class MalformedCompletionError(HomeplanError):

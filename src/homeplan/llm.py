@@ -63,7 +63,6 @@ class cached_attribute:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    name: str
     body: str
 
     @cached_attribute
@@ -93,7 +92,7 @@ class PromptTemplate:
 @lru_cache(maxsize=None)  # one entry per name in TEMPLATE_FILES
 def _packaged_template(name: str) -> PromptTemplate:
     text = read_input(DATA.joinpath(f"templates/{TEMPLATE_FILES[name]}"), parse=str)
-    return PromptTemplate(name=name, body=text.rstrip("\n"))
+    return PromptTemplate(body=text.rstrip("\n"))
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
@@ -107,7 +106,7 @@ def load_template(name: str, directory: str | Path | None = None) -> PromptTempl
     if directory is None:
         return _packaged_template(name)
     text = read_input(Path(directory, filename), parse=str)
-    return PromptTemplate(name=name, body=text.rstrip("\n"))
+    return PromptTemplate(body=text.rstrip("\n"))
 
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
@@ -431,7 +430,8 @@ class RemoteBackend(LlmBackend):
     Connection errors, timeouts, 429 and 5xx replies are retried up to
     ``max_retries`` attempts in all, waiting 1, 2, 4 ... seconds up to
     ``RETRY_CEILING_S``; a numeric ``Retry-After`` replaces that wait, under
-    the same ceiling. Any other status and a malformed 200 body fail at once.
+    the same ceiling. Any other status and a malformed 200 body, one whose
+    completion is missing or null too, fail at once.
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
@@ -477,11 +477,13 @@ class RemoteBackend(LlmBackend):
                 status = response.status_code
                 if status == 200:
                     try:
-                        return response.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        raise BackendUnavailableError(
-                            f"malformed completion body: {response.text[:200]}"
-                        ) from exc
+                        content = response.json()["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError):
+                        content = None
+                    if isinstance(content, str):
+                        return content
+                    raise BackendUnavailableError(
+                        f"malformed completion body: {response.text[:200]}")
                 last_error = f"endpoint returned {status}: {response.text[:200]}"
                 if status != 429 and status < 500:
                     raise BackendUnavailableError(last_error)

@@ -36,7 +36,6 @@ from .llm import StepRecord
 from .tools import ActionSpec, builtin_tool_library
 from .world import (
     ATTRIBUTE_NAMES,
-    ObjectId,
     WorldState,
     _replace,
     attribute_reader,
@@ -107,7 +106,7 @@ def _parse_call(action: str, args: dict | None, objects: dict) -> tuple[ActionSp
             raise MalformedArgsError(f"{spec.name}: 'object_id' must be a string")
         if value not in objects:
             try:
-                ObjectId.parse(value)
+                category_of(value)
             except InvalidObjectIdError as exc:
                 raise MalformedArgsError(f"{spec.name}: {exc}") from exc
         return spec, value
@@ -332,11 +331,11 @@ def load_task(path) -> TaskSpec:
 
 @dataclass(frozen=True)
 class TraceFixture:
+    """A recorded transcript: its world file and its steps. A trace file's
+    task, final thought and final answer are checked on load, not read."""
+
     world: str
-    task: str | None
     steps: tuple[StepRecord, ...]
-    final_thought: str | None
-    final_answer: str | None
 
 
 _TRACE_FIELDS = {"world": str, "steps": (list, dict)}
@@ -353,13 +352,7 @@ def trace_from_dict(data: dict) -> TraceFixture:
                       **check_fields(step, f"trace step {index}", _STEP_FIELDS, _STEP_OPTIONAL)})
         for index, step in enumerate(data["steps"], start=1)
     )
-    return TraceFixture(
-        world=data["world"],
-        task=data.get("task"),
-        steps=steps,
-        final_thought=data.get("final_thought"),
-        final_answer=data.get("final_answer"),
-    )
+    return TraceFixture(world=data["world"], steps=steps)
 
 
 def load_trace(path) -> TraceFixture:

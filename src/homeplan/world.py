@@ -77,11 +77,6 @@ class ObjectAttributes:
     isCooked: bool = False
     isWaterSource: bool = False
 
-    def with_value(self, name: str, value: bool) -> "ObjectAttributes":
-        if name not in _STORED_ATTRIBUTES:
-            raise UnknownAttributeError(name)
-        return _replace(self, **{name: value})
-
 
 _STORED_ATTRIBUTES = frozenset(f.name for f in dataclasses.fields(ObjectAttributes))
 
@@ -95,30 +90,21 @@ ATTRIBUTE_NAMES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
-    """Structured form of an id string like ``Cabinet_4``."""
-
-    category: str
-    instance_index: int
-
-    @classmethod
-    def parse(cls, text: str) -> "ObjectId":
-        head, sep, tail = text.rpartition("_")
-        if not sep or not head:
-            raise InvalidObjectIdError(text, "expected Category_N")
-        if not tail.isdecimal():  # what int() reads; isdigit also takes "²"
-            raise InvalidObjectIdError(text, "instance index must be digits")
-        index = int(tail)
-        if index <= 0:
-            raise InvalidObjectIdError(text, "instance index must be positive")
-        if tail != str(index):
-            raise InvalidObjectIdError(text, "instance index has leading zeros")
-        return cls(category=head, instance_index=index)
-
-
 def category_of(object_id: str) -> str:
-    return ObjectId.parse(object_id).category
+    """The category of an id like ``Cabinet_4`` (``Cabinet``): the text before
+    the last underscore, followed by a positive index written without leading
+    zeros. Any other id raises InvalidObjectIdError, which says what is wrong."""
+    head, sep, tail = object_id.rpartition("_")
+    if not sep or not head:
+        raise InvalidObjectIdError(object_id, "expected Category_N")
+    if not tail.isdecimal():  # what int() reads; isdigit also takes "²"
+        raise InvalidObjectIdError(object_id, "instance index must be digits")
+    index = int(tail)
+    if index <= 0:
+        raise InvalidObjectIdError(object_id, "instance index must be positive")
+    if tail != str(index):
+        raise InvalidObjectIdError(object_id, "instance index has leading zeros")
+    return head
 
 
 @dataclass(frozen=True)
@@ -227,10 +213,11 @@ class WorldState:
 
 
 def with_attribute(state: WorldState, object_id: str, attribute: str, value: bool) -> WorldState:
-    """The state with one attribute of one object set to value."""
+    """The state with one attribute of one object set to value; an unknown
+    attribute name raises TypeError."""
     objects = dict(state.objects)
     info = objects[object_id]
-    objects[object_id] = _replace(info, attributes=info.attributes.with_value(attribute, value))
+    objects[object_id] = _replace(info, attributes=_replace(info.attributes, **{attribute: value}))
     return _replace(state, objects=objects)
 
 
@@ -351,7 +338,7 @@ def world_from_dict(data: dict) -> WorldState:
 
     objects: dict[str, ObjectInfo] = {}
     for object_id, entry in data["objects"].items():
-        ObjectId.parse(object_id)
+        category_of(object_id)
         check_fields(entry, object_id, optional=_OBJECT_OPTIONAL)
         attributes = check_fields(entry.get("attributes", {}), f"{object_id}: attributes",
                                   optional=_ATTRIBUTE_OPTIONAL)

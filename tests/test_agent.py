@@ -20,8 +20,12 @@ from homeplan.mcts import PlannerConfig
 from homeplan.sim import GENERIC_FAILURE, UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
 from homeplan.world import refresh_visibility
 
-from .conftest import RecordingBackend, make_object, make_world
+from .conftest import RecordingBackend, data_path, make_object, make_world
 from .scenarios import load_shipped_scenarios, run_adversarial
+
+# The shipped trace file as JSON: its final thought and answer are checked
+# when the trace loads, and kept only here.
+CLEAR_TABLE = json.loads(data_path("traces/clear_table.json").read_text("utf-8"))
 
 
 def trace_script(trace):
@@ -30,7 +34,7 @@ def trace_script(trace):
         for step in trace.steps
     ]
     completions.append(
-        f"Thought: {trace.final_thought}\nFinal Answer: {trace.final_answer}"
+        f"Thought: {CLEAR_TABLE['final_thought']}\nFinal Answer: {CLEAR_TABLE['final_answer']}"
     )
     return ScriptedBackend.ordered(completions)
 
@@ -45,7 +49,7 @@ def test_full_transcript_episode(kitchen_world, clear_table_trace, clear_table_t
     # The agent declared success, but two items ended up on the floor.
     assert record.outcome == "agent-declared-final"
     assert record.success is False
-    assert record.final_answer == clear_table_trace.final_answer
+    assert record.final_answer == CLEAR_TABLE["final_answer"]
     assert record.llm_call_count == 36
 
 

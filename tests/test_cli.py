@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from homeplan import cli
 from homeplan.cli import main
 from homeplan.errors import InputFormatError
 from homeplan.grounding import MessageTable
@@ -372,6 +373,15 @@ def test_report_on_out_of_range_completion_counts_is_config_error(capsys, counts
 
 def test_report_without_inputs_is_config_error(capsys):
     assert main(["report"]) == 2
+
+
+def test_a_key_error_inside_a_command_is_a_bug_and_propagates(monkeypatch):
+    def mistyped_key(args):
+        return {}["x"]
+
+    monkeypatch.setitem(cli._COMMANDS, "report", mistyped_key)
+    with pytest.raises(KeyError):
+        main(["report"])
 
 
 def test_console_entry_point_runs():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeplan.agent import AgentConfig
 from homeplan.errors import (
     BackendUnavailableError,
     HomeplanError,
@@ -40,6 +41,7 @@ from homeplan.llm import (
     parse_react,
     render_prompt,
 )
+from homeplan.suite import generate_easy_suite, run_suite
 from homeplan.tools import builtin_tool_library
 
 from .conftest import examples
@@ -68,7 +70,7 @@ def test_expansion_template_slots():
 
 
 def test_render_rejects_stray_brace():
-    template = PromptTemplate(name="x", body="hello { there")
+    template = PromptTemplate(body="hello { there")
     with pytest.raises(MissingSlotError):
         render_prompt(template, {})
 
@@ -471,11 +473,26 @@ def test_remote_backend_fails_at_once_on_401(stub_server):
     assert len(_StubHandler.responses) == 1  # exactly one request made
 
 
-def test_remote_backend_fails_at_once_on_malformed_200(stub_server):
-    _StubHandler.responses = [(200, {"choices": []}), (200, OK_BODY)]
-    with pytest.raises(BackendUnavailableError, match="malformed"):
+# A reply with no choices, and one whose completion is null (as a refusal or
+# a reply of tool calls only may be).
+NULL_BODY = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+
+@pytest.mark.parametrize("body", [{"choices": []}, NULL_BODY], ids=["no-choices", "null"])
+def test_remote_backend_fails_at_once_on_malformed_200(stub_server, body):
+    _StubHandler.responses = [(200, body), (200, OK_BODY)]
+    with pytest.raises(BackendUnavailableError, match="^malformed completion body: "):
         _stub_backend(stub_server).complete("x")
     assert len(_StubHandler.responses) == 1
+
+
+def test_a_null_completion_fails_each_episode_with_one_error(stub_server):
+    suite = generate_easy_suite(seed=1, count=2, world_refs=["worlds/kitchen.json"])
+    _StubHandler.responses = [(200, NULL_BODY)] * 2
+    report, _ = run_suite(suite, AgentConfig(), _stub_backend(stub_server))
+    assert [error.split(": ", 1) for error in report.errors] == [
+        [task.id, f"malformed completion body: {json.dumps(NULL_BODY)}"] for task in suite.tasks]
+    assert _StubHandler.responses == []
 
 
 def _record_waits(monkeypatch) -> list:
@@ -593,7 +610,7 @@ _body_pieces = st.one_of(
                     st.one_of(st.text(alphabet="ab{}", max_size=3), st.integers())),
 )
 def test_render_prompt_matches_the_regex_reference(body, fills):
-    template = PromptTemplate(name="t", body=body)
+    template = PromptTemplate(body=body)
     expected = _outcome(reference_render, template, fills)
     for _ in range(2):  # the second render reuses the compiled pieces
         assert _outcome(render_prompt, template, fills) == expected

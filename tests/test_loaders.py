@@ -150,6 +150,14 @@ def test_a_mutated_input_loads_or_raises_a_homeplan_error(name, input_file):
     check()
 
 
+@pytest.mark.parametrize("key", ["task", "final_thought", "final_answer"])
+@pytest.mark.parametrize("value", [1, ["done"]])
+def test_a_trace_value_nothing_reads_is_still_type_checked(key, value):
+    data = {**_shipped("traces/clear_table.json"), key: value}
+    with pytest.raises(InputFormatError, match=f"^trace: {key} must be a string or null$"):
+        trace_from_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # The field check itself
 

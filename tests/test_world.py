@@ -17,11 +17,11 @@ from homeplan.world import (
     ATTRIBUTE_NAMES,
     AgentState,
     ObjectAttributes,
-    ObjectId,
     ObjectInfo,
     WorldState,
     _replace,
     attribute_reader,
+    category_of,
     validate_world,
     world_from_dict,
 )
@@ -62,26 +62,32 @@ def test_attribute_lookup_unknown_attribute():
         attribute_reader("temperature")(world, "Cabinet_1")
 
 
-def test_object_id_round_trip():
-    for text in ("Cabinet_4", "SaltShaker_12", "Stove_Knob_3"):
-        parsed = ObjectId.parse(text)
-        assert f"{parsed.category}_{parsed.instance_index}" == text
+def test_category_of_takes_the_text_before_the_last_underscore():
+    for text, category in (("Cabinet_4", "Cabinet"), ("SaltShaker_12", "SaltShaker"),
+                           ("Stove_Knob_3", "Stove_Knob")):
+        assert category_of(text) == category
 
 
 @given(
     st.from_regex(r"[A-Z][A-Za-z]{0,8}", fullmatch=True),
     st.integers(min_value=1, max_value=10**6),
 )
-def test_object_id_parse_render_bijection(category, index):
-    rendered = f"{category}_{index}"
-    assert ObjectId.parse(rendered) == ObjectId(category, index)
+def test_category_of_any_well_formed_id_is_its_category(category, index):
+    assert category_of(f"{category}_{index}") == category
 
 
-@pytest.mark.parametrize("bad", ["Cabinet", "Cabinet_", "_4", "Cabinet_0", "Cabinet_-1",
-                                 "Cabinet_04", "Cabinet_x", "Cabinet_\u00b2"])
-def test_object_id_rejects_malformed(bad):
-    with pytest.raises(InvalidObjectIdError):
-        ObjectId.parse(bad)
+@pytest.mark.parametrize("bad, reason", [
+    ("Cabinet", "expected Category_N"), ("Cabinet_", "instance index must be digits"),
+    ("_4", "expected Category_N"), ("Cabinet_0", "instance index must be positive"),
+    ("Cabinet_-1", "instance index must be digits"),
+    ("Cabinet_04", "instance index has leading zeros"),
+    ("Cabinet_x", "instance index must be digits"),
+    ("Cabinet_\u00b2", "instance index must be digits"),
+])
+def test_category_of_rejects_malformed(bad, reason):
+    with pytest.raises(InvalidObjectIdError) as raised:
+        category_of(bad)
+    assert str(raised.value) == f"not a well-formed object id: {bad!r}: {reason}"
 
 
 def test_validate_world_consistent_fixture():
