@@ -306,7 +306,10 @@ def parse_critique(completion: str) -> CritiqueResult:
     if not scores:
         raise NoScoreError("no Score: line in critique completion")
     score_match = scores[-1]
-    score = int(score_match.group(1))
+    try:
+        score = int(score_match.group(1))
+    except ValueError:  # more digits than int() reads
+        raise NoScoreError("critique score has too many digits") from None
     if not 1 <= score <= 10:
         raise NoScoreError(f"critique score {score} outside 1..10")
     justification = ""
@@ -342,11 +345,13 @@ _ENTRY_OPTIONAL = {"match": str | None, "uses": int}
 class ScriptedBackend(LlmBackend):
     """Deterministic canned-completion backend.
 
-    In ``ordered`` mode entries are consumed front to back and a ``match``
-    string, when present, is asserted against the prompt. In ``keyed`` mode
-    the first entry with remaining uses whose matcher occurs in the prompt is
-    consumed, so scripts can branch on feedback text. Exhaustion is an error
-    unless the script is cyclic, which only an ordered script may be.
+    Each call consumes the first entry with uses left. In ``keyed`` mode that
+    is the first such entry whose ``match`` occurs in the prompt, so scripts
+    can branch on feedback text; in ``ordered`` mode it is the first such
+    entry, and its ``match``, when present, must occur in the prompt. With no
+    such entry the script is exhausted, an error, unless it is cyclic (only an
+    ordered script may be): then every entry's uses are refilled and the scan
+    runs once more.
     """
 
     def __init__(self, entries: list[ScriptEntry], mode: str = "ordered",
@@ -363,7 +368,6 @@ class ScriptedBackend(LlmBackend):
         self.cyclic = cyclic
         self._entries = entries
         self._remaining = [entry.uses for entry in entries]
-        self._cursor = 0
         self._lock = threading.Lock()
 
     @classmethod
@@ -387,41 +391,25 @@ class ScriptedBackend(LlmBackend):
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         with self._lock:
-            if self.mode == "ordered":
-                return self._next_ordered(prompt)
-            return self._next_keyed(prompt)
-
-    def _next_ordered(self, prompt: str) -> str:
-        while True:
-            if self._cursor >= len(self._entries):
-                if self.cyclic:
-                    self._cursor = 0
+            for refill in (False, True):
+                if refill:  # only a cyclic script gets here
                     self._remaining = [entry.uses for entry in self._entries]
-                else:
-                    raise ScriptExhaustedError("ordered script exhausted")
-            entry = self._entries[self._cursor]
-            remaining = self._remaining[self._cursor]
-            if remaining == 0:
-                self._cursor += 1
-                continue
-            if entry.match is not None and entry.match not in prompt:
-                raise ScriptMismatchError(
-                    f"script entry {self._cursor} expected {entry.match!r} in prompt"
-                )
-            if remaining > 0:
-                self._remaining[self._cursor] -= 1
-            return entry.completion
-
-    def _next_keyed(self, prompt: str) -> str:
-        for index, entry in enumerate(self._entries):
-            if self._remaining[index] == 0:
-                continue
-            if entry.match is not None and entry.match not in prompt:
-                continue
-            if self._remaining[index] > 0:
-                self._remaining[index] -= 1
-            return entry.completion
-        raise ScriptExhaustedError("no keyed script entry matches the prompt")
+                for index, entry in enumerate(self._entries):
+                    if self._remaining[index] == 0:
+                        continue
+                    if entry.match is not None and entry.match not in prompt:
+                        if self.mode == "keyed":
+                            continue
+                        raise ScriptMismatchError(
+                            f"script entry {index} expected {entry.match!r} in prompt")
+                    if self._remaining[index] > 0:
+                        self._remaining[index] -= 1
+                    return entry.completion
+                if not self.cyclic:
+                    break
+            if self.mode == "keyed":
+                raise ScriptExhaustedError("no keyed script entry matches the prompt")
+            raise ScriptExhaustedError("ordered script exhausted")
 
 
 class RemoteBackend(LlmBackend):
@@ -489,7 +477,10 @@ class RemoteBackend(LlmBackend):
                     raise BackendUnavailableError(last_error)
                 retry_after = response.headers.get("Retry-After", "").strip()
                 if retry_after.isdecimal():
-                    delay = min(int(retry_after), RETRY_CEILING_S)
+                    try:
+                        delay = min(int(retry_after), RETRY_CEILING_S)
+                    except ValueError:  # more digits than int() reads: over the ceiling
+                        delay = RETRY_CEILING_S
             if attempt + 1 < self.max_retries:
                 time.sleep(delay)
         raise BackendUnavailableError(

@@ -1,11 +1,13 @@
 """The built-in tool library: one ActionSpec per tool, by name.
 
-Each tool is described once, by its ActionSpec: the expert ground-truth
-precondition (loaded from the shipped labeled-pairs fixture so the
-verification layer and the comparison harness can never drift apart), the
-transition that applies its effect and writes its success text, and the
-skill category step-wise reports count it under. A transition runs only
-after the simulator has checked the precondition.
+Each tool is written once, as one entry of _TOOLS: what it does, an example
+object id (none for a tool that takes no object), the transition that
+applies its effect and writes its success text, and the skill category
+step-wise reports count it under. Its prompt text and input format are
+written from that entry; its expert ground-truth precondition is the one the
+shipped labeled-pairs fixture lists under its name, so the verification
+layer and the comparison harness can never drift apart. A transition runs
+only after the simulator has checked the precondition.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DATA, InputFormatError, check_fields, read_input
 from .formula import Formula, parse_precondition
@@ -35,7 +38,7 @@ class ActionSpec:
     precondition: Formula | None  # None means trivially true
     apply: Transition
     skill: str  # locate | move | perceive | manipulate | place
-    requires_discovered: bool = False  # world-level check outside the formula
+    requires_discovered: bool  # world-level check outside the formula
 
 
 _PAIRS_FIELDS = {"tools": (dict, dict)}
@@ -183,156 +186,69 @@ def _adjust(state: WorldState, target: str) -> tuple[WorldState, str]:
     return state, "Readjusted position relative to target object!"
 
 
+class _Tool(NamedTuple):
+    """One tool as written once: its prompt text and its input format come
+    from here, its precondition from the pairs file under its name."""
+
+    name: str
+    purpose: str
+    example: str | None  # an object id for the input format; None: takes no object
+    apply: Transition
+    skill: str  # locate | move | perceive | manipulate | place
+    requires_discovered: bool = False
+
+
+# The thirteen built-in tools, in prompt order.
+_TOOLS = (
+    _Tool("Pick Up Object", "Pick up a target object specified by object id and hold it.",
+          "Apple_1", _pick_up, "manipulate"),
+    _Tool("Place Object", "Place the currently held object inside or on a target receptacle "
+          "specified by object id.", "CounterTop_1", _place, "place"),
+    _Tool("Open Object", "Open a target object specified by object id.",
+          "Cabinet_4", _setter("isOpen", True, "Target object was opened!"), "manipulate"),
+    _Tool("Close Object", "Close a target object specified by object id.",
+          "Cabinet_4", _setter("isOpen", False, "Target object was closed!"), "manipulate"),
+    _Tool("Toggle Object On", "Toggle a target object on, specified by object id.",
+          "Faucet_1", _toggle_on, "manipulate"),
+    _Tool("Toggle Object Off", "Toggle a target object off, specified by object id.",
+          "Faucet_1", _setter("isToggled", False, "Target object was toggled off!"),
+          "manipulate"),
+    _Tool("Search Object", "Return a list of all items inside or on a target object "
+          "specified by object id.", "Cabinet_4", _search, "perceive"),
+    _Tool("Fill Held Object With Water", "Fill the currently held object with water from a "
+          "toggled-on water source.", None, _fill, "manipulate"),
+    _Tool("Pour Water Into", "Pour water from the held object into a target object specified "
+          "by object id.", "Vase_1", _pour, "manipulate"),
+    _Tool("Randomly Explore", "Move around the environment to discover new objects.",
+          None, _explore, "locate"),
+    _Tool("Get Discovered Objects", "Return a list of the object IDs of all discovered objects.",
+          None, _list_discovered, "perceive"),
+    _Tool("Inspect Object", "Report what a target object is inside or on top of and what it "
+          "controls.", "Cabinet_4", _inspect, "perceive"),
+    _Tool("Adjust Positioning", "Readjust position relative to a target object so that it can "
+          "be interacted with.", "Cabinet_4", _adjust, "move", requires_discovered=True),
+)
+
+
 @lru_cache(maxsize=1)
 def builtin_tool_library() -> dict[str, ActionSpec]:
-    """The thirteen built-in tools with ground-truth preconditions, by name in prompt order."""
+    """The built-in tools by name in prompt order, each with the ground-truth
+    precondition the pairs file lists under its name, or none."""
     pairs = load_precondition_pairs()["tools"]
-    gt = {name: parse_precondition(entry["ground_truth"]) for name, entry in pairs.items()}
-
-    specs = [
-        ActionSpec(
-            name="Pick Up Object",
-            description=(
-                "Pick up a target object specified by object id and hold it. "
-                "Input format in JSON: {'object_id': 'Apple_1'}."
-            ),
-            takes_target=True,
-            precondition=gt["Pick Up Object"],
-            apply=_pick_up,
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Place Object",
-            description=(
-                "Place the currently held object inside or on a target receptacle "
-                "specified by object id. Input format in JSON: {'object_id': 'CounterTop_1'}."
-            ),
-            takes_target=True,
-            precondition=gt["Place Object"],
-            apply=_place,
-            skill="place",
-        ),
-        ActionSpec(
-            name="Open Object",
-            description=(
-                "Open a target object specified by object id. "
-                "Input format in JSON: {'object_id': 'Cabinet_4'}."
-            ),
-            takes_target=True,
-            precondition=gt["Open Object"],
-            apply=_setter("isOpen", True, "Target object was opened!"),
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Close Object",
-            description=(
-                "Close a target object specified by object id. "
-                "Input format in JSON: {'object_id': 'Cabinet_4'}."
-            ),
-            takes_target=True,
-            precondition=gt["Close Object"],
-            apply=_setter("isOpen", False, "Target object was closed!"),
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Toggle Object On",
-            description=(
-                "Toggle a target object on, specified by object id. "
-                "Input format in JSON: {'object_id': 'Faucet_1'}."
-            ),
-            takes_target=True,
-            precondition=gt["Toggle Object On"],
-            apply=_toggle_on,
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Toggle Object Off",
-            description=(
-                "Toggle a target object off, specified by object id. "
-                "Input format in JSON: {'object_id': 'Faucet_1'}."
-            ),
-            takes_target=True,
-            precondition=gt["Toggle Object Off"],
-            apply=_setter("isToggled", False, "Target object was toggled off!"),
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Search Object",
-            description=(
-                "Return a list of all items inside or on a target object specified by "
-                "object id. Input format in JSON: {'object_id': 'Cabinet_4'}."
-            ),
-            takes_target=True,
-            precondition=gt["Search Object"],
-            apply=_search,
-            skill="perceive",
-        ),
-        ActionSpec(
-            name="Fill Held Object With Water",
-            description=(
-                "Fill the currently held object with water from a toggled-on water "
-                "source. Input format in JSON: {'input': None}."
-            ),
-            takes_target=False,
-            precondition=gt["Fill Held Object With Water"],
-            apply=_fill,
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Pour Water Into",
-            description=(
-                "Pour water from the held object into a target object specified by "
-                "object id. Input format in JSON: {'object_id': 'Vase_1'}."
-            ),
-            takes_target=True,
-            precondition=gt["Pour Water Into"],
-            apply=_pour,
-            skill="manipulate",
-        ),
-        ActionSpec(
-            name="Randomly Explore",
-            description=(
-                "Move around the environment to discover new objects. "
-                "Input format in JSON: {'input': None}."
-            ),
-            takes_target=False,
-            precondition=None,
-            apply=_explore,
-            skill="locate",
-        ),
-        ActionSpec(
-            name="Get Discovered Objects",
-            description=(
-                "Return a list of the object IDs of all discovered objects. "
-                "Input format in JSON: {'input': None}."
-            ),
-            takes_target=False,
-            precondition=None,
-            apply=_list_discovered,
-            skill="perceive",
-        ),
-        ActionSpec(
-            name="Inspect Object",
-            description=(
-                "Report what a target object is inside or on top of and what it "
-                "controls. Input format in JSON: {'object_id': 'Cabinet_4'}."
-            ),
-            takes_target=True,
-            precondition=None,
-            apply=_inspect,
-            skill="perceive",
-        ),
-        ActionSpec(
-            name="Adjust Positioning",
-            description=(
-                "Readjust position relative to a target object so that it can be "
-                "interacted with. Input format in JSON: {'object_id': 'Cabinet_4'}."
-            ),
-            takes_target=True,
-            precondition=None,
-            apply=_adjust,
-            skill="move",
-            requires_discovered=True,
-        ),
-    ]
-    return {spec.name: spec for spec in specs}
+    unknown = sorted(pairs.keys() - {tool.name for tool in _TOOLS})
+    if unknown:
+        raise InputFormatError(f"precondition pairs: {unknown[0]!r} is not a built-in tool")
+    library = {}
+    for tool in _TOOLS:
+        schema = {"input": None} if tool.example is None else {"object_id": tool.example}
+        entry = pairs.get(tool.name)
+        library[tool.name] = ActionSpec(
+            name=tool.name,
+            description=f"{tool.purpose} Input format in JSON: {schema}.",
+            takes_target=tool.example is not None,
+            precondition=None if entry is None else parse_precondition(entry["ground_truth"]),
+            apply=tool.apply,
+            skill=tool.skill,
+            requires_discovered=tool.requires_discovered,
+        )
+    return library

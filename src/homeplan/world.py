@@ -99,7 +99,10 @@ def category_of(object_id: str) -> str:
         raise InvalidObjectIdError(object_id, "expected Category_N")
     if not tail.isdecimal():  # what int() reads; isdigit also takes "²"
         raise InvalidObjectIdError(object_id, "instance index must be digits")
-    index = int(tail)
+    try:
+        index = int(tail)
+    except ValueError:  # more digits than int() reads
+        raise InvalidObjectIdError(object_id, "instance index is too long") from None
     if index <= 0:
         raise InvalidObjectIdError(object_id, "instance index must be positive")
     if tail != str(index):

@@ -320,6 +320,11 @@ def test_parse_critique_uses_last_score_line():
     assert result.justification == "on reflection"
 
 
+def test_parse_critique_score_longer_than_int_reads():
+    with pytest.raises(NoScoreError, match="^critique score has too many digits$"):
+        parse_critique("Justification: x\nScore: " + "5" * 5000)
+
+
 def test_parse_critique_no_score():
     with pytest.raises(NoScoreError):
         parse_critique("Great plan, ten out of ten!")
@@ -331,6 +336,15 @@ def test_scripted_ordered_sequence_and_exhaustion():
     assert backend.complete("p2") == "second"
     with pytest.raises(ScriptExhaustedError):
         backend.complete("p3")
+
+
+@pytest.mark.parametrize("mode", ["ordered", "keyed"])
+def test_a_script_that_has_run_out_stays_exhausted(mode):
+    backend = ScriptedBackend([ScriptEntry("a"), ScriptEntry("b", match="p")], mode=mode)
+    assert [backend.complete("p"), backend.complete("p")] == ["a", "b"]
+    for _ in range(2):
+        with pytest.raises(ScriptExhaustedError):
+            backend.complete("p")
 
 
 def test_scripted_cyclic_wraps():
@@ -510,6 +524,17 @@ def test_remote_backend_honours_retry_after_on_429(stub_server, monkeypatch):
     assert _stub_backend(stub_server).complete("x") == "recovered"
     assert _StubHandler.responses == []  # two requests made
     assert waits == [0]  # Retry-After replaced the 1 s backoff
+
+
+def test_remote_backend_waits_the_ceiling_for_a_retry_after_longer_than_int_reads(
+        stub_server, monkeypatch):
+    waits = _record_waits(monkeypatch)
+    _StubHandler.responses = [
+        (429, {"error": "slow down"}, {"Retry-After": "9" * 5000}),
+        (200, OK_BODY),
+    ]
+    assert _stub_backend(stub_server).complete("x") == "recovered"
+    assert waits == [RETRY_CEILING_S]
 
 
 def test_remote_backend_gives_up_after_max_retries(stub_server, monkeypatch):

@@ -129,6 +129,12 @@ def test_fixture_formulas_align_with_tool_library():
     from homeplan.tools import builtin_tool_library
 
     lib = builtin_tool_library()
-    for tool, entry in load_precondition_pairs()["tools"].items():
+    pairs = load_precondition_pairs()["tools"]
+    for tool, entry in pairs.items():
         assert lib[tool].precondition == parse_precondition(entry["ground_truth"])
+    # A tool has a precondition exactly when the fixture lists it by name.
+    assert len(pairs) == 9
+    assert [name for name, spec in lib.items() if spec.precondition is None] == [
+        name for name in lib if name not in pairs] == [
+        "Randomly Explore", "Get Discovered Objects", "Inspect Object", "Adjust Positioning"]
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homeplan
+from homeplan import tools
 from homeplan.errors import InputFormatError, MalformedArgsError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
 from homeplan.grounding import MessageTable, evaluate, unsatisfied
@@ -29,7 +30,7 @@ from homeplan.sim import (
     task_to_dict,
 )
 from homeplan.suite import generate_easy_suite, resolve_world, stepwise_from_episodes
-from homeplan.tools import builtin_tool_library, seeded_draw, zone_order
+from homeplan.tools import builtin_tool_library, load_precondition_pairs, seeded_draw, zone_order
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     ZONE_ANY,
@@ -95,6 +96,45 @@ def test_pour_precondition_has_held_filled_exists():
     assert print_precondition(clauses[0]) == (
         "(exists (?y) (and (isPickedUp ?y) (isFilledWithLiquid ?y)))"
     )
+
+
+# name: (takes_target, requires_discovered), in prompt order
+TOOL_ARGUMENTS = {
+    "Pick Up Object": (True, False),
+    "Place Object": (True, False),
+    "Open Object": (True, False),
+    "Close Object": (True, False),
+    "Toggle Object On": (True, False),
+    "Toggle Object Off": (True, False),
+    "Search Object": (True, False),
+    "Fill Held Object With Water": (False, False),
+    "Pour Water Into": (True, False),
+    "Randomly Explore": (False, False),
+    "Get Discovered Objects": (False, False),
+    "Inspect Object": (True, False),
+    "Adjust Positioning": (True, True),
+}
+
+
+def test_each_tool_takes_an_object_and_needs_it_discovered_as_pinned():
+    assert {name: (spec.takes_target, spec.requires_discovered)
+            for name, spec in builtin_tool_library().items()} == TOOL_ARGUMENTS
+    assert list(builtin_tool_library()) == list(TOOL_ARGUMENTS)
+    for spec in builtin_tool_library().values():
+        schema = "{'object_id': '" if spec.takes_target else "{'input': None}"
+        assert f" Input format in JSON: {schema}" in spec.description
+
+
+def test_a_pairs_entry_that_names_no_tool_is_an_input_error(monkeypatch):
+    pairs = load_precondition_pairs()
+    pairs["tools"]["Juggle Object"] = pairs["tools"]["Open Object"]
+    monkeypatch.setattr(tools, "load_precondition_pairs", lambda: pairs)
+    builtin_tool_library.cache_clear()
+    try:
+        with pytest.raises(InputFormatError, match="'Juggle Object' is not a built-in tool"):
+            builtin_tool_library()
+    finally:
+        builtin_tool_library.cache_clear()
 
 
 def test_unknown_tool_raises():

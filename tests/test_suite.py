@@ -411,6 +411,17 @@ def test_run_suite_lets_program_bugs_propagate(tmp_path):
         run_suite(load_suite(suite_path), AgentConfig(), lambda task: _BuggyBackend())
 
 
+def test_an_object_index_longer_than_int_reads_is_malformed_input_not_a_crash():
+    suite = generate_easy_suite(seed=1, count=1, world_refs=["worlds/kitchen.json"])
+    proposal = ("Thought: grab\nAction: Pick Up Object\n"
+                f"Action Input: {{'object_id': 'Apple_{'1' * 5000}'}}")
+    report, records = run_suite(suite, AgentConfig(mode="react", step_cap=2),
+                                ScriptedBackend.ordered([proposal], cyclic=True))
+    assert report.errors == []
+    assert [step.observation for step in records[0].steps] == [
+        "Tool Failed: malformed action input"] * 2
+
+
 def test_run_suite_counts_infrastructure_error_as_failure(tmp_path):
     suite_data = {
         "name": "broken",

@@ -90,6 +90,12 @@ def test_category_of_rejects_malformed(bad, reason):
     assert str(raised.value) == f"not a well-formed object id: {bad!r}: {reason}"
 
 
+def test_category_of_rejects_an_index_longer_than_int_reads():
+    bad = "Apple_" + "1" * 5000
+    with pytest.raises(InvalidObjectIdError, match="instance index is too long$"):
+        category_of(bad)
+
+
 def test_validate_world_consistent_fixture():
     world = make_world(
         {
