@@ -234,8 +234,8 @@ def _atom_satisfied(state: WorldState, atom: GoalAtom, object_ids: tuple[str, ..
         # Inside a closed fridge-category receptacle at check time.
         for oid in candidates:
             for ancestor in state.ancestors_of(oid):
-                attrs = state.objects[ancestor].attributes
-                if category_of(ancestor) == "Fridge" and attrs.openable and not attrs.isOpen:
+                info = state.objects[ancestor]
+                if category_of(ancestor) == "Fridge" and info.openable and not info.isOpen:
                     return True
         return False
     if atom.kind == "empty":

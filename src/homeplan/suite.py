@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -125,10 +126,10 @@ def generate_easy_suite(
     pools = []
     for ref in world_refs:
         world = resolve_world(ref)
-        kinds = [(oid, world.objects[oid].attributes) for oid in sorted(world.objects)]
-        movable = [oid for oid, kind in kinds
-                   if kind.pickupable and world.parent_of(oid) is not None]
-        fixed = [oid for oid, kind in kinds if kind.receptacle and not kind.pickupable]
+        objects = sorted(world.objects.items())
+        movable = [oid for oid, info in objects
+                   if info.pickupable and world.parent_of(oid) is not None]
+        fixed = [oid for oid, info in objects if info.receptacle and not info.pickupable]
         pools.append((ref, world, movable, fixed))
 
     tasks = []
@@ -143,7 +144,7 @@ def generate_easy_suite(
             raise InsufficientObjectsError(f"{ref}: no destination receptacles")
         destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]
 
-        preposition = "in" if world.objects[destination].attributes.openable else "on"
+        preposition = "in" if world.objects[destination].openable else "on"
         instruction = (
             f"The agent should pick up the {_spaced_category(target)} that is on the "
             f"{_spaced_category(source)} and place it {preposition} the "
@@ -382,12 +383,11 @@ class StepwiseTable:
     rows: list[StepwiseRow]
 
     @property
-    def product_estimate(self) -> float:
-        product = 1.0
-        for row in self.rows:
-            if row.total:
-                product *= row.successes / row.total
-        return 100.0 * product
+    def product_estimate(self) -> float | None:
+        """The product of the SSRs of the attempted skills, in percent; None
+        when no skill was attempted."""
+        ratios = [row.successes / row.total for row in self.rows if row.total]
+        return 100.0 * math.prod(ratios) if ratios else None
 
     def flags(self) -> list[str]:
         notes = []
@@ -402,6 +402,7 @@ class StepwiseTable:
         return notes
 
     def to_dict(self) -> dict:
+        estimate = self.product_estimate
         return {
             "rows": [
                 {
@@ -418,7 +419,7 @@ class StepwiseTable:
                 }
                 for row in self.rows
             ],
-            "product_estimate_percent": render_rate(self.product_estimate),
+            "product_estimate_percent": "n/a" if estimate is None else render_rate(estimate),
             "flags": self.flags(),
         }
 
@@ -429,7 +430,9 @@ class StepwiseTable:
                 f"{row.skill:<14}{row.successes:>7}{row.failures:>10}"
                 f"{row.total:>7}  {row.ssr_display}%"
             )
-        lines.append(f"product-of-SSRs estimate: {render_rate(self.product_estimate)}%")
+        estimate = self.product_estimate
+        lines.append("product-of-SSRs estimate: "
+                     + ("n/a" if estimate is None else f"{render_rate(estimate)}%"))
         for flag in self.flags():
             lines.append(f"flag: {flag}")
         return "\n".join(lines)

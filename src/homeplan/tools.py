@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import DATA, InputFormatError, check_fields, read_input
 from .formula import Formula, parse_precondition
-from .world import ZONE_ANY, WorldState, _replace, concealed, with_attribute, with_zone
+from .world import ZONE_ANY, WorldState, _replace, concealed, with_object
 
 # (state, target object id or None) -> (successor state, success text)
 Transition = Callable[[WorldState, str | None], tuple[WorldState, str]]
@@ -66,36 +66,37 @@ def _pick_up(state: WorldState, target: str) -> tuple[WorldState, str]:
     containment.pop(target, None)
     agent = _replace(state.agent, held_object=target)
     state = _replace(state, containment=containment, agent=agent)
-    state = with_zone(with_attribute(state, target, "isPickedUp", True), target, None)
+    state = with_object(state, target, isPickedUp=True, zone=None)
     return state, "Target object was picked up!"
 
 
 def _place(state: WorldState, target: str) -> tuple[WorldState, str]:
     held = state.agent.held_object
-    zone = state.agent.current_zone
-    state = _replace(state, agent=_replace(state.agent, held_object=None))
-    state = with_attribute(with_zone(state, held, zone), held, "isPickedUp", False)
-    state = _replace(state, containment={**state.containment, held: target})
-    # Read after the release: the target may be the held object itself.
-    target_zone = state.objects[target].zone
-    state = with_zone(state, held, zone if target_zone == ZONE_ANY else target_zone)
+    # Read before the release: a target that is the held object itself is
+    # at the agent's zone.
+    zone = state.effective_zone(target)
+    if zone == ZONE_ANY:
+        zone = state.agent.current_zone
+    agent = _replace(state.agent, held_object=None)
+    state = _replace(state, agent=agent, containment={**state.containment, held: target})
+    state = with_object(state, held, isPickedUp=False, zone=zone)
     return state, "Held object was successfully placed in target object!"
 
 
 def _setter(attribute: str, value: bool, report: str) -> Transition:
     def apply(state: WorldState, target: str) -> tuple[WorldState, str]:
-        return with_attribute(state, target, attribute, value), report
+        return with_object(state, target, **{attribute: value}), report
 
     return apply
 
 
 def _toggle_on(state: WorldState, target: str) -> tuple[WorldState, str]:
-    state = with_attribute(state, target, "isToggled", True)
+    state = with_object(state, target, isToggled=True)
     info = state.objects[target]
-    if info.heat_source and not info.attributes.isWaterSource:
+    if info.heat_source and not info.isWaterSource:
         for descendant in state.descendants_of(target):
-            if state.objects[descendant].attributes.cookable:
-                state = with_attribute(state, descendant, "isCooked", True)
+            if state.objects[descendant].cookable:
+                state = with_object(state, descendant, isCooked=True)
     return state, "Target object was toggled on!"
 
 
@@ -107,13 +108,13 @@ def _search(state: WorldState, target: str) -> tuple[WorldState, str]:
 
 
 def _fill(state: WorldState, target: None) -> tuple[WorldState, str]:
-    state = with_attribute(state, state.agent.held_object, "isFilledWithLiquid", True)
+    state = with_object(state, state.agent.held_object, isFilledWithLiquid=True)
     return state, "Held object was successfully filled with water!"
 
 
 def _pour(state: WorldState, target: str) -> tuple[WorldState, str]:
-    state = with_attribute(state, state.agent.held_object, "isFilledWithLiquid", False)
-    state = with_attribute(state, target, "isFilledWithLiquid", True)
+    state = with_object(state, state.agent.held_object, isFilledWithLiquid=False)
+    state = with_object(state, target, isFilledWithLiquid=True)
     return state, "Water was successfully poured into the target object!"
 
 

@@ -10,7 +10,6 @@ simulator operations never mutate a state, they return new ones.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -56,38 +55,15 @@ _ATTRIBUTE_DEPENDENCIES = {
 }
 
 
-@dataclass(frozen=True)
-class ObjectAttributes:
-    """The fifteen stored boolean attributes of one object; visibility is
-    kept in ``WorldState.visible``."""
-
-    moveable: bool = False
-    breakable: bool = False
-    canFillWithLiquid: bool = False
-    isToggled: bool = False
-    pickupable: bool = False
-    isOpen: bool = False
-    isBroken: bool = False
-    receptacle: bool = False
-    openable: bool = False
-    isPickedUp: bool = False
-    toggleable: bool = False
-    isFilledWithLiquid: bool = False
-    cookable: bool = False
-    isCooked: bool = False
-    isWaterSource: bool = False
-
-
-_STORED_ATTRIBUTES = frozenset(f.name for f in dataclasses.fields(ObjectAttributes))
-
-# Closed attribute vocabulary, in canonical listing order: the stored fields
-# above with visible at its place. Unknown names are errors everywhere, never
-# silently-false.
+# Closed attribute vocabulary, in canonical listing order: ObjectInfo's
+# stored attributes with visible at its place. Unknown names are errors
+# everywhere, never silently-false.
 ATTRIBUTE_NAMES: tuple[str, ...] = (
     "moveable", "breakable", "canFillWithLiquid", "isToggled", "pickupable", "isOpen",
     "isBroken", "visible", "receptacle", "openable", "isPickedUp", "toggleable",
     "isFilledWithLiquid", "cookable", "isCooked", "isWaterSource",
 )
+_STORED_ATTRIBUTES = frozenset(ATTRIBUTE_NAMES) - {"visible"}
 
 
 def category_of(object_id: str) -> str:
@@ -112,7 +88,8 @@ def category_of(object_id: str) -> str:
 
 @dataclass(frozen=True)
 class ObjectInfo:
-    """One object's attributes plus its fixture-level placement and roles.
+    """One object: its zone, its fifteen stored boolean attributes (visibility
+    is kept in ``WorldState.visible``) and its fixture-level roles.
 
     zone is None exactly when the object is held by the agent. conspicuous
     objects are found by exploration even while sitting inside or on an open
@@ -120,8 +97,22 @@ class ObjectInfo:
     toggled on. display_id, when set, replaces the id in inspection output.
     """
 
-    attributes: ObjectAttributes
     zone: str | None
+    moveable: bool = False
+    breakable: bool = False
+    canFillWithLiquid: bool = False
+    isToggled: bool = False
+    pickupable: bool = False
+    isOpen: bool = False
+    isBroken: bool = False
+    receptacle: bool = False
+    openable: bool = False
+    isPickedUp: bool = False
+    toggleable: bool = False
+    isFilledWithLiquid: bool = False
+    cookable: bool = False
+    isCooked: bool = False
+    isWaterSource: bool = False
     conspicuous: bool = False
     heat_source: bool = False
     display_id: str | None = None
@@ -215,19 +206,11 @@ class WorldState:
         return sorted(names)
 
 
-def with_attribute(state: WorldState, object_id: str, attribute: str, value: bool) -> WorldState:
-    """The state with one attribute of one object set to value; an unknown
-    attribute name raises TypeError."""
+def with_object(state: WorldState, object_id: str, **changes) -> WorldState:
+    """The state with the given fields of one object changed; a name that is
+    not a field of ObjectInfo raises TypeError."""
     objects = dict(state.objects)
-    info = objects[object_id]
-    objects[object_id] = _replace(info, attributes=_replace(info.attributes, **{attribute: value}))
-    return _replace(state, objects=objects)
-
-
-def with_zone(state: WorldState, object_id: str, zone: str | None) -> WorldState:
-    """The state with one object moved to zone (None: held)."""
-    objects = dict(state.objects)
-    objects[object_id] = _replace(objects[object_id], zone=zone)
+    objects[object_id] = _replace(objects[object_id], **changes)
     return _replace(state, objects=objects)
 
 
@@ -237,8 +220,8 @@ def concealed(state: WorldState, object_id: str) -> bool:
     current = containment.get(object_id)
     seen = set()
     while current is not None and current not in seen:
-        attrs = state.objects[current].attributes
-        if attrs.openable and not attrs.isOpen:
+        info = state.objects[current]
+        if info.openable and not info.isOpen:
             return True
         seen.add(current)
         current = containment.get(current)
@@ -264,7 +247,7 @@ def attribute_reader(attribute: str) -> Callable[[WorldState, str], bool]:
     if attribute == "visible":
         return lambda state, object_id: object_id in state.visible
     if attribute in _STORED_ATTRIBUTES:
-        return lambda state, object_id: getattr(state.objects[object_id].attributes, attribute)
+        return lambda state, object_id: getattr(state.objects[object_id], attribute)
 
     def unknown(state, object_id):
         raise UnknownAttributeError(attribute)
@@ -277,17 +260,19 @@ def validate_world(state: WorldState) -> list[str]:
     violations: list[str] = []
 
     for object_id, info in state.objects.items():
-        attrs = info.attributes
         for attr, dependency in _ATTRIBUTE_DEPENDENCIES.items():
-            if getattr(attrs, attr) and not getattr(attrs, dependency):
+            if getattr(info, attr) and not getattr(info, dependency):
                 violations.append(f"{object_id}: {attr} without {dependency}")
+        for other in info.controls:
+            if other not in state.objects:
+                violations.append(f"{object_id}: controls unknown object {other}")
 
     for child, parent in state.containment.items():
         if child not in state.objects:
             violations.append(f"containment child {child} does not exist")
         if parent not in state.objects:
             violations.append(f"containment parent {parent} does not exist")
-        elif not state.objects[parent].attributes.receptacle:
+        elif not state.objects[parent].receptacle:
             violations.append(f"{parent}: containment parent without receptacle")
 
     # Each containment cycle once, from its first member in map order: an
@@ -304,7 +289,7 @@ def validate_world(state: WorldState) -> list[str]:
         if agent.held_object not in state.objects:
             violations.append(f"agent: held object {agent.held_object} does not exist")
         else:
-            if not state.objects[agent.held_object].attributes.isPickedUp:
+            if not state.objects[agent.held_object].isPickedUp:
                 violations.append(f"{agent.held_object}: held but isPickedUp is false")
             if agent.held_object in state.containment:
                 violations.append(f"{agent.held_object}: held object has a containment parent")
@@ -316,7 +301,7 @@ def validate_world(state: WorldState) -> list[str]:
     for object_id, info in state.objects.items():
         if info.zone is None and agent.held_object != object_id:
             violations.append(f"{object_id}: no zone but not held by the agent")
-        if info.attributes.isPickedUp and agent.held_object != object_id:
+        if info.isPickedUp and agent.held_object != object_id:
             violations.append(f"{object_id}: isPickedUp but not held by the agent")
 
     return violations
@@ -346,9 +331,8 @@ def world_from_dict(data: dict) -> WorldState:
         attributes = check_fields(entry.get("attributes", {}), f"{object_id}: attributes",
                                   optional=_ATTRIBUTE_OPTIONAL)
         objects[object_id] = ObjectInfo(
-            attributes=ObjectAttributes(**{name: value for name, value in attributes.items()
-                                           if name != "visible"}),
             zone=entry.get("zone"),
+            **{name: value for name, value in attributes.items() if name != "visible"},
             conspicuous=entry.get("conspicuous", False),
             heat_source=entry.get("heat_source", False),
             display_id=entry.get("display_id"),

@@ -7,7 +7,6 @@ from hypothesis import settings
 from homeplan.llm import ScriptedBackend
 from homeplan.world import (
     AgentState,
-    ObjectAttributes,
     ObjectInfo,
     WorldState,
 )
@@ -47,7 +46,7 @@ class RecordingBackend(ScriptedBackend):
 
 
 def make_object(zone="kitchen", **attrs) -> ObjectInfo:
-    return ObjectInfo(attributes=ObjectAttributes(**attrs), zone=zone)
+    return ObjectInfo(zone=zone, **attrs)
 
 
 def make_world(objects, containment=None, agent_zone="kitchen", seed=7, holding=None,

@@ -339,6 +339,20 @@ def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
     assert capsys.readouterr().out == run_text + "\n"
 
 
+def test_a_run_with_no_executed_action_reports_no_product_estimate(tmp_path, capsys):
+    suite_path, _, _ = card_to_sink_suite(tmp_path)
+    script_path = tmp_path / "done.json"
+    entry = {"completion": "Thought: nothing to do\nFinal Answer: done"}
+    script_path.write_text(json.dumps({"cyclic": True, "entries": [entry]}))
+    assert main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--out", str(tmp_path / "reports")]) == 0
+    capsys.readouterr()
+    (text,) = (tmp_path / "reports").glob("*.txt")
+    assert "product-of-SSRs estimate: n/a" in text.read_text().splitlines()
+    assert main(["report", "--records", str(text.with_suffix(".json"))]) == 0
+    assert "product-of-SSRs estimate: n/a" in capsys.readouterr().out.splitlines()
+
+
 def test_report_completion_counts(capsys):
     assert main(["report", "--completion-counts", "moderate=7/20,hard=3/20"]) == 0
     out = capsys.readouterr().out

@@ -28,7 +28,7 @@ from homeplan.formula import (
 )
 from homeplan.grounding import FeedbackItem, MessageTable, evaluate, unsatisfied
 from homeplan.tools import load_precondition_pairs
-from homeplan.world import ATTRIBUTE_NAMES, ObjectAttributes, ObjectInfo
+from homeplan.world import ATTRIBUTE_NAMES, ObjectInfo
 
 from .conftest import make_object, make_world
 
@@ -168,7 +168,7 @@ def oracle_evaluate(formula, state, binding):
             return state.agent.is_holding_object
         if formula.name == "visible":
             return binding[formula.variable] in state.visible
-        return getattr(state.objects[binding[formula.variable]].attributes, formula.name)
+        return getattr(state.objects[binding[formula.variable]], formula.name)
     if isinstance(formula, Not):
         return not oracle_evaluate(formula.child, state, binding)
     if isinstance(formula, And):
@@ -230,9 +230,7 @@ def random_world(seed, case):
         values = {name: bool((bits >> k) & 1) for k, name in enumerate(ATTRIBUTE_NAMES)}
         if values.pop("visible"):
             visible.add(f"Item_{i + 1}")
-        objects[f"Item_{i + 1}"] = ObjectInfo(
-            attributes=ObjectAttributes(**values), zone="kitchen"
-        )
+        objects[f"Item_{i + 1}"] = ObjectInfo(zone="kitchen", **values)
     holding = _rand(seed, case, "holding") % 2 == 0
     world = make_world(objects, visible=visible)
     if holding:
@@ -292,12 +290,12 @@ def _reference_eval(formula, state, binding):
         if formula.variable not in binding:
             raise UnboundVariableError(formula.variable or "?")
         object_id = binding[formula.variable]
-        attributes = state.info(object_id).attributes
+        info = state.info(object_id)
         if formula.name not in ATTRIBUTE_NAMES:
             raise UnknownAttributeError(formula.name)
         if formula.name == "visible":
             return object_id in state.visible
-        return getattr(attributes, formula.name)
+        return getattr(info, formula.name)
     if isinstance(formula, Not):
         return not _reference_eval(formula.child, state, binding)
     if isinstance(formula, And):

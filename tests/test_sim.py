@@ -34,7 +34,6 @@ from homeplan.tools import builtin_tool_library, load_precondition_pairs, seeded
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     ZONE_ANY,
-    ObjectAttributes,
     ObjectInfo,
     category_of,
     refresh_visibility,
@@ -170,7 +169,7 @@ def test_pick_up_success():
     new, obs = execute(world, "Pick Up Object", {"object_id": "Knife_1"}, True)
     assert obs.message == "Tool Completed Successfully: Target object was picked up!"
     assert new.agent.held_object == "Knife_1"
-    assert new.objects["Knife_1"].attributes.isPickedUp is True
+    assert new.objects["Knife_1"].isPickedUp is True
     assert "Knife_1" not in new.containment
     assert validate_world(new) == []
 
@@ -347,7 +346,7 @@ def test_search_empty_receptacle():
     world, _ = execute(world, "Adjust Positioning", {"object_id": "Cabinet_1"}, True)
     world, obs = execute(world, "Open Object", {"object_id": "Cabinet_1"}, True)
     assert obs.message == "Tool Completed Successfully: Target object was opened!"
-    assert world.objects["Cabinet_1"].attributes.isOpen is True
+    assert world.objects["Cabinet_1"].isOpen is True
     _, obs = execute(world, "Search Object", {"object_id": "Cabinet_1"}, True)
     assert obs.message.endswith("receptacle: []")
 
@@ -459,11 +458,11 @@ def test_fill_and_pour_cycle():
     assert obs.success
     world, obs = execute(world, "Fill Held Object With Water", {"input": None}, True)
     assert obs.message == "Tool Completed Successfully: Held object was successfully filled with water!"
-    assert world.objects["Mug_1"].attributes.isFilledWithLiquid is True
+    assert world.objects["Mug_1"].isFilledWithLiquid is True
     world, obs = execute(world, "Pour Water Into", {"object_id": "Vase_1"}, True)
     assert obs.message == "Tool Completed Successfully: Water was successfully poured into the target object!"
-    assert world.objects["Vase_1"].attributes.isFilledWithLiquid is True
-    assert world.objects["Mug_1"].attributes.isFilledWithLiquid is False
+    assert world.objects["Vase_1"].isFilledWithLiquid is True
+    assert world.objects["Mug_1"].isFilledWithLiquid is False
     assert validate_world(world) == []
 
 
@@ -484,11 +483,7 @@ def test_toggle_heat_source_cooks_contents():
         Potato_1=make_object(zone="dining", pickupable=True, cookable=True),
     )
     objects = dict(world.objects)
-    objects["Microwave_1"] = objects["Microwave_1"].__class__(
-        attributes=objects["Microwave_1"].attributes,
-        zone="dining",
-        heat_source=True,
-    )
+    objects["Microwave_1"] = replace(objects["Microwave_1"], heat_source=True)
     containment = dict(world.containment)
     containment.update({"Egg_1": "Microwave_1", "Bowl_1": "Microwave_1", "Potato_1": "Bowl_1"})
     world = refresh_visibility(
@@ -501,8 +496,8 @@ def test_toggle_heat_source_cooks_contents():
     )
     world, obs = execute(world, "Toggle Object On", {"object_id": "Microwave_1"}, True)
     assert obs.success
-    assert world.objects["Egg_1"].attributes.isCooked is True
-    assert world.objects["Potato_1"].attributes.isCooked is True  # nested one level deeper
+    assert world.objects["Egg_1"].isCooked is True
+    assert world.objects["Potato_1"].isCooked is True  # nested one level deeper
     assert validate_world(world) == []
 
 
@@ -514,7 +509,7 @@ def test_toggle_water_source_does_not_cook():
     world, _ = execute(world, "Adjust Positioning", {"object_id": "Faucet_1"}, True)
     world, obs = execute(world, "Toggle Object On", {"object_id": "Faucet_1"}, True)
     assert obs.success
-    assert world.objects["Egg_1"].attributes.isCooked is False
+    assert world.objects["Egg_1"].isCooked is False
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +851,7 @@ def reference_check_goal(state, task):
         if atom.kind == "attribute":
             return any(
                 (oid in state.visible if atom.attribute == "visible"
-                 else getattr(state.objects[oid].attributes, atom.attribute)) == atom.value
+                 else getattr(state.objects[oid], atom.attribute)) == atom.value
                 for oid in candidates
             )
         if atom.kind == "containment":
@@ -868,8 +863,8 @@ def reference_check_goal(state, task):
         if atom.kind == "chilled":
             return any(
                 category_of(ancestor) == "Fridge"
-                and state.objects[ancestor].attributes.openable
-                and not state.objects[ancestor].attributes.isOpen
+                and state.objects[ancestor].openable
+                and not state.objects[ancestor].isOpen
                 for oid in candidates
                 for ancestor in state.ancestors_of(oid)
             )
@@ -926,8 +921,8 @@ def reference_visible(state):
 
     def concealed(object_id):
         for ancestor in state.ancestors_of(object_id):
-            attrs = state.objects[ancestor].attributes
-            if attrs.openable and not attrs.isOpen:
+            info = state.objects[ancestor]
+            if info.openable and not info.isOpen:
                 return True
         return False
 
@@ -1070,8 +1065,8 @@ def test_descendants_of_ends_on_a_containment_cycle():
 def test_a_heat_source_placed_into_itself_can_be_toggled_on():
     # Place Object still closes the cycle; Toggle Object On then walks the
     # kettle's contents, which hold the kettle itself.
-    kettle = ObjectInfo(ObjectAttributes(pickupable=True, moveable=True, receptacle=True,
-                                         toggleable=True), zone="kitchen", heat_source=True)
+    kettle = ObjectInfo("kitchen", pickupable=True, moveable=True, receptacle=True,
+                        toggleable=True, heat_source=True)
     state = refresh_visibility(make_world(
         {"Kettle_1": kettle, "CounterTop_1": make_object(receptacle=True)},
         containment={"Kettle_1": "CounterTop_1"},
@@ -1127,7 +1122,7 @@ def canonical_state(state):
     keeps the values does not move the digest."""
 
     def bits(oid, info):
-        values = {**vars(info.attributes), "visible": oid in state.visible}
+        values = {**vars(info), "visible": oid in state.visible}
         return "".join("1" if values[name] else "0" for name in ATTRIBUTE_NAMES)
 
     lines = [f"{oid} {info.zone} " + bits(oid, info) for oid, info in state.objects.items()]

@@ -111,7 +111,7 @@ def per_task_generate_easy_suite(seed, count, world_refs, name="easy"):
         movable = [
             oid
             for oid in sorted(world.objects)
-            if world.objects[oid].attributes.pickupable and world.parent_of(oid) is not None
+            if world.objects[oid].pickupable and world.parent_of(oid) is not None
         ]
         if not movable:
             raise InsufficientObjectsError(f"{ref}: no pickupable objects on receptacles")
@@ -120,14 +120,14 @@ def per_task_generate_easy_suite(seed, count, world_refs, name="easy"):
         destinations = [
             oid
             for oid in sorted(world.objects)
-            if world.objects[oid].attributes.receptacle
+            if world.objects[oid].receptacle
             and oid not in (source, target)
-            and not world.objects[oid].attributes.pickupable
+            and not world.objects[oid].pickupable
         ]
         if not destinations:
             raise InsufficientObjectsError(f"{ref}: no destination receptacles")
         destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]
-        preposition = "in" if world.objects[destination].attributes.openable else "on"
+        preposition = "in" if world.objects[destination].openable else "on"
         instruction = (
             f"The agent should pick up the {spaced(target)} that is on the "
             f"{spaced(source)} and place it {preposition} the {spaced(destination)}."
@@ -564,6 +564,26 @@ def test_stepwise_single_all_success_record():
     assert table.rows[0].ssr_display == 100
     assert render_rate(table.product_estimate) == "100"
     assert table.flags() == []
+
+
+def test_a_report_with_no_executed_action_has_no_product_estimate():
+    # The empty product is 100%, which would read as a perfect estimate
+    # under a task completion of 0%.
+    report = MetricsReport("synthetic", "react/grounding-on", 0, [
+        {"id": "t1", "difficulty": "easy", "outcome": "failure", "success": False,
+         "steps": 1, "llm_calls": 1, "actions": []}])
+    lines = report.render_text().splitlines()
+    assert "task completion: 0% (0/1)" in lines
+    assert "product-of-SSRs estimate: n/a" in lines
+    assert report.to_dict()["stepwise"]["product_estimate_percent"] == "n/a"
+
+
+def test_counts_with_no_attempt_have_no_product_estimate():
+    table = stepwise_from_counts([{"skill": "Move", "successes": 0, "failures": 0},
+                                  {"skill": "Place", "successes": 0, "failures": 0}])
+    assert table.product_estimate is None
+    assert table.render_text().splitlines()[-1] == "product-of-SSRs estimate: n/a"
+    assert table.to_dict()["product_estimate_percent"] == "n/a"
 
 
 def test_stepwise_computed_ratio_reported():

@@ -10,31 +10,55 @@ from homeplan.errors import (
     InvalidObjectIdError,
     UnknownAttributeError,
     UnknownObjectError,
+    UnknownPredicateError,
 )
+from homeplan.formula import parse_precondition
 from homeplan.llm import ReactStep, StepRecord
-from homeplan.sim import Observation
+from homeplan.sim import Observation, goal_atom_from_dict
 from homeplan.world import (
     ATTRIBUTE_NAMES,
     AgentState,
-    ObjectAttributes,
     ObjectInfo,
     WorldState,
     _replace,
     attribute_reader,
     category_of,
     validate_world,
+    with_object,
     world_from_dict,
 )
 
 from .conftest import make_object, make_world
 
 
+# An object's stored attributes, and its roles: with its zone, the fields
+# of the object that are not attributes.
+_STORED = [name for name in ATTRIBUTE_NAMES if name != "visible"]
+_ROLES = ["conspicuous", "heat_source", "display_id", "controls"]
+
+
 def test_sixteen_attributes():
     assert len(ATTRIBUTE_NAMES) == 16
     assert len(set(ATTRIBUTE_NAMES)) == 16
-    # Every name but visible is stored on the object, in the same order.
-    stored = [f.name for f in dataclasses.fields(ObjectAttributes)]
-    assert stored == [name for name in ATTRIBUTE_NAMES if name != "visible"]
+    # Every name but visible is stored on the object, in the same order,
+    # after its zone and before its roles.
+    fields = [f.name for f in dataclasses.fields(ObjectInfo)]
+    assert fields == ["zone", *_STORED, *_ROLES]
+
+
+@pytest.mark.parametrize("name", ["zone", *_ROLES])
+def test_a_field_that_is_not_an_attribute_is_refused_as_one(name):
+    world = make_world({"Cabinet_1": make_object()})
+    with pytest.raises(UnknownAttributeError):
+        attribute_reader(name)(world, "Cabinet_1")
+    with pytest.raises(UnknownPredicateError):
+        parse_precondition(f"({name} ?x)")
+    with pytest.raises(InputFormatError, match=f"unknown attribute '{name}'"):
+        goal_atom_from_dict({"type": "attribute", "object": "Cabinet_1", "attribute": name,
+                             "value": True})
+    with pytest.raises(InputFormatError, match=rf"Mug_1: attributes: unknown keys \['{name}'\]"):
+        world_from_dict({"objects": {"Mug_1": {"zone": "a", "attributes": {name: False}}},
+                         "containment": [], "agent": {"zone": "a", "seed": 1}})
 
 
 def test_attribute_lookup_reads_stored_value():
@@ -149,6 +173,21 @@ def test_validate_world_reports_discovered_and_visible_ids_that_name_no_object()
         "visible id Ghost_1 does not exist",
         "visible id Ghost_3 does not exist",
     ]
+
+
+def test_a_fixture_whose_object_controls_an_unknown_object_is_rejected():
+    # Loaded, Inspect Object would report the missing object as controlled.
+    data = {
+        "objects": {"Switch_1": {"zone": "a", "controls": ["Lamp_1", "Ghost_9"]},
+                    "Lamp_1": {"zone": "a"}},
+        "containment": [],
+        "agent": {"zone": "a", "seed": 1},
+    }
+    with pytest.raises(InputFormatError, match="^invalid world fixture: "
+                                               "Switch_1: controls unknown object Ghost_9$"):
+        world_from_dict(data)
+    data["objects"]["Ghost_9"] = {"zone": "a"}
+    assert world_from_dict(data).objects["Switch_1"].controls == ("Lamp_1", "Ghost_9")
 
 
 def test_validate_world_parent_must_be_receptacle():
@@ -283,13 +322,10 @@ def test_kitchen_fixture_loads_and_validates(kitchen_world):
 # Field copies of the frozen value types
 
 _texts = st.text(alphabet="ab_*", max_size=3)
-_attribute_sets = st.builds(
-    ObjectAttributes, **{f.name: st.booleans() for f in dataclasses.fields(ObjectAttributes)}
-)
 _object_infos = st.builds(
     ObjectInfo,
-    attributes=_attribute_sets,
     zone=st.one_of(st.none(), _texts),
+    **{name: st.booleans() for name in _STORED},
     conspicuous=st.booleans(),
     heat_source=st.booleans(),
     display_id=st.one_of(st.none(), _texts),
@@ -317,7 +353,7 @@ _world_states = st.builds(
 @given(st.data())
 def test_field_copy_equals_dataclasses_replace(data):
     strategy = data.draw(
-        st.sampled_from([_attribute_sets, _object_infos, _agent_states, _world_states])
+        st.sampled_from([_object_infos, _agent_states, _world_states])
     )
     instance, donor = data.draw(strategy), data.draw(strategy)
     names = [f.name for f in dataclasses.fields(instance)]
@@ -336,6 +372,27 @@ def test_field_copy_equals_dataclasses_replace(data):
     message = f"{type(instance).__name__} has no fields ['no_such_field']"
     with pytest.raises(TypeError, match=re.escape(message)):
         _replace(instance, no_such_field=1, **changes)
+
+
+@given(_world_states, _texts, _object_infos, _object_infos, st.data())
+def test_object_field_copy_equals_replacing_the_one_object(state, object_id, info, donor, data):
+    state = dataclasses.replace(state, objects={**state.objects, object_id: info})
+    names = [f.name for f in dataclasses.fields(ObjectInfo)]
+    chosen = data.draw(st.lists(st.sampled_from(names), unique=True))
+    changes = {name: getattr(donor, name) for name in chosen}
+    before, objects_before, info_before = dict(vars(state)), dict(state.objects), dict(vars(info))
+
+    changed = with_object(state, object_id, **changes)
+    expected = dataclasses.replace(
+        state, objects={**state.objects, object_id: dataclasses.replace(info, **changes)})
+    assert changed == expected
+    assert list(changed.objects) == list(state.objects)
+    assert all(changed.objects[oid] is other for oid, other in state.objects.items()
+               if oid != object_id)
+    assert vars(state) == before and state.objects == objects_before
+    assert vars(info) == info_before
+    with pytest.raises(TypeError, match=re.escape("ObjectInfo has no fields ['attributes']")):
+        with_object(state, object_id, attributes=None, **changes)
 
 
 def _machinery_twin(cls):
