@@ -122,19 +122,21 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _make_backend_factory(spec: str):
+    """The factory of each episode's backend, and the call that closes what
+    the backends it made hold open."""
     if spec == "remote":
         backend = RemoteBackend()
-        return lambda task: backend
+        return (lambda task: backend), backend.close
     if spec.startswith("scripted:"):
         script_data = read_input(spec.split(":", 1)[1])
         ScriptedBackend.from_dict(script_data)  # a malformed script fails before any episode
-        return lambda task: ScriptedBackend.from_dict(script_data)
+        return (lambda task: ScriptedBackend.from_dict(script_data)), lambda: None
     raise ValueError(f"unknown backend spec: {spec!r}")
 
 
 def _cmd_run(args) -> int:
     suite = load_suite(args.suite)
-    factory = _make_backend_factory(args.backend)
+    factory, close_backends = _make_backend_factory(args.backend)
     config = AgentConfig(
         mode="react" if args.mode == "react" else "react+mcts",
         grounding_enabled=args.grounding == "on",
@@ -148,15 +150,18 @@ def _cmd_run(args) -> int:
             load_template(name, args.templates)
     with _writing(args.out) as out_dir:  # and so does an --out that cannot be made
         out_dir.mkdir(parents=True, exist_ok=True)
-    report, records = run_suite(
-        suite,
-        config,
-        factory,
-        base_dir=Path(args.suite).parent,
-        workers=args.workers,
-        seed_override=args.seed,
-        messages=messages,
-    )
+    try:  # no backend opens a connection before the run
+        report, records = run_suite(
+            suite,
+            config,
+            factory,
+            base_dir=Path(args.suite).parent,
+            workers=args.workers,
+            seed_override=args.seed,
+            messages=messages,
+        )
+    finally:
+        close_backends()
     stem = f"{config_hash(config, suite, args.backend, args.messages)}_{report.seed}"
     with _writing(args.out) as out_dir:
         (out_dir / f"{stem}.json").write_text(report.serialize() + "\n", encoding="utf-8")

@@ -4,9 +4,11 @@ Prompt templates are shipped as text files (overridable by directory) using
 ``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces.
 ``StepRecord`` is the one recorded transcript step (an agent's step, a
 search-tree edge, a replayed trace step); ``format_step`` renders it and
-``parse_react`` reads a completion back. The scripted backend replays
-canned completions for tests and offline runs; the remote backend speaks
-the common chat-completion wire protocol.
+``parse_react`` reads a completion back: a completion in the form
+``format_step`` writes by one match, any other text by a search for each
+labelled line. The scripted backend replays canned completions for tests and
+offline runs; the remote backend speaks the common chat-completion wire
+protocol over one reused connection per calling thread.
 """
 
 from __future__ import annotations
@@ -199,6 +201,13 @@ class FinalAnswer:
     text: str
 
 
+# The three lines format_step writes, read by one match at the completion's
+# start. Each value starts with a visible character, so no "\s*" of the line
+# searches below could have run onto the next line: line 1 is the only Thought
+# before the Action, line 2 the first Action, line 3 the first Action Input
+# after it, and a Final Answer line can only come after these three, so the
+# searches would read exactly what the match reads.
+_STEP_RE = re.compile(r"Thought: (\S.*)\nAction: (\S.*)\nAction Input: (\S.*)")
 # A labelled line is found by searching the completion with a "\n" put in front
 # for "\n<label>", which matches where "^<label>" would, at the same offset: a
 # search skips ahead to a literal prefix, but tries "^" at every position.
@@ -263,10 +272,21 @@ def parse_react(completion: str,
                 library: Container[str] | None = None) -> ReactStep | FinalAnswer:
     """Extract the first Thought/Action/Action Input triple or a final answer.
 
-    Content after the Action Input line is ignored (stop-sequence behavior).
-    Given a library, an action missing from it raises UnknownToolError; the
-    planner passes none, so the simulator alone refuses an unknown tool.
+    A completion that starts with the three lines format_step writes is read
+    by one match; any other text by a search for each labelled line, which
+    reads that form the same way. Content after the Action Input line is
+    ignored (stop-sequence behavior). Given a library, an action missing from
+    it raises UnknownToolError; the planner passes none, so the simulator
+    alone refuses an unknown tool.
     """
+    step = _STEP_RE.match(completion)
+    if step:
+        thought, action, raw_input = step.groups()
+        action = action.strip()
+        action_input = _parse_action_input(raw_input)
+        if library is not None and action not in library:
+            raise UnknownToolError(action)
+        return ReactStep(thought.strip(), action, action_input)
     text = "\n" + completion
     action_match = _ACTION_RE.search(text)
     final_match = _FINAL_RE.search(text) if "Final Answer" in completion else None
@@ -419,7 +439,9 @@ class RemoteBackend(LlmBackend):
     ``max_retries`` attempts in all, waiting 1, 2, 4 ... seconds up to
     ``RETRY_CEILING_S``; a numeric ``Retry-After`` replaces that wait, under
     the same ceiling. Any other status and a malformed 200 body, one whose
-    completion is missing or null too, fail at once.
+    completion is missing or null too, fail at once. Each thread that calls
+    ``complete`` keeps one HTTP session, so its connection is reused from call
+    to call; ``close`` closes them all.
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
@@ -437,6 +459,17 @@ class RemoteBackend(LlmBackend):
             raise BackendUnavailableError(
                 f"no endpoint configured (set {ENV_ENDPOINT} or pass endpoint=)"
             )
+        self._local = threading.local()
+        self._sessions: list = []
+        self._sessions_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every session this backend opened; a later call opens a new one."""
+        with self._sessions_lock:
+            sessions, self._sessions = self._sessions, []
+            self._local = threading.local()
+        for session in sessions:
+            session.close()
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         import requests  # imported here so that offline runs never load it
@@ -450,11 +483,16 @@ class RemoteBackend(LlmBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
+        session = getattr(self._local, "session", None)
+        if session is None:  # this thread's first call
+            session = self._local.session = requests.Session()
+            with self._sessions_lock:
+                self._sessions.append(session)
         last_error = ""
         for attempt in range(self.max_retries):
             delay = min(2 ** attempt, RETRY_CEILING_S)
             try:
-                response = requests.post(
+                response = session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:

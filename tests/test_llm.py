@@ -3,10 +3,13 @@ import dataclasses
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from contextlib import contextmanager, suppress
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +28,7 @@ from homeplan.errors import (
     ScriptMismatchError,
     UnknownToolError,
 )
-from homeplan import llm
+from homeplan import cli, llm, tools
 from homeplan.llm import (
     RETRY_CEILING_S,
     FinalAnswer,
@@ -41,7 +44,8 @@ from homeplan.llm import (
     parse_react,
     render_prompt,
 )
-from homeplan.suite import generate_easy_suite, run_suite
+from homeplan.cli import main
+from homeplan.suite import generate_easy_suite, run_suite, save_suite
 from homeplan.tools import builtin_tool_library
 
 from .conftest import examples
@@ -208,6 +212,64 @@ _react_lines = st.lists(
 def test_parse_react_matches_the_unguarded_reference(completion, library):
     assert (_parse_outcome(parse_react, completion, library)
             == _parse_outcome(unguarded_parse_react, completion, library))
+
+
+# A completion in the three-line form format_step writes, which parse_react
+# reads by one match when each value starts visibly: values padded with
+# whitespace or empty, labels inside the thought, a tool name with trailing
+# spaces, and a line after the three. Three paddings in four are empty.
+_padding = st.sampled_from(["", " ", "\t", "\r", "\x0c", "\x85", "\u2028"] + [""] * 18)
+
+
+def _padded(values):
+    return st.tuples(_padding, values, _padding).map("".join)
+
+
+_step_lines = st.builds(
+    "Thought: {}{end}Action: {}{end}Action Input: {}{}".format,
+    _padded(st.sampled_from(["", "look around", "done. Final Answer: no",
+                             "step 3. Action: Place Object", "use Action Input: x"])),
+    _padded(st.sampled_from(["", "Pick Up Object", "Pick Up Object  ", "Levitate Object",
+                             "Randomly Explore", "Final Answer: yes"])),
+    _padded(st.sampled_from(["", "None", "{'object_id': 'Apple_1'}", "{'input': None}",
+                             "{'object_id': ", "{'object_id': 'Cabinet_4', 'input': None}"])),
+    st.sampled_from(["", "\n", "\nObservation: ok", "\nAction: Close Object",
+                     "\nAction Input: None", "\nThought: again", "\nFinal Answer: yes"]),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+
+
+@settings(derandomize=True, max_examples=examples(1000), deadline=None)
+@given(_step_lines, st.sampled_from([None, builtin_tool_library()]))
+def test_parse_react_reads_the_written_form_as_the_reference_does(completion, library):
+    assert (_parse_outcome(parse_react, completion, library)
+            == _parse_outcome(unguarded_parse_react, completion, library))
+
+
+class _NoLineSearch:
+    def search(self, *args):
+        raise AssertionError("a completion in the written form was read by line searches")
+
+    finditer = search
+
+
+def test_every_tool_step_as_written_is_read_by_one_match(monkeypatch):
+    """The form format_step writes, for each built-in tool with its example
+    input, is read without the line searches, as the reference reads it."""
+    library = builtin_tool_library()
+    steps = [ReactStep(f"I will use {tool.name}", tool.name,
+                       {"input": None} if tool.example is None else {"object_id": tool.example})
+             for tool in tools._TOOLS]
+    assert [step.action for step in steps] == list(library)
+    for name in ("_ACTION_RE", "_ACTION_INPUT_RE", "_FINAL_RE", "_THOUGHT_RE"):
+        monkeypatch.setattr(llm, name, _NoLineSearch())
+    for step in steps:
+        for observation in (None, "ok"):
+            completion = format_step(
+                StepRecord(step.thought, step.action, step.action_input, observation))
+            for given_library in (None, library):
+                assert parse_react(completion, given_library) == step
+                assert unguarded_parse_react(completion, given_library) == step
 
 
 _REFERENCE_SCORE = re.compile(r"^Score\s*:\s*(-?\d+)\s*$", re.MULTILINE)
@@ -402,38 +464,80 @@ def test_scripted_determinism():
 
 class _StubHandler(BaseHTTPRequestHandler):
     """Replies with queued (status, payload[, extra headers]) entries; the
-    entries left over tell how many requests the client made."""
+    entries left over tell how many requests the client made, and the
+    server's ``ports``, the client port of each request, over how many
+    connections. Over HTTP/1.0 the server closes the connection after every
+    reply."""
 
     responses: list = []
+    timeout = 10  # a connection idle this long is closed
 
     def do_POST(self):
+        self.server.ports.append(self.client_address[1])
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         status, payload, *extra = self.responses.pop(0)
+        if callable(payload):
+            payload = payload(body)
+        data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
         for name, value in (extra[0] if extra else {}).items():
             self.send_header(name, value)
         self.end_headers()
-        if callable(payload):
-            payload = payload(body)
-        self.wfile.write(json.dumps(payload).encode())
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeepAliveStubHandler(_StubHandler):
+    """The stub over HTTP/1.1, which keeps a connection open between replies
+    until the client closes it. The server's ``closed`` gets the client port
+    of each connection once it has ended."""
+
+    protocol_version = "HTTP/1.1"
+
+    def handle(self):
+        super().handle()
+        with suppress(OSError):  # the client sees the end before it is recorded
+            self.request.shutdown(socket.SHUT_WR)
+        self.server.closed.append(self.client_address[1])
+
+
+class _ClosingStubHandler(_KeepAliveStubHandler):
+    """An HTTP/1.1 server that closes the connection after every reply
+    without saying so in a header."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+@contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    # Each server records its own connections, so a connection of an earlier
+    # test that ends late is not counted here.
+    server.ports, server.closed = [], []
     # A short poll interval keeps shutdown() from waiting the default 0.5 s.
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture(params=[_StubHandler, _KeepAliveStubHandler], ids=["http1.0", "http1.1"])
+def stub_server(request):
+    with _serving(request.param) as server:
+        yield server
 
 
 def test_remote_backend_round_trip(stub_server):
@@ -551,6 +655,83 @@ def test_remote_backend_gives_up_after_max_retries(stub_server, monkeypatch):
     assert waits == [RETRY_CEILING_S, 2]  # Retry-After capped; no wait after the last try
 
 
+def _wait_until(condition, seconds: float = 5.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_remote_backend_keeps_one_connection_per_thread_until_closed():
+    with _serving(_KeepAliveStubHandler) as server:
+        _StubHandler.responses = [(200, OK_BODY)] * 7
+        backend = _stub_backend(server)
+        assert [backend.complete("x") for _ in range(5)] == ["recovered"] * 5
+        assert len(set(server.ports)) == 1
+        replies: list = []
+        other = threading.Thread(target=lambda: replies.append(backend.complete("x")))
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive() and replies == ["recovered"]
+        connections = set(server.ports)
+        assert len(connections) == 2  # the other thread's own
+        backend.close()
+        _wait_until(lambda: set(server.closed) == connections)
+        assert backend.complete("x") == "recovered"  # on a new connection
+        backend.close()
+        _wait_until(lambda: set(server.closed) == set(server.ports))
+    assert len(server.ports) == 7
+    assert len(set(server.ports)) == 3
+
+
+@pytest.mark.parametrize(
+    "handler, headers",
+    [(_KeepAliveStubHandler, {"Connection": "close"}), (_ClosingStubHandler, {})],
+    ids=["declared", "silent"],
+)
+def test_a_server_that_closes_after_every_reply_costs_no_extra_attempt(
+        monkeypatch, handler, headers):
+    waits = _record_waits(monkeypatch)
+    with _serving(handler) as server:
+        _StubHandler.responses = [(200, OK_BODY, headers)] * 3
+        backend = _stub_backend(server)
+        try:
+            for call in range(3):
+                assert backend.complete("x") == "recovered"
+                _wait_until(lambda: len(server.closed) > call)
+        finally:
+            backend.close()
+    assert _StubHandler.responses == []
+    assert len(set(server.ports)) == 3
+    assert waits == []
+
+
+def test_run_with_the_remote_backend_closes_its_connection(tmp_path, monkeypatch, capsys):
+    backends: list = []
+
+    class KeptBackend(RemoteBackend):
+        """Kept alive by the test, so only close() ends its connection."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            backends.append(self)
+
+    monkeypatch.setattr(cli, "RemoteBackend", KeptBackend)
+    suite_path = tmp_path / "suite.json"
+    save_suite(generate_easy_suite(seed=1, count=2, world_refs=["worlds/kitchen.json"]),
+               suite_path)
+    final = {"choices": [{"message": {"content": "Thought: done\nFinal Answer: done"}}]}
+    with _serving(_KeepAliveStubHandler) as server:
+        monkeypatch.setenv(llm.ENV_ENDPOINT, f"http://127.0.0.1:{server.server_port}/v1")
+        _StubHandler.responses = [(200, final)] * 2
+        assert main(["run", "--suite", str(suite_path), "--backend", "remote",
+                     "--out", str(tmp_path / "reports")]) == 0
+        assert _StubHandler.responses == []
+        assert len(set(server.ports)) == 1
+        _wait_until(lambda: server.closed == server.ports[:1])
+    assert len(backends) == 1
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [({"max_retries": 0}, "max_retries"), ({"max_retries": -1}, "max_retries"),
@@ -566,13 +747,15 @@ _NEW_MODULES = """
 import sys
 before = set(sys.modules)
 import homeplan, homeplan.agent, homeplan.suite, homeplan.cli
+homeplan.llm.RemoteBackend(endpoint="http://127.0.0.1:9")  # built, never called
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
 def test_importing_the_package_loads_neither_requests_nor_a_thread_pool():
     """Offline runs never make an HTTP call or start a worker pool, so set-up
-    imports neither; the remote and workers > 1 tests load them on use. The
+    imports neither, nor does building a remote backend; the remote and
+    workers > 1 tests load them on use. The
     new modules are diffed against the process's own start, so site hooks
     that load something first do not matter."""
     src = str(Path(llm.__file__).resolve().parents[1])
