@@ -3,15 +3,17 @@
 Two modes: plain reactive stepping (one proposal per step) and tree-search
 planning (a full planning call per step, executing the robust child). Both
 make their model calls through the episode's one ``MctsPlanner``, which
-counts them. Either way the simulator enforces physical legality;
-``grounding_enabled`` decides whether a committed call that fails comes back
-explained or as a bare execution error (the planner's simulated proposals
-are never explained). The harness judges success against the task goal at
-the start and after each successful action (a failed call changes nothing
-a goal reads); an agent's own final answer never counts as success by
-itself. Each decision shows the model the episode's history through a
-``Scratchpad``, a window over the newest steps kept across decisions, so
-a decision's history costs the steps that entered and left the window.
+counts them, and both decide with a parsed proposal (a ``ReactStep`` or a
+``FinalAnswer``), which the episode commits one way. Either way the
+simulator enforces physical legality; ``grounding_enabled`` decides whether
+a committed call that fails comes back explained or as a bare execution
+error (the planner's simulated proposals are never explained). The harness
+judges success against the task goal at the start and after each successful
+action (a failed call changes nothing a goal reads); an agent's own final
+answer never counts as success by itself. Each decision shows the model the
+episode's history through a ``Scratchpad``, a window over the newest steps
+kept across decisions, so a decision's history costs the steps that entered
+and left the window.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     UnknownToolError,
 )
 from .grounding import MessageTable
-from .llm import FinalAnswer, LlmBackend, ReactStep, StepRecord
+from .llm import FinalAnswer, LlmBackend, StepRecord
 from .mcts import MctsPlanner, PlannerConfig
 from .sim import (
     SUCCESS_PREFIX,
@@ -187,13 +189,9 @@ def run_episode(
                 continue
         else:
             try:
-                result = planner.plan(state, task.instruction, history=history)
+                decision = planner.plan(state, task.instruction, history=history)
             except NoFeasibleActionError as exc:
                 return record(OUTCOME_FAILURE, error=str(exc))
-            if result.final_answer is not None:
-                decision = FinalAnswer(result.final_answer)
-            else:
-                decision = ReactStep(result.thought, result.action, result.args)
 
         # The goal was checked at the start and after each successful
         # action, so a final answer cannot find it met.

@@ -185,12 +185,12 @@ class StepRecord:
 
 
 def _json_args(args: dict | str | None) -> dict | str | None:
-    """Args as a JSON report can hold them: a parsed dict that JSON cannot
-    encode (a set value, a tuple key) is kept as the text the scratchpad
-    shows for it."""
+    """Args as a JSON report can hold them: a parsed dict that strict JSON
+    cannot encode (a set value, a tuple key, a non-finite number) is kept as
+    the text the scratchpad shows for it."""
     if isinstance(args, dict):
         try:
-            json.dumps(args)
+            json.dumps(args, allow_nan=False)
         except (TypeError, ValueError):
             return stable_repr(args)
     return args

@@ -18,10 +18,13 @@ executed action is the most visited root child that was not refused
 visited refused one executed, and the agent's own call records the
 simulator's feedback.
 
+Each node keeps the proposal it was made from, as ``parse_react`` returned
+it, and ``plan()`` returns the chosen child's proposal itself, the decision
+type a react step has, so the agent commits both modes' decisions one way.
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
-the proposed step with its simulated observation, keeping the raw Action
-Input. Its node keeps the proposal's dedup key, which no two siblings share.
-An expansion prompt is the episode's scratchpad followed by the steps on the
+the proposal with its simulated observation, keeping the raw Action Input.
+A node also keeps the proposal's dedup key, which no two siblings share. An
+expansion prompt is the episode's scratchpad followed by the steps on the
 search path, each node's step rendered once; the critique scores that path,
 naming each node by its ``label``.
 """
@@ -85,14 +88,15 @@ class PlannerConfig:
 
 @dataclass(eq=False)
 class SearchNode:
-    """A state in the search tree. ``step`` is the edge into it, the
-    proposed step with its simulated observation (None at the root); its
-    ``rendered`` text is what a path through this node adds to an expansion
-    prompt; a refused node holds its parent's state. Nodes compare by identity."""
+    """A state in the search tree. ``proposal`` is the parsed proposal that
+    made it and ``step`` the edge into it, that proposal with its simulated
+    observation (both None at the root); the step's ``rendered`` text is
+    what a path through this node adds to an expansion prompt; a refused
+    node holds its parent's state. Nodes compare by identity."""
 
     state: WorldState
     step: StepRecord | None = None
-    final_answer: str | None = None
+    proposal: ReactStep | FinalAnswer | None = None
     key: tuple | None = None  # the proposal's dedup key (None at the root)
     visit_count: int = 0
     total_score: float = 0.0
@@ -109,11 +113,12 @@ class SearchNode:
         """How critique plans name this node: the declared final answer,
         or the action with the arguments the simulator was given ("<root>"
         for the root); worked out on first use."""
-        if self.step is None:
+        proposal = self.proposal
+        if proposal is None:
             return "<root>"
-        if self.final_answer is not None:
-            return f"Final Answer: {self.final_answer}"
-        return f"{self.step.action} {stable_repr(call_args(self.step.args))}"
+        if isinstance(proposal, FinalAnswer):
+            return f"Final Answer: {proposal.text}"
+        return f"{proposal.action} {stable_repr(call_args(proposal.action_input))}"
 
 
 def ucb_score(parent: SearchNode, child: SearchNode, c: float,
@@ -191,7 +196,7 @@ def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
-    labels = [node.label for node in path if node.step is not None]
+    labels = [node.label for node in path if node.proposal is not None]
     return "\n".join(f"{index}. {label}" for index, label in enumerate(labels, start=1))
 
 
@@ -204,7 +209,7 @@ class MctsPlanner:
     proposal on the expansion prompt of an empty search path, and
     ``expand`` proposes children the same way. ``llm_calls`` counts every
     model call the planner makes. Each ``plan()`` call builds a fresh tree
-    from the state it is given.
+    from the state it is given, kept as ``tree`` until the next call.
     """
 
     def __init__(
@@ -223,6 +228,7 @@ class MctsPlanner:
             "tool_names": ", ".join(tools),
         }
         self.llm_calls = 0
+        self.tree: SearchNode | None = None
 
     # -- proposals and expansion -------------------------------------------
 
@@ -242,8 +248,8 @@ class MctsPlanner:
         return parse_react(completion)
 
     def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
-        # No expansion, critique or PlanResult reads a refused leaf's state or
-        # text, so it keeps its parent's state and the call is not explained.
+        # No expansion or critique reads a refused leaf's state or text, so it
+        # keeps its parent's state and the call is not explained.
         try:
             state, result = simulate(leaf.state, parsed.action, call_args(parsed.action_input))
         except (MalformedArgsError, UnknownToolError) as exc:
@@ -251,6 +257,7 @@ class MctsPlanner:
         return SearchNode(
             state=state,
             step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
+            proposal=parsed,
             key=key,
             terminal=not result.success,
             failed=not result.success,
@@ -288,7 +295,7 @@ class MctsPlanner:
                 child = SearchNode(
                     state=leaf.state,
                     step=StepRecord("", "Final Answer", parsed.text, None),
-                    final_answer=parsed.text,
+                    proposal=parsed,
                     key=key,
                     terminal=True,
                 )
@@ -317,8 +324,10 @@ class MctsPlanner:
 
     # -- full planning call -------------------------------------------------
 
-    def plan(self, state: WorldState, goal: str, history: str = "") -> "PlanResult":
-        """Plan from a state that load_world or execute returned. Each
+    def plan(self, state: WorldState, goal: str, history: str = "") -> ReactStep | FinalAnswer:
+        """Plan from a state that load_world or execute returned, and return
+        the chosen root child's proposal as parse_react returned it; the
+        tree stays in ``self.tree`` until the next call. Each
         iteration scores the node at the end of the path select returns: a
         child not yet visited as it stands; any other non-terminal node
         shallower than max_depth is expanded first and its first new child
@@ -328,7 +337,7 @@ class MctsPlanner:
         ROOT_RETRY_BUDGET times); a refused child is committed only when no
         root child was accepted by the simulator."""
         config = self.config
-        root = SearchNode(state=state)
+        self.tree = root = SearchNode(state=state)
         root_retries = ROOT_RETRY_BUDGET
         for _ in range(config.expansion_budget):
             if root_retries and any(not child.failed for child in root.children):
@@ -359,19 +368,4 @@ class MctsPlanner:
             enumerate(root.children),
             key=lambda item: (not item[1].failed, item[1].visit_count, item[1].q_value, -item[0]),
         )
-        return PlanResult(
-            action=best.step.action,
-            args=call_args(best.step.args),
-            final_answer=best.final_answer,
-            thought=best.step.thought,
-            root=root,
-        )
-
-
-@dataclass
-class PlanResult:
-    action: str
-    args: dict | None
-    final_answer: str | None
-    thought: str
-    root: SearchNode
+        return best.proposal

@@ -179,7 +179,7 @@ class MetricsReport:
     def completion_rate(self) -> float:
         if not self.episodes:
             return 0.0
-        return 100.0 * sum(e["success"] for e in self.episodes) / len(self.episodes)
+        return 100 * sum(e["success"] for e in self.episodes) / len(self.episodes)
 
     def per_difficulty(self) -> dict[str, dict]:
         groups: dict[str, list[dict]] = {}
@@ -192,7 +192,7 @@ class MetricsReport:
             result[difficulty] = {
                 "successes": successes,
                 "total": len(members),
-                "rate_percent": render_rate(100.0 * successes / len(members)),
+                "rate_percent": render_rate(100 * successes / len(members)),
             }
         return result
 
@@ -371,7 +371,8 @@ class StepwiseRow:
 
     @property
     def ssr(self) -> float:
-        return 100.0 * self.successes / self.total if self.total else 0.0
+        # One division of integers: no count is too large for it.
+        return 100 * self.successes / self.total if self.total else 0.0
 
     @property
     def ssr_display(self) -> int:
@@ -444,13 +445,16 @@ _ROW_OPTIONAL = {"reported_ssr": int | float}
 
 
 def stepwise_from_counts(rows: list[dict]) -> StepwiseTable:
-    """Build a step-wise table from injected per-skill counts, none negative."""
+    """Build a step-wise table from injected per-skill counts, none
+    negative, each with an optional reported SSR from 0 to 100."""
     table = StepwiseTable(rows=[])
     for index, data in enumerate(rows, start=1):
         where = f"counts row {index}"
         row = StepwiseRow(**check_fields(data, where, _ROW_FIELDS, _ROW_OPTIONAL))
         if row.successes < 0 or row.failures < 0:
             raise InputFormatError(f"{where} ({row.skill}): a count is negative")
+        if row.reported_ssr is not None and not 0 <= row.reported_ssr <= 100:
+            raise InputFormatError(f"{where} ({row.skill}): reported_ssr is not from 0 to 100")
         table.rows.append(row)
     return table
 
@@ -491,10 +495,10 @@ def completion_rates(groups: dict[str, tuple[int, int]]) -> dict[str, str]:
     total_successes = 0
     total_count = 0
     for label, (successes, total) in groups.items():
-        result[label] = render_rate(100.0 * successes / total if total else 0.0)
+        result[label] = render_rate(100 * successes / total if total else 0.0)
         total_successes += successes
         total_count += total
     result["overall"] = render_rate(
-        100.0 * total_successes / total_count if total_count else 0.0
+        100 * total_successes / total_count if total_count else 0.0
     )
     return result

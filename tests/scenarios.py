@@ -15,8 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 from homeplan.agent import AgentConfig, EpisodeRecord, run_episode
-from homeplan.llm import ScriptedBackend
-from homeplan.mcts import MctsPlanner, PlannerConfig, PlanResult
+from homeplan.llm import FinalAnswer, ReactStep, ScriptedBackend
+from homeplan.mcts import MctsPlanner, PlannerConfig, SearchNode
 from homeplan.sim import TaskSpec, task_from_dict
 from homeplan.world import WorldState, world_from_dict
 
@@ -70,10 +70,12 @@ def run_adversarial(scenario: Scenario, grounding_enabled: bool) -> EpisodeRecor
     return run_episode(scenario.task, config, scenario.backend(), scenario.world())
 
 
-def run_planning(scenario: Scenario, budget: int | None = None) -> PlanResult:
-    """One planning call on the scenario's start state."""
+def run_planning(scenario: Scenario, budget: int | None = None
+                 ) -> tuple[ReactStep | FinalAnswer, SearchNode]:
+    """One planning call on the scenario's start state: the proposal it
+    chose and its tree."""
     overrides = dict(scenario.planner_config or {})
     if budget is not None:
         overrides["expansion_budget"] = budget
     planner = MctsPlanner(scenario.backend(), config=PlannerConfig(**overrides))
-    return planner.plan(scenario.world(), scenario.task.instruction)
+    return planner.plan(scenario.world(), scenario.task.instruction), planner.tree

@@ -156,14 +156,14 @@ def test_criterion_7_mcts_scripted_end_to_end():
     scenarios = load_shipped_scenarios("planning")
     assert len(scenarios) == 3
     for scenario in scenarios:
-        result = run_planning(scenario)  # budget 6 from the scenario config
+        chosen, _ = run_planning(scenario)  # budget 6 from the scenario config
         expected = scenario.expectations["correct_action"]
-        assert result.action == expected["action"], scenario.name
-        assert result.args == expected["args"], scenario.name
-    shallow = run_planning(scenarios[0], budget=1)
+        assert chosen.action == expected["action"], scenario.name
+        assert chosen.action_input == expected["args"], scenario.name
+    shallow, _ = run_planning(scenarios[0], budget=1)
     wrong = scenarios[0].expectations["budget_one_action"]
     assert shallow.action == wrong["action"]
-    assert shallow.args == wrong["args"]
+    assert shallow.action_input == wrong["args"]
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(7, f"budget 6 selects correctly in 3/3 scenarios; budget 1 does not, {elapsed:.2f}s")

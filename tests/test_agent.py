@@ -543,6 +543,58 @@ def test_unhashable_action_input_does_not_crash_the_episode(mode):
     assert [step["observation"] for step in steps] == ["Tool Failed: malformed action input"] * 2
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("mode", ["react", "react+mcts"])
+def test_a_non_finite_number_in_an_action_input_is_written_as_text(mode):
+    # Strict JSON has no Infinity: the transcript keeps such args as the text
+    # the scratchpad shows for them, as it does a set-valued input.
+    script = ScriptedBackend(
+        [
+            ScriptEntry(completion="Thought: t\nAction: Pick Up Object\n"
+                        "Action Input: {'object_id': 1e999}",
+                        match="you should always think", uses=-1),
+            ScriptEntry(completion="Score: 5", match="Score the quality", uses=-1),
+        ],
+        mode="keyed",
+    )
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=2
+    )
+    config = AgentConfig(mode=mode, planner=MCTS_BUDGET_ONE)
+    record = run_episode(task, config, script, pickup_world())
+    assert record.steps[0].args == {"object_id": float("inf")}
+    steps = _strict_json(record.serialize())["steps"]
+    assert [step["args"] for step in steps] == ["{'object_id': inf}"] * 2
+
+
+@pytest.mark.parametrize("mode", ["react", "react+mcts"])
+def test_a_string_action_input_is_committed_as_written(mode):
+    listing = "Thought: list\nAction: Get Discovered Objects\nAction Input: everything"
+    backend = RecordingBackend(
+        [
+            ScriptEntry(completion=listing, match="you should always think", uses=-1),
+            ScriptEntry(completion="Score: 5", match="Score the quality", uses=-1),
+        ],
+        mode="keyed",
+    )
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=2
+    )
+    config = AgentConfig(mode=mode, planner=MCTS_BUDGET_ONE)
+    record = run_episode(task, config, backend, pickup_world())
+    assert [step.args for step in record.steps] == ["everything"] * 2
+    assert [step["args"] for step in json.loads(record.serialize())["steps"]] == ["everything"] * 2
+    # The second decision's expansion prompt shows the committed step as written.
+    expansions = [prompt for prompt in backend.prompts if "you should always think" in prompt]
+    assert f"{listing}\nObservation: {record.steps[0].observation}\n" in expansions[1]
+
+
 def test_serialize_excludes_wall_clock():
     record = EpisodeRecord(
         task_id="t",

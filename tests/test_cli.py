@@ -329,6 +329,34 @@ def test_report_on_a_malformed_input_is_config_error(tmp_path, capsys, flag, dat
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("reported", ["Infinity", "1e400", "1" * 400, "NaN", "-1", "100.5"],
+                         ids=["infinity", "1e400", "400-digits", "nan", "negative", "over-100"])
+def test_report_on_a_reported_ssr_outside_0_to_100_is_config_error(tmp_path, capsys, reported):
+    path = tmp_path / "counts.json"
+    path.write_text('{"rows": [{"skill": "Move", "successes": 2, "failures": 0},'
+                    ' {"skill": "Place", "successes": 1, "failures": 1,'
+                    f' "reported_ssr": {reported}}}]}}')
+    assert main(["report", "--stepwise-counts", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: counts row 2 (Place): reported_ssr is not from 0 to 100\n")
+
+
+def test_report_renders_counts_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "counts.json"
+    ones = int("1" * 400)
+    path.write_text(json.dumps({"rows": [
+        {"skill": "Move", "successes": ones, "failures": 0, "reported_ssr": 100},
+        {"skill": "Place", "successes": ones, "failures": 8 * ones},
+    ]}))
+    assert main(["report", "--stepwise-counts", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in out[1:3]] == ["100%", "11%"]
+    assert out[3:] == ["product-of-SSRs estimate: 11.1%"]
+    nines = "9" * 400
+    assert main(["report", "--completion-counts", f"a={ones}/{nines},b={nines}/{nines}"]) == 0
+    assert capsys.readouterr().out == "a: 11.1%\nb: 100%\noverall: 55.6%\n"
+
+
 def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",

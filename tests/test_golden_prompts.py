@@ -52,9 +52,12 @@ def react_script():
 
 def planner_script():
     """Plans that start by listing the objects score 10, a final answer 1,
-    any other plan 6. Once the episode's history holds a committed step
-    (its string Action Input is committed as None), the planner is offered
-    a final answer and a tool named "Final Answer" first."""
+    any other plan 6. The first search expands its listing step, which the
+    episode then commits, so the second decision's first prompt reads as
+    that expansion's did, and the script tells them apart by order: the
+    expansion gets the set-valued input and then a pick-up four times
+    (three repeats); after that, a prompt that shows the listing step and
+    no pick-up offers a final answer and a tool named "Final Answer" first."""
     critiques = [
         ScriptEntry(completion="Justification: premature\nScore: 1",
                     match="Final Answer: all tidy", uses=-1),
@@ -62,17 +65,21 @@ def planner_script():
                     match="1. Get Discovered Objects None", uses=-1),
         ScriptEntry(completion="Justification: fine\nScore: 6", match=CRITIQUE, uses=-1),
     ]
-    after_first_step = "Action Input: None\nObservation"
-    finals = [ScriptEntry(completion=FINAL, match=after_first_step),
-              ScriptEntry(completion=FINAL_AS_TOOL, match=after_first_step)]
-    expansions = _expansions([STRING_INPUT, MALFORMED, UNKNOWN, SET_INPUT])
-    return RecordingBackend(critiques + finals + expansions, mode="keyed")
+    listed = "Action Input: everything on the counter\nObservation"
+    first = [ScriptEntry(completion=c, match=EXPAND)
+             for c in (STRING_INPUT, MALFORMED, UNKNOWN, SET_INPUT)]
+    first.append(ScriptEntry(completion=PICK, match=listed, uses=4))
+    then = [ScriptEntry(completion=PLACE, match="Target object was picked up!", uses=-1),
+            ScriptEntry(completion=FINAL, match=listed),
+            ScriptEntry(completion=FINAL_AS_TOOL, match=listed),
+            ScriptEntry(completion=PICK, match=EXPAND, uses=-1)]
+    return RecordingBackend(critiques + first + then, mode="keyed")
 
 
 # mode: (prompts received, SHA-256 over the prompts, each ended by a NUL)
 GOLDEN = {
     "react": (7, "ae0c5e72b417856279fb01e5496beb4e5fb7a303fad7e51a19d2d3adcaf5b161"),
-    "react+mcts": (44, "a26193e8bcb1fc363b6964e090e76552a5f75ce7c7890e7120a03932d678b08e"),
+    "react+mcts": (44, "ac69a67627e11caeba5f704ec7e1b46300653a40ca2e6528abc11868a82eac37"),
 }
 
 

@@ -888,14 +888,14 @@ def test_format_step_matches_the_list_and_join_reference(step):
 # Set-valued Action Inputs
 
 _SET_RENDERING = """
-from homeplan.llm import StepRecord, format_step
+from homeplan.llm import ReactStep, StepRecord, format_step
 from homeplan.mcts import SearchNode, _plan_steps
 
 args = {'object_id': {'Apple_1', 'Bread_1', 'Mug_1'}}
 step = StepRecord('t', 'Pick Up Object', args, 'o')
 print(format_step(step))
 print(step.to_dict()['args'])
-print(_plan_steps([SearchNode(state=None, step=step)]))
+print(_plan_steps([SearchNode(state=None, proposal=ReactStep('t', 'Pick Up Object', args))]))
 """
 
 

@@ -306,7 +306,7 @@ def test_a_tool_named_final_answer_is_an_unknown_tool_child():
     leaf = SearchNode(state=feasible_world())
     (child,) = planner.expand(leaf, "tidy up", [leaf])
     assert child.failed and child.terminal
-    assert child.final_answer is None
+    assert child.proposal == ReactStep("done", "Final Answer", "all tidy")
     assert child.step == StepRecord(
         "done", "Final Answer", "all tidy", "Tool Failed: unknown tool 'Final Answer'"
     )
@@ -318,7 +318,7 @@ def test_a_final_answer_child_records_its_text_without_an_observation():
     leaf = SearchNode(state=feasible_world())
     (child,) = planner.expand(leaf, "tidy up", [leaf])
     assert child.terminal and not child.failed
-    assert child.final_answer == "all tidy"
+    assert child.proposal == FinalAnswer("all tidy")
     assert child.step == StepRecord("", "Final Answer", "all tidy", None)
     assert child.key == ("final-answer", "all tidy")
     assert mcts._plan_steps([leaf, child]) == "1. Final Answer: all tidy"
@@ -334,8 +334,9 @@ def test_each_path_step_is_rendered_once_per_node(monkeypatch):
 
     monkeypatch.setattr(llm, "format_step", counting_render)
     config = PlannerConfig(expansion_budget=8, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(_replanning_script(), config).plan(feasible_world(), "tidy up")
-    expanded, stack = [], [(child, 1) for child in result.root.children]
+    planner = MctsPlanner(_replanning_script(), config)
+    planner.plan(feasible_world(), "tidy up")
+    expanded, stack = [], [(child, 1) for child in planner.tree.children]
     while stack:
         node, depth = stack.pop()
         if node.children:
@@ -348,14 +349,15 @@ def test_each_path_step_is_rendered_once_per_node(monkeypatch):
 
 
 PICK_UP_STEP = StepRecord("", "Pick Up Object", None, "Tool Failed: malformed action input")
+PICK_UP_PROPOSAL = ReactStep("", "Pick Up Object", None)
 
 
 def test_critique_normalizes_scripted_score():
     backend = RecordingBackend.ordered(["Justification: redundant steps\nScore: 4"])
     planner = MctsPlanner(backend)
-    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
+    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP, proposal=PICK_UP_PROPOSAL)
     score = planner.critique([leaf], "tidy up")
-    # A path need not start at a root: every node with a step is a plan step.
+    # A path need not start at a root: every node with a proposal is a plan step.
     assert backend.prompts[0].endswith("Plan: 1. Pick Up Object None")
     assert score == pytest.approx(1 / 3, abs=1e-12)
 
@@ -363,7 +365,7 @@ def test_critique_normalizes_scripted_score():
 def test_critique_retries_then_falls_back():
     backend = RecordingBackend.ordered(["Score: 99", "no score", "still nothing"])
     planner = MctsPlanner(backend)
-    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP)
+    leaf = SearchNode(state=feasible_world(), step=PICK_UP_STEP, proposal=PICK_UP_PROPOSAL)
     assert planner.critique([leaf], "tidy up") == 0.0  # the fallback score 1, normalized
     assert backend.call_count == 3 == planner.llm_calls
 
@@ -379,9 +381,8 @@ def test_plan_single_feasible_action_budget_one():
         mode="keyed",
     )
     config = PlannerConfig(expansion_budget=1, children_per_expansion=1, max_depth=1)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    assert result.action == "Pick Up Object"
-    assert result.args == {"object_id": "Knife_1"}
+    chosen = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
+    assert chosen == ReactStep("grab it", "Pick Up Object", {"object_id": "Knife_1"})
 
 
 def _replanning_script():
@@ -406,21 +407,21 @@ def test_one_planner_replans_like_fresh_planners():
     calls = [(feasible_world(), "tidy up", ""), (feasible_world(), "tidy up", "Thought: x\n")]
 
     def plans(planner_for_call):
-        """(action, args, model calls, tree, prompts) of each planning call."""
+        """(chosen proposal, model calls, tree, prompts) of each planning call."""
         summaries = []
         for call in calls:
             planner = planner_for_call()
             before, asked = planner.llm_calls, len(planner.backend.prompts)
-            result = planner.plan(*call)
-            summaries.append((result.action, result.args, planner.llm_calls - before,
-                              tree_rows(result.root), planner.backend.prompts[asked:]))
+            chosen = planner.plan(*call)
+            summaries.append((chosen, planner.llm_calls - before,
+                              tree_rows(planner.tree), planner.backend.prompts[asked:]))
         return summaries
 
     reused = MctsPlanner(_replanning_script(), config)
     reused_plans = plans(lambda: reused)
     backend = _replanning_script()
     assert reused_plans == plans(lambda: MctsPlanner(backend, config))
-    assert reused.llm_calls == sum(plan[2] for plan in reused_plans)  # counts every plan
+    assert reused.llm_calls == sum(plan[1] for plan in reused_plans)  # counts every plan
 
 
 PICK_COUNTER = (
@@ -439,14 +440,34 @@ def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
         [PICK_COUNTER, PICK_KNIFE, "Score: 1", PLACE_COUNTER, EXPLORE, "Score: 1"]
     )
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    refused, sibling = result.root.children
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    refused, sibling = planner.tree.children
     assert refused.failed and refused.terminal and not refused.children
     assert refused.visit_count > sibling.visit_count
-    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "Knife_1"})
+    assert (chosen.action, chosen.action_input) == ("Pick Up Object", {"object_id": "Knife_1"})
     assert len(backend.prompts) == 6
     for prompt in backend.prompts:  # no expansion or critique of a path through it
         assert refused.step.rendered not in prompt and refused.label not in prompt
+
+
+def test_plan_returns_the_proposal_its_chosen_child_was_parsed_into(monkeypatch):
+    parsed = []
+
+    def recording_parse(completion):
+        parsed.append(llm.parse_react(completion))
+        return parsed[-1]
+
+    monkeypatch.setattr(mcts, "parse_react", recording_parse)
+    listing = "Thought: list\nAction: Get Discovered Objects\nAction Input: everything"
+    backend = RecordingBackend.ordered([PICK_COUNTER, listing, "Score: 5"])
+    config = PlannerConfig(expansion_budget=2, children_per_expansion=2, max_depth=1)
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    refused, accepted = planner.tree.children
+    assert refused.failed and not accepted.failed
+    assert chosen is accepted.proposal is parsed[1]
+    assert chosen.action_input == "everything"
 
 
 @pytest.mark.parametrize("first, second, committed", [
@@ -456,12 +477,13 @@ def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
 def test_accepted_root_children_tied_on_visits_and_q_commit_the_first(first, second, committed):
     backend = ScriptedBackend.ordered([first, second, "Score: 7", "Score: 7"])
     config = PlannerConfig(expansion_budget=2, children_per_expansion=2, max_depth=1)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    children = result.root.children
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    children = planner.tree.children
     assert [(ch.failed, ch.visit_count, ch.q_value) for ch in children] == [
         (False, 1, normalize_score(7))
     ] * 2
-    assert result.action == committed
+    assert chosen.action == committed
 
 
 def _unknown_tool(name):
@@ -476,12 +498,13 @@ def test_when_every_root_child_is_refused_the_most_visited_is_committed():
         [PICK_COUNTER, PLACE_COUNTER, _unknown_tool("Levitate"), _unknown_tool("Juggle")]
     )
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    children = result.root.children
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    children = planner.tree.children
     assert len(children) == 4
     assert all(child.failed and not child.children for child in children)
     assert [child.visit_count for child in children] == [2, 1, 1, 1]
-    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "CounterTop_1"})
+    assert (chosen.action, chosen.action_input) == ("Pick Up Object", {"object_id": "CounterTop_1"})
     assert len(backend.prompts) == 4  # the four proposals
     assert len(set(backend.prompts)) == 1  # each on the root's expansion prompt
 
@@ -493,16 +516,17 @@ def test_a_root_retry_skips_refused_calls_and_commits_an_accepted_one():
          "Score: 7"]
     )
     config = PlannerConfig(expansion_budget=3, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    labels = [child.label for child in result.root.children]
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    labels = [child.label for child in planner.tree.children]
     assert labels == [
         "Pick Up Object {'object_id': 'CounterTop_1'}",
         "Place Object {'object_id': 'CounterTop_1'}",
         "Pick Up Object {'object_id': 'Knife_1'}",
         "Levitate {'object_id': 'Knife_1'}",
     ]
-    assert [child.failed for child in result.root.children] == [True, True, False, True]
-    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "Knife_1"})
+    assert [child.failed for child in planner.tree.children] == [True, True, False, True]
+    assert (chosen.action, chosen.action_input) == ("Pick Up Object", {"object_id": "Knife_1"})
     # Five proposals on the root's expansion prompt, then one critique; the
     # third iteration visits a refused child instead of retrying again.
     assert len(backend.prompts) == 6
@@ -512,9 +536,10 @@ def test_a_root_retry_skips_refused_calls_and_commits_an_accepted_one():
 def test_a_root_retry_that_yields_no_child_keeps_the_refused_children():
     backend = RecordingBackend.ordered([PICK_COUNTER, PLACE_COUNTER] + ["prose"] * 4)
     config = PlannerConfig(expansion_budget=5, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    assert result.root.terminal and len(result.root.children) == 2
-    assert (result.action, result.args) == ("Pick Up Object", {"object_id": "CounterTop_1"})
+    planner = MctsPlanner(backend, config)
+    chosen = planner.plan(feasible_world(), "tidy up")
+    assert planner.tree.terminal and len(planner.tree.children) == 2
+    assert (chosen.action, chosen.action_input) == ("Pick Up Object", {"object_id": "CounterTop_1"})
     assert len(backend.prompts) == 6  # two proposals, then four unparseable ones
 
 
@@ -529,8 +554,9 @@ def test_a_refused_child_is_never_critiqued(monkeypatch):
     backend = ScriptedBackend.ordered([PICK_COUNTER, PICK_KNIFE, PLACE_COUNTER, EXPLORE],
                                       cyclic=True)
     config = PlannerConfig(expansion_budget=12, children_per_expansion=2, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    nodes, stack = [], list(result.root.children)
+    planner = MctsPlanner(backend, config)
+    planner.plan(feasible_world(), "tidy up")
+    nodes, stack = [], list(planner.tree.children)
     while stack:
         nodes.append(stack.pop())
         stack += nodes[-1].children
@@ -547,8 +573,9 @@ def test_a_leaf_whose_expansion_makes_no_child_turns_terminal_and_is_scored():
          "Score: 5", "Score: 5"]  # so the child is critiqued as it stands
     )
     config = PlannerConfig(expansion_budget=3, children_per_expansion=1, max_depth=3)
-    result = MctsPlanner(backend, config).plan(feasible_world(), "tidy up")
-    (child,) = result.root.children
+    planner = MctsPlanner(backend, config)
+    planner.plan(feasible_world(), "tidy up")
+    (child,) = planner.tree.children
     assert child.terminal and not child.failed and not child.children
     assert child.visit_count == 3
     assert child.q_value == pytest.approx((normalize_score(7) + 2 * normalize_score(5)) / 3)
@@ -574,7 +601,7 @@ class ReferenceNode:
     state: object
     label: str = "<root>"
     step: StepRecord | None = None
-    final_answer: str | None = None
+    proposal: ReactStep | FinalAnswer | None = None
     key: tuple | None = None
     failed: bool = False
     terminal: bool = False
@@ -615,7 +642,7 @@ class ReferencePlanner:
         if isinstance(parsed, FinalAnswer):
             return ReferenceNode(leaf.state, f"Final Answer: {parsed.text}",
                                  StepRecord("", "Final Answer", parsed.text, None),
-                                 parsed.text, key, terminal=True)
+                                 parsed, key, terminal=True)
         args = parsed.action_input if isinstance(parsed.action_input, dict) else None
         try:
             state, observation = execute(leaf.state, parsed.action, args, False)
@@ -623,7 +650,7 @@ class ReferencePlanner:
             state, observation = leaf.state, rejected_call(exc)
         step = StepRecord(parsed.thought, parsed.action, parsed.action_input, observation.message)
         refused = not observation.success
-        return ReferenceNode(state, f"{parsed.action} {llm.stable_repr(args)}", step, None, key,
+        return ReferenceNode(state, f"{parsed.action} {llm.stable_repr(args)}", step, parsed, key,
                              failed=refused, terminal=refused)
 
     def expand(self, leaf, path, goal, history):
@@ -696,8 +723,7 @@ class ReferencePlanner:
             if ((not child.failed, child.visit_count, child.q_value)
                     > (not best.failed, best.visit_count, best.q_value)):
                 best = child
-        args = best.step.args if isinstance(best.step.args, dict) else None
-        return (best.step.action, args, best.final_answer, best.step.thought), root
+        return best.proposal, root
 
 
 def tree_rows(root):
@@ -782,14 +808,12 @@ def test_plan_matches_the_reference_planner(ref, explores, config, seed, proposa
     planner = MctsPlanner(backend, config)
     reference = ReferencePlanner(reference_backend, config)
     try:
-        result = planner.plan(state, "tidy up", history)
-        got = ((result.action, result.args, result.final_answer, result.thought),
-               tree_rows(result.root))
+        got = (planner.plan(state, "tidy up", history), tree_rows(planner.tree))
     except NoFeasibleActionError:
         got = None
     try:
-        fields, root = reference.plan(state, "tidy up", history)
-        expected = (fields, tree_rows(root))
+        chosen, root = reference.plan(state, "tidy up", history)
+        expected = (chosen, tree_rows(root))
     except NoFeasibleActionError:
         expected = None
     assert got == expected
@@ -809,45 +833,45 @@ def planning_scenarios():
 def test_all_scenarios_select_correct_action_at_budget_six(planning_scenarios):
     assert len(planning_scenarios) == 3
     for scenario in planning_scenarios:
-        result = run_planning(scenario)
+        chosen, _ = run_planning(scenario)
         expected = scenario.expectations["correct_action"]
-        assert result.action == expected["action"], scenario.name
-        assert result.args == expected["args"], scenario.name
+        assert chosen.action == expected["action"], scenario.name
+        assert chosen.action_input == expected["args"], scenario.name
 
 
 def test_first_scenario_budget_one_picks_wrong_child(planning_scenarios):
     scenario = planning_scenarios[0]
-    result = run_planning(scenario, budget=1)
+    chosen, _ = run_planning(scenario, budget=1)
     wrong = scenario.expectations["budget_one_action"]
-    assert result.action == wrong["action"]
-    assert result.args == wrong["args"]
+    assert chosen.action == wrong["action"]
+    assert chosen.action_input == wrong["args"]
 
 
 def test_root_visits_equal_budget(planning_scenarios):
     for budget in (1, 4, 6):
-        result = run_planning(planning_scenarios[0], budget=budget)
-        assert result.root.visit_count == budget
+        _, root = run_planning(planning_scenarios[0], budget=budget)
+        assert root.visit_count == budget
 
 
 def test_visit_conservation(planning_scenarios):
     for scenario in planning_scenarios:
-        result = run_planning(scenario)
+        _, root = run_planning(scenario)
 
         def walk(n):
             assert n.visit_count >= sum(ch.visit_count for ch in n.children)
             for ch in n.children:
                 walk(ch)
 
-        walk(result.root)
+        walk(root)
 
 
 def test_monotone_budget_quality(planning_scenarios):
     for scenario in planning_scenarios:
         chosen_q = {}
         for budget in (3, 6, 12):
-            result = run_planning(scenario, budget=budget)
+            _, root = run_planning(scenario, budget=budget)
             best = max(
-                result.root.children, key=lambda ch: (ch.visit_count, ch.q_value)
+                root.children, key=lambda ch: (ch.visit_count, ch.q_value)
             )
             chosen_q[budget] = best.q_value
         assert chosen_q[6] >= chosen_q[3] - 1e-12
@@ -864,9 +888,9 @@ def test_a_plan_labels_only_critiqued_nodes(planning_scenarios, monkeypatch):
 
     monkeypatch.setattr(MctsPlanner, "critique", recording_critique)
     # Scenario 2 keeps a failed root child, which no critique prompt names.
-    result = run_planning(planning_scenarios[1])
-    assert any(child.failed for child in result.root.children)
-    nodes, stack = [], [result.root]
+    _, root = run_planning(planning_scenarios[1])
+    assert any(child.failed for child in root.children)
+    nodes, stack = [], [root]
     while stack:
         nodes.append(stack.pop())
         stack += nodes[-1].children
@@ -876,8 +900,8 @@ def test_a_plan_labels_only_critiqued_nodes(planning_scenarios, monkeypatch):
 def test_failed_children_never_consume_critique_calls(planning_scenarios):
     # Scenario 2's script has no critique entry for the infeasible branch;
     # exhaustion would raise if a failed node were ever critiqued.
-    result = run_planning(planning_scenarios[1])
-    failed = [ch for ch in result.root.children if ch.failed]
+    _, root = run_planning(planning_scenarios[1])
+    failed = [ch for ch in root.children if ch.failed]
     assert failed, "scenario should produce an infeasible child"
     assert all(ch.q_value == 0.0 for ch in failed)
 
