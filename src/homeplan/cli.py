@@ -31,6 +31,7 @@ from .suite import (
     resolve_world,
     run_suite,
     save_suite,
+    with_percent_sign,
 )
 
 EXIT_OK = 0
@@ -233,7 +234,7 @@ def _cmd_report(args) -> int:
                 raise InputFormatError(f"{where}: successes must be from 0 to total")
             groups[label] = counts
         for label, rate in completion_rates(groups).items():
-            print(f"{label}: {rate}%")
+            print(f"{label}: {with_percent_sign(rate)}")
         did_anything = True
     if not did_anything:
         raise ValueError("report: provide --records, --stepwise-counts, or --completion-counts")

@@ -10,6 +10,7 @@ once per formula, feedback collectors once per formula and message table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +51,11 @@ class MessageTable:
         check_fields(data["special"], "messages: special", _SPECIAL_FIELDS)
         for name, entry in data["atoms"].items():
             check_fields(entry, f"messages: {name}", optional=_ATOM_MESSAGE_OPTIONAL)
+        # Take out escaped braces and {formula} from the left, as str.format reads
+        # them: a brace left is another slot or a lone brace, and message() would fail.
+        for key in ("exists", "fallback"):
+            if re.search(r"[{}]", re.sub(r"\{\{|\}\}|\{formula\}", "", data[key])):
+                raise InputFormatError(f"messages: {key} may hold no slot but {{formula}}")
         self._atoms = data["atoms"]
         self._exists = data["exists"]
         self._fallback = data["fallback"]

@@ -231,8 +231,8 @@ def _parse_action_input(raw: str) -> dict | str | None:
         return {simple[1]: simple[2]}
     try:
         value = ast.literal_eval(raw)
-    except (ValueError, SyntaxError, TypeError):  # TypeError: unhashable key
-        return raw
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+        return raw  # TypeError: an unhashable key; the last two: nested too deep
     return value if isinstance(value, dict) else raw
 
 
@@ -504,7 +504,7 @@ class RemoteBackend(LlmBackend):
                 if status == 200:
                     try:
                         content = response.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError):
+                    except (ValueError, KeyError, IndexError, TypeError, RecursionError):
                         content = None
                     if isinstance(content, str):
                         return content

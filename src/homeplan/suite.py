@@ -2,8 +2,8 @@
 
 The easy-suite generator samples pick-and-place triples from world fixtures
 with a counter-keyed generator, so the same seed always yields the same
-suite. Reports render both as human tables and as stable JSON; episode
-ordering in a report is by task id regardless of worker completion order.
+suite. Reports render both as human tables and as stable JSON; episodes
+are reported by task id, then by repetition, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -176,9 +176,10 @@ class MetricsReport:
     errors: list[str] = field(default_factory=list)
 
     @property
-    def completion_rate(self) -> float:
+    def completion_rate(self) -> float | None:
+        """The percentage of episodes that succeeded; None with no episode."""
         if not self.episodes:
-            return 0.0
+            return None
         return 100 * sum(e["success"] for e in self.episodes) / len(self.episodes)
 
     def per_difficulty(self) -> dict[str, dict]:
@@ -214,7 +215,7 @@ class MetricsReport:
     def render_text(self) -> str:
         lines = [
             f"suite: {self.suite_name}   config: {self.config_label}   seed: {self.seed}",
-            f"task completion: {render_rate(self.completion_rate)}% "
+            f"task completion: {with_percent_sign(render_rate(self.completion_rate))} "
             f"({sum(e['success'] for e in self.episodes)}/{len(self.episodes)})",
         ]
         for difficulty, row in self.per_difficulty().items():
@@ -252,9 +253,15 @@ def load_report(path: str | Path) -> MetricsReport:
                          data.get("errors", []))
 
 
-def render_rate(value: float) -> str:
-    """One-decimal percentage with trailing .0 dropped (35.0 -> "35")."""
-    return f"{round(value, 1):g}"
+def render_rate(value: float | None) -> str:
+    """One-decimal percentage with trailing .0 dropped (35.0 -> "35"), or
+    "n/a" for a rate over nothing (None)."""
+    return "n/a" if value is None else f"{round(value, 1):g}"
+
+
+def with_percent_sign(rate: str) -> str:
+    """A rendered rate as text: "35%", but "n/a" as it is."""
+    return rate if rate == "n/a" else f"{rate}%"
 
 
 def config_hash(config: AgentConfig, suite: SuiteSpec, backend: str,
@@ -286,52 +293,42 @@ def run_suite(
 ) -> tuple[MetricsReport, list[EpisodeRecord]]:
     """Execute every episode; backend_factory(task) supplies each backend
     (pass a plain backend object to share one across episodes). Returns the
-    report and one record per episode, in report order. A HomeplanError (an
-    input that does not load, a backend or script fault) fails only its
-    episodes, one error line each; any other exception is a bug and propagates."""
+    report and one record per episode, by task id, then by repetition: the
+    order they also run in at one worker. A HomeplanError (an input that does
+    not load, a backend or script fault) fails only its episodes, one error
+    line each; any other exception is a bug and propagates."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
 
-    def factory(task):
-        return backend_factory(task) if callable(backend_factory) else backend_factory
-
-    jobs = []
-    for task in suite.tasks:
-        for repetition in range(suite.repetitions):
-            jobs.append((task, repetition))
-
-    def episode_id(job) -> str:
-        task, repetition = job
-        return task.id if suite.repetitions == 1 else f"{task.id}#{repetition + 1}"
+    jobs = [(task, task.id if suite.repetitions == 1 else f"{task.id}#{repetition}")
+            for task in sorted(suite.tasks, key=lambda task: task.id)
+            for repetition in range(1, suite.repetitions + 1)]
 
     # Each distinct world is resolved once per run and shared by its episodes;
-    # a fixture error is kept and reported once per episode.
-    worlds: dict[str, WorldState | Exception] = {}
+    # a fixture error is kept and raised in each of them.
+    worlds: dict[str, WorldState | HomeplanError] = {}
     for ref in dict.fromkeys(task.world for task in suite.tasks):
         try:
             world = resolve_world(ref, base_dir)
+            if seed_override is not None:
+                world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
         except HomeplanError as exc:
-            worlds[ref] = exc
-            continue
-        if seed_override is not None:
-            world = replace(world, agent=replace(world.agent, rng_seed=seed_override))
+            world = exc
         worlds[ref] = world
 
-    def failed(task, exc: Exception) -> EpisodeRecord:
-        return EpisodeRecord(task_id=task.id, config_label=config.label(), steps=[],
-                             outcome=OUTCOME_FAILURE, llm_call_count=0, error=str(exc))
-
-    def run_one(job) -> tuple[EpisodeRecord, Exception | None]:
+    def run_one(job) -> tuple[EpisodeRecord, HomeplanError | None]:
         """The episode's record and, for an infrastructure failure (a failed
         record with no steps), the exception; program bugs propagate."""
         task, _ = job
         world = worlds[task.world]
-        if isinstance(world, Exception):
-            return failed(task, world), world
         try:
-            return run_episode(task, config, factory(task), world, messages=messages), None
+            if isinstance(world, HomeplanError):
+                raise world.with_traceback(None)  # not one frame more per episode
+            backend = backend_factory(task) if callable(backend_factory) else backend_factory
+            return run_episode(task, config, backend, world, messages=messages), None
         except HomeplanError as exc:
-            return failed(task, exc), exc
+            return EpisodeRecord(task_id=task.id, config_label=config.label(), steps=[],
+                                 outcome=OUTCOME_FAILURE, llm_call_count=0, error=str(exc)), exc
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -339,19 +336,15 @@ def run_suite(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, jobs))
     else:
-        results = [run_one(job) for job in jobs]
+        results = list(map(run_one, jobs))
 
-    ordered = sorted(zip(jobs, results), key=lambda item: (item[0][0].id, item[0][1]))
-    records = [record for _, (record, _) in ordered]
-    report = MetricsReport(
-        suite_name=suite.name,
-        config_label=config.label(),
-        seed=suite.seed if seed_override is None else seed_override,
-        episodes=[record.report_entry(episode_id(job), job[0].difficulty)
-                  for job, (record, _) in ordered],
-        errors=[f"{episode_id(job)}: {exc}" for job, (_, exc) in ordered if exc is not None],
-    )
-    return report, records
+    report = MetricsReport(suite.name, config.label(),
+                           suite.seed if seed_override is None else seed_override, episodes=[])
+    for (task, episode_id), (record, exc) in zip(jobs, results):
+        report.episodes.append(record.report_entry(episode_id, task.difficulty))
+        if exc is not None:
+            report.errors.append(f"{episode_id}: {exc}")
+    return report, [record for record, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,6 @@ class StepwiseTable:
         return notes
 
     def to_dict(self) -> dict:
-        estimate = self.product_estimate
         return {
             "rows": [
                 {
@@ -420,7 +412,7 @@ class StepwiseTable:
                 }
                 for row in self.rows
             ],
-            "product_estimate_percent": "n/a" if estimate is None else render_rate(estimate),
+            "product_estimate_percent": render_rate(self.product_estimate),
             "flags": self.flags(),
         }
 
@@ -431,9 +423,8 @@ class StepwiseTable:
                 f"{row.skill:<14}{row.successes:>7}{row.failures:>10}"
                 f"{row.total:>7}  {row.ssr_display}%"
             )
-        estimate = self.product_estimate
         lines.append("product-of-SSRs estimate: "
-                     + ("n/a" if estimate is None else f"{render_rate(estimate)}%"))
+                     + with_percent_sign(render_rate(self.product_estimate)))
         for flag in self.flags():
             lines.append(f"flag: {flag}")
         return "\n".join(lines)
@@ -488,17 +479,18 @@ def stepwise_from_episodes(episodes: list[dict]) -> StepwiseTable:
 
 def completion_rates(groups: dict[str, tuple[int, int]]) -> dict[str, str]:
     """Success-rate row from injected (successes, total) pairs per group,
-    plus a pooled overall rate, whose key no group may take."""
+    plus a pooled overall rate, whose key no group may take; a rate over a
+    total of 0 is "n/a"."""
     if "overall" in groups:
         raise ValueError("completion counts label 'overall' is the pooled rate's key")
     result = {}
     total_successes = 0
     total_count = 0
     for label, (successes, total) in groups.items():
-        result[label] = render_rate(100 * successes / total if total else 0.0)
+        result[label] = render_rate(100 * successes / total if total else None)
         total_successes += successes
         total_count += total
     result["overall"] = render_rate(
-        100 * total_successes / total_count if total_count else 0.0
+        100 * total_successes / total_count if total_count else None
     )
     return result

@@ -389,6 +389,17 @@ def test_report_completion_counts(capsys):
     assert "overall: 25%" in out
 
 
+def test_report_gives_a_rate_over_no_episode_as_na(tmp_path, capsys):
+    assert main(["report", "--completion-counts", "easy=0/0"]) == 0
+    assert capsys.readouterr().out == "easy: n/a\noverall: n/a\n"
+    assert main(["report", "--completion-counts", "easy=0/0,hard=1/2"]) == 0
+    assert capsys.readouterr().out == "easy: n/a\nhard: 50%\noverall: 50%\n"
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"suite": "s", "config": "c", "seed": 1, "episodes": []}))
+    assert main(["report", "--records", str(path)]) == 0
+    assert "task completion: n/a (0/0)" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "counts, error",
     [
@@ -480,6 +491,28 @@ def test_a_message_table_without_a_not_discovered_text_fails_at_load(tmp_path, c
     assert code == 2
     assert captured.err.startswith("error: messages")
     assert captured.out == ""  # no episode ran and no report was written
+    assert not (tmp_path / "reports").exists()
+
+
+# A slot message() does not fill (KeyError), a positional slot (IndexError)
+# and a single brace (ValueError) would each fail mid-run.
+@pytest.mark.parametrize("key, template", [
+    ("exists", "no object satisfies {form}"),
+    ("exists", "{0} holds for no object"),
+    ("fallback", "condition not met: formula}"),
+], ids=["named", "positional", "stray-brace"])
+def test_a_message_table_with_a_bad_slot_exits_2_before_any_episode(tmp_path, capsys,
+                                                                    monkeypatch, key, template):
+    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
+    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    data[key] = template
+    messages_path = tmp_path / "messages.json"
+    messages_path.write_text(json.dumps(data))
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                 "--messages", str(messages_path), "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: messages: {key} may hold no slot but {{formula}}\n"
     assert not (tmp_path / "reports").exists()
 
 

@@ -10,6 +10,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homeplan.errors import (
     InputFormatError,
@@ -464,6 +466,24 @@ def test_missing_message_raises_only_when_its_atom_fails():
     assert unsatisfied(formula, seen, {"?x": "Box_1"}, table)[0].message == (
         "the target object is not a receptacle"
     )
+
+
+_TEMPLATE_PIECES = ["{", "}", "{{", "}}", "{formula}", "formula", "{0}", "{}", "{form}", "x "]
+
+
+@given(st.lists(st.sampled_from(_TEMPLATE_PIECES), max_size=6).map("".join),
+       st.sampled_from(["exists", "fallback"]))
+def test_a_message_template_loads_exactly_when_the_format_reference_fills_it(template, key):
+    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    data[key] = template
+    try:
+        template.format(formula="(visible ?x)")
+    except (KeyError, IndexError, ValueError):
+        with pytest.raises(InputFormatError,
+                           match=f"^messages: {key} may hold no slot but {{formula}}$"):
+            MessageTable(data)
+    else:
+        MessageTable(data)
 
 
 def test_equal_formulas_compile_apart_and_tables_keep_their_own_text():

@@ -359,9 +359,16 @@ def test_transcript_action_inputs_skip_literal_eval(monkeypatch, clear_table_tra
         assert parsed.action_input == step.args
 
 
-def test_unhashable_dict_key_is_kept_as_text():
-    step = parse_react("Thought: t\nAction: Pick Up Object\nAction Input: {{'a'}: 1}")
-    assert step.action_input == "{{'a'}: 1}"
+# An unhashable key (TypeError), and inputs nested deeper than Python's parser
+# goes: a long chain of sums (RecursionError) and of unary minuses (MemoryError).
+@pytest.mark.parametrize("raw", [
+    "{{'a'}: 1}",
+    "1+" * 99_999 + "1",
+    "{'object_id': " + "-" * 50_000 + "1}",
+], ids=["unhashable-key", "deep-sum", "deep-minus"])
+def test_an_action_input_literal_eval_cannot_read_is_kept_as_text(raw):
+    step = parse_react(f"Thought: t\nAction: Pick Up Object\nAction Input: {raw}")
+    assert step.action_input == raw
 
 
 def test_parse_critique_basic():
@@ -463,11 +470,11 @@ def test_scripted_determinism():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replies with queued (status, payload[, extra headers]) entries; the
-    entries left over tell how many requests the client made, and the
-    server's ``ports``, the client port of each request, over how many
-    connections. Over HTTP/1.0 the server closes the connection after every
-    reply."""
+    """Replies with queued (status, payload[, extra headers]) entries, a
+    payload of bytes as it is and any other as JSON; the entries left over
+    tell how many requests the client made, and the server's ``ports``, the
+    client port of each request, over how many connections. Over HTTP/1.0
+    the server closes the connection after every reply."""
 
     responses: list = []
     timeout = 10  # a connection idle this long is closed
@@ -479,7 +486,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         status, payload, *extra = self.responses.pop(0)
         if callable(payload):
             payload = payload(body)
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -611,6 +618,15 @@ def test_a_null_completion_fails_each_episode_with_one_error(stub_server):
     assert [error.split(": ", 1) for error in report.errors] == [
         [task.id, f"malformed completion body: {json.dumps(NULL_BODY)}"] for task in suite.tasks]
     assert _StubHandler.responses == []
+
+
+def test_a_completion_body_nested_deeper_than_json_reads_fails_its_episode_once(stub_server):
+    suite = generate_easy_suite(seed=1, count=1, world_refs=["worlds/kitchen.json"])
+    deep = b"[" * 100_000 + b"]" * 100_000  # json.loads raises RecursionError
+    _StubHandler.responses = [(200, deep), (200, OK_BODY)]
+    report, _ = run_suite(suite, AgentConfig(), _stub_backend(stub_server))
+    assert report.errors == [f"{suite.tasks[0].id}: malformed completion body: {'[' * 200}"]
+    assert len(_StubHandler.responses) == 1  # no retry
 
 
 def _record_waits(monkeypatch) -> list:

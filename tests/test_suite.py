@@ -372,9 +372,13 @@ def _planner_script(task: TaskSpec, scores: list[int], explore_first: int = 0) -
     seed=st.integers(0, 10_000),
     count=st.integers(2, 6),
     scores=st.lists(st.integers(1, 10), max_size=8),
+    data=st.data(),
 )
-def test_run_suite_output_does_not_depend_on_worker_count(seed, count, scores):
+def test_run_suite_output_does_not_depend_on_worker_count(seed, count, scores, data):
+    """Nor on the order of the suite's tasks: a report lists its episodes by
+    task id."""
     suite = generate_easy_suite(seed, count, WORLD_REFS)
+    permuted = replace(suite, tasks=tuple(data.draw(st.permutations(suite.tasks))))
     config = AgentConfig(
         mode="react+mcts",
         step_cap=6,
@@ -385,9 +389,10 @@ def test_run_suite_output_does_not_depend_on_worker_count(seed, count, scores):
         return _planner_script(task, scores)
 
     serial, serial_records = run_suite(suite, config, factory, workers=1)
-    parallel, parallel_records = run_suite(suite, config, factory, workers=4)
-    assert serial.serialize() == parallel.serialize()
-    assert [r.serialize() for r in serial_records] == [r.serialize() for r in parallel_records]
+    for tasks, workers in ((suite, 4), (permuted, 1), (permuted, 4)):
+        report, records = run_suite(tasks, config, factory, workers=workers)
+        assert report.serialize() == serial.serialize()
+        assert [r.serialize() for r in records] == [r.serialize() for r in serial_records]
 
 
 def _summary(record) -> tuple:
@@ -411,10 +416,16 @@ def test_run_suite_lets_program_bugs_propagate(tmp_path):
         run_suite(load_suite(suite_path), AgentConfig(), lambda task: _BuggyBackend())
 
 
-def test_an_object_index_longer_than_int_reads_is_malformed_input_not_a_crash():
+# An object index longer than int() reads, and inputs nested deeper than
+# Python's parser goes.
+@pytest.mark.parametrize("raw", [
+    f"{{'object_id': 'Apple_{'1' * 5000}'}}",
+    "1+" * 99_999 + "1",
+    "{'object_id': " + "-" * 50_000 + "1}",
+], ids=["long-index", "deep-sum", "deep-minus"])
+def test_an_action_input_too_long_or_deep_to_read_is_malformed_input_not_a_crash(raw):
     suite = generate_easy_suite(seed=1, count=1, world_refs=["worlds/kitchen.json"])
-    proposal = ("Thought: grab\nAction: Pick Up Object\n"
-                f"Action Input: {{'object_id': 'Apple_{'1' * 5000}'}}")
+    proposal = f"Thought: grab\nAction: Pick Up Object\nAction Input: {raw}"
     report, records = run_suite(suite, AgentConfig(mode="react", step_cap=2),
                                 ScriptedBackend.ordered([proposal], cyclic=True))
     assert report.errors == []
@@ -576,6 +587,13 @@ def test_a_report_with_no_executed_action_has_no_product_estimate():
     assert "task completion: 0% (0/1)" in lines
     assert "product-of-SSRs estimate: n/a" in lines
     assert report.to_dict()["stepwise"]["product_estimate_percent"] == "n/a"
+
+
+def test_a_report_with_no_episode_has_no_completion_rate():
+    report = MetricsReport("synthetic", "react/grounding-on", 0, [])
+    assert report.completion_rate is None
+    assert report.render_text().splitlines()[1] == "task completion: n/a (0/0)"
+    assert report.to_dict()["completion_rate_percent"] == "n/a"
 
 
 def test_counts_with_no_attempt_have_no_product_estimate():
