@@ -1,15 +1,19 @@
 """Command-line harness: suites, runs, comparisons, and replay checks.
 
-Exit codes: 0 clean run, 1 infrastructure error during episodes or a replay
-mismatch, 2 configuration error: bad flags, an output that cannot be written,
-or an input file that cannot be read, decoded or parsed (except a suite
-task's world, whose fault is one error line per episode of that world).
+Exit codes: 0 clean run, 1 infrastructure error during episodes, a replay
+mismatch or a stdout closed before the output ends (a pipe into ``head``;
+files already written stay), 2 configuration error: bad flags, an output
+that cannot be written, or an input file that cannot be read, decoded or
+parsed (except a suite task's world, whose fault is one error line per
+episode of that world). A prompt template with a stray brace or a slot its
+prompt does not fill cannot be parsed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -257,10 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
     except (HomeplanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # As in the signal module's docs: the flush at exit writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INFRA
 
 
 if __name__ == "__main__":

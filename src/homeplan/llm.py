@@ -1,7 +1,8 @@
 """Language-model interface: templates, transcript steps, and backends.
 
 Prompt templates are shipped as text files (overridable by directory) using
-``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces.
+``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces; a file
+with a stray brace or a slot its prompt does not fill is refused when read.
 ``StepRecord`` is the one recorded transcript step (an agent's step, a
 search-tree edge, a replayed trace step); ``format_step`` renders it and
 ``parse_react`` reads a completion back: a completion in the form
@@ -44,6 +45,10 @@ ENV_MODEL = "HOMEPLAN_LLM_MODEL"
 RETRY_CEILING_S = 8  # longest wait between remote attempts
 
 TEMPLATE_FILES = {"expansion": "expansion.txt", "critique": "critique.txt"}
+# The slots each template is rendered with (MctsPlanner.expansion_prompt and
+# critique); a template may leave one out.
+TEMPLATE_SLOTS = {"expansion": ("tools", "tool_names", "input", "agent_scratchpad"),
+                  "critique": ("goal", "plan_steps")}
 
 _SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 
@@ -91,24 +96,35 @@ class PromptTemplate:
         return tuple(pairs), "".join(literal), None
 
 
+def _read_template(name: str, path) -> PromptTemplate:
+    """The template in a file; one with a stray brace or a slot its prompt
+    does not fill is an InputFormatError naming the file."""
+    template = PromptTemplate(body=read_input(path, parse=str).rstrip("\n"))
+    pairs, _, stray = template._pieces
+    if stray is not None:
+        raise InputFormatError(f"{path}: a stray {stray!r}; write {stray * 2!r} for the brace")
+    if any(slot not in TEMPLATE_SLOTS[name] for _, slot in pairs):
+        slots = ", ".join(f"{{{slot}}}" for slot in TEMPLATE_SLOTS[name])
+        raise InputFormatError(f"{path}: the {name} template may hold no slot but {slots}")
+    return template
+
+
 @lru_cache(maxsize=None)  # one entry per name in TEMPLATE_FILES
 def _packaged_template(name: str) -> PromptTemplate:
-    text = read_input(DATA.joinpath(f"templates/{TEMPLATE_FILES[name]}"), parse=str)
-    return PromptTemplate(body=text.rstrip("\n"))
+    return _read_template(name, DATA.joinpath(f"templates/{TEMPLATE_FILES[name]}"))
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
     """Load a template by name. A shipped template is one shared instance,
-    read and split into pieces once per process; an override directory is
-    read on every call."""
+    read, split into pieces and checked once per process; an override
+    directory is read and checked on every call."""
     try:
         filename = TEMPLATE_FILES[name]
     except KeyError:
         raise KeyError(f"unknown template name: {name!r}") from None
     if directory is None:
         return _packaged_template(name)
-    text = read_input(Path(directory, filename), parse=str)
-    return PromptTemplate(body=text.rstrip("\n"))
+    return _read_template(name, Path(directory, filename))
 
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:

@@ -1,34 +1,368 @@
+"""The console. Each check of one command's exit code, output and files is a
+row of CONSOLE, run in-process through cli.main; the tests after the table
+each hold logic of their own."""
+
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from importlib import resources
+from io import StringIO
 
 import pytest
 
-from homeplan import cli
+from homeplan import cli, suite
 from homeplan.cli import main
 from homeplan.errors import InputFormatError
 from homeplan.grounding import MessageTable
+from homeplan.suite import generate_easy_suite
 
-from .test_suite import REFERENCE_STEPWISE_ROWS, RUNS_OUT_AFTER_ONE_STEP, card_to_sink_suite
+from .test_suite import (
+    REFERENCE_STEPWISE_ROWS,
+    RUNS_OUT_AFTER_ONE_STEP,
+    card_to_sink_data,
+    card_to_sink_suite,
+)
+
+# ---------------------------------------------------------------------------
+# Input files of the table
 
 
-def test_compare_preconds_stdout(capsys):
-    assert main(["compare-preconds"]) == 0
-    out = capsys.readouterr().out
-    assert "accuracy (correct generated / total generated): 97.4%" in out
-    assert "recall (correct generated / total ground truth): 88.1%" in out
-    assert "37 correct / 38 generated / 42 ground truth" in out
+def _packaged(name):
+    return resources.files("homeplan.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def test_compare_preconds_writes_json(tmp_path, capsys):
-    out_file = tmp_path / "report.json"
-    assert main(["compare-preconds", "--out", str(out_file)]) == 0
-    capsys.readouterr()
-    data = json.loads(out_file.read_text())
-    assert data["accuracy_percent"] == "97.4%"
-    assert data["recall_percent"] == "88.1%"
+def _json(data, edit=None):
+    """data as JSON text, after edit(data) changed it in place."""
+    if edit is not None:
+        edit(data)
+    return json.dumps(data)
+
+
+def _card(suite=None, script=None):
+    """card_to_sink_data as suite.json and script.json, each edited in place."""
+    suite_data, script_data = card_to_sink_data()
+    return {"suite.json": _json(suite_data, suite), "script.json": _json(script_data, script)}
+
+
+def _messages(edit):
+    return {"messages.json": _json(json.loads(_packaged("messages.json")), edit)}
+
+
+def _generated(tmp):
+    """The suite of gen-suite --seed 1 --count 3 --worlds worlds/kitchen.json."""
+    return _json(generate_easy_suite(1, 3, ["worlds/kitchen.json"]).to_dict())
+
+
+LOOK = "Thought: look\nAction: Randomly Explore\nAction Input: None"
+
+
+def _cyclic(completion):
+    """A script whose every completion is this one."""
+    return {"suite.json": _generated,
+            "script.json": _json({"cyclic": True, "entries": [{"completion": completion}]})}
+
+
+def _keyed(score="Score: 5", proposal=LOOK):
+    """A script that answers every critique with score and every other prompt
+    with proposal."""
+    return {"suite.json": _generated, "script.json": _json({"mode": "keyed", "entries": [
+        {"completion": score, "match": "Score the quality", "uses": -1},
+        {"completion": proposal, "uses": -1}]})}
+
+
+def _counts(rows):
+    return {"counts.json": _json({"rows": rows})}
+
+
+def _ssr(reported):  # raw JSON text, so that 1e400 and NaN are written as given
+    return {"counts.json": '{"rows": [{"skill": "Move", "successes": 2, "failures": 0},'
+                           ' {"skill": "Place", "successes": 1, "failures": 1,'
+                           f' "reported_ssr": {reported}}}]}}'}
+
+
+TEMPLATES = {f"templates/{name}": _packaged(f"templates/{name}")
+             for name in ("expansion.txt", "critique.txt")}
+ONES, NINES = "1" * 400, "9" * 400
+HEADER = "skill         success  failures  total  SSR\n"
+STEPWISE_TEXT = HEADER + """\
+Locate             22         8     30  73%
+Move               22         0     22  100%
+Percept.           18         4     22  81%
+Manip.             19         2     21  90%
+Locate2            13         6     19  68%
+Move2              13         0     13  100%
+Place               6         7     13  46%
+product-of-SSRs estimate: 17.1%
+flag: Place: computed 46.2% vs reported 40%
+"""
+# successes, failures and totals too long for a float, and for their columns
+HUGE_TEXT = (f"{HEADER}Move          {ONES}         0{ONES}  100%\n"
+             f"Place         {ONES}{'8' * 400}{NINES}  11%\nproduct-of-SSRs estimate: 11.1%\n")
+
+# ---------------------------------------------------------------------------
+# Checks on the files a command leaves
+
+
+def _report(check=lambda report, lines: True):
+    """reports/ holds one report, its text and its transcript, whose lines
+    carry the report's episode ids in report order; check(the report's path,
+    the transcript's lines) holds."""
+    def after(tmp):
+        (report,), (_,), (transcript,) = (list(tmp.glob(f"reports/*{suffix}"))
+                                          for suffix in (".json", ".txt", ".episodes.jsonl"))
+        lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+        episodes = json.loads(report.read_text(encoding="utf-8"))["episodes"]
+        assert [line["id"] for line in lines] == [episode["id"] for episode in episodes]
+        return check(report, lines)
+    return after
+
+
+def _rate(percent):
+    return _report(lambda report, lines: json.loads(report.read_text())[
+        "completion_rate_percent"] == percent)
+
+
+def _no_estimate(report, lines):
+    """The text and report --records both give the estimate as n/a."""
+    rendered = StringIO()
+    with redirect_stdout(rendered):
+        assert main(["report", "--records", str(report)]) == 0
+    line = "product-of-SSRs estimate: n/a"
+    return (line in report.with_suffix(".txt").read_text().splitlines()
+            and line in rendered.getvalue().splitlines())
+
+
+def _absent(name):
+    return lambda tmp: not (tmp / name).exists()
+
+
+def _preconds_json(tmp):
+    data = json.loads((tmp / "report.json").read_text())
+    return (data["accuracy_percent"], data["recall_percent"]) == ("97.4%", "88.1%")
+
+
+NO_REPORTS = _absent("reports")
+
+# ---------------------------------------------------------------------------
+# The table: (id, argv, files, exit code, stdout, stderr, after).
+#
+# files are written into the working directory first: text, a function of
+# the directory giving text, or None for an empty directory. stdout is exact
+# text, or lines that must appear, with no other "error:" line. stderr is
+# exact: one "error:" line, or nothing. after(tmp), when given, checks the
+# files the command left. A row that exits 2 must run no episode, and an
+# exception that escapes main fails its row.
+
+RUN = "run --suite suite.json --backend scripted:script.json --out reports"
+
+CONSOLE = [
+    # Commands on the shipped data.
+    ("compare-preconds", "compare-preconds --out report.json", {}, 0,
+     ["computed: 37 correct / 38 generated / 42 ground truth",
+      "accuracy (correct generated / total generated): 97.4%",
+      "recall (correct generated / total ground truth): 88.1%"], "", _preconds_json),
+    ("replay-trace", "replay-trace", {}, 0, ["35/35 observations reproduced"], "", None),
+    # Runs on a generated 3-task suite, three steps a task.
+    ("react-cyclic", f"{RUN} --max-steps 3", _cyclic(LOOK), 0, [], "", _report()),
+    ("mcts-keyed", f"{RUN} --mode mcts --max-steps 3", _keyed(), 0, [], "", _report()),
+    ("mcts-keyed-grounding-off", f"{RUN} --mode mcts --grounding off --max-steps 3", _keyed(), 0,
+     [], "", _report()),
+    ("object-id-of-5000-digits", f"{RUN} --max-steps 3", _cyclic(
+        "Thought: grab\nAction: Pick Up Object\nAction Input: {'object_id': 'Apple_%s'}"
+        % ("1" * 5000)), 0, [], "", _report()),
+    ("action-input-of-100000-terms", f"{RUN} --max-steps 3", _cyclic(
+        "Thought: add\nAction: Pick Up Object\nAction Input: " + "1+" * 99999 + "1"), 0, [], "",
+     _report()),
+    ("critique-score-of-5000-digits", f"{RUN} --mode mcts --max-steps 3",
+     _keyed(score="Score: " + "5" * 5000), 0, [], "", _report()),
+    ("all-final-answers", f"{RUN} --max-steps 3",
+     _cyclic("Thought: nothing to do\nFinal Answer: done"), 0, [], "", _report(_no_estimate)),
+    ("mcts-text-action-input", f"{RUN} --mode mcts --max-steps 3", _keyed(
+        proposal="Thought: list\nAction: Get Discovered Objects\nAction Input: everything"), 0,
+     [], "", _report(lambda report, lines: {  # the transcript has steps, each with this text
+         step["args"] for line in lines for step in line["steps"]} == {"everything"})),
+    # Runs on the card suite.
+    ("card-run", RUN, _card(), 0, ["task completion: 50% (1/2)"], "", _rate("50")),
+    ("card-step-cap", f"{RUN} --max-steps 2", _card(), 0, ["task completion: 0% (0/2)"], "",
+     _rate("0")),
+    ("card-template-override", f"{RUN} --templates templates", {**_card(), **TEMPLATES}, 0,
+     ["task completion: 50% (1/2)"], "", _rate("50")),
+    ("script-runs-out", RUN, {**_card(), "script.json": _json(
+        {"entries": [{"completion": text} for text in RUNS_OUT_AFTER_ONE_STEP]})}, 1,
+     [f"error: {episode}: ordered script exhausted" for episode in ("demo-001", "demo-002")],
+     "", _rate("0")),
+    ("messages-missing-text-at-run", f"{RUN} --messages messages.json",
+     {**_card(), **_messages(lambda m: m["atoms"].pop("visible"))}, 1,
+     [f"error: {episode}: messages: visible has no required_true text"
+      for episode in ("demo-001", "demo-002")], "", _rate("0")),
+    # Runs refused before any episode.
+    ("missing-suite", "run --suite nope.json --backend scripted:x.json --out reports", {}, 2, "",
+     "error: nope.json: No such file or directory", NO_REPORTS),
+    ("unknown-backend", "run --suite suite.json --backend bogus --out reports", _card(), 2, "",
+     "error: unknown backend spec: 'bogus'", NO_REPORTS),
+    ("zero-expansions", f"{RUN} --expansions 0 --mode mcts", _card(), 2, "",
+     "error: planner expansion_budget must be at least 1", NO_REPORTS),
+    ("zero-max-steps", f"{RUN} --max-steps 0", _card(), 2, "",
+     "error: step cap must be at least 1", NO_REPORTS),
+    ("zero-workers", f"{RUN} --workers 0", _card(), 2, "",
+     "error: workers must be at least 1, not 0", None),
+    ("negative-workers", f"{RUN} --workers -1", _card(), 2, "",
+     "error: workers must be at least 1, not -1", None),
+    ("no-repetitions", RUN, _card(suite=lambda s: s.update(repetitions=0)), 2, "",
+     "error: repetitions must be at least 1", NO_REPORTS),
+    ("task-without-world", RUN, _card(suite=lambda s: s["tasks"][1].pop("world")), 2, "",
+     "error: task demo-002: a suite task needs a world", NO_REPORTS),
+    ("unknown-goal-attribute", RUN, _card(suite=lambda s: s["tasks"][1].update(goal=[
+        {"type": "attribute", "object": "Apple", "attribute": "isopen", "value": True}])), 2, "",
+     "error: task demo-002: goal atom attribute: unknown attribute 'isopen'", NO_REPORTS),
+    ("repeated-task-id", RUN, _card(suite=lambda s: s["tasks"][1].update(id="demo-001")), 2, "",
+     "error: task demo-001: the id repeats", NO_REPORTS),
+    ("task-world-number", RUN, _card(suite=lambda s: s["tasks"][1].update(world=5)), 2, "",
+     "error: task: world must be a string or null", NO_REPORTS),
+    ("task-goal-string", RUN, _card(suite=lambda s: s["tasks"][1].update(goal="ab")), 2, "",
+     "error: task: goal must be an array of objects", NO_REPORTS),
+    ("empty-cyclic-script", RUN, {**_card(), "script.json": _json({"entries": [], "cyclic": True})},
+     2, "", "error: script: a cyclic ordered script needs an entry with uses other than 0",
+     NO_REPORTS),
+    ("keyed-cyclic-script", RUN, _card(script=lambda s: s.update(cyclic=True)), 2, "",
+     "error: script: a keyed script cannot be cyclic", NO_REPORTS),
+    *[(f"script-uses-{uses}", RUN, _card(script=lambda s, uses=uses: s["entries"][0].update(
+        uses=uses)), 2, "", "error: script: an entry's uses must be -1 (unlimited) or at least 0",
+       NO_REPORTS) for uses in (-2, -7)],
+    # A slot message() does not fill (KeyError), a positional slot (IndexError)
+    # and a single brace (ValueError) would each fail mid-run.
+    *[(f"messages-{case}", f"{RUN} --messages messages.json",
+       {**_card(), **_messages(lambda m, key=key, text=text: m.update({key: text}))}, 2, "",
+       f"error: messages: {key} may hold no slot but {{formula}}", NO_REPORTS)
+      for case, key, text in [("named-slot", "exists", "no object satisfies {form}"),
+                              ("positional-slot", "exists", "{0} holds for no object"),
+                              ("stray-brace", "fallback", "condition not met: formula}")]],
+    *[(f"empty-template-dir-{mode}", f"{RUN} --mode {mode} --templates templates",
+       {**_card(), "templates": None}, 2, "",
+       "error: templates/expansion.txt: No such file or directory", NO_REPORTS)
+      for mode in ("react", "mcts")],
+    ("template-unknown-slot", f"{RUN} --templates templates",
+     {**_card(), **TEMPLATES, "templates/expansion.txt": TEMPLATES[
+         "templates/expansion.txt"].replace("{input}", "{goal_text}")}, 2, "",
+     "error: templates/expansion.txt: the expansion template may hold no slot but {tools}, "
+     "{tool_names}, {input}, {agent_scratchpad}", NO_REPORTS),
+    ("template-stray-brace", f"{RUN} --templates templates",
+     {**_card(), **TEMPLATES, "templates/critique.txt": "Score {plan_steps} }\n"}, 2, "",
+     "error: templates/critique.txt: a stray '}'; write '}}' for the brace", NO_REPORTS),
+    ("out-is-a-file", "run --suite suite.json --backend scripted:script.json --out suite.json",
+     _card(), 2, "", "error: cannot write suite.json: File exists", None),
+    # An input that is a directory, an output that cannot be written.
+    *[(f"directory-{case}", argv, _card(), 2, "", "error: .: Is a directory", None)
+      for case, argv in [("suite", "run --suite . --backend remote"),
+                         ("script", "run --suite suite.json --backend scripted:."),
+                         ("run-messages", f"{RUN} --messages ."),
+                         ("trace", "replay-trace --trace ."),
+                         ("replay-messages", "replay-trace --messages ."),
+                         ("records", "report --records ."),
+                         ("counts", "report --stepwise-counts ."),
+                         ("fixture", "compare-preconds --fixture .")]],
+    ("gen-suite-into-a-directory", "gen-suite --seed 1 --count 2 --worlds worlds/kitchen.json "
+     "--out .", {}, 2, "", "error: cannot write .: Is a directory", None),
+    ("compare-preconds-into-a-directory", "compare-preconds --out .", {}, 2, [],
+     "error: cannot write .: Is a directory", None),
+    ("gen-suite-without-worlds", "gen-suite --seed 1 --count 2 --worlds , --out suite.json", {},
+     2, "", "error: no world to sample tasks from", _absent("suite.json")),
+    ("messages-missing-text-at-replay", "replay-trace --messages messages.json",
+     _messages(lambda m: m["atoms"].pop("visible")), 2, "",
+     "error: messages: visible has no required_true text", None),
+    # Reports.
+    ("stepwise-counts", "report --stepwise-counts counts.json", _counts(REFERENCE_STEPWISE_ROWS),
+     0, STEPWISE_TEXT, "", None),
+    ("stepwise-counts-of-400-digits", "report --stepwise-counts counts.json",
+     _counts([{"skill": "Move", "successes": int(ONES), "failures": 0}]), 0,
+     ["product-of-SSRs estimate: 100%"], "", None),
+    ("stepwise-counts-past-a-float", "report --stepwise-counts counts.json", _counts([
+        {"skill": "Move", "successes": int(ONES), "failures": 0, "reported_ssr": 100},
+        {"skill": "Place", "successes": int(ONES), "failures": 8 * int(ONES)}]), 0,
+     HUGE_TEXT, "", None),
+    ("records-episodes-number", "report --records input.json",
+     {"input.json": _json({"suite": "s", "config": "c", "seed": 1, "episodes": 5})}, 2, "",
+     "error: report: episodes must be an array of objects", None),
+    ("rows-of-numbers", "report --stepwise-counts counts.json", _counts([5]), 2, "",
+     "error: counts: rows must be an array of objects", None),
+    ("count-text", "report --stepwise-counts counts.json",
+     _counts([{"skill": "Move", "successes": "2", "failures": 0}]), 2, "",
+     "error: counts row 1: successes must be an integer", None),
+    ("negative-successes", "report --stepwise-counts counts.json",
+     _counts([{"skill": "Move", "successes": 2, "failures": 0},
+              {"skill": "Place", "successes": -3, "failures": 1}]), 2, "",
+     "error: counts row 2 (Place): a count is negative", None),
+    ("negative-failures", "report --stepwise-counts counts.json",
+     _counts([{"skill": "Move", "successes": 2, "failures": -1}]), 2, "",
+     "error: counts row 1 (Move): a count is negative", None),
+    *[(f"reported-ssr-{case}", "report --stepwise-counts counts.json", _ssr(reported), 2, "",
+       "error: counts row 2 (Place): reported_ssr is not from 0 to 100", None)
+      for case, reported in [("infinity", "Infinity"), ("1e400", "1e400"), ("400-digits", ONES),
+                             ("nan", "NaN"), ("negative", "-1"), ("over-100", "100.5")]],
+    ("completion-counts", "report --completion-counts moderate=7/20,hard=3/20", {}, 0,
+     "moderate: 35%\nhard: 15%\noverall: 25%\n", "", None),
+    ("completion-counts-of-400-digits",
+     f"report --completion-counts a={ONES}/{NINES},b={NINES}/{NINES}", {}, 0,
+     "a: 11.1%\nb: 100%\noverall: 55.6%\n", "", None),
+    ("completion-over-no-episode", "report --completion-counts easy=0/0", {}, 0,
+     "easy: n/a\noverall: n/a\n", "", None),
+    ("completion-over-no-episode-and-some", "report --completion-counts easy=0/0,hard=1/2", {}, 0,
+     "easy: n/a\nhard: 50%\noverall: 50%\n", "", None),
+    ("records-of-no-episode", "report --records empty.json",
+     {"empty.json": _json({"suite": "s", "config": "c", "seed": 1, "episodes": []})}, 0,
+     ["task completion: n/a (0/0)"], "", None),
+    *[(f"completion-counts-{case}", f"report --completion-counts {shlex.quote(counts)}", {}, 2, "",
+       f"error: completion counts {error}", None) for case, counts, error in [
+        ("over-total", "moderate=25/20",
+         "part 'moderate=25/20': successes must be from 0 to total"),
+        ("negative", "moderate=7/20,hard=-1/20",
+         "part 'hard=-1/20': successes must be from 0 to total"),
+        ("repeated-label", "a=1/2,a=2/2", "part 'a=2/2': label 'a' repeats"),
+        ("repeated-after-strip", "a=1/2, a =2/2", "part ' a =2/2': label 'a' repeats"),
+        ("no-equals", "moderate7/20", "part 'moderate7/20': not label=successes/total"),
+        ("no-slash", "moderate=7", "part 'moderate=7': not label=successes/total"),
+        ("two-slashes", "moderate=7/20/3", "part 'moderate=7/20/3': not label=successes/total"),
+        ("empty-label", "=3/4,a=1/4", "part '=3/4': not label=successes/total"),
+        # a group named overall would lose its row to the pooled rate
+        ("overall-label", "overall=1/2,hard=1/1", "label 'overall' is the pooled rate's key")]],
+    ("report-without-inputs", "report", {}, 2, "",
+     "error: report: provide --records, --stepwise-counts, or --completion-counts", None),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, stdout, stderr, after",
+                         [row[1:] for row in CONSOLE], ids=[row[0] for row in CONSOLE])
+def test_console_command(tmp_path, monkeypatch, capsys, argv, files, code, stdout, stderr, after):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text if isinstance(text, str) else text(tmp_path), encoding="utf-8")
+    episodes, run_episode = [], suite.run_episode
+    monkeypatch.setattr(suite, "run_episode", lambda *args, **kwargs: (
+        episodes.append(args) or run_episode(*args, **kwargs)))
+    assert main(shlex.split(argv)) == code
+    out, err = capsys.readouterr()
+    if isinstance(stdout, str):
+        assert out == stdout
+    else:
+        lines = out.splitlines()
+        assert [line for line in stdout if line not in lines] == []
+        assert [line for line in lines if line.startswith("error:")] == [
+            line for line in stdout if line.startswith("error:")]
+    assert err == (stderr and stderr + "\n")
+    assert not (code == 2 and episodes)
+    assert after is None or after(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Checks with logic of their own
 
 
 def test_compare_preconds_outputs_are_pinned(tmp_path, capsys):
@@ -42,12 +376,6 @@ def test_compare_preconds_outputs_are_pinned(tmp_path, capsys):
         "8f33ee7e0462c7241a371d7839c6369f31d62f1951bdffb029f6c8396f0dc039")
 
 
-def test_replay_trace_default(capsys):
-    assert main(["replay-trace"]) == 0
-    out = capsys.readouterr().out
-    assert "35/35 observations reproduced" in out
-
-
 def test_gen_suite_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -58,42 +386,6 @@ def test_gen_suite_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert len(json.loads(a.read_text())["tasks"]) == 12
-
-
-def test_run_scripted_suite(tmp_path, capsys):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    out_dir = tmp_path / "reports"
-    code = main(
-        [
-            "run",
-            "--suite", str(suite_path),
-            "--backend", f"scripted:{script_path}",
-            "--out", str(out_dir),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "task completion: 50% (1/2)" in out
-    reports = sorted(out_dir.glob("*.json"))
-    assert len(reports) == 1
-    data = json.loads(reports[0].read_text())
-    assert data["completion_rate_percent"] == "50"
-    assert (out_dir / reports[0].name.replace(".json", ".txt")).exists()
-
-
-def test_run_whose_script_runs_out_exits_with_an_error_per_episode(tmp_path, capsys):
-    suite_path, _, _ = card_to_sink_suite(tmp_path)
-    script_path = tmp_path / "short.json"
-    script_path.write_text(json.dumps(
-        {"entries": [{"completion": text} for text in RUNS_OUT_AFTER_ONE_STEP]}
-    ))
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(tmp_path / "reports")])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("error:")] == [
-        f"error: {episode}: ordered script exhausted" for episode in ("demo-001", "demo-002")
-    ]
 
 
 def test_run_is_byte_deterministic(tmp_path, capsys):
@@ -187,176 +479,6 @@ def test_runs_differing_only_in_expansions_write_two_reports(tmp_path, capsys):
     assert len(list(out_dir.glob("*.json"))) == 2
 
 
-def test_run_missing_suite_is_config_error(tmp_path, capsys):
-    code = main(
-        ["run", "--suite", str(tmp_path / "nope.json"), "--backend", "scripted:x.json"]
-    )
-    capsys.readouterr()
-    assert code == 2
-
-
-def test_run_bad_backend_spec_is_config_error(tmp_path, capsys):
-    suite_path, _, _ = card_to_sink_suite(tmp_path)
-    code = main(["run", "--suite", str(suite_path), "--backend", "telepathy"])
-    capsys.readouterr()
-    assert code == 2
-
-
-@pytest.mark.parametrize("flags", [["--expansions", "0", "--mode", "mcts"], ["--max-steps", "0"],
-                                   ["--workers", "0"], ["--workers", "-1"]],
-                         ids=["expansions", "max-steps", "workers", "negative-workers"])
-def test_run_with_a_zero_budget_flag_is_config_error(tmp_path, capsys, flags):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(tmp_path / "reports"), *flags])
-    capsys.readouterr()
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "edit, error",
-    [(lambda suite: suite.update(repetitions=0), "repetitions must be at least 1"),
-     (lambda suite: suite["tasks"][1].pop("world"), "task demo-002: a suite task needs a world"),
-     (lambda suite: suite["tasks"][1].update(goal=[
-         {"type": "attribute", "object": "Apple", "attribute": "isopen", "value": True}]),
-      "task demo-002: goal atom attribute: unknown attribute 'isopen'"),
-     (lambda suite: suite["tasks"][1].update(id="demo-001"), "task demo-001: the id repeats")],
-    ids=["no-repetitions", "task-without-world", "unknown-goal-attribute", "repeated-task-id"],
-)
-def test_run_with_a_malformed_suite_is_config_error(tmp_path, capsys, edit, error):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    suite_data = json.loads(suite_path.read_text())
-    edit(suite_data)
-    suite_path.write_text(json.dumps(suite_data))
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(tmp_path / "reports")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert (captured.out, captured.err) == ("", f"error: {error}\n")
-    assert not (tmp_path / "reports").exists()
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [lambda task: task.update(world=5), lambda task: task.update(goal="ab")],
-    ids=["world-number", "goal-string"],
-)
-def test_run_on_a_task_field_of_the_wrong_json_type_exits_2_without_a_traceback(tmp_path, edit):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    suite_data = json.loads(suite_path.read_text())
-    edit(suite_data["tasks"][1])
-    suite_path.write_text(json.dumps(suite_data))
-    result = subprocess.run(
-        [sys.executable, "-m", "homeplan.cli", "run", "--suite", str(suite_path),
-         "--backend", f"scripted:{script_path}", "--out", str(tmp_path / "reports")],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: task: ")
-    assert "Traceback" not in result.stderr
-
-
-def test_run_with_an_empty_cyclic_script_is_config_error(tmp_path, capsys):
-    suite_path, _, _ = card_to_sink_suite(tmp_path)
-    script_path = tmp_path / "empty.json"
-    script_path.write_text(json.dumps({"entries": [], "cyclic": True}))
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(tmp_path / "reports")])
-    capsys.readouterr()
-    assert code == 2
-
-
-def test_run_with_a_keyed_cyclic_script_is_config_error(tmp_path, capsys):
-    # A keyed script is never refilled, so "cyclic" could not take effect.
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    script = json.loads(script_path.read_text())
-    script_path.write_text(json.dumps({**script, "cyclic": True}))
-    out_dir = tmp_path / "reports"
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(out_dir)])
-    assert capsys.readouterr().err == "error: script: a keyed script cannot be cyclic\n"
-    assert code == 2
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("uses", [-2, -7])
-def test_run_with_a_script_entry_below_unlimited_uses_is_config_error(tmp_path, capsys, uses):
-    # -1 is the one unlimited value; an entry below it is malformed.
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    script = json.loads(script_path.read_text())
-    script["entries"][0]["uses"] = uses
-    script_path.write_text(json.dumps(script))
-    out_dir = tmp_path / "reports"
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(out_dir)])
-    assert capsys.readouterr().err == (
-        "error: script: an entry's uses must be -1 (unlimited) or at least 0\n")
-    assert code == 2
-    assert not out_dir.exists()
-
-
-def test_report_stepwise_counts(tmp_path, capsys):
-    counts = tmp_path / "counts.json"
-    counts.write_text(json.dumps({"rows": REFERENCE_STEPWISE_ROWS}))
-    assert main(["report", "--stepwise-counts", str(counts)]) == 0
-    out = capsys.readouterr().out
-    for value in ("73%", "100%", "81%", "90%", "68%"):
-        assert value in out
-    assert "flag: Place: computed 46.2% vs reported 40%" in out
-
-
-@pytest.mark.parametrize(
-    "flag, data, error",
-    [
-        ("--records", {"suite": "s", "config": "c", "seed": 1, "episodes": 5},
-         "report: episodes must be an array of objects"),
-        ("--stepwise-counts", {"rows": [5]}, "counts: rows must be an array of objects"),
-        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": "2", "failures": 0}]},
-         "counts row 1: successes must be an integer"),
-        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": 2, "failures": 0},
-                                        {"skill": "Place", "successes": -3, "failures": 1}]},
-         "counts row 2 (Place): a count is negative"),
-        ("--stepwise-counts", {"rows": [{"skill": "Move", "successes": 2, "failures": -1}]},
-         "counts row 1 (Move): a count is negative"),
-    ],
-    ids=["episodes-number", "rows-of-numbers", "count-text", "negative-successes",
-         "negative-failures"],
-)
-def test_report_on_a_malformed_input_is_config_error(tmp_path, capsys, flag, data, error):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
-    assert main(["report", flag, str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
-
-
-@pytest.mark.parametrize("reported", ["Infinity", "1e400", "1" * 400, "NaN", "-1", "100.5"],
-                         ids=["infinity", "1e400", "400-digits", "nan", "negative", "over-100"])
-def test_report_on_a_reported_ssr_outside_0_to_100_is_config_error(tmp_path, capsys, reported):
-    path = tmp_path / "counts.json"
-    path.write_text('{"rows": [{"skill": "Move", "successes": 2, "failures": 0},'
-                    ' {"skill": "Place", "successes": 1, "failures": 1,'
-                    f' "reported_ssr": {reported}}}]}}')
-    assert main(["report", "--stepwise-counts", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: counts row 2 (Place): reported_ssr is not from 0 to 100\n")
-
-
-def test_report_renders_counts_too_large_for_a_float(tmp_path, capsys):
-    path = tmp_path / "counts.json"
-    ones = int("1" * 400)
-    path.write_text(json.dumps({"rows": [
-        {"skill": "Move", "successes": ones, "failures": 0, "reported_ssr": 100},
-        {"skill": "Place", "successes": ones, "failures": 8 * ones},
-    ]}))
-    assert main(["report", "--stepwise-counts", str(path)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [line.split()[-1] for line in out[1:3]] == ["100%", "11%"]
-    assert out[3:] == ["product-of-SSRs estimate: 11.1%"]
-    nines = "9" * 400
-    assert main(["report", "--completion-counts", f"a={ones}/{nines},b={nines}/{nines}"]) == 0
-    assert capsys.readouterr().out == "a: 11.1%\nb: 100%\noverall: 55.6%\n"
-
-
 def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
     main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
@@ -367,67 +489,6 @@ def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
     assert capsys.readouterr().out == run_text + "\n"
 
 
-def test_a_run_with_no_executed_action_reports_no_product_estimate(tmp_path, capsys):
-    suite_path, _, _ = card_to_sink_suite(tmp_path)
-    script_path = tmp_path / "done.json"
-    entry = {"completion": "Thought: nothing to do\nFinal Answer: done"}
-    script_path.write_text(json.dumps({"cyclic": True, "entries": [entry]}))
-    assert main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(tmp_path / "reports")]) == 0
-    capsys.readouterr()
-    (text,) = (tmp_path / "reports").glob("*.txt")
-    assert "product-of-SSRs estimate: n/a" in text.read_text().splitlines()
-    assert main(["report", "--records", str(text.with_suffix(".json"))]) == 0
-    assert "product-of-SSRs estimate: n/a" in capsys.readouterr().out.splitlines()
-
-
-def test_report_completion_counts(capsys):
-    assert main(["report", "--completion-counts", "moderate=7/20,hard=3/20"]) == 0
-    out = capsys.readouterr().out
-    assert "moderate: 35%" in out
-    assert "hard: 15%" in out
-    assert "overall: 25%" in out
-
-
-def test_report_gives_a_rate_over_no_episode_as_na(tmp_path, capsys):
-    assert main(["report", "--completion-counts", "easy=0/0"]) == 0
-    assert capsys.readouterr().out == "easy: n/a\noverall: n/a\n"
-    assert main(["report", "--completion-counts", "easy=0/0,hard=1/2"]) == 0
-    assert capsys.readouterr().out == "easy: n/a\nhard: 50%\noverall: 50%\n"
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"suite": "s", "config": "c", "seed": 1, "episodes": []}))
-    assert main(["report", "--records", str(path)]) == 0
-    assert "task completion: n/a (0/0)" in capsys.readouterr().out.splitlines()
-
-
-@pytest.mark.parametrize(
-    "counts, error",
-    [
-        ("moderate=25/20", "part 'moderate=25/20': successes must be from 0 to total"),
-        ("moderate=7/20,hard=-1/20", "part 'hard=-1/20': successes must be from 0 to total"),
-        ("a=1/2,a=2/2", "part 'a=2/2': label 'a' repeats"),
-        ("a=1/2, a =2/2", "part ' a =2/2': label 'a' repeats"),
-        ("moderate7/20", "part 'moderate7/20': not label=successes/total"),
-        ("moderate=7", "part 'moderate=7': not label=successes/total"),
-        ("moderate=7/20/3", "part 'moderate=7/20/3': not label=successes/total"),
-        ("=3/4,a=1/4", "part '=3/4': not label=successes/total"),
-        # a group named overall would lose its row to the pooled rate
-        ("overall=1/2,hard=1/1", "label 'overall' is the pooled rate's key"),
-    ],
-    ids=["over-total", "negative", "repeated-label", "repeated-after-strip", "no-equals",
-         "no-slash", "two-slashes", "empty-label", "overall-label"],
-)
-def test_report_on_out_of_range_completion_counts_is_config_error(capsys, counts, error):
-    assert main(["report", "--completion-counts", counts]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: completion counts {error}\n"
-
-
-def test_report_without_inputs_is_config_error(capsys):
-    assert main(["report"]) == 2
-
-
 def test_a_key_error_inside_a_command_is_a_bug_and_propagates(monkeypatch):
     def mistyped_key(args):
         return {}["x"]
@@ -435,6 +496,19 @@ def test_a_key_error_inside_a_command_is_a_bug_and_propagates(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "report", mistyped_key)
     with pytest.raises(KeyError):
         main(["report"])
+
+
+def test_a_closed_stdout_ends_a_command_with_exit_1_and_no_traceback(tmp_path):
+    # About 900 kB of table, past any pipe buffer, so a write meets the closed pipe.
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"rows": [{"skill": "Move", "successes": 1, "failures": 0}]
+                                  * 20_000}))
+    with subprocess.Popen([sys.executable, "-m", "homeplan.cli", "report", "--stepwise-counts",
+                           str(counts)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        assert proc.stdout.readline() == HEADER
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == ("", 1)
 
 
 def test_console_entry_point_runs():
@@ -492,186 +566,3 @@ def test_a_message_table_without_a_not_discovered_text_fails_at_load(tmp_path, c
     assert captured.err.startswith("error: messages")
     assert captured.out == ""  # no episode ran and no report was written
     assert not (tmp_path / "reports").exists()
-
-
-# A slot message() does not fill (KeyError), a positional slot (IndexError)
-# and a single brace (ValueError) would each fail mid-run.
-@pytest.mark.parametrize("key, template", [
-    ("exists", "no object satisfies {form}"),
-    ("exists", "{0} holds for no object"),
-    ("fallback", "condition not met: formula}"),
-], ids=["named", "positional", "stray-brace"])
-def test_a_message_table_with_a_bad_slot_exits_2_before_any_episode(tmp_path, capsys,
-                                                                    monkeypatch, key, template):
-    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
-    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
-    data[key] = template
-    messages_path = tmp_path / "messages.json"
-    messages_path.write_text(json.dumps(data))
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--messages", str(messages_path), "--out", str(tmp_path / "reports")])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: messages: {key} may hold no slot but {{formula}}\n"
-    assert not (tmp_path / "reports").exists()
-
-
-def test_run_with_step_cap(tmp_path, capsys):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    code = main(
-        [
-            "run",
-            "--suite", str(suite_path),
-            "--backend", f"scripted:{script_path}",
-            "--max-steps", "2",
-            "--out", str(tmp_path / "capped"),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "task completion: 0% (0/2)" in out
-
-
-def test_run_with_template_dir_override(tmp_path, capsys):
-    import shutil
-
-    template_dir = tmp_path / "templates"
-    template_dir.mkdir()
-    source = resources.files("homeplan.data").joinpath("templates")
-    for name in ("expansion.txt", "critique.txt"):
-        shutil.copy(str(source.joinpath(name)), template_dir / name)
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    code = main(
-        [
-            "run",
-            "--suite", str(suite_path),
-            "--backend", f"scripted:{script_path}",
-            "--templates", str(template_dir),
-            "--out", str(tmp_path / "tmpl"),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "task completion: 50% (1/2)" in out
-
-
-def _no_run_suite(*args, **kwargs):
-    raise AssertionError("run_suite was called")
-
-
-@pytest.mark.parametrize("mode", ["react", "mcts"])
-def test_run_with_an_empty_template_dir_exits_2_before_any_episode(tmp_path, capsys, monkeypatch,
-                                                                   mode):
-    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    template_dir, out_dir = tmp_path / "templates", tmp_path / "reports"
-    template_dir.mkdir()
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--mode", mode, "--templates", str(template_dir), "--out", str(out_dir)])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: {template_dir / 'expansion.txt'}: No such file or directory\n")
-    assert not out_dir.exists()
-
-
-def test_run_with_an_out_that_is_a_file_exits_2_before_any_model_call(tmp_path, capsys,
-                                                                       monkeypatch):
-    monkeypatch.setattr("homeplan.cli.run_suite", _no_run_suite)
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    out = tmp_path / "taken"
-    out.write_text("")
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
-
-
-def test_gen_suite_with_no_world_is_config_error(tmp_path, capsys):
-    out_file = tmp_path / "suite.json"
-    assert main(["gen-suite", "--seed", "1", "--count", "2", "--worlds", ",",
-                 "--out", str(out_file)]) == 2
-    assert capsys.readouterr().err == "error: no world to sample tasks from\n"
-    assert not out_file.exists()
-
-
-@pytest.mark.parametrize(
-    "command",
-    [["run", "--suite", "{dir}", "--backend", "remote"],
-     ["run", "--suite", "{suite}", "--backend", "scripted:{dir}"],
-     ["run", "--suite", "{suite}", "--backend", "scripted:{script}", "--messages", "{dir}"],
-     ["replay-trace", "--trace", "{dir}"],
-     ["replay-trace", "--messages", "{dir}"],
-     ["report", "--records", "{dir}"],
-     ["report", "--stepwise-counts", "{dir}"],
-     ["compare-preconds", "--fixture", "{dir}"]],
-    ids=["suite", "script", "run-messages", "trace", "replay-messages", "records", "counts",
-         "fixture"],
-)
-def test_an_input_that_is_a_directory_is_config_error(tmp_path, capsys, command):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    directory = tmp_path / "inputs"
-    directory.mkdir()
-    args = [part.format(dir=directory, suite=suite_path, script=script_path) for part in command]
-    assert main(args) == 2
-    assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
-
-
-# A directory cannot be written as a file, nor a file made a directory.
-@pytest.mark.parametrize(
-    "command, taken, reason",
-    [(["gen-suite", "--seed", "1", "--count", "2", "--worlds", "worlds/kitchen.json"],
-      "directory", "Is a directory"),
-     (["compare-preconds"], "directory", "Is a directory"),
-     (["run", "--suite", "{suite}", "--backend", "scripted:{script}"], "file", "File exists")],
-    ids=["gen-suite", "compare-preconds", "run"],
-)
-def test_an_output_that_cannot_be_written_is_config_error(tmp_path, capsys, command, taken,
-                                                          reason):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    out = tmp_path / "taken"
-    if taken == "directory":
-        out.mkdir()
-    else:
-        out.write_text("")
-    args = [part.format(suite=suite_path, script=script_path) for part in command]
-    assert main(args + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
-
-
-def test_run_on_a_suite_directory_exits_2_without_a_traceback(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "homeplan.cli", "run", "--suite", str(tmp_path),
-         "--backend", "remote"],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 2
-    assert result.stderr == f"error: {tmp_path}: Is a directory\n"
-
-
-def _messages_without_visible(tmp_path):
-    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
-    del data["atoms"]["visible"]
-    path = tmp_path / "messages.json"
-    path.write_text(json.dumps(data))
-    return path
-
-
-def test_replay_with_a_message_table_missing_a_needed_text_is_config_error(tmp_path, capsys):
-    code = main(["replay-trace", "--messages", str(_messages_without_visible(tmp_path))])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: messages: visible has no required_true text\n"
-
-
-def test_run_with_a_message_table_missing_a_needed_text_gives_an_error_per_episode(
-        tmp_path, capsys):
-    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
-    code = main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
-                 "--messages", str(_messages_without_visible(tmp_path)),
-                 "--out", str(tmp_path / "reports")])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("error:")] == [
-        f"error: {episode}: messages: visible has no required_true text"
-        for episode in ("demo-001", "demo-002")
-    ]

@@ -28,9 +28,10 @@ from homeplan.errors import (
     ScriptMismatchError,
     UnknownToolError,
 )
-from homeplan import cli, llm, tools
+from homeplan import cli, llm, mcts, tools
 from homeplan.llm import (
     RETRY_CEILING_S,
+    TEMPLATE_SLOTS,
     FinalAnswer,
     PromptTemplate,
     ReactStep,
@@ -864,6 +865,21 @@ def test_template_directory_override_is_read_on_every_call(tmp_path):
     assert load_template("critique", directory=tmp_path).body == "first {goal}"
     (tmp_path / "critique.txt").write_text("second {goal}\n")
     assert load_template("critique", directory=tmp_path).body == "second {goal}"
+
+
+def test_the_declared_template_slots_are_the_ones_the_planner_fills(monkeypatch):
+    """Each packaged template holds exactly its declared slots, and the fills
+    that MctsPlanner builds for it name exactly those slots."""
+    rendered = []
+    monkeypatch.setattr(mcts, "render_prompt", lambda template, fills: (
+        rendered.append((template, set(fills))) or render_prompt(template, fills)))
+    planner = mcts.MctsPlanner(ScriptedBackend.ordered(["Score: 5"]))
+    planner.expansion_prompt("goal", "")
+    planner.critique([], "goal")
+    assert len(rendered) == len(TEMPLATE_SLOTS)  # expansion, then critique
+    for name, (template, fills) in zip(TEMPLATE_SLOTS, rendered):
+        assert template is load_template(name)
+        assert {slot for _, slot in template._pieces[0]} == set(TEMPLATE_SLOTS[name]) == fills
 
 
 def list_and_join_format_step(step):

@@ -191,8 +191,9 @@ def test_resolve_world_from_package_data():
 # Suite execution
 
 
-def card_to_sink_suite(tmp_path):
-    """Two tasks on the same world; the shared script solves only the first."""
+def card_to_sink_data():
+    """Two tasks on the same world, and a script that solves only the first:
+    (suite data, script data), fresh on every call."""
     suite_data = {
         "name": "demo",
         "seed": 5,
@@ -261,6 +262,12 @@ def card_to_sink_suite(tmp_path):
             },
         ],
     }
+    return suite_data, script_data
+
+
+def card_to_sink_suite(tmp_path):
+    """card_to_sink_data written to suite.json and script.json under tmp_path."""
+    suite_data, script_data = card_to_sink_data()
     suite_path = tmp_path / "suite.json"
     suite_path.write_text(json.dumps(suite_data))
     script_path = tmp_path / "script.json"
