@@ -21,7 +21,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .errors import DATA, HomeplanError, InputFormatError, OutputError, read_input
 from .grounding import MessageTable
-from .llm import TEMPLATE_FILES, RemoteBackend, ScriptedBackend, load_template
+from .llm import TEMPLATE_SLOTS, RemoteBackend, ScriptedBackend, load_template
 from .mcts import PlannerConfig
 from .precondgen import compare_fixture
 from .sim import load_trace, replay_trace
@@ -151,8 +151,10 @@ def _cmd_run(args) -> int:
     )
     messages = MessageTable.load(args.messages) if args.messages else None
     if args.templates is not None:  # a bad directory fails before any episode
-        for name in TEMPLATE_FILES:
+        for name in TEMPLATE_SLOTS:
             load_template(name, args.templates)
+    if args.workers < 1:  # as run_suite would, but before --out is made
+        raise ValueError(f"workers must be at least 1, not {args.workers}")
     with _writing(args.out) as out_dir:  # and so does an --out that cannot be made
         out_dir.mkdir(parents=True, exist_ok=True)
     try:  # no backend opens a connection before the run
@@ -183,10 +185,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare_preconds(args) -> int:
     report = compare_fixture(args.fixture)
-    print(report.render_text())
-    if args.out:
+    if args.out:  # written first, so that a failed write prints no report
         with _writing(args.out) as out:
             out.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    print(report.render_text())
     return EXIT_OK
 
 

@@ -69,11 +69,6 @@ class MalformedArgsError(HomeplanError):
     """Action arguments do not satisfy the tool's parameter schema."""
 
 
-class MissingSlotError(HomeplanError):
-    def __init__(self, slot: str):
-        super().__init__(f"prompt template slot not filled: {slot!r}")
-
-
 class MalformedCompletionError(HomeplanError):
     """Completion contains neither a parseable action nor a final answer."""
 

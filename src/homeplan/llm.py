@@ -1,8 +1,10 @@
 """Language-model interface: templates, transcript steps, and backends.
 
-Prompt templates are shipped as text files (overridable by directory) using
-``{slot}`` placeholders with ``{{``/``}}`` escapes for literal braces; a file
-with a stray brace or a slot its prompt does not fill is refused when read.
+Prompt templates are shipped as text files, ``<name>.txt`` (overridable by
+directory), using ``{slot}`` placeholders with ``{{``/``}}`` escapes for
+literal braces. A template is checked only where it is read: a file with a
+stray brace or a slot its prompt does not fill is refused then, and
+rendering only joins its pieces with the fills.
 ``StepRecord`` is the one recorded transcript step (an agent's step, a
 search-tree edge, a replayed trace step); ``format_step`` renders it and
 ``parse_react`` reads a completion back: a completion in the form
@@ -30,7 +32,6 @@ from .errors import (
     BackendUnavailableError,
     InputFormatError,
     MalformedCompletionError,
-    MissingSlotError,
     NoScoreError,
     ScriptExhaustedError,
     ScriptMismatchError,
@@ -44,9 +45,8 @@ ENV_API_KEY = "HOMEPLAN_LLM_API_KEY"
 ENV_MODEL = "HOMEPLAN_LLM_MODEL"
 RETRY_CEILING_S = 8  # longest wait between remote attempts
 
-TEMPLATE_FILES = {"expansion": "expansion.txt", "critique": "critique.txt"}
-# The slots each template is rendered with (MctsPlanner.expansion_prompt and
-# critique); a template may leave one out.
+# Each template by name, read from <name>.txt, and the slots it is rendered
+# with (MctsPlanner.expansion_prompt and critique); a template may leave one out.
 TEMPLATE_SLOTS = {"expansion": ("tools", "tool_names", "input", "agent_scratchpad"),
                   "critique": ("goal", "plan_steps")}
 
@@ -73,11 +73,10 @@ class PromptTemplate:
     body: str
 
     @cached_attribute
-    def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str, str | None]:
+    def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str]:
         """The body split once for render_prompt: (literal, slot) pairs in
-        body order, with escapes undone in the literals; the literal text
-        after the last slot; and the first stray brace (None when there is
-        none), where rendering always stops."""
+        body order, with escapes undone in the literals, and the literal text
+        after the last slot. A stray brace is an InputFormatError."""
         pairs = []
         literal: list[str] = []
         pos = 0
@@ -91,56 +90,49 @@ class PromptTemplate:
                 pairs.append(("".join(literal), match.group(1)))
                 literal = []
             else:
-                return tuple(pairs), "", token
+                raise InputFormatError(f"a stray {token!r}; write {token * 2!r} for the brace")
         literal.append(self.body[pos:])
-        return tuple(pairs), "".join(literal), None
+        return tuple(pairs), "".join(literal)
 
 
 def _read_template(name: str, path) -> PromptTemplate:
     """The template in a file; one with a stray brace or a slot its prompt
     does not fill is an InputFormatError naming the file."""
     template = PromptTemplate(body=read_input(path, parse=str).rstrip("\n"))
-    pairs, _, stray = template._pieces
-    if stray is not None:
-        raise InputFormatError(f"{path}: a stray {stray!r}; write {stray * 2!r} for the brace")
+    try:
+        pairs, _ = template._pieces
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
     if any(slot not in TEMPLATE_SLOTS[name] for _, slot in pairs):
         slots = ", ".join(f"{{{slot}}}" for slot in TEMPLATE_SLOTS[name])
         raise InputFormatError(f"{path}: the {name} template may hold no slot but {slots}")
     return template
 
 
-@lru_cache(maxsize=None)  # one entry per name in TEMPLATE_FILES
+@lru_cache(maxsize=None)  # one entry per name in TEMPLATE_SLOTS
 def _packaged_template(name: str) -> PromptTemplate:
-    return _read_template(name, DATA.joinpath(f"templates/{TEMPLATE_FILES[name]}"))
+    return _read_template(name, DATA.joinpath(f"templates/{name}.txt"))
 
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
     """Load a template by name. A shipped template is one shared instance,
     read, split into pieces and checked once per process; an override
     directory is read and checked on every call."""
-    try:
-        filename = TEMPLATE_FILES[name]
-    except KeyError:
-        raise KeyError(f"unknown template name: {name!r}") from None
+    if name not in TEMPLATE_SLOTS:
+        raise KeyError(f"unknown template name: {name!r}")
     if directory is None:
         return _packaged_template(name)
-    return _read_template(name, Path(directory, filename))
+    return _read_template(name, Path(directory, f"{name}.txt"))
 
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
-    """Substitute every slot; unknown or leftover braces are errors, raised
-    for the first one in body order."""
-    pairs, tail, stray = template._pieces
+    """The template's pieces joined with each slot's fill; the template was
+    checked when it was read, and its prompt fills every slot."""
+    pairs, tail = template._pieces
     out: list[str] = []
     for literal, slot in pairs:
-        try:
-            value = fills[slot]
-        except KeyError:
-            raise MissingSlotError(slot) from None
         out.append(literal)
-        out.append(str(value))
-    if stray is not None:
-        raise MissingSlotError(stray)
+        out.append(str(fills[slot]))
     out.append(tail)
     return "".join(out)
 

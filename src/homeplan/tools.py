@@ -1,23 +1,23 @@
 """The built-in tool library: one ActionSpec per tool, by name.
 
-Each tool is written once, as one entry of _TOOLS: what it does, an example
-object id (none for a tool that takes no object), the transition that
-applies its effect and writes its success text, and the skill category
+Each tool is written once, as one ActionSpec row of _TOOLS: what it does, an
+example object id (none for a tool that takes no object), the transition
+that applies its effect and writes its success text, and the skill category
 step-wise reports count it under. Its prompt text and input format are
-written from that entry; its expert ground-truth precondition is the one the
-shipped labeled-pairs fixture lists under its name, so the verification
-layer and the comparison harness can never drift apart. A transition runs
-only after the simulator has checked the precondition.
+worked out from that row when it is made. The library adds only its expert
+ground-truth precondition: the one the shipped labeled-pairs fixture lists
+under its name, so the verification layer and the comparison harness can
+never drift apart. A transition runs only after the simulator has checked
+the precondition.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import DATA, InputFormatError, check_fields, read_input
 from .formula import Formula, parse_precondition
@@ -29,16 +29,25 @@ Transition = Callable[[WorldState, str | None], tuple[WorldState, str]]
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """One tool: prompt-facing description, whether it takes an object_id,
-    precondition, transition and skill category."""
+    """One tool as written once: what it does, an example object id for its
+    input format (None: it takes no object), its transition, skill category
+    and precondition. Its prompt text and whether it takes an object_id are
+    worked out from these once, when it is made."""
 
     name: str
-    description: str
-    takes_target: bool
-    precondition: Formula | None  # None means trivially true
+    purpose: str
+    example: str | None
     apply: Transition
     skill: str  # locate | move | perceive | manipulate | place
-    requires_discovered: bool  # world-level check outside the formula
+    requires_discovered: bool = False  # world-level check outside the formula
+    precondition: Formula | None = None  # None means trivially true
+    description: str = field(init=False)
+    takes_target: bool = field(init=False)
+
+    def __post_init__(self):
+        schema = {"input": None} if self.example is None else {"object_id": self.example}
+        object.__setattr__(self, "description", f"{self.purpose} Input format in JSON: {schema}.")
+        object.__setattr__(self, "takes_target", self.example is not None)
 
 
 _PAIRS_FIELDS = {"tools": (dict, dict)}
@@ -187,47 +196,35 @@ def _adjust(state: WorldState, target: str) -> tuple[WorldState, str]:
     return state, "Readjusted position relative to target object!"
 
 
-class _Tool(NamedTuple):
-    """One tool as written once: its prompt text and its input format come
-    from here, its precondition from the pairs file under its name."""
-
-    name: str
-    purpose: str
-    example: str | None  # an object id for the input format; None: takes no object
-    apply: Transition
-    skill: str  # locate | move | perceive | manipulate | place
-    requires_discovered: bool = False
-
-
 # The thirteen built-in tools, in prompt order.
 _TOOLS = (
-    _Tool("Pick Up Object", "Pick up a target object specified by object id and hold it.",
-          "Apple_1", _pick_up, "manipulate"),
-    _Tool("Place Object", "Place the currently held object inside or on a target receptacle "
-          "specified by object id.", "CounterTop_1", _place, "place"),
-    _Tool("Open Object", "Open a target object specified by object id.",
-          "Cabinet_4", _setter("isOpen", True, "Target object was opened!"), "manipulate"),
-    _Tool("Close Object", "Close a target object specified by object id.",
-          "Cabinet_4", _setter("isOpen", False, "Target object was closed!"), "manipulate"),
-    _Tool("Toggle Object On", "Toggle a target object on, specified by object id.",
-          "Faucet_1", _toggle_on, "manipulate"),
-    _Tool("Toggle Object Off", "Toggle a target object off, specified by object id.",
-          "Faucet_1", _setter("isToggled", False, "Target object was toggled off!"),
-          "manipulate"),
-    _Tool("Search Object", "Return a list of all items inside or on a target object "
-          "specified by object id.", "Cabinet_4", _search, "perceive"),
-    _Tool("Fill Held Object With Water", "Fill the currently held object with water from a "
-          "toggled-on water source.", None, _fill, "manipulate"),
-    _Tool("Pour Water Into", "Pour water from the held object into a target object specified "
-          "by object id.", "Vase_1", _pour, "manipulate"),
-    _Tool("Randomly Explore", "Move around the environment to discover new objects.",
-          None, _explore, "locate"),
-    _Tool("Get Discovered Objects", "Return a list of the object IDs of all discovered objects.",
-          None, _list_discovered, "perceive"),
-    _Tool("Inspect Object", "Report what a target object is inside or on top of and what it "
-          "controls.", "Cabinet_4", _inspect, "perceive"),
-    _Tool("Adjust Positioning", "Readjust position relative to a target object so that it can "
-          "be interacted with.", "Cabinet_4", _adjust, "move", requires_discovered=True),
+    ActionSpec("Pick Up Object", "Pick up a target object specified by object id and hold it.",
+               "Apple_1", _pick_up, "manipulate"),
+    ActionSpec("Place Object", "Place the currently held object inside or on a target "
+               "receptacle specified by object id.", "CounterTop_1", _place, "place"),
+    ActionSpec("Open Object", "Open a target object specified by object id.",
+               "Cabinet_4", _setter("isOpen", True, "Target object was opened!"), "manipulate"),
+    ActionSpec("Close Object", "Close a target object specified by object id.",
+               "Cabinet_4", _setter("isOpen", False, "Target object was closed!"), "manipulate"),
+    ActionSpec("Toggle Object On", "Toggle a target object on, specified by object id.",
+               "Faucet_1", _toggle_on, "manipulate"),
+    ActionSpec("Toggle Object Off", "Toggle a target object off, specified by object id.",
+               "Faucet_1", _setter("isToggled", False, "Target object was toggled off!"),
+               "manipulate"),
+    ActionSpec("Search Object", "Return a list of all items inside or on a target object "
+               "specified by object id.", "Cabinet_4", _search, "perceive"),
+    ActionSpec("Fill Held Object With Water", "Fill the currently held object with water from "
+               "a toggled-on water source.", None, _fill, "manipulate"),
+    ActionSpec("Pour Water Into", "Pour water from the held object into a target object "
+               "specified by object id.", "Vase_1", _pour, "manipulate"),
+    ActionSpec("Randomly Explore", "Move around the environment to discover new objects.",
+               None, _explore, "locate"),
+    ActionSpec("Get Discovered Objects", "Return a list of the object IDs of all discovered "
+               "objects.", None, _list_discovered, "perceive"),
+    ActionSpec("Inspect Object", "Report what a target object is inside or on top of and what "
+               "it controls.", "Cabinet_4", _inspect, "perceive"),
+    ActionSpec("Adjust Positioning", "Readjust position relative to a target object so that it "
+               "can be interacted with.", "Cabinet_4", _adjust, "move", requires_discovered=True),
 )
 
 
@@ -239,17 +236,6 @@ def builtin_tool_library() -> dict[str, ActionSpec]:
     unknown = sorted(pairs.keys() - {tool.name for tool in _TOOLS})
     if unknown:
         raise InputFormatError(f"precondition pairs: {unknown[0]!r} is not a built-in tool")
-    library = {}
-    for tool in _TOOLS:
-        schema = {"input": None} if tool.example is None else {"object_id": tool.example}
-        entry = pairs.get(tool.name)
-        library[tool.name] = ActionSpec(
-            name=tool.name,
-            description=f"{tool.purpose} Input format in JSON: {schema}.",
-            takes_target=tool.example is not None,
-            precondition=None if entry is None else parse_precondition(entry["ground_truth"]),
-            apply=tool.apply,
-            skill=tool.skill,
-            requires_discovered=tool.requires_discovered,
-        )
-    return library
+    return {tool.name: tool if tool.name not in pairs
+            else replace(tool, precondition=parse_precondition(pairs[tool.name]["ground_truth"]))
+            for tool in _TOOLS}

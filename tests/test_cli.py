@@ -208,9 +208,9 @@ CONSOLE = [
     ("zero-max-steps", f"{RUN} --max-steps 0", _card(), 2, "",
      "error: step cap must be at least 1", NO_REPORTS),
     ("zero-workers", f"{RUN} --workers 0", _card(), 2, "",
-     "error: workers must be at least 1, not 0", None),
+     "error: workers must be at least 1, not 0", NO_REPORTS),
     ("negative-workers", f"{RUN} --workers -1", _card(), 2, "",
-     "error: workers must be at least 1, not -1", None),
+     "error: workers must be at least 1, not -1", NO_REPORTS),
     ("no-repetitions", RUN, _card(suite=lambda s: s.update(repetitions=0)), 2, "",
      "error: repetitions must be at least 1", NO_REPORTS),
     ("task-without-world", RUN, _card(suite=lambda s: s["tasks"][1].pop("world")), 2, "",
@@ -266,7 +266,7 @@ CONSOLE = [
                          ("fixture", "compare-preconds --fixture .")]],
     ("gen-suite-into-a-directory", "gen-suite --seed 1 --count 2 --worlds worlds/kitchen.json "
      "--out .", {}, 2, "", "error: cannot write .: Is a directory", None),
-    ("compare-preconds-into-a-directory", "compare-preconds --out .", {}, 2, [],
+    ("compare-preconds-into-a-directory", "compare-preconds --out .", {}, 2, "",
      "error: cannot write .: Is a directory", None),
     ("gen-suite-without-worlds", "gen-suite --seed 1 --count 2 --worlds , --out suite.json", {},
      2, "", "error: no world to sample tasks from", _absent("suite.json")),

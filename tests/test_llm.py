@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import defaultdict
 from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -21,8 +22,8 @@ from homeplan.agent import AgentConfig
 from homeplan.errors import (
     BackendUnavailableError,
     HomeplanError,
+    InputFormatError,
     MalformedCompletionError,
-    MissingSlotError,
     NoScoreError,
     ScriptExhaustedError,
     ScriptMismatchError,
@@ -68,15 +69,16 @@ def test_expansion_template_slots():
     text = render_prompt(template, fills)
     assert [text.count(fill) for fill in fills.values()] == [1, 1, 1, 1]
     assert "{" not in text and "}" not in text
-    with pytest.raises(MissingSlotError):
+    with pytest.raises(KeyError) as missing:
         render_prompt(
             template, {"tools": "t", "tool_names": "a, b", "input": "task"}
         )
+    assert missing.value.args == ("agent_scratchpad",)
 
 
 def test_render_rejects_stray_brace():
     template = PromptTemplate(body="hello { there")
-    with pytest.raises(MissingSlotError):
+    with pytest.raises(InputFormatError, match=r"^a stray '\{'; write '\{\{' for the brace$"):
         render_prompt(template, {})
 
 
@@ -791,8 +793,13 @@ def test_importing_the_package_loads_neither_requests_nor_a_thread_pool():
 _REFERENCE_SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 
 
+class _StrayBrace(Exception):
+    pass
+
+
 def reference_render(template, fills):
-    """render_prompt before templates were compiled: one regex scan per call."""
+    """render_prompt before templates were compiled: one regex scan per call,
+    stopped by the first stray brace or missing fill in body order."""
     out = []
     pos = 0
     for match in _REFERENCE_SLOT_RE.finditer(template.body):
@@ -804,12 +811,9 @@ def reference_render(template, fills):
         elif token == "}}":
             out.append("}")
         elif match.group(1):
-            slot = match.group(1)
-            if slot not in fills:
-                raise MissingSlotError(slot)
-            out.append(str(fills[slot]))
+            out.append(str(fills[match.group(1)]))
         else:
-            raise MissingSlotError(token)
+            raise _StrayBrace(token)
     out.append(template.body[pos:])
     return "".join(out)
 
@@ -817,7 +821,7 @@ def reference_render(template, fills):
 def _outcome(render, template, fills):
     try:
         return render(template, fills), None
-    except MissingSlotError as exc:
+    except KeyError as exc:
         return None, exc.args
 
 
@@ -835,7 +839,18 @@ _body_pieces = st.one_of(
                     st.one_of(st.text(alphabet="ab{}", max_size=3), st.integers())),
 )
 def test_render_prompt_matches_the_regex_reference(body, fills):
+    """A body is refused when split exactly when it holds a stray brace, the
+    first one named; any other renders as the reference does, a missing fill
+    being a KeyError that names the first missing slot."""
     template = PromptTemplate(body=body)
+    try:
+        reference_render(template, defaultdict(str))  # every slot filled
+    except _StrayBrace as exc:
+        (stray,) = exc.args
+        with pytest.raises(InputFormatError) as refused:
+            render_prompt(template, fills)
+        assert str(refused.value) == f"a stray {stray!r}; write {stray * 2!r} for the brace"
+        return
     expected = _outcome(reference_render, template, fills)
     for _ in range(2):  # the second render reuses the compiled pieces
         assert _outcome(render_prompt, template, fills) == expected

@@ -124,6 +124,19 @@ def test_each_tool_takes_an_object_and_needs_it_discovered_as_pinned():
         assert f" Input format in JSON: {schema}" in spec.description
 
 
+def test_each_library_tool_is_its_written_row_with_only_its_precondition_added():
+    pairs = load_precondition_pairs()["tools"]
+    library = builtin_tool_library()
+    assert list(library) == [row.name for row in tools._TOOLS]
+    for row, spec in zip(tools._TOOLS, library.values()):
+        assert row.precondition is None
+        entry = pairs.get(row.name)
+        precondition = None if entry is None else parse_precondition(entry["ground_truth"])
+        assert spec == replace(row, precondition=precondition)
+        # Worked out once, when the row was made, and stored.
+        assert vars(spec)["takes_target"] is (row.example is not None)
+
+
 def test_a_pairs_entry_that_names_no_tool_is_an_input_error(monkeypatch):
     pairs = load_precondition_pairs()
     pairs["tools"]["Juggle Object"] = pairs["tools"]["Open Object"]
