@@ -39,8 +39,6 @@ class FeedbackItem:
 _MESSAGE_FIELDS = {"atoms": (dict, dict), "exists": str, "fallback": str, "special": dict}
 # Texts for calls refused before any precondition is evaluated.
 _SPECIAL_FIELDS = {"not_discovered": str}
-# Like an atom's, a text for a rarer refusal fails only when it is needed.
-_SPECIAL_OPTIONAL = {"inside_held": str}
 # A predicate or polarity without a message fails only when it is needed.
 _ATOM_MESSAGE_OPTIONAL = {"required_true": str, "required_false": str}
 
@@ -50,7 +48,7 @@ class MessageTable:
 
     def __init__(self, data: dict):
         check_fields(data, "messages", _MESSAGE_FIELDS)
-        check_fields(data["special"], "messages: special", _SPECIAL_FIELDS, _SPECIAL_OPTIONAL)
+        check_fields(data["special"], "messages: special", _SPECIAL_FIELDS)
         for name, entry in data["atoms"].items():
             check_fields(entry, f"messages: {name}", optional=_ATOM_MESSAGE_OPTIONAL)
         # Take out escaped braces and {formula} from the left, as str.format reads
