@@ -30,7 +30,7 @@ from .errors import (
     UnknownToolError,
 )
 from .grounding import MessageTable
-from .llm import FinalAnswer, LlmBackend, StepRecord
+from .llm import FinalAnswer, LlmBackend, StepRecord, format_step
 from .mcts import MctsPlanner, PlannerConfig
 from .sim import (
     SUCCESS_PREFIX,
@@ -137,7 +137,7 @@ def build_scratchpad(steps: list[StepRecord], pad: Scratchpad) -> str:
     history never fits from an earlier start, so the window only moves right."""
     parts = pad.parts
     for step in steps[pad.taken:]:
-        parts.append(step.rendered)
+        parts.append(format_step(step))
         pad.length += len(parts[-1])
     pad.taken = len(steps)
     while pad.length > pad.char_budget and len(parts) > 1:

@@ -193,12 +193,13 @@ def _cmd_compare_preconds(args) -> int:
 
 
 def _cmd_replay_trace(args) -> int:
-    # A trace's world is found from the directory above the trace's, as in DATA.
+    # A trace's world is found from the directory above the trace's, as in
+    # DATA; a --world, as a --suite is, from the working directory.
     if args.trace is None:
         trace, base_dir = load_trace(DATA.joinpath("traces/clear_table.json")), None
     else:
         trace, base_dir = load_trace(args.trace), Path(args.trace).parent.parent
-    world = resolve_world(args.world or trace.world, base_dir)
+    world = resolve_world(args.world or trace.world, "." if args.world else base_dir)
     messages = MessageTable.load(args.messages) if args.messages else None
     _, results = replay_trace(trace, world, grounding_enabled=args.grounding == "on",
                               messages=messages)

@@ -6,8 +6,9 @@ literal braces. A template is checked only where it is read: a file with a
 stray brace or a slot its prompt does not fill is refused then, and
 rendering only joins its pieces with the fills.
 ``StepRecord`` is the one recorded transcript step (an agent's step, a
-search-tree edge, a replayed trace step); ``format_step`` renders it and
-``parse_react`` reads a completion back: a completion in the form
+search-tree edge, a replayed trace step), a plain record; ``format_step``
+renders it, once per step in the agent's scratchpad and in a search node,
+and ``parse_react`` reads a completion back: a completion in the form
 ``format_step`` writes by one match, any other text by a search for each
 labelled line. The scripted backend replays canned completions for tests and
 offline runs; the remote backend speaks the common chat-completion wire
@@ -26,6 +27,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DATA,
@@ -44,6 +46,8 @@ ENV_ENDPOINT = "HOMEPLAN_LLM_ENDPOINT"
 ENV_API_KEY = "HOMEPLAN_LLM_API_KEY"
 ENV_MODEL = "HOMEPLAN_LLM_MODEL"
 RETRY_CEILING_S = 8  # longest wait between remote attempts
+REMOTE_ATTEMPTS = 3  # remote attempts in all for one completion
+REMOTE_TIMEOUT_S = 60.0  # per attempt
 
 # Each template by name, read from <name>.txt, and the slots it is rendered
 # with (MctsPlanner.expansion_prompt and critique); a template may leave one out.
@@ -141,26 +145,15 @@ def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
 # Transcript steps and parsing
 
 
-# ReactStep, StepRecord and sim's Observation, built for every proposal, write
-# the instance dict item by item in __init__; a frozen dataclass's own __init__
-# costs an object.__setattr__ per field. Assignment raises FrozenInstanceError.
-@dataclass(frozen=True, init=False)
-class ReactStep:
+class ReactStep(NamedTuple):
     """What parse_react reads from a completion."""
 
     thought: str
     action: str
     action_input: dict | str | None
 
-    def __init__(self, thought: str, action: str, action_input: dict | str | None):
-        fields = self.__dict__
-        fields["thought"] = thought
-        fields["action"] = action
-        fields["action_input"] = action_input
 
-
-@dataclass(frozen=True, init=False)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One transcript step: a step an agent took, a search-tree edge, or a
     step of a recorded trace. ``action`` is None for a completion that could
     not be parsed; ``observation`` is None for a proposed final answer."""
@@ -170,26 +163,8 @@ class StepRecord:
     args: dict | str | None
     observation: str | None
 
-    def __init__(self, thought: str, action: str | None, args: dict | str | None,
-                 observation: str | None):
-        fields = self.__dict__
-        fields["thought"] = thought
-        fields["action"] = action
-        fields["args"] = args
-        fields["observation"] = observation
-
-    @cached_attribute
-    def rendered(self) -> str:
-        """Scratchpad text of this step; rendered once, on first use."""
-        return format_step(self)
-
     def to_dict(self) -> dict:
-        return {
-            "thought": self.thought,
-            "action": self.action,
-            "args": _json_args(self.args),
-            "observation": self.observation,
-        }
+        return {**self._asdict(), "args": _json_args(self.args)}
 
 
 def _json_args(args: dict | str | None) -> dict | str | None:
@@ -444,7 +419,7 @@ class RemoteBackend(LlmBackend):
     """Chat-completion client for any endpoint speaking the common protocol.
 
     Connection errors, timeouts, 429 and 5xx replies are retried up to
-    ``max_retries`` attempts in all, waiting 1, 2, 4 ... seconds up to
+    ``REMOTE_ATTEMPTS`` attempts in all, waiting 1, 2, 4 ... seconds up to
     ``RETRY_CEILING_S``; a numeric ``Retry-After`` replaces that wait, under
     the same ceiling. Any other status and a malformed 200 body, one whose
     completion is missing or null too, fail at once. Each thread that calls
@@ -453,16 +428,10 @@ class RemoteBackend(LlmBackend):
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
-                 model: str | None = None, timeout: float = 60.0, max_retries: int = 3):
+                 model: str | None = None):
         self.endpoint = endpoint or os.environ.get(ENV_ENDPOINT)
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
         self.model = model or os.environ.get(ENV_MODEL, "")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        if max_retries < 1:
-            raise ValueError("remote max_retries must be at least 1")
-        if timeout <= 0:
-            raise ValueError("remote timeout must be positive")
         if not self.endpoint:
             raise BackendUnavailableError(
                 f"no endpoint configured (set {ENV_ENDPOINT} or pass endpoint=)"
@@ -497,11 +466,11 @@ class RemoteBackend(LlmBackend):
             with self._sessions_lock:
                 self._sessions.append(session)
         last_error = ""
-        for attempt in range(self.max_retries):
+        for attempt in range(REMOTE_ATTEMPTS):
             delay = min(2 ** attempt, RETRY_CEILING_S)
             try:
                 response = session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=REMOTE_TIMEOUT_S
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = str(exc)
@@ -527,8 +496,8 @@ class RemoteBackend(LlmBackend):
                         delay = min(int(retry_after), RETRY_CEILING_S)
                     except ValueError:  # more digits than int() reads: over the ceiling
                         delay = RETRY_CEILING_S
-            if attempt + 1 < self.max_retries:
+            if attempt + 1 < REMOTE_ATTEMPTS:
                 time.sleep(delay)
         raise BackendUnavailableError(
-            f"remote completion failed after {self.max_retries} attempts: {last_error}"
+            f"remote completion failed after {REMOTE_ATTEMPTS} attempts: {last_error}"
         )

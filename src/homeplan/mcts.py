@@ -25,7 +25,8 @@ Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposal with its simulated observation, keeping the raw Action Input.
 A node also keeps the proposal's dedup key, which no two siblings share. An
 expansion prompt is the episode's scratchpad followed by the steps on the
-search path, each node's step rendered once; the critique scores that path,
+search path, each as its node's ``rendered`` text, worked out once per node
+however many expansions pass through it; the critique scores that path,
 naming each node by its ``label``.
 """
 
@@ -47,6 +48,7 @@ from .llm import (
     ReactStep,
     StepRecord,
     cached_attribute,
+    format_step,
     load_template,
     parse_critique,
     parse_react,
@@ -90,9 +92,9 @@ class PlannerConfig:
 class SearchNode:
     """A state in the search tree. ``proposal`` is the parsed proposal that
     made it and ``step`` the edge into it, that proposal with its simulated
-    observation (both None at the root); the step's ``rendered`` text is
-    what a path through this node adds to an expansion prompt; a refused
-    node holds its parent's state. Nodes compare by identity."""
+    observation (both None at the root), whose text the node keeps as
+    ``rendered``; a refused node holds its parent's state. Nodes compare by
+    identity."""
 
     state: WorldState
     step: StepRecord | None = None
@@ -119,6 +121,12 @@ class SearchNode:
         if isinstance(proposal, FinalAnswer):
             return f"Final Answer: {proposal.text}"
         return f"{proposal.action} {stable_repr(call_args(proposal.action_input))}"
+
+    @cached_attribute
+    def rendered(self) -> str:
+        """The step's scratchpad text, what a path through this node adds to
+        an expansion prompt; rendered on first use."""
+        return format_step(self.step)
 
 
 def ucb_score(parent: SearchNode, child: SearchNode, c: float,
@@ -271,7 +279,7 @@ class MctsPlanner:
         unparseable or a duplicate. The prompt's scratchpad is the episode
         history followed by the path's steps."""
         prompt = self.expansion_prompt(goal, history + "".join(
-            node.step.rendered for node in path if node.step is not None
+            node.rendered for node in path if node.step is not None
         ))
         config = self.config
         seen = {child.key for child in leaf.children}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InputFormatError,
@@ -50,15 +51,9 @@ GENERIC_FAILURE = FAIL_PREFIX + "execution error"
 UNPARSED_ACTION = FAIL_PREFIX + "could not parse a valid action"
 
 
-@dataclass(frozen=True, init=False)
-class Observation:
+class Observation(NamedTuple):
     success: bool
     message: str
-
-    def __init__(self, success: bool, message: str):  # written as llm.ReactStep's is
-        fields = self.__dict__
-        fields["success"] = success
-        fields["message"] = message
 
 
 # What simulate returns for every call it refuses; an Observation is frozen.

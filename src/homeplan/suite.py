@@ -30,6 +30,9 @@ from .tools import builtin_tool_library, seeded_draw
 from .world import WorldState, category_of, load_world
 
 SKILL_ORDER = ("locate", "move", "perceive", "manipulate", "place")
+# A run keeps every episode's record until its report is written, about 16 KB
+# for a 30-step episode, so a loaded suite may hold at most this many episodes.
+MAX_EPISODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ def suite_from_dict(data: dict) -> SuiteSpec:
     repetitions = data.get("repetitions", 1)
     if repetitions < 1:
         raise InputFormatError("repetitions must be at least 1")
+    if len(tasks) * repetitions > MAX_EPISODES:
+        raise InputFormatError(f"repetitions must be at most {MAX_EPISODES // len(tasks)} "
+                               f"for {len(tasks)} tasks ({MAX_EPISODES} episodes a run)")
     return SuiteSpec(
         name=data["name"],
         seed=data.get("seed", 0),

@@ -1,11 +1,10 @@
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homeplan import agent, llm, mcts
+from homeplan import agent, mcts
 from homeplan.agent import (
     AgentConfig,
     EpisodeRecord,
@@ -15,7 +14,7 @@ from homeplan.agent import (
     run_episode,
 )
 from homeplan.errors import BackendUnavailableError
-from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, load_template
+from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, format_step, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import GENERIC_FAILURE, UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
 from homeplan.world import refresh_visibility
@@ -365,7 +364,7 @@ def test_react_episode_describes_the_tools_once(monkeypatch):
 def reference_window(steps: list[StepRecord], char_budget: int = 24000) -> list[str]:
     """The renderings a whole-history scratchpad keeps: every step's,
     truncated oldest-first to the budget, the newest step kept regardless."""
-    parts = [step.rendered for step in steps]
+    parts = [format_step(step) for step in steps]
     length = sum(len(part) for part in parts)
     start = 0
     while length > char_budget and start < len(parts) - 1:
@@ -439,18 +438,18 @@ def test_scratchpad_window_matches_the_whole_history_rendering(steps, budget):
 def test_each_step_is_rendered_once(monkeypatch, kitchen_world, clear_table_trace,
                                     clear_table_task):
     rendered = []
-    render_step = llm.format_step
+    render_step = agent.format_step
 
     def counting_render(step):
         rendered.append(step)
         return render_step(step)
 
-    monkeypatch.setattr(llm, "format_step", counting_render)
+    monkeypatch.setattr(agent, "format_step", counting_render)
     config = AgentConfig(mode="react", grounding_enabled=True)
     record = run_episode(clear_table_task, config, trace_script(clear_table_trace), kitchen_world)
     assert len(record.steps) == 35
     assert len(rendered) == 35  # not once per step per decision
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.steps[0].observation = "rewritten"
 
 
@@ -468,13 +467,13 @@ def _long_task():
 def test_react_episode_past_the_budget_prompts_the_reference_scratchpad(monkeypatch,
                                                                        kitchen_world):
     rendered = []
-    render_step = llm.format_step
+    render_step = agent.format_step
 
     def counting_render(step):
         rendered.append(step)
         return render_step(step)
 
-    monkeypatch.setattr(llm, "format_step", counting_render)
+    monkeypatch.setattr(agent, "format_step", counting_render)
     backend = RecordingBackend.ordered([_LONG_EXPLORE] * 7 + ["no action here"], cyclic=True)
     task = _long_task()
     record = run_episode(task, AgentConfig(), backend, kitchen_world)

@@ -165,6 +165,11 @@ CONSOLE = [
       "accuracy (correct generated / total generated): 97.4%",
       "recall (correct generated / total ground truth): 88.1%"], "", _preconds_json),
     ("replay-trace", "replay-trace", {}, 0, ["35/35 observations reproduced"], "", None),
+    ("replay-world-in-working-directory", "replay-trace --world mykitchen.json",
+     {"mykitchen.json": _packaged("worlds/kitchen.json")}, 0, ["35/35 observations reproduced"],
+     "", None),
+    ("replay-packaged-world", "replay-trace --world worlds/kitchen_b.json", {}, 1,
+     ["6/35 observations reproduced"], "", None),
     # Runs on a generated 3-task suite, three steps a task.
     ("react-cyclic", f"{RUN} --max-steps 3", _cyclic(LOOK), 0, [], "", _report()),
     ("mcts-keyed", f"{RUN} --mode mcts --max-steps 3", _keyed(), 0, [], "", _report()),
@@ -213,6 +218,9 @@ CONSOLE = [
      "error: workers must be at least 1, not -1", NO_REPORTS),
     ("no-repetitions", RUN, _card(suite=lambda s: s.update(repetitions=0)), 2, "",
      "error: repetitions must be at least 1", NO_REPORTS),
+    ("repetitions-past-the-ceiling", RUN, _card(suite=lambda s: s.update(repetitions=2**70)), 2,
+     "", "error: repetitions must be at most 50000 for 2 tasks (100000 episodes a run)",
+     NO_REPORTS),
     ("task-without-world", RUN, _card(suite=lambda s: s["tasks"][1].pop("world")), 2, "",
      "error: task demo-002: a suite task needs a world", NO_REPORTS),
     ("unknown-goal-attribute", RUN, _card(suite=lambda s: s["tasks"][1].update(goal=[

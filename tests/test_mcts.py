@@ -326,13 +326,13 @@ def test_a_final_answer_child_records_its_text_without_an_observation():
 
 def test_each_path_step_is_rendered_once_per_node(monkeypatch):
     rendered = []
-    render_step = llm.format_step
+    render_step = mcts.format_step
 
     def counting_render(step):
         rendered.append(step)
         return render_step(step)
 
-    monkeypatch.setattr(llm, "format_step", counting_render)
+    monkeypatch.setattr(mcts, "format_step", counting_render)
     config = PlannerConfig(expansion_budget=8, children_per_expansion=2, max_depth=3)
     planner = MctsPlanner(_replanning_script(), config)
     planner.plan(feasible_world(), "tidy up")
@@ -448,7 +448,7 @@ def test_a_refused_child_is_a_leaf_and_its_feasible_sibling_is_committed():
     assert (chosen.action, chosen.action_input) == ("Pick Up Object", {"object_id": "Knife_1"})
     assert len(backend.prompts) == 6
     for prompt in backend.prompts:  # no expansion or critique of a path through it
-        assert refused.step.rendered not in prompt and refused.label not in prompt
+        assert refused.rendered not in prompt and refused.label not in prompt
 
 
 def test_plan_returns_the_proposal_its_chosen_child_was_parsed_into(monkeypatch):
@@ -659,7 +659,7 @@ class ReferencePlanner:
             "tools": "\n".join(f"{name}: {spec.description}" for name, spec in tools.items()),
             "tool_names": ", ".join(tools),
             "input": goal, "agent_scratchpad": history + "".join(
-                node.step.rendered for node in path[1:])})
+                llm.format_step(node.step) for node in path[1:])})
         wanted = self.config.children_per_expansion
         made, temperature = [], 0.7
         for _ in range(wanted + 2):
