@@ -729,6 +729,19 @@ def test_a_suite_without_repetitions_is_rejected():
         suite_from_dict({**_one_task_suite(), "repetitions": 0})
 
 
+@pytest.mark.parametrize("task_count", [1, 2, 3])
+def test_a_suite_loads_up_to_the_episode_ceiling_and_no_further(task_count):
+    # Loading only: a suite this size is never run here.
+    suite_data = _one_task_suite()
+    suite_data["tasks"] = [{**suite_data["tasks"][0], "id": f"t{i}"} for i in range(task_count)]
+    most = suite_module.MAX_EPISODES // task_count
+    assert suite_from_dict({**suite_data, "repetitions": most}).repetitions == most
+    with pytest.raises(InputFormatError, match=(
+            f"^repetitions must be at most {most} for {task_count} tasks "
+            f"\\({suite_module.MAX_EPISODES} episodes a run\\)$")):
+        suite_from_dict({**suite_data, "repetitions": most + 1})
+
+
 def _run_beside_a_broken_world(tmp_path, breaks):
     """Run a good task and, twice, one on kitchen_b changed by ``breaks``."""
     world = json.loads(resources.files("homeplan.data").joinpath("worlds/kitchen_b.json")
