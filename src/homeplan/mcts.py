@@ -23,11 +23,12 @@ it, and ``plan()`` returns the chosen child's proposal itself, the decision
 type a react step has, so the agent commits both modes' decisions one way.
 Each tree edge is a ``StepRecord``, the transcript step an agent records:
 the proposal with its simulated observation, keeping the raw Action Input.
-A node also keeps the proposal's dedup key, which no two siblings share. An
-expansion prompt is the episode's scratchpad followed by the steps on the
-search path, each as its node's ``rendered`` text, worked out once per node
-however many expansions pass through it; the critique scores that path,
-naming each node by its ``label``.
+No two siblings' proposals are equal (by ``==``, apart from a step's
+thought): an expansion drops a repeat before simulating it. An expansion
+prompt is the episode's scratchpad followed by the steps on the search
+path, each as its node's ``rendered`` text, worked out once per node however
+many expansions pass through it; the critique scores that path, naming each
+node by its ``label``.
 """
 
 from __future__ import annotations
@@ -93,13 +94,12 @@ class SearchNode:
     """A state in the search tree. ``proposal`` is the parsed proposal that
     made it and ``step`` the edge into it, that proposal with its simulated
     observation (both None at the root), whose text the node keeps as
-    ``rendered``; a refused node holds its parent's state. Nodes compare by
-    identity."""
+    ``rendered``; a refused node holds its parent's state. No two siblings
+    hold equal proposals. Nodes compare by identity."""
 
     state: WorldState
     step: StepRecord | None = None
     proposal: ReactStep | FinalAnswer | None = None
-    key: tuple | None = None  # the proposal's dedup key (None at the root)
     visit_count: int = 0
     total_score: float = 0.0
     children: list["SearchNode"] = field(default_factory=list)
@@ -175,32 +175,12 @@ def backpropagate(path: list[SearchNode], score: float) -> None:
         node.total_score += score
 
 
-def _frozen(value):
-    """A hashable stand-in for a parsed Action Input value: two values give
-    equal stand-ins exactly when they are equal, whatever their keys and
-    nested containers."""
-    if isinstance(value, str) or value is None:
-        return value
-    if isinstance(value, dict):
-        return (dict, frozenset((_frozen(k), _frozen(v)) for k, v in value.items()))
-    if isinstance(value, (set, frozenset)):
-        return (frozenset, frozenset(_frozen(item) for item in value))
-    if isinstance(value, (list, tuple)):
-        return (type(value), tuple(_frozen(item) for item in value))
-    return value
-
-
-def _dedup_key(step: ReactStep | FinalAnswer) -> tuple:
-    if isinstance(step, FinalAnswer):
-        return ("final-answer", step.text)
-    args = step.action_input
-    if type(args) is dict:  # a flat {str: str | None} input needs only its items frozen
-        for key, value in args.items():
-            if type(key) is not str or (type(value) is not str and value is not None):
-                break
-        else:
-            return (step.action, (dict, frozenset(args.items())))
-    return (step.action, _frozen(args))
+def _same_proposal(a: ReactStep | FinalAnswer, b: ReactStep | FinalAnswer) -> bool:
+    """Whether b repeats a: the same final answer, or the same action with an
+    equal Action Input, whatever the thoughts."""
+    if isinstance(a, FinalAnswer) or isinstance(b, FinalAnswer):
+        return a == b
+    return a.action == b.action and a.action_input == b.action_input
 
 
 def _plan_steps(path: list[SearchNode]) -> str:
@@ -255,7 +235,7 @@ class MctsPlanner:
         self.llm_calls += 1
         return parse_react(completion)
 
-    def _simulate_child(self, leaf: SearchNode, parsed: ReactStep, key: tuple) -> SearchNode:
+    def _simulate_child(self, leaf: SearchNode, parsed: ReactStep) -> SearchNode:
         # No expansion or critique reads a refused leaf's state or text, so it
         # keeps its parent's state and the call is not explained.
         try:
@@ -266,23 +246,21 @@ class MctsPlanner:
             state=state,
             step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
             proposal=parsed,
-            key=key,
             terminal=not result.success,
             failed=not result.success,
         )
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode],
                history: str = "") -> list[SearchNode]:
-        """Propose up to children_per_expansion next actions, distinct from
-        each other and from the leaf's existing children; append them to the
-        leaf and return them, an empty list when every proposal was
-        unparseable or a duplicate. The prompt's scratchpad is the episode
+        """Propose up to children_per_expansion next actions, none a repeat
+        (_same_proposal) of a proposal the leaf already holds; append them to
+        the leaf and return them, an empty list when every proposal was
+        unparseable or a repeat. The prompt's scratchpad is the episode
         history followed by the path's steps."""
         prompt = self.expansion_prompt(goal, history + "".join(
             node.rendered for node in path if node.step is not None
         ))
         config = self.config
-        seen = {child.key for child in leaf.children}
         children: list[SearchNode] = []
         temperature = EXPANSION_TEMPERATURE
         for _ in range(config.children_per_expansion + EXPANSION_RETRY_BUDGET):
@@ -294,21 +272,18 @@ class MctsPlanner:
                 temperature = RETRY_TEMPERATURE
                 continue
             # Dedup before simulating: simulate is pure, so duplicates add nothing.
-            key = _dedup_key(parsed)
-            if key in seen:
+            if any(_same_proposal(child.proposal, parsed) for child in leaf.children):
                 temperature = RETRY_TEMPERATURE
                 continue
-            seen.add(key)
             if isinstance(parsed, FinalAnswer):
                 child = SearchNode(
                     state=leaf.state,
                     step=StepRecord("", "Final Answer", parsed.text, None),
                     proposal=parsed,
-                    key=key,
                     terminal=True,
                 )
             else:
-                child = self._simulate_child(leaf, parsed, key)
+                child = self._simulate_child(leaf, parsed)
             children.append(child)
             leaf.children.append(child)
         return children
@@ -372,8 +347,6 @@ class MctsPlanner:
 
         if not root.children:
             raise NoFeasibleActionError("planner produced no root children")
-        _, best = max(
-            enumerate(root.children),
-            key=lambda item: (not item[1].failed, item[1].visit_count, item[1].q_value, -item[0]),
-        )
+        # max keeps the first maximum, so a tie goes to the child proposed first.
+        best = max(root.children, key=lambda ch: (not ch.failed, ch.visit_count, ch.q_value))
         return best.proposal

@@ -70,6 +70,9 @@ def suite_from_dict(data: dict) -> SuiteSpec:
     repetitions = data.get("repetitions", 1)
     if repetitions < 1:
         raise InputFormatError("repetitions must be at least 1")
+    if len(tasks) > MAX_EPISODES:
+        raise InputFormatError(f"a suite may hold at most {MAX_EPISODES} tasks "
+                               f"({len(tasks)} given)")
     if len(tasks) * repetitions > MAX_EPISODES:
         raise InputFormatError(f"repetitions must be at most {MAX_EPISODES // len(tasks)} "
                                f"for {len(tasks)} tasks ({MAX_EPISODES} episodes a run)")
@@ -127,6 +130,9 @@ def generate_easy_suite(
     fixed receptacles; a world short of either fails when a task draws it."""
     if count < 1:
         raise InputFormatError("count must be at least 1")
+    if count > MAX_EPISODES:
+        raise InputFormatError(f"count must be at most {MAX_EPISODES}, "
+                               "the most tasks a suite may hold")
     if not world_refs:
         raise InputFormatError("no world to sample tasks from")
     pools = []

@@ -2,16 +2,24 @@
 row of CONSOLE, run in-process through cli.main; the tests after the table
 each hold logic of their own."""
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import shlex
+import signal
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeplan import cli, suite
 from homeplan.cli import main
@@ -19,6 +27,7 @@ from homeplan.errors import InputFormatError
 from homeplan.grounding import MessageTable
 from homeplan.suite import generate_easy_suite
 
+from .conftest import examples
 from .test_suite import (
     REFERENCE_STEPWISE_ROWS,
     RUNS_OUT_AFTER_ONE_STEP,
@@ -276,6 +285,10 @@ CONSOLE = [
      "--out .", {}, 2, "", "error: cannot write .: Is a directory", None),
     ("compare-preconds-into-a-directory", "compare-preconds --out .", {}, 2, "",
      "error: cannot write .: Is a directory", None),
+    ("gen-suite-past-the-ceiling", "gen-suite --seed 1 --count 100001 "
+     "--worlds worlds/kitchen.json --out suite.json", {}, 2, "",
+     "error: count must be at most 100000, the most tasks a suite may hold",
+     _absent("suite.json")),
     ("gen-suite-without-worlds", "gen-suite --seed 1 --count 2 --worlds , --out suite.json", {},
      2, "", "error: no world to sample tasks from", _absent("suite.json")),
     ("messages-missing-text-at-replay", "replay-trace --messages messages.json",
@@ -574,3 +587,125 @@ def test_a_message_table_without_a_not_discovered_text_fails_at_load(tmp_path, c
     assert captured.err.startswith("error: messages")
     assert captured.out == ""  # no episode ran and no report was written
     assert not (tmp_path / "reports").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: each case changes one value of one shipped input format and
+# runs the command that reads it. main must end with exit 0, 1 or 2, and an
+# exit-2 case says why in one "error:" line.
+
+FUZZ_VALUES = (None, -1, 2**70, 1e308, "", [], {}, [[[]]], "{formula}")
+DELETED = "<the key or item is deleted>"
+CASE_SECONDS = 10
+ORDERED_SCRIPT = {"mode": "ordered", "cyclic": False, "entries": [
+    {"completion": LOOK, "match": "Thought", "uses": 2},
+    {"completion": "Thought: closer\nAction: Adjust Positioning\n"
+                   "Action Input: {'object_id': 'SinkBasin_1'}"},
+    {"completion": "Justification: fine\nScore: 6", "uses": 3},
+    {"completion": "Thought: done\nFinal Answer: done"},
+]}
+
+
+class CaseTimeout(BaseException):
+    """A fuzz case ran past CASE_SECONDS; not an Exception, so that no handler
+    in main catches it."""
+
+
+@functools.cache
+def _fuzz_seeds():
+    """Each fuzzed file's valid content: a suite whose tasks name world.json,
+    that world, an ordered non-cyclic script, the message table, a counts
+    file, and the report a run of the card suite wrote."""
+    suite_data, script_data = card_to_sink_data()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "suite.json").write_text(_json(suite_data))
+        Path(tmp, "script.json").write_text(_json(script_data))
+        with redirect_stdout(StringIO()):
+            assert main(["run", "--suite", f"{tmp}/suite.json", "--backend",
+                         f"scripted:{tmp}/script.json", "--out", f"{tmp}/reports"]) == 0
+        (report,) = Path(tmp, "reports").glob("*.json")
+        report_data = json.loads(report.read_text())
+    for task in suite_data["tasks"]:
+        task["world"] = "world.json"
+    return {
+        "suite.json": suite_data,
+        "world.json": json.loads(_packaged("worlds/kitchen_b.json")),
+        "script.json": ORDERED_SCRIPT,
+        "messages.json": json.loads(_packaged("messages.json")),
+        "counts.json": {"rows": REFERENCE_STEPWISE_ROWS},
+        "report.json": report_data,
+    }
+
+
+def _places(value, path=()):
+    """The path, as keys and indexes, to this JSON value and to each value inside it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _places(item, path + (key,))
+
+
+def _changed(data, path, value):
+    """A copy of data with the value at path replaced, or deleted."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, data)
+    if value is DELETED:
+        del parent[last]
+    else:
+        parent[last] = value
+    return data
+
+
+def _fuzz_argv(name, tmp, mode):
+    """The command that reads the fuzzed file, with every file in tmp."""
+    if name == "counts.json":
+        return ["report", "--stepwise-counts", f"{tmp}/counts.json"]
+    if name == "report.json":
+        return ["report", "--records", f"{tmp}/report.json"]
+    return ["run", "--suite", f"{tmp}/suite.json", "--backend", f"scripted:{tmp}/script.json",
+            "--mode", mode, "--messages", f"{tmp}/messages.json", "--max-steps", "3",
+            "--workers", "1", "--out", f"{tmp}/reports"]
+
+
+def _out_of_time(signum, frame):
+    raise CaseTimeout(f"a fuzz case ran past {CASE_SECONDS} s")
+
+
+@settings(derandomize=True, max_examples=examples(500), deadline=None)
+@given(st.data())
+def test_fuzzed_inputs_end_main_with_an_exit_code(data):
+    seeds = _fuzz_seeds()
+    name = data.draw(st.sampled_from(sorted(seeds)), label="file")
+    path = data.draw(st.sampled_from(list(_places(seeds[name]))), label="path")
+    value = data.draw(st.sampled_from(FUZZ_VALUES + ((DELETED,) if path else ())),
+                      label="value")
+    mode = data.draw(st.sampled_from(["react", "mcts"]), label="mode")
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, content in seeds.items():
+            if file_name == name:
+                content = _changed(content, path, value)
+            Path(tmp, file_name).write_text(json.dumps(content), encoding="utf-8")
+        previous = signal.signal(signal.SIGALRM, _out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(_fuzz_argv(name, tmp, mode))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert not any(line.startswith("error:") for line in out.getvalue().splitlines())
+    else:
+        assert err.getvalue() == ""

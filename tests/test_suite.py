@@ -94,6 +94,14 @@ def test_generate_easy_suite_insufficient_objects(tmp_path):
         generate_easy_suite(seed=1, count=1, world_refs=[str(path)])
 
 
+def test_generate_easy_suite_refuses_a_count_past_the_suite_ceiling(monkeypatch):
+    # The ceiling is lowered so that no test draws 100,001 tasks.
+    monkeypatch.setattr(suite_module, "MAX_EPISODES", 3)
+    assert len(generate_easy_suite(seed=1, count=3, world_refs=WORLD_REFS).tasks) == 3
+    with pytest.raises(InputFormatError, match="^count must be at most 3, "):
+        generate_easy_suite(seed=1, count=4, world_refs=WORLD_REFS)
+
+
 def spaced(object_id):
     return re.sub(r"(?<!^)(?=[A-Z])", " ", category_of(object_id)).lower()
 
@@ -730,7 +738,7 @@ def test_a_suite_without_repetitions_is_rejected():
 
 
 @pytest.mark.parametrize("task_count", [1, 2, 3])
-def test_a_suite_loads_up_to_the_episode_ceiling_and_no_further(task_count):
+def test_a_suite_loads_up_to_the_episode_ceiling_and_no_further(task_count, monkeypatch):
     # Loading only: a suite this size is never run here.
     suite_data = _one_task_suite()
     suite_data["tasks"] = [{**suite_data["tasks"][0], "id": f"t{i}"} for i in range(task_count)]
@@ -740,6 +748,14 @@ def test_a_suite_loads_up_to_the_episode_ceiling_and_no_further(task_count):
             f"^repetitions must be at most {most} for {task_count} tasks "
             f"\\({suite_module.MAX_EPISODES} episodes a run\\)$")):
         suite_from_dict({**suite_data, "repetitions": most + 1})
+    # The task count alone: with the ceiling lowered to it, one more task is
+    # refused whatever the repetitions.
+    monkeypatch.setattr(suite_module, "MAX_EPISODES", task_count)
+    assert len(suite_from_dict(suite_data).tasks) == task_count
+    suite_data["tasks"].append({**suite_data["tasks"][0], "id": "one-more"})
+    with pytest.raises(InputFormatError, match=(
+            f"^a suite may hold at most {task_count} tasks \\({task_count + 1} given\\)$")):
+        suite_from_dict(suite_data)
 
 
 def _run_beside_a_broken_world(tmp_path, breaks):
