@@ -154,7 +154,8 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one task to an outcome. A fault of the backend or its script
     propagates, for the caller to report; a planner that produced nothing
-    to act on ends the episode as a failure with its error."""
+    to act on ends the episode as a failure with its error. The planner is
+    closed however the episode ends."""
     planner = MctsPlanner(backend, config=config.planner, template_dir=config.template_dir)
     state = world
     steps: list[StepRecord] = []
@@ -173,39 +174,43 @@ def run_episode(
             wall_clock=time.perf_counter() - started,
         )
 
-    if check_goal(state, task):
-        return record(OUTCOME_SUCCESS)
-
-    budget = task.max_steps
-    if config.step_cap is not None:
-        budget = min(budget, config.step_cap)
-    for _ in range(budget):
-        history = build_scratchpad(steps, pad)
-        if config.mode == "react":
-            try:
-                decision = planner.propose(planner.expansion_prompt(task.instruction, history))
-            except MalformedCompletionError:
-                steps.append(StepRecord("", None, None, UNPARSED_ACTION))
-                continue
-        else:
-            try:
-                decision = planner.plan(state, task.instruction, history=history)
-            except NoFeasibleActionError as exc:
-                return record(OUTCOME_FAILURE, error=str(exc))
-
-        # The goal was checked at the start and after each successful
-        # action, so a final answer cannot find it met.
-        if isinstance(decision, FinalAnswer):
-            return record(OUTCOME_DECLARED, final_answer=decision.text)
-
-        try:
-            state, observation = execute(state, decision.action, call_args(decision.action_input),
-                                         config.grounding_enabled, messages=messages)
-        except (MalformedArgsError, UnknownToolError) as exc:
-            observation = rejected_call(exc)
-        steps.append(StepRecord(decision.thought, decision.action, decision.action_input,
-                                observation.message))
-        if observation.success and check_goal(state, task):
+    try:
+        if check_goal(state, task):
             return record(OUTCOME_SUCCESS)
 
-    return record(OUTCOME_BUDGET)
+        budget = task.max_steps
+        if config.step_cap is not None:
+            budget = min(budget, config.step_cap)
+        for _ in range(budget):
+            history = build_scratchpad(steps, pad)
+            if config.mode == "react":
+                try:
+                    decision = planner.propose(planner.expansion_prompt(task.instruction, history))
+                except MalformedCompletionError:
+                    steps.append(StepRecord("", None, None, UNPARSED_ACTION))
+                    continue
+            else:
+                try:
+                    decision = planner.plan(state, task.instruction, history=history)
+                except NoFeasibleActionError as exc:
+                    return record(OUTCOME_FAILURE, error=str(exc))
+
+            # The goal was checked at the start and after each successful
+            # action, so a final answer cannot find it met.
+            if isinstance(decision, FinalAnswer):
+                return record(OUTCOME_DECLARED, final_answer=decision.text)
+
+            try:
+                state, observation = execute(state, decision.action,
+                                             call_args(decision.action_input),
+                                             config.grounding_enabled, messages=messages)
+            except (MalformedArgsError, UnknownToolError) as exc:
+                observation = rejected_call(exc)
+            steps.append(StepRecord(decision.thought, decision.action, decision.action_input,
+                                    observation.message))
+            if observation.success and check_goal(state, task):
+                return record(OUTCOME_SUCCESS)
+
+        return record(OUTCOME_BUDGET)
+    finally:
+        planner.close()

@@ -6,7 +6,8 @@ files already written stay), 2 configuration error: bad flags, an output
 that cannot be written, or an input file that cannot be read, decoded or
 parsed (except a suite task's world, whose fault is one error line per
 episode of that world). A prompt template with a stray brace or a slot its
-prompt does not fill cannot be parsed.
+prompt does not fill cannot be parsed. 130 an interrupt (Ctrl-C), reported
+once its episodes' threads have stopped and the backend is closed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .suite import (
 EXIT_OK = 0
 EXIT_INFRA = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # as a shell reports a process that SIGINT ended
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", required=True)
     run.add_argument("--mode", choices=["react", "mcts"], default="react")
     run.add_argument("--grounding", choices=["on", "off"], default="on")
-    run.add_argument("--expansions", type=int, default=5)
+    run.add_argument("--expansions", type=int, default=PlannerConfig.expansion_budget)
     run.add_argument("--seed", type=int, default=None, help="override world seeds")
     run.add_argument(
         "--backend",
@@ -270,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HomeplanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # As in the signal module's docs: the flush at exit writes to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -12,7 +12,7 @@ and ``parse_react`` reads a completion back: a completion in the form
 ``format_step`` writes by one match, any other text by a search for each
 labelled line. The scripted backend replays canned completions for tests and
 offline runs; the remote backend speaks the common chat-completion wire
-protocol over one reused connection per calling thread.
+protocol, reusing an idle connection for each call.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import re
 import threading
 import time
 from collections.abc import Container
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -326,7 +327,18 @@ def parse_critique(completion: str) -> CritiqueResult:
 
 
 class LlmBackend:
-    """Interface: complete(prompt, temperature) -> completion."""
+    """Interface: complete(prompt, temperature) -> completion.
+
+    An episode's planner keeps the order of its proposal calls and the order
+    of its critique calls, but it may send a critique while a proposal is
+    under way, so the interleaving of the two streams may change from run to
+    run, and a backend whose calls take a millisecond or more sees up to two
+    requests of one episode at once, from two threads. A backend whose answer
+    depends on the global order of its calls sets ``answers_in_call_order``,
+    and its episodes make one call at a time.
+    """
+
+    answers_in_call_order = False
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         raise NotImplementedError
@@ -356,6 +368,8 @@ class ScriptedBackend(LlmBackend):
     ordered script may be): then every entry's uses are refilled and the scan
     runs once more.
     """
+
+    answers_in_call_order = True  # an answer depends on the entries earlier calls used up
 
     def __init__(self, entries: list[ScriptEntry], mode: str = "ordered",
                  cyclic: bool = False):
@@ -422,9 +436,10 @@ class RemoteBackend(LlmBackend):
     ``REMOTE_ATTEMPTS`` attempts in all, waiting 1, 2, 4 ... seconds up to
     ``RETRY_CEILING_S``; a numeric ``Retry-After`` replaces that wait, under
     the same ceiling. Any other status and a malformed 200 body, one whose
-    completion is missing or null too, fail at once. Each thread that calls
-    ``complete`` keeps one HTTP session, so its connection is reused from call
-    to call; ``close`` closes them all.
+    completion is missing or null too, fail at once. A call takes an idle
+    HTTP session, or opens one when none is idle, and gives it back once it
+    returns, so its connection is reused and the backend holds as many open
+    connections as it had calls in flight at once; ``close`` closes them all.
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
@@ -436,15 +451,31 @@ class RemoteBackend(LlmBackend):
             raise BackendUnavailableError(
                 f"no endpoint configured (set {ENV_ENDPOINT} or pass endpoint=)"
             )
-        self._local = threading.local()
-        self._sessions: list = []
+        self._sessions: list = []  # every session open
+        self._idle: list = []  # the open sessions no call holds
         self._sessions_lock = threading.Lock()
+
+    @contextmanager
+    def _session(self, requests):
+        """An idle session, or a new one when none is idle; given back once
+        the call returns, unless close() closed it meanwhile."""
+        with self._sessions_lock:
+            session = self._idle.pop() if self._idle else None
+        if session is None:
+            session = requests.Session()
+            with self._sessions_lock:
+                self._sessions.append(session)
+        try:
+            yield session
+        finally:
+            with self._sessions_lock:
+                if session in self._sessions:  # a Session compares by identity
+                    self._idle.append(session)
 
     def close(self) -> None:
         """Close every session this backend opened; a later call opens a new one."""
         with self._sessions_lock:
-            sessions, self._sessions = self._sessions, []
-            self._local = threading.local()
+            sessions, self._sessions, self._idle = self._sessions, [], []
         for session in sessions:
             session.close()
 
@@ -460,44 +491,40 @@ class RemoteBackend(LlmBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        session = getattr(self._local, "session", None)
-        if session is None:  # this thread's first call
-            session = self._local.session = requests.Session()
-            with self._sessions_lock:
-                self._sessions.append(session)
-        last_error = ""
-        for attempt in range(REMOTE_ATTEMPTS):
-            delay = min(2 ** attempt, RETRY_CEILING_S)
-            try:
-                response = session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=REMOTE_TIMEOUT_S
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = str(exc)
-            except requests.RequestException as exc:
-                raise BackendUnavailableError(f"remote request failed: {exc}") from exc
-            else:
-                status = response.status_code
-                if status == 200:
-                    try:
-                        content = response.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError, RecursionError):
-                        content = None
-                    if isinstance(content, str):
-                        return content
-                    raise BackendUnavailableError(
-                        f"malformed completion body: {response.text[:200]}")
-                last_error = f"endpoint returned {status}: {response.text[:200]}"
-                if status != 429 and status < 500:
-                    raise BackendUnavailableError(last_error)
-                retry_after = response.headers.get("Retry-After", "").strip()
-                if retry_after.isdecimal():
-                    try:
-                        delay = min(int(retry_after), RETRY_CEILING_S)
-                    except ValueError:  # more digits than int() reads: over the ceiling
-                        delay = RETRY_CEILING_S
-            if attempt + 1 < REMOTE_ATTEMPTS:
-                time.sleep(delay)
-        raise BackendUnavailableError(
-            f"remote completion failed after {REMOTE_ATTEMPTS} attempts: {last_error}"
-        )
+        with self._session(requests) as session:
+            last_error = ""
+            for attempt in range(REMOTE_ATTEMPTS):
+                delay = min(2 ** attempt, RETRY_CEILING_S)
+                try:
+                    response = session.post(
+                        self.endpoint, json=payload, headers=headers, timeout=REMOTE_TIMEOUT_S
+                    )
+                except (requests.ConnectionError, requests.Timeout) as exc:
+                    last_error = str(exc)
+                except requests.RequestException as exc:
+                    raise BackendUnavailableError(f"remote request failed: {exc}") from exc
+                else:
+                    status = response.status_code
+                    if status == 200:
+                        try:
+                            content = response.json()["choices"][0]["message"]["content"]
+                        except (ValueError, KeyError, IndexError, TypeError, RecursionError):
+                            content = None
+                        if isinstance(content, str):
+                            return content
+                        raise BackendUnavailableError(
+                            f"malformed completion body: {response.text[:200]}")
+                    last_error = f"endpoint returned {status}: {response.text[:200]}"
+                    if status != 429 and status < 500:
+                        raise BackendUnavailableError(last_error)
+                    retry_after = response.headers.get("Retry-After", "").strip()
+                    if retry_after.isdecimal():
+                        try:
+                            delay = min(int(retry_after), RETRY_CEILING_S)
+                        except ValueError:  # more digits than int() reads: over the ceiling
+                            delay = RETRY_CEILING_S
+                if attempt + 1 < REMOTE_ATTEMPTS:
+                    time.sleep(delay)
+            raise BackendUnavailableError(
+                f"remote completion failed after {REMOTE_ATTEMPTS} attempts: {last_error}"
+            )

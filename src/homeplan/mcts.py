@@ -29,11 +29,25 @@ prompt is the episode's scratchpad followed by the steps on the search
 path, each as its node's ``rendered`` text, worked out once per node however
 many expansions pass through it; the critique scores that path, naming each
 node by its ``label``.
+
+A critique that the search is certain to ask is sent ahead, on one helper
+thread, as soon as the node it scores exists: an expansion's first new child
+is scored in the same iteration unless it was refused, and ``select`` visits
+the unvisited root children in insertion order, one an iteration, so each
+later accepted root child that the iterations left will reach is scored too
+(no root retry follows an accepted child). Proposals keep their order and
+critiques keep theirs; only the interleaving of the two streams changes. The
+planner sends ahead only while every model call of the episode has taken at
+least ``OVERLAP_MIN_CALL_S`` and the backend does not answer by the global
+order of calls (``LlmBackend.answers_in_call_order``); a fast or scripted
+backend never starts the thread. A critique sent ahead is counted in
+``llm_calls`` when it is read, so the count never depends on timing.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -70,6 +84,11 @@ CRITIQUE_FALLBACK_SCORE = 1  # when no critique attempt yields a valid score
 EXPANSION_RETRY_BUDGET = 2  # proposals past children_per_expansion
 ROOT_RETRY_BUDGET = 1  # root expansions past the first, while every root child was refused
 CRITIQUE_RETRY_BUDGET = 2  # critique calls past the first
+# Critiques are sent ahead only while every model call of the episode took at
+# least this long. A faster backend answers in this process (a script or a
+# stand-in): handing a critique to a thread and back costs tens of
+# microseconds, more than the call it would overlap.
+OVERLAP_MIN_CALL_S = 0.001
 
 
 def normalize_score(raw: int) -> float:
@@ -183,6 +202,22 @@ def _same_proposal(a: ReactStep | FinalAnswer, b: ReactStep | FinalAnswer) -> bo
     return a.action == b.action and a.action_input == b.action_input
 
 
+def _asked_later(path: list[SearchNode], children: list[SearchNode],
+                 iterations_left: int) -> bool:
+    """Whether plan is certain to critique the newest child that this
+    iteration's expansion of path[-1] made, given that it was accepted. The
+    first child is scored in this iteration. A later one is certain only at
+    the root: select visits the unvisited root children one an iteration, in
+    insertion order (this expansion's first is visited now), so the child is
+    scored when the iterations left reach it."""
+    if len(children) == 1:
+        return True
+    if len(path) > 1:
+        return False
+    unvisited = sum(not child.visit_count for child in path[0].children)
+    return unvisited - 1 <= iterations_left
+
+
 def _plan_steps(path: list[SearchNode]) -> str:
     labels = [node.label for node in path if node.proposal is not None]
     return "\n".join(f"{index}. {label}" for index, label in enumerate(labels, start=1))
@@ -198,6 +233,8 @@ class MctsPlanner:
     ``expand`` proposes children the same way. ``llm_calls`` counts every
     model call the planner makes. Each ``plan()`` call builds a fresh tree
     from the state it is given, kept as ``tree`` until the next call.
+    ``close`` stops the thread that critiques sent ahead run on, if one was
+    started.
     """
 
     def __init__(
@@ -217,6 +254,27 @@ class MctsPlanner:
         }
         self.llm_calls = 0
         self.tree: SearchNode | None = None
+        # Every model call goes through _complete: timed while critiques may
+        # be sent ahead, the backend's own method once they may not.
+        self._overlap = not getattr(backend, "answers_in_call_order", False)
+        self._complete = self._timed_complete if self._overlap else backend.complete
+        self._helper = None  # the executor of critiques sent ahead, made on first use
+        self._ahead: dict = {}  # scored node -> the Future of its critique
+
+    def _timed_complete(self, prompt: str, temperature: float) -> str:
+        started = time.perf_counter()
+        completion = self.backend.complete(prompt, temperature=temperature)
+        if time.perf_counter() - started < OVERLAP_MIN_CALL_S:
+            self._overlap, self._complete = False, self.backend.complete
+        return completion
+
+    def close(self) -> None:
+        """Stop the critique thread, once the critique it is running returns;
+        a critique sent ahead and not begun is dropped."""
+        helper, self._helper = self._helper, None
+        self._ahead.clear()
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
     # -- proposals and expansion -------------------------------------------
 
@@ -231,7 +289,7 @@ class MctsPlanner:
         """One counted model call on an expansion prompt, parsed. A step that
         names an unknown tool is returned as parsed, for the simulator to
         refuse; an unparseable completion raises MalformedCompletionError."""
-        completion = self.backend.complete(prompt, temperature=temperature)
+        completion = self._complete(prompt, temperature=temperature)
         self.llm_calls += 1
         return parse_react(completion)
 
@@ -251,12 +309,14 @@ class MctsPlanner:
         )
 
     def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode],
-               history: str = "") -> list[SearchNode]:
+               history: str = "", iterations_left: int | None = None) -> list[SearchNode]:
         """Propose up to children_per_expansion next actions, none a repeat
         (_same_proposal) of a proposal the leaf already holds; append them to
         the leaf and return them, an empty list when every proposal was
         unparseable or a repeat. The prompt's scratchpad is the episode
-        history followed by the path's steps."""
+        history followed by the path's steps. ``plan`` passes the number of
+        its iterations after this one, and each accepted child whose
+        critique it is certain to ask (_asked_later) is critiqued ahead."""
         prompt = self.expansion_prompt(goal, history + "".join(
             node.rendered for node in path if node.step is not None
         ))
@@ -286,24 +346,49 @@ class MctsPlanner:
                 child = self._simulate_child(leaf, parsed)
             children.append(child)
             leaf.children.append(child)
+            if (self._overlap and iterations_left is not None and not child.failed
+                    and _asked_later(path, children, iterations_left)):
+                self._send_ahead(path + [child], goal)
         return children
 
     # -- critique ----------------------------------------------------------
 
     def critique(self, path: list[SearchNode], goal: str) -> float:
-        """Score the root-to-leaf action path, normalized to [0, 1]."""
-        prompt = render_prompt(
+        """Score the root-to-leaf action path, normalized to [0, 1]: read the
+        critique sent ahead for its last node, or ask it now."""
+        ahead = self._ahead.pop(path[-1], None) if self._ahead else None
+        if ahead is None:
+            score, calls = self._score(self._critique_prompt(path, goal))
+        else:
+            score, calls = ahead.result()
+        self.llm_calls += calls
+        return score
+
+    def _critique_prompt(self, path: list[SearchNode], goal: str) -> str:
+        return render_prompt(
             self._critique_template,
             {"goal": goal, "plan_steps": _plan_steps(path)},
         )
-        for _ in range(CRITIQUE_RETRY_BUDGET + 1):
-            completion = self.backend.complete(prompt, temperature=CRITIQUE_TEMPERATURE)
-            self.llm_calls += 1
+
+    def _score(self, prompt: str) -> tuple[float, int]:
+        """The normalized score of a critique prompt and the calls it took."""
+        for calls in range(1, CRITIQUE_RETRY_BUDGET + 2):
+            completion = self._complete(prompt, temperature=CRITIQUE_TEMPERATURE)
             try:
-                return normalize_score(parse_critique(completion).score)
+                return normalize_score(parse_critique(completion).score), calls
             except NoScoreError:
                 continue
-        return normalize_score(CRITIQUE_FALLBACK_SCORE)
+        return normalize_score(CRITIQUE_FALLBACK_SCORE), CRITIQUE_RETRY_BUDGET + 1
+
+    def _send_ahead(self, path: list[SearchNode], goal: str) -> None:
+        """Start the critique of the path on the helper thread, behind those
+        sent before it; critique() reads it for the path's last node."""
+        if self._helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only when used
+
+            self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="critique")
+        self._ahead[path[-1]] = self._helper.submit(self._score,
+                                                    self._critique_prompt(path, goal))
 
     # -- full planning call -------------------------------------------------
 
@@ -318,11 +403,13 @@ class MctsPlanner:
         is scored itself. Refused children are leaves. While every root child
         was refused, an iteration expands the root again (at most
         ROOT_RETRY_BUDGET times); a refused child is committed only when no
-        root child was accepted by the simulator."""
+        root child was accepted by the simulator. Every critique sent ahead
+        is read by the end; a plan that raised leaves none for the next."""
         config = self.config
         self.tree = root = SearchNode(state=state)
+        self._ahead.clear()
         root_retries = ROOT_RETRY_BUDGET
-        for _ in range(config.expansion_budget):
+        for iteration in range(config.expansion_budget):
             if root_retries and any(not child.failed for child in root.children):
                 root_retries = 0  # a root child was accepted, and it stays in the tree
             retry = root_retries > 0 and bool(root.children)
@@ -334,7 +421,8 @@ class MctsPlanner:
             leaf = path[-1]
             fresh = leaf is not root and leaf.visit_count == 0  # select's unvisited child
             if retry or (not fresh and not leaf.terminal and len(path) - 1 < config.max_depth):
-                children = self.expand(leaf, goal, path, history)
+                children = self.expand(leaf, goal, path, history,
+                                       config.expansion_budget - 1 - iteration)
                 if children:
                     path.append(children[0])
                 else:
@@ -345,6 +433,8 @@ class MctsPlanner:
             score = 0.0 if node.failed or node is root else self.critique(path, goal)
             backpropagate(path, score)
 
+        if self._ahead:
+            raise RuntimeError(f"{len(self._ahead)} critique(s) sent ahead were never read")
         if not root.children:
             raise NoFeasibleActionError("planner produced no root children")
         # max keeps the first maximum, so a tie goes to the child proposed first.

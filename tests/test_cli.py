@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
@@ -28,11 +29,14 @@ from homeplan.grounding import MessageTable
 from homeplan.suite import generate_easy_suite
 
 from .conftest import examples
+from .test_mcts import SeededBackend, SlowSeededBackend
 from .test_suite import (
     REFERENCE_STEPWISE_ROWS,
     RUNS_OUT_AFTER_ONE_STEP,
+    WORLD_REFS,
     card_to_sink_data,
     card_to_sink_suite,
+    seeded_factory,
 )
 
 # ---------------------------------------------------------------------------
@@ -508,6 +512,66 @@ def test_report_renders_the_records_that_run_wrote(tmp_path, capsys):
     (records,) = (tmp_path / "reports").glob("*.json")
     assert main(["report", "--records", str(records)]) == 0
     assert capsys.readouterr().out == run_text + "\n"
+
+
+def _run_with_factory(monkeypatch, tmp_path, factory, close, out, workers="1"):
+    """main's run in mcts mode over a generated 4-task suite, each episode's
+    backend from factory and close as what closes them."""
+    suite_path = tmp_path / "suite.json"
+    if not suite_path.exists():
+        suite.save_suite(generate_easy_suite(4, 4, WORLD_REFS), suite_path)
+    monkeypatch.setattr(cli, "_make_backend_factory", lambda spec: (factory, close))
+    return main(["run", "--suite", str(suite_path), "--backend", "remote", "--mode", "mcts",
+                 "--expansions", "6", "--max-steps", "3", "--workers", workers,
+                 "--out", str(tmp_path / out)])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_slow_backend_writes_the_report_and_transcript_bytes_of_a_fast_one(
+        tmp_path, capsys, monkeypatch, workers):
+    written = {}
+    for name, backend_class in (("fast", SeededBackend), ("slow", SlowSeededBackend)):
+        assert _run_with_factory(monkeypatch, tmp_path, seeded_factory(6, backend_class),
+                                 lambda: None, name, workers) == 0
+        written[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+    capsys.readouterr()
+    assert len(written["fast"]) == 3
+    assert written["slow"] == written["fast"]
+
+
+class _Interrupted(SlowSeededBackend):
+    """Interrupted, as by Ctrl-C, at its second critique call: the critique
+    of a root child, sent ahead."""
+
+    def complete(self, prompt, temperature=0.0):
+        if prompt.startswith("Score the quality") and len(self.critique_threads) == 1:
+            raise KeyboardInterrupt
+        return super().complete(prompt, temperature)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("where", ["factory", "critique"])
+def test_an_interrupted_run_exits_130_once_its_threads_stopped_and_backend_closed(
+        tmp_path, capsys, monkeypatch, where, workers):
+    started, alive_at_close = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), start(thread))[1])
+    episodes = seeded_factory(6, _Interrupted if where == "critique" else SlowSeededBackend)
+
+    def factory(task):
+        if where == "factory" and task.id == "easy-003":
+            raise KeyboardInterrupt
+        return episodes(task)
+
+    def close():
+        alive_at_close.append([thread.name for thread in started if thread.is_alive()])
+
+    code = _run_with_factory(monkeypatch, tmp_path, factory, close, "reports", workers)
+    assert (code, *capsys.readouterr()) == (130, "", "error: interrupted\n")
+    assert alive_at_close == [[]]
+    if where == "critique":
+        assert any(thread.name.startswith("critique_") for thread in started)
 
 
 def test_a_key_error_inside_a_command_is_a_bug_and_propagates(monkeypatch):

@@ -681,25 +681,40 @@ def _wait_until(condition, seconds: float = 5.0) -> None:
         time.sleep(0.01)
 
 
-def test_remote_backend_keeps_one_connection_per_thread_until_closed():
+def test_remote_backend_opens_no_more_connections_than_calls_in_flight_and_closes_them():
+    both_asked = threading.Barrier(2, timeout=10)
+
+    def after_both_asked(body):
+        both_asked.wait()
+        return OK_BODY
+
+    def complete_on_threads(count):
+        replies: list = []
+        threads = [threading.Thread(target=lambda: replies.append(backend.complete("x")))
+                   for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert replies == ["recovered"] * count
+
     with _serving(_KeepAliveStubHandler) as server:
-        _StubHandler.responses = [(200, OK_BODY)] * 7
+        _StubHandler.responses = ([(200, OK_BODY)] * 6 + [(200, after_both_asked)] * 2
+                                  + [(200, OK_BODY)])
         backend = _stub_backend(server)
         assert [backend.complete("x") for _ in range(5)] == ["recovered"] * 5
+        complete_on_threads(1)  # another thread takes the idle session
         assert len(set(server.ports)) == 1
-        replies: list = []
-        other = threading.Thread(target=lambda: replies.append(backend.complete("x")))
-        other.start()
-        other.join(timeout=10)
-        assert not other.is_alive() and replies == ["recovered"]
+        complete_on_threads(2)  # two calls in flight at once: one more session
         connections = set(server.ports)
-        assert len(connections) == 2  # the other thread's own
+        assert len(connections) == 2
         backend.close()
         _wait_until(lambda: set(server.closed) == connections)
         assert backend.complete("x") == "recovered"  # on a new connection
         backend.close()
         _wait_until(lambda: set(server.closed) == set(server.ports))
-    assert len(server.ports) == 7
+    assert len(server.ports) == 9
     assert len(set(server.ports)) == 3
 
 

@@ -1,8 +1,14 @@
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +187,7 @@ def feasible_world():
 
 
 PICK_KNIFE = "Thought: grab it\nAction: Pick Up Object\nAction Input: {'object_id': 'Knife_1'}"
+LOOK = "Thought: look\nAction: Randomly Explore\nAction Input: None"
 
 
 def test_expand_simulates_child_state():
@@ -805,6 +812,172 @@ def test_plan_matches_the_reference_planner(ref, explores, config, seed, proposa
     assert got == expected
     assert backend.calls == reference_backend.calls
     assert planner.llm_calls == reference.calls == len(backend.calls)
+
+
+class SlowSeededBackend(SeededBackend):
+    """A SeededBackend whose every call takes twice the planner's overlap
+    threshold, so critiques are sent ahead; it keeps the name of the thread
+    that made each critique call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.critique_threads = []
+
+    def complete(self, prompt, temperature=0.0):
+        time.sleep(2 * mcts.OVERLAP_MIN_CALL_S)
+        if prompt.startswith("Score the quality"):
+            self.critique_threads.append(threading.current_thread().name)
+        return super().complete(prompt, temperature)
+
+
+def streams(calls):
+    """The proposal calls and the critique calls, each in its order."""
+    critiques = [call for call in calls if call[0].startswith("Score the quality")]
+    return [call for call in calls if call not in critiques], critiques
+
+
+@settings(derandomize=True, max_examples=examples(60), deadline=None)
+@given(
+    st.sampled_from([None, "worlds/kitchen.json", "worlds/kitchen_c.json"]),
+    st.builds(PlannerConfig, st.integers(1, 8), st.integers(1, 4), st.integers(1, 3)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(PROPOSALS), min_size=1, max_size=5),
+    st.lists(st.sampled_from(CRITIQUES), min_size=1, max_size=3),
+)
+def test_overlapped_plan_matches_the_reference_planner(ref, config, seed, proposals, critiques):
+    state = explored_world(ref, 1)
+    targets = sorted(state.discovered)[:4] + sorted(state.objects)[:2]
+    backend = SlowSeededBackend(seed, targets, proposals, critiques)
+    reference_backend = SeededBackend(seed, targets, proposals, critiques)
+    planner = MctsPlanner(backend, config)
+    reference = ReferencePlanner(reference_backend, config)
+    try:
+        got = (planner.plan(state, "tidy up"), tree_rows(planner.tree))
+    except NoFeasibleActionError:
+        got = None
+    finally:
+        planner.close()
+    try:
+        chosen, root = reference.plan(state, "tidy up", "")
+        expected = (chosen, tree_rows(root))
+    except NoFeasibleActionError:
+        expected = None
+    assert got == expected
+    assert streams(backend.calls) == streams(reference_backend.calls)
+    assert planner.llm_calls == reference.calls == len(backend.calls)
+
+
+class SlowProposalList(LlmBackend):
+    """Slow: answers its proposal calls from a list, in order, and every
+    critique with one score; it keeps the thread of each critique call."""
+
+    def __init__(self, proposals):
+        self.proposals, self.critique_threads = list(proposals), []
+
+    def complete(self, prompt, temperature=0.0):
+        time.sleep(2 * mcts.OVERLAP_MIN_CALL_S)
+        if prompt.startswith("Score the quality"):
+            self.critique_threads.append(threading.current_thread().name)
+            return "Score: 6"
+        return self.proposals.pop(0)
+
+
+GET_LIST = "Thought: list\nAction: Get Discovered Objects\nAction Input: None"
+REFUSED = ("Thought: t\nAction: Pick Up Object\nAction Input: {'object_id': 'CounterTop_1'}",
+           "Thought: t\nAction: Open Object\nAction Input: {'object_id': 'Knife_1'}",
+           "Thought: t\nAction: Levitate Object\nAction Input: {'object_id': 'Knife_1'}")
+
+
+# (budget, refused root children before the accepted three, critiques sent
+# ahead). Iteration 1 visits the first root child and each later iteration
+# the next unvisited one; a root retry follows three refused children.
+@pytest.mark.parametrize("budget, refused, ahead", [
+    (1, 0, 1), (2, 0, 2), (3, 0, 3),
+    (2, 3, 1), (4, 3, 1), (5, 3, 2), (6, 3, 3),
+])
+def test_root_children_are_critiqued_ahead_only_when_the_budget_reaches_them(
+        budget, refused, ahead):
+    backend = SlowProposalList(REFUSED[:refused] + (LOOK, PICK_KNIFE, GET_LIST))
+    planner = MctsPlanner(backend, PlannerConfig(expansion_budget=budget))
+    try:
+        planner.plan(feasible_world(), "tidy up")
+    finally:
+        planner.close()
+    assert [len(child.children) for child in planner.tree.children] == [0] * (refused + 3)
+    assert [name.split("_")[0] for name in backend.critique_threads] == ["critique"] * ahead
+
+
+def test_plan_raises_when_a_critique_sent_ahead_is_never_read(monkeypatch):
+    monkeypatch.setattr(MctsPlanner, "critique", lambda self, path, goal: 0.5)
+    state = explored_world("worlds/kitchen.json", 1)
+    backend = SlowSeededBackend(3, sorted(state.discovered)[:4], PROPOSALS[:3], CRITIQUES[:1])
+    planner = MctsPlanner(backend, PlannerConfig(expansion_budget=3))
+    try:
+        with pytest.raises(RuntimeError, match="sent ahead were never read"):
+            planner.plan(state, "tidy up")
+    finally:
+        planner.close()
+
+
+def test_a_slowed_script_never_starts_a_thread(monkeypatch):
+    def no_thread(thread):
+        raise AssertionError("a thread was started")
+
+    class SlowScript(ScriptedBackend):
+        def complete(self, prompt, temperature=0.0):
+            time.sleep(2 * mcts.OVERLAP_MIN_CALL_S)
+            return super().complete(prompt, temperature)
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    backend = SlowScript([ScriptEntry("Score: 5", match="Score the quality", uses=-1),
+                          ScriptEntry(PICK_KNIFE, uses=1), ScriptEntry(LOOK, uses=-1)],
+                         mode="keyed")
+    planner = MctsPlanner(backend, PlannerConfig(expansion_budget=4))
+    assert planner.plan(feasible_world(), "tidy up").action == "Pick Up Object"
+    planner.close()
+
+
+_FAST_EPISODES = r"""
+import sys, threading
+from homeplan.agent import AgentConfig
+from homeplan.llm import LlmBackend
+from homeplan.mcts import PlannerConfig
+from homeplan.suite import generate_easy_suite, run_suite
+
+class Fast(LlmBackend):
+    def complete(self, prompt, temperature=0.0):
+        if prompt.startswith("Score the quality"):
+            return "Score: 6"
+        return "Thought: look\nAction: Randomly Explore\nAction Input: None"
+
+suite = generate_easy_suite(1, 2, ["worlds/kitchen.json"])
+config = AgentConfig(mode="react+mcts", planner=PlannerConfig(expansion_budget=6), step_cap=3)
+report, _ = run_suite(suite, config, lambda task: Fast())
+assert not report.errors and len(report.episodes) == 2
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+
+
+def test_a_fast_backend_loads_no_thread_pool_and_starts_no_thread():
+    src = str(Path(mcts.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FAST_EPISODES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "1"]
+
+
+def test_the_default_depth_cap_binds():
+    # Every proposal is one accepted call, so each expansion makes one child
+    # (the rest are repeats) and the search runs straight down to the cap.
+    backend = ScriptedBackend([ScriptEntry("Score: 5", match="Score the quality", uses=-1),
+                               ScriptEntry(LOOK, uses=-1)], mode="keyed")
+    planner = MctsPlanner(backend, PlannerConfig(expansion_budget=12))
+    planner.plan(feasible_world(), "tidy up")
+    rows = tree_rows(planner.tree)
+    assert [depth for depth, *_ in rows] == [0, 1, 2, 3, 4, 5]
+    assert rows[-1][2] == 12 - 4  # the deepest node is scored, never expanded
+    assert not any(failed or terminal for *_, failed, terminal in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import sys
+import threading
+import time
 from dataclasses import replace
 from importlib import resources
 
@@ -11,9 +15,14 @@ from hypothesis import strategies as st
 from homeplan import suite as suite_module
 from homeplan import world as world_module
 from homeplan.agent import AgentConfig
-from homeplan.errors import HomeplanError, InputFormatError, InsufficientObjectsError
+from homeplan.errors import (
+    BackendUnavailableError,
+    HomeplanError,
+    InputFormatError,
+    InsufficientObjectsError,
+)
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry
-from homeplan.mcts import PlannerConfig
+from homeplan.mcts import OVERLAP_MIN_CALL_S, PlannerConfig
 from homeplan.sim import GoalAtom, TaskSpec, check_goal
 from homeplan.suite import (
     MetricsReport,
@@ -32,6 +41,7 @@ from homeplan.tools import seeded_draw
 from homeplan.world import category_of, refresh_visibility
 
 from .conftest import examples
+from .test_mcts import CRITIQUES, PROPOSALS, SeededBackend, SlowSeededBackend
 
 WORLD_REFS = ["worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitchen_c.json"]
 
@@ -489,6 +499,113 @@ def test_a_planner_error_is_in_its_record_and_not_an_error_line(tmp_path):
     assert [episode["llm_calls"] for episode in report.episodes] == [
         record.llm_call_count for record in records
     ]
+
+
+# ---------------------------------------------------------------------------
+# Critiques sent ahead on a slow backend
+
+PLANNING = AgentConfig(mode="react+mcts", planner=PlannerConfig(expansion_budget=6), step_cap=3)
+
+
+def seeded_factory(seed, backend_class, backends=None):
+    """Each episode's backend: a seeded one (test_mcts) over the task's own
+    objects, which never gives a final answer, so each episode runs its
+    steps; backends, when given, gets each by task id."""
+    def factory(task):
+        goal = task.goal[0]
+        backend = backend_class(seed, [goal.object_pattern, goal.receptacle_pattern],
+                                PROPOSALS[:8], CRITIQUES)
+        if backends is not None:
+            backends[task.id] = backend
+        return backend
+    return factory
+
+
+def _outputs(report, records):
+    return report.serialize(), [record.serialize() for record in records]
+
+
+def test_each_episode_reads_every_critique_sent_ahead_and_stops_its_thread(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    started, futures = [], []
+    start, submit = threading.Thread.start, ThreadPoolExecutor.submit
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), start(thread))[1])
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *args: futures.append(submit(pool, *args)) or futures[-1])
+    run_episode = suite_module.run_episode
+
+    def stopped():
+        for thread in started:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        return True
+
+    def checked_episode(*args, **kwargs):
+        record = run_episode(*args, **kwargs)
+        assert workers > 1 or stopped()  # at one worker, each episode's own thread
+        return record
+
+    monkeypatch.setattr(suite_module, "run_episode", checked_episode)
+    suite = generate_easy_suite(seed=3, count=4, world_refs=WORLD_REFS)
+    for workers in (1, 2):
+        backends = {}
+        _, records = run_suite(suite, PLANNING, seeded_factory(5, SlowSeededBackend, backends),
+                               workers=workers)
+        # A critique read is counted; one never read would leave its calls out.
+        assert [record.llm_call_count for record in records] == [
+            len(backends[record.task_id].calls) for record in records]
+        assert stopped()
+    assert any(thread.name.startswith("critique_") for thread in started)
+    assert futures and all(future.done() and not future.cancelled() for future in futures)
+
+
+class _FailingCritic(SeededBackend):
+    """Down at its second critique call, after sleeping delay_s on each
+    call; it keeps the thread that the fault met."""
+
+    delay_s = 0.0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.critique_calls, self.fault_thread = 0, None
+
+    def complete(self, prompt, temperature=0.0):
+        time.sleep(self.delay_s)
+        if prompt.startswith("Score the quality"):
+            self.critique_calls += 1
+            if self.critique_calls == 2:
+                self.fault_thread = threading.current_thread().name
+                raise BackendUnavailableError("critique endpoint down")
+        return super().complete(prompt, temperature)
+
+
+class _SlowFailingCritic(_FailingCritic):
+    delay_s = 2 * OVERLAP_MIN_CALL_S
+
+
+def test_a_fault_in_a_critique_sent_ahead_ends_the_episode_as_sequential_code_does():
+    suite = generate_easy_suite(seed=4, count=2, world_refs=WORLD_REFS)
+    backends = {}
+    slow = run_suite(suite, PLANNING, seeded_factory(6, _SlowFailingCritic, backends))
+    fast = run_suite(suite, PLANNING, seeded_factory(6, _FailingCritic))
+    assert _outputs(*slow) == _outputs(*fast)
+    assert slow[0].errors == [f"{task.id}: critique endpoint down" for task in suite.tasks]
+    assert all(backend.fault_thread.startswith("critique_") for backend in backends.values())
+
+
+def test_overlap_stress_with_a_tiny_switch_interval_gives_the_sequential_records():
+    suite = generate_easy_suite(seed=5, count=8, world_refs=WORLD_REFS)
+    expected = _outputs(*run_suite(suite, PLANNING, seeded_factory(7, SeededBackend)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_suite(suite, PLANNING, seeded_factory(7, SlowSeededBackend),
+                        workers=(os.cpu_count() or 1) + 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _outputs(*got) == expected
 
 
 # One step, then the script runs out: react reads the score as an unparsed
