@@ -10,7 +10,6 @@ once per formula, feedback collectors once per formula and message table.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +22,7 @@ from .errors import (
     read_input,
 )
 from .formula import And, Atom, Exists, Formula, Not, When, print_precondition
+from .llm import render_prompt, split_template
 from .world import AGENT_PREDICATE, ATTRIBUTE_NAMES, WorldState, attribute_reader
 
 Binding = dict[str, str]
@@ -44,21 +44,18 @@ _ATOM_MESSAGE_OPTIONAL = {"required_true": str, "required_false": str}
 
 
 class MessageTable:
-    """Per-predicate/polarity message templates for unsatisfied feedback."""
+    """Per-predicate/polarity message texts for unsatisfied feedback, and the
+    ``exists`` and ``fallback`` clauses, prompt templates split when the
+    table is read, whose one slot is ``{formula}``."""
 
     def __init__(self, data: dict):
         check_fields(data, "messages", _MESSAGE_FIELDS)
         check_fields(data["special"], "messages: special", _SPECIAL_FIELDS)
         for name, entry in data["atoms"].items():
             check_fields(entry, f"messages: {name}", optional=_ATOM_MESSAGE_OPTIONAL)
-        # Take out escaped braces and {formula} from the left, as str.format reads
-        # them: a brace left is another slot or a lone brace, and message() would fail.
-        for key in ("exists", "fallback"):
-            if re.search(r"[{}]", re.sub(r"\{\{|\}\}|\{formula\}", "", data[key])):
-                raise InputFormatError(f"messages: {key} may hold no slot but {{formula}}")
         self._atoms = data["atoms"]
-        self._exists = data["exists"]
-        self._fallback = data["fallback"]
+        self._exists, self._fallback = (split_template(data[key], ("formula",), f"messages: {key}")
+                                        for key in ("exists", "fallback"))
         self.special = dict(data["special"])
         self._collectors: dict[int, tuple] = {}  # see _compiled
 
@@ -79,7 +76,7 @@ class MessageTable:
                 raise InputFormatError(f"messages: {atom.name} has no {polarity} text") from None
         # No single witness to blame for an Exists; report the whole clause.
         template = self._exists if isinstance(fragment, Exists) else self._fallback
-        return template.format(formula=print_precondition(fragment))
+        return render_prompt(template, {"formula": print_precondition(fragment)})
 
 
 @lru_cache(maxsize=1)

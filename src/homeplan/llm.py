@@ -2,9 +2,10 @@
 
 Prompt templates are shipped as text files, ``<name>.txt`` (overridable by
 directory), using ``{slot}`` placeholders with ``{{``/``}}`` escapes for
-literal braces. A template is checked only where it is read: a file with a
-stray brace or a slot its prompt does not fill is refused then, and
-rendering only joins its pieces with the fills.
+literal braces. ``split_template`` is the one reader of such a text, the
+message table's clauses included: it splits the text into pieces where it
+is read, refusing a stray brace or a slot its caller does not fill, and
+``render_prompt`` only joins the pieces with the fills.
 ``StepRecord`` is the one recorded transcript step (an agent's step, a
 search-tree edge, a replayed trace step), a plain record; ``format_step``
 renders it, once per step in the agent's scratchpad and in a search node,
@@ -58,60 +59,43 @@ TEMPLATE_SLOTS = {"expansion": ("tools", "tool_names", "input", "agent_scratchpa
 _SLOT_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|\{|\}")
 
 
-class cached_attribute:
-    """``functools.cached_property`` without the lock that it takes on every
-    first use before Python 3.12: the value is stored in the instance dict,
-    which later lookups read. Threads racing on a first use compute it twice."""
+class PromptTemplate(NamedTuple):
+    """A text split by split_template: (literal, slot) pairs in text order,
+    with escapes undone in the literals, and the literal text after the last
+    slot."""
 
-    def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
+    pairs: tuple[tuple[str, str], ...]
+    tail: str
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    body: str
-
-    @cached_attribute
-    def _pieces(self) -> tuple[tuple[tuple[str, str], ...], str]:
-        """The body split once for render_prompt: (literal, slot) pairs in
-        body order, with escapes undone in the literals, and the literal text
-        after the last slot. A stray brace is an InputFormatError."""
-        pairs = []
-        literal: list[str] = []
-        pos = 0
-        for match in _SLOT_RE.finditer(self.body):
-            literal.append(self.body[pos: match.start()])
-            pos = match.end()
-            token = match.group(0)
-            if token in ("{{", "}}"):
-                literal.append(token[0])
-            elif match.group(1):
-                pairs.append(("".join(literal), match.group(1)))
-                literal = []
-            else:
-                raise InputFormatError(f"a stray {token!r}; write {token * 2!r} for the brace")
-        literal.append(self.body[pos:])
-        return tuple(pairs), "".join(literal)
+def split_template(text: str, slots: tuple[str, ...], where: str) -> PromptTemplate:
+    """The text split into its pieces; a stray brace or a slot not in
+    ``slots`` is an InputFormatError led by ``where``."""
+    pairs = []
+    literal: list[str] = []
+    pos = 0
+    for match in _SLOT_RE.finditer(text):
+        literal.append(text[pos: match.start()])
+        pos = match.end()
+        token, slot = match.group(0, 1)
+        if token in ("{{", "}}"):
+            literal.append(token[0])
+        elif slot in slots:
+            pairs.append(("".join(literal), slot))
+            literal = []
+        elif slot:
+            allowed = ", ".join(f"{{{name}}}" for name in slots)
+            raise InputFormatError(f"{where}: an unknown slot {token}; "
+                                   f"the text may hold only {allowed}")
+        else:
+            raise InputFormatError(f"{where}: a stray {token!r}; write {token * 2!r} for the brace")
+    literal.append(text[pos:])
+    return PromptTemplate(tuple(pairs), "".join(literal))
 
 
 def _read_template(name: str, path) -> PromptTemplate:
-    """The template in a file; one with a stray brace or a slot its prompt
-    does not fill is an InputFormatError naming the file."""
-    template = PromptTemplate(body=read_input(path, parse=str).rstrip("\n"))
-    try:
-        pairs, _ = template._pieces
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-    if any(slot not in TEMPLATE_SLOTS[name] for _, slot in pairs):
-        slots = ", ".join(f"{{{slot}}}" for slot in TEMPLATE_SLOTS[name])
-        raise InputFormatError(f"{path}: the {name} template may hold no slot but {slots}")
-    return template
+    """The template in a file, split; see split_template."""
+    return split_template(read_input(path, parse=str).rstrip("\n"), TEMPLATE_SLOTS[name], str(path))
 
 
 @lru_cache(maxsize=None)  # one entry per name in TEMPLATE_SLOTS
@@ -121,8 +105,8 @@ def _packaged_template(name: str) -> PromptTemplate:
 
 def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
     """Load a template by name. A shipped template is one shared instance,
-    read, split into pieces and checked once per process; an override
-    directory is read and checked on every call."""
+    read and split once per process; an override directory is read and
+    split on every call."""
     if name not in TEMPLATE_SLOTS:
         raise KeyError(f"unknown template name: {name!r}")
     if directory is None:
@@ -132,13 +116,12 @@ def load_template(name: str, directory: str | Path | None = None) -> PromptTempl
 
 def render_prompt(template: PromptTemplate, fills: dict[str, str]) -> str:
     """The template's pieces joined with each slot's fill; the template was
-    checked when it was read, and its prompt fills every slot."""
-    pairs, tail = template._pieces
+    checked when it was split, and its caller fills every slot."""
     out: list[str] = []
-    for literal, slot in pairs:
+    for literal, slot in template.pairs:
         out.append(literal)
         out.append(str(fills[slot]))
-    out.append(tail)
+    out.append(template.tail)
     return "".join(out)
 
 

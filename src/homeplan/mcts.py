@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     MalformedArgsError,
@@ -62,7 +63,6 @@ from .llm import (
     LlmBackend,
     ReactStep,
     StepRecord,
-    cached_attribute,
     format_step,
     load_template,
     parse_critique,
@@ -129,7 +129,7 @@ class SearchNode:
     def q_value(self) -> float:
         return self.total_score / self.visit_count if self.visit_count else 0.0
 
-    @cached_attribute
+    @cached_property
     def label(self) -> str:
         """How critique plans name this node: the declared final answer,
         or the action with the arguments the simulator was given ("<root>"
@@ -141,7 +141,7 @@ class SearchNode:
             return f"Final Answer: {proposal.text}"
         return f"{proposal.action} {stable_repr(call_args(proposal.action_input))}"
 
-    @cached_attribute
+    @cached_property
     def rendered(self) -> str:
         """The step's scratchpad text, what a path through this node adds to
         an expansion prompt; rendered on first use."""

@@ -257,10 +257,14 @@ CONSOLE = [
     # and a single brace (ValueError) would each fail mid-run.
     *[(f"messages-{case}", f"{RUN} --messages messages.json",
        {**_card(), **_messages(lambda m, key=key, text=text: m.update({key: text}))}, 2, "",
-       f"error: messages: {key} may hold no slot but {{formula}}", NO_REPORTS)
-      for case, key, text in [("named-slot", "exists", "no object satisfies {form}"),
-                              ("positional-slot", "exists", "{0} holds for no object"),
-                              ("stray-brace", "fallback", "condition not met: formula}")]],
+       f"error: messages: {key}: {fault}", NO_REPORTS)
+      for case, key, text, fault in [
+          ("named-slot", "exists", "no object satisfies {form}",
+           "an unknown slot {form}; the text may hold only {formula}"),
+          ("positional-slot", "exists", "{0} holds for no object",
+           "a stray '{'; write '{{' for the brace"),
+          ("stray-brace", "fallback", "condition not met: formula}",
+           "a stray '}'; write '}}' for the brace")]],
     *[(f"empty-template-dir-{mode}", f"{RUN} --mode {mode} --templates templates",
        {**_card(), "templates": None}, 2, "",
        "error: templates/expansion.txt: No such file or directory", NO_REPORTS)
@@ -268,8 +272,8 @@ CONSOLE = [
     ("template-unknown-slot", f"{RUN} --templates templates",
      {**_card(), **TEMPLATES, "templates/expansion.txt": TEMPLATES[
          "templates/expansion.txt"].replace("{input}", "{goal_text}")}, 2, "",
-     "error: templates/expansion.txt: the expansion template may hold no slot but {tools}, "
-     "{tool_names}, {input}, {agent_scratchpad}", NO_REPORTS),
+     "error: templates/expansion.txt: an unknown slot {goal_text}; the text may hold only "
+     "{tools}, {tool_names}, {input}, {agent_scratchpad}", NO_REPORTS),
     ("template-stray-brace", f"{RUN} --templates templates",
      {**_card(), **TEMPLATES, "templates/critique.txt": "Score {plan_steps} }\n"}, 2, "",
      "error: templates/critique.txt: a stray '}'; write '}}' for the brace", NO_REPORTS),

@@ -314,36 +314,38 @@ def _reference_eval(formula, state, binding):
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def reference_unsatisfied(formula, state, binding, table):
-    """grounding.unsatisfied as it was before formulas were compiled."""
+def reference_unsatisfied(formula, state, binding, data):
+    """grounding.unsatisfied as it was before formulas were compiled and
+    message clauses were split: the texts are read from the table's data,
+    and a clause is filled by str.format."""
     _reference_check_binding(state, binding)
-    return _reference_collect(formula, state, binding, table)
+    return _reference_collect(formula, state, binding, data)
 
 
-def _reference_collect(formula, state, binding, table):
+def _reference_collect(formula, state, binding, data):
     if isinstance(formula, Atom):
         if _reference_eval(formula, state, binding):
             return []
-        return [FeedbackItem(formula, table._atoms[formula.name]["required_true"])]
+        return [FeedbackItem(formula, data["atoms"][formula.name]["required_true"])]
     if isinstance(formula, Not):
         if _reference_eval(formula, state, binding):
             return []
         if isinstance(formula.child, Atom):
-            return [FeedbackItem(formula, table._atoms[formula.child.name]["required_false"])]
-        return [FeedbackItem(formula, table._fallback.format(formula=print_precondition(formula)))]
+            return [FeedbackItem(formula, data["atoms"][formula.child.name]["required_false"])]
+        return [FeedbackItem(formula, data["fallback"].format(formula=print_precondition(formula)))]
     if isinstance(formula, And):
         items = []
         for child in formula.children:
-            items.extend(_reference_collect(child, state, binding, table))
+            items.extend(_reference_collect(child, state, binding, data))
         return items
     if isinstance(formula, When):
         if not _reference_eval(formula.antecedent, state, binding):
             return []
-        return _reference_collect(formula.consequent, state, binding, table)
+        return _reference_collect(formula.consequent, state, binding, data)
     if isinstance(formula, Exists):
         if _reference_eval(formula, state, binding):
             return []
-        return [FeedbackItem(formula, table._exists.format(formula=print_precondition(formula)))]
+        return [FeedbackItem(formula, data["exists"].format(formula=print_precondition(formula)))]
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -357,24 +359,38 @@ def outcome(call, *args):
     return ("value", type(value), value)
 
 
+def shipped_messages() -> dict:
+    """The data of the shipped message table, as its file holds it."""
+    return json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+
+
+# The data of a table whose every text differs from the shipped one.
+CUSTOM_MESSAGES = {
+    "atoms": {name: {"required_true": f"needs {name}", "required_false": f"no {name}"}
+              for name in ATTRIBUTE_NAMES + ("isHoldingObject",)},
+    "exists": "nothing is {formula}",
+    "fallback": "fails {formula}",
+    "special": {"not_discovered": "not found yet"},
+}
+
+
 def custom_table():
-    """A table whose every text differs from the shipped one."""
-    names = ATTRIBUTE_NAMES + ("isHoldingObject",)
-    return MessageTable({
-        "atoms": {name: {"required_true": f"needs {name}", "required_false": f"no {name}"}
-                  for name in names},
-        "exists": "nothing is {formula}",
-        "fallback": "fails {formula}",
-        "special": {"not_discovered": "not found yet"},
-    })
+    return MessageTable(CUSTOM_MESSAGES)
 
 
-def assert_compiled_like_the_reference(formula, state, binding, table):
+# Each table the reference is compared on, with the data it was read from.
+REFERENCE_TABLES = {"shipped": (MessageTable.load(), shipped_messages()),
+                    "custom": (custom_table(), CUSTOM_MESSAGES)}
+
+
+def assert_compiled_like_the_reference(formula, state, binding, table, data):
+    """evaluate and unsatisfied on the table give what the references give on
+    the data the table was read from."""
     given = dict(binding)
     assert outcome(evaluate, formula, state, binding) == outcome(
         reference_evaluate, formula, state, binding
     )
-    expected = outcome(reference_unsatisfied, formula, state, binding, table)
+    expected = outcome(reference_unsatisfied, formula, state, binding, data)
     assert outcome(unsatisfied, formula, state, binding, table) == expected
     # Built once, the collector gives the same list again.
     assert outcome(unsatisfied, formula, state, binding, table) == expected
@@ -399,14 +415,15 @@ def decorated_case(seed, case):
     return formula, world, binding
 
 
-@pytest.mark.parametrize("table", [MessageTable.load(), custom_table()], ids=["shipped", "custom"])
-def test_compiled_grounding_matches_the_tree_walk_reference(table):
+@pytest.mark.parametrize("name", list(REFERENCE_TABLES))
+def test_compiled_grounding_matches_the_tree_walk_reference(name):
+    table, data = REFERENCE_TABLES[name]
     seed = 20240917
     raised = set()
     for case in range(1000):
         formula, world, binding = decorated_case(seed, case)
-        assert_compiled_like_the_reference(formula, world, binding, table)
-        result = outcome(reference_unsatisfied, formula, world, binding, table)
+        assert_compiled_like_the_reference(formula, world, binding, table, data)
+        result = outcome(reference_unsatisfied, formula, world, binding, data)
         if result[0] == "raised":
             raised.add(result[1])
     assert raised == {UnboundVariableError, UnknownObjectError, UnknownAttributeError, TypeError}
@@ -438,7 +455,8 @@ def test_exists_prefilter_keeps_the_verdict(source):
     formula = parse_precondition(source)
     for case in range(200):
         world = random_world(77, case)
-        assert_compiled_like_the_reference(formula, world, {"?x": "Item_1"}, MessageTable.load())
+        assert_compiled_like_the_reference(formula, world, {"?x": "Item_1"},
+                                           *REFERENCE_TABLES["shipped"])
 
 
 def test_exists_prefilter_skips_the_agent_predicate():
@@ -447,7 +465,7 @@ def test_exists_prefilter_skips_the_agent_predicate():
     formula = Exists("?y", And((Atom("isHoldingObject", "?y"), Atom("isToggled", "?y"))))
     for case in range(50):
         world = random_world(78, case)
-        assert_compiled_like_the_reference(formula, world, {}, MessageTable.load())
+        assert_compiled_like_the_reference(formula, world, {}, *REFERENCE_TABLES["shipped"])
 
 
 def test_missing_message_raises_only_when_its_atom_fails():
@@ -471,19 +489,28 @@ def test_missing_message_raises_only_when_its_atom_fails():
 _TEMPLATE_PIECES = ["{", "}", "{{", "}}", "{formula}", "formula", "{0}", "{}", "{form}", "x "]
 
 
+# The fragments each clause explains: an Exists, and a negated conjunction,
+# which has no atom text of its own.
+_CLAUSE_FRAGMENTS = {"exists": Exists("?y", And((Atom("isToggled", "?y"), Atom("visible", "?x")))),
+                     "fallback": Not(And((Atom("visible", "?x"), Atom("isOpen", "?x"))))}
+
+
 @given(st.lists(st.sampled_from(_TEMPLATE_PIECES), max_size=6).map("".join),
        st.sampled_from(["exists", "fallback"]))
 def test_a_message_template_loads_exactly_when_the_format_reference_fills_it(template, key):
-    data = json.loads(resources.files("homeplan.data").joinpath("messages.json").read_text())
+    """A clause loads exactly when str.format fills its one slot, and its
+    message is the text str.format gives; any other clause is refused with
+    the key named."""
+    data = shipped_messages()
     data[key] = template
+    fragment = _CLAUSE_FRAGMENTS[key]
     try:
-        template.format(formula="(visible ?x)")
+        expected = template.format(formula=print_precondition(fragment))
     except (KeyError, IndexError, ValueError):
-        with pytest.raises(InputFormatError,
-                           match=f"^messages: {key} may hold no slot but {{formula}}$"):
+        with pytest.raises(InputFormatError, match=f"^messages: {key}: (a stray|an unknown slot) "):
             MessageTable(data)
     else:
-        MessageTable(data)
+        assert MessageTable(data).message(fragment) == expected
 
 
 def test_equal_formulas_compile_apart_and_tables_keep_their_own_text():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 import re
@@ -8,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import defaultdict
 from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -34,7 +32,6 @@ from homeplan.llm import (
     RETRY_CEILING_S,
     TEMPLATE_SLOTS,
     FinalAnswer,
-    PromptTemplate,
     ReactStep,
     RemoteBackend,
     ScriptedBackend,
@@ -45,12 +42,13 @@ from homeplan.llm import (
     parse_critique,
     parse_react,
     render_prompt,
+    split_template,
 )
 from homeplan.cli import main
 from homeplan.suite import generate_easy_suite, run_suite, save_suite
 from homeplan.tools import builtin_tool_library
 
-from .conftest import examples
+from .conftest import data_path, examples
 
 
 def test_critique_template_renders():
@@ -76,10 +74,10 @@ def test_expansion_template_slots():
     assert missing.value.args == ("agent_scratchpad",)
 
 
-def test_render_rejects_stray_brace():
-    template = PromptTemplate(body="hello { there")
-    with pytest.raises(InputFormatError, match=r"^a stray '\{'; write '\{\{' for the brace$"):
-        render_prompt(template, {})
+def test_split_template_rejects_a_stray_brace():
+    with pytest.raises(InputFormatError,
+                       match=r"^greeting: a stray '\{'; write '\{\{' for the brace$"):
+        split_template("hello { there", (), "greeting")
 
 
 def test_rendered_expansion_has_no_placeholders():
@@ -801,13 +799,13 @@ class _StrayBrace(Exception):
     pass
 
 
-def reference_render(template, fills):
-    """render_prompt before templates were compiled: one regex scan per call,
-    stopped by the first stray brace or missing fill in body order."""
+def reference_render(body, fills):
+    """render_prompt before templates were split when read: one regex scan
+    per call, stopped by the first stray brace or missing fill in body order."""
     out = []
     pos = 0
-    for match in _REFERENCE_SLOT_RE.finditer(template.body):
-        out.append(template.body[pos: match.start()])
+    for match in _REFERENCE_SLOT_RE.finditer(body):
+        out.append(body[pos: match.start()])
         pos = match.end()
         token = match.group(0)
         if token == "{{":
@@ -818,13 +816,13 @@ def reference_render(template, fills):
             out.append(str(fills[match.group(1)]))
         else:
             raise _StrayBrace(token)
-    out.append(template.body[pos:])
+    out.append(body[pos:])
     return "".join(out)
 
 
-def _outcome(render, template, fills):
+def _outcome(render, source, fills):
     try:
-        return render(template, fills), None
+        return render(source, fills), None
     except KeyError as exc:
         return None, exc.args
 
@@ -843,20 +841,26 @@ _body_pieces = st.one_of(
                     st.one_of(st.text(alphabet="ab{}", max_size=3), st.integers())),
 )
 def test_render_prompt_matches_the_regex_reference(body, fills):
-    """A body is refused when split exactly when it holds a stray brace, the
-    first one named; any other renders as the reference does, a missing fill
-    being a KeyError that names the first missing slot."""
-    template = PromptTemplate(body=body)
+    """A body is refused when split exactly when it holds a stray brace or an
+    undeclared slot, the first fault in body order named; any other renders
+    as the reference does, a missing fill being a KeyError that names the
+    first missing slot."""
+    declared = ("a", "b", "c_1", "missing")
     try:
-        reference_render(template, defaultdict(str))  # every slot filled
-    except _StrayBrace as exc:
-        (stray,) = exc.args
+        reference_render(body, dict.fromkeys(declared, ""))  # every declared slot filled
+    except (_StrayBrace, KeyError) as exc:
+        (token,) = exc.args
         with pytest.raises(InputFormatError) as refused:
-            render_prompt(template, fills)
-        assert str(refused.value) == f"a stray {stray!r}; write {stray * 2!r} for the brace"
+            split_template(body, declared, "body")
+        assert str(refused.value) == (
+            f"body: a stray {token!r}; write {token * 2!r} for the brace"
+            if isinstance(exc, _StrayBrace) else
+            f"body: an unknown slot {{{token}}}; the text may hold only {{a}}, {{b}}, {{c_1}}, "
+            "{missing}")
         return
-    expected = _outcome(reference_render, template, fills)
-    for _ in range(2):  # the second render reuses the compiled pieces
+    template = split_template(body, declared, "body")
+    expected = _outcome(reference_render, body, fills)
+    for _ in range(2):  # rendering leaves the pieces as they were
         assert _outcome(render_prompt, template, fills) == expected
 
 
@@ -874,16 +878,16 @@ def test_packaged_template_is_one_instance_split_once(monkeypatch):
     fills = {"goal": "g", "plan_steps": "p"}
     assert render_prompt(first, fills) == render_prompt(load_template("critique"), fills)
     assert load_template("critique") is first
-    assert scans == [first.body]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first.body = ""
+    assert scans == [data_path("templates/critique.txt").read_text().rstrip("\n")]
+    with pytest.raises(AttributeError):
+        first.tail = ""
 
 
 def test_template_directory_override_is_read_on_every_call(tmp_path):
     (tmp_path / "critique.txt").write_text("first {goal}\n")
-    assert load_template("critique", directory=tmp_path).body == "first {goal}"
+    assert load_template("critique", directory=tmp_path) == ((("first ", "goal"),), "")
     (tmp_path / "critique.txt").write_text("second {goal}\n")
-    assert load_template("critique", directory=tmp_path).body == "second {goal}"
+    assert load_template("critique", directory=tmp_path) == ((("second ", "goal"),), "")
 
 
 def test_the_declared_template_slots_are_the_ones_the_planner_fills(monkeypatch):
@@ -898,7 +902,7 @@ def test_the_declared_template_slots_are_the_ones_the_planner_fills(monkeypatch)
     assert len(rendered) == len(TEMPLATE_SLOTS)  # expansion, then critique
     for name, (template, fills) in zip(TEMPLATE_SLOTS, rendered):
         assert template is load_template(name)
-        assert {slot for _, slot in template._pieces[0]} == set(TEMPLATE_SLOTS[name]) == fills
+        assert {slot for _, slot in template.pairs} == set(TEMPLATE_SLOTS[name]) == fills
 
 
 def list_and_join_format_step(step):

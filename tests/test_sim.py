@@ -14,7 +14,7 @@ import homeplan
 from homeplan import tools
 from homeplan.errors import InputFormatError, MalformedArgsError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
-from homeplan.grounding import MessageTable, evaluate, unsatisfied
+from homeplan.grounding import evaluate, unsatisfied
 from homeplan.sim import (
     GENERIC_FAILURE,
     REFUSED,
@@ -41,7 +41,7 @@ from homeplan.world import (
 )
 
 from .conftest import data_path, examples, make_object, make_world
-from .test_grounding import assert_compiled_like_the_reference, custom_table
+from .test_grounding import REFERENCE_TABLES, assert_compiled_like_the_reference
 
 SEARCH_PART4 = """
 (and
@@ -813,11 +813,10 @@ def test_unsatisfied_is_empty_exactly_when_evaluate_holds(world_walk):
 @settings(max_examples=60, deadline=None)
 @given(_walks)
 def test_compiled_grounding_matches_the_tree_walk_on_shipped_worlds(world_walk):
-    tables = (MessageTable.load(), custom_table())
     for state, spec, binding in walk(*world_walk):
         if spec is not None and spec.precondition is not None:
-            for table in tables:
-                assert_compiled_like_the_reference(spec.precondition, state, binding, table)
+            for table, data in REFERENCE_TABLES.values():
+                assert_compiled_like_the_reference(spec.precondition, state, binding, table, data)
 
 
 @settings(max_examples=examples(60), deadline=None)
