@@ -135,9 +135,10 @@ def _make_backend_factory(spec: str):
         backend = RemoteBackend()
         return (lambda task: backend), backend.close
     if spec.startswith("scripted:"):
-        script_data = read_input(spec.split(":", 1)[1])
-        ScriptedBackend.from_dict(script_data)  # a malformed script fails before any episode
-        return (lambda task: ScriptedBackend.from_dict(script_data)), lambda: None
+        # The script is checked once, and a malformed one fails before any episode.
+        script = ScriptedBackend.from_dict(read_input(spec.split(":", 1)[1]))
+        entries, mode, cyclic = script.entries, script.mode, script.cyclic
+        return (lambda task: ScriptedBackend(entries, mode, cyclic)), lambda: None
     raise ValueError(f"unknown backend spec: {spec!r}")
 
 

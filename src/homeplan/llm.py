@@ -88,14 +88,16 @@ def split_template(text: str, slots: tuple[str, ...], where: str) -> PromptTempl
             raise InputFormatError(f"{where}: an unknown slot {token}; "
                                    f"the text may hold only {allowed}")
         else:
-            raise InputFormatError(f"{where}: a stray {token!r}; write {token * 2!r} for the brace")
+            raise InputFormatError(f"{where}: a stray {token!r}; "
+                                   f"write {token * 2!r} for the brace")
     literal.append(text[pos:])
     return PromptTemplate(tuple(pairs), "".join(literal))
 
 
 def _read_template(name: str, path) -> PromptTemplate:
     """The template in a file, split; see split_template."""
-    return split_template(read_input(path, parse=str).rstrip("\n"), TEMPLATE_SLOTS[name], str(path))
+    text = read_input(path, parse=str).rstrip("\n")
+    return split_template(text, TEMPLATE_SLOTS[name], str(path))
 
 
 @lru_cache(maxsize=None)  # one entry per name in TEMPLATE_SLOTS
@@ -349,7 +351,8 @@ class ScriptedBackend(LlmBackend):
     entry, and its ``match``, when present, must occur in the prompt. With no
     such entry the script is exhausted, an error, unless it is cyclic (only an
     ordered script may be): then every entry's uses are refilled and the scan
-    runs once more.
+    runs once more. The entries are never changed, so backends made from
+    one list share it.
     """
 
     answers_in_call_order = True  # an answer depends on the entries earlier calls used up
@@ -366,7 +369,7 @@ class ScriptedBackend(LlmBackend):
             raise ValueError("a cyclic ordered script needs an entry with uses other than 0")
         self.mode = mode
         self.cyclic = cyclic
-        self._entries = entries
+        self.entries = entries
         self._remaining = [entry.uses for entry in entries]
         self._lock = threading.Lock()
 
@@ -393,8 +396,8 @@ class ScriptedBackend(LlmBackend):
         with self._lock:
             for refill in (False, True):
                 if refill:  # only a cyclic script gets here
-                    self._remaining = [entry.uses for entry in self._entries]
-                for index, entry in enumerate(self._entries):
+                    self._remaining = [entry.uses for entry in self.entries]
+                for index, entry in enumerate(self.entries):
                     if self._remaining[index] == 0:
                         continue
                     if entry.match is not None and entry.match not in prompt:

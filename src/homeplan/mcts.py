@@ -308,15 +308,17 @@ class MctsPlanner:
             failed=not result.success,
         )
 
-    def expand(self, leaf: SearchNode, goal: str, path: list[SearchNode],
-               history: str = "", iterations_left: int | None = None) -> list[SearchNode]:
-        """Propose up to children_per_expansion next actions, none a repeat
-        (_same_proposal) of a proposal the leaf already holds; append them to
-        the leaf and return them, an empty list when every proposal was
-        unparseable or a repeat. The prompt's scratchpad is the episode
-        history followed by the path's steps. ``plan`` passes the number of
-        its iterations after this one, and each accepted child whose
-        critique it is certain to ask (_asked_later) is critiqued ahead."""
+    def expand(self, goal: str, path: list[SearchNode], history: str,
+               iterations_left: int) -> list[SearchNode]:
+        """Propose up to children_per_expansion next actions for the path's
+        last node, the leaf, none a repeat (_same_proposal) of a proposal the
+        leaf already holds; append them to the leaf and return them, an empty
+        list when every proposal was unparseable or a repeat. The prompt's
+        scratchpad is the episode history followed by the path's steps.
+        ``iterations_left`` is the number of plan's iterations after this
+        one, and each accepted child whose critique plan is certain to ask
+        (_asked_later) is critiqued ahead."""
+        leaf = path[-1]
         prompt = self.expansion_prompt(goal, history + "".join(
             node.rendered for node in path if node.step is not None
         ))
@@ -346,7 +348,7 @@ class MctsPlanner:
                 child = self._simulate_child(leaf, parsed)
             children.append(child)
             leaf.children.append(child)
-            if (self._overlap and iterations_left is not None and not child.failed
+            if (self._overlap and not child.failed
                     and _asked_later(path, children, iterations_left)):
                 self._send_ahead(path + [child], goal)
         return children
@@ -421,7 +423,7 @@ class MctsPlanner:
             leaf = path[-1]
             fresh = leaf is not root and leaf.visit_count == 0  # select's unvisited child
             if retry or (not fresh and not leaf.terminal and len(path) - 1 < config.max_depth):
-                children = self.expand(leaf, goal, path, history,
+                children = self.expand(goal, path, history,
                                        config.expansion_budget - 1 - iteration)
                 if children:
                     path.append(children[0])

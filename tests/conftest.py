@@ -12,9 +12,9 @@ from homeplan.world import (
 )
 
 
-# CI runs the reference property tests once more under this profile
-# (pytest --hypothesis-profile=five-times): five times the examples of the
-# default profile, and of each count that examples() scales.
+# CI runs the tests marked five_times once more under this profile
+# (pytest --hypothesis-profile=five-times -m five_times): five times the
+# examples of the default profile, and of each count that examples() scales.
 _DEFAULT_EXAMPLES = settings.get_profile("default").max_examples
 settings.register_profile("five-times", max_examples=5 * _DEFAULT_EXAMPLES)
 

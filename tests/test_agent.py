@@ -464,6 +464,7 @@ def _long_task():
     )
 
 
+@pytest.mark.five_times
 def test_react_episode_past_the_budget_prompts_the_reference_scratchpad(monkeypatch,
                                                                        kitchen_world):
     rendered = []
@@ -491,6 +492,7 @@ def test_react_episode_past_the_budget_prompts_the_reference_scratchpad(monkeypa
     ]
 
 
+@pytest.mark.five_times
 def test_mcts_episode_past_the_budget_plans_on_the_reference_scratchpad(monkeypatch,
                                                                         kitchen_world):
     histories = []

@@ -220,6 +220,7 @@ WORKLOAD_DIGESTS = {
 }
 
 
+@pytest.mark.five_times
 def test_each_workload_reference_pass_matches_its_pinned_digest(monkeypatch):
     from homeplan.suite import resolve_world
 

@@ -26,6 +26,7 @@ from homeplan import cli, suite
 from homeplan.cli import main
 from homeplan.errors import InputFormatError
 from homeplan.grounding import MessageTable
+from homeplan.llm import ScriptedBackend
 from homeplan.suite import generate_easy_suite
 
 from .conftest import examples
@@ -436,6 +437,32 @@ def test_run_is_byte_deterministic(tmp_path, capsys):
     assert file_a.read_bytes() == file_b.read_bytes()
 
 
+def test_a_run_checks_its_script_once_and_gives_each_episode_a_fresh_backend(
+        tmp_path, capsys, monkeypatch):
+    suite_path, script_path, _ = card_to_sink_suite(tmp_path)
+    checks, backends = [], []
+    from_dict, init = ScriptedBackend.from_dict, ScriptedBackend.__init__
+    monkeypatch.setattr(ScriptedBackend, "from_dict", classmethod(
+        lambda cls, data: checks.append(data) or from_dict(data)))
+    monkeypatch.setattr(ScriptedBackend, "__init__", lambda self, *args, **kwargs: (
+        backends.append(self) or init(self, *args, **kwargs)))
+    for workers in ("1", "4"):
+        assert main(["run", "--suite", str(suite_path), "--backend", f"scripted:{script_path}",
+                     "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        (report_path,) = (tmp_path / workers).glob("*.json")
+        episodes = len(json.loads(report_path.read_text())["episodes"])
+        assert len(checks) == 1
+        # The checked backend, then a fresh one per episode, all sharing the
+        # checked entries, which no call changes.
+        assert len(backends) == 1 + episodes > 2
+        assert all(backend.entries is backends[0].entries for backend in backends)
+        checks.clear()
+        backends.clear()
+    capsys.readouterr()
+    assert [path.read_bytes() for path in sorted((tmp_path / "1").iterdir())] == [
+        path.read_bytes() for path in sorted((tmp_path / "4").iterdir())]
+
+
 @pytest.mark.parametrize("mode", ["react", "mcts"])
 def test_run_writes_one_transcript_line_per_report_episode(tmp_path, capsys, mode):
     suite_path, script_path, _ = card_to_sink_suite(tmp_path)
@@ -747,6 +774,7 @@ def _out_of_time(signum, frame):
     raise CaseTimeout(f"a fuzz case ran past {CASE_SECONDS} s")
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(st.data())
 def test_fuzzed_inputs_end_main_with_an_exit_code(data):

@@ -267,6 +267,7 @@ def _lexer_inputs(draw):
     return source
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(600), deadline=None)
 @given(_lexer_inputs())
 def test_lexer_matches_the_reference_character_loop(source):

@@ -415,6 +415,7 @@ def decorated_case(seed, case):
     return formula, world, binding
 
 
+@pytest.mark.five_times
 @pytest.mark.parametrize("name", list(REFERENCE_TABLES))
 def test_compiled_grounding_matches_the_tree_walk_reference(name):
     table, data = REFERENCE_TABLES[name]
@@ -495,6 +496,7 @@ _CLAUSE_FRAGMENTS = {"exists": Exists("?y", And((Atom("isToggled", "?y"), Atom("
                      "fallback": Not(And((Atom("visible", "?x"), Atom("isOpen", "?x"))))}
 
 
+@pytest.mark.five_times
 @given(st.lists(st.sampled_from(_TEMPLATE_PIECES), max_size=6).map("".join),
        st.sampled_from(["exists", "fallback"]))
 def test_a_message_template_loads_exactly_when_the_format_reference_fills_it(template, key):

@@ -208,6 +208,7 @@ _react_lines = st.lists(
 ).map("".join)
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(1000), deadline=None)
 @given(_react_lines, st.sampled_from([None, builtin_tool_library()]))
 def test_parse_react_matches_the_unguarded_reference(completion, library):
@@ -240,6 +241,7 @@ _step_lines = st.builds(
 )
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(1000), deadline=None)
 @given(_step_lines, st.sampled_from([None, builtin_tool_library()]))
 def test_parse_react_reads_the_written_form_as_the_reference_does(completion, library):
@@ -303,6 +305,7 @@ _critique_lines = st.lists(
 ).map("".join)
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(_critique_lines)
 def test_parse_critique_matches_the_line_anchored_reference(completion):
@@ -834,6 +837,7 @@ _body_pieces = st.one_of(
 )
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(500))
 @given(
     st.lists(_body_pieces, max_size=10).map("".join),
@@ -927,6 +931,7 @@ _arg_values = st.one_of(st.none(), _step_text, st.integers(),
                         st.lists(st.sets(_step_text, max_size=2), max_size=2))
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(500))
 @given(st.builds(StepRecord,
                  _step_text,

@@ -131,6 +131,7 @@ def _tree(shape):
                 children=children)
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(_tree_shapes, st.sampled_from([0.0, 1.0, mcts.EXPLORATION_CONSTANT]))
 def test_select_matches_the_two_scan_reference(shape, c):
@@ -194,7 +195,7 @@ def test_expand_simulates_child_state():
     backend = ScriptedBackend.ordered([PICK_KNIFE])
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
-    children = planner.expand(leaf, "tidy up", [leaf])
+    children = planner.expand("tidy up", [leaf], "", 0)
     assert len(children) == 1
     child = children[0]
     assert child.state.agent.held_object == "Knife_1"
@@ -213,7 +214,7 @@ def test_expand_dedups_identical_actions(monkeypatch):
     backend = RecordingBackend.ordered([PICK_KNIFE] * 5)
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=3))
     leaf = SearchNode(state=feasible_world())
-    children = planner.expand(leaf, "tidy up", [leaf])
+    children = planner.expand("tidy up", [leaf], "", 0)
     assert len(children) == 1  # duplicates collapse; retries exhausted
     assert backend.call_count == 5
     assert executed == ["Pick Up Object"]  # the four duplicates are never simulated
@@ -237,7 +238,7 @@ def test_expand_dedups_unhashable_action_inputs():
     )
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=8))
     leaf = SearchNode(state=feasible_world())
-    children = planner.expand(leaf, "tidy up", [leaf])
+    children = planner.expand("tidy up", [leaf], "", 0)
     assert [child.step.args for child in children] == [
         {"object_id": {"Knife_1", "Mug_1"}},
         {"object_id": ["Knife_1"]},
@@ -254,7 +255,7 @@ def test_expand_of_pure_prose_makes_no_child():
     backend = RecordingBackend.ordered(["no actions here"] * 4)
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=2))
     leaf = SearchNode(state=feasible_world())
-    assert planner.expand(leaf, "tidy up", [leaf]) == []
+    assert planner.expand("tidy up", [leaf], "", 0) == []
     assert leaf.children == [] and not leaf.terminal  # plan marks it terminal
     assert backend.call_count == 4  # two proposals and both retries
 
@@ -267,7 +268,7 @@ def test_expand_keeps_infeasible_child_with_failure_observation():
     )
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
-    children = planner.expand(leaf, "tidy up", [leaf])
+    children = planner.expand("tidy up", [leaf], "", 0)
     child = children[0]
     assert child.failed
     assert child.terminal
@@ -286,7 +287,7 @@ def test_expand_keeps_unknown_tool_child():
     )
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
-    children = planner.expand(leaf, "tidy up", [leaf])
+    children = planner.expand("tidy up", [leaf], "", 0)
     assert children[0].failed
     assert "unknown tool" in children[0].step.observation
 
@@ -297,7 +298,7 @@ def test_a_tool_named_final_answer_is_an_unknown_tool_child():
     )
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
-    (child,) = planner.expand(leaf, "tidy up", [leaf])
+    (child,) = planner.expand("tidy up", [leaf], "", 0)
     assert child.failed and child.terminal
     assert child.proposal == ReactStep("done", "Final Answer", "all tidy")
     assert child.step == StepRecord(
@@ -309,7 +310,7 @@ def test_a_final_answer_child_records_its_text_without_an_observation():
     backend = ScriptedBackend.ordered(["Thought: done\nFinal Answer: all tidy"])
     planner = MctsPlanner(backend, PlannerConfig(children_per_expansion=1))
     leaf = SearchNode(state=feasible_world())
-    (child,) = planner.expand(leaf, "tidy up", [leaf])
+    (child,) = planner.expand("tidy up", [leaf], "", 0)
     assert child.terminal and not child.failed
     assert child.proposal == FinalAnswer("all tidy")
     assert child.step == StepRecord("", "Final Answer", "all tidy", None)
@@ -781,6 +782,7 @@ def explored_world(ref, explores):
     return state
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(500), deadline=None)
 @given(
     st.sampled_from([None, "worlds/kitchen.json", "worlds/kitchen_b.json",
@@ -836,6 +838,7 @@ def streams(calls):
     return [call for call in calls if call not in critiques], critiques
 
 
+@pytest.mark.five_times
 @settings(derandomize=True, max_examples=examples(60), deadline=None)
 @given(
     st.sampled_from([None, "worlds/kitchen.json", "worlds/kitchen_c.json"]),

@@ -84,6 +84,7 @@ def test_library_has_thirteen_tools():
     assert len(builtin_tool_library()) == 13
 
 
+@pytest.mark.five_times
 def test_search_precondition_matches_reference_block():
     assert builtin_tool_library()["Search Object"].precondition == parse_precondition(SEARCH_PART4)
 
@@ -390,6 +391,7 @@ def plain_zone_order(seed, zones):
     return order
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 2**32), st.lists(st.sampled_from(["counter", "dining", "hall", "pantry",
                                                         "sink", "stove", "yard"]),
@@ -819,6 +821,7 @@ def test_compiled_grounding_matches_the_tree_walk_on_shipped_worlds(world_walk):
                 assert_compiled_like_the_reference(spec.precondition, state, binding, table, data)
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(60), deadline=None)
 @given(_walks)
 def test_simulate_matches_the_execute_reference(world_walk):
@@ -904,6 +907,7 @@ def easy_goals():
     return [task.goal for task in suite.tasks]
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(60), deadline=None)
 @given(_walks, st.lists(_goal_atoms, min_size=1, max_size=12))
 def test_check_goal_matches_the_parse_every_id_reference(world_walk, atoms):

@@ -183,6 +183,7 @@ def _generated(generate, seed, count, world_refs):
         return type(exc), str(exc)
 
 
+@pytest.mark.five_times
 @settings(max_examples=examples(100), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
@@ -595,6 +596,7 @@ def test_a_fault_in_a_critique_sent_ahead_ends_the_episode_as_sequential_code_do
     assert all(backend.fault_thread.startswith("critique_") for backend in backends.values())
 
 
+@pytest.mark.five_times
 def test_overlap_stress_with_a_tiny_switch_interval_gives_the_sequential_records():
     suite = generate_easy_suite(seed=5, count=8, world_refs=WORLD_REFS)
     expected = _outputs(*run_suite(suite, PLANNING, seeded_factory(7, SeededBackend)))
@@ -652,6 +654,7 @@ def test_all_succeeding_suite_reports_hundred_percent():
         assert row["rate_percent"] == "100"
 
 
+@pytest.mark.five_times
 def test_injected_ablation_outcomes_reproduce_reference_row():
     rates = completion_rates({"moderate": (7, 20), "hard": (3, 20)})
     assert rates == {"moderate": "35", "hard": "15", "overall": "25"}
@@ -684,6 +687,7 @@ REFERENCE_STEPWISE_ROWS = [
 ]
 
 
+@pytest.mark.five_times
 def test_stepwise_reference_counts():
     table = stepwise_from_counts(REFERENCE_STEPWISE_ROWS)
     displays = [row.ssr_display for row in table.rows]

@@ -350,6 +350,7 @@ _world_states = st.builds(
 )
 
 
+@pytest.mark.five_times
 @given(st.data())
 def test_field_copy_equals_dataclasses_replace(data):
     strategy = data.draw(
@@ -374,6 +375,7 @@ def test_field_copy_equals_dataclasses_replace(data):
         _replace(instance, no_such_field=1, **changes)
 
 
+@pytest.mark.five_times
 @given(_world_states, _texts, _object_infos, _object_infos, st.data())
 def test_object_field_copy_equals_replacing_the_one_object(state, object_id, info, donor, data):
     state = dataclasses.replace(state, objects={**state.objects, object_id: info})
@@ -416,6 +418,7 @@ _record_values = st.one_of(
 )
 
 
+@pytest.mark.five_times
 @given(st.sampled_from([ReactStep, StepRecord, Observation]), st.data())
 def test_record_contract_matches_the_dataclass_machinery(cls, data):
     # Each transcript record reads, prints, hashes and compares as a frozen
