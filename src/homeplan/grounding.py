@@ -38,7 +38,7 @@ class FeedbackItem:
 
 _MESSAGE_FIELDS = {"atoms": (dict, dict), "exists": str, "fallback": str, "special": dict}
 # Texts for calls refused before any precondition is evaluated.
-_SPECIAL_FIELDS = {"not_discovered": str}
+_SPECIAL_FIELDS = {"not_discovered": str, "inside_held": str}
 # A predicate or polarity without a message fails only when it is needed.
 _ATOM_MESSAGE_OPTIONAL = {"required_true": str, "required_false": str}
 

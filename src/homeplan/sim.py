@@ -2,15 +2,17 @@
 
 A tool call gets a verdict, then a transition. ``_parse_call`` finds the
 named tool, the one place an unknown name is refused, and checks its
-arguments; ``_refusal`` checks the target and the tool's ground-truth
-precondition; ``_apply`` counts the call, applies the tool's own transition
-(``ActionSpec.apply`` in tools.py) and refreshes visibility; every step is
-a pure function of (state, action, args). ``execute`` counts a refused call too; ``simulate``, for a planner
-that wants only the verdict, is ``execute`` with grounding off, except that
-a refused call returns the very state it was given, with ``REFUSED``. The
-simulator always enforces physical legality; the ``grounding_enabled`` flag
-only controls whether a rejected action is explained (unsatisfied-predicate
-feedback) or reported as a bare execution error. Visibility
+arguments; ``_refusal`` checks the target, the tool's ground-truth
+precondition and that Place Object closes no containment cycle; ``_apply``
+counts the call, applies the tool's own transition (``ActionSpec.apply`` in
+tools.py) and refreshes visibility; every step is a pure function of
+(state, action, args). ``execute`` counts a refused call too; ``simulate``,
+for a planner that wants only the verdict, is ``execute`` with grounding
+off, except that a refused call returns the very state it was given, with
+``REFUSED``. The simulator always enforces physical legality; the
+``grounding_enabled`` flag only controls whether a rejected action is
+explained (unsatisfied-predicate feedback) or reported as a bare execution
+error. Visibility
 (``WorldState.visible``, computed by ``world.refresh_visibility``) is set
 when a world is loaded, and again after a successful call that changed what
 it depends on: the objects, the containment, or the agent's zone or held
@@ -118,10 +120,7 @@ def _refusal(state: WorldState, spec: ActionSpec, target: str | None,
     precondition reads action_count."""
     if (target is not None and target not in state.objects
             or spec.requires_discovered and target not in state.discovered):
-        if not grounding_enabled:
-            return REFUSED
-        table = messages if messages is not None else MessageTable.load()
-        return Observation(False, format_feedback([table.special["not_discovered"]]))
+        return _special_refusal("not_discovered", grounding_enabled, messages)
 
     binding: Binding = {} if target is None else {"?x": target}
     if spec.precondition is not None and not evaluate(spec.precondition, state, binding):
@@ -129,7 +128,22 @@ def _refusal(state: WorldState, spec: ActionSpec, target: str | None,
             return REFUSED
         items = unsatisfied(spec.precondition, state, binding, messages)
         return Observation(False, format_feedback([item.message for item in items]))
+
+    # Placing the held object into itself or its contents would close a containment cycle.
+    held = state.agent.held_object
+    if spec.places_held and (target == held or held in state.ancestors_of(target)):
+        return _special_refusal("inside_held", grounding_enabled, messages)
     return None
+
+
+def _special_refusal(key: str, grounding_enabled: bool,
+                     messages: MessageTable | None) -> Observation:
+    """A refusal that the world, not the precondition, decides, explained by
+    the message table's special text ``key`` when grounding is on."""
+    if not grounding_enabled:
+        return REFUSED
+    table = messages if messages is not None else MessageTable.load()
+    return Observation(False, format_feedback([table.special[key]]))
 
 
 def _counted(state: WorldState) -> WorldState:

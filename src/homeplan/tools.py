@@ -40,6 +40,9 @@ class ActionSpec:
     apply: Transition
     skill: str  # locate | move | perceive | manipulate | place
     requires_discovered: bool = False  # world-level check outside the formula
+    # Another such check: the held object goes into the target, so the
+    # target must not be the held object or inside it.
+    places_held: bool = False
     precondition: Formula | None = None  # None means trivially true
     description: str = field(init=False)
     takes_target: bool = field(init=False)
@@ -201,7 +204,8 @@ _TOOLS = (
     ActionSpec("Pick Up Object", "Pick up a target object specified by object id and hold it.",
                "Apple_1", _pick_up, "manipulate"),
     ActionSpec("Place Object", "Place the currently held object inside or on a target "
-               "receptacle specified by object id.", "CounterTop_1", _place, "place"),
+               "receptacle specified by object id.", "CounterTop_1", _place, "place",
+               places_held=True),
     ActionSpec("Open Object", "Open a target object specified by object id.",
                "Cabinet_4", _setter("isOpen", True, "Target object was opened!"), "manipulate"),
     ActionSpec("Close Object", "Close a target object specified by object id.",

@@ -213,10 +213,10 @@ def test_every_workload_builds_its_config_and_suite(monkeypatch):
 # in these shows here first; each value moves only by a change that
 # CHANGES.md explains.
 WORKLOAD_DIGESTS = {
-    "react-suite": "167b35876fe2ef2907d9c77885afdeb992fc87a140894c69b725bc84bd0019af",
+    "react-suite": "b2dcbf0c799c98c68ad322a16b0536c7099510dfd44d8add338d031fe39e5ef1",
     "react-long": "3160c7c1032cf87e7717cf476b1e4c91208f6e2df61e32b28a10ec8be083993a",
-    "mcts-suite": "f8ce31d64791e74d4dcf44da18f05faecad359c2a44d6a80f336ec3b5cac1963",
-    "mcts-remote": "7b73481f11909cdf67c45fae18611384d8fbe9f69dbe234f9a070a54483af8f4",
+    "mcts-suite": "0d9e2e915e58bde5b246ae046ccedd530f3840b79dc0b8209a2ec4c41caf2fce",
+    "mcts-remote": "c663483ab084b59d5d30a3b10086861f82cfb801857ea312e39f73d3a868156e",
 }
 
 

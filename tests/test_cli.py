@@ -653,7 +653,7 @@ def test_replay_with_message_override_reports_mismatches(tmp_path, capsys):
         },
         "exists": "none matches {formula}",
         "fallback": "failed: {formula}",
-        "special": {"not_discovered": "target unknown"},
+        "special": {"not_discovered": "target unknown", "inside_held": "target is held"},
     }
     messages_path = tmp_path / "messages.json"
     messages_path.write_text(json.dumps(reworded))

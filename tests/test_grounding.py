@@ -151,7 +151,7 @@ def test_message_table_override(tmp_path):
                                 "required_false": "should not see it"}},
          "exists": "nothing matches {formula}",
          "fallback": "failed: {formula}",
-         "special": {"not_discovered": "never seen it"}}
+         "special": {"not_discovered": "never seen it", "inside_held": "it is held"}}
         """
     )
     table = MessageTable.load(table_file)
@@ -370,7 +370,7 @@ CUSTOM_MESSAGES = {
               for name in ATTRIBUTE_NAMES + ("isHoldingObject",)},
     "exists": "nothing is {formula}",
     "fallback": "fails {formula}",
-    "special": {"not_discovered": "not found yet"},
+    "special": {"not_discovered": "not found yet", "inside_held": "inside what it holds"},
 }
 
 
@@ -513,6 +513,14 @@ def test_a_message_template_loads_exactly_when_the_format_reference_fills_it(tem
             MessageTable(data)
     else:
         assert MessageTable(data).message(fragment) == expected
+
+
+@pytest.mark.parametrize("key", ["not_discovered", "inside_held"])
+def test_a_message_table_without_a_special_text_is_refused_when_it_loads(key):
+    data = shipped_messages()
+    del data["special"][key]
+    with pytest.raises(InputFormatError, match=rf"^messages: special: missing keys \['{key}'\]$"):
+        MessageTable(data)
 
 
 def test_equal_formulas_compile_apart_and_tables_keep_their_own_text():

@@ -41,7 +41,7 @@ from homeplan.world import (
 )
 
 from .conftest import data_path, examples, make_object, make_world
-from .test_grounding import REFERENCE_TABLES, assert_compiled_like_the_reference
+from .test_grounding import REFERENCE_TABLES, assert_compiled_like_the_reference, custom_table
 
 SEARCH_PART4 = """
 (and
@@ -1037,10 +1037,8 @@ def held_pot_walk():
     ]
 
 
-# Place Object into the held object (or a receptacle nested inside it) is
-# accepted and closes a containment cycle. The stand-in model of the
-# benchmark proposes this move, so a fix changes its recorded canary.
-@pytest.mark.xfail(strict=True, reason="Place Object can create a containment cycle")
+# Place Object into the held object (or a receptacle nested inside it)
+# would close a containment cycle, so it is refused.
 @pytest.mark.parametrize("start", [held_bowl_walk, held_pot_walk])
 def test_placing_the_held_object_into_itself_is_rejected(start):
     state, calls = start()
@@ -1048,6 +1046,18 @@ def test_placing_the_held_object_into_itself_is_rejected(start):
         state, observation = execute(state, action, args, False)
     assert validate_world(state) == []
     assert not observation.success
+
+
+@pytest.mark.parametrize("start", [held_bowl_walk, held_pot_walk])
+def test_placing_the_held_object_into_itself_is_explained_under_grounding(start):
+    state, calls = start()
+    for action, args in calls[:-1]:
+        state, _ = execute(state, action, args, True)
+    _, observation = execute(state, *calls[-1], True)
+    assert observation == Observation(
+        False, "Tool Failed: the target object is the held object or inside it, ")
+    _, observation = execute(state, *calls[-1], True, custom_table())
+    assert observation == Observation(False, "Tool Failed: inside what it holds, ")
 
 
 @contextlib.contextmanager
@@ -1078,19 +1088,19 @@ def test_descendants_of_ends_on_a_containment_cycle():
         assert world.descendants_of("Box_1") == ["Box_2", "Box_1", "Key_1"]
 
 
-def test_a_heat_source_placed_into_itself_can_be_toggled_on():
-    # Place Object still closes the cycle; Toggle Object On then walks the
-    # kettle's contents, which hold the kettle itself.
+def test_a_heat_source_inside_itself_can_be_toggled_on():
+    # Place Object refuses to close a cycle, but a world can be built with
+    # one; Toggle Object On then walks the kettle's contents, which hold the
+    # kettle itself.
     kettle = ObjectInfo("kitchen", pickupable=True, moveable=True, receptacle=True,
                         toggleable=True, heat_source=True)
     state = refresh_visibility(make_world(
-        {"Kettle_1": kettle, "CounterTop_1": make_object(receptacle=True)},
-        containment={"Kettle_1": "CounterTop_1"},
-        discovered={"Kettle_1", "CounterTop_1"},
+        {"Kettle_1": kettle, "Box_1": make_object(receptacle=True)},
+        containment={"Kettle_1": "Box_1", "Box_1": "Kettle_1"},
+        discovered={"Kettle_1", "Box_1"},
     ))
     with time_limit(5):
-        for action in ("Pick Up Object", "Place Object", "Toggle Object On"):
-            state, observation = execute(state, action, {"object_id": "Kettle_1"}, True)
+        state, observation = execute(state, "Toggle Object On", {"object_id": "Kettle_1"}, True)
     assert observation == Observation(
         True, "Tool Completed Successfully: Target object was toggled on!")
 
@@ -1127,7 +1137,7 @@ def test_the_contents_of_a_carried_receptacle_move_with_it():
 # Golden state walk: every transition pinned byte for byte
 
 GOLDEN_WALK_CALLS = 2000
-GOLDEN_WALK_DIGEST = "e57c6332a6749d4c0b82c1065361ff9cec6274b1118e8b2af124540c08af17b8"
+GOLDEN_WALK_DIGEST = "00f9751f01f5624565b7641efdcf95b4f4b92afa3b21e5249c39e383bba57df9"
 
 
 def canonical_state(state):
