@@ -54,8 +54,8 @@ class MessageTable:
         for name, entry in data["atoms"].items():
             check_fields(entry, f"messages: {name}", optional=_ATOM_MESSAGE_OPTIONAL)
         self._atoms = data["atoms"]
-        self._exists, self._fallback = (split_template(data[key], ("formula",), f"messages: {key}")
-                                        for key in ("exists", "fallback"))
+        self._exists = split_template(data["exists"], ("formula",), "messages: exists")
+        self._fallback = split_template(data["fallback"], ("formula",), "messages: fallback")
         self.special = dict(data["special"])
         self._collectors: dict[int, tuple] = {}  # see _compiled
 

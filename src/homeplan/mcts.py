@@ -230,11 +230,11 @@ class MctsPlanner:
     Templates and the tool-list prompt fills are prepared once, in
     ``__init__``. ``propose`` is the one proposal call: a react step is a
     proposal on the expansion prompt of an empty search path, and
-    ``expand`` proposes children the same way. ``llm_calls`` counts every
-    model call the planner makes. Each ``plan()`` call builds a fresh tree
-    from the state it is given, kept as ``tree`` until the next call.
-    ``close`` stops the thread that critiques sent ahead run on, if one was
-    started.
+    ``expand`` proposes children of a search path's last node the same
+    way. ``llm_calls`` counts every model call the planner makes. Each
+    ``plan()`` call builds a fresh tree from the state it is given, kept as
+    ``tree`` until the next call. ``close`` stops the thread that critiques
+    sent ahead run on, if one was started.
     """
 
     def __init__(

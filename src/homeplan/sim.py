@@ -12,12 +12,11 @@ off, except that a refused call returns the very state it was given, with
 ``REFUSED``. The simulator always enforces physical legality; the
 ``grounding_enabled`` flag only controls whether a rejected action is
 explained (unsatisfied-predicate feedback) or reported as a bare execution
-error. Visibility
-(``WorldState.visible``, computed by ``world.refresh_visibility``) is set
-when a world is loaded, and again after a successful call that changed what
-it depends on: the objects, the containment, or the agent's zone or held
-object. So a state that load_world, execute or simulate returned is ready
-to act on.
+error. Visibility (``WorldState.visible``, computed by
+``world.refresh_visibility``) is set when a world is loaded, and again
+after a successful call that changed what it depends on: the objects, the
+containment, or the agent's zone or held object. So a state that
+load_world, execute or simulate returned is ready to act on.
 """
 
 from __future__ import annotations

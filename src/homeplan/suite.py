@@ -278,9 +278,11 @@ def with_percent_sign(rate: str) -> str:
 
 def config_hash(config: AgentConfig, suite: SuiteSpec, backend: str,
                 messages: str | None) -> str:
-    """Report-file key over the full effective run configuration: every agent
-    and planner field, the backend spec and the messages path, plus the
-    suite's name and seed."""
+    """Report-file key: a hash of every agent and planner field (the template
+    directory as its path), the backend spec (a script as its path), the
+    messages path, and the suite's name and seed. No file is read for it: the
+    tasks, worlds, script entries and template and message texts are not
+    hashed, so two runs that differ only in those share a key."""
     payload = json.dumps(
         {
             "config": asdict(config),
