@@ -33,8 +33,8 @@ from .grounding import MessageTable
 from .llm import FinalAnswer, LlmBackend, StepRecord, format_step
 from .mcts import MctsPlanner, PlannerConfig
 from .sim import (
-    SUCCESS_PREFIX,
     UNPARSED_ACTION,
+    Observation,
     TaskSpec,
     call_args,
     check_goal,
@@ -110,7 +110,7 @@ class EpisodeRecord:
             "steps": len(self.steps),
             "llm_calls": self.llm_call_count,
             "actions": [
-                {"action": step.action, "ok": step.observation.startswith(SUCCESS_PREFIX)}
+                {"action": step.action, "ok": Observation(step.observation).success}
                 for step in self.steps
                 if step.action is not None
             ],

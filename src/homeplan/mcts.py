@@ -300,12 +300,13 @@ class MctsPlanner:
             state, result = simulate(leaf.state, parsed.action, call_args(parsed.action_input))
         except (MalformedArgsError, UnknownToolError) as exc:
             state, result = leaf.state, rejected_call(exc)
+        refused = not result.success
         return SearchNode(
             state=state,
             step=StepRecord(parsed.thought, parsed.action, parsed.action_input, result.message),
             proposal=parsed,
-            terminal=not result.success,
-            failed=not result.success,
+            terminal=refused,
+            failed=refused,
         )
 
     def expand(self, goal: str, path: list[SearchNode], history: str,

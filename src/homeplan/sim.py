@@ -9,10 +9,11 @@ tools.py) and refreshes visibility; every step is a pure function of
 (state, action, args). ``execute`` counts a refused call too; ``simulate``,
 for a planner that wants only the verdict, is ``execute`` with grounding
 off, except that a refused call returns the very state it was given, with
-``REFUSED``. The simulator always enforces physical legality; the
-``grounding_enabled`` flag only controls whether a rejected action is
-explained (unsatisfied-predicate feedback) or reported as a bare execution
-error. Visibility (``WorldState.visible``, computed by
+``REFUSED``. The simulator always enforces physical legality; ``execute``
+makes its grounding flag and message table one argument, ``explain``: the
+table a refusal is worded with (unsatisfied-predicate feedback or a special
+text), or None for a bare execution error. An ``Observation`` holds only
+its text, which says whether the call succeeded. Visibility (``WorldState.visible``, computed by
 ``world.refresh_visibility``) is set when a world is loaded, and again
 after a successful call that changed what it depends on: the objects, the
 containment, or the agent's zone or held object. So a state that
@@ -53,19 +54,23 @@ UNPARSED_ACTION = FAIL_PREFIX + "could not parse a valid action"
 
 
 class Observation(NamedTuple):
-    success: bool
     message: str
+
+    @property
+    def success(self) -> bool:
+        """Whether the simulator accepted the call, as its text says."""
+        return self.message.startswith(SUCCESS_PREFIX)
 
 
 # What simulate returns for every call it refuses; an Observation is frozen.
-REFUSED = Observation(False, GENERIC_FAILURE)
+REFUSED = Observation(GENERIC_FAILURE)
 
 
 def rejected_call(exc: MalformedArgsError | UnknownToolError) -> Observation:
     """What an agent or planner records for a call that execute or simulate refuses."""
     if isinstance(exc, UnknownToolError):
-        return Observation(False, f"{FAIL_PREFIX}unknown tool {exc.name!r}")
-    return Observation(False, FAIL_PREFIX + "malformed action input")
+        return Observation(f"{FAIL_PREFIX}unknown tool {exc.name!r}")
+    return Observation(FAIL_PREFIX + "malformed action input")
 
 
 def call_args(action_input: dict | str | None) -> dict | None:
@@ -113,36 +118,28 @@ def _parse_call(action: str, args: dict | None, objects: dict) -> tuple[ActionSp
 
 
 def _refusal(state: WorldState, spec: ActionSpec, target: str | None,
-             grounding_enabled: bool, messages: MessageTable | None) -> Observation | None:
-    """The verdict on a parsed call: None when the simulator accepts it,
-    else the refusal's observation. It reads the uncounted state, as no
+             explain: MessageTable | None) -> Observation | None:
+    """The verdict on a parsed call: None when the simulator accepts it, else
+    the refusal's observation, bare when ``explain`` is None and otherwise
+    worded with that message table. It reads the uncounted state, as no
     precondition reads action_count."""
+    binding: Binding = {} if target is None else {"?x": target}
+    held = state.agent.held_object
     if (target is not None and target not in state.objects
             or spec.requires_discovered and target not in state.discovered):
-        return _special_refusal("not_discovered", grounding_enabled, messages)
-
-    binding: Binding = {} if target is None else {"?x": target}
-    if spec.precondition is not None and not evaluate(spec.precondition, state, binding):
-        if not grounding_enabled:
-            return REFUSED
-        items = unsatisfied(spec.precondition, state, binding, messages)
-        return Observation(False, format_feedback([item.message for item in items]))
-
+        special = "not_discovered"
+    elif spec.precondition is not None and not evaluate(spec.precondition, state, binding):
+        special = None
     # Placing the held object into itself or its contents would close a containment cycle.
-    held = state.agent.held_object
-    if spec.places_held and (target == held or held in state.ancestors_of(target)):
-        return _special_refusal("inside_held", grounding_enabled, messages)
-    return None
-
-
-def _special_refusal(key: str, grounding_enabled: bool,
-                     messages: MessageTable | None) -> Observation:
-    """A refusal that the world, not the precondition, decides, explained by
-    the message table's special text ``key`` when grounding is on."""
-    if not grounding_enabled:
+    elif spec.places_held and (target == held or held in state.ancestors_of(target)):
+        special = "inside_held"
+    else:
+        return None
+    if explain is None:
         return REFUSED
-    table = messages if messages is not None else MessageTable.load()
-    return Observation(False, format_feedback([table.special[key]]))
+    texts = ([explain.special[special]] if special is not None else
+             [item.message for item in unsatisfied(spec.precondition, state, binding, explain)])
+    return Observation(format_feedback(texts))
 
 
 def _counted(state: WorldState) -> WorldState:
@@ -162,7 +159,7 @@ def _apply(state: WorldState, spec: ActionSpec,
             or new_state.agent.current_zone != state.agent.current_zone
             or new_state.agent.held_object != state.agent.held_object):
         new_state = refresh_visibility(new_state)
-    return new_state, Observation(True, SUCCESS_PREFIX + report)
+    return new_state, Observation(SUCCESS_PREFIX + report)
 
 
 def execute(
@@ -177,8 +174,9 @@ def execute(
     Raises UnknownToolError / MalformedArgsError for calls that are not even
     well-formed; every in-vocabulary call returns an Observation instead.
     """
+    explain = (messages or MessageTable.load()) if grounding_enabled else None
     spec, target = _parse_call(action, args, state.objects)
-    refusal = _refusal(state, spec, target, grounding_enabled, messages)
+    refusal = _refusal(state, spec, target, explain)
     if refusal is not None:
         return _counted(state), refusal
     return _apply(state, spec, target)
@@ -189,7 +187,7 @@ def simulate(state: WorldState, action: str, args: dict | None) -> tuple[WorldSt
     the state it was given, uncounted, with ``REFUSED``. It raises what
     execute raises."""
     spec, target = _parse_call(action, args, state.objects)
-    if _refusal(state, spec, target, False, None) is not None:
+    if _refusal(state, spec, target, None) is not None:
         return state, REFUSED
     return _apply(state, spec, target)
 
@@ -256,12 +254,17 @@ def check_goal(state: WorldState, task: TaskSpec) -> bool:
     return all(_atom_satisfied(state, atom, object_ids) for atom in task.goal)
 
 
-_GOAL_FIELDS = {  # per goal atom type
+_GOAL_FIELDS = {  # per goal atom type, in the order a file writes them
     "attribute": {"type": str, "object": str, "attribute": str, "value": bool},
     "containment": {"type": str, "object": str, "receptacle": str},
     "chilled": {"type": str, "object": str},
     "empty": {"type": str, "object": str},
 }
+# A goal atom's and a task's JSON keys, each with the field it fills; read and written by them.
+_GOAL_KEYS = {"type": "kind", "object": "object_pattern", "attribute": "attribute",
+              "value": "value", "receptacle": "receptacle_pattern"}
+_TASK_KEYS = {"id": "id", "difficulty": "difficulty", "instruction": "instruction",
+              "goal": "goal", "maxSteps": "max_steps", "world": "world"}
 
 
 def goal_atom_from_dict(data: dict) -> GoalAtom:
@@ -271,35 +274,18 @@ def goal_atom_from_dict(data: dict) -> GoalAtom:
     check_fields(data, f"goal atom {kind}", _GOAL_FIELDS[kind])
     if kind == "attribute" and data["attribute"] not in ATTRIBUTE_NAMES:
         raise InputFormatError(f"goal atom attribute: unknown attribute {data['attribute']!r}")
-    return GoalAtom(
-        kind=kind,
-        object_pattern=data["object"],
-        attribute=data.get("attribute"),
-        value=data.get("value"),
-        receptacle_pattern=data.get("receptacle"),
-    )
+    return GoalAtom(**{_GOAL_KEYS[key]: value for key, value in data.items()})
 
 
 def _goal_atom_to_dict(atom: GoalAtom) -> dict:
-    data: dict = {"type": atom.kind, "object": atom.object_pattern}
-    if atom.kind == "attribute":
-        data["attribute"] = atom.attribute
-        data["value"] = atom.value
-    elif atom.kind == "containment":
-        data["receptacle"] = atom.receptacle_pattern
-    return data
+    return {key: getattr(atom, _GOAL_KEYS[key]) for key in _GOAL_FIELDS[atom.kind]}
 
 
 def task_to_dict(task: TaskSpec) -> dict:
     """The JSON form task_from_dict reads."""
-    return {
-        "id": task.id,
-        "difficulty": task.difficulty,
-        "instruction": task.instruction,
-        "goal": [_goal_atom_to_dict(atom) for atom in task.goal],
-        "maxSteps": task.max_steps,
-        "world": task.world,
-    }
+    data = {key: getattr(task, field) for key, field in _TASK_KEYS.items()}
+    data["goal"] = [_goal_atom_to_dict(atom) for atom in task.goal]
+    return data
 
 
 _TASK_FIELDS = {"id": str, "difficulty": str, "instruction": str, "goal": (list, dict),
@@ -319,14 +305,7 @@ def task_from_dict(data: dict) -> TaskSpec:
         raise InputFormatError(f"task {data['id']}: goal must have at least one atom")
     if data["maxSteps"] <= 0:
         raise InputFormatError(f"task {data['id']}: maxSteps must be positive")
-    return TaskSpec(
-        id=data["id"],
-        difficulty=data["difficulty"],
-        instruction=data["instruction"],
-        goal=goal,
-        max_steps=data["maxSteps"],
-        world=data.get("world"),
-    )
+    return TaskSpec(**{_TASK_KEYS[key]: value for key, value in data.items()} | {"goal": goal})
 
 
 def load_task(path) -> TaskSpec:

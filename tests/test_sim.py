@@ -321,7 +321,7 @@ def test_every_tool_reports_its_success_text_and_skill():
     state = one_room_world()
     for tool, args, text, skill in TOOL_REPORTS:
         state, obs = execute(state, tool, args, True)
-        assert obs == Observation(True, "Tool Completed Successfully: " + text), tool
+        assert obs == Observation("Tool Completed Successfully: " + text), tool
         assert library[tool].skill == skill, tool
 
 
@@ -762,8 +762,8 @@ SHIPPED_WORLDS = ("worlds/kitchen.json", "worlds/kitchen_b.json", "worlds/kitche
 def test_the_public_api_acts_on_a_world_as_loaded():
     world = homeplan.load_world(data_path("worlds/kitchen.json"))
     _, observation = homeplan.execute(world, "Pick Up Object", {"object_id": "Apple_1"}, True)
-    assert observation == Observation(True, "Tool Completed Successfully: "
-                                            "Target object was picked up!")
+    assert observation == Observation("Tool Completed Successfully: "
+                                      "Target object was picked up!")
 
 
 @functools.cache
@@ -1055,9 +1055,9 @@ def test_placing_the_held_object_into_itself_is_explained_under_grounding(start)
         state, _ = execute(state, action, args, True)
     _, observation = execute(state, *calls[-1], True)
     assert observation == Observation(
-        False, "Tool Failed: the target object is the held object or inside it, ")
+        "Tool Failed: the target object is the held object or inside it, ")
     _, observation = execute(state, *calls[-1], True, custom_table())
-    assert observation == Observation(False, "Tool Failed: inside what it holds, ")
+    assert observation == Observation("Tool Failed: inside what it holds, ")
 
 
 @contextlib.contextmanager
@@ -1102,7 +1102,7 @@ def test_a_heat_source_inside_itself_can_be_toggled_on():
     with time_limit(5):
         state, observation = execute(state, "Toggle Object On", {"object_id": "Kettle_1"}, True)
     assert observation == Observation(
-        True, "Tool Completed Successfully: Target object was toggled on!")
+        "Tool Completed Successfully: Target object was toggled on!")
 
 
 def carried_bowl_walk():
