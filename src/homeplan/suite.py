@@ -127,7 +127,9 @@ def generate_easy_suite(
 ) -> SuiteSpec:
     """Sample pick-and-place rearrangement tasks across the given worlds.
     Each world's sorted ids are split once into its movable objects and its
-    fixed receptacles; a world short of either fails when a task draws it."""
+    fixed receptacles; a world short of either fails when a task draws it.
+    A destination never already holds its target, at any depth, so no task
+    starts with its goal met."""
     if count < 1:
         raise InputFormatError("count must be at least 1")
     if count > MAX_EPISODES:
@@ -151,7 +153,8 @@ def generate_easy_suite(
             raise InsufficientObjectsError(f"{ref}: no pickupable objects on receptacles")
         target = movable[seeded_draw(seed, "task", index, "object") % len(movable)]
         source = world.parent_of(target)
-        destinations = [oid for oid in fixed if oid != source]  # the target is not fixed
+        ancestors = world.ancestors_of(target)
+        destinations = [oid for oid in fixed if oid not in ancestors]  # the target is not fixed
         if not destinations:
             raise InsufficientObjectsError(f"{ref}: no destination receptacles")
         destination = destinations[seeded_draw(seed, "task", index, "dest") % len(destinations)]

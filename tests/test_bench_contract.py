@@ -213,10 +213,10 @@ def test_every_workload_builds_its_config_and_suite(monkeypatch):
 # in these shows here first; each value moves only by a change that
 # CHANGES.md explains.
 WORKLOAD_DIGESTS = {
-    "react-suite": "b2dcbf0c799c98c68ad322a16b0536c7099510dfd44d8add338d031fe39e5ef1",
+    "react-suite": "a0cce647d89e038d3331089c2f72fbbe0df9e9d392743bd00b3b9736b6651c70",
     "react-long": "3160c7c1032cf87e7717cf476b1e4c91208f6e2df61e32b28a10ec8be083993a",
-    "mcts-suite": "0d9e2e915e58bde5b246ae046ccedd530f3840b79dc0b8209a2ec4c41caf2fce",
-    "mcts-remote": "c663483ab084b59d5d30a3b10086861f82cfb801857ea312e39f73d3a868156e",
+    "mcts-suite": "2e0990aaf0a81149b641b59e2b94b33488bc9d5c76f24ee25f8f28d1d5073041",
+    "mcts-remote": "adf9b38f3bc689d68ec19a8ee095f8260f7acd120194f55d68219b816c7cfa1f",
 }
 
 
