@@ -13,11 +13,12 @@ off, except that a refused call returns the very state it was given, with
 makes its grounding flag and message table one argument, ``explain``: the
 table a refusal is worded with (unsatisfied-predicate feedback or a special
 text), or None for a bare execution error. An ``Observation`` holds only
-its text, which says whether the call succeeded. Visibility (``WorldState.visible``, computed by
-``world.refresh_visibility``) is set when a world is loaded, and again
-after a successful call that changed what it depends on: the objects, the
-containment, or the agent's zone or held object. So a state that
-load_world, execute or simulate returned is ready to act on.
+its text, which says whether the call succeeded. Visibility
+(``WorldState.visible``, computed by ``world.refresh_visibility``) is set
+when a world is loaded, and again after a successful call that changed
+what it depends on: the objects, the containment, or the agent's zone or
+held object. So a state that load_world, execute or simulate returned is
+ready to act on.
 """
 
 from __future__ import annotations

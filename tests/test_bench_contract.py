@@ -220,6 +220,7 @@ WORKLOAD_DIGESTS = {
 }
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.five_times
 def test_each_workload_reference_pass_matches_its_pinned_digest(monkeypatch):
     from homeplan.suite import resolve_world
@@ -240,6 +241,7 @@ def test_each_workload_reference_pass_matches_its_pinned_digest(monkeypatch):
     assert digests == WORKLOAD_DIGESTS
 
 
+@pytest.mark.hash_seeds
 def test_the_simulator_canary_matches_its_pinned_digest(monkeypatch):
     # The bench's CANARY_DIGEST pins the simulator's observations for a fixed
     # stream of proposals on every shipped world, apart from any agent.

@@ -395,6 +395,7 @@ def test_console_command(tmp_path, monkeypatch, capsys, argv, files, code, stdou
 # Checks with logic of their own
 
 
+@pytest.mark.hash_seeds
 def test_compare_preconds_outputs_are_pinned(tmp_path, capsys):
     # The shipped table's report, byte for byte: stdout and the --out JSON.
     out_file = tmp_path / "report.json"

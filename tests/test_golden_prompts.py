@@ -94,6 +94,7 @@ def _episode(mode, backend):
     return run_episode(task, config, backend, pickup_world())
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.parametrize("mode", ["react", "react+mcts"])
 def test_episode_prompts_match_the_golden_digest(mode):
     backend = react_script() if mode == "react" else planner_script()
@@ -105,6 +106,7 @@ def test_episode_prompts_match_the_golden_digest(mode):
     assert (len(backend.prompts), hasher.hexdigest()) == GOLDEN[mode]
 
 
+@pytest.mark.hash_seeds
 def test_critique_prompts_name_each_child_by_its_call():
     """A declared final answer and a tool named "Final Answer" read apart in
     a critique plan, and so do two calls of one tool with different inputs.

@@ -14,7 +14,7 @@ import homeplan
 from homeplan import tools
 from homeplan.errors import InputFormatError, MalformedArgsError, UnknownToolError
 from homeplan.formula import Exists, parse_precondition, print_precondition
-from homeplan.grounding import evaluate, unsatisfied
+from homeplan.grounding import MessageTable, evaluate, unsatisfied
 from homeplan.sim import (
     GENERIC_FAILURE,
     REFUSED,
@@ -1060,6 +1060,51 @@ def test_placing_the_held_object_into_itself_is_explained_under_grounding(start)
     assert observation == Observation("Tool Failed: inside what it holds, ")
 
 
+def undiscovered_walk():
+    """Adjust Positioning towards a counter never discovered."""
+    world = make_world({"CounterTop_1": make_object(zone="counter", receptacle=True)},
+                       agent_zone="dining")
+    return refresh_visibility(world), [("Adjust Positioning", {"object_id": "CounterTop_1"})]
+
+
+def unpickupable_walk():
+    """Pick up the dining table, which its precondition refuses."""
+    return two_zone_world(), [("Pick Up Object", {"object_id": "DiningTable_1"})]
+
+
+# Each refusal: its walk, whose last call is refused, and its texts under
+# the shipped table and under custom_table().
+REFUSALS = {
+    "undiscovered": (undiscovered_walk, "the target object has not been discovered",
+                     "not found yet"),
+    "precondition": (unpickupable_walk, "the target object is not able to be picked up",
+                     "needs pickupable"),
+    "inside_held": (held_bowl_walk, "the target object is the held object or inside it",
+                    "inside what it holds"),
+}
+
+
+@pytest.mark.parametrize("grounding", [True, False], ids=["grounding-on", "grounding-off"])
+@pytest.mark.parametrize("table", ["default", "shipped", "custom"])
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_each_refusal_is_worded_once(refusal, table, grounding):
+    # With grounding on a refusal is worded with the table passed, the
+    # shipped one by default; with grounding off it is bare, whatever the table.
+    start, shipped_text, custom_text = REFUSALS[refusal]
+    state, calls = start()
+    for action, args in calls[:-1]:
+        state, observation = execute(state, action, args, True)
+        assert observation.success, action
+    messages = {"default": None, "shipped": MessageTable.load(), "custom": custom_table()}[table]
+    after, observation = execute(state, *calls[-1], grounding, messages)
+    text = custom_text if table == "custom" else shipped_text
+    assert observation == (Observation(f"Tool Failed: {text}, ") if grounding else REFUSED)
+    assert not observation.success
+    assert after == replace(state, agent=replace(state.agent,
+                                                 action_count=state.agent.action_count + 1))
+    assert simulate(state, *calls[-1]) == (state, REFUSED)
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Fail, instead of hanging, a block that runs past the given seconds."""
@@ -1179,6 +1224,7 @@ def golden_walks():
     yield held_pot_walk()
 
 
+@pytest.mark.hash_seeds
 def test_golden_state_walk():
     hasher = hashlib.sha256()
     for grounding_enabled in (True, False):

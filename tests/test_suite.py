@@ -78,6 +78,20 @@ def test_no_generated_task_starts_with_its_goal_met():
             if check_goal(resolve_world(task.world), task)] == []
 
 
+SHIPPED_WORLDS = sorted(f"worlds/{entry.name}"
+                        for entry in resources.files("homeplan.data").joinpath("worlds").iterdir())
+
+
+@settings(derandomize=True, max_examples=examples(50), deadline=None)
+@given(seed=st.integers(0, 2**32), count=st.integers(1, 60),
+       refs=st.lists(st.sampled_from(SHIPPED_WORLDS), min_size=1, unique=True))
+def test_no_generated_task_starts_with_its_goal_met_for_any_seed(seed, count, refs):
+    suite = generate_easy_suite(seed=seed, count=count, world_refs=refs)
+    worlds = {ref: resolve_world(ref) for ref in refs}
+    assert [task.id for task in suite.tasks if check_goal(worlds[task.world], task)] == []
+
+
+@pytest.mark.hash_seeds
 def test_generate_easy_suite_round_trips_through_file(tmp_path):
     suite = generate_easy_suite(seed=3, count=6, world_refs=WORLD_REFS)
     path = tmp_path / "suite.json"
@@ -759,6 +773,7 @@ GOLDEN_DIGESTS = {
 }
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
 def test_run_suite_bytes_match_the_golden_digest(mode):
     suite = generate_easy_suite(seed=11, count=6, world_refs=WORLD_REFS)
