@@ -139,18 +139,19 @@ def _compile_check(formula: Formula):
     if isinstance(formula, Exists):
         variable, body = formula.variable, _compile_check(formula.body)
         # Objects that fail the body's leading positive atom on the bound
-        # variable witness nothing: they are skipped before being bound.
+        # variable, read off the object or the visible set, are skipped.
         lead = formula.body
         if isinstance(lead, And) and lead.children:
             lead = lead.children[0]
         keep = None
         if isinstance(lead, Atom) and lead.variable == variable and lead.name in ATTRIBUTE_NAMES:
-            keep = attribute_reader(lead.name)
+            keep = lead.name
 
         def exists(state, binding):
             scan = dict(binding)  # one binding for the whole scan, in any order
-            for candidate in state.objects:
-                if keep is None or keep(state, candidate):
+            for candidate, info in state.objects.items():
+                if (keep is None or (candidate in state.visible if keep == "visible"
+                                     else getattr(info, keep))):
                     scan[variable] = candidate
                     if body(state, scan):
                         return True

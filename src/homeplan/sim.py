@@ -218,41 +218,54 @@ class TaskSpec:
     world: str | None = None  # fixture path, resolved by the harness
 
 
-@lru_cache(maxsize=1024)
 def _matching_ids(pattern: str, object_ids: tuple[str, ...]) -> frozenset[str]:
-    """The ids a goal pattern names, itself or its category's; keyed by a
-    world's ids, which no call adds or removes, so matched once per world."""
+    """The ids a goal pattern names, itself or its category's."""
     # A category match implies the "<pattern>_" prefix; only ids with it are parsed.
     prefix = pattern + "_"
     return frozenset(oid for oid in object_ids if oid == pattern
                      or (oid.startswith(prefix) and category_of(oid) == pattern))
 
 
-def _atom_satisfied(state: WorldState, atom: GoalAtom, object_ids: tuple[str, ...]) -> bool:
-    candidates = _matching_ids(atom.object_pattern, object_ids)
+@lru_cache(maxsize=1024)
+def _goal_ids(goal: tuple[GoalAtom, ...], object_ids: tuple[str, ...]) -> tuple[tuple, ...]:
+    """Per atom, the ids its object pattern names and the receptacles it
+    reads (a chilled atom's are the fridges); keyed by a world's ids, which
+    no call adds or removes, so matched once per goal and world."""
+    def receptacles(atom):
+        pattern = "Fridge" if atom.kind == "chilled" else atom.receptacle_pattern
+        return () if pattern is None else _matching_ids(pattern, object_ids)
+
+    return tuple((_matching_ids(atom.object_pattern, object_ids), receptacles(atom))
+                 for atom in goal)
+
+
+def _atom_satisfied(state: WorldState, atom: GoalAtom, candidates: frozenset[str],
+                    receptacles: frozenset[str]) -> bool:
     if atom.kind == "attribute":
         read = attribute_reader(atom.attribute)
         return any(read(state, oid) == atom.value for oid in candidates)
-    if atom.kind == "containment":
-        receptacles = _matching_ids(atom.receptacle_pattern, object_ids)
-        return any(ancestor in receptacles
-                   for oid in candidates for ancestor in state.ancestors_of(oid))
-    if atom.kind == "chilled":
-        # Inside a closed fridge-category receptacle at check time.
-        for oid in candidates:
-            for ancestor in state.ancestors_of(oid):
-                info = state.objects[ancestor]
-                if category_of(ancestor) == "Fridge" and info.openable and not info.isOpen:
-                    return True
-        return False
     if atom.kind == "empty":
         return bool(candidates) and all(not state.children_of(oid) for oid in candidates)
-    raise InputFormatError(f"unknown goal atom kind: {atom.kind!r}")
+    if atom.kind == "chilled":  # inside a closed fridge-category receptacle at check time
+        receptacles = {oid for oid in receptacles
+                       if state.objects[oid].openable and not state.objects[oid].isOpen}
+    elif atom.kind != "containment":
+        raise InputFormatError(f"unknown goal atom kind: {atom.kind!r}")
+    containment = state.containment
+    for oid in candidates:
+        parent = containment.get(oid)
+        for _ in containment:  # a chain has at most one link per edge, so a cycle ends too
+            if parent is None:
+                break
+            if parent in receptacles:
+                return True
+            parent = containment.get(parent)
+    return False
 
 
 def check_goal(state: WorldState, task: TaskSpec) -> bool:
-    object_ids = tuple(state.objects)
-    return all(_atom_satisfied(state, atom, object_ids) for atom in task.goal)
+    matched = _goal_ids(task.goal, tuple(state.objects))
+    return all(_atom_satisfied(state, atom, *ids) for atom, ids in zip(task.goal, matched))
 
 
 _GOAL_FIELDS = {  # per goal atom type, in the order a file writes them

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import DATA, InputFormatError, check_fields, read_input
 from .formula import Formula, parse_precondition
-from .world import ZONE_ANY, WorldState, _replace, concealed, with_object
+from .world import ZONE_ANY, WorldState, _replace, concealed_ids, with_object
 
 # (state, target object id or None) -> (successor state, success text)
 Transition = Callable[[WorldState, str | None], tuple[WorldState, str]]
@@ -160,8 +160,8 @@ def _explore(state: WorldState, target: None) -> tuple[WorldState, str]:
     eligible = {
         oid
         for oid, info in state.objects.items()
-        if (oid not in state.containment or info.conspicuous) and not concealed(state, oid)
-    }
+        if oid not in state.containment or info.conspicuous
+    } - concealed_ids(state)
     found = eligible - state.discovered
     agent = _replace(
         state.agent, current_zone=landing, explore_count=state.agent.explore_count + 1

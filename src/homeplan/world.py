@@ -200,8 +200,8 @@ class WorldState:
         return info.zone
 
     def zones(self) -> list[str]:
-        """All concrete zones, sorted; the wildcard zone is not listed."""
-        names = {info.zone for info in self.objects.values() if info.zone not in (None, ZONE_ANY)}
+        """The objects' concrete zones and the agent's, sorted."""
+        names = {info.zone for info in self.objects.values()} - {None, ZONE_ANY}
         names.add(self.agent.current_zone)
         return sorted(names)
 
@@ -215,7 +215,7 @@ def with_object(state: WorldState, object_id: str, **changes) -> WorldState:
 
 
 def concealed(state: WorldState, object_id: str) -> bool:
-    """True when a closed openable ancestor hides the object."""
+    """True when a closed openable ancestor hides it: only a contained object can be concealed."""
     containment = state.containment
     current = containment.get(object_id)
     seen = set()
@@ -228,16 +228,25 @@ def concealed(state: WorldState, object_id: str) -> bool:
     return False
 
 
+def concealed_ids(state: WorldState) -> set[str]:
+    """The concealed objects, which visibility and Randomly Explore leave out. An
+    ancestor holds something, so none is while no closed openable receptacle holds anything."""
+    objects, containment = state.objects, state.containment
+    if not any(objects[p].openable and not objects[p].isOpen for p in containment.values()):
+        return set()
+    return {object_id for object_id in containment if concealed(state, object_id)}
+
+
 def refresh_visibility(state: WorldState) -> WorldState:
     """The state with its visible set computed: the objects held, or in the
-    agent's zone or the wildcard zone, and not concealed. The state itself
-    when the set is unchanged."""
+    agent's zone or the wildcard zone, and not concealed (``concealed_ids``).
+    The state itself when the set is unchanged."""
     here = (state.agent.current_zone, ZONE_ANY)
     held = state.agent.held_object
     visible = frozenset([
         object_id for object_id, info in state.objects.items()
-        if (info.zone in here or object_id == held) and not concealed(state, object_id)
-    ])
+        if info.zone in here or object_id == held
+    ]) - concealed_ids(state)
     return state if visible == state.visible else _replace(state, visible=visible)
 
 
