@@ -156,6 +156,8 @@ def run_episode(
     propagates, for the caller to report; a planner that produced nothing
     to act on ends the episode as a failure with its error. The planner is
     closed however the episode ends."""
+    if config.grounding_enabled and messages is None:
+        messages = MessageTable.load()  # once per episode, not once per call
     planner = MctsPlanner(backend, config=config.planner, template_dir=config.template_dir)
     state = world
     steps: list[StepRecord] = []

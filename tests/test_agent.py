@@ -14,6 +14,7 @@ from homeplan.agent import (
     run_episode,
 )
 from homeplan.errors import BackendUnavailableError
+from homeplan.grounding import MessageTable
 from homeplan.llm import LlmBackend, ScriptedBackend, ScriptEntry, format_step, load_template
 from homeplan.mcts import PlannerConfig
 from homeplan.sim import GENERIC_FAILURE, UNPARSED_ACTION, GoalAtom, TaskSpec, check_goal
@@ -651,3 +652,26 @@ def test_adversarial_feedback_text_drives_recovery(adversarial):
     assert "Tool Failed: the target object is not visible, " in observations
     actions = [step.action for step in on.steps]
     assert "Adjust Positioning" in actions
+
+
+@pytest.mark.parametrize("grounding, loads", [(True, 1), (False, 0)])
+def test_an_episode_resolves_its_message_table_once(monkeypatch, grounding, loads):
+    # Every call of a five-step episode is refused, and each refusal is
+    # worded with the table the episode resolved when it began.
+    calls = []
+    real_load = MessageTable.load
+
+    def counting_load(path=None):
+        calls.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(MessageTable, "load", staticmethod(counting_load))
+    place = "Thought: place\nAction: Place Object\nAction Input: {'object_id': 'Basket_1'}"
+    task = simple_task(
+        [GoalAtom("attribute", "Tomato", attribute="isCooked", value=True)], max_steps=5
+    )
+    record = run_episode(task, AgentConfig(grounding_enabled=grounding),
+                         ScriptedBackend.ordered([place], cyclic=True), pickup_world())
+    refusal = "Tool Failed: the agent is not holding an object, " if grounding else GENERIC_FAILURE
+    assert [step.observation for step in record.steps] == [refusal] * 5
+    assert calls.count(None) == loads  # the shipped table, however it was read
