@@ -200,7 +200,7 @@ class WorldState:
         return info.zone
 
     def zones(self) -> list[str]:
-        """The objects' concrete zones and the agent's, sorted."""
+        """The objects' zones other than None and the wildcard, and the agent's, sorted."""
         names = {info.zone for info in self.objects.values()} - {None, ZONE_ANY}
         names.add(self.agent.current_zone)
         return sorted(names)
@@ -214,27 +214,16 @@ def with_object(state: WorldState, object_id: str, **changes) -> WorldState:
     return _replace(state, objects=objects)
 
 
-def concealed(state: WorldState, object_id: str) -> bool:
-    """True when a closed openable ancestor hides it: only a contained object can be concealed."""
-    containment = state.containment
-    current = containment.get(object_id)
-    seen = set()
-    while current is not None and current not in seen:
-        info = state.objects[current]
-        if info.openable and not info.isOpen:
-            return True
-        seen.add(current)
-        current = containment.get(current)
-    return False
-
-
 def concealed_ids(state: WorldState) -> set[str]:
-    """The concealed objects, which visibility and Randomly Explore leave out. An
-    ancestor holds something, so none is while no closed openable receptacle holds anything."""
+    """The objects a closed openable ancestor hides; visibility and Randomly
+    Explore leave them out. Only contained objects have ancestors, and every
+    ancestor holds something, so with no closed openable holder none is hidden."""
     objects, containment = state.objects, state.containment
-    if not any(objects[p].openable and not objects[p].isOpen for p in containment.values()):
+    closed = {parent for parent in containment.values()
+              if objects[parent].openable and not objects[parent].isOpen}
+    if not closed:
         return set()
-    return {object_id for object_id in containment if concealed(state, object_id)}
+    return {oid for oid in containment if not closed.isdisjoint(state.ancestors_of(oid))}
 
 
 def refresh_visibility(state: WorldState) -> WorldState:
