@@ -231,9 +231,10 @@ def _goal_ids(goal: tuple[GoalAtom, ...], object_ids: tuple[str, ...]) -> tuple[
     """Per atom, the ids its object pattern names and the receptacles it
     reads (a chilled atom's are the fridges); keyed by a world's ids, which
     no call adds or removes, so matched once per goal and world."""
+
     def receptacles(atom):
         pattern = "Fridge" if atom.kind == "chilled" else atom.receptacle_pattern
-        return () if pattern is None else _matching_ids(pattern, object_ids)
+        return frozenset() if pattern is None else _matching_ids(pattern, object_ids)
 
     return tuple((_matching_ids(atom.object_pattern, object_ids), receptacles(atom))
                  for atom in goal)
